@@ -6,9 +6,9 @@ family period by period; among final vectors clearing (1-3*eps)*phi in the
 rounded-profit metric it keeps the lightest, which is super-optimal against
 the exact inverse optimum while violating the floor by at most that factor.
 
-The DP table is kept in integer-rescaled units (profits share the common
-denominator (1/eps)**l_top, lambdas their own lcm) because all inner-loop
-arithmetic then runs on plain ints; Fractions reappear only at the surface.
+The DP table holds rounded profits times their common denominator
+(1/eps)**l_top, so on an instance in integer units (``model.integer_units``)
+the inner loop runs on plain ints; Fractions reappear only at the surface.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
-from .model import Instance, Solution, SuffixLambdas, objective
+from .model import Instance, Solution, SuffixLambdas, integer_units, objective
 from .statespace import UtilizationVector, enumerate_family
 
 
@@ -36,9 +36,22 @@ def check_internal_eps(eps: Fraction) -> Fraction:
     return eps
 
 
+def accuracy_budget(eps, losses: int) -> Fraction:
+    """Internal accuracy 1/max(5, ceil(losses/eps)) for an outer accuracy eps.
+
+    A stage whose end bound loses ``losses`` times its internal accuracy then
+    meets the outer (1-eps) factor; 1/5 is the coarsest internal accuracy the
+    solvers accept.  Raises ValueError unless eps > 0.
+    """
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return Fraction(1, max(5, math.ceil(losses / eps)))
+
+
 def rescaled_third(eps: Fraction) -> Fraction:
     """Wrapper accuracy: internal eps delivering a (1-eps) profit floor."""
-    return Fraction(1, max(5, math.ceil(3 / Fraction(eps))))
+    return accuracy_budget(eps, 3)
 
 
 @dataclass
@@ -96,10 +109,7 @@ def dp_solve(
     active = interval.active
     ltop = max(active) if active else 0
     rp_int = [(q + 1) ** l * q ** (ltop - l) for l in active]
-
-    d_lam = math.lcm(*(v.denominator for v in suffix.values), 1)
-    lam_int = [int(v * d_lam) for v in suffix.values]
-    value_den = q**ltop * d_lam
+    value_den = q**ltop
 
     order = sorted(range(len(family)), key=lambda j: (sum(family[j].counts), family[j].counts))
     fam = [family[j] for j in order]
@@ -115,7 +125,7 @@ def dp_solve(
     raw[0][zero] = 0
 
     for t in range(1, horizon + 1):
-        lam = lam_int[t - 1]
+        lam = suffix.values[t - 1]
         cap = capacities[t - 1]
         prev_row = raw[t - 1]
         # G value of each reachable predecessor, in family order (sums ascending)
@@ -194,7 +204,7 @@ class InverseFrontier:
         self.instance = instance
         self.eps = check_internal_eps(eps)
         entries: list[tuple[Fraction, Fraction, Optional[BoundedDPTable], Optional[int]]] = [
-            (Fraction(0), Fraction(0), None, None)
+            (0, 0, None, None)
         ]
         if instance.n > 0:
             classes = build_classes(instance, self.eps)
@@ -269,6 +279,7 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
     eps = check_internal_eps(eps)
     if instance.n == 0:
         return Solution.empty(0)
+    instance, _, _ = integer_units(instance)
     frontier = InverseFrontier(instance, eps)
     profits = [p for p, _ in instance.items]
     # widest grid reading; a zero coefficient cannot anchor a geometric grid
@@ -281,7 +292,7 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
     while v <= hi:
         grid.append(v)
         v *= 1 + eps
-    best_profit = Fraction(0)
+    best_profit = 0
     best = Solution.empty(instance.n)
     for phi in grid:
         res = frontier.query(phi)

@@ -10,7 +10,6 @@ search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -72,7 +71,7 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     one_plus = 1 + eps
     members: dict[int, list[int]] = {}
     for i, (p, _) in enumerate(instance.items):
-        ratio = p / scale
+        ratio = Fraction(p, scale)
         level = 0
         power = one_plus
         while power <= ratio:
@@ -84,7 +83,7 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     prefix: dict[int, tuple[Fraction, ...]] = {}
     for level, ids in members.items():
         ids.sort(key=lambda i: (instance.items[i][1], i))
-        sums = [Fraction(0)]
+        sums = [0]
         for i in ids:
             sums.append(sums[-1] + instance.items[i][1])
         ordered[level] = tuple(ids)
@@ -173,7 +172,3 @@ def candidate_intervals(
         lo = max(top - width + 1, 0, lo_bound)
         out.append(make_interval(classes, lo, top))
     return out
-
-
-def ceil_fraction(x: Fraction) -> int:
-    return math.ceil(x)

@@ -12,18 +12,19 @@ with capacities reduced by the weight already committed below.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bounded import InverseFrontier, InverseResult, rescaled_third
+from .bounded import InverseFrontier, InverseResult, accuracy_budget, rescaled_third
 from .classes import ProfitClasses, build_classes
 from .model import (
     AllLambdasZero,
+    InfeasibleSolution,
     Instance,
     Solution,
     check_feasible,
+    integer_units,
     objective,
     preprocess,
     remap_solution,
@@ -54,13 +55,6 @@ class ClusterPlan:
 
     def is_bad(self, interval_index: int) -> bool:
         return interval_index % self.inv_eps == self.xi
-
-    def cluster_of_period(self, t: int) -> Optional[int]:
-        """1-based cluster index containing period t, if any."""
-        for m, periods in enumerate(self.clusters, start=1):
-            if t in periods:
-                return m
-        return None
 
 
 def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
@@ -190,7 +184,7 @@ def single_cluster_instance(
             lambdas.append(suffix.at(t))
     sub = Instance(
         items=tuple(parent.items[i] for i in item_ids),
-        capacities=tuple(max(parent.capacities[t - 1] - omega, Fraction(0)) for t in periods),
+        capacities=tuple(max(parent.capacities[t - 1] - omega, 0) for t in periods),
         lambdas=tuple(lambdas),
     )
     return SingleClusterInstance(instance=sub, item_ids=item_ids, periods=periods)
@@ -226,7 +220,7 @@ class ClusterDPTable:
         """Minimum achievable weight, or None when the state is infeasible."""
         phi = self.grid.values[phi_idx]
         if phi == 0:
-            return Fraction(0)
+            return 0
         if m == 0 or ell == -1:
             return None
         key = (m, ell, phi_idx)
@@ -309,9 +303,10 @@ def star_graph_edges(
 ) -> set[tuple[int, int]]:
     """Bipartite (cluster, class) edges induced by a solution's introductions."""
     item_class = {i: l for l, ids in classes.members.items() for i in ids}
+    cluster_of = {t: m for m, periods in enumerate(plan.clusters, start=1) for t in periods}
     edges = set()
     for i, t in solution.introduced():
-        m = plan.cluster_of_period(t)
+        m = cluster_of.get(t)
         if m is None:
             raise ValueError(f"item {i} introduced outside every cluster (period {t})")
         edges.add((m, item_class[i]))
@@ -331,7 +326,9 @@ def audit_uncrossing(edges: set[tuple[int, int]]) -> bool:
 
 @dataclass(frozen=True)
 class GeneralResult:
-    """Winning solution plus the diagnostics of the offset that produced it."""
+    """Winning solution plus the diagnostics of the offset that produced it.
+
+    ``phi_target``, ``grid`` and ``classes`` are in ``core_instance``'s integer units."""
 
     solution: Solution  # over the original instance
     profit: Fraction
@@ -347,10 +344,7 @@ class GeneralResult:
 
 def internal_eps(eps_public: Fraction) -> Fraction:
     """Rescale a public accuracy so the (1-7*eps) end bound meets it."""
-    eps_public = Fraction(eps_public)
-    if eps_public <= 0:
-        raise ValueError("eps must be positive")
-    return Fraction(1, max(5, math.ceil(7 / eps_public)))
+    return accuracy_budget(eps_public, 7)
 
 
 def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
@@ -379,11 +373,7 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
     fit_ids = tuple(i for i, (_, w) in enumerate(pre.items) if w <= pre.capacities[-1])
     if not fit_ids:
         return empty
-    core = Instance(
-        items=tuple(pre.items[i] for i in fit_ids),
-        capacities=pre.capacities,
-        lambdas=pre.lambdas,
-    )
+    core, _, _ = integer_units(Instance(tuple(pre.items[i] for i in fit_ids), pre.capacities, pre.lambdas))
     classes = build_classes(core, eps)
     profits = [p for p, _ in core.items]
     p_max = max(profits)
@@ -402,14 +392,16 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
             grid = build_grid(eps, plan.num_clusters, core.lambdas[-1], p_max, psi_cap)
             table = cluster_dp(core, classes, plan, grid, eps)
             core_solution, phi_target = glue(plan, table, core.n)
-            assert check_feasible(core, core_solution) is None
+            bad = check_feasible(core, core_solution)
+            if bad is not None:
+                raise InfeasibleSolution(bad)
             intro_pre: list[Optional[int]] = [None] * pre.n
             for j, t in core_solution.introduced():
                 intro_pre[fit_ids[j]] = t
             pre_solution = Solution(tuple(intro_pre))
             candidate = GeneralResult(
                 solution=remap_solution(pre_solution, remap),
-                profit=objective(core, core_solution),
+                profit=objective(pre, pre_solution),
                 eps_int=eps,
                 xi=xi,
                 plan=plan,
@@ -421,7 +413,8 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
             )
         if best is None or candidate.profit > best.profit:
             best = candidate
-    assert best is not None
+    if best is None:
+        raise NoFeasibleState("no offset was tried")
     return best
 
 

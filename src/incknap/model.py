@@ -5,13 +5,16 @@ grows over T periods; items, once introduced, stay.  The objective weights
 each period's packed profit by a nonnegative coefficient, so a solution is
 fully described by one introduction period (or NEVER) per item.
 
-All scalars are exact rationals (fractions.Fraction).  Floating point is
-never used: the solvers rely on exact weight comparisons and exact
-super-optimality statements that are meaningless under rounding error.
+All scalars are exact rationals: ``fractions.Fraction`` or ``int``.
+Floating point is never used: the solvers rely on exact weight comparisons
+and exact super-optimality statements that are meaningless under rounding
+error.  ``integer_units`` is the one place units are chosen; the solvers
+run on its all-``int`` copy of an instance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -93,7 +96,7 @@ class SuffixLambdas:
     @property
     def ratio(self) -> Fraction:
         """Boundedness ratio: first suffix over last suffix."""
-        return self.values[0] / self.values[-1]
+        return Fraction(self.values[0], self.values[-1])
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ class Instance:
     @cached_property
     def suffix_lambdas(self) -> SuffixLambdas:
         values = []
-        acc = Fraction(0)
+        acc = 0
         for v in reversed(self.lambdas):
             acc += v
             values.append(acc)
@@ -154,11 +157,11 @@ class Solution:
     def weights_by_period(self, instance: Instance) -> tuple[Fraction, ...]:
         """Total packed weight at each period (cumulative)."""
         horizon = instance.horizon
-        added = [Fraction(0)] * (horizon + 1)
+        added = [0] * (horizon + 1)
         for i, t in self.introduced():
             added[t] += instance.items[i][1]
         out = []
-        acc = Fraction(0)
+        acc = 0
         for t in range(1, horizon + 1):
             acc += added[t]
             out.append(acc)
@@ -205,6 +208,26 @@ def preprocess(instance: Instance) -> tuple[Instance, tuple[int, ...]]:
     return reduced, tuple(keep)
 
 
+def integer_units(instance: Instance) -> tuple[Instance, int, int]:
+    """The instance with every scalar a plain int: (scaled, value_unit, weight_unit).
+
+    Weights and capacities are multiplied by weight_unit, one lcm of their
+    denominators; profits and lambdas by lcms of their own, whose product
+    value_unit multiplies every objective value.  Solver decisions are ratio
+    tests or order comparisons within one kind of scalar, so solutions carry
+    over unchanged.  This is the only place in the package that picks units.
+    """
+    w_unit = math.lcm(1, *(w.denominator for _, w in instance.items), *(c.denominator for c in instance.capacities))
+    p_unit = math.lcm(1, *(p.denominator for p, _ in instance.items))
+    l_unit = math.lcm(1, *(v.denominator for v in instance.lambdas))
+    scaled = Instance(
+        items=tuple((int(p * p_unit), int(w * w_unit)) for p, w in instance.items),
+        capacities=tuple(int(c * w_unit) for c in instance.capacities),
+        lambdas=tuple(int(v * l_unit) for v in instance.lambdas),
+    )
+    return scaled, p_unit * l_unit, w_unit
+
+
 def remap_solution(solution: Solution, remap: tuple[int, ...]) -> Solution:
     """Translate a reduced-horizon solution back to original periods."""
     return Solution(tuple(None if t is None else remap[t - 1] for t in solution.intro))
@@ -225,11 +248,11 @@ def objective(instance: Instance, solution: Solution) -> Fraction:
     if bad is not None:
         raise InfeasibleSolution(bad)
     horizon = instance.horizon
-    added = [Fraction(0)] * (horizon + 1)
+    added = [0] * (horizon + 1)
     for i, t in solution.introduced():
         added[t] += instance.items[i][0]
-    total = Fraction(0)
-    packed = Fraction(0)
+    total = 0
+    packed = 0
     for t in range(1, horizon + 1):
         packed += added[t]
         total += instance.lambdas[t - 1] * packed

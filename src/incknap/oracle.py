@@ -2,20 +2,18 @@
 
 Every solver here enumerates the full assignment space (one introduction
 period or NEVER per item), so results are ground truth the approximation
-pipeline is checked against.  Internally all scalars are rescaled to
-integers (exactness preserved) because Python int arithmetic is an order of
-magnitude faster than Fraction churn in these inner loops.
+pipeline is checked against.  The searches run on the instance in
+integer units (``model.integer_units``) because Python int arithmetic is
+an order of magnitude faster than Fraction churn in these inner loops.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .classes import ClassInterval, ProfitClasses, prefix_weight
-from .model import Instance, Solution
+from .model import Instance, Solution, integer_units
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -25,38 +23,6 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"enumeration of {required} states exceeds budget {budget}")
         self.required = required
         self.budget = budget
-
-
-@dataclass
-class _Scaled:
-    """Instance rescaled to integer weights/capacities and contributions."""
-
-    contrib: list[list[int]]  # contrib[i][t-1] = scaled p_i * suffix_lambda(t)
-    weights: list[int]
-    caps: list[int]
-    profit_den: int  # divide integer profit by this to recover the Fraction
-    weight_den: int
-
-
-def _scale(instance: Instance) -> _Scaled:
-    suffix = instance.suffix_lambdas.values
-    d_profit = math.lcm(
-        *(p.denominator for p, _ in instance.items),
-        *(s.denominator for s in suffix),
-        1,
-    )
-    d_weight = math.lcm(
-        *(w.denominator for _, w in instance.items),
-        *(c.denominator for c in instance.capacities),
-        1,
-    )
-    contrib = [
-        [int(p * s * d_profit) for s in suffix]
-        for p, _ in instance.items
-    ]
-    weights = [int(w * d_weight) for _, w in instance.items]
-    caps = [int(c * d_weight) for c in instance.capacities]
-    return _Scaled(contrib, weights, caps, d_profit, d_weight)
 
 
 def _check_budget(instance: Instance, budget: int) -> None:
@@ -73,7 +39,9 @@ def exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fractio
     """
     _check_budget(instance, budget)
     horizon = instance.horizon
-    sc = _scale(instance)
+    scaled, value_unit, _ = integer_units(instance)
+    contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
+    caps = scaled.capacities
     best_profit: Optional[int] = None
     best_intro: tuple[Optional[int], ...] = (None,) * instance.n
     cur: list[Optional[int]] = [None] * instance.n
@@ -86,25 +54,25 @@ def exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fractio
                 best_profit = profit
                 best_intro = tuple(cur)
             return
-        w = sc.weights[i]
+        w = scaled.items[i][1]
         for t in range(1, horizon + 1):
             ok = True
             for tau in range(t, horizon + 1):
-                if cum[tau] + w > sc.caps[tau - 1]:
+                if cum[tau] + w > caps[tau - 1]:
                     ok = False
                     break
             if ok:
                 for tau in range(t, horizon + 1):
                     cum[tau] += w
                 cur[i] = t
-                rec(i + 1, profit + sc.contrib[i][t - 1])
+                rec(i + 1, profit + contrib[i][t - 1])
                 cur[i] = None
                 for tau in range(t, horizon + 1):
                     cum[tau] -= w
         rec(i + 1, profit)
 
     rec(0, 0)
-    return Fraction(best_profit or 0, sc.profit_den), Solution(best_intro)
+    return Fraction(best_profit or 0, value_unit), Solution(best_intro)
 
 
 def exact_inverse(
@@ -113,8 +81,10 @@ def exact_inverse(
     """Minimum total weight achieving objective >= phi, or None if impossible."""
     _check_budget(instance, budget)
     horizon = instance.horizon
-    sc = _scale(instance)
-    phi_scaled = Fraction(phi) * sc.profit_den
+    scaled, value_unit, weight_unit = integer_units(instance)
+    contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
+    caps = scaled.capacities
+    phi_scaled = Fraction(phi) * value_unit
     best_weight: Optional[int] = None
     best_intro: tuple[Optional[int], ...] = (None,) * instance.n
     cur: list[Optional[int]] = [None] * instance.n
@@ -129,18 +99,18 @@ def exact_inverse(
                 best_weight = cum[horizon]
                 best_intro = tuple(cur)
             return
-        w = sc.weights[i]
+        w = scaled.items[i][1]
         for t in range(1, horizon + 1):
             ok = True
             for tau in range(t, horizon + 1):
-                if cum[tau] + w > sc.caps[tau - 1]:
+                if cum[tau] + w > caps[tau - 1]:
                     ok = False
                     break
             if ok:
                 for tau in range(t, horizon + 1):
                     cum[tau] += w
                 cur[i] = t
-                rec(i + 1, profit + sc.contrib[i][t - 1])
+                rec(i + 1, profit + contrib[i][t - 1])
                 cur[i] = None
                 for tau in range(t, horizon + 1):
                     cum[tau] -= w
@@ -149,7 +119,7 @@ def exact_inverse(
     rec(0, 0)
     if best_weight is None:
         return None
-    return Fraction(best_weight, sc.weight_den), Solution(best_intro)
+    return Fraction(best_weight, weight_unit), Solution(best_intro)
 
 
 def exact_restricted_dp(

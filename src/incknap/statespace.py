@@ -39,13 +39,10 @@ class HeavyProfile:
     base: Fraction
     multipliers: dict[int, int]
 
-    def estimate(self, index: int) -> Fraction:
-        return self.multipliers[index] * self.base
-
 
 def make_vector(classes: ProfitClasses, interval: ClassInterval, counts: tuple[int, ...]) -> UtilizationVector:
     """Wrap counts with their exact total weight."""
-    weight = Fraction(0)
+    weight = 0
     for pos, level in enumerate(interval.active):
         if counts[pos] > 0:
             weight += prefix_weight(classes, level, 1, counts[pos])

@@ -38,6 +38,9 @@ def test_rescaled_third():
     assert rescaled_third(Fraction(1, 5)) == Fraction(1, 15)
     assert rescaled_third(Fraction(1, 14)) == Fraction(1, 42)
     assert rescaled_third(Fraction(1)) == Fraction(1, 5)
+    for bad in (Fraction(0), Fraction(-1)):
+        with pytest.raises(ValueError):
+            rescaled_third(bad)
 
 
 def test_dp_solve_hand_rollout():

@@ -188,3 +188,9 @@ def test_make_interval_active_classes():
     interval = make_interval(classes, 2, 11)
     assert interval.active == (3, 11)
     assert interval.length == 10
+
+
+def test_build_classes_divides_integer_profits_exactly():
+    # 36/25 is exactly (6/5)**2; float division lands just below it
+    classes = build_classes(Instance(items=((25, 1), (36, 1)), capacities=(2,), lambdas=(1,)), Fraction(1, 5))
+    assert classes.members == {0: (0,), 2: (1,)}

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from incknap import cli
 from incknap.cli import (
     format_rational,
     generate_instance,
@@ -12,7 +13,7 @@ from incknap.cli import (
     main,
     parse_rational,
 )
-from incknap.model import validate
+from incknap.model import Solution, validate
 from incknap.oracle import exact_opt
 
 
@@ -132,6 +133,31 @@ def test_cmd_solve_budget_exceeded(tmp_path):
     assert main(["solve", str(path), "--mode", "exact"]) == 3
 
 
+@pytest.mark.parametrize(
+    "mode, eps",
+    [("general", "abc"), ("general", "0"), ("bounded", "0"), ("bounded", "-1"), ("exact", "1/0")],
+)
+def test_cmd_solve_rejects_bad_eps(tmp_path, capsys, mode, eps):
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(generate_instance(3, 3, 2, "uniform")))
+    assert main(["solve", str(path), "--mode", mode, "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--eps" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["bounded", "general"])
+def test_cmd_solve_all_zero_lambdas(tmp_path, mode):
+    path = tmp_path / "zero.json"
+    doc = {"items": [{"p": "2", "w": "1"}], "capacities": ["1", "2"], "lambdas": ["0", "0"]}
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--mode", mode, "--out", str(out)]) == 0
+    solution = json.loads(out.read_text())
+    assert solution["intro"] == [None]
+    assert solution["profit"] == "0"
+
+
 def test_cmd_validate(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(instance_to_json(generate_instance(2, 3, 2, "uniform")))
@@ -177,3 +203,15 @@ def test_cmd_eval_budget_error_rows(tmp_path):
     with out.open() as handle:
         rows = list(csv.DictReader(handle))
     assert rows and rows[0]["error"] != ""
+
+
+def test_cmd_eval_counts_profit_above_optimum(tmp_path, monkeypatch):
+    def over_optimal(instance, mode, eps):
+        return Solution.empty(instance.n), Fraction(10**9)
+
+    monkeypatch.setattr(cli, "_solve_mode", over_optimal)
+    out = tmp_path / "over.csv"
+    assert main(["eval", "--seeds", "1", "--n", "3", "--out", str(out)]) == 1
+    with out.open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 1 and rows[0]["error"] != ""

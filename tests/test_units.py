@@ -1,0 +1,84 @@
+import dataclasses
+import random
+from fractions import Fraction
+
+from helpers import random_instance
+from incknap.bounded import InverseFrontier, solve_bounded
+from incknap.general import solve_detailed
+from incknap.model import Instance, integer_units, objective, preprocess
+from incknap.oracle import exact_opt
+
+
+def scalars(value):
+    """Every leaf of a result: dataclass fields, containers and dict values."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from scalars(getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from scalars(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from scalars(item)
+    else:
+        yield value
+
+
+def divided(instance, dp, dw, dl):
+    """Profits over dp, weights and capacities over dw, lambdas over dl."""
+    return Instance.build(
+        items=[(Fraction(p, dp), Fraction(w, dw)) for p, w in instance.items],
+        capacities=[Fraction(c, dw) for c in instance.capacities],
+        lambdas=[Fraction(v, dl) for v in instance.lambdas],
+    )
+
+
+def test_integer_units_scales_each_kind_by_one_lcm():
+    instance = Instance.build(
+        items=[(Fraction(1, 2), Fraction(2, 3)), (Fraction(5, 4), 1)],
+        capacities=[Fraction(1, 6), 2],
+        lambdas=[Fraction(1, 5), Fraction(3, 10)],
+    )
+    scaled, value_unit, weight_unit = integer_units(instance)
+    assert scaled.items == ((2, 4), (5, 6))
+    assert scaled.capacities == (1, 12)
+    assert scaled.lambdas == (2, 3)
+    assert (value_unit, weight_unit) == (40, 6)
+    assert all(type(v) is int for v in scalars(scaled))
+
+
+def test_solutions_invariant_under_unit_changes():
+    rng = random.Random(23)
+    for _ in range(12):
+        instance = random_instance(rng, n_max=7, t_max=3)
+        dp, dw, dl = (rng.randint(1, 12) for _ in range(3))
+        other = divided(instance, dp, dw, dl)
+
+        # public eps <= 1 keeps every class at or below the heavy threshold
+        for eps in (Fraction(1), Fraction(1, 2)):
+            assert solve_detailed(other, eps).solution == solve_detailed(instance, eps).solution
+
+        pre, _ = preprocess(instance)
+        other_pre, _ = preprocess(other)
+        for eps in (Fraction(1, 8), Fraction(1, 10)):
+            assert solve_bounded(other_pre, eps) == solve_bounded(pre, eps)
+
+        opt, solution = exact_opt(instance)
+        other_opt, other_solution = exact_opt(other)
+        assert other_solution == solution
+        assert other_opt * dp * dl == opt
+        assert objective(other, solution) * dp * dl == objective(instance, solution)
+
+
+def test_no_float_in_results_on_integer_units():
+    rng = random.Random(29)
+    for _ in range(8):
+        instance, _, _ = integer_units(random_instance(rng, n_max=6, t_max=3))
+        result = solve_detailed(instance, Fraction(1, 2))
+        assert not any(isinstance(v, float) for v in scalars(result))
+        if result.core_instance is not None:
+            assert all(type(v) is int for v in scalars(result.core_instance))
+        frontier = InverseFrontier(instance, Fraction(1, 5))
+        for phi in (0, 1, objective(instance, result.solution)):
+            answer = frontier.query(phi)
+            assert not any(isinstance(v, float) for v in scalars(answer))
