@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .model import Instance
 
@@ -143,12 +142,7 @@ def interval_length_cap(eps: Fraction, n: int, rho: Fraction, max_useful: int) -
     return max(length, 1)
 
 
-def candidate_intervals(
-    classes: ProfitClasses,
-    eps: Fraction,
-    rho: Fraction,
-    class_range: Optional[tuple[int, int]] = None,
-) -> list[ClassInterval]:
+def candidate_intervals(classes: ProfitClasses, eps: Fraction, rho: Fraction) -> list[ClassInterval]:
     """One interval per candidate top class.
 
     The near-optimal prefix-like solution lives on an interval ending at the
@@ -159,16 +153,7 @@ def candidate_intervals(
     if rho < 1:
         raise ValueError("rho must be at least 1")
     indices = classes.indices
-    if class_range is not None:
-        lo_bound, hi_bound = class_range
-        indices = tuple(l for l in indices if lo_bound <= l <= hi_bound)
-    else:
-        lo_bound = 0
     if not indices:
         return []
-    width = interval_length_cap(eps, classes.total_items, rho, max_useful=indices[-1] - lo_bound + 1)
-    out = []
-    for top in indices:
-        lo = max(top - width + 1, 0, lo_bound)
-        out.append(make_interval(classes, lo, top))
-    return out
+    width = interval_length_cap(eps, classes.total_items, rho, max_useful=indices[-1] + 1)
+    return [make_interval(classes, max(top - width + 1, 0), top) for top in indices]

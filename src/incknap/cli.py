@@ -3,8 +3,10 @@
 Instances travel as JSON with every scalar written as an exact decimal
 string (or "a/b" when the denominator is not a power of 2 and 5), so a
 parse/serialize round trip is value-identical and float contamination is
-impossible.  Exit codes: 0 success, 2 validation or parse error, 3 oracle
-budget exceeded.
+impossible: a scalar that is not a string is rejected.  Exit codes: 0
+success; 1 an ``eval`` batch with failure rows; 2 an unreadable, malformed
+or invalid instance file, a bad argument, or an unwritable ``--out``; 3
+oracle budget exceeded.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .model import (
     AllLambdasZero,
     Instance,
     Solution,
-    ValidationError,
     objective,
     preprocess,
     remap_solution,
@@ -36,11 +37,12 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 PROFILES = ("uniform", "geometric-lambda", "subset-sum")
+MODES = ("exact", "bounded", "general")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Accept decimal strings and a/b ratios; reject floats elsewhere."""
-    return Fraction(str(text).strip())
+    """Exact value of a decimal string or an a/b ratio."""
+    return Fraction(text.strip())
 
 
 def format_rational(x: Fraction) -> str:
@@ -75,12 +77,31 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_rational(value, where: str) -> Fraction:
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a rational string, not {json.dumps(value)}")
+    return parse_rational(value)
+
+
+def _json_list(doc, key: str) -> list:
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list in a top-level object")
+    return value
+
+
 def instance_from_json(text: str) -> Instance:
+    """Parse an instance document; ValueError on any fault of shape or scalar."""
     doc = json.loads(text)
+    items = []
+    for i, it in enumerate(_json_list(doc, "items")):
+        if not isinstance(it, dict):
+            raise ValueError(f"item {i} must be an object with 'p' and 'w'")
+        items.append((_json_rational(it.get("p"), f"item {i} 'p'"), _json_rational(it.get("w"), f"item {i} 'w'")))
     return Instance.build(
-        items=[(parse_rational(it["p"]), parse_rational(it["w"])) for it in doc["items"]],
-        capacities=[parse_rational(c) for c in doc["capacities"]],
-        lambdas=[parse_rational(v) for v in doc["lambdas"]],
+        items=items,
+        capacities=[_json_rational(c, "capacity") for c in _json_list(doc, "capacities")],
+        lambdas=[_json_rational(v, "lambda") for v in _json_list(doc, "lambdas")],
     )
 
 
@@ -147,30 +168,49 @@ def _solve_mode(instance: Instance, mode: str, eps: Fraction) -> tuple[Solution,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def cmd_solve(args) -> int:
+class BadInput(Exception):
+    """An unreadable or invalid input, argument or output path; exit 2."""
+
+
+def _load_instance(path: str) -> Instance:
     try:
-        instance = instance_from_json(Path(args.path).read_text())
+        instance = instance_from_json(Path(path).read_text())
         validate(instance)
-    except (ValidationError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except (OSError, ValueError, ZeroDivisionError) as exc:
+        raise BadInput(f"invalid instance: {exc}") from exc
+    return instance
+
+
+def _parse_eps(text: str) -> Fraction:
     try:
-        eps = parse_rational(args.eps)
-        if eps <= 0:
-            raise ValueError("must be positive")
+        eps = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"invalid --eps {args.eps!r}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise BadInput(f"invalid --eps {text!r}: {exc}") from exc
+    if eps <= 0:
+        raise BadInput(f"invalid --eps {text!r}: must be positive")
+    return eps
+
+
+def _write_output(text: str, out: Optional[str]) -> None:
+    """Write text to the --out file, or to stdout without one."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise BadInput(f"cannot write --out: {exc}") from exc
+
+
+def cmd_solve(args) -> int:
+    instance = _load_instance(args.path)
+    eps = _parse_eps(args.eps)
     try:
         solution, profit = _solve_mode(instance, args.mode, eps)
     except oracle.BudgetExceeded as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    text = solution_to_json(instance, solution, profit)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(solution_to_json(instance, solution, profit), args.out)
     return EXIT_OK
 
 
@@ -178,31 +218,26 @@ def cmd_gen(args) -> int:
     try:
         instance = generate_instance(args.seed, args.n, args.t, args.profile)
     except ValueError as exc:
-        print(f"cannot generate: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    text = instance_to_json(instance)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        raise BadInput(f"cannot generate: {exc}") from exc
+    _write_output(instance_to_json(instance), args.out)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    try:
-        instance = instance_from_json(Path(args.path).read_text())
-        validate(instance)
-    except (ValidationError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    instance = _load_instance(args.path)
     print(f"ok: {instance.n} items, {instance.horizon} periods")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     """Batch evaluation against the exact oracle, one CSV row per run."""
-    eps_list = [parse_rational(e) for e in args.eps]
+    eps_list = [_parse_eps(e) for e in args.eps]
     modes = args.modes.split(",")
+    unknown = [m for m in modes if m not in MODES]
+    if unknown:
+        raise BadInput(f"invalid --modes: unknown {', '.join(map(repr, unknown))}; choose from {', '.join(MODES)}")
+    if args.n < 1 or args.t < 1:
+        raise BadInput("invalid --n/--t: both must be at least 1")
     rows = []
     failures = 0
     for seed in range(args.seed_start, args.seed_start + args.seeds):
@@ -244,12 +279,14 @@ def cmd_eval(args) -> int:
                         error,
                     ]
                 )
-    out = Path(args.out)
-    with out.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "mode", "eps", "solver_profit", "oracle_profit", "ratio", "weight", "ms", "error"])
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    try:
+        with Path(args.out).open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "mode", "eps", "solver_profit", "oracle_profit", "ratio", "weight", "ms", "error"])
+            writer.writerows(rows)
+    except OSError as exc:
+        raise BadInput(f"cannot write --out: {exc}") from exc
+    print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK if failures == 0 else 1
 
 
@@ -259,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("path")
-    p_solve.add_argument("--mode", choices=("exact", "bounded", "general"), default="general")
+    p_solve.add_argument("--mode", choices=MODES, default="general")
     p_solve.add_argument("--eps", default="0.5")
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
@@ -295,7 +332,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "eps", None) is None and args.command == "eval":
         args.eps = ["0.5"]
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BadInput as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -208,6 +208,7 @@ class ClusterDPTable:
         ] = {}
         self._sub_eps = rescaled_third(self.eps)
         self._ell_states = (-1,) + self.classes.indices
+        self._step = 1 + self.eps / self.plan.num_clusters
 
     def _frontier(self, m: int, lo: int, hi: int, omega: Fraction) -> tuple[InverseFrontier, SingleClusterInstance]:
         key = (m, lo, hi, omega)
@@ -226,8 +227,6 @@ class ClusterDPTable:
         key = (m, ell, phi_idx)
         if key in self._values:
             return self._values[key]
-        self._values[key] = None  # cycle guard; states only reference m-1
-        step = 1 + self.eps / self.plan.num_clusters
         best: Optional[Fraction] = None
         best_back = None
         for ell_prev in (l for l in self._ell_states if l <= ell):
@@ -236,7 +235,7 @@ class ClusterDPTable:
                 if prev is None:
                     continue
                 phi_prev = self.grid.values[idx_prev]
-                phi_req = phi - step * phi_prev - self.grid.delta
+                phi_req = phi - self._step * phi_prev - self.grid.delta
                 if phi_req < 0:
                     phi_req = Fraction(0)
                 frontier, sub = self._frontier(m, ell_prev + 1, ell, prev)

@@ -9,6 +9,7 @@ an order of magnitude faster than Fraction churn in these inner loops.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Optional
 
@@ -141,9 +142,7 @@ def exact_restricted_dp(
     if required > budget:
         raise BudgetExceeded(required, budget)
 
-    vectors: list[tuple[int, ...]] = [()]
-    for s in sizes:
-        vectors = [v + (k,) for v in vectors for k in range(s + 1)]
+    vectors = list(itertools.product(*(range(s + 1) for s in sizes)))
 
     def weight(counts: tuple[int, ...]) -> Fraction:
         return sum(

@@ -5,18 +5,20 @@ items are packed.  The pruned family is produced by two maps: up-rounding
 snaps each heavy class's excess weight up to an integer multiple mu of a
 power-of-two base derived from the total heavy excess, and truncation then
 drops the last ceil(2*eps*Delta) items of each heavy class to pay the
-rounding back.  Because the image of these maps is determined by a small
-tuple of discrete choices (labels, base, multipliers, light counts), the
-family can be enumerated directly without touching the exponential vector
-space.
+rounding back.  The image of these maps is fixed by a few discrete choices:
+labels, base and multipliers fix the truncated heavy counts, and light
+counts are free, so the family is enumerated from the distinct truncated
+heavy counts crossed with the light ranges, never from the exponential
+vector space.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .classes import ClassInterval, ProfitClasses, prefix_weight
 
@@ -128,6 +130,11 @@ def up_round(
     return make_vector(classes, interval, tuple(new_counts)), profile
 
 
+def _truncated(k: int, threshold: int, eps: Fraction) -> int:
+    """Heavy count k less its last ceil(2*eps*(k - 1/eps)) items."""
+    return k - math.ceil(2 * eps * (k - threshold))
+
+
 def truncate(
     counts: tuple[int, ...],
     classes: ProfitClasses,
@@ -142,13 +149,11 @@ def truncate(
     on carried labels.
     """
     threshold = int(1 / eps)
-    heavy_set = set(heavy)
-    new_counts = list(counts)
-    for pos, level in enumerate(interval.active):
-        if level in heavy_set:
-            delta = counts[pos] - threshold
-            new_counts[pos] = counts[pos] - math.ceil(2 * eps * delta)
-    return make_vector(classes, interval, tuple(new_counts))
+    new_counts = tuple(
+        _truncated(k, threshold, eps) if level in heavy else k
+        for k, level in zip(counts, interval.active)
+    )
+    return make_vector(classes, interval, new_counts)
 
 
 def prune_image(
@@ -237,58 +242,27 @@ def enumerate_family(
 ) -> list[UtilizationVector]:
     """Directly enumerate a superset of the truncated up-rounding image.
 
-    Configurations walk (a) light/heavy labelings, (b) light counts in
-    [0, min(1/eps, |P_l|)], (c) power-of-two bases, (d) multiplier vectors;
-    each configuration fixes the heavy coordinates via the estimate rule and
-    is then truncated.  Extra vectors beyond the exact image are harmless:
-    the DP only gains actions and enforces feasibility itself.  The zero
-    vector is always a member; output is deduplicated and sorted.
+    Pass one walks the heavy configurations, sets each heavy count to the
+    largest one whose excess fits mu * base (none fits: the configuration
+    brackets no vector) and truncates it.  Many configurations give the same
+    truncated heavy counts, so it keeps the distinct partial vectors: heavy
+    counts fixed, light coordinates open.  The all-light vector is fully
+    open.  Pass two crosses each partial vector once with the light counts
+    [0, min(1/eps, |P_l|)].  Extra vectors beyond the exact image are
+    harmless: the DP only gains actions and enforces feasibility itself.
+    The zero vector is always a member; output is deduplicated and sorted.
     """
     threshold = int(1 / eps)
-    active = interval.active
-    seen: set[tuple[int, ...]] = set()
-
-    def light_choices(exclude: set[int]) -> Iterator[tuple[int, ...]]:
-        ranges = [
-            range(0, min(threshold, classes.size(l)) + 1) if l not in exclude else (None,)
-            for l in active
-        ]
-
-        def rec(pos: int, acc: list) -> Iterator[tuple[int, ...]]:
-            if pos == len(ranges):
-                yield tuple(acc)
-                return
-            for v in ranges[pos]:
-                acc.append(v)
-                yield from rec(pos + 1, acc)
-                acc.pop()
-
-        yield from rec(0, [])
-
-    for combo in light_choices(set()):
-        seen.add(combo)
-
+    light_ranges = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]
+    partials: set[tuple[Optional[int], ...]] = {(None,) * len(interval.active)}
     for heavy, base, mus in heavy_configurations(classes, interval, eps, weight_range, n):
-        rounded = {}
-        feasible = True
-        for l, mu in zip(heavy, mus):
-            k = _max_within_estimate(classes, l, threshold, mu * base)
-            if k == 0:
-                feasible = False
-                break
-            rounded[l] = k
-        if not feasible:
-            continue
-        heavy_set = set(heavy)
-        truncated = {}
-        for l, k in rounded.items():
-            delta = k - threshold
-            truncated[l] = k - math.ceil(2 * eps * delta)
-        for combo in light_choices(heavy_set):
-            counts = tuple(
-                truncated[l] if l in heavy_set else combo[pos]
-                for pos, l in enumerate(active)
+        rounded = {l: _max_within_estimate(classes, l, threshold, mu * base) for l, mu in zip(heavy, mus)}
+        if 0 not in rounded.values():
+            partials.add(
+                tuple(_truncated(rounded[l], threshold, eps) if l in rounded else None for l in interval.active)
             )
-            seen.add(counts)
 
+    seen: set[tuple[int, ...]] = set()
+    for partial in partials:
+        seen.update(itertools.product(*(r if c is None else (c,) for c, r in zip(partial, light_ranges))))
     return [make_vector(classes, interval, counts) for counts in sorted(seen)]

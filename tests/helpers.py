@@ -8,6 +8,7 @@ the library code they check.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -132,3 +133,33 @@ def random_feasible_solution(rng: random.Random, instance: Instance) -> Solution
         if brute_profit(instance, tuple(intro)) is None:
             intro[i] = None
     return Solution(tuple(intro))
+
+
+def reference_family(classes, interval, eps, weight_range, n):
+    """The pruned family built one heavy configuration at a time.
+
+    Each configuration crosses its own truncated heavy counts with every
+    light count, so no work is shared between configurations; this is the
+    plain statement ``statespace.enumerate_family`` must match exactly.
+    """
+    from incknap.statespace import _max_within_estimate, heavy_configurations, make_vector
+
+    threshold = int(1 / eps)
+    active = interval.active
+
+    def light_choices(exclude):
+        ranges = [
+            range(0, min(threshold, classes.size(l)) + 1) if l not in exclude else (None,)
+            for l in active
+        ]
+        return itertools.product(*ranges)
+
+    seen = set(light_choices(set()))
+    for heavy, base, mus in heavy_configurations(classes, interval, eps, weight_range, n):
+        rounded = {l: _max_within_estimate(classes, l, threshold, mu * base) for l, mu in zip(heavy, mus)}
+        if 0 in rounded.values():
+            continue
+        truncated = {l: k - math.ceil(2 * eps * (k - threshold)) for l, k in rounded.items()}
+        for combo in light_choices(set(heavy)):
+            seen.add(tuple(truncated[l] if l in truncated else combo[pos] for pos, l in enumerate(active)))
+    return [make_vector(classes, interval, counts) for counts in sorted(seen)]

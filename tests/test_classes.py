@@ -110,17 +110,6 @@ def test_interval_length_cap_matches_ceiling():
     assert Fraction(6, 5) ** 13 >= 10 > Fraction(6, 5) ** 12
 
 
-def test_candidate_intervals_respects_range():
-    instance = unit_items([1, 1, 1], profits=[1, 2, 4])
-    classes = build_classes(instance, Fraction(1, 5))
-    full = candidate_intervals(classes, Fraction(1, 5), Fraction(1))
-    assert len(full) == 3
-    restricted = candidate_intervals(classes, Fraction(1, 5), Fraction(1), class_range=(3, 8))
-    tops = [iv.hi for iv in restricted]
-    assert all(3 <= top <= 8 for top in tops)
-    assert all(iv.lo >= 3 for iv in restricted)
-
-
 def test_candidate_coverage_property():
     # the interval emitted for a solution's true top class covers every class
     # within the window below it

@@ -215,3 +215,86 @@ def test_cmd_eval_counts_profit_above_optimum(tmp_path, monkeypatch):
     with out.open() as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 1 and rows[0]["error"] != ""
+
+
+def _assert_one_line_rejection(capsys, code):
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
+GOOD_ITEM = {"p": "2", "w": "1"}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '"items"',
+        json.dumps({"items": [["2", "1"]], "capacities": ["2"], "lambdas": ["1"]}),
+        json.dumps({"items": [GOOD_ITEM], "capacities": None, "lambdas": ["1"]}),
+        json.dumps({"items": [GOOD_ITEM], "lambdas": ["1"]}),
+        json.dumps({"items": [{"p": 0.1, "w": "1"}], "capacities": ["2"], "lambdas": ["1"]}),
+        json.dumps({"items": [{"p": "2", "w": 1}], "capacities": ["2"], "lambdas": ["1"]}),
+        json.dumps({"items": [{"p": "2"}], "capacities": ["2"], "lambdas": ["1"]}),
+        json.dumps({"items": [GOOD_ITEM], "capacities": [2], "lambdas": ["1"]}),
+        json.dumps({"items": [GOOD_ITEM], "capacities": ["2"], "lambdas": [True]}),
+        json.dumps({"items": [{"p": "1/0", "w": "1"}], "capacities": ["2"], "lambdas": ["1"]}),
+    ],
+    ids=[
+        "top-level-list",
+        "top-level-string",
+        "item-as-list",
+        "null-capacities",
+        "missing-capacities",
+        "float-profit",
+        "int-weight",
+        "missing-weight",
+        "int-capacity",
+        "bool-lambda",
+        "zero-denominator",
+    ],
+)
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_malformed_instance_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    _assert_one_line_rejection(capsys, main([command, str(path)]))
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."])
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_unreadable_instance_exits_2(tmp_path, capsys, command, name):
+    _assert_one_line_rejection(capsys, main([command, str(tmp_path / name)]))
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "no-such-dir" / "out.json")
+    _assert_one_line_rejection(capsys, main(["gen", "--seed", "1", "--n", "3", "--t", "2", "--out", out]))
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(generate_instance(1, 3, 2, "uniform")))
+    _assert_one_line_rejection(capsys, main(["solve", str(path), "--out", out]))
+    _assert_one_line_rejection(capsys, main(["eval", "--seeds", "1", "--n", "3", "--out", out]))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--eps", "abc"],
+        ["--eps", "0"],
+        ["--eps", "0.5", "--eps", "-1"],
+        ["--eps", "1/0"],
+        ["--modes", "general,fast"],
+        ["--n", "0"],
+        ["--t", "0"],
+    ],
+)
+def test_cmd_eval_rejects_bad_arguments_before_solving(tmp_path, capsys, monkeypatch, flags):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the arguments")
+
+    monkeypatch.setattr(cli.oracle, "exact_opt", no_solve)
+    out = tmp_path / "report.csv"
+    _assert_one_line_rejection(capsys, main(["eval", "--seeds", "2", "--out", str(out), *flags]))
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import class_structure, random_class_structure, random_vector_pair
-from incknap.classes import build_classes, make_interval
+from helpers import class_structure, random_class_structure, random_vector_pair, reference_family
+from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import Instance
 from incknap.statespace import (
     classify,
@@ -187,3 +188,51 @@ def test_family_vectors_are_valid():
         for pos, level in enumerate(interval.active):
             assert 0 <= v.counts[pos] <= classes.size(level)
         assert v.weight == make_vector(classes, interval, v.counts).weight
+
+
+def _family_rows(family):
+    return [(v.counts, v.weight) for v in family]
+
+
+def _adds_heavy_vectors(family, classes, interval, eps):
+    """True when the family holds more than the all-light vectors."""
+    light = math.prod(min(int(1 / eps), classes.size(l)) + 1 for l in interval.active)
+    return len(family) > light
+
+
+@pytest.mark.parametrize("eps, max_classes", [(Fraction(1, 5), 3), (Fraction(1, 10), 2)])
+def test_enumerate_family_equals_reference(eps, max_classes):
+    rng = random.Random(int(1 / eps) + 7)
+    heavy_hits = 0
+    for _ in range(30):
+        instance, classes, interval = random_class_structure(
+            rng, eps, max_classes=max_classes, max_items=int(1 / eps) + 6
+        )
+        weights = [w for _, w in instance.items]
+        args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
+        family = enumerate_family(*args)
+        assert _family_rows(family) == _family_rows(reference_family(*args))
+        heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
+    assert heavy_hits >= 5
+
+
+def test_enumerate_family_equals_reference_on_heavy_profits():
+    # profits 100/110/121 are one class each at eps 1/10; 14 items of
+    # profit 100 make that class heavy
+    eps = Fraction(1, 10)
+    rng = random.Random(5)
+    profits = [100] * 14 + [110] * 4 + [121] * 3
+    instance = Instance.build(
+        items=[(p, rng.randint(1, 10)) for p in profits], capacities=[60], lambdas=[1]
+    )
+    classes = build_classes(instance, eps)
+    assert classes.size(0) == 14
+    intervals = candidate_intervals(classes, eps, Fraction(1))
+    heavy_hits = 0
+    for interval in intervals:
+        weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
+        args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
+        family = enumerate_family(*args)
+        assert _family_rows(family) == _family_rows(reference_family(*args))
+        heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
+    assert heavy_hits == len(intervals)
