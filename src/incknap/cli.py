@@ -5,8 +5,9 @@ string (or "a/b" when the denominator is not a power of 2 and 5), so a
 parse/serialize round trip is value-identical and float contamination is
 impossible: a scalar that is not a string is rejected.  Exit codes: 0
 success; 1 an ``eval`` batch with failure rows; 2 an unreadable, malformed
-or invalid instance file, a bad argument, or an unwritable ``--out``; 3
-oracle budget exceeded.
+or invalid instance file, a bad argument, or an unwritable ``--out``; 3 a
+resource overrun on a valid input: the oracle budget exceeded, or a result
+value longer than the interpreter's integer string conversion limit.
 """
 
 from __future__ import annotations
@@ -210,7 +211,13 @@ def cmd_solve(args) -> int:
     except oracle.BudgetExceeded as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    _write_output(solution_to_json(instance, solution, profit), args.out)
+    try:
+        text = solution_to_json(instance, solution, profit)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        print(f"result too long to write: a value exceeds the {limit}-digit integer string limit", file=sys.stderr)
+        return EXIT_BUDGET
+    _write_output(text, args.out)
     return EXIT_OK
 
 

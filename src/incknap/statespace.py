@@ -5,15 +5,17 @@ items are packed.  The pruned family is produced by two maps: up-rounding
 snaps each heavy class's excess weight up to an integer multiple mu of a
 power-of-two base derived from the total heavy excess, and truncation then
 drops the last ceil(2*eps*Delta) items of each heavy class to pay the
-rounding back.  The image of these maps is fixed by a few discrete choices:
-labels, base and multipliers fix the truncated heavy counts, and light
-counts are free, so the family is enumerated from the distinct truncated
-heavy counts crossed with the light ranges, never from the exponential
-vector space.
+rounding back.  For one heavy class only the truncated count a multiplier
+produces matters, and that count is monotone in mu, so each class offers a
+short table of reachable truncated counts, each with its least mu; a tuple
+of them is reachable exactly when those least multipliers fit the counting
+cap.  The family is these heavy tuples crossed with the free light ranges,
+never the exponential vector space.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,21 +86,6 @@ def heavy_excess(counts: tuple[int, ...], classes: ProfitClasses, interval: Clas
     return total
 
 
-def _max_within_estimate(classes: ProfitClasses, level: int, threshold: int, estimate: Fraction) -> int:
-    """Largest k in [1/eps+1, |P_l|] whose excess prefix weight fits estimate.
-
-    Returns 0 when even the single item at position 1/eps+1 exceeds it.
-    """
-    size = classes.size(level)
-    best = 0
-    for k in range(threshold + 1, size + 1):
-        if prefix_weight(classes, level, threshold + 1, k) <= estimate:
-            best = k
-        else:
-            break
-    return best
-
-
 def up_round(
     counts: tuple[int, ...],
     classes: ProfitClasses,
@@ -125,7 +112,8 @@ def up_round(
         w_exc = prefix_weight(classes, level, threshold + 1, counts[pos])
         mu = math.ceil(w_exc / base)
         multipliers[level] = mu
-        new_counts[pos] = _max_within_estimate(classes, level, threshold, mu * base)
+        prefix = classes.prefix[level]
+        new_counts[pos] = bisect.bisect_right(prefix, prefix[threshold] + mu * base) - 1
     profile = HeavyProfile(light=light, heavy=heavy, excess_weight=excess, base=base, multipliers=multipliers)
     return make_vector(classes, interval, tuple(new_counts)), profile
 
@@ -184,21 +172,24 @@ def _power_range(lo: Fraction, hi: Fraction) -> list[Fraction]:
     return out
 
 
-def _mu_vectors(limits: list[int], cap: int) -> Iterator[tuple[int, ...]]:
-    """All (mu_1..mu_h) with 1 <= mu_j <= limits[j] and sum <= cap."""
+def _heavy_choices(
+    classes: ProfitClasses, level: int, threshold: int, base: Fraction, eps: Fraction
+) -> dict[int, int]:
+    """Truncated counts up-rounding can give a heavy class, each with its least mu.
 
-    def rec(pos: int, remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if pos == len(limits):
-            yield tuple(acc)
-            return
-        hi = min(limits[pos], remaining - (len(limits) - pos - 1))
-        for mu in range(1, hi + 1):
-            acc.append(mu)
-            yield from rec(pos + 1, remaining - mu, acc)
-            acc.pop()
-
-    if len(limits) <= cap:
-        yield from rec(0, cap, [])
+    With mu_k = ceil(weight of items 1/eps+1..k / base), at least 1 since
+    weights are positive, the estimate mu * base lands on the largest k with
+    mu_k <= mu, so the counts reached are the last k of each distinct mu_k,
+    and mu_k is the least multiplier reaching it.  Truncation is monotone,
+    so the first mu seen for a truncated count is its least.  Empty when
+    the class holds at most 1/eps items.
+    """
+    prefix = classes.prefix[level][threshold:]
+    reached = {math.ceil((w - prefix[0]) / base): k for k, w in enumerate(prefix[1:], start=threshold + 1)}
+    choices: dict[int, int] = {}
+    for mu, k in reached.items():
+        choices.setdefault(_truncated(k, threshold, eps), mu)
+    return choices
 
 
 def heavy_configurations(
@@ -207,30 +198,28 @@ def heavy_configurations(
     eps: Fraction,
     weight_range: tuple[Fraction, Fraction],
     n: int,
-) -> Iterator[tuple[tuple[int, ...], Fraction, tuple[int, ...]]]:
-    """Yield (heavy-label tuple, base, mu-vector) covering every reachable profile.
+) -> Iterator[tuple[Optional[int], ...]]:
+    """Yield every reachable truncated heavy-count tuple, None for light classes.
 
     The base ranges over powers of two bracketing eps/|interval| times the
     possible heavy excess (between the lightest single item and n items of
-    maximal weight); multiplier sums never exceed the counting cap, and
-    per-class multipliers stop once the estimate already swallows the whole
-    class, since larger values bracket no source vector.
+    maximal weight).  At each base every class is light (None) or, when it
+    holds more than 1/eps items, takes one of its reachable truncated counts;
+    a combination with at least one heavy class is reachable exactly when
+    the least multipliers of its counts sum to at most the counting cap.  A
+    tuple may repeat across bases.
     """
     threshold = int(1 / eps)
-    w_min, w_max = weight_range
-    eligible = [l for l in interval.active if classes.size(l) > threshold]
+    if all(classes.size(l) <= threshold for l in interval.active):
+        return
     cap = mu_sum_cap(interval, eps)
-    for mask in range(1, 1 << len(eligible)):
-        heavy = tuple(l for b, l in enumerate(eligible) if mask >> b & 1)
-        lo = eps / interval.length * w_min
-        hi = 2 * eps / interval.length * n * w_max
-        for base in _power_range(lo, hi):
-            limits = [
-                math.ceil(prefix_weight(classes, l, threshold + 1, classes.size(l)) / base)
-                for l in heavy
-            ]
-            for mus in _mu_vectors(limits, cap):
-                yield heavy, base, mus
+    lo = eps / interval.length * weight_range[0]
+    hi = 2 * eps / interval.length * n * weight_range[1]
+    for base in _power_range(lo, hi):
+        options = [[(None, 0), *_heavy_choices(classes, l, threshold, base, eps).items()] for l in interval.active]
+        for combo in itertools.product(*options):
+            if 0 < sum(mu for _, mu in combo) <= cap:
+                yield tuple(count for count, _ in combo)
 
 
 def enumerate_family(
@@ -242,26 +231,17 @@ def enumerate_family(
 ) -> list[UtilizationVector]:
     """Directly enumerate a superset of the truncated up-rounding image.
 
-    Pass one walks the heavy configurations, sets each heavy count to the
-    largest one whose excess fits mu * base (none fits: the configuration
-    brackets no vector) and truncates it.  Many configurations give the same
-    truncated heavy counts, so it keeps the distinct partial vectors: heavy
-    counts fixed, light coordinates open.  The all-light vector is fully
-    open.  Pass two crosses each partial vector once with the light counts
-    [0, min(1/eps, |P_l|)].  Extra vectors beyond the exact image are
-    harmless: the DP only gains actions and enforces feasibility itself.
-    The zero vector is always a member; output is deduplicated and sorted.
+    Pass one collects the distinct partial vectors: the reachable truncated
+    heavy tuples of ``heavy_configurations``, light coordinates open, plus
+    the fully open all-light vector.  Pass two crosses each partial vector
+    once with the light counts [0, min(1/eps, |P_l|)].  Extra vectors beyond
+    the exact image are harmless: the DP only gains actions and enforces
+    feasibility itself.  The zero vector is always a member; output is
+    deduplicated and sorted.
     """
     threshold = int(1 / eps)
     light_ranges = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]
-    partials: set[tuple[Optional[int], ...]] = {(None,) * len(interval.active)}
-    for heavy, base, mus in heavy_configurations(classes, interval, eps, weight_range, n):
-        rounded = {l: _max_within_estimate(classes, l, threshold, mu * base) for l, mu in zip(heavy, mus)}
-        if 0 not in rounded.values():
-            partials.add(
-                tuple(_truncated(rounded[l], threshold, eps) if l in rounded else None for l in interval.active)
-            )
-
+    partials = {(None,) * len(interval.active), *heavy_configurations(classes, interval, eps, weight_range, n)}
     seen: set[tuple[int, ...]] = set()
     for partial in partials:
         seen.update(itertools.product(*(r if c is None else (c,) for c, r in zip(partial, light_ranges))))

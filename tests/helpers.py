@@ -106,9 +106,10 @@ def class_structure(*weight_lists, eps=Fraction(1, 5)):
     return instance, classes, interval
 
 
-def random_class_structure(rng: random.Random, eps: Fraction, max_classes=4, max_items=12):
+def random_class_structure(rng: random.Random, eps: Fraction, max_classes=4, max_items=12, den=1):
+    """Random classes with weights in [1/den, 10] on the grid 1/den."""
     weight_lists = [
-        [rng.randint(1, 10) for _ in range(rng.randint(1, max_items))]
+        [Fraction(rng.randint(1, 10 * den), den) for _ in range(rng.randint(1, max_items))]
         for _ in range(rng.randint(1, max_classes))
     ]
     return class_structure(*weight_lists, eps=eps)
@@ -135,31 +136,70 @@ def random_feasible_solution(rng: random.Random, instance: Instance) -> Solution
     return Solution(tuple(intro))
 
 
-def reference_family(classes, interval, eps, weight_range, n):
-    """The pruned family built one heavy configuration at a time.
+def reference_partials(classes, interval, eps, weight_range, n, cap=None):
+    """Truncated heavy counts of every heavy configuration, None for light classes.
 
-    Each configuration crosses its own truncated heavy counts with every
-    light count, so no work is shared between configurations; this is the
-    plain statement ``statespace.enumerate_family`` must match exactly.
+    The counting argument written out one configuration at a time: every
+    non-empty set of classes holding more than 1/eps items, every power-of-two
+    base in the bracket, and every multiplier vector with 1 <= mu <=
+    ceil(class excess / base) and sum at most ``cap`` (the counting cap when
+    None; tests pass a larger one to see the cap bind).  Each heavy count is
+    the largest one whose excess fits mu * base, found by a linear scan, and
+    is then truncated; a configuration where none fits brackets no vector.
     """
-    from incknap.statespace import _max_within_estimate, heavy_configurations, make_vector
+    from incknap.statespace import _power_range, mu_sum_cap
 
     threshold = int(1 / eps)
-    active = interval.active
+    cap = mu_sum_cap(interval, eps) if cap is None else cap
+    eligible = [l for l in interval.active if classes.size(l) > threshold]
+    w_min, w_max = weight_range
+    lo = eps / interval.length * w_min
+    hi = 2 * eps / interval.length * n * w_max
 
-    def light_choices(exclude):
-        ranges = [
-            range(0, min(threshold, classes.size(l)) + 1) if l not in exclude else (None,)
-            for l in active
-        ]
-        return itertools.product(*ranges)
+    def excess(l, k):
+        return classes.prefix[l][k] - classes.prefix[l][threshold]
 
-    seen = set(light_choices(set()))
-    for heavy, base, mus in heavy_configurations(classes, interval, eps, weight_range, n):
-        rounded = {l: _max_within_estimate(classes, l, threshold, mu * base) for l, mu in zip(heavy, mus)}
-        if 0 in rounded.values():
-            continue
-        truncated = {l: k - math.ceil(2 * eps * (k - threshold)) for l, k in rounded.items()}
-        for combo in light_choices(set(heavy)):
-            seen.add(tuple(truncated[l] if l in truncated else combo[pos] for pos, l in enumerate(active)))
+    rounded = {}
+
+    def round_up(l, estimate):
+        if (l, estimate) not in rounded:
+            fits = [k for k in range(threshold + 1, classes.size(l) + 1) if excess(l, k) <= estimate]
+            rounded[l, estimate] = max(fits, default=0)
+        return rounded[l, estimate]
+
+    partials = set()
+    for size in range(1, len(eligible) + 1):
+        for heavy in itertools.combinations(eligible, size):
+            for base in _power_range(lo, hi):
+                limits = [min(math.ceil(excess(l, classes.size(l)) / base), cap) for l in heavy]
+                for mus in itertools.product(*(range(1, limit + 1) for limit in limits)):
+                    if sum(mus) > cap:
+                        continue
+                    counts = {l: round_up(l, mu * base) for l, mu in zip(heavy, mus)}
+                    if 0 in counts.values():
+                        continue
+                    partials.add(
+                        tuple(
+                            counts[l] - math.ceil(2 * eps * (counts[l] - threshold)) if l in counts else None
+                            for l in interval.active
+                        )
+                    )
+    return partials
+
+
+def reference_family(classes, interval, eps, weight_range, n):
+    """The pruned family: every light-count vector, plus each reference
+    partial crossed with every light count of its open coordinates.
+
+    This is the plain statement ``statespace.enumerate_family`` must match
+    exactly, in content and order.
+    """
+    from incknap.statespace import make_vector
+
+    threshold = int(1 / eps)
+    light = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]
+    seen = set(itertools.product(*light))
+    for partial in reference_partials(classes, interval, eps, weight_range, n):
+        for combo in itertools.product(*light):
+            seen.add(tuple(k if c is None else c for c, k in zip(partial, combo)))
     return [make_vector(classes, interval, counts) for counts in sorted(seen)]

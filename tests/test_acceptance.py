@@ -18,6 +18,7 @@ from helpers import (
     random_feasible_solution,
     random_instance,
     random_vector_pair,
+    reference_partials,
 )
 from incknap.bounded import dp_solve, solve_inverse
 from incknap.classes import build_classes, make_interval
@@ -44,7 +45,6 @@ from incknap.statespace import (
     heavy_configurations,
     heavy_excess,
     make_vector,
-    mu_sum_cap,
     prune_image,
     truncate,
     up_round,
@@ -167,9 +167,9 @@ def test_criterion_4_family_correctness():
         for counts in itertools.product(*(range(s + 1) for s in sizes)):
             assert prune_image(counts, classes, interval, EPS_INT).counts in family
             vectors_checked += 1
-        cap = mu_sum_cap(interval, EPS_INT)
-        for _, _, mus in heavy_configurations(classes, interval, EPS_INT, wrange, n):
-            assert sum(mus) <= cap and all(m >= 1 for m in mus)
+        configs = set(heavy_configurations(classes, interval, EPS_INT, wrange, n))
+        assert all(any(c is not None for c in partial) for partial in configs)
+        assert configs == reference_partials(classes, interval, EPS_INT, wrange, n)
         instances += 1
     print(
         f"ACCEPTANCE 4 [family coverage]: PASS "

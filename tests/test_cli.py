@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,22 @@ def test_cmd_solve_budget_exceeded(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(instance_to_json(generate_instance(1, 14, 3, "uniform")))
     assert main(["solve", str(path), "--mode", "exact"]) == 3
+
+
+@pytest.mark.parametrize("mode", ["general", "bounded", "exact"])
+def test_cmd_solve_overlong_result_exits_3(tmp_path, capsys, mode):
+    # a valid instance whose profit lambda * p has about 5000 digits, past
+    # the default 4300-digit integer string limit
+    path = tmp_path / "long.json"
+    big = "1" + "0" * 2500
+    path.write_text(json.dumps({"items": [{"p": big, "w": "1"}], "capacities": ["1"], "lambdas": [big]}))
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--mode", mode, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert str(sys.get_int_max_str_digits()) in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

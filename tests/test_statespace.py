@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import class_structure, random_class_structure, random_vector_pair, reference_family
+from helpers import (
+    class_structure,
+    random_class_structure,
+    random_vector_pair,
+    reference_family,
+    reference_partials,
+)
 from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import Instance
 from incknap.statespace import (
+    _power_range,
     classify,
     enumerate_family,
     heavy_configurations,
@@ -171,14 +178,14 @@ def test_mu_vectors_respect_sum_cap():
     _, classes, interval = class_structure([1] * 8, [2] * 7)
     cap = mu_sum_cap(interval, EPS)
     assert cap == 15  # (3/2) * 2 / (1/5)
-    configs = list(
-        heavy_configurations(classes, interval, EPS, (Fraction(1), Fraction(2)), 15)
-    )
+    args = (classes, interval, EPS, (Fraction(1), Fraction(2)), 15)
+    configs = list(heavy_configurations(*args))
     assert configs
-    for heavy, base, mus in configs:
-        assert sum(mus) <= cap
-        assert all(m >= 1 for m in mus)
-        assert base.numerator == 1 or base.denominator == 1
+    assert all(any(c is not None for c in partial) for partial in configs)
+    # the reference takes 1 <= mu and sum(mu) <= cap by construction
+    assert set(configs) == reference_partials(*args)
+    # its bases: the powers of two in [eps/|I| * w_min, 2*eps/|I| * n * w_max]
+    assert _power_range(Fraction(1, 10), Fraction(6)) == [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1, 2, 4]
 
 
 def test_family_vectors_are_valid():
@@ -204,9 +211,10 @@ def _adds_heavy_vectors(family, classes, interval, eps):
 def test_enumerate_family_equals_reference(eps, max_classes):
     rng = random.Random(int(1 / eps) + 7)
     heavy_hits = 0
-    for _ in range(30):
+    # integer weights, then fractional ones: the family is generic in the unit
+    for den in [1] * 30 + [3, 7, 10] * 5:
         instance, classes, interval = random_class_structure(
-            rng, eps, max_classes=max_classes, max_items=int(1 / eps) + 6
+            rng, eps, max_classes=max_classes, max_items=int(1 / eps) + 6, den=den
         )
         weights = [w for _, w in instance.items]
         args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
@@ -236,3 +244,43 @@ def test_enumerate_family_equals_reference_on_heavy_profits():
         assert _family_rows(family) == _family_rows(reference_family(*args))
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
     assert heavy_hits == len(intervals)
+
+
+def _two_heavy_structures():
+    """Bench-shaped classes: profits 100/110/121 are one class each at eps
+    1/10, and two of them hold more than 10 items at once."""
+    eps = Fraction(1, 10)
+    for seed in range(3):
+        rng = random.Random(seed)
+        profits = [100] * 13 + [110] * 12 + [121] * 4
+        instance = Instance.build(
+            items=[(p, rng.randint(1, 10)) for p in profits], capacities=[60], lambdas=[1]
+        )
+        classes = build_classes(instance, eps)
+        for interval in candidate_intervals(classes, eps, Fraction(1)):
+            if sum(classes.size(l) > 10 for l in interval.active) == 2:
+                weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
+                yield classes, interval, eps, (min(weights), max(weights)), len(weights)
+
+
+def test_enumerate_family_equals_reference_on_two_heavy_classes():
+    cases = list(_two_heavy_structures())
+    assert len(cases) >= 3
+    for args in cases:
+        assert _family_rows(enumerate_family(*args)) == _family_rows(reference_family(*args))
+
+
+def test_sum_cap_binds_on_two_heavy_classes():
+    # the 11th lightest item of class 0 weighs as little as the 12th, so its
+    # truncated count 10 is reached only at bases up to 1, where class 1's
+    # full excess 30 (truncated count 12) already needs mu = 30 = cap
+    eps = Fraction(1, 10)
+    items = [(100, 1)] * 12 + [(100, 5)] + [(110, 10)] * 13
+    instance = Instance.build(items=items, capacities=[60], lambdas=[1])
+    classes = build_classes(instance, eps)
+    interval = make_interval(classes, 0, 1)
+    args = (classes, interval, eps, (Fraction(1), Fraction(10)), len(items))
+    assert mu_sum_cap(interval, eps) == 30
+    capped = reference_partials(*args)
+    assert set(heavy_configurations(*args)) == capped
+    assert reference_partials(*args, cap=math.inf) - capped == {(10, 12)}
