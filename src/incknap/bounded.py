@@ -20,7 +20,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
-from .model import Instance, Solution, SuffixLambdas, integer_units, objective
+from .model import (
+    AllLambdasZero,
+    Instance,
+    Solution,
+    SuffixLambdas,
+    integer_units,
+    objective,
+    preprocess,
+    remap_solution,
+)
 from .statespace import UtilizationVector, enumerate_family
 
 
@@ -269,21 +278,26 @@ def solve_inverse(instance: Instance, phi: Fraction, eps: Fraction) -> Optional[
 
 
 def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
-    """Forward solver for preprocessed instances: sweep a geometric profit
-    grid through the inverse solver and keep the most profitable answer.
+    """Forward solver: sweep a geometric profit grid through the inverse
+    solver and keep the most profitable answer.
 
-    The grid spans [lambda_min * p_min, n * lambda_max * p_max] with the
-    widest reading of the endpoint coefficients (plain lambdas or suffix
-    sums), plus the zero requirement.
+    Zero-lambda periods are dropped first (all zero: the empty solution) and
+    the answer is mapped back to the original periods.  The grid spans
+    [lambda_min * p_min, n * lambda_max * p_max] with the widest reading of
+    the endpoint coefficients (plain lambdas or suffix sums), plus the zero
+    requirement.
     """
     eps = check_internal_eps(eps)
-    if instance.n == 0:
+    try:
+        pre, remap = preprocess(instance)
+    except AllLambdasZero:
+        return Solution.empty(instance.n)
+    if pre.n == 0:
         return Solution.empty(0)
-    instance, _, _ = integer_units(instance)
+    instance, _, _ = integer_units(pre)
     frontier = InverseFrontier(instance, eps)
     profits = [p for p, _ in instance.items]
-    # widest grid reading; a zero coefficient cannot anchor a geometric grid
-    lam_lo = min(v for v in instance.lambdas if v > 0)
+    lam_lo = min(instance.lambdas)
     lam_hi = instance.suffix_lambdas.values[0]
     lo = lam_lo * min(profits)
     hi = instance.n * lam_hi * max(profits)
@@ -299,4 +313,4 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
         if res is not None and res.true_profit > best_profit:
             best_profit = res.true_profit
             best = res.solution
-    return best
+    return remap_solution(best, remap)

@@ -23,15 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import bounded, general, oracle
-from .model import (
-    AllLambdasZero,
-    Instance,
-    Solution,
-    objective,
-    preprocess,
-    remap_solution,
-    validate,
-)
+from .model import Instance, Solution, objective, validate
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -157,11 +149,7 @@ def _solve_mode(instance: Instance, mode: str, eps: Fraction) -> tuple[Solution,
         profit, solution = oracle.exact_opt(instance)
         return solution, profit
     if mode == "bounded":
-        try:
-            pre, remap = preprocess(instance)
-        except AllLambdasZero:
-            return Solution.empty(instance.n), Fraction(0)
-        solution = remap_solution(bounded.solve_bounded(pre, bounded.accuracy_budget(eps, 5)), remap)
+        solution = bounded.solve_bounded(instance, bounded.accuracy_budget(eps, 5))
         return solution, objective(instance, solution)
     if mode == "general":
         result = general.solve_detailed(instance, eps)

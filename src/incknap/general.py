@@ -53,9 +53,6 @@ class ClusterPlan:
     def num_clusters(self) -> int:
         return len(self.clusters)
 
-    def is_bad(self, interval_index: int) -> bool:
-        return interval_index % self.inv_eps == self.xi
-
 
 def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
     """Assign periods to geometric suffix-lambda bands and form clusters.
@@ -98,16 +95,6 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
     if run:
         clusters.append(tuple(run))
     return ClusterPlan(xi=xi, inv_eps=inv_eps, interval_of=tuple(interval_of), clusters=tuple(clusters))
-
-
-def drop_bad_periods(plan: ClusterPlan, solution: Solution) -> Solution:
-    """Delete every item introduced in a period of a dropped band."""
-    return Solution(
-        tuple(
-            None if t is not None and plan.is_bad(plan.interval_of[t - 1]) else t
-            for t in solution.intro
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -219,14 +206,14 @@ class ClusterDPTable:
 
     def value(self, m: int, ell: int, phi_idx: int) -> Optional[Fraction]:
         """Minimum achievable weight, or None when the state is infeasible."""
-        phi = self.grid.values[phi_idx]
-        if phi == 0:
+        if phi_idx == 0:  # build_grid puts 0 at index 0 only
             return 0
         if m == 0 or ell == -1:
             return None
         key = (m, ell, phi_idx)
         if key in self._values:
             return self._values[key]
+        phi = self.grid.values[phi_idx]
         best: Optional[Fraction] = None
         best_back = None
         for ell_prev in (l for l in self._ell_states if l <= ell):
@@ -295,32 +282,6 @@ def glue(plan: ClusterPlan, table: ClusterDPTable, n_items: int) -> tuple[Soluti
             intro[sub.item_ids[local_item]] = sub.periods[local_t - 1]
         m, ell, idx = m - 1, ell_prev, idx_prev
     return Solution(tuple(intro)), grid.values[target_idx]
-
-
-def star_graph_edges(
-    classes: ProfitClasses, plan: ClusterPlan, solution: Solution
-) -> set[tuple[int, int]]:
-    """Bipartite (cluster, class) edges induced by a solution's introductions."""
-    item_class = {i: l for l, ids in classes.members.items() for i in ids}
-    cluster_of = {t: m for m, periods in enumerate(plan.clusters, start=1) for t in periods}
-    edges = set()
-    for i, t in solution.introduced():
-        m = cluster_of.get(t)
-        if m is None:
-            raise ValueError(f"item {i} introduced outside every cluster (period {t})")
-        edges.add((m, item_class[i]))
-    return edges
-
-
-def audit_uncrossing(edges: set[tuple[int, int]]) -> bool:
-    """Class degrees at most one and no crossing pair across clusters."""
-    by_class: dict[int, set[int]] = {}
-    for m, level in edges:
-        by_class.setdefault(level, set()).add(m)
-    if any(len(ms) > 1 for ms in by_class.values()):
-        return False
-    ordered = sorted((level, next(iter(ms))) for level, ms in by_class.items())
-    return all(a[1] <= b[1] for a, b in zip(ordered, ordered[1:]))
 
 
 @dataclass(frozen=True)

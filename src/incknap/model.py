@@ -259,21 +259,6 @@ def objective(instance: Instance, solution: Solution) -> Fraction:
     return total
 
 
-def objective_by_contributions(instance: Instance, solution: Solution) -> Fraction:
-    """Equivalent objective form: sum of p_i times the lambda suffix at intro.
-
-    Kept as an independent computation; the two forms must agree exactly.
-    """
-    bad = check_feasible(instance, solution)
-    if bad is not None:
-        raise InfeasibleSolution(bad)
-    suffix = instance.suffix_lambdas
-    return sum(
-        (instance.items[i][0] * suffix.at(t) for i, t in solution.introduced()),
-        Fraction(0),
-    )
-
-
 def item_contribution(instance: Instance, solution: Solution, item: int) -> Fraction:
     """Contribution p_i * suffix-lambda at the item's introduction period."""
     t = solution.intro[item]

@@ -9,11 +9,9 @@ an order of magnitude faster than Fraction churn in these inner loops.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Optional
 
-from .classes import ClassInterval, ProfitClasses, prefix_weight
 from .model import Instance, Solution, integer_units
 
 DEFAULT_BUDGET = 2_000_000
@@ -121,62 +119,3 @@ def exact_inverse(
     if best_weight is None:
         return None
     return Fraction(best_weight, weight_unit), Solution(best_intro)
-
-
-def exact_restricted_dp(
-    instance: Instance,
-    classes: ProfitClasses,
-    interval: ClassInterval,
-    budget: int = DEFAULT_BUDGET,
-) -> dict[tuple[int, tuple[int, ...]], Optional[Fraction]]:
-    """Exact DP over ALL prefix-like count vectors of the interval's classes.
-
-    Value of (t, counts) is the maximum rounded-profit contribution of a
-    feasible t-period chain ending at that vector, or None when unreachable.
-    This is the unpruned reference the family-restricted DP is compared to.
-    """
-    sizes = [classes.size(l) for l in interval.active]
-    required = 1
-    for s in sizes:
-        required *= s + 1
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-
-    vectors = list(itertools.product(*(range(s + 1) for s in sizes)))
-
-    def weight(counts: tuple[int, ...]) -> Fraction:
-        return sum(
-            (prefix_weight(classes, l, 1, c) for l, c in zip(interval.active, counts) if c),
-            Fraction(0),
-        )
-
-    def rounded(counts: tuple[int, ...]) -> Fraction:
-        return sum(
-            (classes.rounded_profit(l) * c for l, c in zip(interval.active, counts) if c),
-            Fraction(0),
-        )
-
-    weights = {v: weight(v) for v in vectors}
-    profits = {v: rounded(v) for v in vectors}
-    suffix = instance.suffix_lambdas
-
-    table: dict[tuple[int, tuple[int, ...]], Optional[Fraction]] = {}
-    for v in vectors:
-        table[(0, v)] = Fraction(0) if all(c == 0 for c in v) else None
-    for t in range(1, instance.horizon + 1):
-        lam = suffix.at(t)
-        cap = instance.capacities[t - 1]
-        for v in vectors:
-            if weights[v] > cap:
-                table[(t, v)] = None
-                continue
-            best: Optional[Fraction] = None
-            for u in vectors:
-                if table[(t - 1, u)] is None:
-                    continue
-                if all(a <= b for a, b in zip(u, v)):
-                    cand = table[(t - 1, u)] + lam * (profits[v] - profits[u])
-                    if best is None or cand > best:
-                        best = cand
-            table[(t, v)] = best
-    return table

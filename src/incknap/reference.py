@@ -1,0 +1,228 @@
+"""Specification code: the statements the solver is checked against.
+
+Nothing on the solve path imports this module.  It holds the paper's maps
+and identities in their direct, unoptimized form: the up-rounding and
+truncation maps whose image the pruned family must cover, the unpruned
+restricted DP the family DP must not beat, the contribution form of the
+objective, the deletion of dropped-band periods behind the derandomized
+offset, and the star-uncrossing audit.
+"""
+
+from __future__ import annotations
+
+import bisect
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+from .classes import ClassInterval, ProfitClasses, prefix_weight
+from .general import ClusterPlan
+from .model import InfeasibleSolution, Instance, Solution, check_feasible
+from .oracle import DEFAULT_BUDGET, BudgetExceeded
+from .statespace import UtilizationVector, _truncated, make_vector, pow2_up
+
+
+@dataclass(frozen=True)
+class HeavyProfile:
+    """Rounding data attached to an up-rounded vector."""
+
+    light: tuple[int, ...]
+    heavy: tuple[int, ...]
+    excess_weight: Fraction
+    base: Fraction
+    multipliers: dict[int, int]
+
+
+def classify(counts: tuple[int, ...], interval: ClassInterval, eps: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split active classes into light (count <= 1/eps) and heavy."""
+    threshold = int(1 / eps)
+    light, heavy = [], []
+    for pos, level in enumerate(interval.active):
+        (light if counts[pos] <= threshold else heavy).append(level)
+    return tuple(light), tuple(heavy)
+
+
+def heavy_excess(counts: tuple[int, ...], classes: ProfitClasses, interval: ClassInterval, eps: Fraction) -> Fraction:
+    """Weight packed from heavy classes beyond their 1/eps lightest items."""
+    threshold = int(1 / eps)
+    total = Fraction(0)
+    for pos, level in enumerate(interval.active):
+        if counts[pos] > threshold:
+            total += prefix_weight(classes, level, threshold + 1, counts[pos])
+    return total
+
+
+def up_round(
+    counts: tuple[int, ...],
+    classes: ProfitClasses,
+    interval: ClassInterval,
+    eps: Fraction,
+) -> tuple[UtilizationVector, HeavyProfile]:
+    """Round heavy-class counts up to the estimate boundary.
+
+    Light coordinates are copied.  For each heavy class, the excess weight is
+    over-estimated by mu * base where base = pow2_up(eps/|interval| * W_H)
+    and mu is the unique integer bracketing the true excess; the coordinate
+    then grows to the largest count whose excess weight still fits the
+    estimate.  Light/heavy labels are preserved.
+    """
+    threshold = int(1 / eps)
+    light, heavy = classify(counts, interval, eps)
+    excess = heavy_excess(counts, classes, interval, eps)
+    base = pow2_up(eps / interval.length * excess)
+    multipliers: dict[int, int] = {}
+    new_counts = list(counts)
+    for pos, level in enumerate(interval.active):
+        if level not in heavy:
+            continue
+        w_exc = prefix_weight(classes, level, threshold + 1, counts[pos])
+        mu = math.ceil(w_exc / base)
+        multipliers[level] = mu
+        prefix = classes.prefix[level]
+        new_counts[pos] = bisect.bisect_right(prefix, prefix[threshold] + mu * base) - 1
+    profile = HeavyProfile(light=light, heavy=heavy, excess_weight=excess, base=base, multipliers=multipliers)
+    return make_vector(classes, interval, tuple(new_counts)), profile
+
+
+def truncate(
+    counts: tuple[int, ...],
+    classes: ProfitClasses,
+    interval: ClassInterval,
+    heavy: tuple[int, ...],
+    eps: Fraction,
+) -> UtilizationVector:
+    """Drop the last ceil(2*eps*Delta) items of each heavy class.
+
+    ``heavy`` carries the labels of the up-rounded source vector; they are
+    not recomputed here, matching the counting argument that keys the family
+    on carried labels.
+    """
+    threshold = int(1 / eps)
+    new_counts = tuple(
+        _truncated(k, threshold, eps) if level in heavy else k
+        for k, level in zip(counts, interval.active)
+    )
+    return make_vector(classes, interval, new_counts)
+
+
+def prune_image(
+    counts: tuple[int, ...],
+    classes: ProfitClasses,
+    interval: ClassInterval,
+    eps: Fraction,
+) -> UtilizationVector:
+    """Truncated up-rounding of a vector: the composed pruning map."""
+    rounded, profile = up_round(counts, classes, interval, eps)
+    return truncate(rounded.counts, classes, interval, profile.heavy, eps)
+
+
+def exact_restricted_dp(
+    instance: Instance,
+    classes: ProfitClasses,
+    interval: ClassInterval,
+    budget: int = DEFAULT_BUDGET,
+) -> dict[tuple[int, tuple[int, ...]], Optional[Fraction]]:
+    """Exact DP over ALL prefix-like count vectors of the interval's classes.
+
+    Value of (t, counts) is the maximum rounded-profit contribution of a
+    feasible t-period chain ending at that vector, or None when unreachable.
+    This is the unpruned reference the family-restricted DP is compared to.
+    """
+    sizes = [classes.size(l) for l in interval.active]
+    required = 1
+    for s in sizes:
+        required *= s + 1
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+
+    vectors = list(itertools.product(*(range(s + 1) for s in sizes)))
+
+    def weight(counts: tuple[int, ...]) -> Fraction:
+        return sum(
+            (prefix_weight(classes, l, 1, c) for l, c in zip(interval.active, counts) if c),
+            Fraction(0),
+        )
+
+    def rounded(counts: tuple[int, ...]) -> Fraction:
+        return sum(
+            (classes.rounded_profit(l) * c for l, c in zip(interval.active, counts) if c),
+            Fraction(0),
+        )
+
+    weights = {v: weight(v) for v in vectors}
+    profits = {v: rounded(v) for v in vectors}
+    suffix = instance.suffix_lambdas
+
+    table: dict[tuple[int, tuple[int, ...]], Optional[Fraction]] = {}
+    for v in vectors:
+        table[(0, v)] = Fraction(0) if all(c == 0 for c in v) else None
+    for t in range(1, instance.horizon + 1):
+        lam = suffix.at(t)
+        cap = instance.capacities[t - 1]
+        for v in vectors:
+            if weights[v] > cap:
+                table[(t, v)] = None
+                continue
+            best: Optional[Fraction] = None
+            for u in vectors:
+                if table[(t - 1, u)] is None:
+                    continue
+                if all(a <= b for a, b in zip(u, v)):
+                    cand = table[(t - 1, u)] + lam * (profits[v] - profits[u])
+                    if best is None or cand > best:
+                        best = cand
+            table[(t, v)] = best
+    return table
+
+
+def objective_by_contributions(instance: Instance, solution: Solution) -> Fraction:
+    """Equivalent objective form: sum of p_i times the lambda suffix at intro.
+
+    Kept as an independent computation; the two forms must agree exactly.
+    """
+    bad = check_feasible(instance, solution)
+    if bad is not None:
+        raise InfeasibleSolution(bad)
+    suffix = instance.suffix_lambdas
+    return sum(
+        (instance.items[i][0] * suffix.at(t) for i, t in solution.introduced()),
+        Fraction(0),
+    )
+
+
+def drop_bad_periods(plan: ClusterPlan, solution: Solution) -> Solution:
+    """Delete every item introduced in a period of a dropped band."""
+    return Solution(
+        tuple(
+            None if t is not None and plan.interval_of[t - 1] % plan.inv_eps == plan.xi else t
+            for t in solution.intro
+        )
+    )
+
+
+def star_graph_edges(
+    classes: ProfitClasses, plan: ClusterPlan, solution: Solution
+) -> set[tuple[int, int]]:
+    """Bipartite (cluster, class) edges induced by a solution's introductions."""
+    item_class = {i: l for l, ids in classes.members.items() for i in ids}
+    cluster_of = {t: m for m, periods in enumerate(plan.clusters, start=1) for t in periods}
+    edges = set()
+    for i, t in solution.introduced():
+        m = cluster_of.get(t)
+        if m is None:
+            raise ValueError(f"item {i} introduced outside every cluster (period {t})")
+        edges.add((m, item_class[i]))
+    return edges
+
+
+def audit_uncrossing(edges: set[tuple[int, int]]) -> bool:
+    """Class degrees at most one and no crossing pair across clusters."""
+    by_class: dict[int, set[int]] = {}
+    for m, level in edges:
+        by_class.setdefault(level, set()).add(m)
+    if any(len(ms) > 1 for ms in by_class.values()):
+        return False
+    ordered = sorted((level, next(iter(ms))) for level, ms in by_class.items())
+    return all(a[1] <= b[1] for a, b in zip(ordered, ordered[1:]))

@@ -1,7 +1,8 @@
-"""State-space pruning for utilization vectors: up-rounding and truncation.
+"""State-space pruning for utilization vectors: the pruned family.
 
 A utilization vector counts, per profit class, how many of the lightest
-items are packed.  The pruned family is produced by two maps: up-rounding
+items are packed.  The pruned family covers the image of two maps, stated
+directly in ``reference`` (``up_round``, ``truncate``): up-rounding
 snaps each heavy class's excess weight up to an integer multiple mu of a
 power-of-two base derived from the total heavy excess, and truncation then
 drops the last ceil(2*eps*Delta) items of each heavy class to pay the
@@ -15,7 +16,6 @@ never the exponential vector space.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,17 +33,6 @@ class UtilizationVector:
     weight: Fraction
 
 
-@dataclass(frozen=True)
-class HeavyProfile:
-    """Rounding data attached to an up-rounded vector."""
-
-    light: tuple[int, ...]
-    heavy: tuple[int, ...]
-    excess_weight: Fraction
-    base: Fraction
-    multipliers: dict[int, int]
-
-
 def make_vector(classes: ProfitClasses, interval: ClassInterval, counts: tuple[int, ...]) -> UtilizationVector:
     """Wrap counts with their exact total weight."""
     weight = 0
@@ -51,15 +40,6 @@ def make_vector(classes: ProfitClasses, interval: ClassInterval, counts: tuple[i
         if counts[pos] > 0:
             weight += prefix_weight(classes, level, 1, counts[pos])
     return UtilizationVector(counts=counts, weight=weight)
-
-
-def classify(counts: tuple[int, ...], interval: ClassInterval, eps: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split active classes into light (count <= 1/eps) and heavy."""
-    threshold = int(1 / eps)
-    light, heavy = [], []
-    for pos, level in enumerate(interval.active):
-        (light if counts[pos] <= threshold else heavy).append(level)
-    return tuple(light), tuple(heavy)
 
 
 def pow2_up(x: Fraction) -> Fraction:
@@ -76,83 +56,9 @@ def pow2_up(x: Fraction) -> Fraction:
     return power
 
 
-def heavy_excess(counts: tuple[int, ...], classes: ProfitClasses, interval: ClassInterval, eps: Fraction) -> Fraction:
-    """Weight packed from heavy classes beyond their 1/eps lightest items."""
-    threshold = int(1 / eps)
-    total = Fraction(0)
-    for pos, level in enumerate(interval.active):
-        if counts[pos] > threshold:
-            total += prefix_weight(classes, level, threshold + 1, counts[pos])
-    return total
-
-
-def up_round(
-    counts: tuple[int, ...],
-    classes: ProfitClasses,
-    interval: ClassInterval,
-    eps: Fraction,
-) -> tuple[UtilizationVector, HeavyProfile]:
-    """Round heavy-class counts up to the estimate boundary.
-
-    Light coordinates are copied.  For each heavy class, the excess weight is
-    over-estimated by mu * base where base = pow2_up(eps/|interval| * W_H)
-    and mu is the unique integer bracketing the true excess; the coordinate
-    then grows to the largest count whose excess weight still fits the
-    estimate.  Light/heavy labels are preserved.
-    """
-    threshold = int(1 / eps)
-    light, heavy = classify(counts, interval, eps)
-    excess = heavy_excess(counts, classes, interval, eps)
-    base = pow2_up(eps / interval.length * excess)
-    multipliers: dict[int, int] = {}
-    new_counts = list(counts)
-    for pos, level in enumerate(interval.active):
-        if level not in heavy:
-            continue
-        w_exc = prefix_weight(classes, level, threshold + 1, counts[pos])
-        mu = math.ceil(w_exc / base)
-        multipliers[level] = mu
-        prefix = classes.prefix[level]
-        new_counts[pos] = bisect.bisect_right(prefix, prefix[threshold] + mu * base) - 1
-    profile = HeavyProfile(light=light, heavy=heavy, excess_weight=excess, base=base, multipliers=multipliers)
-    return make_vector(classes, interval, tuple(new_counts)), profile
-
-
 def _truncated(k: int, threshold: int, eps: Fraction) -> int:
     """Heavy count k less its last ceil(2*eps*(k - 1/eps)) items."""
     return k - math.ceil(2 * eps * (k - threshold))
-
-
-def truncate(
-    counts: tuple[int, ...],
-    classes: ProfitClasses,
-    interval: ClassInterval,
-    heavy: tuple[int, ...],
-    eps: Fraction,
-) -> UtilizationVector:
-    """Drop the last ceil(2*eps*Delta) items of each heavy class.
-
-    ``heavy`` carries the labels of the up-rounded source vector; they are
-    not recomputed here, matching the counting argument that keys the family
-    on carried labels.
-    """
-    threshold = int(1 / eps)
-    new_counts = tuple(
-        _truncated(k, threshold, eps) if level in heavy else k
-        for k, level in zip(counts, interval.active)
-    )
-    return make_vector(classes, interval, new_counts)
-
-
-def prune_image(
-    counts: tuple[int, ...],
-    classes: ProfitClasses,
-    interval: ClassInterval,
-    eps: Fraction,
-) -> UtilizationVector:
-    """Truncated up-rounding of a vector: the composed pruning map."""
-    rounded, profile = up_round(counts, classes, interval, eps)
-    return truncate(rounded.counts, classes, interval, profile.heavy, eps)
 
 
 def mu_sum_cap(interval: ClassInterval, eps: Fraction) -> int:

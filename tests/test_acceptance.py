@@ -23,32 +23,22 @@ from helpers import (
 from incknap.bounded import dp_solve, solve_inverse
 from incknap.classes import build_classes, make_interval
 from incknap.cli import generate_instance, instance_from_json, instance_to_json
-from incknap.general import (
-    GeneralResult,
+from incknap.general import GeneralResult, build_plan, solve_detailed
+from incknap.model import Instance, check_feasible, objective, preprocess
+from incknap.oracle import exact_inverse, exact_opt
+from incknap.reference import (
     audit_uncrossing,
-    build_plan,
-    drop_bad_periods,
-    solve_detailed,
-    star_graph_edges,
-)
-from incknap.model import (
-    Instance,
-    check_feasible,
-    objective,
-    objective_by_contributions,
-    preprocess,
-)
-from incknap.oracle import exact_inverse, exact_opt, exact_restricted_dp
-from incknap.statespace import (
     classify,
-    enumerate_family,
-    heavy_configurations,
+    drop_bad_periods,
+    exact_restricted_dp,
     heavy_excess,
-    make_vector,
+    objective_by_contributions,
     prune_image,
+    star_graph_edges,
     truncate,
     up_round,
 )
+from incknap.statespace import enumerate_family, heavy_configurations, make_vector
 
 EPS_PUBLIC = (Fraction(1, 2), Fraction(4, 5))
 EPS_INT = Fraction(1, 5)

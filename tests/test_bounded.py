@@ -15,8 +15,9 @@ from incknap.bounded import (
     solve_inverse,
 )
 from incknap.classes import build_classes, make_interval, candidate_intervals
-from incknap.model import Instance, check_feasible, objective, preprocess
-from incknap.oracle import exact_inverse, exact_opt, exact_restricted_dp
+from incknap.model import Instance, Solution, check_feasible, objective, preprocess
+from incknap.oracle import exact_inverse, exact_opt
+from incknap.reference import exact_restricted_dp
 from incknap.statespace import enumerate_family
 
 EPS = Fraction(1, 5)
@@ -235,12 +236,35 @@ def test_solve_inverse_heavy_classes_super_optimal():
 
 
 def test_solve_bounded_tolerates_zero_middle_lambda():
-    # not a preprocessed instance, but the grid must still anchor on a
-    # positive coefficient rather than looping on zero
+    # the zero middle period is dropped before the grid is anchored, so the
+    # sweep never anchors on a zero coefficient
     instance = Instance.build(items=[(2, 1), (3, 2)], capacities=[2, 3, 3], lambdas=[1, 0, 1])
     solution = solve_bounded(instance, EPS)
     assert check_feasible(instance, solution) is None
     assert objective(instance, solution) >= (1 - 5 * EPS) * exact_opt(instance)[0]
+
+
+def test_solve_bounded_drops_zero_lambda_periods():
+    # trailing and all-zero lambdas need no preprocessing by the caller; the
+    # answer comes back on the original periods
+    eps = Fraction(1, 10)
+    rng = random.Random(47)
+    cases = [
+        Instance.build(items=[(2, 1), (3, 2), (4, 3)], capacities=[2, 3, 6], lambdas=[1, 1, 0]),
+        Instance.build(items=[(2, 1), (3, 2)], capacities=[1, 2, 3], lambdas=[0, 0, 0]),
+    ]
+    for _ in range(10):
+        base = random_instance(rng, n_max=6, t_max=3)
+        caps = base.capacities + (base.capacities[-1] + 5,)
+        cases.append(Instance.build(base.items, caps, base.lambdas + (0,)))
+    for instance in cases:
+        opt, _ = exact_opt(instance)
+        solution = solve_bounded(instance, eps)
+        assert len(solution.intro) == instance.n
+        assert check_feasible(instance, solution) is None
+        assert all(instance.lambdas[t - 1] > 0 for _, t in solution.introduced())
+        assert objective(instance, solution) >= (1 - 5 * eps) * opt
+    assert solve_bounded(cases[1], eps) == Solution.empty(2)
 
 
 def test_solve_bounded_guarantee_sweep():

@@ -7,20 +7,18 @@ from helpers import e1, random_instance
 from incknap.classes import build_classes
 from incknap.general import (
     EmptyCluster,
-    audit_uncrossing,
     build_grid,
     build_plan,
     cluster_dp,
-    drop_bad_periods,
     glue,
     internal_eps,
     single_cluster_instance,
     solve,
     solve_detailed,
-    star_graph_edges,
 )
 from incknap.model import Instance, Solution, check_feasible, objective, preprocess
 from incknap.oracle import exact_opt
+from incknap.reference import audit_uncrossing, drop_bad_periods, star_graph_edges
 
 EPS = Fraction(1, 5)
 
@@ -41,6 +39,20 @@ def five_item_instance(suffix):
         capacities=list(range(1, len(suffix) + 1)),
         lambdas=lambdas,
     )
+
+
+def two_cluster_instance(seed, k=9):
+    """Three small items and one worth 10^5 or more, lambdas (2nk)^(T-t).
+
+    With n = 4 and k = 1/internal_eps (9 at public eps 4/5, 14 at 1/2) the
+    decay can split period 1 from period 3, and the big item's profit lets
+    the later cluster clear a grid step, so winners can place items in both.
+    """
+    rng = random.Random(seed)
+    items = [(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(3)]
+    items.append((rng.randint(10**5, 2 * 10**5), 10))
+    caps = [rng.randint(3, 6), rng.randint(6, 9), rng.randint(16, 20)]
+    return Instance.build(items=items, capacities=caps, lambdas=[(8 * k) ** 2, 8 * k, 1])
 
 
 def test_build_plan_thresholds():
@@ -142,18 +154,33 @@ def test_cluster_dp_and_glue_on_e1():
 
 
 def test_glue_two_clusters_disjoint_class_ranges():
-    # steep lambda decay with a bad middle band splits periods 1 and 2
-    lambdas = lambda_from_suffix([1, Fraction(1, 500)])
-    instance = Instance.build(
-        items=[(1, 1), (8, 1)], capacities=[1, 2], lambdas=lambdas
-    )
+    # steep lambda decay with a bad middle band splits periods 1 and 3
+    instance = two_cluster_instance(7, k=14)
     result = solve_detailed(instance, Fraction(1, 2))
     assert check_feasible(instance, result.solution) is None
     opt, _ = exact_opt(instance)
     assert result.profit >= (1 - Fraction(1, 2)) * opt
-    if result.plan is not None and result.plan.num_clusters >= 2:
+    assert result.plan.num_clusters == 2
+    edges = star_graph_edges(result.classes, result.plan, result.core_solution)
+    assert {m for m, _ in edges} == {1, 2}
+    assert audit_uncrossing(edges)
+
+
+def test_uncrossing_audit_on_two_cluster_winners():
+    eps = Fraction(4, 5)
+    two_cluster_winners = 0
+    for seed in range(8):
+        instance = two_cluster_instance(seed)
+        result = solve_detailed(instance, eps)
+        opt, _ = exact_opt(instance)
+        assert result.profit >= (1 - eps) * opt
         edges = star_graph_edges(result.classes, result.plan, result.core_solution)
         assert audit_uncrossing(edges)
+        floor = (1 - 2 * result.eps_int) * result.phi_target
+        floor -= result.plan.num_clusters * result.grid.delta
+        assert objective(result.core_instance, result.core_solution) >= floor
+        two_cluster_winners += len({m for m, _ in edges}) == 2
+    assert two_cluster_winners >= 3
 
 
 def test_cluster_dp_two_clusters_with_weight_offset():

@@ -20,11 +20,11 @@ from incknap.model import (
     check_feasible,
     item_contribution,
     objective,
-    objective_by_contributions,
     preprocess,
     remap_solution,
     validate,
 )
+from incknap.reference import objective_by_contributions
 
 
 def test_validate_smallest_instance():

@@ -6,12 +6,8 @@ import pytest
 from helpers import brute_inverse, brute_opt, e1, random_instance
 from incknap.classes import build_classes, make_interval
 from incknap.model import Instance, objective
-from incknap.oracle import (
-    BudgetExceeded,
-    exact_inverse,
-    exact_opt,
-    exact_restricted_dp,
-)
+from incknap.oracle import BudgetExceeded, exact_inverse, exact_opt
+from incknap.reference import exact_restricted_dp
 
 
 def test_exact_opt_e1():

@@ -16,18 +16,14 @@ from helpers import (
 )
 from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import Instance
+from incknap.reference import classify, heavy_excess, prune_image, truncate, up_round
 from incknap.statespace import (
     _power_range,
-    classify,
     enumerate_family,
     heavy_configurations,
-    heavy_excess,
     make_vector,
     mu_sum_cap,
     pow2_up,
-    prune_image,
-    truncate,
-    up_round,
 )
 
 EPS = Fraction(1, 5)
