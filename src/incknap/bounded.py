@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -243,15 +243,16 @@ class InverseFrontier:
                 frontier.append(e)
                 best = e[1]
         self._frontier = frontier
-        self._values = [e[1] for e in frontier]
+        # entry i is the lightest endpoint for requirements in (served[i-1], served[i]]
+        self.weights = [e[0] for e in frontier]
+        self.served = [e[1] / (1 - 3 * self.eps) for e in frontier]
         self._cache: dict[int, InverseResult] = {}
 
     def query(self, phi: Fraction) -> Optional[InverseResult]:
         """Lightest endpoint whose rounded profit clears (1-3*eps)*phi."""
         if phi < 0:
             raise ValueError("profit requirement must be nonnegative")
-        threshold = (1 - 3 * self.eps) * Fraction(phi)
-        idx = bisect_left(self._values, threshold)
+        idx = bisect_left(self.served, phi)
         if idx == len(self._frontier):
             return None
         if idx not in self._cache:
@@ -273,8 +274,14 @@ class InverseFrontier:
 
 def solve_inverse(instance: Instance, phi: Fraction, eps: Fraction) -> Optional[InverseResult]:
     """Super-optimal inverse solve: weight never above the exact optimum's,
-    true profit at least (1-3*eps)*phi.  None signals an infeasible floor."""
-    return InverseFrontier(instance, eps).query(phi)
+    true profit at least (1-3*eps)*phi.  None signals an infeasible floor.
+    Zero-lambda periods are dropped, and the solution mapped back to all periods."""
+    try:
+        pre, remap = preprocess(instance)
+    except AllLambdasZero:
+        return InverseResult(Solution.empty(instance.n), 0, 0, 0) if phi <= 0 else None
+    res = InverseFrontier(pre, eps).query(phi)
+    return None if res is None else replace(res, solution=remap_solution(res.solution, remap))
 
 
 def solve_bounded(instance: Instance, eps: Fraction) -> Solution:

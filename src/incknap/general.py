@@ -6,17 +6,21 @@ maximal runs form clusters whose internal suffix ratio is small enough for
 the bounded inverse solver.  A near-optimal solution then assigns disjoint,
 order-aligned profit-class ranges to clusters (uncrossing stars), which a
 minimum-weight DP over (cluster, top class, accumulated profit) recovers on
-a discretized profit grid.  The per-cluster subproblems are inverse solves
-with capacities reduced by the weight already committed below.
+a discretized profit grid, filling one row per (cluster, top class) by
+pushing each inverse frontier entry over the grid range it serves.  The
+per-cluster subproblems are inverse solves with capacities reduced by the
+weight already committed below.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bounded import InverseFrontier, InverseResult, accuracy_budget, rescaled_third
+from .bounded import InverseFrontier, accuracy_budget, rescaled_third
 from .classes import ProfitClasses, build_classes
 from .model import (
     AllLambdasZero,
@@ -44,8 +48,6 @@ class NoFeasibleState(RuntimeError):
 class ClusterPlan:
     """Band index per period plus the clusters surviving offset xi."""
 
-    xi: int
-    inv_eps: int
     interval_of: tuple[int, ...]  # 1-based band index per period
     clusters: tuple[tuple[int, ...], ...]
 
@@ -66,7 +68,7 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
     if not 0 <= xi < inv_eps:
         raise ValueError(f"xi must lie in [0, {inv_eps - 1}]")
     if instance.n == 0:
-        return ClusterPlan(xi=xi, inv_eps=inv_eps, interval_of=(), clusters=())
+        return ClusterPlan(interval_of=(), clusters=())
     suffix = instance.suffix_lambdas
     shrink = eps / instance.n
     first = suffix.values[0]
@@ -94,7 +96,7 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
             run.extend(by_band.get(m, ()))
     if run:
         clusters.append(tuple(run))
-    return ClusterPlan(xi=xi, inv_eps=inv_eps, interval_of=tuple(interval_of), clusters=tuple(clusters))
+    return ClusterPlan(interval_of=tuple(interval_of), clusters=tuple(clusters))
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,13 @@ def single_cluster_instance(
 
 @dataclass
 class ClusterDPTable:
-    """Lazily evaluated min-weight table over (cluster, class, grid profit)."""
+    """Min-weight table over (cluster, class, grid profit), one row per (m, ell).
+
+    A row is filled on first read by pushing each feasible state (m-1,
+    ell_prev, idx_prev) through cluster m's frontier on classes
+    ell_prev+1..ell, at capacities reduced by that state's weight: each
+    frontier entry serves one contiguous range of grid indices.
+    """
 
     instance: Instance
     classes: ProfitClasses
@@ -188,58 +196,68 @@ class ClusterDPTable:
     eps: Fraction
 
     def __post_init__(self):
-        self._values: dict[tuple[int, int, int], Optional[Fraction]] = {}
-        self._back: dict[tuple[int, int, int], tuple[int, int, InverseResult, SingleClusterInstance]] = {}
-        self._frontiers: dict[
-            tuple[int, int, int, Fraction], tuple[InverseFrontier, SingleClusterInstance]
-        ] = {}
+        self._rows: dict[tuple[int, int], tuple[list, list]] = {}
+        self._frontiers: dict[tuple, tuple[InverseFrontier, SingleClusterInstance, list[int]]] = {}
         self._sub_eps = rescaled_third(self.eps)
         self._ell_states = (-1,) + self.classes.indices
-        self._step = 1 + self.eps / self.plan.num_clusters
+        # after state idx_prev, cluster m must certify grid[idx] - offsets[idx_prev]; in a
+        # unit making both integral, flooring a frontier's served requirements is exact
+        step = 1 + self.eps / self.plan.num_clusters
+        self._offsets = [step * v + self.grid.delta for v in self.grid.values]
+        self._unit = math.lcm(*(v.denominator for v in self.grid.values + tuple(self._offsets)))
+        self._grid_int = [v.numerator * (self._unit // v.denominator) for v in self.grid.values]
+        self._offsets_int = [v.numerator * (self._unit // v.denominator) for v in self._offsets]
 
-    def _frontier(self, m: int, lo: int, hi: int, omega: Fraction) -> tuple[InverseFrontier, SingleClusterInstance]:
+    def _frontier(self, m: int, lo: int, hi: int, omega: Fraction):
         key = (m, lo, hi, omega)
         if key not in self._frontiers:
             sub = single_cluster_instance(self.instance, self.classes, self.plan, m, lo, hi, omega)
-            self._frontiers[key] = (InverseFrontier(sub.instance, self._sub_eps), sub)
+            frontier = InverseFrontier(sub.instance, self._sub_eps)
+            cutoffs = [s.numerator * self._unit // s.denominator for s in frontier.served]
+            self._frontiers[key] = (frontier, sub, cutoffs)
         return self._frontiers[key]
+
+    def _row(self, m: int, ell: int) -> tuple[list, list]:
+        if (m, ell) in self._rows:
+            return self._rows[m, ell]
+        size = len(self._grid_int)
+        values: list = [0] + [None] * (size - 1)  # build_grid puts 0 at index 0 only
+        back: list = [None] * size
+        self._rows[m, ell] = values, back
+        # with no cluster or no class only the zero state is feasible; else the
+        # (ell_prev, idx_prev) order and a strict < keep the first lightest move
+        for ell_prev in self._ell_states if m > 0 and ell >= 0 else ():
+            if ell_prev > ell:
+                break
+            for idx_prev, prev in enumerate(self._row(m - 1, ell_prev)[0]):
+                if prev is None:
+                    continue
+                frontier, _, cutoffs = self._frontier(m, ell_prev + 1, ell, prev)
+                lo = max(idx_prev, 1)
+                for cutoff, weight in zip(cutoffs, frontier.weights):
+                    hi = bisect_right(self._grid_int, cutoff + self._offsets_int[idx_prev], lo)
+                    cand = prev + weight
+                    for idx in range(lo, hi):
+                        if values[idx] is None or cand < values[idx]:
+                            values[idx] = cand
+                            back[idx] = (ell_prev, idx_prev, prev)
+                    lo = hi
+        return values, back
 
     def value(self, m: int, ell: int, phi_idx: int) -> Optional[Fraction]:
         """Minimum achievable weight, or None when the state is infeasible."""
-        if phi_idx == 0:  # build_grid puts 0 at index 0 only
-            return 0
-        if m == 0 or ell == -1:
-            return None
-        key = (m, ell, phi_idx)
-        if key in self._values:
-            return self._values[key]
-        phi = self.grid.values[phi_idx]
-        best: Optional[Fraction] = None
-        best_back = None
-        for ell_prev in (l for l in self._ell_states if l <= ell):
-            for idx_prev in range(phi_idx + 1):
-                prev = self.value(m - 1, ell_prev, idx_prev)
-                if prev is None:
-                    continue
-                phi_prev = self.grid.values[idx_prev]
-                phi_req = phi - self._step * phi_prev - self.grid.delta
-                if phi_req < 0:
-                    phi_req = Fraction(0)
-                frontier, sub = self._frontier(m, ell_prev + 1, ell, prev)
-                res = frontier.query(phi_req)
-                if res is None:
-                    continue
-                cand = prev + res.weight
-                if best is None or cand < best:
-                    best = cand
-                    best_back = (ell_prev, idx_prev, res, sub)
-        self._values[key] = best
-        if best_back is not None:
-            self._back[key] = best_back
-        return best
+        return self._row(m, ell)[0][phi_idx]
 
-    def backpointer(self, m: int, ell: int, phi_idx: int):
-        return self._back.get((m, ell, phi_idx))
+    def backpointer(self, m: int, ell: int, phi_idx: int) -> Optional[tuple[int, int, Fraction]]:
+        """(ell_prev, idx_prev, its weight) of the winning predecessor, if any."""
+        return self._row(m, ell)[1][phi_idx]
+
+    def transition(self, m: int, ell: int, phi_idx: int):
+        """(ell_prev, idx_prev, InverseResult, SingleClusterInstance) of cluster m's step."""
+        ell_prev, idx_prev, prev = self.backpointer(m, ell, phi_idx)
+        frontier, sub, _ = self._frontier(m, ell_prev + 1, ell, prev)
+        phi_req = max(self.grid.values[phi_idx] - self._offsets[idx_prev], 0)
+        return ell_prev, idx_prev, frontier.query(phi_req), sub
 
 
 def cluster_dp(
@@ -249,7 +267,7 @@ def cluster_dp(
     grid: ProfitGrid,
     eps: Fraction,
 ) -> ClusterDPTable:
-    """Build the lazy cluster DP; states are evaluated on demand."""
+    """Build the cluster DP table; each row is filled when first read."""
     if plan.num_clusters < 1:
         raise ValueError("plan must contain at least one cluster")
     return ClusterDPTable(instance=instance, classes=classes, plan=plan, grid=grid, eps=eps)
@@ -274,10 +292,9 @@ def glue(plan: ClusterPlan, table: ClusterDPTable, n_items: int) -> tuple[Soluti
     intro: list[Optional[int]] = [None] * n_items
     m, ell, idx = plan.num_clusters, top, target_idx
     while m >= 1 and grid.values[idx] > 0:
-        ptr = table.backpointer(m, ell, idx)
-        if ptr is None:
+        if table.backpointer(m, ell, idx) is None:
             break
-        ell_prev, idx_prev, res, sub = ptr
+        ell_prev, idx_prev, res, sub = table.transition(m, ell, idx)
         for local_item, local_t in res.solution.introduced():
             intro[sub.item_ids[local_item]] = sub.periods[local_t - 1]
         m, ell, idx = m - 1, ell_prev, idx_prev

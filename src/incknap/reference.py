@@ -193,13 +193,13 @@ def objective_by_contributions(instance: Instance, solution: Solution) -> Fracti
 
 
 def drop_bad_periods(plan: ClusterPlan, solution: Solution) -> Solution:
-    """Delete every item introduced in a period of a dropped band."""
-    return Solution(
-        tuple(
-            None if t is not None and plan.interval_of[t - 1] % plan.inv_eps == plan.xi else t
-            for t in solution.intro
-        )
-    )
+    """Delete every item introduced in a period of a dropped band.
+
+    Every surviving band's periods land in some cluster, so the dropped-band
+    periods are exactly those outside every cluster.
+    """
+    kept = {t for periods in plan.clusters for t in periods}
+    return Solution(tuple(t if t in kept else None for t in solution.intro))
 
 
 def star_graph_edges(

@@ -11,8 +11,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
+from incknap.bounded import InverseFrontier, InverseResult, rescaled_third
+from incknap.classes import ProfitClasses
+from incknap.general import ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
 from incknap.model import Instance, Solution
 
 
@@ -203,3 +207,72 @@ def reference_family(classes, interval, eps, weight_range, n):
         for combo in itertools.product(*light):
             seen.add(tuple(k if c is None else c for c, k in zip(partial, combo)))
     return [make_vector(classes, interval, counts) for counts in sorted(seen)]
+
+
+@dataclass
+class PullClusterTable:
+    """Cluster DP in pull form: each state scans every predecessor pair.
+
+    The reference that the row-filling ``general.ClusterDPTable`` must match
+    state by state, backpointers and built frontiers included.
+    """
+
+    instance: Instance
+    classes: ProfitClasses
+    plan: ClusterPlan
+    grid: ProfitGrid
+    eps: Fraction
+
+    def __post_init__(self):
+        self._values: dict[tuple[int, int, int], Optional[Fraction]] = {}
+        self._back: dict[tuple[int, int, int], tuple[int, int, InverseResult, SingleClusterInstance]] = {}
+        self._frontiers: dict[
+            tuple[int, int, int, Fraction], tuple[InverseFrontier, SingleClusterInstance]
+        ] = {}
+        self._sub_eps = rescaled_third(self.eps)
+        self._ell_states = (-1,) + self.classes.indices
+        self._step = 1 + self.eps / self.plan.num_clusters
+
+    def _frontier(self, m: int, lo: int, hi: int, omega: Fraction) -> tuple[InverseFrontier, SingleClusterInstance]:
+        key = (m, lo, hi, omega)
+        if key not in self._frontiers:
+            sub = single_cluster_instance(self.instance, self.classes, self.plan, m, lo, hi, omega)
+            self._frontiers[key] = (InverseFrontier(sub.instance, self._sub_eps), sub)
+        return self._frontiers[key]
+
+    def value(self, m: int, ell: int, phi_idx: int) -> Optional[Fraction]:
+        """Minimum achievable weight, or None when the state is infeasible."""
+        if phi_idx == 0:  # build_grid puts 0 at index 0 only
+            return 0
+        if m == 0 or ell == -1:
+            return None
+        key = (m, ell, phi_idx)
+        if key in self._values:
+            return self._values[key]
+        phi = self.grid.values[phi_idx]
+        best: Optional[Fraction] = None
+        best_back = None
+        for ell_prev in (l for l in self._ell_states if l <= ell):
+            for idx_prev in range(phi_idx + 1):
+                prev = self.value(m - 1, ell_prev, idx_prev)
+                if prev is None:
+                    continue
+                phi_prev = self.grid.values[idx_prev]
+                phi_req = phi - self._step * phi_prev - self.grid.delta
+                if phi_req < 0:
+                    phi_req = Fraction(0)
+                frontier, sub = self._frontier(m, ell_prev + 1, ell, prev)
+                res = frontier.query(phi_req)
+                if res is None:
+                    continue
+                cand = prev + res.weight
+                if best is None or cand < best:
+                    best = cand
+                    best_back = (ell_prev, idx_prev, res, sub)
+        self._values[key] = best
+        if best_back is not None:
+            self._back[key] = best_back
+        return best
+
+    def backpointer(self, m: int, ell: int, phi_idx: int):
+        return self._back.get((m, ell, phi_idx))

@@ -122,6 +122,20 @@ def test_solve_inverse_infeasible():
     assert solve_inverse(pre, Fraction(100), EPS) is None
 
 
+def test_solve_inverse_drops_zero_lambda_periods():
+    # a trailing zero lambda used to reach InverseFrontier's precondition
+    instance = Instance.build(items=[(2, 1), (3, 2)], capacities=[2, 3], lambdas=[1, 0])
+    result = solve_inverse(instance, Fraction(1), EPS)
+    assert result is not None
+    assert len(result.solution.intro) == 2
+    assert check_feasible(instance, result.solution) is None
+    assert result.true_profit == objective(instance, result.solution)
+    assert result.true_profit >= (1 - 3 * EPS) * 1
+    zero = Instance.build(items=[(2, 1)], capacities=[2, 3], lambdas=[0, 0])
+    assert solve_inverse(zero, Fraction(0), EPS).solution.intro == (None,)
+    assert solve_inverse(zero, Fraction(1), EPS) is None
+
+
 def test_solve_inverse_super_optimality_sweep():
     rng = random.Random(14)
     for _ in range(30):

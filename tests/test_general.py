@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import e1, random_instance
+from helpers import PullClusterTable, e1, random_instance
 from incknap.classes import build_classes
 from incknap.general import (
     EmptyCluster,
@@ -16,7 +17,7 @@ from incknap.general import (
     solve,
     solve_detailed,
 )
-from incknap.model import Instance, Solution, check_feasible, objective, preprocess
+from incknap.model import Instance, Solution, check_feasible, integer_units, objective, preprocess
 from incknap.oracle import exact_opt
 from incknap.reference import audit_uncrossing, drop_bad_periods, star_graph_edges
 
@@ -362,10 +363,9 @@ def stars_solutions(pre, classes, plan):
     return out
 
 
-def test_cluster_dp_lower_bounds_exact_stars_value():
-    # the discretized DP never exceeds the exhaustive uncrossing-stars value
+def stars_cases():
+    """(instance, classes, plan, grid) for six small random instances at EPS."""
     rng = random.Random(61)
-    checked = 0
     for _ in range(6):
         instance = random_instance(rng, n_max=4, t_max=2)
         pre, _ = preprocess(instance)
@@ -382,23 +382,92 @@ def test_cluster_dp_lower_bounds_exact_stars_value():
                 max(profits),
                 pre.suffix_lambdas.values[0] * sum(profits),
             )
-            table = cluster_dp(pre, classes, plan, grid, EPS)
-            sols = stars_solutions(pre, classes, plan)
-            for m in range(1, plan.num_clusters + 1):
-                for level in classes.indices:
-                    for idx, phi in enumerate(grid.values):
-                        exact = [
-                            w
-                            for mu, lu, p, w in sols
-                            if mu <= m and lu <= level and p >= phi
-                        ]
-                        if not exact:
-                            continue
-                        approx = table.value(m, level, idx)
-                        assert approx is not None
-                        assert approx <= min(exact)
-                        checked += 1
+            yield pre, classes, plan, grid
+
+
+def test_cluster_dp_lower_bounds_exact_stars_value():
+    # the discretized DP never exceeds the exhaustive uncrossing-stars value
+    checked = 0
+    for pre, classes, plan, grid in stars_cases():
+        table = cluster_dp(pre, classes, plan, grid, EPS)
+        sols = stars_solutions(pre, classes, plan)
+        for m in range(1, plan.num_clusters + 1):
+            for level in classes.indices:
+                for idx, phi in enumerate(grid.values):
+                    exact = [
+                        w
+                        for mu, lu, p, w in sols
+                        if mu <= m and lu <= level and p >= phi
+                    ]
+                    if not exact:
+                        continue
+                    approx = table.value(m, level, idx)
+                    assert approx is not None
+                    assert approx <= min(exact)
+                    checked += 1
     assert checked > 500
+
+
+def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
+    """Compare the row-filling table with the pull reference state by state.
+
+    With ``read_all`` every (m, class, idx) state is read from both tables;
+    otherwise each is read as ``glue`` reads it: the top class at the last
+    cluster, from the top grid index down to the first feasible one.
+    """
+    push = cluster_dp(instance, classes, plan, grid, eps)
+    pull = PullClusterTable(instance, classes, plan, grid, eps)
+    top = max(classes.indices)
+    if read_all:
+        for m in range(1, plan.num_clusters + 1):
+            for level in classes.indices:
+                for idx in range(len(grid.values)):
+                    pull.value(m, level, idx)
+    else:
+        glue(plan, push, instance.n)
+        for idx in range(len(grid.values) - 1, -1, -1):
+            if pull.value(plan.num_clusters, top, idx) is not None:
+                break
+    assert pull._values
+    for (m, level, idx), value in pull._values.items():
+        assert push.value(m, level, idx) == value
+        want = pull.backpointer(m, level, idx)
+        if want is None:
+            assert push.backpointer(m, level, idx) is None
+            continue
+        got = push.transition(m, level, idx)
+        assert got[:2] == want[:2]
+        assert (got[2].weight, got[2].solution) == (want[2].weight, want[2].solution)
+        assert push.backpointer(m, level, idx)[2] + got[2].weight == value
+    assert set(push._frontiers) == set(pull._frontiers)
+
+
+def test_cluster_dp_matches_pull_reference():
+    clusters = Counter()
+    for pre, classes, plan, grid in stars_cases():
+        assert_push_matches_pull(pre, classes, plan, grid, EPS, read_all=True)
+        clusters[plan.num_clusters] += 1
+    eps = internal_eps(Fraction(4, 5))
+    for seed in range(8):
+        core, _, _ = integer_units(two_cluster_instance(seed))
+        classes = build_classes(core, eps)
+        profits = [p for p, _ in core.items]
+        seen = set()
+        for xi in range(int(1 / eps)):
+            plan = build_plan(core, eps, xi)
+            if plan.num_clusters == 0 or plan.clusters in seen:
+                continue
+            seen.add(plan.clusters)
+            grid = build_grid(
+                eps,
+                plan.num_clusters,
+                core.lambdas[-1],
+                max(profits),
+                core.suffix_lambdas.values[0] * sum(profits),
+            )
+            assert_push_matches_pull(core, classes, plan, grid, eps, read_all=False)
+            clusters[plan.num_clusters] += 1
+    assert clusters[1] > 40 and clusters[2] >= 8
 
 
 def test_audit_uncrossing_detector():
