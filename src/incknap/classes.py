@@ -58,25 +58,27 @@ class ProfitClasses:
 def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     """Assign each item the largest l with (1+eps)**l <= p_i / min profit.
 
-    Exponents are found by repeated exact multiplication, never by logs, so
-    profits landing exactly on a power of (1+eps) classify correctly.
-    Returns an empty class map for an itemless instance.
+    Exponents are found on one exact ladder, never by logs: with
+    1+eps = a/b, level l is reached iff scale * a**l <= p * b**l, so the
+    distinct profits climb it once in ascending order, and profits landing
+    exactly on a power of (1+eps) classify correctly.  Returns an empty
+    class map for an itemless instance.
     """
     if eps <= 0 or Fraction(1, 1) / eps != int(1 / eps):
         raise ValueError("eps must be a unit fraction")
     if not instance.items:
         return ProfitClasses(eps=eps, scale=Fraction(1), members={}, prefix={})
     scale = min(p for p, _ in instance.items)
-    one_plus = 1 + eps
+    a, b = eps.denominator + eps.numerator, eps.denominator
+    level_of = {}
+    level, up, down = 0, a, b  # (1+eps)**(level+1) = up/down
+    for p in sorted({p for p, _ in instance.items}):
+        while scale * up <= p * down:
+            level, up, down = level + 1, up * a, down * b
+        level_of[p] = level
     members: dict[int, list[int]] = {}
     for i, (p, _) in enumerate(instance.items):
-        ratio = Fraction(p, scale)
-        level = 0
-        power = one_plus
-        while power <= ratio:
-            power *= one_plus
-            level += 1
-        members.setdefault(level, []).append(i)
+        members.setdefault(level_of[p], []).append(i)
 
     ordered: dict[int, tuple[int, ...]] = {}
     prefix: dict[int, tuple[Fraction, ...]] = {}
@@ -128,17 +130,20 @@ def make_interval(classes: ProfitClasses, lo: int, hi: int) -> ClassInterval:
 def interval_length_cap(eps: Fraction, n: int, rho: Fraction, max_useful: int) -> int:
     """Smallest L with (1+eps)**L >= n*rho/eps, capped at max_useful.
 
-    Any value beyond max_useful produces the same intervals, so the exact
-    power loop stops early instead of grinding huge exponents.
+    With 1+eps = a/b the test is a**L * rho.den * eps.num >= n * rho.num *
+    eps.den * b**L, on ints.  Any value beyond max_useful produces the same
+    intervals, so the ladder stops early instead of grinding huge exponents.
     """
-    target = Fraction(n) * rho / eps
-    power = Fraction(1)
+    eps, rho = Fraction(eps), Fraction(rho)
+    a, b = eps.denominator + eps.numerator, eps.denominator
+    have = rho.denominator * eps.numerator
+    need = n * rho.numerator * eps.denominator
+    up, down = 1, 1  # (1+eps)**length = up/down
     length = 0
-    while power < target:
+    while up * have < need * down:
         if length >= max_useful:
             return max_useful
-        power *= 1 + eps
-        length += 1
+        length, up, down = length + 1, up * a, down * b
     return max(length, 1)
 
 

@@ -14,7 +14,6 @@ weight already committed below.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,13 +199,19 @@ class ClusterDPTable:
         self._frontiers: dict[tuple, tuple[InverseFrontier, SingleClusterInstance, list[int]]] = {}
         self._sub_eps = rescaled_third(self.eps)
         self._ell_states = (-1,) + self.classes.indices
-        # after state idx_prev, cluster m must certify grid[idx] - offsets[idx_prev]; in a
-        # unit making both integral, flooring a frontier's served requirements is exact
+        # after state idx_prev, cluster m must certify grid[idx] - offsets[idx_prev], with
+        # offsets[k] = step*grid[k] + delta; in a unit making both integral, flooring a
+        # frontier's served requirements is exact.  grid[k] = delta*step**(k-1) for k >= 1,
+        # so delta*step**k for k < len(grid) is integral in den(delta)*den(step)**top
+        delta = self.grid.delta
         step = 1 + self.eps / self.plan.num_clusters
-        self._offsets = [step * v + self.grid.delta for v in self.grid.values]
-        self._unit = math.lcm(*(v.denominator for v in self.grid.values + tuple(self._offsets)))
-        self._grid_int = [v.numerator * (self._unit // v.denominator) for v in self.grid.values]
-        self._offsets_int = [v.numerator * (self._unit // v.denominator) for v in self._offsets]
+        top = len(self.grid.values) - 1
+        self._unit = delta.denominator * step.denominator**top
+        powers = [delta.numerator * step.denominator**top]  # delta*step**k in the unit
+        for _ in range(top):
+            powers.append(powers[-1] * step.numerator // step.denominator)
+        self._grid_int = [0] + powers[:-1]
+        self._offsets_int = [powers[0]] + [p + powers[0] for p in powers[1:]]
 
     def _frontier(self, m: int, lo: int, hi: int, omega: Fraction):
         key = (m, lo, hi, omega)
@@ -256,7 +261,7 @@ class ClusterDPTable:
         """(ell_prev, idx_prev, InverseResult, SingleClusterInstance) of cluster m's step."""
         ell_prev, idx_prev, prev = self.backpointer(m, ell, phi_idx)
         frontier, sub, _ = self._frontier(m, ell_prev + 1, ell, prev)
-        phi_req = max(self.grid.values[phi_idx] - self._offsets[idx_prev], 0)
+        phi_req = max(self.grid.values[phi_idx] - Fraction(self._offsets_int[idx_prev], self._unit), 0)
         return ell_prev, idx_prev, frontier.query(phi_req), sub
 
 

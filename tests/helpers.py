@@ -12,12 +12,13 @@ import math
 import random
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from incknap.bounded import InverseFrontier, InverseResult, rescaled_third
-from incknap.classes import ProfitClasses
+from incknap.bounded import BoundedDPTable, InverseFrontier, InverseResult, _dominates, rescaled_third
+from incknap.classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
 from incknap.general import ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
-from incknap.model import Instance, Solution
+from incknap.model import Instance, Solution, SuffixLambdas
+from incknap.statespace import UtilizationVector, enumerate_family
 
 
 def e1() -> Instance:
@@ -97,7 +98,7 @@ def random_instance(
 def class_structure(*weight_lists, eps=Fraction(1, 5)):
     """Instance whose profits land exactly on consecutive powers of 1+eps,
     so class membership is fixed by construction."""
-    from incknap.classes import build_classes, make_interval
+    from incknap.classes import make_interval
 
     items = []
     for level, weights in enumerate(weight_lists):
@@ -117,6 +118,24 @@ def random_class_structure(rng: random.Random, eps: Fraction, max_classes=4, max
         for _ in range(rng.randint(1, max_classes))
     ]
     return class_structure(*weight_lists, eps=eps)
+
+
+def two_heavy_structures():
+    """Bench-shaped classes: profits 100/110/121 are one class each at eps
+    1/10, and two of them hold more than 10 items at once.  Yields the
+    ``enumerate_family`` arguments of every such interval."""
+    eps = Fraction(1, 10)
+    for seed in range(3):
+        rng = random.Random(seed)
+        profits = [100] * 13 + [110] * 12 + [121] * 4
+        instance = Instance.build(
+            items=[(p, rng.randint(1, 10)) for p in profits], capacities=[60], lambdas=[1]
+        )
+        classes = build_classes(instance, eps)
+        for interval in candidate_intervals(classes, eps, Fraction(1)):
+            if sum(classes.size(l) > 10 for l in interval.active) == 2:
+                weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
+                yield classes, interval, eps, (min(weights), max(weights)), len(weights)
 
 
 def random_vector_pair(rng: random.Random, classes, interval):
@@ -276,3 +295,93 @@ class PullClusterTable:
 
     def backpointer(self, m: int, ell: int, phi_idx: int):
         return self._back.get((m, ell, phi_idx))
+
+
+def PairScanDP(
+    classes: ProfitClasses,
+    interval: ClassInterval,
+    family: Sequence[UtilizationVector],
+    capacities: Sequence[Fraction],
+    suffix: SuffixLambdas,
+) -> BoundedDPTable:
+    """The family-restricted DP with a pairwise predecessor scan.
+
+    The reference that the lattice transition of ``bounded.dp_solve`` must
+    match in ``raw``, ``back`` and family order: a vector extends the best
+    coordinatewise-smaller reachable vector, scanned in (count-sum, counts)
+    order so the scan stops once predecessors outgrow the current vector and
+    a strict ``>`` keeps the first of equal predecessors.
+    """
+    q = int(1 / classes.eps)
+    active = interval.active
+    ltop = max(active) if active else 0
+    rp_int = [(q + 1) ** l * q ** (ltop - l) for l in active]
+    value_den = q**ltop
+
+    order = sorted(range(len(family)), key=lambda j: (sum(family[j].counts), family[j].counts))
+    fam = [family[j] for j in order]
+    counts = [v.counts for v in fam]
+    sums = [sum(c) for c in counts]
+    profits = [sum(r * c for r, c in zip(rp_int, v.counts)) for v in fam]
+    weights = [v.weight for v in fam]
+
+    zero = counts.index((0,) * len(active))
+    horizon = len(capacities)
+    raw: list[list[Optional[int]]] = [[None] * len(fam) for _ in range(horizon + 1)]
+    back: list[list[Optional[int]]] = [[None] * len(fam) for _ in range(horizon + 1)]
+    raw[0][zero] = 0
+
+    for t in range(1, horizon + 1):
+        lam = suffix.values[t - 1]
+        cap = capacities[t - 1]
+        prev_row = raw[t - 1]
+        # G value of each reachable predecessor, in family order (sums ascending)
+        preds: list[tuple[int, int]] = []  # (family index, prev - lam*profit)
+        for j, v in enumerate(prev_row):
+            if v is not None:
+                preds.append((j, v - lam * profits[j]))
+        cur_row = raw[t]
+        back_row = back[t]
+        for j in range(len(fam)):
+            if weights[j] > cap:
+                continue
+            s = sums[j]
+            c = counts[j]
+            best = None
+            best_j = None
+            for pj, g in preds:
+                if sums[pj] > s:
+                    break
+                if _dominates(counts[pj], c) and (best is None or g > best):
+                    best = g
+                    best_j = pj
+            if best is not None:
+                cur_row[j] = lam * profits[j] + best
+                back_row[j] = best_j
+    return BoundedDPTable(interval=interval, family=fam, raw=raw, back=back, value_den=value_den)
+
+
+def fraction_merge_frontier(instance: Instance, eps: Fraction):
+    """(weight, rounded profit, interval, counts) per Pareto entry, merged on Fractions.
+
+    The reference for ``bounded.InverseFrontier``'s integer merge: every
+    final DP value becomes its rounded-profit Fraction before the sort on
+    (weight, -value), and the empty solution comes first.
+    """
+    entries = [(0, 0, None, None)]
+    if instance.n > 0:
+        classes = build_classes(instance, eps)
+        for interval in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
+            weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
+            family = enumerate_family(classes, interval, eps, (min(weights), max(weights)), len(weights))
+            table = PairScanDP(classes, interval, family, instance.capacities, instance.suffix_lambdas)
+            for j, v in enumerate(table.raw[instance.horizon]):
+                if v is not None:
+                    value = classes.scale * Fraction(v, table.value_den)
+                    entries.append((table.family[j].weight, value, interval, table.family[j].counts))
+    entries.sort(key=lambda e: (e[0], -e[1]))
+    frontier = []
+    for e in entries:
+        if not frontier or e[1] > frontier[-1][1]:
+            frontier.append(e)
+    return frontier

@@ -1,9 +1,18 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import e1, random_instance
+from helpers import (
+    PairScanDP,
+    e1,
+    fraction_merge_frontier,
+    random_class_structure,
+    random_instance,
+    two_heavy_structures,
+)
 from incknap.bounded import (
     ChainNotMonotone,
     InverseFrontier,
@@ -15,10 +24,10 @@ from incknap.bounded import (
     solve_inverse,
 )
 from incknap.classes import build_classes, make_interval, candidate_intervals
-from incknap.model import Instance, Solution, check_feasible, objective, preprocess
+from incknap.model import Instance, Solution, SuffixLambdas, check_feasible, objective, preprocess
 from incknap.oracle import exact_inverse, exact_opt
 from incknap.reference import exact_restricted_dp
-from incknap.statespace import enumerate_family
+from incknap.statespace import enumerate_family, make_vector
 
 EPS = Fraction(1, 5)
 
@@ -88,6 +97,81 @@ def test_dp_restricted_below_exact():
             if approx is not None:
                 assert full is not None
                 assert approx <= full
+
+
+def random_horizon(rng, total_weight):
+    """Fraction capacities up to the total weight and Fraction lambdas, some
+    zero, so consecutive suffix values can tie and so can predecessors."""
+    horizon = rng.randint(1, 4)
+    caps = sorted(Fraction(rng.randint(0, 3 * int(total_weight) + 3), 3) for _ in range(horizon))
+    lambdas = [rng.choice([0, Fraction(rng.randint(1, 9), rng.randint(1, 4))]) for _ in range(horizon)]
+    lambdas[-1] += 1
+    return caps, SuffixLambdas(tuple(itertools.accumulate(reversed(lambdas)))[::-1])
+
+
+def assert_dp_matches_pair_scan(classes, interval, family, capacities, suffix):
+    got = dp_solve(classes, interval, family, capacities, suffix)
+    want = PairScanDP(classes, interval, family, capacities, suffix)
+    assert [v.counts for v in got.family] == [v.counts for v in want.family]
+    assert got.value_den == want.value_den
+    assert got.raw == want.raw
+    assert got.back == want.back
+
+
+def lattice_size(family):
+    return math.prod(len({v.counts[pos] for v in family}) for pos in range(len(family[0].counts)))
+
+
+def test_dp_solve_matches_pair_scan():
+    rng = random.Random(53)
+    # class structures on weight grids 1/2 and 1/3, Fraction capacities and lambdas
+    for eps, den in itertools.product((Fraction(1, 5), Fraction(1, 8)), (2, 3)):
+        for _ in range(12):
+            instance, classes, interval = random_class_structure(rng, eps, max_classes=3, max_items=9, den=den)
+            family = family_for(instance, classes, interval, eps)
+            caps, suffix = random_horizon(rng, instance.capacities[0])
+            assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
+    # sub-families (zero plus a random subset of a product): lattices with empty cells
+    sparse = 0
+    for _ in range(40):
+        instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=4, den=2)
+        product = list(itertools.product(*(range(classes.size(l) + 1) for l in interval.active)))
+        picked = {product[0], *rng.sample(product, rng.randint(1, len(product)))}
+        family = [make_vector(classes, interval, counts) for counts in sorted(picked)]
+        sparse += lattice_size(family) > len(family)
+        caps, suffix = random_horizon(rng, instance.capacities[0])
+        assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
+    assert sparse >= 10
+    # two heavy classes at once, where the counting cap cuts combinations
+    cases = list(two_heavy_structures())
+    assert len(cases) >= 3
+    for args in cases:
+        classes, interval = args[:2]
+        family = enumerate_family(*args)
+        caps, suffix = random_horizon(rng, 60)
+        assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
+
+
+def test_inverse_frontier_matches_fraction_merge():
+    rng = random.Random(61)
+    instances = [random_instance(rng, n_max=8, t_max=3) for _ in range(20)]
+    for _ in range(8):  # Fraction profits, six of them equal: a class past 1/eps items
+        items = [(Fraction(rng.choice([3, 4, 9]), rng.randint(1, 3)), rng.randint(1, 6)) for _ in range(4)]
+        items += [(Fraction(7, 2), rng.randint(1, 6)) for _ in range(6)]
+        instances.append(Instance.build(items=items, capacities=[10, 25], lambdas=[2, Fraction(1, 3)]))
+    tops = set()
+    for instance in instances:
+        frontier = InverseFrontier(instance, EPS)
+        want = fraction_merge_frontier(instance, EPS)
+        got = [
+            (weight, value, None, None) if table is None else (weight, value, table.interval, table.family[j].counts)
+            for weight, value, table, j in frontier._frontier
+        ]
+        assert got == want
+        assert frontier.weights == [e[0] for e in want]
+        assert frontier.served == [e[1] / (1 - 3 * EPS) for e in want]
+        tops.add(len({e[2].hi for e in want if e[2] is not None}))
+    assert max(tops) >= 3  # entries from tables of different value_den compete
 
 
 def test_prefix_to_solution_unfolds_counts():

@@ -7,6 +7,7 @@ import pytest
 from helpers import PullClusterTable, e1, random_instance
 from incknap.classes import build_classes
 from incknap.general import (
+    ClusterPlan,
     EmptyCluster,
     build_grid,
     build_plan,
@@ -124,6 +125,23 @@ def test_build_grid_structure():
     assert ratios == {1 + EPS / 2}
     assert grid.values[-1] >= 100
     assert grid.values[-2] < 100
+
+
+def test_cluster_dp_grid_units_match_fractions():
+    # the table's ints are delta*step**k in one unit, built by a recurrence;
+    # check them against the Fractions on a long grid (step 201/200)
+    eps = Fraction(1, 100)
+    instance, _ = preprocess(e1())
+    plan = ClusterPlan(interval_of=(1, 2), clusters=((1,), (2,)))
+    grid = build_grid(eps, plan.num_clusters, Fraction(4, 3), Fraction(10), Fraction(10**4))
+    table = cluster_dp(instance, build_classes(instance, EPS), plan, grid, eps)
+    step = 1 + eps / plan.num_clusters
+    offsets = [step * v + grid.delta for v in grid.values]
+    unit = table._unit
+    assert len(grid.values) >= 2000
+    assert len(table._grid_int) == len(table._offsets_int) == len(grid.values)
+    assert all(g * v.denominator == v.numerator * unit for g, v in zip(table._grid_int, grid.values))
+    assert all(o * v.denominator == v.numerator * unit for o, v in zip(table._offsets_int, offsets))
 
 
 def test_cluster_dp_terminal_rules():

@@ -13,6 +13,7 @@ from helpers import (
     random_vector_pair,
     reference_family,
     reference_partials,
+    two_heavy_structures,
 )
 from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import Instance
@@ -242,25 +243,8 @@ def test_enumerate_family_equals_reference_on_heavy_profits():
     assert heavy_hits == len(intervals)
 
 
-def _two_heavy_structures():
-    """Bench-shaped classes: profits 100/110/121 are one class each at eps
-    1/10, and two of them hold more than 10 items at once."""
-    eps = Fraction(1, 10)
-    for seed in range(3):
-        rng = random.Random(seed)
-        profits = [100] * 13 + [110] * 12 + [121] * 4
-        instance = Instance.build(
-            items=[(p, rng.randint(1, 10)) for p in profits], capacities=[60], lambdas=[1]
-        )
-        classes = build_classes(instance, eps)
-        for interval in candidate_intervals(classes, eps, Fraction(1)):
-            if sum(classes.size(l) > 10 for l in interval.active) == 2:
-                weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
-                yield classes, interval, eps, (min(weights), max(weights)), len(weights)
-
-
 def test_enumerate_family_equals_reference_on_two_heavy_classes():
-    cases = list(_two_heavy_structures())
+    cases = list(two_heavy_structures())
     assert len(cases) >= 3
     for args in cases:
         assert _family_rows(enumerate_family(*args)) == _family_rows(reference_family(*args))
