@@ -6,10 +6,11 @@ maximal runs form clusters whose internal suffix ratio is small enough for
 the bounded inverse solver.  A near-optimal solution then assigns disjoint,
 order-aligned profit-class ranges to clusters (uncrossing stars), which a
 minimum-weight DP over (cluster, top class, accumulated profit) recovers on
-a discretized profit grid, filling one row per (cluster, top class) by
-pushing each inverse frontier entry over the grid range it serves.  The
-per-cluster subproblems are inverse solves with capacities reduced by the
-weight already committed below.
+a discretized profit grid, held once as ints over one unit, filling one row
+per (cluster, top class) by pushing each inverse frontier entry over the
+grid range it serves, found by bisecting those ints.  The per-cluster
+subproblems are inverse solves with capacities reduced by the weight
+already committed below.
 """
 
 from __future__ import annotations
@@ -100,29 +101,46 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
 
 @dataclass(frozen=True)
 class ProfitGrid:
-    """Geometric profit discretization: 0 plus delta*(1+eps/M)^k."""
+    """Profit points 0, delta, delta*step, ..., step = 1 + eps/M, as ints over ``unit``.
+
+    ``unit`` = den(delta) * den(step)**top, top = len(values) - 1, makes
+    delta*step**k integral for every k <= top, so the offsets are ints too."""
 
     delta: Fraction
-    values: tuple[Fraction, ...]
+    step: Fraction
+    unit: int
+    values: tuple[int, ...]
+
+    def point(self, k: int) -> Fraction:
+        """Grid point k as a Fraction."""
+        return Fraction(self.values[k], self.unit)
+
+    def offset(self, k: int) -> int:
+        """step*point(k) + delta over ``unit``: what state k takes off the next cluster's requirement."""
+        return self.values[k] * self.step.numerator // self.step.denominator + self.values[1]
 
 
 def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Fraction, psi_cap: Fraction) -> ProfitGrid:
     """Grid from delta = eps/M * lambda_T * p_max up to the profit ceiling.
 
-    The top exponent is chosen exactly so the grid covers every achievable
-    profit (suffix-lambda of period 1 times the total profit mass); a cap
-    short of that would silently truncate the DP's reachable states.
+    The last point is the first at or above psi_cap (suffix-lambda of period
+    1 times the total profit mass), so the grid covers every achievable
+    profit; a cap short of that would silently truncate the DP's reachable
+    states.  The point count is found on ints before any point is built.
     """
     delta = eps / num_clusters * lam_last * p_max
-    values = [Fraction(0)]
     step = 1 + eps / num_clusters
-    v = delta
-    while True:
-        values.append(v)
-        if v >= psi_cap:
-            break
-        v *= step
-    return ProfitGrid(delta=delta, values=tuple(values))
+    num, den = step.numerator, step.denominator
+    # point top is delta*step**(top-1), and it clears psi_cap iff reach >= need
+    reach = delta.numerator * psi_cap.denominator
+    need = psi_cap.numerator * delta.denominator
+    top = 1
+    while reach < need:
+        reach, need, top = reach * num, need * den, top + 1
+    points = [delta.numerator * den**top]  # delta*step**(k-1) over the unit, k = 1..top
+    for _ in range(top - 1):
+        points.append(points[-1] * num // den)
+    return ProfitGrid(delta=delta, step=step, unit=delta.denominator * den**top, values=(0, *points))
 
 
 @dataclass(frozen=True)
@@ -157,12 +175,8 @@ def single_cluster_instance(
     if not periods:
         raise EmptyCluster(f"cluster {m} has no periods")
     item_ids = tuple(
-        i
-        for level in sorted(classes.members)
-        if class_lo <= level <= class_hi
-        for i in classes.members[level]
+        sorted(i for level, members in classes.members.items() if class_lo <= level <= class_hi for i in members)
     )
-    item_ids = tuple(sorted(item_ids))
     suffix = parent.suffix_lambdas
     lambdas = []
     for idx, t in enumerate(periods):
@@ -185,7 +199,9 @@ class ClusterDPTable:
     A row is filled on first read by pushing each feasible state (m-1,
     ell_prev, idx_prev) through cluster m's frontier on classes
     ell_prev+1..ell, at capacities reduced by that state's weight: each
-    frontier entry serves one contiguous range of grid indices.
+    frontier entry serves the contiguous range of indices idx whose
+    requirement grid[idx] - grid.offset(idx_prev) it covers.  Both terms are
+    ints over ``grid.unit``, so flooring served requirements in it is exact.
     """
 
     instance: Instance
@@ -199,35 +215,22 @@ class ClusterDPTable:
         self._frontiers: dict[tuple, tuple[InverseFrontier, SingleClusterInstance, list[int]]] = {}
         self._sub_eps = rescaled_third(self.eps)
         self._ell_states = (-1,) + self.classes.indices
-        # after state idx_prev, cluster m must certify grid[idx] - offsets[idx_prev], with
-        # offsets[k] = step*grid[k] + delta; in a unit making both integral, flooring a
-        # frontier's served requirements is exact.  grid[k] = delta*step**(k-1) for k >= 1,
-        # so delta*step**k for k < len(grid) is integral in den(delta)*den(step)**top
-        delta = self.grid.delta
-        step = 1 + self.eps / self.plan.num_clusters
-        top = len(self.grid.values) - 1
-        self._unit = delta.denominator * step.denominator**top
-        powers = [delta.numerator * step.denominator**top]  # delta*step**k in the unit
-        for _ in range(top):
-            powers.append(powers[-1] * step.numerator // step.denominator)
-        self._grid_int = [0] + powers[:-1]
-        self._offsets_int = [powers[0]] + [p + powers[0] for p in powers[1:]]
 
     def _frontier(self, m: int, lo: int, hi: int, omega: Fraction):
         key = (m, lo, hi, omega)
         if key not in self._frontiers:
             sub = single_cluster_instance(self.instance, self.classes, self.plan, m, lo, hi, omega)
             frontier = InverseFrontier(sub.instance, self._sub_eps)
-            cutoffs = [s.numerator * self._unit // s.denominator for s in frontier.served]
+            cutoffs = [s.numerator * self.grid.unit // s.denominator for s in frontier.served]
             self._frontiers[key] = (frontier, sub, cutoffs)
         return self._frontiers[key]
 
     def _row(self, m: int, ell: int) -> tuple[list, list]:
         if (m, ell) in self._rows:
             return self._rows[m, ell]
-        size = len(self._grid_int)
-        values: list = [0] + [None] * (size - 1)  # build_grid puts 0 at index 0 only
-        back: list = [None] * size
+        points = self.grid.values
+        values: list = [0] + [None] * (len(points) - 1)  # build_grid puts 0 at index 0 only
+        back: list = [None] * len(points)
         self._rows[m, ell] = values, back
         # with no cluster or no class only the zero state is feasible; else the
         # (ell_prev, idx_prev) order and a strict < keep the first lightest move
@@ -238,9 +241,10 @@ class ClusterDPTable:
                 if prev is None:
                     continue
                 frontier, _, cutoffs = self._frontier(m, ell_prev + 1, ell, prev)
+                offset = self.grid.offset(idx_prev)
                 lo = max(idx_prev, 1)
                 for cutoff, weight in zip(cutoffs, frontier.weights):
-                    hi = bisect_right(self._grid_int, cutoff + self._offsets_int[idx_prev], lo)
+                    hi = bisect_right(points, cutoff + offset, lo)
                     cand = prev + weight
                     for idx in range(lo, hi):
                         if values[idx] is None or cand < values[idx]:
@@ -261,7 +265,7 @@ class ClusterDPTable:
         """(ell_prev, idx_prev, InverseResult, SingleClusterInstance) of cluster m's step."""
         ell_prev, idx_prev, prev = self.backpointer(m, ell, phi_idx)
         frontier, sub, _ = self._frontier(m, ell_prev + 1, ell, prev)
-        phi_req = max(self.grid.values[phi_idx] - Fraction(self._offsets_int[idx_prev], self._unit), 0)
+        phi_req = Fraction(max(self.grid.values[phi_idx] - self.grid.offset(idx_prev), 0), self.grid.unit)
         return ell_prev, idx_prev, frontier.query(phi_req), sub
 
 
@@ -296,32 +300,34 @@ def glue(plan: ClusterPlan, table: ClusterDPTable, n_items: int) -> tuple[Soluti
         raise NoFeasibleState("zero-profit state missing; grid must contain 0")
     intro: list[Optional[int]] = [None] * n_items
     m, ell, idx = plan.num_clusters, top, target_idx
-    while m >= 1 and grid.values[idx] > 0:
+    while m >= 1 and idx > 0:
         if table.backpointer(m, ell, idx) is None:
             break
         ell_prev, idx_prev, res, sub = table.transition(m, ell, idx)
         for local_item, local_t in res.solution.introduced():
             intro[sub.item_ids[local_item]] = sub.periods[local_t - 1]
         m, ell, idx = m - 1, ell_prev, idx_prev
-    return Solution(tuple(intro)), grid.values[target_idx]
+    return Solution(tuple(intro)), grid.point(target_idx)
 
 
 @dataclass(frozen=True)
 class GeneralResult:
     """Winning solution plus the diagnostics of the offset that produced it.
 
-    ``phi_target``, ``grid`` and ``classes`` are in ``core_instance``'s integer units."""
+    ``phi_target`` (a grid point), ``grid`` (ints over ``grid.unit``) and
+    ``classes`` are in ``core_instance``'s integer units; the diagnostics are
+    None when no cluster DP ran."""
 
     solution: Solution  # over the original instance
     profit: Fraction
     eps_int: Fraction
-    xi: Optional[int]
-    plan: Optional[ClusterPlan]
-    grid: Optional[ProfitGrid]
-    phi_target: Optional[Fraction]
-    classes: Optional[ProfitClasses]
-    core_instance: Optional[Instance]  # preprocessed, unfittable items removed
-    core_solution: Optional[Solution]
+    xi: Optional[int] = None
+    plan: Optional[ClusterPlan] = None
+    grid: Optional[ProfitGrid] = None
+    phi_target: Optional[Fraction] = None
+    classes: Optional[ProfitClasses] = None
+    core_instance: Optional[Instance] = None  # preprocessed, unfittable items removed
+    core_solution: Optional[Solution] = None
 
 
 def internal_eps(eps_public: Fraction) -> Fraction:
@@ -333,18 +339,7 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
     """Run every offset xi, solve each distinct plan once, keep the best."""
     validate(instance)
     eps = internal_eps(eps_public)
-    empty = GeneralResult(
-        solution=Solution.empty(instance.n),
-        profit=Fraction(0),
-        eps_int=eps,
-        xi=None,
-        plan=None,
-        grid=None,
-        phi_target=None,
-        classes=None,
-        core_instance=None,
-        core_solution=None,
-    )
+    empty = GeneralResult(solution=Solution.empty(instance.n), profit=Fraction(0), eps_int=eps)
     try:
         pre, remap = preprocess(instance)
     except AllLambdasZero:

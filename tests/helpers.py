@@ -268,7 +268,7 @@ class PullClusterTable:
         key = (m, ell, phi_idx)
         if key in self._values:
             return self._values[key]
-        phi = self.grid.values[phi_idx]
+        phi = self.grid.point(phi_idx)
         best: Optional[Fraction] = None
         best_back = None
         for ell_prev in (l for l in self._ell_states if l <= ell):
@@ -276,7 +276,7 @@ class PullClusterTable:
                 prev = self.value(m - 1, ell_prev, idx_prev)
                 if prev is None:
                     continue
-                phi_prev = self.grid.values[idx_prev]
+                phi_prev = self.grid.point(idx_prev)
                 phi_req = phi - self._step * phi_prev - self.grid.delta
                 if phi_req < 0:
                     phi_req = Fraction(0)

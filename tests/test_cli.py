@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -95,6 +96,39 @@ def test_cmd_solve_general_guarantee(tmp_path):
     instance = instance_from_json(path.read_text())
     opt, _ = exact_opt(instance)
     assert parse_rational(doc["profit"]) >= opt / 2
+
+
+# sha256 of the solve output for (gen seed, n, T, profile), mode and --eps;
+# a change to the solve path that keeps its answers leaves every one unchanged
+GOLDEN_SOLVES = {
+    ((1, 3, 2, "uniform"), "general", "1/50"): "dd3667b657279f7459ff7b57491dc347d0a79b06a785ffcbd232953c3281f37b",
+    ((1, 3, 2, "uniform"), "general", "1/100"): "dd3667b657279f7459ff7b57491dc347d0a79b06a785ffcbd232953c3281f37b",
+    ((1, 6, 3, "uniform"), "exact", "0.5"): "d51016510921c2e1ddaca1a28e91b491f7e6595e8a919dceca55fbed04119aeb",
+    ((1, 6, 3, "uniform"), "bounded", "0.5"): "d51016510921c2e1ddaca1a28e91b491f7e6595e8a919dceca55fbed04119aeb",
+    ((1, 6, 3, "uniform"), "general", "0.5"): "d51016510921c2e1ddaca1a28e91b491f7e6595e8a919dceca55fbed04119aeb",
+    ((2, 6, 3, "uniform"), "exact", "0.5"): "b2a95b44029829ea02cf8fbcc5acdccb042f3591bba5c7abd50fb960aaa5584b",
+    ((2, 6, 3, "uniform"), "bounded", "0.5"): "b2a95b44029829ea02cf8fbcc5acdccb042f3591bba5c7abd50fb960aaa5584b",
+    ((2, 6, 3, "uniform"), "general", "0.5"): "b2a95b44029829ea02cf8fbcc5acdccb042f3591bba5c7abd50fb960aaa5584b",
+    ((3, 6, 3, "uniform"), "exact", "0.5"): "8cc0b96aad54403d1fce62d0d9ebd4e6b8b339fcc62c9985ec44ce3765e02da3",
+    ((3, 6, 3, "uniform"), "bounded", "0.5"): "8cc0b96aad54403d1fce62d0d9ebd4e6b8b339fcc62c9985ec44ce3765e02da3",
+    ((3, 6, 3, "uniform"), "general", "0.5"): "8cc0b96aad54403d1fce62d0d9ebd4e6b8b339fcc62c9985ec44ce3765e02da3",
+    # a two-cluster winner with items introduced in both clusters
+    ((2, 4, 4, "geometric-lambda"), "general", "4/5"): (
+        "5f69d2da17dbd7babf7ef9555e2da3fee21d9e1dc2bf596c82146571accb8ec8"
+    ),
+}
+
+
+def test_solve_output_is_golden(tmp_path):
+    got = {}
+    for (seed, n, t, profile), mode, eps in GOLDEN_SOLVES:
+        path = tmp_path / f"{seed}-{n}-{t}-{profile}.json"
+        argv = ["gen", "--seed", str(seed), "--n", str(n), "--t", str(t), "--profile", profile, "--out", str(path)]
+        assert main(argv) == 0
+        out = tmp_path / "sol.json"
+        assert main(["solve", str(path), "--mode", mode, "--eps", eps, "--out", str(out)]) == 0
+        got[(seed, n, t, profile), mode, eps] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == GOLDEN_SOLVES
 
 
 def test_cmd_solve_bounded_mode(tmp_path):

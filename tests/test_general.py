@@ -7,7 +7,6 @@ import pytest
 from helpers import PullClusterTable, e1, random_instance
 from incknap.classes import build_classes
 from incknap.general import (
-    ClusterPlan,
     EmptyCluster,
     build_grid,
     build_plan,
@@ -118,30 +117,64 @@ def test_single_cluster_empty_cluster_raises():
 
 def test_build_grid_structure():
     grid = build_grid(EPS, 2, Fraction(1), Fraction(10), Fraction(100))
+    step = 1 + EPS / 2
+    last = len(grid.values) - 1
     assert grid.delta == 1
-    assert grid.values[0] == 0
-    assert grid.values[1] == grid.delta
-    ratios = {b / a for a, b in zip(grid.values[1:], grid.values[2:])}
-    assert ratios == {1 + EPS / 2}
-    assert grid.values[-1] >= 100
-    assert grid.values[-2] < 100
+    assert grid.point(0) == 0
+    assert grid.point(1) == grid.delta
+    assert {grid.point(k + 1) / grid.point(k) for k in range(1, last)} == {step}
+    assert grid.point(last) >= 100 > grid.point(last - 1)
+
+
+def test_build_grid_stops_on_a_point_equal_to_the_cap():
+    step = 1 + EPS / 2
+    grid = build_grid(EPS, 2, Fraction(1), Fraction(10), step**5)
+    assert [grid.point(k) for k in range(len(grid.values))] == [0] + [step**j for j in range(6)]
+
+
+@pytest.mark.parametrize("psi_cap", [Fraction(1), Fraction(1, 2)])
+def test_build_grid_cap_at_or_below_delta(psi_cap):
+    grid = build_grid(EPS, 2, Fraction(1), Fraction(10), psi_cap)
+    assert [grid.point(k) for k in range(len(grid.values))] == [0, 1]
+    assert Fraction(grid.offset(0), grid.unit) == 1
+    assert Fraction(grid.offset(1), grid.unit) == 1 + EPS / 2 + 1
 
 
 def test_cluster_dp_grid_units_match_fractions():
-    # the table's ints are delta*step**k in one unit, built by a recurrence;
-    # check them against the Fractions on a long grid (step 201/200)
+    # the grid's ints, which the cluster DP bisects on, are built by a
+    # recurrence in one unit; check every point and every offset
+    # step*grid[k] + delta, k = 0 and the last included, against Fractions
+    # on a long grid (step 201/200)
     eps = Fraction(1, 100)
-    instance, _ = preprocess(e1())
-    plan = ClusterPlan(interval_of=(1, 2), clusters=((1,), (2,)))
-    grid = build_grid(eps, plan.num_clusters, Fraction(4, 3), Fraction(10), Fraction(10**4))
-    table = cluster_dp(instance, build_classes(instance, EPS), plan, grid, eps)
-    step = 1 + eps / plan.num_clusters
-    offsets = [step * v + grid.delta for v in grid.values]
-    unit = table._unit
+    grid = build_grid(eps, 2, Fraction(4, 3), Fraction(10), Fraction(10**4))
+    step = 1 + eps / 2
     assert len(grid.values) >= 2000
-    assert len(table._grid_int) == len(table._offsets_int) == len(grid.values)
-    assert all(g * v.denominator == v.numerator * unit for g, v in zip(table._grid_int, grid.values))
-    assert all(o * v.denominator == v.numerator * unit for o, v in zip(table._offsets_int, offsets))
+    phis = [Fraction(0)] + [grid.delta * step ** (k - 1) for k in range(1, len(grid.values))]
+    assert phis[-1] >= 10**4 > phis[-2]
+    # a/unit == b as a cross product: Fraction(a, unit) would take a gcd per point
+    for k, phi in enumerate(phis):
+        assert grid.values[k] * phi.denominator == phi.numerator * grid.unit
+        offset = step * phi + grid.delta
+        assert grid.offset(k) * offset.denominator == offset.numerator * grid.unit
+    assert grid.point(len(phis) - 1) == phis[-1]
+
+
+def test_small_eps_guarantee_on_long_grids():
+    # public eps 1/50 gives grids of a few thousand points
+    eps = Fraction(1, 50)
+    rng = random.Random(50)
+    long_grids = 0
+    for _ in range(6):
+        instance = random_instance(rng, n_max=4, t_max=3)
+        result = solve_detailed(instance, eps)
+        assert check_feasible(instance, result.solution) is None
+        opt, _ = exact_opt(instance)
+        assert result.profit >= (1 - eps) * opt
+        floor = (1 - 2 * result.eps_int) * result.phi_target
+        floor -= result.plan.num_clusters * result.grid.delta
+        assert objective(result.core_instance, result.core_solution) >= floor
+        long_grids += len(result.grid.values) >= 2000
+    assert long_grids == 6
 
 
 def test_cluster_dp_terminal_rules():
@@ -226,7 +259,7 @@ def test_cluster_dp_two_clusters_with_weight_offset():
     assert solution.intro == (1, 2)
     assert objective(instance, solution) == 13
     top = max(classes.indices)
-    target_idx = grid.values.index(phi_target)
+    target_idx = grid.values.index(phi_target * grid.unit)
     assert table.value(2, top, target_idx) == solution.weights_by_period(instance)[-1]
     back = table.backpointer(2, top, target_idx)
     assert table.value(1, back[0], back[1]) == 1  # omega passed down to cluster 2
@@ -411,7 +444,8 @@ def test_cluster_dp_lower_bounds_exact_stars_value():
         sols = stars_solutions(pre, classes, plan)
         for m in range(1, plan.num_clusters + 1):
             for level in classes.indices:
-                for idx, phi in enumerate(grid.values):
+                for idx in range(len(grid.values)):
+                    phi = grid.point(idx)
                     exact = [
                         w
                         for mu, lu, p, w in sols
