@@ -5,6 +5,8 @@ floor phi.  The restricted DP walks utilization vectors of the enumerated
 family period by period; among final vectors clearing (1-3*eps)*phi in the
 rounded-profit metric it keeps the lightest, which is super-optimal against
 the exact inverse optimum while violating the floor by at most that factor.
+The forward solver takes the most profitable endpoint of the frontier of
+those answers instead of sweeping profit floors through it.
 
 The DP table holds rounded profits times their common denominator
 (1/eps)**l_top, so on an instance in integer units (``model.integer_units``)
@@ -263,7 +265,6 @@ class InverseFrontier:
         # entry i is the lightest endpoint for requirements in (served[i-1], served[i]]
         self.weights = [e[0] for e in frontier]
         self.served = [e[1] / (1 - 3 * self.eps) for e in frontier]
-        self._cache: dict[int, InverseResult] = {}
 
     def query(self, phi: Fraction) -> Optional[InverseResult]:
         """Lightest endpoint whose rounded profit clears (1-3*eps)*phi."""
@@ -272,21 +273,17 @@ class InverseFrontier:
         idx = bisect_left(self.served, phi)
         if idx == len(self._frontier):
             return None
-        if idx not in self._cache:
-            weight, value, table, j = self._frontier[idx]
-            if table is None:
-                solution = Solution.empty(self.instance.n)
-            else:
-                solution = prefix_to_solution(
-                    self.classes, table.interval, table.chain(j), self.instance.n
-                )
-            self._cache[idx] = InverseResult(
-                solution=solution,
-                rounded_profit=value,
-                true_profit=objective(self.instance, solution),
-                weight=weight,
-            )
-        return self._cache[idx]
+        weight, value, table, j = self._frontier[idx]
+        if table is None:
+            solution = Solution.empty(self.instance.n)
+        else:
+            solution = prefix_to_solution(self.classes, table.interval, table.chain(j), self.instance.n)
+        return InverseResult(
+            solution=solution,
+            rounded_profit=value,
+            true_profit=objective(self.instance, solution),
+            weight=weight,
+        )
 
 
 def solve_inverse(instance: Instance, phi: Fraction, eps: Fraction) -> Optional[InverseResult]:
@@ -302,14 +299,14 @@ def solve_inverse(instance: Instance, phi: Fraction, eps: Fraction) -> Optional[
 
 
 def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
-    """Forward solver: sweep a geometric profit grid through the inverse
-    solver and keep the most profitable answer.
+    """Forward solver: the first inverse-frontier endpoint, in frontier
+    order, with the most true profit.
 
     Zero-lambda periods are dropped first (all zero: the empty solution) and
-    the answer is mapped back to the original periods.  The grid spans
-    [lambda_min * p_min, n * lambda_max * p_max] with the widest reading of
-    the endpoint coefficients (plain lambdas or suffix sums), plus the zero
-    requirement.
+    the answer is mapped back to the original periods.  The paper's wrapper
+    sweeps a geometric grid of profit floors through a black-box inverse
+    solver; every answer such a sweep can return is a frontier endpoint, so
+    the best endpoint meets its (1-5*eps) bound a fortiori.
     """
     eps = check_internal_eps(eps)
     try:
@@ -320,21 +317,6 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
         return Solution.empty(0)
     instance, _, _ = integer_units(pre)
     frontier = InverseFrontier(instance, eps)
-    profits = [p for p, _ in instance.items]
-    lam_lo = min(instance.lambdas)
-    lam_hi = instance.suffix_lambdas.values[0]
-    lo = lam_lo * min(profits)
-    hi = instance.n * lam_hi * max(profits)
-    grid = [Fraction(0)]
-    v = lo
-    while v <= hi:
-        grid.append(v)
-        v *= 1 + eps
-    best_profit = 0
-    best = Solution.empty(instance.n)
-    for phi in grid:
-        res = frontier.query(phi)
-        if res is not None and res.true_profit > best_profit:
-            best_profit = res.true_profit
-            best = res.solution
-    return remap_solution(best, remap)
+    # served strictly increases, so querying served[i] reaches entry i
+    best = max((frontier.query(s) for s in frontier.served), key=lambda res: res.true_profit)
+    return remap_solution(best.solution, remap)

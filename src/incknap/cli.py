@@ -165,7 +165,7 @@ def _load_instance(path: str) -> Instance:
     try:
         instance = instance_from_json(Path(path).read_text())
         validate(instance)
-    except (OSError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise BadInput(f"invalid instance: {exc}") from exc
     return instance
 

@@ -24,7 +24,7 @@ from incknap.bounded import (
     solve_inverse,
 )
 from incknap.classes import build_classes, make_interval, candidate_intervals
-from incknap.model import Instance, Solution, SuffixLambdas, check_feasible, objective, preprocess
+from incknap.model import Instance, Solution, SuffixLambdas, check_feasible, integer_units, objective, preprocess
 from incknap.oracle import exact_inverse, exact_opt
 from incknap.reference import exact_restricted_dp
 from incknap.statespace import enumerate_family, make_vector
@@ -334,8 +334,7 @@ def test_solve_inverse_heavy_classes_super_optimal():
 
 
 def test_solve_bounded_tolerates_zero_middle_lambda():
-    # the zero middle period is dropped before the grid is anchored, so the
-    # sweep never anchors on a zero coefficient
+    # the zero middle period is dropped before the frontier is built
     instance = Instance.build(items=[(2, 1), (3, 2)], capacities=[2, 3, 3], lambdas=[1, 0, 1])
     solution = solve_bounded(instance, EPS)
     assert check_feasible(instance, solution) is None
@@ -373,3 +372,15 @@ def test_solve_bounded_guarantee_sweep():
         solution = solve_bounded(instance, EPS)
         assert check_feasible(instance, solution) is None
         assert objective(instance, solution) >= (1 - 5 * EPS) * opt
+
+
+def test_solve_bounded_takes_most_profitable_frontier_entry():
+    rng = random.Random(53)
+    for _ in range(40):
+        instance = random_instance(rng, n_max=7, t_max=3)
+        eps = rng.choice([EPS, Fraction(1, 6), Fraction(1, 10)])
+        pre, _ = preprocess(instance)
+        scaled, _, _ = integer_units(pre)
+        frontier = InverseFrontier(scaled, eps)
+        best = max(frontier.query(s).true_profit for s in frontier.served)
+        assert objective(scaled, solve_bounded(scaled, eps)) == best

@@ -142,6 +142,18 @@ def test_cmd_solve_bounded_mode(tmp_path):
     assert parse_rational(doc["profit"]) >= opt / 2
 
 
+def test_cmd_solve_bounded_mode_returns_best_frontier_endpoint(tmp_path):
+    # the exact optimum is a frontier endpoint; a geometric sweep of profit
+    # floors at eps 1 skipped it and answered 80
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "1", "--n", "4", "--t", "2", "--out", str(path)]) == 0
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--mode", "bounded", "--eps", "1", "--out", str(out)]) == 0
+    opt, _ = exact_opt(instance_from_json(path.read_text()))
+    assert opt == 88
+    assert parse_rational(json.loads(out.read_text())["profit"]) == opt
+
+
 def test_cmd_validate_mismatched_lengths(tmp_path):
     path = tmp_path / "bad.json"
     doc = {"items": [], "capacities": ["1", "2"], "lambdas": ["1"]}
@@ -292,6 +304,7 @@ GOOD_ITEM = {"p": "2", "w": "1"}
         json.dumps({"items": [GOOD_ITEM], "capacities": [2], "lambdas": ["1"]}),
         json.dumps({"items": [GOOD_ITEM], "capacities": ["2"], "lambdas": [True]}),
         json.dumps({"items": [{"p": "1/0", "w": "1"}], "capacities": ["2"], "lambdas": ["1"]}),
+        "[" * 200_000,
     ],
     ids=[
         "top-level-list",
@@ -305,6 +318,7 @@ GOOD_ITEM = {"p": "2", "w": "1"}
         "int-capacity",
         "bool-lambda",
         "zero-denominator",
+        "deep-nesting",
     ],
 )
 @pytest.mark.parametrize("command", ["solve", "validate"])
