@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 from incknap.bounded import BoundedDPTable, InverseFrontier, InverseResult, _dominates, rescaled_third
 from incknap.classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
 from incknap.general import ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
-from incknap.model import Instance, Solution, SuffixLambdas
+from incknap.model import Instance, Solution, SuffixLambdas, integer_units
+from incknap.oracle import DEFAULT_BUDGET, _check_budget
 from incknap.statespace import UtilizationVector, enumerate_family
 
 
@@ -385,3 +386,99 @@ def fraction_merge_frontier(instance: Instance, eps: Fraction):
         if not frontier or e[1] > frontier[-1][1]:
             frontier.append(e)
     return frontier
+
+
+# The plain depth-first enumeration that the branch and bound of
+# ``oracle.exact_opt`` and ``oracle.exact_inverse`` must match in value and
+# solution: it prunes on capacity only (and, in the inverse, on weight).
+
+
+def dfs_exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Solution]:
+    """Maximum objective over all feasible assignments, ties lexicographic.
+
+    NEVER sorts after every period when comparing assignment vectors, so the
+    reported optimum is deterministic for golden tests.
+    """
+    _check_budget(instance, budget)
+    horizon = instance.horizon
+    scaled, value_unit, _ = integer_units(instance)
+    contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
+    caps = scaled.capacities
+    best_profit: Optional[int] = None
+    best_intro: tuple[Optional[int], ...] = (None,) * instance.n
+    cur: list[Optional[int]] = [None] * instance.n
+    cum = [0] * (horizon + 1)  # cum[t] = packed weight at period t
+
+    def rec(i: int, profit: int) -> None:
+        nonlocal best_profit, best_intro
+        if i == instance.n:
+            if best_profit is None or profit > best_profit:
+                best_profit = profit
+                best_intro = tuple(cur)
+            return
+        w = scaled.items[i][1]
+        for t in range(1, horizon + 1):
+            ok = True
+            for tau in range(t, horizon + 1):
+                if cum[tau] + w > caps[tau - 1]:
+                    ok = False
+                    break
+            if ok:
+                for tau in range(t, horizon + 1):
+                    cum[tau] += w
+                cur[i] = t
+                rec(i + 1, profit + contrib[i][t - 1])
+                cur[i] = None
+                for tau in range(t, horizon + 1):
+                    cum[tau] -= w
+        rec(i + 1, profit)
+
+    rec(0, 0)
+    return Fraction(best_profit or 0, value_unit), Solution(best_intro)
+
+
+def dfs_exact_inverse(
+    instance: Instance, phi: Fraction, budget: int = DEFAULT_BUDGET
+) -> Optional[tuple[Fraction, Solution]]:
+    """Minimum total weight achieving objective >= phi, or None if impossible."""
+    _check_budget(instance, budget)
+    horizon = instance.horizon
+    scaled, value_unit, weight_unit = integer_units(instance)
+    contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
+    caps = scaled.capacities
+    phi_scaled = Fraction(phi) * value_unit
+    best_weight: Optional[int] = None
+    best_intro: tuple[Optional[int], ...] = (None,) * instance.n
+    cur: list[Optional[int]] = [None] * instance.n
+    cum = [0] * (horizon + 1)
+
+    def rec(i: int, profit: int) -> None:
+        nonlocal best_weight, best_intro
+        if best_weight is not None and cum[horizon] >= best_weight:
+            return
+        if i == instance.n:
+            if profit >= phi_scaled:
+                best_weight = cum[horizon]
+                best_intro = tuple(cur)
+            return
+        w = scaled.items[i][1]
+        for t in range(1, horizon + 1):
+            ok = True
+            for tau in range(t, horizon + 1):
+                if cum[tau] + w > caps[tau - 1]:
+                    ok = False
+                    break
+            if ok:
+                for tau in range(t, horizon + 1):
+                    cum[tau] += w
+                cur[i] = t
+                rec(i + 1, profit + contrib[i][t - 1])
+                cur[i] = None
+                for tau in range(t, horizon + 1):
+                    cum[tau] -= w
+        rec(i + 1, profit)
+
+    rec(0, 0)
+    if best_weight is None:
+        return None
+    return Fraction(best_weight, weight_unit), Solution(best_intro)

@@ -16,6 +16,7 @@ from helpers import (
 from incknap.bounded import (
     ChainNotMonotone,
     InverseFrontier,
+    accuracy_budget,
     check_internal_eps,
     dp_solve,
     prefix_to_solution,
@@ -287,6 +288,26 @@ def test_solve_bounded_single_item():
     solution = solve_bounded(instance, EPS)
     assert solution.intro == (1,)
     assert objective(instance, solution) == 1
+
+
+@pytest.mark.parametrize("seed,n", [(0, 20), (0, 24), (1, 20), (1, 24)])
+def test_solve_bounded_guarantee_where_classes_are_heavy(seed, n):
+    # profits 1.1 apart give one class each at internal eps 1/7, so at n >= 20
+    # some class holds more than 7 items and the heavy branch runs; the exact
+    # optimum comes from the branch-and-bound oracle with a budget to match
+    eps_int = accuracy_budget(Fraction(4, 5), 5)
+    assert eps_int == Fraction(1, 7)
+    rng = random.Random(seed * 100 + n)
+    items = [(rng.choice((100, 110, 121)), rng.randint(1, 10)) for _ in range(n)]
+    caps, acc = [], 0
+    for _ in range(4):
+        acc += rng.randint(1, 10)
+        caps.append(acc)
+    instance = Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(4)])
+    classes = build_classes(preprocess(instance)[0], eps_int)
+    assert max(classes.size(l) for l in classes.indices) > 7
+    opt, _ = exact_opt(instance, budget=5**n)
+    assert objective(instance, solve_bounded(instance, eps_int)) >= (1 - 5 * eps_int) * opt
 
 
 def test_solve_inverse_heavy_classes_super_optimal():

@@ -250,6 +250,24 @@ def test_cmd_eval_batch(tmp_path):
         assert Fraction(1, 2) <= ratio <= 1
 
 
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        out = tmp_path / "report.csv"
+        eps_columns = []
+        for flags in (["--eps", "1/3"], []):
+            assert main(["eval", "--seeds", "1", "--n", "2", "--t", "1", *flags, "--out", str(out)]) == 0
+            with out.open() as handle:
+                eps_columns.append([row["eps"] for row in csv.DictReader(handle)])
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert eps_columns == [["1/3"], ["0.5"]]
+
+
 def test_cmd_eval_header_and_empty_batch(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["eval", "--seeds", "0", "--out", str(out)]) == 0

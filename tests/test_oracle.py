@@ -1,12 +1,14 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import brute_inverse, brute_opt, e1, random_instance
+from helpers import brute_inverse, brute_opt, dfs_exact_inverse, dfs_exact_opt, e1, random_instance
 from incknap.classes import build_classes, make_interval
-from incknap.model import Instance, objective
-from incknap.oracle import BudgetExceeded, exact_inverse, exact_opt
+from incknap.model import Instance, integer_units, objective
+from incknap.oracle import DEFAULT_BUDGET, BudgetExceeded, _Bound, _residuals, exact_inverse, exact_opt
 from incknap.reference import exact_restricted_dp
 
 
@@ -33,6 +35,17 @@ def test_exact_opt_budget():
     instance = Instance.build(items=[(1, 1)] * 10, capacities=[5], lambdas=[1])
     with pytest.raises(BudgetExceeded):
         exact_opt(instance, budget=100)
+
+
+def test_budget_counts_the_whole_assignment_space():
+    instance = Instance.build(items=[(1, 1)] * 6, capacities=[2, 3], lambdas=[1, 1])
+    exact_opt(instance, budget=3**6)
+    exact_inverse(instance, Fraction(1), budget=3**6)
+    for solver in (exact_opt, lambda inst, budget: exact_inverse(inst, Fraction(1), budget)):
+        with pytest.raises(BudgetExceeded) as info:
+            solver(instance, budget=3**6 - 1)
+        assert info.value.required == 3**6
+    assert DEFAULT_BUDGET == 2_000_000
 
 
 def test_exact_opt_matches_definition_on_random_instances():
@@ -147,3 +160,94 @@ def test_exact_opt_dominates_any_feasible_solution():
 
         solution = random_feasible_solution(rng, instance)
         assert objective(instance, solution) <= opt
+
+
+def tie_rich_instance(rng: random.Random, kind: str) -> Instance:
+    """A small instance of one kind whose optima and floors tend to tie."""
+    n = 0 if kind == "empty" else rng.randint(1, 6)
+    horizon = rng.randint(1, 3)
+    weights = [rng.randint(1, 6) for _ in range(n)]
+    if kind == "subset-sum":
+        profits = list(weights)
+    elif kind == "equal-profit":
+        profits = [rng.randint(1, 3)] * n
+    else:
+        profits = [rng.randint(1, 8) for _ in range(n)]
+    caps, acc = [], 0
+    for t in range(horizon):
+        acc += 0 if kind == "zero-capacity" and t < 2 else rng.randint(1, 8)
+        caps.append(acc)
+    lambdas = [rng.randint(0 if kind == "zero-lambda" else 1, 3) for _ in range(horizon)]
+    if kind == "fraction":
+        return Instance.build(
+            items=[(Fraction(p, rng.choice((1, 3))), Fraction(w, rng.choice((1, 7)))) for p, w in zip(profits, weights)],
+            capacities=[Fraction(3 * c, 7) for c in caps],
+            lambdas=[Fraction(v, rng.choice((3, 7))) for v in lambdas],
+        )
+    return Instance.build(items=list(zip(profits, weights)), capacities=caps, lambdas=lambdas)
+
+
+KINDS = ("uniform", "subset-sum", "equal-profit", "zero-lambda", "fraction", "zero-capacity", "empty")
+
+
+def test_branch_and_bound_matches_plain_search():
+    # same value and the same solution as the plain enumeration, ties included
+    rng = random.Random(10)
+    for k in range(245):
+        instance = tie_rich_instance(rng, KINDS[k % len(KINDS)])
+        opt = exact_opt(instance)
+        assert opt == dfs_exact_opt(instance)
+        for phi in (Fraction(0), opt[0] / 2, opt[0] * rng.randint(1, 4) / 5, opt[0], opt[0] + 1):
+            assert exact_inverse(instance, phi) == dfs_exact_inverse(instance, phi)
+
+
+def dantzig(items, capacity) -> Fraction:
+    """Fractional knapsack optimum, straight from its definition."""
+    total, room = Fraction(0), Fraction(capacity)
+    for p, w in sorted(items, key=lambda pw: Fraction(pw[0], pw[1]), reverse=True):
+        take = min(Fraction(1), room / w)
+        total += take * p
+        room -= take * w
+        if room == 0:
+            break
+    return total
+
+
+def test_bound_is_the_rounded_up_dantzig_bound():
+    # the bound at a node is sum_t lambda_t * ceil(Dantzig at the least slack
+    # of periods t..T), and no completion of the node adds more profit
+    rng = random.Random(4)
+    checked = 0
+    for k in range(160):
+        instance = tie_rich_instance(rng, KINDS[k % len(KINDS)])
+        scaled, _, _ = integer_units(instance)
+        horizon = scaled.horizon
+        choices = list(range(1, horizon + 1)) + [None]
+        i = rng.randint(0, scaled.n)
+        prefix = [rng.choice(choices) for _ in range(i)]
+        cum = [0] * (horizon + 1)
+        for (_, w), t in zip(scaled.items, prefix):
+            for tau in range(t or horizon + 1, horizon + 1):
+                cum[tau] += w
+        if any(cum[t] > scaled.capacities[t - 1] for t in range(1, horizon + 1)):
+            continue
+        bound = _Bound(scaled)
+        residual = _residuals(scaled.capacities, cum)
+        rest = scaled.items[i:]
+        expected = sum(
+            lam * math.ceil(dantzig(rest, min(scaled.capacities[tau - 1] - cum[tau] for tau in range(t, horizon + 1))))
+            for t, lam in enumerate(scaled.lambdas, start=1)
+        )
+        assert bound.dantzig(i, residual) == expected
+        suffix = scaled.suffix_lambdas.values
+        best = 0
+        for tail in itertools.product(choices, repeat=len(rest)):
+            added = [0] * (horizon + 1)
+            for (_, w), t in zip(rest, tail):
+                for tau in range(t or horizon + 1, horizon + 1):
+                    added[tau] += w
+            if all(cum[t] + added[t] <= scaled.capacities[t - 1] for t in range(1, horizon + 1)):
+                best = max(best, sum(p * suffix[t - 1] for (p, _), t in zip(rest, tail) if t is not None))
+        assert best <= bound.dantzig(i, residual) <= bound.cheap(i)
+        checked += 1
+    assert checked >= 100
