@@ -8,6 +8,10 @@ the exact inverse optimum while violating the floor by at most that factor.
 The forward solver takes the most profitable endpoint of the frontier of
 those answers instead of sweeping profit floors through it.
 
+The inverse frontier skips each candidate window whose classes are all
+light and sit inside another window's: its vectors recur there with the
+same weights, values and chains.
+
 The DP table holds rounded profits times their common denominator
 (1/eps)**l_top, so on an instance in integer units (``model.integer_units``)
 the inner loop runs on plain ints; Fractions reappear only at the surface.
@@ -19,6 +23,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
@@ -223,6 +229,29 @@ class InverseFrontier:
     Built once per instance and accuracy; a profit requirement is then a
     binary search.  The frontier always contains the empty solution, so a
     query fails only when even the best value misses the threshold.
+
+    Only candidate windows that are not dominated get a DP table.  A window
+    is dominated when its classes are all light (at most 1/eps items) and
+    its active set is a proper subset of another window's or equal to an
+    earlier window's; those relations end at a window that gets a table.
+    Every family holds the light box of its window (counts up to
+    min(1/eps, |P_l|) per class).  So a vector with every count at most
+    1/eps, call it boxed, and every vector below it lie in the family of
+    each window whose classes include its nonzero ones.  Its DP value
+    depends only on those vectors' weights, lifted profits and relative
+    (count-sum, counts) order, which zero coordinates keep; so each such
+    window reaches it with the same weight, lifted value and chain, and a
+    dominated window, all of whose vectors are boxed, adds only copies.
+
+    The merge keeps the all-windows tie rule (equal (weight, value) goes to
+    the earliest window in candidate order, then the first vector in its
+    family order) by ranking each entry by the first window holding its
+    vector at that value: for a boxed vector, the first window including
+    its nonzero classes; for any other, its own window, as such vectors
+    live only in heavy windows, which all get tables.  Vectors of one rank
+    all lie in that window's family, where (count-sum, counts over all
+    classes) is their family order.  So the least-ranked built entry is the
+    entry the all-windows merge picks, or a copy of it.
     """
 
     def __init__(self, instance: Instance, eps: Fraction):
@@ -230,34 +259,54 @@ class InverseFrontier:
             raise ValueError("instance must be preprocessed: trailing lambdas are zero")
         self.instance = instance
         self.eps = check_internal_eps(eps)
-        tables: list[BoundedDPTable] = []
+        threshold = int(1 / self.eps)
+        self.classes = None
+        tables: list[tuple[int, BoundedDPTable]] = []  # (window index, table)
+        windows: list[frozenset[int]] = []
         if instance.n > 0:
             classes = build_classes(instance, self.eps)
             rho = instance.suffix_lambdas.ratio
-            for interval in candidate_intervals(classes, self.eps, rho):
+            intervals = candidate_intervals(classes, self.eps, rho)
+            windows = [frozenset(interval.active) for interval in intervals]
+            for index, interval in enumerate(intervals):
+                light = all(classes.size(l) <= threshold for l in interval.active)
+                if light and (windows[index] in windows[:index] or any(windows[index] < w for w in windows)):
+                    continue
                 item_weights = [
                     instance.items[i][1] for l in interval.active for i in classes.members[l]
                 ]
                 wrange = (min(item_weights), max(item_weights))
                 family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights))
-                tables.append(dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas))
+                table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
+                tables.append((index, table))
             self.classes = classes
-        else:
-            self.classes = None
+
+        def rank(entry) -> tuple:
+            _, _, index, table, j = entry
+            if table is None:
+                return (-1,)
+            counts = dict(zip(table.interval.active, table.family[j].counts))
+            used = {l for l, c in counts.items() if c}
+            if all(c <= threshold for c in counts.values()):
+                index = next(i for i, w in enumerate(windows) if used <= w)
+            return (index, sum(counts.values()), tuple(counts.get(l, 0) for l in self.classes.indices))
+
         # every value_den is a power of 1/eps, so the largest one is a common
         # denominator and the merge compares plain ints
-        top = max((table.value_den for table in tables), default=1)
-        entries: list[tuple[Fraction, int, Optional[BoundedDPTable], Optional[int]]] = [(0, 0, None, None)]
-        for table in tables:
+        top = max((table.value_den for _, table in tables), default=1)
+        entries: list[tuple] = [(0, 0, -1, None, None)]  # (weight, value, window, table, j)
+        for index, table in tables:
             lift = top // table.value_den
             for j, v in enumerate(table.raw[-1]):
                 if v is not None:
-                    entries.append((table.family[j].weight, v * lift, table, j))
+                    entries.append((table.family[j].weight, v * lift, index, table, j))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1
-        for weight, v, table, j in entries:
+        for (weight, v), run in groupby(entries, key=itemgetter(0, 1)):
             if v > best:
+                run = list(run)
+                _, _, _, table, j = min(run, key=rank) if len(run) > 1 else run[0]
                 value = 0 if table is None else self.classes.scale * Fraction(v, top)
                 frontier.append((weight, value, table, j))
                 best = v

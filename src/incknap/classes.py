@@ -16,14 +16,6 @@ from fractions import Fraction
 from .model import Instance
 
 
-class ClassIndexOutOfRange(ValueError):
-    pass
-
-
-class CountOutOfRange(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ProfitClasses:
     """Sparse map from class index to its weight-sorted items.
@@ -90,19 +82,6 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
         ordered[level] = tuple(ids)
         prefix[level] = tuple(sums)
     return ProfitClasses(eps=eps, scale=scale, members=ordered, prefix=prefix)
-
-
-def prefix_weight(classes: ProfitClasses, index: int, k1: int, k2: int) -> Fraction:
-    """Weight of the k1-th through k2-th lightest items of a class (exact)."""
-    if index < 0:
-        raise ClassIndexOutOfRange(f"class {index}")
-    if k1 > k2:
-        return Fraction(0)
-    sums = classes.prefix.get(index)
-    size = len(sums) - 1 if sums else 0
-    if k1 < 1 or k2 > size:
-        raise CountOutOfRange(f"range [{k1},{k2}] outside class of {size} items")
-    return sums[k2] - sums[k1 - 1]
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,7 @@ def cmd_solve(args) -> int:
     try:
         solution, profit = _solve_mode(instance, args.mode, eps)
     except oracle.BudgetExceeded as exc:
-        print(f"oracle budget exceeded: {exc}", file=sys.stderr)
+        print(f"{args.mode} mode budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     try:
         text = solution_to_json(instance, solution, profit)

@@ -32,6 +32,11 @@ from .model import (
     remap_solution,
     validate,
 )
+from .oracle import BudgetExceeded
+
+# Most profit-grid points (0 included) a solve may build: point k is an int
+# of O(k) digits, so a grid's time and memory grow with its length squared.
+GRID_BUDGET = 2**15
 
 
 class EmptyCluster(ValueError):
@@ -120,7 +125,8 @@ def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Frac
     The last point is the first at or above psi_cap (suffix-lambda of period
     1 times the total profit mass), so the grid covers every achievable
     profit; a cap short of that would silently truncate the DP's reachable
-    states.  The point count is found on ints before any point is built.
+    states.  The point count is found on ints before any point is built,
+    and a grid of more than ``GRID_BUDGET`` points raises BudgetExceeded.
     """
     delta = eps / num_clusters * lam_last * p_max
     step = 1 + eps / num_clusters
@@ -130,6 +136,8 @@ def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Frac
     need = psi_cap.numerator * delta.denominator
     top = 1
     while reach < need:
+        if top + 2 > GRID_BUDGET:
+            raise BudgetExceeded(top + 2, GRID_BUDGET, "profit grid of at least {} points")
         reach, need, top = reach * num, need * den, top + 1
     points = [delta.numerator * den**top]  # delta*step**(k-1) over the unit, k = 1..top
     for _ in range(top - 1):

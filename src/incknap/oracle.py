@@ -23,8 +23,8 @@ DEFAULT_BUDGET = 2_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration of {required} states exceeds budget {budget}")
+    def __init__(self, required: int, budget: int, what: str = "enumeration of {} states"):
+        super().__init__(f"{what.format(required)} exceeds budget {budget}")
         self.required = required
         self.budget = budget
 

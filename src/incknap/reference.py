@@ -1,7 +1,8 @@
 """Specification code: the statements the solver is checked against.
 
 Nothing on the solve path imports this module.  It holds the paper's maps
-and identities in their direct, unoptimized form: the up-rounding and
+and identities in their direct, unoptimized form: range-checked class
+prefix weights and the vectors weighed by them, the up-rounding and
 truncation maps whose image the pruned family must cover, the unpruned
 restricted DP the family DP must not beat, the contribution form of the
 objective, the deletion of dropped-band periods behind the derandomized
@@ -17,11 +18,41 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .classes import ClassInterval, ProfitClasses, prefix_weight
+from .classes import ClassInterval, ProfitClasses
 from .general import ClusterPlan
 from .model import InfeasibleSolution, Instance, Solution, check_feasible
 from .oracle import DEFAULT_BUDGET, BudgetExceeded
-from .statespace import UtilizationVector, _truncated, make_vector, pow2_up
+from .statespace import UtilizationVector, _truncated, pow2_up
+
+
+class ClassIndexOutOfRange(ValueError):
+    pass
+
+
+class CountOutOfRange(ValueError):
+    pass
+
+
+def prefix_weight(classes: ProfitClasses, index: int, k1: int, k2: int) -> Fraction:
+    """Weight of the k1-th through k2-th lightest items of a class (exact)."""
+    if index < 0:
+        raise ClassIndexOutOfRange(f"class {index}")
+    if k1 > k2:
+        return Fraction(0)
+    sums = classes.prefix.get(index)
+    size = len(sums) - 1 if sums else 0
+    if k1 < 1 or k2 > size:
+        raise CountOutOfRange(f"range [{k1},{k2}] outside class of {size} items")
+    return sums[k2] - sums[k1 - 1]
+
+
+def make_vector(classes: ProfitClasses, interval: ClassInterval, counts: tuple[int, ...]) -> UtilizationVector:
+    """Wrap counts with their exact total weight."""
+    weight = 0
+    for pos, level in enumerate(interval.active):
+        if counts[pos] > 0:
+            weight += prefix_weight(classes, level, 1, counts[pos])
+    return UtilizationVector(counts=counts, weight=weight)
 
 
 @dataclass(frozen=True)

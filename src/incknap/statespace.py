@@ -20,9 +20,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Iterator, Optional
 
-from .classes import ClassInterval, ProfitClasses, prefix_weight
+from .classes import ClassInterval, ProfitClasses
 
 
 @dataclass(frozen=True)
@@ -31,15 +32,6 @@ class UtilizationVector:
 
     counts: tuple[int, ...]
     weight: Fraction
-
-
-def make_vector(classes: ProfitClasses, interval: ClassInterval, counts: tuple[int, ...]) -> UtilizationVector:
-    """Wrap counts with their exact total weight."""
-    weight = 0
-    for pos, level in enumerate(interval.active):
-        if counts[pos] > 0:
-            weight += prefix_weight(classes, level, 1, counts[pos])
-    return UtilizationVector(counts=counts, weight=weight)
 
 
 def pow2_up(x: Fraction) -> Fraction:
@@ -143,7 +135,8 @@ def enumerate_family(
     once with the light counts [0, min(1/eps, |P_l|)].  Extra vectors beyond
     the exact image are harmless: the DP only gains actions and enforces
     feasibility itself.  The zero vector is always a member; output is
-    deduplicated and sorted.
+    deduplicated and sorted.  A vector's weight is one prefix-sum lookup per
+    class, plain ints on an instance in integer units.
     """
     threshold = int(1 / eps)
     light_ranges = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]
@@ -151,4 +144,5 @@ def enumerate_family(
     seen: set[tuple[int, ...]] = set()
     for partial in partials:
         seen.update(itertools.product(*(r if c is None else (c,) for c, r in zip(partial, light_ranges))))
-    return [make_vector(classes, interval, counts) for counts in sorted(seen)]
+    prefixes = [classes.prefix[l] for l in interval.active]
+    return [UtilizationVector(counts, sum(map(getitem, prefixes, counts))) for counts in sorted(seen)]

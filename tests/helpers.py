@@ -10,14 +10,24 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from incknap.bounded import BoundedDPTable, InverseFrontier, InverseResult, _dominates, rescaled_third
+from incknap.bounded import (
+    BoundedDPTable,
+    InverseFrontier,
+    InverseResult,
+    _dominates,
+    check_internal_eps,
+    dp_solve,
+    prefix_to_solution,
+    rescaled_third,
+)
 from incknap.classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
 from incknap.general import ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
-from incknap.model import Instance, Solution, SuffixLambdas, integer_units
+from incknap.model import Instance, Solution, SuffixLambdas, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET, _check_budget
 from incknap.statespace import UtilizationVector, enumerate_family
 
@@ -218,7 +228,7 @@ def reference_family(classes, interval, eps, weight_range, n):
     This is the plain statement ``statespace.enumerate_family`` must match
     exactly, in content and order.
     """
-    from incknap.statespace import make_vector
+    from incknap.reference import make_vector
 
     threshold = int(1 / eps)
     light = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]
@@ -386,6 +396,76 @@ def fraction_merge_frontier(instance: Instance, eps: Fraction):
         if not frontier or e[1] > frontier[-1][1]:
             frontier.append(e)
     return frontier
+
+
+class AllWindowsFrontier:
+    """The inverse frontier built from one DP table per candidate window.
+
+    The reference that ``bounded.InverseFrontier``, which skips dominated
+    all-light windows, must match in ``weights``, ``served`` and every query
+    answer: equal (weight, value) entries go to the earliest table in
+    candidate order, then the lowest family index.
+    """
+
+    def __init__(self, instance: Instance, eps: Fraction):
+        if instance.suffix_lambdas.values[-1] <= 0:
+            raise ValueError("instance must be preprocessed: trailing lambdas are zero")
+        self.instance = instance
+        self.eps = check_internal_eps(eps)
+        tables: list[BoundedDPTable] = []
+        if instance.n > 0:
+            classes = build_classes(instance, self.eps)
+            rho = instance.suffix_lambdas.ratio
+            for interval in candidate_intervals(classes, self.eps, rho):
+                item_weights = [
+                    instance.items[i][1] for l in interval.active for i in classes.members[l]
+                ]
+                wrange = (min(item_weights), max(item_weights))
+                family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights))
+                tables.append(dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas))
+            self.classes = classes
+        else:
+            self.classes = None
+        # every value_den is a power of 1/eps, so the largest one is a common
+        # denominator and the merge compares plain ints
+        top = max((table.value_den for table in tables), default=1)
+        entries: list[tuple[Fraction, int, Optional[BoundedDPTable], Optional[int]]] = [(0, 0, None, None)]
+        for table in tables:
+            lift = top // table.value_den
+            for j, v in enumerate(table.raw[-1]):
+                if v is not None:
+                    entries.append((table.family[j].weight, v * lift, table, j))
+        entries.sort(key=lambda e: (e[0], -e[1]))
+        frontier = []
+        best = -1
+        for weight, v, table, j in entries:
+            if v > best:
+                value = 0 if table is None else self.classes.scale * Fraction(v, top)
+                frontier.append((weight, value, table, j))
+                best = v
+        self._frontier = frontier
+        # entry i is the lightest endpoint for requirements in (served[i-1], served[i]]
+        self.weights = [e[0] for e in frontier]
+        self.served = [e[1] / (1 - 3 * self.eps) for e in frontier]
+
+    def query(self, phi: Fraction) -> Optional[InverseResult]:
+        """Lightest endpoint whose rounded profit clears (1-3*eps)*phi."""
+        if phi < 0:
+            raise ValueError("profit requirement must be nonnegative")
+        idx = bisect_left(self.served, phi)
+        if idx == len(self._frontier):
+            return None
+        weight, value, table, j = self._frontier[idx]
+        if table is None:
+            solution = Solution.empty(self.instance.n)
+        else:
+            solution = prefix_to_solution(self.classes, table.interval, table.chain(j), self.instance.n)
+        return InverseResult(
+            solution=solution,
+            rounded_profit=value,
+            true_profit=objective(self.instance, solution),
+            weight=weight,
+        )
 
 
 # The plain depth-first enumeration that the branch and bound of

@@ -32,13 +32,14 @@ from incknap.reference import (
     drop_bad_periods,
     exact_restricted_dp,
     heavy_excess,
+    make_vector,
     objective_by_contributions,
     prune_image,
     star_graph_edges,
     truncate,
     up_round,
 )
-from incknap.statespace import enumerate_family, heavy_configurations, make_vector
+from incknap.statespace import enumerate_family, heavy_configurations
 
 EPS_PUBLIC = (Fraction(1, 2), Fraction(4, 5))
 EPS_INT = Fraction(1, 5)

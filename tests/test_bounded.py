@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from helpers import (
+    AllWindowsFrontier,
     PairScanDP,
     e1,
     fraction_merge_frontier,
@@ -13,6 +15,7 @@ from helpers import (
     random_instance,
     two_heavy_structures,
 )
+from incknap import bounded
 from incknap.bounded import (
     ChainNotMonotone,
     InverseFrontier,
@@ -27,8 +30,8 @@ from incknap.bounded import (
 from incknap.classes import build_classes, make_interval, candidate_intervals
 from incknap.model import Instance, Solution, SuffixLambdas, check_feasible, integer_units, objective, preprocess
 from incknap.oracle import exact_inverse, exact_opt
-from incknap.reference import exact_restricted_dp
-from incknap.statespace import enumerate_family, make_vector
+from incknap.reference import exact_restricted_dp, make_vector
+from incknap.statespace import enumerate_family
 
 EPS = Fraction(1, 5)
 
@@ -153,6 +156,10 @@ def test_dp_solve_matches_pair_scan():
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
 
 
+def counts_by_class(interval, counts):
+    return {l: c for l, c in zip(interval.active, counts) if c}
+
+
 def test_inverse_frontier_matches_fraction_merge():
     rng = random.Random(61)
     instances = [random_instance(rng, n_max=8, t_max=3) for _ in range(20)]
@@ -164,15 +171,96 @@ def test_inverse_frontier_matches_fraction_merge():
     for instance in instances:
         frontier = InverseFrontier(instance, EPS)
         want = fraction_merge_frontier(instance, EPS)
+        # a skipped window's vector comes from a window holding its copy, so
+        # compare counts per class rather than per window
         got = [
-            (weight, value, None, None) if table is None else (weight, value, table.interval, table.family[j].counts)
+            (weight, value, table and counts_by_class(table.interval, table.family[j].counts))
             for weight, value, table, j in frontier._frontier
         ]
-        assert got == want
+        assert got == [(w, v, i and counts_by_class(i, c)) for w, v, i, c in want]
         assert frontier.weights == [e[0] for e in want]
         assert frontier.served == [e[1] / (1 - 3 * EPS) for e in want]
         tops.add(len({e[2].hi for e in want if e[2] is not None}))
     assert max(tops) >= 3  # entries from tables of different value_den compete
+
+
+def frontier_answers(frontier):
+    """weights, served, and the full answer of every query that reaches an entry."""
+    answers = [frontier.query(s) for s in frontier.served]
+    return frontier.weights, frontier.served, [(r.solution, r.rounded_profit, r.true_profit, r.weight) for r in answers]
+
+
+def power_profit_instance(rng, eps, levels, sizes, weights, horizon):
+    """Profits exactly (1+eps)**level, so every class is fixed by construction."""
+    items = [((1 + eps) ** level, rng.choice(weights)) for level in levels for _ in range(rng.choice(sizes))]
+    caps = list(itertools.accumulate(rng.randint(1, 8) for _ in range(horizon)))
+    return Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(horizon)])
+
+
+def frontier_equivalence_instances():
+    rng = random.Random(71)
+    for _ in range(40):  # all-light: at most 1/eps items per class
+        levels = rng.sample(range(6), rng.randint(1, 4))
+        yield power_profit_instance(rng, EPS, levels, range(1, 6), range(1, 11), rng.randint(1, 3)), EPS
+    for _ in range(60):  # tie-prone: weights 1-2, half of them in integer units
+        levels = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        instance = power_profit_instance(rng, EPS, levels, range(1, 7), (1, 2), rng.randint(1, 3))
+        yield (integer_units(instance)[0] if rng.random() < 0.5 else instance), EPS
+    for _ in range(6):  # bench profits 100/110/121 at eps 1/10, classes past 10 items
+        sizes = [rng.randint(2, 13) for _ in range(3)]
+        items = [(p, rng.randint(1, 10)) for p, k in zip((100, 110, 121), sizes) for _ in range(k)]
+        caps = list(itertools.accumulate(rng.randint(10, 40) for _ in range(2)))
+        lambdas = [rng.randint(1, 5) for _ in range(2)]
+        yield Instance.build(items=items, capacities=caps, lambdas=lambdas), Fraction(1, 10)
+
+
+def test_inverse_frontier_matches_all_windows(monkeypatch):
+    built = []
+    monkeypatch.setattr(bounded, "dp_solve", lambda *args: built.append(args[1]) or dp_solve(*args))
+    skipped = 0
+    for instance, eps in frontier_equivalence_instances():
+        built.clear()
+        frontier = InverseFrontier(instance, eps)
+        assert frontier_answers(frontier) == frontier_answers(AllWindowsFrontier(instance, eps))
+        windows = candidate_intervals(frontier.classes, eps, instance.suffix_lambdas.ratio)
+        threshold = int(1 / eps)
+        heavy = [w for w in windows if any(frontier.classes.size(l) > threshold for l in w.active)]
+        assert all(w in built for w in heavy)
+        skipped += len(windows) - len(built)
+    assert skipped > 0
+
+
+def tie_instance():
+    """Six items of class 1 (weight 1) tie five of class 2 (weights 1,1,1,1,2):
+    6 * 6/5 = 5 * 36/25, both at weight 6.  Classes 0 and 3 hold one item too
+    heavy to fit, so a window may contain class 1 or 2 without mixing them."""
+    eps = Fraction(1, 5)
+    step = 1 + eps
+    items = [(1, 100), *[(step, 1)] * 7, *[(step**2, w) for w in (1, 1, 1, 1, 2)], (step**3, 100)]
+    return Instance.build(items=items, capacities=[6, 10], lambdas=[1, 1]), eps
+
+
+@pytest.mark.parametrize(
+    "spans, winner",
+    [
+        # {2} is dominated by {2, 3}; its copy there must keep rank 0 and beat {1}
+        ([(2, 2), (1, 1), (2, 3)], 2),
+        # {2} repeats later; the first of the two keeps rank 0
+        ([(2, 2), (1, 1), (2, 2)], 2),
+        # the heavy {1} lies inside {0, 1} but holds the winner first
+        ([(1, 1), (2, 2), (0, 1)], 1),
+    ],
+)
+def test_inverse_frontier_tie_goes_to_first_holding_window(monkeypatch, spans, winner):
+    instance, eps = tie_instance()
+    classes = build_classes(instance, eps)
+    windows = [make_interval(classes, lo, hi) for lo, hi in spans]
+    for module in (bounded, helpers):
+        monkeypatch.setattr(module, "candidate_intervals", lambda classes, eps, rho: windows)
+    frontier = InverseFrontier(instance, eps)
+    assert frontier_answers(frontier) == frontier_answers(AllWindowsFrontier(instance, eps))
+    tie = frontier.query(frontier.served[frontier.weights.index(6)])
+    assert {l for l in classes.indices for i in classes.members[l] if tie.solution.intro[i] is not None} == {winner}
 
 
 def test_prefix_to_solution_unfolds_counts():

@@ -180,6 +180,16 @@ def test_cmd_solve_budget_exceeded(tmp_path):
     assert main(["solve", str(path), "--mode", "exact"]) == 3
 
 
+def test_cmd_solve_general_grid_budget_exits_3(tmp_path, capsys):
+    # at eps 1/1000 this instance needs a profit grid of 74,074 points (0 included)
+    path = tmp_path / "small.json"
+    path.write_text(instance_to_json(generate_instance(1, 3, 2, "uniform")))
+    assert main(["solve", str(path), "--eps", "1/1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "general mode budget exceeded: profit grid of at least 32769 points exceeds budget 32768\n"
+
+
 @pytest.mark.parametrize("mode", ["general", "bounded", "exact"])
 def test_cmd_solve_overlong_result_exits_3(tmp_path, capsys, mode):
     # a valid instance whose profit lambda * p has about 5000 digits, past

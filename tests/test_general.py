@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import PullClusterTable, e1, random_instance
+from incknap import general
 from incknap.classes import build_classes
 from incknap.general import (
     EmptyCluster,
@@ -18,7 +19,7 @@ from incknap.general import (
     solve_detailed,
 )
 from incknap.model import Instance, Solution, check_feasible, integer_units, objective, preprocess
-from incknap.oracle import exact_opt
+from incknap.oracle import BudgetExceeded, exact_opt
 from incknap.reference import audit_uncrossing, drop_bad_periods, star_graph_edges
 
 EPS = Fraction(1, 5)
@@ -130,6 +131,26 @@ def test_build_grid_stops_on_a_point_equal_to_the_cap():
     step = 1 + EPS / 2
     grid = build_grid(EPS, 2, Fraction(1), Fraction(10), step**5)
     assert [grid.point(k) for k in range(len(grid.values))] == [0] + [step**j for j in range(6)]
+
+
+@pytest.mark.parametrize("budget", [6, 7])
+def test_build_grid_budget_boundary(monkeypatch, budget):
+    # the grid up to step**5 has 7 points, 0 included
+    step = 1 + EPS / 2
+    monkeypatch.setattr(general, "GRID_BUDGET", budget)
+    if budget == 7:
+        assert len(build_grid(EPS, 2, Fraction(1), Fraction(10), step**5).values) == 7
+    else:
+        with pytest.raises(BudgetExceeded, match="profit grid of at least 7 points exceeds budget 6"):
+            build_grid(EPS, 2, Fraction(1), Fraction(10), step**5)
+
+
+def test_build_grid_refuses_a_grid_past_the_budget_before_building_it():
+    # step 2 from delta 1 to 2**40000 needs 40002 points
+    assert general.GRID_BUDGET == 2**15
+    with pytest.raises(BudgetExceeded) as info:
+        build_grid(Fraction(1), 1, Fraction(1), Fraction(1), Fraction(2**40000))
+    assert (info.value.required, info.value.budget) == (2**15 + 1, 2**15)
 
 
 @pytest.mark.parametrize("psi_cap", [Fraction(1), Fraction(1, 2)])

@@ -17,12 +17,11 @@ from helpers import (
 )
 from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import Instance
-from incknap.reference import classify, heavy_excess, prune_image, truncate, up_round
+from incknap.reference import classify, heavy_excess, make_vector, prune_image, truncate, up_round
 from incknap.statespace import (
     _power_range,
     enumerate_family,
     heavy_configurations,
-    make_vector,
     mu_sum_cap,
     pow2_up,
 )
