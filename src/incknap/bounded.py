@@ -38,7 +38,7 @@ from .model import (
     preprocess,
     remap_solution,
 )
-from .statespace import UtilizationVector, enumerate_family
+from .statespace import Family, enumerate_family
 
 
 class ChainNotMonotone(ValueError):
@@ -73,30 +73,31 @@ def rescaled_third(eps: Fraction) -> Fraction:
 
 @dataclass
 class BoundedDPTable:
-    """Restricted DP values per (period, family index), with backpointers.
+    """Restricted DP values per (period, lattice cell), with backpointers.
 
-    ``raw[t][j]`` holds the value scaled by ``value_den`` (None = unreachable);
-    ``value`` converts back to the exact rounded-profit rational.
+    ``raw[t][cell]`` holds the value scaled by ``value_den`` (None =
+    unreachable or not a family member) and ``back[t][cell]`` the cell of
+    its predecessor; ``value`` converts back to the exact rounded-profit
+    rational.
     """
 
     interval: ClassInterval
-    family: list[UtilizationVector]
+    family: Family
     raw: list[list[Optional[int]]]
     back: list[list[Optional[int]]]
     value_den: int
 
-    def value(self, t: int, j: int) -> Optional[Fraction]:
-        v = self.raw[t][j]
+    def value(self, t: int, cell: int) -> Optional[Fraction]:
+        v = self.raw[t][cell]
         return None if v is None else Fraction(v, self.value_den)
 
-    def chain(self, j: int) -> list[tuple[int, ...]]:
-        """Counts per period of the optimal path ending at family index j."""
+    def chain(self, cell: int) -> list[tuple[int, ...]]:
+        """Counts per period of the optimal path ending at a lattice cell."""
         horizon = len(self.raw) - 1
         out: list[tuple[int, ...]] = []
-        cur = j
         for t in range(horizon, 0, -1):
-            out.append(self.family[cur].counts)
-            cur = self.back[t][cur]
+            out.append(self.family.counts(cell))
+            cell = self.back[t][cell]
         out.reverse()
         return out
 
@@ -111,66 +112,48 @@ def _dominates(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
 def dp_solve(
     classes: ProfitClasses,
     interval: ClassInterval,
-    family: Sequence[UtilizationVector],
+    family: Family,
     capacities: Sequence[Fraction],
     suffix: SuffixLambdas,
 ) -> BoundedDPTable:
-    """Run the family-restricted DP over the horizon.
+    """Run the family-restricted DP over the horizon, one row per lattice cell.
 
     Transition: a vector extends the best coordinatewise-smaller reachable
     vector, paying the marginal count difference at the period's
     suffix-lambda rate.  That best predecessor comes from a running max
-    along each axis of the lattice of distinct per-coordinate counts (the
-    max form of Yates' zeta transform), O(P*d) per period for P lattice
-    cells and d classes.  P >= F, the family size, and on
-    ``enumerate_family`` output P = F was measured: at most one heavy class
-    gives a full product, and the two-heavy families filled their lattices
-    too (156 of 156 and 780 of 780 cells, 169 of 169 where the counting cap
-    binds).  A cell holds the key (G, -rank), G = prev - lam*profit and
-    rank the vector's position in (count-sum, counts) order, so equal G
-    goes to the first predecessor in that order.
+    along each axis of the family's lattice (the max form of Yates' zeta
+    transform), O(P*d) per period for P lattice cells and d classes; only
+    member cells get a value, and every other cell stays None.  Weights,
+    rounded profits and tie ranks are sums of one term per axis, so each is
+    one outer sum over the lattice.  A cell holds the key (G, -rank), G =
+    prev - lam*profit and rank = count_sum*P + cell, so equal G goes to the
+    first predecessor in (count-sum, counts) order.
     """
     q = int(1 / classes.eps)
     active = interval.active
     ltop = max(active) if active else 0
     value_den = q**ltop
+    size = family.size
+    strides = family.strides
+    # an axis of stride s and k values splits the lattice into blocks of s*k
+    # cells, where each cell past the first s extends cell - s
+    axes = [(s, s * len(values)) for s, values in zip(strides, family.values)]
+    profits = family.outer([(q + 1) ** l * q ** (ltop - l) * v for v in vals] for l, vals in zip(active, family.values))
+    ranks = family.outer([-(v * size + k * s) for k, v in enumerate(vals)] for s, vals in zip(strides, family.values))
+    weights = family.weights
 
-    fam = sorted(family, key=lambda v: (sum(v.counts), v.counts))
-    counts = [v.counts for v in fam]
-    weights = [v.weight for v in fam]
-
-    # per vector its rounded profit times value_den and its lattice cell, last
-    # class fastest; an axis of stride s and k values splits the lattice into
-    # blocks of s*k cells, where each cell past the first s extends cell - s
-    profits = [0] * len(fam)
-    cells = [0] * len(fam)
-    axes = []
-    size = 1
-    for pos in reversed(range(len(active))):
-        level = active[pos]
-        rp = (q + 1) ** level * q ** (ltop - level)
-        column = [c[pos] for c in counts]
-        values = sorted(set(column))
-        rank_of = {v: k * size for k, v in enumerate(values)}
-        profits = [p + rp * v for p, v in zip(profits, column)]
-        cells = [cell + rank_of[v] for cell, v in zip(cells, column)]
-        block = size * len(values)
-        axes.append((size, block))
-        size = block
-
-    zero = counts.index((0,) * len(active))
     horizon = len(capacities)
-    raw: list[list[Optional[int]]] = [[None] * len(fam) for _ in range(horizon + 1)]
-    back: list[list[Optional[int]]] = [[None] * len(fam) for _ in range(horizon + 1)]
-    raw[0][zero] = 0
+    raw: list[list[Optional[int]]] = [[None] * size for _ in range(horizon + 1)]
+    back: list[list[Optional[int]]] = [[None] * size for _ in range(horizon + 1)]
+    raw[0][0] = 0
 
     for t in range(1, horizon + 1):
         lam = suffix.values[t - 1]
         cap = capacities[t - 1]
         lattice: list[tuple] = [()] * size  # () sorts below every key
-        for j, v in enumerate(raw[t - 1]):
+        for cell, v in enumerate(raw[t - 1]):
             if v is not None:
-                lattice[cells[j]] = (v - lam * profits[j], -j)
+                lattice[cell] = (v - lam * profits[cell], ranks[cell])
         for stride, block in axes:
             for lo in range(0, size, block):
                 for cell in range(lo + stride, lo + block):
@@ -179,12 +162,12 @@ def dp_solve(
                         lattice[cell] = key
         cur_row = raw[t]
         back_row = back[t]
-        for j, cell in enumerate(cells):
+        for cell in family.cells:
             key = lattice[cell]
-            if key and weights[j] <= cap:
-                cur_row[j] = lam * profits[j] + key[0]
-                back_row[j] = -key[1]
-    return BoundedDPTable(interval=interval, family=fam, raw=raw, back=back, value_den=value_den)
+            if key and weights[cell] <= cap:
+                cur_row[cell] = lam * profits[cell] + key[0]
+                back_row[cell] = -key[1] % size
+    return BoundedDPTable(interval=interval, family=family, raw=raw, back=back, value_den=value_den)
 
 
 def prefix_to_solution(
@@ -202,14 +185,11 @@ def prefix_to_solution(
         if not _dominates(prev, cur):
             raise ChainNotMonotone(f"{prev} -> {cur}")
     intro: list[Optional[int]] = [None] * n_items
+    # latest period first, so each item keeps the first period that packs it
     for pos, level in enumerate(interval.active):
-        members = classes.members[level]
-        final = chain[-1][pos] if chain else 0
-        for k in range(1, final + 1):
-            for t, cts in enumerate(chain, start=1):
-                if cts[pos] >= k:
-                    intro[members[k - 1]] = t
-                    break
+        for t in range(len(chain), 0, -1):
+            for i in classes.members[level][: chain[t - 1][pos]]:
+                intro[i] = t
     return Solution(tuple(intro))
 
 
@@ -282,10 +262,10 @@ class InverseFrontier:
             self.classes = classes
 
         def rank(entry) -> tuple:
-            _, _, index, table, j = entry
+            _, _, index, table, cell = entry
             if table is None:
                 return (-1,)
-            counts = dict(zip(table.interval.active, table.family[j].counts))
+            counts = dict(zip(table.interval.active, table.family.counts(cell)))
             used = {l for l, c in counts.items() if c}
             if all(c <= threshold for c in counts.values()):
                 index = next(i for i, w in enumerate(windows) if used <= w)
@@ -294,21 +274,22 @@ class InverseFrontier:
         # every value_den is a power of 1/eps, so the largest one is a common
         # denominator and the merge compares plain ints
         top = max((table.value_den for _, table in tables), default=1)
-        entries: list[tuple] = [(0, 0, -1, None, None)]  # (weight, value, window, table, j)
+        entries: list[tuple] = [(0, 0, -1, None, None)]  # (weight, value, window, table, cell)
         for index, table in tables:
             lift = top // table.value_den
-            for j, v in enumerate(table.raw[-1]):
+            weights = table.family.weights
+            for cell, v in enumerate(table.raw[-1]):
                 if v is not None:
-                    entries.append((table.family[j].weight, v * lift, index, table, j))
+                    entries.append((weights[cell], v * lift, index, table, cell))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1
         for (weight, v), run in groupby(entries, key=itemgetter(0, 1)):
             if v > best:
                 run = list(run)
-                _, _, _, table, j = min(run, key=rank) if len(run) > 1 else run[0]
+                _, _, _, table, cell = min(run, key=rank) if len(run) > 1 else run[0]
                 value = 0 if table is None else self.classes.scale * Fraction(v, top)
-                frontier.append((weight, value, table, j))
+                frontier.append((weight, value, table, cell))
                 best = v
         self._frontier = frontier
         # entry i is the lightest endpoint for requirements in (served[i-1], served[i]]
@@ -322,11 +303,11 @@ class InverseFrontier:
         idx = bisect_left(self.served, phi)
         if idx == len(self._frontier):
             return None
-        weight, value, table, j = self._frontier[idx]
+        weight, value, table, cell = self._frontier[idx]
         if table is None:
             solution = Solution.empty(self.instance.n)
         else:
-            solution = prefix_to_solution(self.classes, table.interval, table.chain(j), self.instance.n)
+            solution = prefix_to_solution(self.classes, table.interval, table.chain(cell), self.instance.n)
         return InverseResult(
             solution=solution,
             rounded_profit=value,

@@ -35,10 +35,6 @@ class ProfitClasses:
         """Non-empty class indices, ascending."""
         return tuple(sorted(self.members))
 
-    @property
-    def total_items(self) -> int:
-        return sum(len(v) for v in self.members.values())
-
     def size(self, index: int) -> int:
         return len(self.members.get(index, ()))
 
@@ -139,5 +135,6 @@ def candidate_intervals(classes: ProfitClasses, eps: Fraction, rho: Fraction) ->
     indices = classes.indices
     if not indices:
         return []
-    width = interval_length_cap(eps, classes.total_items, rho, max_useful=indices[-1] + 1)
+    total_items = sum(map(len, classes.members.values()))
+    width = interval_length_cap(eps, total_items, rho, max_useful=indices[-1] + 1)
     return [make_interval(classes, max(top - width + 1, 0), top) for top in indices]

@@ -20,6 +20,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional
 
@@ -113,16 +114,8 @@ def generate_instance(seed: int, n: int, t: int, profile: str = "uniform") -> In
         raise ValueError(f"unknown profile {profile!r}")
     rng = random.Random(seed)
     weights = [rng.randint(1, 10) for _ in range(n)]
-    if profile == "subset-sum":
-        profits = list(weights)
-    else:
-        profits = [rng.randint(1, 10) for _ in range(n)]
-    increments = [rng.randint(1, 10) for _ in range(t)]
-    capacities = []
-    acc = 0
-    for inc in increments:
-        acc += inc
-        capacities.append(acc)
+    profits = list(weights) if profile == "subset-sum" else [rng.randint(1, 10) for _ in range(n)]
+    capacities = list(accumulate(rng.randint(1, 10) for _ in range(t)))
     if profile == "geometric-lambda":
         # factor 6n beats the band threshold n/eps at the default eps = 1/5
         factor = 6 * n

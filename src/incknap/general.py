@@ -127,6 +127,11 @@ def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Frac
     profit; a cap short of that would silently truncate the DP's reachable
     states.  The point count is found on ints before any point is built,
     and a grid of more than ``GRID_BUDGET`` points raises BudgetExceeded.
+
+    It overruns iff need/reach = psi_cap/delta > step**(GRID_BUDGET-2).  As
+    log2(need/reach) > b_need - b_reach - 1 (bit lengths) and log2(1+x) <=
+    x/ln 2 < 1.443*x for step = 1+x, b_need - b_reach - 1 >= (GRID_BUDGET-2)
+    * 1.443*x decides most overruns on small ints; other grids are counted.
     """
     delta = eps / num_clusters * lam_last * p_max
     step = 1 + eps / num_clusters
@@ -134,6 +139,8 @@ def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Frac
     # point top is delta*step**(top-1), and it clears psi_cap iff reach >= need
     reach = delta.numerator * psi_cap.denominator
     need = psi_cap.numerator * delta.denominator
+    if (need.bit_length() - reach.bit_length() - 1) * 1000 * den >= (GRID_BUDGET - 2) * 1443 * (num - den):
+        raise BudgetExceeded(GRID_BUDGET + 1, GRID_BUDGET, "profit grid of at least {} points")
     top = 1
     while reach < need:
         if top + 2 > GRID_BUDGET:
@@ -179,17 +186,11 @@ def single_cluster_instance(
     item_ids = tuple(
         sorted(i for level, members in classes.members.items() if class_lo <= level <= class_hi for i in members)
     )
-    suffix = parent.suffix_lambdas
-    lambdas = []
-    for idx, t in enumerate(periods):
-        if idx + 1 < len(periods):
-            lambdas.append(suffix.at(t) - suffix.at(periods[idx + 1]))
-        else:
-            lambdas.append(suffix.at(t))
+    ends = [parent.suffix_lambdas.at(t) for t in periods] + [0]
     sub = Instance(
         items=tuple(parent.items[i] for i in item_ids),
         capacities=tuple(max(parent.capacities[t - 1] - omega, 0) for t in periods),
-        lambdas=tuple(lambdas),
+        lambdas=tuple(a - b for a, b in zip(ends, ends[1:])),
     )
     return SingleClusterInstance(instance=sub, item_ids=item_ids, periods=periods)
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional, Sequence
 
 #: Introduction time of an item that is never packed.
@@ -126,12 +127,7 @@ class Instance:
 
     @cached_property
     def suffix_lambdas(self) -> SuffixLambdas:
-        values = []
-        acc = 0
-        for v in reversed(self.lambdas):
-            acc += v
-            values.append(acc)
-        return SuffixLambdas(tuple(reversed(values)))
+        return SuffixLambdas(tuple(accumulate(reversed(self.lambdas)))[::-1])
 
 
 @dataclass(frozen=True)
@@ -160,12 +156,7 @@ class Solution:
         added = [0] * (horizon + 1)
         for i, t in self.introduced():
             added[t] += instance.items[i][1]
-        out = []
-        acc = 0
-        for t in range(1, horizon + 1):
-            acc += added[t]
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(added[1:]))
 
 
 def validate(instance: Instance) -> None:
@@ -251,12 +242,7 @@ def objective(instance: Instance, solution: Solution) -> Fraction:
     added = [0] * (horizon + 1)
     for i, t in solution.introduced():
         added[t] += instance.items[i][0]
-    total = 0
-    packed = 0
-    for t in range(1, horizon + 1):
-        packed += added[t]
-        total += instance.lambdas[t - 1] * packed
-    return total
+    return sum(lam * packed for lam, packed in zip(instance.lambdas, accumulate(added[1:])))
 
 
 def item_contribution(instance: Instance, solution: Solution, item: int) -> Fraction:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .model import Instance, Solution, integer_units
@@ -58,13 +59,9 @@ class _Bound:
         self.cum_p: list[list[int]] = []
         for i in range(len(items) + 1):
             split = [items[j] for j in by_density if j >= i]
-            cum_w, cum_p = [0], [0]
-            for p, w in split:
-                cum_w.append(cum_w[-1] + w)
-                cum_p.append(cum_p[-1] + p)
             self.split.append(split)
-            self.cum_w.append(cum_w)
-            self.cum_p.append(cum_p)
+            self.cum_w.append([0, *accumulate(w for _, w in split)])
+            self.cum_p.append([0, *accumulate(p for p, _ in split)])
 
     def cheap(self, i: int) -> int:
         return self.suffix_1 * self.cum_p[i][-1]

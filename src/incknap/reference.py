@@ -2,11 +2,11 @@
 
 Nothing on the solve path imports this module.  It holds the paper's maps
 and identities in their direct, unoptimized form: range-checked class
-prefix weights and the vectors weighed by them, the up-rounding and
-truncation maps whose image the pruned family must cover, the unpruned
-restricted DP the family DP must not beat, the contribution form of the
-objective, the deletion of dropped-band periods behind the derandomized
-offset, and the star-uncrossing audit.
+prefix weights and the vectors weighed by them, one object per vector, the
+up-rounding and truncation maps whose image the pruned family must cover,
+the unpruned restricted DP the family DP must not beat, the contribution
+form of the objective, the deletion of dropped-band periods behind the
+derandomized offset, and the star-uncrossing audit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,15 @@ from .classes import ClassInterval, ProfitClasses
 from .general import ClusterPlan
 from .model import InfeasibleSolution, Instance, Solution, check_feasible
 from .oracle import DEFAULT_BUDGET, BudgetExceeded
-from .statespace import UtilizationVector, _truncated, pow2_up
+from .statespace import _truncated, pow2_up
+
+
+@dataclass(frozen=True)
+class UtilizationVector:
+    """Per-class counts over an interval's active classes, weight cached."""
+
+    counts: tuple[int, ...]
+    weight: Fraction
 
 
 class ClassIndexOutOfRange(ValueError):

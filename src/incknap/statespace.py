@@ -11,27 +11,63 @@ produces matters, and that count is monotone in mu, so each class offers a
 short table of reachable truncated counts, each with its least mu; a tuple
 of them is reachable exactly when those least multipliers fit the counting
 cap.  The family is these heavy tuples crossed with the free light ranges,
-never the exponential vector space.
+never the exponential vector space.  It is held as member cells of the
+product lattice of per-class counts (``Family``): weights and profits are
+sums of one term per class, so the DP reads them off outer sums over the
+lattice instead of building one object per member.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import getitem
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 from .classes import ClassInterval, ProfitClasses
 
 
 @dataclass(frozen=True)
-class UtilizationVector:
-    """Per-class counts over an interval's active classes, weight cached."""
+class Family:
+    """Pruned family: member cells of the lattice of per-class counts.
 
-    counts: tuple[int, ...]
-    weight: Fraction
+    Axis pos (``interval.active`` order) takes the members' sorted distinct
+    counts ``values[pos]``, weighing ``prefixes[pos]`` (class prefix sums).
+    A cell numbers counts in mixed radix, last class fastest, so cell order
+    is lexicographic and cell 0 is the zero vector; ``cells`` lists the
+    members in order, ``range(size)`` when every cell is one.
+    """
+
+    values: tuple[tuple[int, ...], ...]
+    prefixes: tuple[tuple, ...]
+    cells: Sequence[int]
+
+    @property
+    def size(self) -> int:
+        return math.prod(map(len, self.values))
+
+    @property
+    def strides(self) -> list[int]:
+        return [math.prod(map(len, self.values[pos + 1 :])) for pos in range(len(self.values))]
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def counts(self, cell: int) -> tuple[int, ...]:
+        return tuple(values[cell // s % len(values)] for values, s in zip(self.values, self.strides))
+
+    def outer(self, terms) -> list:
+        """Per cell, the sum over axes pos of terms[pos][k], k its count's rank."""
+        out = [0]
+        for axis in terms:
+            out = [s + a for s in out for a in axis]
+        return out
+
+    @cached_property
+    def weights(self) -> list:
+        return self.outer(self.prefixes)
 
 
 def pow2_up(x: Fraction) -> Fraction:
@@ -126,23 +162,31 @@ def enumerate_family(
     eps: Fraction,
     weight_range: tuple[Fraction, Fraction],
     n: int,
-) -> list[UtilizationVector]:
+) -> Family:
     """Directly enumerate a superset of the truncated up-rounding image.
 
-    Pass one collects the distinct partial vectors: the reachable truncated
-    heavy tuples of ``heavy_configurations``, light coordinates open, plus
-    the fully open all-light vector.  Pass two crosses each partial vector
-    once with the light counts [0, min(1/eps, |P_l|)].  Extra vectors beyond
-    the exact image are harmless: the DP only gains actions and enforces
-    feasibility itself.  The zero vector is always a member; output is
-    deduplicated and sorted.  A vector's weight is one prefix-sum lookup per
-    class, plain ints on an instance in integer units.
+    The members are the reachable truncated heavy tuples of
+    ``heavy_configurations`` and the all-light tuple, each crossed with the
+    light counts [0, min(1/eps, |P_l|)] of its open classes.  Extra vectors
+    beyond the exact image are harmless: the DP only gains actions and
+    enforces feasibility itself.  When no tuple fixes two classes (every
+    all-light or one-heavy window) every lattice cell is a member; else the
+    members are the union over tuples of outer sums of cell offsets.
     """
     threshold = int(1 / eps)
-    light_ranges = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]
+    light = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]
     partials = {(None,) * len(interval.active), *heavy_configurations(classes, interval, eps, weight_range, n)}
-    seen: set[tuple[int, ...]] = set()
+    values = [sorted({*r, *(p[pos] for p in partials if p[pos] is not None)}) for pos, r in enumerate(light)]
+    family = Family(
+        values=tuple(map(tuple, values)),
+        prefixes=tuple(tuple(classes.prefix[l][v] for v in vals) for l, vals in zip(interval.active, values)),
+        cells=range(math.prod(map(len, values))),
+    )
+    if all(len(p) - p.count(None) <= 1 for p in partials):
+        return family
+    offsets = [{v: k * s for k, v in enumerate(vals)} for vals, s in zip(values, family.strides)]
+    cells: set[int] = set()
     for partial in partials:
-        seen.update(itertools.product(*(r if c is None else (c,) for c, r in zip(partial, light_ranges))))
-    prefixes = [classes.prefix[l] for l in interval.active]
-    return [UtilizationVector(counts, sum(map(getitem, prefixes, counts))) for counts in sorted(seen)]
+        terms = [[at[v] for v in r] if c is None else [at[c]] for c, r, at in zip(partial, light, offsets)]
+        cells.update(family.outer(terms))
+    return replace(family, cells=sorted(cells))

@@ -29,7 +29,7 @@ from incknap.classes import ClassInterval, ProfitClasses, build_classes, candida
 from incknap.general import ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
 from incknap.model import Instance, Solution, SuffixLambdas, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET, _check_budget
-from incknap.statespace import UtilizationVector, enumerate_family
+from incknap.statespace import Family, enumerate_family
 
 
 def e1() -> Instance:
@@ -226,7 +226,7 @@ def reference_family(classes, interval, eps, weight_range, n):
     partial crossed with every light count of its open coordinates.
 
     This is the plain statement ``statespace.enumerate_family`` must match
-    exactly, in content and order.
+    exactly: its members in cell order, decoded, with their weights.
     """
     from incknap.reference import make_vector
 
@@ -308,20 +308,60 @@ class PullClusterTable:
         return self._back.get((m, ell, phi_idx))
 
 
+def family_of(classes: ProfitClasses, interval: ClassInterval, vectors) -> Family:
+    """A ``Family`` holding exactly the given count vectors: each axis takes
+    the counts the vectors use, and a member's cell is its mixed-radix
+    number, last class fastest."""
+    vectors = set(vectors)
+    values = tuple(tuple(sorted({c[pos] for c in vectors})) for pos in range(len(interval.active)))
+    prefixes = tuple(tuple(classes.prefix[l][v] for v in vals) for l, vals in zip(interval.active, values))
+
+    def cell(counts):
+        out = 0
+        for c, vals in zip(counts, values):
+            out = out * len(vals) + vals.index(c)
+        return out
+
+    return Family(values=values, prefixes=prefixes, cells=sorted(map(cell, vectors)))
+
+
+def members(family: Family) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(counts, weight) of every member, in cell order."""
+    return [(family.counts(cell), family.weights[cell]) for cell in family.cells]
+
+
+def family_order(family: Family) -> list[int]:
+    """Member cells in (count-sum, counts) order: the DP's tie order."""
+    return sorted(family.cells, key=lambda cell: (sum(family.counts(cell)), family.counts(cell)))
+
+
+@dataclass
+class PairScanTable:
+    """Pair-scan DP rows indexed by member position in ``members`` order."""
+
+    members: list[tuple[int, ...]]
+    weights: list[Fraction]
+    raw: list[list[Optional[int]]]
+    back: list[list[Optional[int]]]
+    value_den: int
+
+
 def PairScanDP(
     classes: ProfitClasses,
     interval: ClassInterval,
-    family: Sequence[UtilizationVector],
+    family: Family,
     capacities: Sequence[Fraction],
     suffix: SuffixLambdas,
-) -> BoundedDPTable:
+) -> PairScanTable:
     """The family-restricted DP with a pairwise predecessor scan.
 
     The reference that the lattice transition of ``bounded.dp_solve`` must
-    match in ``raw``, ``back`` and family order: a vector extends the best
-    coordinatewise-smaller reachable vector, scanned in (count-sum, counts)
-    order so the scan stops once predecessors outgrow the current vector and
-    a strict ``>`` keeps the first of equal predecessors.
+    match in value and predecessor per (period, vector): a vector extends
+    the best coordinatewise-smaller reachable vector, scanned in (count-sum,
+    counts) order so the scan stops once predecessors outgrow the current
+    vector and a strict ``>`` keeps the first of equal predecessors.  It
+    reads only the members' counts from ``family`` and weighs them from the
+    class prefix sums itself.
     """
     q = int(1 / classes.eps)
     active = interval.active
@@ -329,17 +369,15 @@ def PairScanDP(
     rp_int = [(q + 1) ** l * q ** (ltop - l) for l in active]
     value_den = q**ltop
 
-    order = sorted(range(len(family)), key=lambda j: (sum(family[j].counts), family[j].counts))
-    fam = [family[j] for j in order]
-    counts = [v.counts for v in fam]
+    counts = sorted((family.counts(cell) for cell in family.cells), key=lambda c: (sum(c), c))
     sums = [sum(c) for c in counts]
-    profits = [sum(r * c for r, c in zip(rp_int, v.counts)) for v in fam]
-    weights = [v.weight for v in fam]
+    profits = [sum(r * k for r, k in zip(rp_int, c)) for c in counts]
+    weights = [sum(classes.prefix[l][k] for l, k in zip(active, c)) for c in counts]
 
     zero = counts.index((0,) * len(active))
     horizon = len(capacities)
-    raw: list[list[Optional[int]]] = [[None] * len(fam) for _ in range(horizon + 1)]
-    back: list[list[Optional[int]]] = [[None] * len(fam) for _ in range(horizon + 1)]
+    raw: list[list[Optional[int]]] = [[None] * len(counts) for _ in range(horizon + 1)]
+    back: list[list[Optional[int]]] = [[None] * len(counts) for _ in range(horizon + 1)]
     raw[0][zero] = 0
 
     for t in range(1, horizon + 1):
@@ -347,13 +385,13 @@ def PairScanDP(
         cap = capacities[t - 1]
         prev_row = raw[t - 1]
         # G value of each reachable predecessor, in family order (sums ascending)
-        preds: list[tuple[int, int]] = []  # (family index, prev - lam*profit)
+        preds: list[tuple[int, int]] = []  # (member index, prev - lam*profit)
         for j, v in enumerate(prev_row):
             if v is not None:
                 preds.append((j, v - lam * profits[j]))
         cur_row = raw[t]
         back_row = back[t]
-        for j in range(len(fam)):
+        for j in range(len(counts)):
             if weights[j] > cap:
                 continue
             s = sums[j]
@@ -369,7 +407,7 @@ def PairScanDP(
             if best is not None:
                 cur_row[j] = lam * profits[j] + best
                 back_row[j] = best_j
-    return BoundedDPTable(interval=interval, family=fam, raw=raw, back=back, value_den=value_den)
+    return PairScanTable(members=counts, weights=weights, raw=raw, back=back, value_den=value_den)
 
 
 def fraction_merge_frontier(instance: Instance, eps: Fraction):
@@ -389,7 +427,7 @@ def fraction_merge_frontier(instance: Instance, eps: Fraction):
             for j, v in enumerate(table.raw[instance.horizon]):
                 if v is not None:
                     value = classes.scale * Fraction(v, table.value_den)
-                    entries.append((table.family[j].weight, value, interval, table.family[j].counts))
+                    entries.append((table.weights[j], value, interval, table.members[j]))
     entries.sort(key=lambda e: (e[0], -e[1]))
     frontier = []
     for e in entries:
@@ -404,7 +442,7 @@ class AllWindowsFrontier:
     The reference that ``bounded.InverseFrontier``, which skips dominated
     all-light windows, must match in ``weights``, ``served`` and every query
     answer: equal (weight, value) entries go to the earliest table in
-    candidate order, then the lowest family index.
+    candidate order, then the first vector in (count-sum, counts) order.
     """
 
     def __init__(self, instance: Instance, eps: Fraction):
@@ -432,9 +470,10 @@ class AllWindowsFrontier:
         entries: list[tuple[Fraction, int, Optional[BoundedDPTable], Optional[int]]] = [(0, 0, None, None)]
         for table in tables:
             lift = top // table.value_den
-            for j, v in enumerate(table.raw[-1]):
+            for cell in family_order(table.family):
+                v = table.raw[-1][cell]
                 if v is not None:
-                    entries.append((table.family[j].weight, v * lift, table, j))
+                    entries.append((table.family.weights[cell], v * lift, table, cell))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1

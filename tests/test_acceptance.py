@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    members,
     random_class_structure,
     random_feasible_solution,
     random_instance,
@@ -153,7 +154,7 @@ def test_criterion_4_family_correctness():
         ]
         wrange = (min(weights), max(weights))
         n = len(weights)
-        family = {v.counts for v in enumerate_family(classes, interval, EPS_INT, wrange, n)}
+        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS_INT, wrange, n))}
         sizes = [classes.size(l) for l in interval.active]
         for counts in itertools.product(*(range(s + 1) for s in sizes)):
             assert prune_image(counts, classes, interval, EPS_INT).counts in family
@@ -203,9 +204,9 @@ def test_criterion_5_restriction_loss():
         )
         opt_pruned = max(
             (
-                table.value(horizon, j)
-                for j, vec in enumerate(table.family)
-                if table.raw[horizon][j] is not None and vec.weight <= w_star
+                table.value(horizon, cell)
+                for cell in table.family.cells
+                if table.raw[horizon][cell] is not None and table.family.weights[cell] <= w_star
             ),
             default=Fraction(0),
         )

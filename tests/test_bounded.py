@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -10,7 +9,9 @@ from helpers import (
     AllWindowsFrontier,
     PairScanDP,
     e1,
+    family_of,
     fraction_merge_frontier,
+    members,
     random_class_structure,
     random_instance,
     two_heavy_structures,
@@ -30,7 +31,7 @@ from incknap.bounded import (
 from incknap.classes import build_classes, make_interval, candidate_intervals
 from incknap.model import Instance, Solution, SuffixLambdas, check_feasible, integer_units, objective, preprocess
 from incknap.oracle import exact_inverse, exact_opt
-from incknap.reference import exact_restricted_dp, make_vector
+from incknap.reference import exact_restricted_dp
 from incknap.statespace import enumerate_family
 
 EPS = Fraction(1, 5)
@@ -64,7 +65,7 @@ def test_dp_solve_hand_rollout():
     interval = make_interval(classes, 0, 0)
     family = family_for(instance, classes, interval)
     table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
-    by_counts = {v.counts: j for j, v in enumerate(table.family)}
+    by_counts = {table.family.counts(cell): cell for cell in table.family.cells}
     assert table.value(2, by_counts[(2,)]) == 3
     assert table.value(1, by_counts[(2,)]) is None  # weight 3 over W_1
     assert table.value(2, by_counts[(0,)]) == 0
@@ -79,7 +80,7 @@ def test_dp_zero_vector_reachable_every_period():
         for interval in candidate_intervals(classes, EPS, instance.suffix_lambdas.ratio):
             family = family_for(instance, classes, interval)
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
-            zero = next(j for j, v in enumerate(table.family) if all(c == 0 for c in v.counts))
+            zero = next(cell for cell in table.family.cells if all(c == 0 for c in table.family.counts(cell)))
             for t in range(instance.horizon + 1):
                 assert table.value(t, zero) == 0
 
@@ -95,9 +96,9 @@ def test_dp_restricted_below_exact():
         family = family_for(instance, classes, interval)
         table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
         exact = exact_restricted_dp(instance, classes, interval, budget=200_000)
-        for j, vec in enumerate(table.family):
-            approx = table.value(instance.horizon, j)
-            full = exact[(instance.horizon, vec.counts)]
+        for cell in table.family.cells:
+            approx = table.value(instance.horizon, cell)
+            full = exact[(instance.horizon, table.family.counts(cell))]
             if approx is not None:
                 assert full is not None
                 assert approx <= full
@@ -114,16 +115,25 @@ def random_horizon(rng, total_weight):
 
 
 def assert_dp_matches_pair_scan(classes, interval, family, capacities, suffix):
+    """Value and predecessor counts equal per (period, member); every other
+    lattice cell stays empty."""
     got = dp_solve(classes, interval, family, capacities, suffix)
     want = PairScanDP(classes, interval, family, capacities, suffix)
-    assert [v.counts for v in got.family] == [v.counts for v in want.family]
+    assert got.family is family
     assert got.value_den == want.value_den
-    assert got.raw == want.raw
-    assert got.back == want.back
-
-
-def lattice_size(family):
-    return math.prod(len({v.counts[pos] for v in family}) for pos in range(len(family[0].counts)))
+    cells = set(family.cells)
+    assert sorted(map(family.counts, cells)) == sorted(want.members)
+    for t in range(len(capacities) + 1):
+        assert len(got.raw[t]) == len(got.back[t]) == family.size
+        assert all(got.raw[t][c] is None and got.back[t][c] is None for c in range(family.size) if c not in cells)
+        rows = {
+            family.counts(c): (got.raw[t][c], None if got.back[t][c] is None else family.counts(got.back[t][c]))
+            for c in cells
+        }
+        assert rows == {
+            counts: (want.raw[t][j], None if want.back[t][j] is None else want.members[want.back[t][j]])
+            for j, counts in enumerate(want.members)
+        }
 
 
 def test_dp_solve_matches_pair_scan():
@@ -141,8 +151,8 @@ def test_dp_solve_matches_pair_scan():
         instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=4, den=2)
         product = list(itertools.product(*(range(classes.size(l) + 1) for l in interval.active)))
         picked = {product[0], *rng.sample(product, rng.randint(1, len(product)))}
-        family = [make_vector(classes, interval, counts) for counts in sorted(picked)]
-        sparse += lattice_size(family) > len(family)
+        family = family_of(classes, interval, picked)
+        sparse += family.size > len(family)
         caps, suffix = random_horizon(rng, instance.capacities[0])
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
     assert sparse >= 10
@@ -154,6 +164,22 @@ def test_dp_solve_matches_pair_scan():
         family = enumerate_family(*args)
         caps, suffix = random_horizon(rng, 60)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
+
+
+def test_dp_solve_breaks_predecessor_ties_by_count_sum_first():
+    # classes of profit 5 (one item, weight 1) and 6 (two items, weight 2),
+    # lambdas 7, 5, 1: at period 3, (0,2) and (1,0) tie as predecessors of
+    # (1,2) (72 - 12 = 65 - 5), and (1,0) comes first by count-sum although
+    # (0,2) comes first by counts alone; (1,1), which would beat both, is
+    # left out of the family
+    instance = Instance.build(items=[(5, 1), (6, 2), (6, 2)], capacities=[1, 4, 5], lambdas=[7, 5, 1])
+    classes = build_classes(instance, EPS)
+    interval = make_interval(classes, 0, 1)
+    family = family_of(classes, interval, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2)])
+    assert family.size == 6 and len(family) == 5
+    table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
+    assert table.chain(family.size - 1) == [(1, 0), (1, 0), (1, 2)]
+    assert_dp_matches_pair_scan(classes, interval, family, instance.capacities, instance.suffix_lambdas)
 
 
 def counts_by_class(interval, counts):
@@ -174,8 +200,8 @@ def test_inverse_frontier_matches_fraction_merge():
         # a skipped window's vector comes from a window holding its copy, so
         # compare counts per class rather than per window
         got = [
-            (weight, value, table and counts_by_class(table.interval, table.family[j].counts))
-            for weight, value, table, j in frontier._frontier
+            (weight, value, table and counts_by_class(table.interval, table.family.counts(cell)))
+            for weight, value, table, cell in frontier._frontier
         ]
         assert got == [(w, v, i and counts_by_class(i, c)) for w, v, i, c in want]
         assert frontier.weights == [e[0] for e in want]
@@ -338,11 +364,11 @@ def test_backpointer_chains_monotone_and_feasible():
         for interval in candidate_intervals(classes, EPS, instance.suffix_lambdas.ratio):
             family = family_for(instance, classes, interval)
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
-            for j in range(len(table.family)):
-                if table.raw[instance.horizon][j] is None:
+            by_counts = dict(members(table.family))
+            for cell in table.family.cells:
+                if table.raw[instance.horizon][cell] is None:
                     continue
-                chain = table.chain(j)
-                by_counts = {v.counts: v.weight for v in table.family}
+                chain = table.chain(cell)
                 for t, (prev, cur) in enumerate(zip([(0,) * len(interval.active)] + chain, chain)):
                     assert all(a <= b for a, b in zip(prev, cur))
                     assert by_counts[cur] <= instance.capacities[t]
@@ -422,10 +448,10 @@ def test_solve_inverse_heavy_classes_super_optimal():
         assert any(classes.size(l) > int(1 / EPS) for l in classes.indices)
         frontier = InverseFrontier(instance, EPS)
         if any(
-            any(c > int(1 / EPS) for c in vec.counts)
+            any(c > int(1 / EPS) for c in counts)
             for entry in frontier._frontier
             if entry[2] is not None
-            for vec in entry[2].family
+            for counts, _ in members(entry[2].family)
         ):
             heavy_runs += 1
         opt, _ = exact_opt(instance)

@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import itertools
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -15,7 +17,9 @@ from incknap.cli import (
     main,
     parse_rational,
 )
-from incknap.model import Solution, validate
+from incknap.bounded import accuracy_budget
+from incknap.classes import build_classes
+from incknap.model import Instance, Solution, preprocess, validate
 from incknap.oracle import exact_opt
 
 
@@ -98,8 +102,29 @@ def test_cmd_solve_general_guarantee(tmp_path):
     assert parse_rational(doc["profit"]) >= opt / 2
 
 
-# sha256 of the solve output for (gen seed, n, T, profile), mode and --eps;
-# a change to the solve path that keeps its answers leaves every one unchanged
+def heavy_instance(seed: int) -> Instance:
+    """The bounded-heavy benchmark shape: 32 items of profit 100, 110 or 121
+    (one class each at internal eps 1/10), T=4."""
+    rng = random.Random(seed)
+    items = [(rng.choice((100, 110, 121)), rng.randint(1, 10)) for _ in range(32)]
+    caps = list(itertools.accumulate(rng.randint(1, 10) for _ in range(4)))
+    return Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(4)])
+
+
+def write_golden_instance(spec, path) -> None:
+    """A GOLDEN_SOLVES instance: ``gen`` arguments (seed, n, T, profile), or
+    ("heavy", seed) for ``heavy_instance``."""
+    if spec[0] == "heavy":
+        path.write_text(instance_to_json(heavy_instance(spec[1])))
+        return
+    seed, n, t, profile = spec
+    argv = ["gen", "--seed", str(seed), "--n", str(n), "--t", str(t), "--profile", profile, "--out", str(path)]
+    assert main(argv) == 0
+
+
+# sha256 of the solve output for an instance (see write_golden_instance), mode
+# and --eps; a change to the solve path that keeps its answers leaves every
+# one unchanged
 GOLDEN_SOLVES = {
     ((1, 3, 2, "uniform"), "general", "1/50"): "dd3667b657279f7459ff7b57491dc347d0a79b06a785ffcbd232953c3281f37b",
     ((1, 3, 2, "uniform"), "general", "1/100"): "dd3667b657279f7459ff7b57491dc347d0a79b06a785ffcbd232953c3281f37b",
@@ -116,19 +141,27 @@ GOLDEN_SOLVES = {
     ((2, 4, 4, "geometric-lambda"), "general", "4/5"): (
         "5f69d2da17dbd7babf7ef9555e2da3fee21d9e1dc2bf596c82146571accb8ec8"
     ),
+    # general mode at a size where families reach a thousand vectors
+    ((1, 20, 4, "uniform"), "general", "0.5"): "09e6194d178b671f84f9977ab6ceff0681520d59c10628a52876f42519ee3f4e",
+    # two heavy classes in one window: its family members are not a full product
+    (("heavy", 2), "bounded", "0.5"): "ba2ffcf49964d7c734e6664817f5bd0447fe57c28b2539c37b55e24f11c40b3b",
 }
 
 
 def test_solve_output_is_golden(tmp_path):
     got = {}
-    for (seed, n, t, profile), mode, eps in GOLDEN_SOLVES:
-        path = tmp_path / f"{seed}-{n}-{t}-{profile}.json"
-        argv = ["gen", "--seed", str(seed), "--n", str(n), "--t", str(t), "--profile", profile, "--out", str(path)]
-        assert main(argv) == 0
+    for spec, mode, eps in GOLDEN_SOLVES:
+        path = tmp_path / ("-".join(map(str, spec)) + ".json")
+        write_golden_instance(spec, path)
         out = tmp_path / "sol.json"
         assert main(["solve", str(path), "--mode", mode, "--eps", eps, "--out", str(out)]) == 0
-        got[(seed, n, t, profile), mode, eps] = hashlib.sha256(out.read_bytes()).hexdigest()
+        got[spec, mode, eps] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == GOLDEN_SOLVES
+
+
+def test_golden_heavy_instance_has_two_heavy_classes():
+    classes = build_classes(preprocess(heavy_instance(2))[0], accuracy_budget(Fraction(1, 2), 5))
+    assert sum(classes.size(l) > 10 for l in classes.indices) >= 2
 
 
 def test_cmd_solve_bounded_mode(tmp_path):

@@ -153,6 +153,42 @@ def test_build_grid_refuses_a_grid_past_the_budget_before_building_it():
     assert (info.value.required, info.value.budget) == (2**15 + 1, 2**15)
 
 
+def grid_points(delta, step, psi_cap):
+    """Points of the grid up to the first at or above psi_cap, 0 included,
+    counted one Fraction power at a time."""
+    top = 1
+    while delta * step ** (top - 1) < psi_cap:
+        top += 1
+    return top + 1
+
+
+def test_build_grid_refuses_exactly_the_grids_past_the_budget(monkeypatch):
+    # steps from 2 down to 1 + 1/60, where the bit-length test's bound
+    # log2(1+x) < 1.443x is tight, and caps on both sides of the budget
+    monkeypatch.setattr(general, "GRID_BUDGET", 40)
+    refused = kept = 0
+    for eps, clusters in ((Fraction(1), 1), (Fraction(1, 5), 2), (Fraction(1, 20), 3)):
+        step = 1 + eps / clusters
+        delta = eps / clusters * 3 * 7
+        for k in range(30, 45):
+            for factor in (1, Fraction(101, 100), step - Fraction(1, 10**6)):
+                psi_cap = delta * step**k * factor
+                points = grid_points(delta, step, psi_cap)
+                if points > 40:
+                    refused += 1
+                    with pytest.raises(BudgetExceeded, match="profit grid of at least 41 points exceeds budget 40"):
+                        build_grid(eps, clusters, Fraction(3), Fraction(7), psi_cap)
+                else:
+                    kept += 1
+                    assert len(build_grid(eps, clusters, Fraction(3), Fraction(7), psi_cap).values) == points
+    assert refused and kept
+    # a far overrun at the real budget, decided on bit lengths alone
+    monkeypatch.setattr(general, "GRID_BUDGET", 2**15)
+    with pytest.raises(BudgetExceeded) as info:
+        build_grid(Fraction(1, 1000), 1, Fraction(1), Fraction(1), Fraction(2**100000))
+    assert (info.value.required, info.value.budget) == (2**15 + 1, 2**15)
+
+
 @pytest.mark.parametrize("psi_cap", [Fraction(1), Fraction(1, 2)])
 def test_build_grid_cap_at_or_below_delta(psi_cap):
     grid = build_grid(EPS, 2, Fraction(1), Fraction(10), psi_cap)

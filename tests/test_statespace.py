@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     class_structure,
+    members,
     random_class_structure,
     random_vector_pair,
     reference_family,
@@ -131,7 +132,8 @@ def test_rounding_and_truncation_invariants(eps):
 def test_enumerate_family_two_item_class():
     _, classes, interval = class_structure([1, 1])
     family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 2)
-    assert sorted(v.counts for v in family) == [(0,), (1,), (2,)]
+    assert [counts for counts, _ in members(family)] == [(0,), (1,), (2,)]
+    assert family.cells == range(3)
 
 
 def test_enumerate_family_empty_interval():
@@ -139,13 +141,14 @@ def test_enumerate_family_empty_interval():
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, 0, 0)
     family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 0)
-    assert [v.counts for v in family] == [()]
+    assert members(family) == [((), 0)]
+    assert len(family) == family.size == 1
 
 
 def test_enumerate_family_six_unit_items():
     _, classes, interval = class_structure([1] * 6)
     family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 6)
-    counts = {v.counts for v in family}
+    counts = {counts for counts, _ in members(family)}
     assert {(k,) for k in range(6)} <= counts
     image = {prune_image((k,), classes, interval, EPS).counts for k in range(7)}
     assert image <= counts
@@ -161,10 +164,7 @@ def test_family_covers_bruteforce_image():
         _, classes, interval = class_structure(*weight_lists)
         items = [w for ws in weight_lists for w in ws]
         wrange = (Fraction(min(items)), Fraction(max(items)))
-        family = {
-            v.counts
-            for v in enumerate_family(classes, interval, EPS, wrange, len(items))
-        }
+        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS, wrange, len(items)))}
         sizes = [classes.size(l) for l in interval.active]
         for counts in itertools.product(*(range(s + 1) for s in sizes)):
             assert prune_image(counts, classes, interval, EPS).counts in family
@@ -187,14 +187,24 @@ def test_mu_vectors_respect_sum_cap():
 def test_family_vectors_are_valid():
     _, classes, interval = class_structure([1] * 7, [3, 4])
     family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(4)), 9)
-    for v in family:
+    for counts, weight in members(family):
         for pos, level in enumerate(interval.active):
-            assert 0 <= v.counts[pos] <= classes.size(level)
-        assert v.weight == make_vector(classes, interval, v.counts).weight
+            assert 0 <= counts[pos] <= classes.size(level)
+        assert weight == make_vector(classes, interval, counts).weight
 
 
 def _family_rows(family):
-    return [(v.counts, v.weight) for v in family]
+    """Decoded (counts, weight) per member, checked against the lattice: one
+    row per cell, in cell order, and ``len`` the member count."""
+    rows = members(family)
+    assert len(family) == len(rows) == len(set(family.cells))
+    assert list(family.cells) == sorted(family.cells)
+    assert all(0 <= cell < family.size for cell in family.cells)
+    return rows
+
+
+def _reference_rows(args):
+    return [(v.counts, v.weight) for v in reference_family(*args)]
 
 
 def _adds_heavy_vectors(family, classes, interval, eps):
@@ -215,7 +225,7 @@ def test_enumerate_family_equals_reference(eps, max_classes):
         weights = [w for _, w in instance.items]
         args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
         family = enumerate_family(*args)
-        assert _family_rows(family) == _family_rows(reference_family(*args))
+        assert _family_rows(family) == _reference_rows(args)
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
     assert heavy_hits >= 5
 
@@ -237,7 +247,8 @@ def test_enumerate_family_equals_reference_on_heavy_profits():
         weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
         args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
         family = enumerate_family(*args)
-        assert _family_rows(family) == _family_rows(reference_family(*args))
+        assert _family_rows(family) == _reference_rows(args)
+        assert family.cells == range(family.size)  # one heavy class: a full lattice
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
     assert heavy_hits == len(intervals)
 
@@ -246,7 +257,29 @@ def test_enumerate_family_equals_reference_on_two_heavy_classes():
     cases = list(two_heavy_structures())
     assert len(cases) >= 3
     for args in cases:
-        assert _family_rows(enumerate_family(*args)) == _family_rows(reference_family(*args))
+        family = enumerate_family(*args)
+        assert _family_rows(family) == _reference_rows(args)
+        # two heavy classes fixed at once: members built cell by cell
+        assert not isinstance(family.cells, range)
+
+
+def test_enumerate_family_equals_reference_where_cells_are_sparse():
+    # weights 1 to 40 in heavy classes: some heavy count tuple is cut by the
+    # counting cap at every base while each of its counts is reached alone,
+    # so the member cells miss part of the lattice
+    sparse = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        eps = rng.choice((Fraction(1, 5), Fraction(1, 6), Fraction(1, 8)))
+        sizes = [rng.randint(int(1 / eps) + 1, int(1 / eps) + 8) for _ in range(2)]
+        weights = [[rng.choice((1, 1, 2, 3, 5, 10, 20, 40)) for _ in range(k)] for k in sizes]
+        instance, classes, interval = class_structure(*weights, eps=eps)
+        item_weights = [w for _, w in instance.items]
+        args = (classes, interval, eps, (min(item_weights), max(item_weights)), len(item_weights))
+        family = enumerate_family(*args)
+        assert _family_rows(family) == _reference_rows(args)
+        sparse += len(family) < family.size
+    assert sparse >= 2
 
 
 def test_sum_cap_binds_on_two_heavy_classes():
@@ -263,3 +296,6 @@ def test_sum_cap_binds_on_two_heavy_classes():
     capped = reference_partials(*args)
     assert set(heavy_configurations(*args)) == capped
     assert reference_partials(*args, cap=math.inf) - capped == {(10, 12)}
+    family = enumerate_family(*args)
+    assert _family_rows(family) == _reference_rows(args)
+    assert not isinstance(family.cells, range)
