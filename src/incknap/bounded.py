@@ -76,9 +76,9 @@ class BoundedDPTable:
     """Restricted DP values per (period, lattice cell), with backpointers.
 
     ``raw[t][cell]`` holds the value scaled by ``value_den`` (None =
-    unreachable or not a family member) and ``back[t][cell]`` the cell of
-    its predecessor; ``value`` converts back to the exact rounded-profit
-    rational.
+    unreachable, not a family member, or heavier than every capacity) and
+    ``back[t][cell]`` the cell of its predecessor; ``value`` converts back
+    to the exact rounded-profit rational.
     """
 
     interval: ClassInterval
@@ -128,6 +128,13 @@ def dp_solve(
     one outer sum over the lattice.  A cell holds the key (G, -rank), G =
     prev - lam*profit and rank = count_sum*P + cell, so equal G goes to the
     first predecessor in (count-sum, counts) order.
+
+    Only the cells weighing at most the largest capacity are swept.  Class
+    prefix sums never decrease along an axis, so that set is closed
+    downwards; a cell outside it never holds a value, and what a sweep
+    would carry into it flows only to cells above it, outside the set too.
+    So every swept cell gets the key a whole-lattice sweep gives it, and
+    the fill still checks each period's own capacity.
     """
     q = int(1 / classes.eps)
     active = interval.active
@@ -141,6 +148,11 @@ def dp_solve(
     profits = family.outer([(q + 1) ** l * q ** (ltop - l) * v for v in vals] for l, vals in zip(active, family.values))
     ranks = family.outer([-(v * size + k * s) for k, v in enumerate(vals)] for s, vals in zip(strides, family.values))
     weights = family.weights
+    # cells within the largest capacity; per axis, those past their line's first s
+    top = max(capacities)
+    fits = [cell for cell, w in enumerate(weights) if w <= top]
+    sweeps = [(stride, [cell for cell in fits if cell % block >= stride]) for stride, block in axes]
+    fill = [cell for cell in family.cells if weights[cell] <= top]
 
     horizon = len(capacities)
     raw: list[list[Optional[int]]] = [[None] * size for _ in range(horizon + 1)]
@@ -150,19 +162,20 @@ def dp_solve(
     for t in range(1, horizon + 1):
         lam = suffix.values[t - 1]
         cap = capacities[t - 1]
+        prev_row = raw[t - 1]
         lattice: list[tuple] = [()] * size  # () sorts below every key
-        for cell, v in enumerate(raw[t - 1]):
+        for cell in fits:
+            v = prev_row[cell]
             if v is not None:
                 lattice[cell] = (v - lam * profits[cell], ranks[cell])
-        for stride, block in axes:
-            for lo in range(0, size, block):
-                for cell in range(lo + stride, lo + block):
-                    key = lattice[cell - stride]
-                    if key > lattice[cell]:
-                        lattice[cell] = key
+        for stride, cells in sweeps:
+            for cell in cells:
+                key = lattice[cell - stride]
+                if key > lattice[cell]:
+                    lattice[cell] = key
         cur_row = raw[t]
         back_row = back[t]
-        for cell in family.cells:
+        for cell in fill:
             key = lattice[cell]
             if key and weights[cell] <= cap:
                 cur_row[cell] = lam * profits[cell] + key[0]

@@ -350,7 +350,7 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
     if not fit_ids:
         return empty
     core, _, _ = integer_units(Instance(tuple(pre.items[i] for i in fit_ids), pre.capacities, pre.lambdas))
-    classes = build_classes(core, eps)
+    classes: Optional[ProfitClasses] = None  # built after the first grid, which may refuse the budget
     profits = [p for p, _ in core.items]
     p_max = max(profits)
     psi_cap = core.suffix_lambdas.values[0] * sum(profits)
@@ -366,6 +366,8 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
             candidate = empty
         else:
             grid = build_grid(eps, plan.num_clusters, core.lambdas[-1], p_max, psi_cap)
+            if classes is None:
+                classes = build_classes(core, eps)
             table = cluster_dp(core, classes, plan, grid, eps)
             core_solution, phi_target = glue(plan, table, core.n)
             intro_pre: list[Optional[int]] = [None] * pre.n

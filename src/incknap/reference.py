@@ -22,7 +22,7 @@ from .classes import ClassInterval, ProfitClasses
 from .general import ClusterPlan
 from .model import InfeasibleSolution, Instance, Solution, check_feasible
 from .oracle import DEFAULT_BUDGET, BudgetExceeded
-from .statespace import _truncated, pow2_up
+from .statespace import pow2_up
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def truncate(
     """
     threshold = int(1 / eps)
     new_counts = tuple(
-        _truncated(k, threshold, eps) if level in heavy else k
+        k - math.ceil(2 * eps * (k - threshold)) if level in heavy else k
         for k, level in zip(counts, interval.active)
     )
     return make_vector(classes, interval, new_counts)

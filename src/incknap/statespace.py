@@ -84,9 +84,9 @@ def pow2_up(x: Fraction) -> Fraction:
     return power
 
 
-def _truncated(k: int, threshold: int, eps: Fraction) -> int:
-    """Heavy count k less its last ceil(2*eps*(k - 1/eps)) items."""
-    return k - math.ceil(2 * eps * (k - threshold))
+def _truncated(k: int, threshold: int) -> int:
+    """Heavy count k less its last ceil(2*eps*(k - 1/eps)) items, eps = 1/threshold."""
+    return k + (-2 * (k - threshold)) // threshold
 
 
 def mu_sum_cap(interval: ClassInterval, eps: Fraction) -> int:
@@ -106,9 +106,7 @@ def _power_range(lo: Fraction, hi: Fraction) -> list[Fraction]:
     return out
 
 
-def _heavy_choices(
-    classes: ProfitClasses, level: int, threshold: int, base: Fraction, eps: Fraction
-) -> dict[int, int]:
+def _heavy_choices(classes: ProfitClasses, level: int, threshold: int, base: Fraction) -> dict[int, int]:
     """Truncated counts up-rounding can give a heavy class, each with its least mu.
 
     With mu_k = ceil(weight of items 1/eps+1..k / base), at least 1 since
@@ -116,13 +114,15 @@ def _heavy_choices(
     mu_k <= mu, so the counts reached are the last k of each distinct mu_k,
     and mu_k is the least multiplier reaching it.  Truncation is monotone,
     so the first mu seen for a truncated count is its least.  Empty when
-    the class holds at most 1/eps items.
+    the class holds at most 1/eps items.  The ceilings are negated floors
+    over base's numerator and denominator, on ints for int weights.
     """
     prefix = classes.prefix[level][threshold:]
-    reached = {math.ceil((w - prefix[0]) / base): k for k, w in enumerate(prefix[1:], start=threshold + 1)}
+    num, den = base.numerator, base.denominator
+    reached = {-((prefix[0] - w) * den // num): k for k, w in enumerate(prefix[1:], start=threshold + 1)}
     choices: dict[int, int] = {}
     for mu, k in reached.items():
-        choices.setdefault(_truncated(k, threshold, eps), mu)
+        choices.setdefault(_truncated(k, threshold), mu)
     return choices
 
 
@@ -150,7 +150,7 @@ def heavy_configurations(
     lo = eps / interval.length * weight_range[0]
     hi = 2 * eps / interval.length * n * weight_range[1]
     for base in _power_range(lo, hi):
-        options = [[(None, 0), *_heavy_choices(classes, l, threshold, base, eps).items()] for l in interval.active]
+        options = [[(None, 0), *_heavy_choices(classes, l, threshold, base).items()] for l in interval.active]
         for combo in itertools.product(*options):
             if 0 < sum(mu for _, mu in combo) <= cap:
                 yield tuple(count for count, _ in combo)

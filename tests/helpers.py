@@ -149,6 +149,21 @@ def two_heavy_structures():
                 yield classes, interval, eps, (min(weights), max(weights)), len(weights)
 
 
+def sparse_heavy_structures():
+    """Two heavy classes of weights 1 to 40: some heavy count tuple is cut by
+    the counting cap at every base while each of its counts is reached alone,
+    so the family misses part of the lattice for some seeds.  Yields the
+    ``enumerate_family`` arguments."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        eps = rng.choice((Fraction(1, 5), Fraction(1, 6), Fraction(1, 8)))
+        sizes = [rng.randint(int(1 / eps) + 1, int(1 / eps) + 8) for _ in range(2)]
+        weights = [[rng.choice((1, 1, 2, 3, 5, 10, 20, 40)) for _ in range(k)] for k in sizes]
+        instance, classes, interval = class_structure(*weights, eps=eps)
+        item_weights = [w for _, w in instance.items]
+        yield classes, interval, eps, (min(item_weights), max(item_weights)), len(item_weights)
+
+
 def random_vector_pair(rng: random.Random, classes, interval):
     """Coordinatewise-ordered random count pair over the interval."""
     hi = [classes.size(l) for l in interval.active]

@@ -14,6 +14,7 @@ from helpers import (
     members,
     random_class_structure,
     random_instance,
+    sparse_heavy_structures,
     two_heavy_structures,
 )
 from incknap import bounded
@@ -164,6 +165,47 @@ def test_dp_solve_matches_pair_scan():
         family = enumerate_family(*args)
         caps, suffix = random_horizon(rng, 60)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
+
+
+def tight_capacities(rng, family, horizon):
+    """Nondecreasing capacities drawn from the lattice cells' weights up to
+    their median, so about half the cells or more never fit and some cells
+    sit exactly on a capacity."""
+    low = sorted(family.weights)[: family.size // 2 + 1]
+    return sorted(rng.choice(low) for _ in range(horizon))
+
+
+def assert_fits_closed_downwards(family, cap):
+    """Every cell within cap has each axis predecessor (one count rank lower)
+    within cap too."""
+    weights = family.weights
+    for cell, w in enumerate(weights):
+        if w <= cap:
+            for stride, values in zip(family.strides, family.values):
+                if cell // stride % len(values):
+                    assert weights[cell - stride] <= cap
+
+
+def test_dp_solve_matches_pair_scan_under_tight_capacities():
+    # capacities below most lattice cells: all-light windows on weight grids
+    # 1/2 and 1/3, then windows with two heavy classes, bench-shaped and
+    # weights 1-40, some of whose families miss lattice cells
+    rng = random.Random(97)
+    families = []
+    for eps, den in itertools.product((Fraction(1, 5), Fraction(1, 8)), (2, 3)):
+        for _ in range(10):
+            instance, classes, interval = random_class_structure(rng, eps, max_classes=3, max_items=9, den=den)
+            families.append((classes, interval, family_for(instance, classes, interval, eps)))
+    heavy = [(args[0], args[1], enumerate_family(*args)) for args in (*two_heavy_structures(), *sparse_heavy_structures())]
+    assert sum(family.size > len(family) for _, _, family in heavy) >= 2
+    cut = 0
+    for classes, interval, family in families + heavy:
+        caps, suffix = random_horizon(rng, 1)
+        caps = tight_capacities(rng, family, len(caps))
+        assert_fits_closed_downwards(family, caps[-1])
+        cut += 2 * sum(w > caps[-1] for w in family.weights) >= family.size
+        assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
+    assert cut >= len(families + heavy) // 2
 
 
 def test_dp_solve_breaks_predecessor_ties_by_count_sum_first():

@@ -153,6 +153,18 @@ def test_build_grid_refuses_a_grid_past_the_budget_before_building_it():
     assert (info.value.required, info.value.budget) == (2**15 + 1, 2**15)
 
 
+def test_solve_refuses_the_grid_before_building_classes(monkeypatch):
+    # at eps 1/10000 the first plan's grid is past the budget, and classes,
+    # whose ladder alone would take seconds, are never built
+    def no_classes(*args):
+        raise AssertionError("build_classes called before the grid was accepted")
+
+    monkeypatch.setattr(general, "build_classes", no_classes)
+    instance = Instance.build(items=[(3, 2), (5, 4), (7, 1)], capacities=[4, 7], lambdas=[2, 1])
+    with pytest.raises(BudgetExceeded, match="profit grid"):
+        solve_detailed(instance, Fraction(1, 10000))
+
+
 def grid_points(delta, step, psi_cap):
     """Points of the grid up to the first at or above psi_cap, 0 included,
     counted one Fraction power at a time."""

@@ -14,6 +14,7 @@ from helpers import (
     random_vector_pair,
     reference_family,
     reference_partials,
+    sparse_heavy_structures,
     two_heavy_structures,
 )
 from incknap.classes import build_classes, candidate_intervals, make_interval
@@ -21,6 +22,7 @@ from incknap.model import Instance
 from incknap.reference import classify, heavy_excess, make_vector, prune_image, truncate, up_round
 from incknap.statespace import (
     _power_range,
+    _truncated,
     enumerate_family,
     heavy_configurations,
     mu_sum_cap,
@@ -98,6 +100,14 @@ def test_truncate_examples():
     _, classes2, interval2 = class_structure([1] * 6)
     assert truncate((6,), classes2, interval2, (0,), EPS).counts == (5,)
     assert truncate((3,), classes2, interval2, (), EPS).counts == (3,)
+
+
+def test_truncated_equals_the_fraction_formula():
+    # k less ceil(2*eps*(k - 1/eps)) with eps = 1/threshold, on ints
+    for threshold in range(5, 21):
+        eps = Fraction(1, threshold)
+        for k in range(threshold + 1, 6 * threshold):
+            assert _truncated(k, threshold) == k - math.ceil(2 * eps * (k - threshold))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 5), Fraction(1, 8)])
@@ -268,14 +278,7 @@ def test_enumerate_family_equals_reference_where_cells_are_sparse():
     # counting cap at every base while each of its counts is reached alone,
     # so the member cells miss part of the lattice
     sparse = 0
-    for seed in range(12):
-        rng = random.Random(seed)
-        eps = rng.choice((Fraction(1, 5), Fraction(1, 6), Fraction(1, 8)))
-        sizes = [rng.randint(int(1 / eps) + 1, int(1 / eps) + 8) for _ in range(2)]
-        weights = [[rng.choice((1, 1, 2, 3, 5, 10, 20, 40)) for _ in range(k)] for k in sizes]
-        instance, classes, interval = class_structure(*weights, eps=eps)
-        item_weights = [w for _, w in instance.items]
-        args = (classes, interval, eps, (min(item_weights), max(item_weights)), len(item_weights))
+    for args in sparse_heavy_structures():
         family = enumerate_family(*args)
         assert _family_rows(family) == _reference_rows(args)
         sparse += len(family) < family.size
