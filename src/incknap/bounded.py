@@ -48,7 +48,7 @@ class ChainNotMonotone(ValueError):
 def check_internal_eps(eps: Fraction) -> Fraction:
     """Internal accuracy must be a unit fraction at most 1/5."""
     eps = Fraction(eps)
-    if eps <= 0 or eps > Fraction(1, 5) or (1 / eps).denominator != 1:
+    if eps.numerator != 1 or eps.denominator < 5:
         raise ValueError(f"internal eps must be 1/k with k >= 5, got {eps}")
     return eps
 
@@ -136,7 +136,7 @@ def dp_solve(
     So every swept cell gets the key a whole-lattice sweep gives it, and
     the fill still checks each period's own capacity.
     """
-    q = int(1 / classes.eps)
+    q = classes.eps.denominator
     active = interval.active
     ltop = max(active) if active else 0
     value_den = q**ltop
@@ -223,6 +223,16 @@ class InverseFrontier:
     binary search.  The frontier always contains the empty solution, so a
     query fails only when even the best value misses the threshold.
 
+    Entry values stay ints v over one denominator, top = the largest table
+    value_den (in integer units; elsewhere v may be a rational whose
+    denominator divides the lcm L of the suffix lambdas' ones).  With eps =
+    1/q and class scale a/b, entry i serves requirements up to its value
+    over (1-3*eps) = (q-3)/q, which is ``thresholds[i]`` = a*q*L*v over
+    ``den`` = b*top*(q-3)*L, an int; so construction makes no Fraction per
+    entry, a query ceils phi*den once and bisects the ints, and only the
+    entry it returns gets a rational rounded profit.  ``served`` is the
+    Fraction view of the thresholds.
+
     Only candidate windows that are not dominated get a DP table.  A window
     is dominated when its classes are all light (at most 1/eps items) and
     its active set is a proper subset of another window's or equal to an
@@ -252,17 +262,18 @@ class InverseFrontier:
             raise ValueError("instance must be preprocessed: trailing lambdas are zero")
         self.instance = instance
         self.eps = check_internal_eps(eps)
-        threshold = int(1 / self.eps)
+        q = self.eps.denominator
         self.classes = None
         tables: list[tuple[int, BoundedDPTable]] = []  # (window index, table)
         windows: list[frozenset[int]] = []
+        indices: tuple[int, ...] = ()
         if instance.n > 0:
             classes = build_classes(instance, self.eps)
             rho = instance.suffix_lambdas.ratio
             intervals = candidate_intervals(classes, self.eps, rho)
             windows = [frozenset(interval.active) for interval in intervals]
             for index, interval in enumerate(intervals):
-                light = all(classes.size(l) <= threshold for l in interval.active)
+                light = all(classes.size(l) <= q for l in interval.active)
                 if light and (windows[index] in windows[:index] or any(windows[index] < w for w in windows)):
                     continue
                 item_weights = [
@@ -273,6 +284,7 @@ class InverseFrontier:
                 table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
                 tables.append((index, table))
             self.classes = classes
+            indices = classes.indices
 
         def rank(entry) -> tuple:
             _, _, index, table, cell = entry
@@ -280,9 +292,9 @@ class InverseFrontier:
                 return (-1,)
             counts = dict(zip(table.interval.active, table.family.counts(cell)))
             used = {l for l, c in counts.items() if c}
-            if all(c <= threshold for c in counts.values()):
+            if all(c <= q for c in counts.values()):
                 index = next(i for i, w in enumerate(windows) if used <= w)
-            return (index, sum(counts.values()), tuple(counts.get(l, 0) for l in self.classes.indices))
+            return (index, sum(counts.values()), tuple(counts.get(l, 0) for l in indices))
 
         # every value_den is a power of 1/eps, so the largest one is a common
         # denominator and the merge compares plain ints
@@ -301,26 +313,44 @@ class InverseFrontier:
             if v > best:
                 run = list(run)
                 _, _, _, table, cell = min(run, key=rank) if len(run) > 1 else run[0]
-                value = 0 if table is None else self.classes.scale * Fraction(v, top)
-                frontier.append((weight, value, table, cell))
+                frontier.append((weight, v, table, cell))
                 best = v
         self._frontier = frontier
+        self._top = top
+        # a value v/top is scale*v/top in true units, and it serves requirements
+        # up to that over 1 - 3*eps = (q-3)/q; values are sums of suffix
+        # lambdas times ints, so lcm_den of their denominators (1 in integer
+        # units) makes every threshold an int over one den
+        scale = self.classes.scale if self.classes is not None else 1
+        lcm_den = math.lcm(*(lam.denominator for lam in instance.suffix_lambdas.values))
+        self.den = scale.denominator * top * (q - 3) * lcm_den
+        lift = scale.numerator * q * lcm_den
         # entry i is the lightest endpoint for requirements in (served[i-1], served[i]]
         self.weights = [e[0] for e in frontier]
-        self.served = [e[1] / (1 - 3 * self.eps) for e in frontier]
+        self.thresholds = [(lift * e[1]).numerator for e in frontier]
+
+    @property
+    def served(self) -> list[Fraction]:
+        """The largest requirement each entry serves, as exact rationals."""
+        return [Fraction(t, self.den) for t in self.thresholds]
 
     def query(self, phi: Fraction) -> Optional[InverseResult]:
-        """Lightest endpoint whose rounded profit clears (1-3*eps)*phi."""
+        """Lightest endpoint whose rounded profit clears (1-3*eps)*phi.
+
+        served[i] >= phi iff thresholds[i] >= phi*den iff thresholds[i] >=
+        ceil(phi*den), as thresholds are ints: one ceiling, then a bisection."""
         if phi < 0:
             raise ValueError("profit requirement must be nonnegative")
-        idx = bisect_left(self.served, phi)
+        idx = bisect_left(self.thresholds, -(-phi.numerator * self.den // phi.denominator))
         if idx == len(self._frontier):
             return None
-        weight, value, table, cell = self._frontier[idx]
+        weight, v, table, cell = self._frontier[idx]
         if table is None:
             solution = Solution.empty(self.instance.n)
+            value = 0
         else:
             solution = prefix_to_solution(self.classes, table.interval, table.chain(cell), self.instance.n)
+            value = self.classes.scale * Fraction(v, self._top)
         return InverseResult(
             solution=solution,
             rounded_profit=value,
@@ -360,6 +390,6 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
         return Solution.empty(0)
     instance, _, _ = integer_units(pre)
     frontier = InverseFrontier(instance, eps)
-    # served strictly increases, so querying served[i] reaches entry i
+    # the thresholds strictly increase, so querying served[i] reaches entry i
     best = max((frontier.query(s) for s in frontier.served), key=lambda res: res.true_profit)
     return remap_solution(best.solution, remap)

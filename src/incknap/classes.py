@@ -52,7 +52,7 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     exactly on a power of (1+eps) classify correctly.  Returns an empty
     class map for an itemless instance.
     """
-    if eps <= 0 or Fraction(1, 1) / eps != int(1 / eps):
+    if eps.numerator != 1:
         raise ValueError("eps must be a unit fraction")
     if not instance.items:
         return ProfitClasses(eps=eps, scale=Fraction(1), members={}, prefix={})
@@ -109,7 +109,6 @@ def interval_length_cap(eps: Fraction, n: int, rho: Fraction, max_useful: int) -
     eps.den * b**L, on ints.  Any value beyond max_useful produces the same
     intervals, so the ladder stops early instead of grinding huge exponents.
     """
-    eps, rho = Fraction(eps), Fraction(rho)
     a, b = eps.denominator + eps.numerator, eps.denominator
     have = rho.denominator * eps.numerator
     need = n * rho.numerator * eps.denominator

@@ -37,6 +37,8 @@ MODES = ("exact", "bounded", "general")
 
 def parse_rational(text: str) -> Fraction:
     """Exact value of a decimal string or an a/b ratio."""
+    if text.isascii() and text.isdigit():
+        return Fraction(int(text))
     return Fraction(text.strip())
 
 

@@ -62,22 +62,27 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
     ((eps/n)^m, (eps/n)^(m-1)] times the first suffix value.  Bands with
     index xi modulo 1/eps are dropped; maximal runs of surviving bands whose
     periods are non-empty become the clusters, in period order.
+
+    The ladder runs on ints: with eps/n = a/b, s_t lies at or below
+    first*(a/b)**m iff s_t * b**m <= first * a**m (cross-multiplied by the
+    denominators of s_t and first).  Suffix values never increase, so each
+    period's climb resumes at the band of the period before it.
     """
-    inv_eps = int(1 / eps)
+    inv_eps = eps.denominator
     if not 0 <= xi < inv_eps:
         raise ValueError(f"xi must lie in [0, {inv_eps - 1}]")
     if instance.n == 0:
         return ClusterPlan(interval_of=(), clusters=())
     suffix = instance.suffix_lambdas
     shrink = eps / instance.n
+    a, b = shrink.numerator, shrink.denominator
     first = suffix.values[0]
+    f_num, f_den = first.numerator, first.denominator
+    m, up, down = 1, a, b  # (eps/n)**m = up/down
     interval_of = []
-    for t in range(1, instance.horizon + 1):
-        m = 1
-        bound = shrink * first
-        while suffix.at(t) <= bound:
-            bound *= shrink
-            m += 1
+    for s in suffix.values:
+        while s.numerator * f_den * down <= f_num * s.denominator * up:
+            m, up, down = m + 1, up * a, down * b
         interval_of.append(m)
 
     by_band: dict[int, list[int]] = {}
@@ -128,23 +133,26 @@ def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Frac
     states.  The point count is found on ints before any point is built,
     and a grid of more than ``GRID_BUDGET`` points raises BudgetExceeded.
 
-    It overruns iff need/reach = psi_cap/delta > step**(GRID_BUDGET-2).  As
-    log2(need/reach) > b_need - b_reach - 1 (bit lengths) and log2(1+x) <=
-    x/ln 2 < 1.443*x for step = 1+x, b_need - b_reach - 1 >= (GRID_BUDGET-2)
-    * 1.443*x decides most overruns on small ints; other grids are counted.
+    With step = num/den, point k >= 1 is delta*step**(k-1), so the grid has
+    top+1 points for the least top with reach*num**(top-1) >= need*den**(top-1)
+    (reach/need = delta/psi_cap on ints).  It overruns the budget B iff top
+    >= B, that is iff point B-1 still misses the cap: reach*num**(B-2) <
+    need*den**(B-2), one exact test before any counting.  Most grids skip
+    even that: as need/reach < 2**(b_need - b_reach + 1) (bit lengths) and
+    step**j >= 2**(j*x) for step = 1+x <= 2, b_need - b_reach + 1 <= (B-2)*x
+    accepts them on small ints.
     """
     delta = eps / num_clusters * lam_last * p_max
     step = 1 + eps / num_clusters
     num, den = step.numerator, step.denominator
-    # point top is delta*step**(top-1), and it clears psi_cap iff reach >= need
     reach = delta.numerator * psi_cap.denominator
     need = psi_cap.numerator * delta.denominator
-    if (need.bit_length() - reach.bit_length() - 1) * 1000 * den >= (GRID_BUDGET - 2) * 1443 * (num - den):
-        raise BudgetExceeded(GRID_BUDGET + 1, GRID_BUDGET, "profit grid of at least {} points")
+    budget = GRID_BUDGET
+    if (need.bit_length() - reach.bit_length() + 1) * den > (budget - 2) * (num - den):
+        if reach * num ** (budget - 2) < need * den ** (budget - 2):
+            raise BudgetExceeded(budget + 1, budget, "profit grid of at least {} points")
     top = 1
     while reach < need:
-        if top + 2 > GRID_BUDGET:
-            raise BudgetExceeded(top + 2, GRID_BUDGET, "profit grid of at least {} points")
         reach, need, top = reach * num, need * den, top + 1
     points = [delta.numerator * den**top]  # delta*step**(k-1) over the unit, k = 1..top
     for _ in range(top - 1):
@@ -204,7 +212,12 @@ class ClusterDPTable:
     ell_prev+1..ell, at capacities reduced by that state's weight: each
     frontier entry serves the contiguous range of indices idx whose
     requirement grid[idx] - grid.offset(idx_prev) it covers.  Both terms are
-    ints over ``grid.unit``, so flooring served requirements in it is exact.
+    ints over ``grid.unit``, so flooring served requirements in it is exact:
+    the frontier's thresholds are ints over its ``den``, and the cutoff of
+    one is threshold * unit // den.  Many predecessors of a row share a
+    weight, so the row looks up each (ell_prev, weight) frontier's (cutoff,
+    total weight) pairs once, and takes each predecessor's offset from the
+    step's ints.
     """
 
     instance: Instance
@@ -215,7 +228,7 @@ class ClusterDPTable:
 
     def __post_init__(self):
         self._rows: dict[tuple[int, int], tuple[list, list]] = {}
-        self._frontiers: dict[tuple, tuple[InverseFrontier, SingleClusterInstance, list[int]]] = {}
+        self._frontiers: dict[tuple, tuple[InverseFrontier, SingleClusterInstance, list[tuple[int, int]]]] = {}
         self._sub_eps = rescaled_third(self.eps)
         self._ell_states = (-1,) + self.classes.indices
 
@@ -224,8 +237,10 @@ class ClusterDPTable:
         if key not in self._frontiers:
             sub = single_cluster_instance(self.instance, self.classes, self.plan, m, lo, hi, omega)
             frontier = InverseFrontier(sub.instance, self._sub_eps)
-            cutoffs = [s.numerator * self.grid.unit // s.denominator for s in frontier.served]
-            self._frontiers[key] = (frontier, sub, cutoffs)
+            unit, den = self.grid.unit, frontier.den
+            # each entry's cutoff, with the total weight it gives a state of weight omega
+            pushes = [(t * unit // den, omega + w) for t, w in zip(frontier.thresholds, frontier.weights)]
+            self._frontiers[key] = (frontier, sub, pushes)
         return self._frontiers[key]
 
     def _row(self, m: int, ell: int) -> tuple[list, list]:
@@ -235,22 +250,27 @@ class ClusterDPTable:
         values: list = [0] + [None] * (len(points) - 1)  # build_grid puts 0 at index 0 only
         back: list = [None] * len(points)
         self._rows[m, ell] = values, back
+        # offset(k) = points[k] * num // den + delta, as in ProfitGrid.offset
+        num, den, delta = self.grid.step.numerator, self.grid.step.denominator, points[1]
         # with no cluster or no class only the zero state is feasible; else the
         # (ell_prev, idx_prev) order and a strict < keep the first lightest move
         for ell_prev in self._ell_states if m > 0 and ell >= 0 else ():
             if ell_prev > ell:
                 break
+            by_weight: dict[int, list[tuple[int, int]]] = {}
             for idx_prev, prev in enumerate(self._row(m - 1, ell_prev)[0]):
                 if prev is None:
                     continue
-                frontier, _, cutoffs = self._frontier(m, ell_prev + 1, ell, prev)
-                offset = self.grid.offset(idx_prev)
-                lo = max(idx_prev, 1)
-                for cutoff, weight in zip(cutoffs, frontier.weights):
+                pushes = by_weight.get(prev)
+                if pushes is None:
+                    pushes = by_weight[prev] = self._frontier(m, ell_prev + 1, ell, prev)[2]
+                offset = points[idx_prev] * num // den + delta
+                lo = idx_prev or 1
+                for cutoff, cand in pushes:
                     hi = bisect_right(points, cutoff + offset, lo)
-                    cand = prev + weight
                     for idx in range(lo, hi):
-                        if values[idx] is None or cand < values[idx]:
+                        old = values[idx]
+                        if old is None or cand < old:
                             values[idx] = cand
                             back[idx] = (ell_prev, idx_prev, prev)
                     lo = hi
@@ -357,7 +377,7 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
 
     best: Optional[GeneralResult] = None
     seen_plans: set[tuple[tuple[int, ...], ...]] = set()
-    for xi in range(int(1 / eps)):
+    for xi in range(eps.denominator):
         plan = build_plan(core, eps, xi)
         if plan.clusters in seen_plans:
             continue

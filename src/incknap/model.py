@@ -97,7 +97,8 @@ class SuffixLambdas:
     @property
     def ratio(self) -> Fraction:
         """Boundedness ratio: first suffix over last suffix."""
-        return Fraction(self.values[0], self.values[-1])
+        first, last = self.values[0], self.values[-1]
+        return Fraction(first.numerator * last.denominator, first.denominator * last.numerator)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ class Family:
     def size(self) -> int:
         return math.prod(map(len, self.values))
 
-    @property
+    @cached_property
     def strides(self) -> list[int]:
         return [math.prod(map(len, self.values[pos + 1 :])) for pos in range(len(self.values))]
 
@@ -90,8 +90,8 @@ def _truncated(k: int, threshold: int) -> int:
 
 
 def mu_sum_cap(interval: ClassInterval, eps: Fraction) -> int:
-    """Upper bound (3/2)*|interval|/eps on the sum of heavy multipliers."""
-    return math.floor(Fraction(3, 2) * interval.length / eps)
+    """Upper bound (3/2)*|interval|/eps on the sum of heavy multipliers, floored."""
+    return 3 * interval.length * eps.denominator // 2
 
 
 def _power_range(lo: Fraction, hi: Fraction) -> list[Fraction]:
@@ -143,7 +143,7 @@ def heavy_configurations(
     the least multipliers of its counts sum to at most the counting cap.  A
     tuple may repeat across bases.
     """
-    threshold = int(1 / eps)
+    threshold = eps.denominator
     if all(classes.size(l) <= threshold for l in interval.active):
         return
     cap = mu_sum_cap(interval, eps)
@@ -173,7 +173,7 @@ def enumerate_family(
     all-light or one-heavy window) every lattice cell is a member; else the
     members are the union over tuples of outer sums of cell offsets.
     """
-    threshold = int(1 / eps)
+    threshold = eps.denominator
     light = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]
     partials = {(None,) * len(interval.active), *heavy_configurations(classes, interval, eps, weight_range, n)}
     values = [sorted({*r, *(p[pos] for p in partials if p[pos] is not None)}) for pos, r in enumerate(light)]

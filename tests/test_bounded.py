@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -240,16 +241,46 @@ def test_inverse_frontier_matches_fraction_merge():
         frontier = InverseFrontier(instance, EPS)
         want = fraction_merge_frontier(instance, EPS)
         # a skipped window's vector comes from a window holding its copy, so
-        # compare counts per class rather than per window
+        # compare counts per class rather than per window; entries keep ints,
+        # so read each value back from the rational it serves
         got = [
-            (weight, value, table and counts_by_class(table.interval, table.family.counts(cell)))
-            for weight, value, table, cell in frontier._frontier
+            (weight, served * (1 - 3 * EPS), table and counts_by_class(table.interval, table.family.counts(cell)))
+            for (weight, _, table, cell), served in zip(frontier._frontier, frontier.served)
         ]
         assert got == [(w, v, i and counts_by_class(i, c)) for w, v, i, c in want]
         assert frontier.weights == [e[0] for e in want]
         assert frontier.served == [e[1] / (1 - 3 * EPS) for e in want]
         tops.add(len({e[2].hi for e in want if e[2] is not None}))
     assert max(tops) >= 3  # entries from tables of different value_den compete
+
+
+def test_query_on_int_thresholds_matches_a_fraction_bisect():
+    # requirements at, just below and just above every served value, the gap
+    # a large-denominator rational, so the query's one ceiling must be exact;
+    # Fraction profits and weights give the class scale a denominator
+    rng = random.Random(71)
+    instances = [random_instance(rng, n_max=8, t_max=3) for _ in range(12)]
+    for _ in range(6):
+        items = [(Fraction(rng.choice([3, 4, 9]), rng.randint(1, 3)), Fraction(rng.randint(1, 6), 2)) for _ in range(4)]
+        items += [(Fraction(7, 2), rng.randint(1, 6)) for _ in range(6)]
+        instances.append(Instance.build(items=items, capacities=[10, 25], lambdas=[2, Fraction(1, 3)]))
+    gap = Fraction(1, 10**40 + 3)
+    probes = 0
+    for instance in instances:
+        frontier = InverseFrontier(instance, EPS)
+        want = fraction_merge_frontier(instance, EPS)
+        served = [value / (1 - 3 * EPS) for _, value, _, _ in want]
+        assert frontier.served == served
+        phis = {Fraction(0), served[-1] * 2} | {s + d for s in served for d in (-gap, 0, gap) if s + d >= 0}
+        for phi in sorted(phis):
+            idx = bisect_left(served, phi)
+            res = frontier.query(phi)
+            if idx == len(want):
+                assert res is None
+            else:
+                assert (res.weight, res.rounded_profit) == want[idx][:2]
+            probes += 1
+    assert probes > 300
 
 
 def frontier_answers(frontier):

@@ -38,6 +38,22 @@ def test_parse_rational_forms():
     assert parse_rational("7") == 7
 
 
+@pytest.mark.parametrize(
+    "text", ["0", "7", "007", "123456789012345678901234567890", " 7", "7 ", "+7", "-7", "1_000", "７", "٣", "", "x", "1/0"]
+)
+def test_parse_rational_agrees_with_fraction(text):
+    # plain ASCII digit strings take an int fast path; everything else,
+    # rejections included, goes through Fraction as before
+    try:
+        want = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            parse_rational(text)
+    else:
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want
+
+
 @pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(22, 7), Fraction(-5, 16), Fraction(9)])
 def test_format_parse_round_trip(value):
     assert parse_rational(format_rational(value)) == value

@@ -165,6 +165,89 @@ def test_solve_refuses_the_grid_before_building_classes(monkeypatch):
         solve_detailed(instance, Fraction(1, 10000))
 
 
+def fraction_bands(instance, eps):
+    """Band per period, climbing a Fraction bound by eps/n from each period's band 1."""
+    shrink = eps / instance.n
+    first = instance.suffix_lambdas.values[0]
+    bands = []
+    for s in instance.suffix_lambdas.values:
+        m, bound = 1, shrink * first
+        while s <= bound:
+            bound *= shrink
+            m += 1
+        bands.append(m)
+    return bands
+
+
+def test_build_plan_bands_match_a_fraction_ladder():
+    # suffixes on, just above and just below first*(eps/n)**m, and free ones;
+    # each instance also in integer units, where the ladder runs on ints
+    rng = random.Random(83)
+    on_a_bound = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        eps = Fraction(1, rng.choice([5, 7, 14]))
+        shrink = eps / n
+        first = Fraction(rng.randint(1, 10**6), rng.choice([1, 1, 3, 7]))
+        suffix = [first]
+        for _ in range(rng.randint(0, 6)):
+            on = first * shrink ** rng.randint(1, 3)
+            kind = rng.choice(["on", "above", "below", "free"])
+            if kind == "free":
+                value = suffix[-1] * Fraction(rng.randint(1, 100), 100)
+            else:
+                value = on * {"on": 1, "above": 1 + Fraction(1, 10**9), "below": 1 - Fraction(1, 10**9)}[kind]
+            suffix.append(min(value, suffix[-1]))
+            on_a_bound += suffix[-1] == on
+        instance = Instance.build(items=[(1, 1)] * n, capacities=[1] * len(suffix), lambdas=lambda_from_suffix(suffix))
+        want = fraction_bands(instance, eps)
+        for inst in (instance, integer_units(instance)[0]):
+            assert list(build_plan(inst, eps, 0).interval_of) == want
+    assert on_a_bound > 50
+
+
+def counted_grid_points(eps, clusters, lam_last, p_max, psi_cap, budget):
+    """Points of the grid, counted one step at a time on ints, or None where
+    the count passes the budget before reaching the cap."""
+    delta = eps / clusters * lam_last * p_max
+    step = 1 + eps / clusters
+    reach = delta.numerator * psi_cap.denominator
+    need = psi_cap.numerator * delta.denominator
+    top = 1
+    while reach < need:
+        if top + 2 > budget:
+            return None
+        reach, need, top = reach * step.numerator, need * step.denominator, top + 1
+    return top + 1
+
+
+@pytest.mark.parametrize("budget", [2, 3, 5, 8, 13, 40])
+def test_build_grid_refuses_where_counting_would(monkeypatch, budget):
+    # small budgets, where the exact power test decides nearly every grid,
+    # and caps on, just past and just short of a point
+    monkeypatch.setattr(general, "GRID_BUDGET", budget)
+    rng = random.Random(budget)
+    refused = kept = 0
+    for _ in range(150):
+        eps = Fraction(1, rng.choice([1, 2, 5, 14, 100]))
+        clusters = rng.randint(1, 3)
+        lam_last = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        p_max = Fraction(rng.randint(1, 50), rng.randint(1, 4))
+        delta = eps / clusters * lam_last * p_max
+        step = 1 + eps / clusters
+        tweak = rng.choice([1, 1 + Fraction(1, 10**12), 1 - Fraction(1, 10**12), Fraction(1, 3)])
+        psi_cap = delta * step ** rng.randint(0, budget + 2) * tweak
+        want = counted_grid_points(eps, clusters, lam_last, p_max, psi_cap, budget)
+        if want is None:
+            refused += 1
+            with pytest.raises(BudgetExceeded, match=f"profit grid of at least {budget + 1} points exceeds budget {budget}$"):
+                build_grid(eps, clusters, lam_last, p_max, psi_cap)
+        else:
+            kept += 1
+            assert len(build_grid(eps, clusters, lam_last, p_max, psi_cap).values) == want
+    assert refused and kept
+
+
 def grid_points(delta, step, psi_cap):
     """Points of the grid up to the first at or above psi_cap, 0 included,
     counted one Fraction power at a time."""
@@ -175,8 +258,8 @@ def grid_points(delta, step, psi_cap):
 
 
 def test_build_grid_refuses_exactly_the_grids_past_the_budget(monkeypatch):
-    # steps from 2 down to 1 + 1/60, where the bit-length test's bound
-    # log2(1+x) < 1.443x is tight, and caps on both sides of the budget
+    # steps from 2 down to 1 + 1/60, where the bit-length acceptance bound
+    # log2(1+x) >= x is loose, and caps on both sides of the budget
     monkeypatch.setattr(general, "GRID_BUDGET", 40)
     refused = kept = 0
     for eps, clusters in ((Fraction(1), 1), (Fraction(1, 5), 2), (Fraction(1, 20), 3)):
@@ -194,7 +277,7 @@ def test_build_grid_refuses_exactly_the_grids_past_the_budget(monkeypatch):
                     kept += 1
                     assert len(build_grid(eps, clusters, Fraction(3), Fraction(7), psi_cap).values) == points
     assert refused and kept
-    # a far overrun at the real budget, decided on bit lengths alone
+    # a far overrun at the real budget, decided before any counting
     monkeypatch.setattr(general, "GRID_BUDGET", 2**15)
     with pytest.raises(BudgetExceeded) as info:
         build_grid(Fraction(1, 1000), 1, Fraction(1), Fraction(1), Fraction(2**100000))

@@ -21,6 +21,7 @@ from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import Instance
 from incknap.reference import classify, heavy_excess, make_vector, prune_image, truncate, up_round
 from incknap.statespace import (
+    Family,
     _power_range,
     _truncated,
     enumerate_family,
@@ -137,6 +138,13 @@ def test_rounding_and_truncation_invariants(eps):
                 assert small[pos] > threshold
             else:
                 assert t_small.counts[pos] == small[pos]
+
+
+def test_family_strides_are_built_once():
+    family = Family(values=((0, 1, 2), (0, 1), (0, 3, 4, 5)), prefixes=((0, 1, 2), (0, 1), (0, 1, 2, 3)), cells=range(24))
+    assert family.strides == [8, 4, 1]
+    assert family.strides is family.strides
+    assert [family.counts(cell) for cell in (0, 5, 23)] == [(0, 0, 0), (0, 1, 3), (2, 1, 5)]
 
 
 def test_enumerate_family_two_item_class():
