@@ -212,10 +212,15 @@ def integer_units(instance: Instance) -> tuple[Instance, int, int]:
     w_unit = math.lcm(1, *(w.denominator for _, w in instance.items), *(c.denominator for c in instance.capacities))
     p_unit = math.lcm(1, *(p.denominator for p, _ in instance.items))
     l_unit = math.lcm(1, *(v.denominator for v in instance.lambdas))
+    # each unit is a multiple of the denominators it covers, so x * unit is
+    # the int x.numerator * (unit // x.denominator), built without a Fraction
     scaled = Instance(
-        items=tuple((int(p * p_unit), int(w * w_unit)) for p, w in instance.items),
-        capacities=tuple(int(c * w_unit) for c in instance.capacities),
-        lambdas=tuple(int(v * l_unit) for v in instance.lambdas),
+        items=tuple(
+            (p.numerator * (p_unit // p.denominator), w.numerator * (w_unit // w.denominator))
+            for p, w in instance.items
+        ),
+        capacities=tuple(c.numerator * (w_unit // c.denominator) for c in instance.capacities),
+        lambdas=tuple(v.numerator * (l_unit // v.denominator) for v in instance.lambdas),
     )
     return scaled, p_unit * l_unit, w_unit
 

@@ -4,11 +4,11 @@ Every solver here is a depth-first branch and bound over the full
 assignment space (one introduction period or NEVER per item), so results
 are ground truth the approximation pipeline is checked against.  The
 budget still counts that whole space, ``(T+1)^n`` assignments.  A subtree
-is cut only when a Dantzig bound proves it holds no answer the plain
-enumeration would take, so the answers are those of the enumeration.  The
-searches run on the instance in integer units (``model.integer_units``)
-because Python int arithmetic is an order of magnitude faster than
-Fraction churn in these inner loops.
+is cut only when an admissible bound (``_Bound``) proves it holds no answer
+the plain enumeration would take, so the answers are those of the
+enumeration whichever bound is used.  The searches run on the instance in
+integer units (``model.integer_units``) because Python int arithmetic is an
+order of magnitude faster than Fraction churn in these inner loops.
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ from typing import Optional
 from .model import Instance, Solution, integer_units
 
 DEFAULT_BUDGET = 2_000_000
+# A node the search bounds with ``_Bound.dantzig`` takes about as much time
+# as 12-30 cells of the knapsack rows (CPython 3.11, more cells on small
+# ints), so building the rows once the search has bounded one node per 10
+# cells keeps their cost below that of the search before them.
+CELLS_PER_NODE = 10
 
 
 class BudgetExceeded(RuntimeError):
@@ -30,28 +35,47 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-def _check_budget(instance: Instance, budget: int) -> None:
+def _check_budget(instance: Instance, budget: int) -> int:
+    """The size of the assignment space, ``(T+1)^n``, once it fits the budget."""
     required = (instance.horizon + 1) ** instance.n
     if required > budget:
         raise BudgetExceeded(required, budget)
+    return required
 
 
 class _Bound:
     """Upper bound on the objective that items i..n-1 can still add.
 
     Period t can pack at most the residual capacity ``r_t``, the least slack
-    of periods t..T (an item packed at t stays packed).  Its packed profit
-    from items i..n-1 is at most the fractional knapsack of those items at
-    ``r_t`` (Dantzig), with the one split item's share rounded up so the
-    bound stays an admissible int; the bound is the lambda-weighted sum over
-    periods.  ``cheap(i)``, every remaining item packed from period 1, bounds
-    it from above at no cost.
+    of periods t..T (an item packed at t stays packed), so its packed profit
+    from items i..n-1 is at most KP_i(r_t), the 0/1 knapsack optimum of
+    those items at ``r_t``.  ``at`` bounds a node by a lambda-weighted sum
+    over periods of one of two per-period bounds, both admissible:
+
+    - KP_i(r_t) itself, read off ``rows[i]``, dense over capacities 0..W_T
+      and built back to front in one pass (``knapsack_rows``);
+    - ``dantzig``: the fractional knapsack at ``r_t``, with the one split
+      item's share rounded up.  It is at least KP_i(r_t), so the rows never
+      keep a node that it cuts.
+
+    ``at`` builds the rows only if they hold no more cells than the search
+    has assignments, (n+1)*(W_T+1) <= (T+1)^n, and only once it has bounded
+    one node per ``CELLS_PER_NODE`` cells with ``dantzig``, which it takes
+    until then (for good past that size: large integer weights).  A search
+    that ends before the rows would pay for themselves never builds them.
+    ``cheap(i)``, every remaining item packed from period 1, bounds either
+    from above at no cost.
     """
 
-    def __init__(self, scaled: Instance):
-        items = scaled.items
+    def __init__(self, scaled: Instance, assignments: int):
+        self.items = items = scaled.items
         self.lambdas = scaled.lambdas
         self.suffix_1 = scaled.suffix_lambdas.values[0] if scaled.horizon else 0
+        self.width = scaled.capacities[-1] + 1 if scaled.horizon else 1
+        cells = (len(items) + 1) * self.width
+        # nodes left to bound with ``dantzig`` before the rows are built; None: never
+        self.wait: Optional[int] = -(-cells // CELLS_PER_NODE) if cells <= assignments else None
+        self.rows: Optional[list[list[int]]] = None
         by_density = sorted(range(len(items)), key=lambda j: Fraction(-items[j][0], items[j][1]))
         # per suffix i: its items by density, with cumulative weights and profits
         self.split: list[list[tuple[int, int]]] = []
@@ -66,8 +90,28 @@ class _Bound:
     def cheap(self, i: int) -> int:
         return self.suffix_1 * self.cum_p[i][-1]
 
-    def dantzig(self, i: int, residual: list[int]) -> int:
+    def at(self, i: int, residual: list[int]) -> int:
         """The bound for items i.. given ``residual[t-1] = r_t``."""
+        if self.rows is None:
+            if self.wait is not None:
+                self.wait -= 1
+            if self.wait != 0:
+                return self.dantzig(i, residual)
+            self.rows = self.knapsack_rows()
+        row = self.rows[i]
+        return sum(lam * row[r] for lam, r in zip(self.lambdas, residual))
+
+    def knapsack_rows(self) -> list[list[int]]:
+        """rows[i][c] = KP_i(c) for c = 0..W_T; row i adds item i to row i+1."""
+        row = [0] * self.width
+        rows = [row]
+        for p, w in reversed(self.items):
+            row = row[:w] + [max(keep, take + p) for keep, take in zip(row[w:], row)]
+            rows.append(row)
+        return rows[::-1]
+
+    def dantzig(self, i: int, residual: list[int]) -> int:
+        """sum_t lambda_t * ceil(fractional knapsack of items i.. at r_t)."""
         cum_w, cum_p, split = self.cum_w[i], self.cum_p[i], self.split[i]
         full = len(split)
         total = 0
@@ -104,14 +148,14 @@ def exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fractio
     incumbent, so every leaf before the first optimum is strictly worse and
     no ancestor of it is cut.
     """
-    _check_budget(instance, budget)
+    assignments = _check_budget(instance, budget)
     horizon = instance.horizon
     n = instance.n
     scaled, value_unit, _ = integer_units(instance)
     contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
     weights = [w for _, w in scaled.items]
     caps = scaled.capacities
-    bound = _Bound(scaled)
+    bound = _Bound(scaled, assignments)
     best_profit = -1  # below every leaf, so the first leaf is taken
     best_intro: tuple[Optional[int], ...] = (None,) * n
     cur: list[Optional[int]] = [None] * n
@@ -127,7 +171,7 @@ def exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fractio
         if profit + bound.cheap(i) <= best_profit:
             return
         residual = _residuals(caps, cum)
-        if profit + bound.dantzig(i, residual) <= best_profit:
+        if profit + bound.at(i, residual) <= best_profit:
             return
         w = weights[i]
         for t in range(1, horizon + 1):
@@ -153,14 +197,14 @@ def exact_inverse(
     A subtree is cut when it cannot lighten the incumbent or when its
     profit plus the bound falls short of phi, which no accepted leaf does.
     """
-    _check_budget(instance, budget)
+    assignments = _check_budget(instance, budget)
     horizon = instance.horizon
     n = instance.n
     scaled, value_unit, weight_unit = integer_units(instance)
     contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
     weights = [w for _, w in scaled.items]
     caps = scaled.capacities
-    bound = _Bound(scaled)
+    bound = _Bound(scaled, assignments)
     phi_scaled = Fraction(phi) * value_unit
     need = -((-phi_scaled.numerator) // phi_scaled.denominator)  # an int profit meets phi iff it meets need
     best_weight: Optional[int] = None
@@ -180,7 +224,7 @@ def exact_inverse(
         if profit + bound.cheap(i) < need:
             return
         residual = _residuals(caps, cum)
-        if profit + bound.dantzig(i, residual) < need:
+        if profit + bound.at(i, residual) < need:
             return
         w = weights[i]
         for t in range(1, horizon + 1):

@@ -2,7 +2,7 @@
 
 A utilization vector counts, per profit class, how many of the lightest
 items are packed.  The pruned family covers the image of two maps, stated
-directly in ``reference`` (``up_round``, ``truncate``): up-rounding
+directly in the tests' ``reference`` (``up_round``, ``truncate``): up-rounding
 snaps each heavy class's excess weight up to an integer multiple mu of a
 power-of-two base derived from the total heavy excess, and truncation then
 drops the last ceil(2*eps*Delta) items of each heavy class to pay the

@@ -243,7 +243,7 @@ def reference_family(classes, interval, eps, weight_range, n):
     This is the plain statement ``statespace.enumerate_family`` must match
     exactly: its members in cell order, decoded, with their weights.
     """
-    from incknap.reference import make_vector
+    from reference import make_vector
 
     threshold = int(1 / eps)
     light = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]

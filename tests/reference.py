@@ -1,6 +1,7 @@
 """Specification code: the statements the solver is checked against.
 
-Nothing on the solve path imports this module.  It holds the paper's maps
+It lives beside the tests, outside the package, so no solver module can
+import it.  It holds the paper's maps
 and identities in their direct, unoptimized form: range-checked class
 prefix weights and the vectors weighed by them, one object per vector, the
 up-rounding and truncation maps whose image the pruned family must cover,
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .classes import ClassInterval, ProfitClasses
-from .general import ClusterPlan
-from .model import InfeasibleSolution, Instance, Solution, check_feasible
-from .oracle import DEFAULT_BUDGET, BudgetExceeded
-from .statespace import pow2_up
+from incknap.classes import ClassInterval, ProfitClasses
+from incknap.general import ClusterPlan
+from incknap.model import InfeasibleSolution, Instance, Solution, check_feasible
+from incknap.oracle import DEFAULT_BUDGET, BudgetExceeded
+from incknap.statespace import pow2_up
 
 
 @dataclass(frozen=True)

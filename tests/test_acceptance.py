@@ -27,7 +27,7 @@ from incknap.cli import generate_instance, instance_from_json, instance_to_json
 from incknap.general import GeneralResult, build_plan, solve_detailed
 from incknap.model import Instance, check_feasible, objective, preprocess
 from incknap.oracle import exact_inverse, exact_opt
-from incknap.reference import (
+from reference import (
     audit_uncrossing,
     classify,
     drop_bad_periods,

@@ -33,7 +33,7 @@ from incknap.bounded import (
 from incknap.classes import build_classes, make_interval, candidate_intervals
 from incknap.model import Instance, Solution, SuffixLambdas, check_feasible, integer_units, objective, preprocess
 from incknap.oracle import exact_inverse, exact_opt
-from incknap.reference import exact_restricted_dp
+from reference import exact_restricted_dp
 from incknap.statespace import enumerate_family
 
 EPS = Fraction(1, 5)

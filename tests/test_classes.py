@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import e1, random_feasible_solution, random_instance
 from incknap.classes import build_classes, candidate_intervals, interval_length_cap, make_interval
 from incknap.model import Instance, objective
-from incknap.reference import ClassIndexOutOfRange, CountOutOfRange, prefix_weight
+from reference import ClassIndexOutOfRange, CountOutOfRange, prefix_weight
 
 
 def unit_items(weights, profits=None):

@@ -20,7 +20,7 @@ from incknap.general import (
 )
 from incknap.model import Instance, Solution, check_feasible, integer_units, objective, preprocess
 from incknap.oracle import BudgetExceeded, exact_opt
-from incknap.reference import audit_uncrossing, drop_bad_periods, star_graph_edges
+from reference import audit_uncrossing, drop_bad_periods, star_graph_edges
 
 EPS = Fraction(1, 5)
 
@@ -672,6 +672,29 @@ def test_cluster_dp_matches_pull_reference():
             assert_push_matches_pull(core, classes, plan, grid, eps, read_all=False)
             clusters[plan.num_clusters] += 1
     assert clusters[1] > 40 and clusters[2] >= 8
+
+
+def test_cluster_dp_push_range_ends_on_a_point_equal_to_the_requirement():
+    # a hand-built grid with points exactly at cutoff + offset, and one unit
+    # past it, for every entry of the one-cluster frontier: the first point
+    # is served by that entry, the second only by a heavier one
+    instance = Instance.build(items=[(5, 1), (5, 2), (5, 4)], capacities=[3, 7], lambdas=[1, 1])
+    classes = build_classes(instance, EPS)
+    plan = build_plan(instance, EPS, xi=0)
+    assert plan.num_clusters == 1
+    top = max(classes.indices)
+    unit, delta = 1000, 7  # offset(0) = delta over the unit
+    probe = general.ProfitGrid(Fraction(delta, unit), 1 + EPS, unit, (0, delta))
+    pushes = cluster_dp(instance, classes, plan, probe, EPS)._frontier(1, 0, top, 0)[2]
+    assert len(pushes) == 4
+    points = sorted({0, delta} | {cutoff + delta + j for cutoff, _ in pushes for j in (0, 1)})
+    grid = general.ProfitGrid(Fraction(delta, unit), 1 + EPS, unit, tuple(points))
+    assert_push_matches_pull(instance, classes, plan, grid, EPS, read_all=True)
+    table = cluster_dp(instance, classes, plan, grid, EPS)
+    for cutoff, weight in pushes:
+        assert table.value(1, top, points.index(cutoff + delta)) == weight
+        past = table.value(1, top, points.index(cutoff + delta + 1))
+        assert past is None or past > weight
 
 
 def test_audit_uncrossing_detector():

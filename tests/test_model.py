@@ -24,7 +24,7 @@ from incknap.model import (
     remap_solution,
     validate,
 )
-from incknap.reference import objective_by_contributions
+from reference import objective_by_contributions
 
 
 def test_validate_smallest_instance():

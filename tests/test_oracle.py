@@ -1,15 +1,17 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from helpers import brute_inverse, brute_opt, dfs_exact_inverse, dfs_exact_opt, e1, random_instance
+from incknap import oracle
 from incknap.classes import build_classes, make_interval
 from incknap.model import Instance, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET, BudgetExceeded, _Bound, _residuals, exact_inverse, exact_opt
-from incknap.reference import exact_restricted_dp
+from reference import exact_restricted_dp
 
 
 def test_exact_opt_e1():
@@ -184,21 +186,37 @@ def tie_rich_instance(rng: random.Random, kind: str) -> Instance:
             capacities=[Fraction(3 * c, 7) for c in caps],
             lambdas=[Fraction(v, rng.choice((3, 7))) for v in lambdas],
         )
+    if kind == "large-weight":
+        # weights near multiples of 10^6: the knapsack rows never fit, so the
+        # searches bound every node with Dantzig
+        weights = [w * 10**6 + rng.randint(-999, 999) for w in weights]
+        caps = [c * 10**6 for c in caps]
     return Instance.build(items=list(zip(profits, weights)), capacities=caps, lambdas=lambdas)
 
 
-KINDS = ("uniform", "subset-sum", "equal-profit", "zero-lambda", "fraction", "zero-capacity", "empty")
+KINDS = ("uniform", "subset-sum", "equal-profit", "zero-lambda", "fraction", "zero-capacity", "empty", "large-weight")
 
 
-def test_branch_and_bound_matches_plain_search():
-    # same value and the same solution as the plain enumeration, ties included
+def test_branch_and_bound_matches_plain_search(monkeypatch):
+    # same value and the same solution as the plain enumeration, ties
+    # included, whether a search builds the knapsack rows or keeps Dantzig
+    bounds = []
+
+    class Recorded(oracle._Bound):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bounds.append(self)
+
+    monkeypatch.setattr(oracle, "_Bound", Recorded)
     rng = random.Random(10)
-    for k in range(245):
+    for k in range(280):
         instance = tie_rich_instance(rng, KINDS[k % len(KINDS)])
         opt = exact_opt(instance)
         assert opt == dfs_exact_opt(instance)
         for phi in (Fraction(0), opt[0] / 2, opt[0] * rng.randint(1, 4) / 5, opt[0], opt[0] + 1):
             assert exact_inverse(instance, phi) == dfs_exact_inverse(instance, phi)
+    paths = Counter(bound.rows is not None for bound in bounds)
+    assert paths[True] >= 20 and paths[False] >= 20
 
 
 def dantzig(items, capacity) -> Fraction:
@@ -213,12 +231,25 @@ def dantzig(items, capacity) -> Fraction:
     return total
 
 
-def test_bound_is_the_rounded_up_dantzig_bound():
-    # the bound at a node is sum_t lambda_t * ceil(Dantzig at the least slack
-    # of periods t..T), and no completion of the node adds more profit
-    rng = random.Random(4)
-    checked = 0
-    for k in range(160):
+def knapsack(items, capacity) -> int:
+    """0/1 knapsack optimum over every subset of the items."""
+    return max(
+        sum(p for p, _ in subset)
+        for size in range(len(items) + 1)
+        for subset in itertools.combinations(items, size)
+        if sum(w for _, w in subset) <= capacity
+    )
+
+
+def sampled_nodes(seed: int, count: int):
+    """(kind, scaled instance, i, residual, best completion) at random feasible nodes.
+
+    ``residual[t-1]`` is the least slack of periods t..T after a random prefix
+    of i assignments, and the best completion is the most the remaining items
+    can add, by enumerating every tail of assignments.
+    """
+    rng = random.Random(seed)
+    for k in range(count):
         instance = tie_rich_instance(rng, KINDS[k % len(KINDS)])
         scaled, _, _ = integer_units(instance)
         horizon = scaled.horizon
@@ -231,14 +262,11 @@ def test_bound_is_the_rounded_up_dantzig_bound():
                 cum[tau] += w
         if any(cum[t] > scaled.capacities[t - 1] for t in range(1, horizon + 1)):
             continue
-        bound = _Bound(scaled)
         residual = _residuals(scaled.capacities, cum)
+        assert residual == [
+            min(scaled.capacities[tau - 1] - cum[tau] for tau in range(t, horizon + 1)) for t in range(1, horizon + 1)
+        ]
         rest = scaled.items[i:]
-        expected = sum(
-            lam * math.ceil(dantzig(rest, min(scaled.capacities[tau - 1] - cum[tau] for tau in range(t, horizon + 1))))
-            for t, lam in enumerate(scaled.lambdas, start=1)
-        )
-        assert bound.dantzig(i, residual) == expected
         suffix = scaled.suffix_lambdas.values
         best = 0
         for tail in itertools.product(choices, repeat=len(rest)):
@@ -248,6 +276,62 @@ def test_bound_is_the_rounded_up_dantzig_bound():
                     added[tau] += w
             if all(cum[t] + added[t] <= scaled.capacities[t - 1] for t in range(1, horizon + 1)):
                 best = max(best, sum(p * suffix[t - 1] for (p, _), t in zip(rest, tail) if t is not None))
+        yield KINDS[k % len(KINDS)], scaled, i, residual, best
+
+
+def assignments(scaled: Instance) -> int:
+    return (scaled.horizon + 1) ** scaled.n
+
+
+def test_bound_is_the_rounded_up_dantzig_bound():
+    # the Dantzig bound at a node is sum_t lambda_t * ceil(Dantzig at the
+    # least slack of periods t..T), and no completion of the node adds more
+    checked = 0
+    for _, scaled, i, residual, best in sampled_nodes(4, 180):
+        bound = _Bound(scaled, assignments(scaled))
+        rest = scaled.items[i:]
+        expected = sum(lam * math.ceil(dantzig(rest, r)) for lam, r in zip(scaled.lambdas, residual))
+        assert bound.dantzig(i, residual) == expected
         assert best <= bound.dantzig(i, residual) <= bound.cheap(i)
         checked += 1
     assert checked >= 100
+
+
+def test_knapsack_rows_give_the_exact_knapsack_bound():
+    # the row bound at a node is sum_t lambda_t * KP(r_t) over the remaining
+    # items, and best <= rows <= Dantzig <= cheap; the searches never build
+    # rows as wide as the large weights need
+    checked = 0
+    for kind, scaled, i, residual, best in sampled_nodes(6, 180):
+        bound = _Bound(scaled, assignments(scaled))
+        if kind == "large-weight":
+            assert bound.wait is None
+            continue
+        rest = scaled.items[i:]
+        rows = bound.knapsack_rows()
+        assert [rows[i][r] for r in residual] == [knapsack(rest, r) for r in residual]
+        bound.rows = rows
+        value = bound.at(i, residual)
+        assert value == sum(lam * knapsack(rest, r) for lam, r in zip(scaled.lambdas, residual))
+        assert best <= value <= bound.dantzig(i, residual) <= bound.cheap(i)
+        checked += 1
+    assert checked >= 100
+
+
+def test_rows_are_built_once_enough_nodes_are_bounded():
+    # 3 items of weight 2 under W_T = 10: 44 cells, so the fifth node bounded
+    # builds the rows; with fewer assignments than cells they are never built
+    scaled = Instance(items=((3, 2), (2, 2), (1, 2)), capacities=(5, 10), lambdas=(1, 2))
+    assert oracle.CELLS_PER_NODE == 10
+    bound = _Bound(scaled, 44)
+    residual = [5, 10]
+    dantzig_value = bound.dantzig(0, residual)
+    for _ in range(4):
+        assert bound.at(0, residual) == dantzig_value
+        assert bound.rows is None
+    assert bound.at(0, residual) == 1 * 5 + 2 * 6 < dantzig_value
+    assert bound.rows == bound.knapsack_rows()
+    never = _Bound(scaled, 43)
+    for _ in range(10):
+        assert never.at(0, residual) == dantzig_value
+    assert never.rows is None and never.wait is None

@@ -4,7 +4,7 @@ Runtime checks raise, never ``assert`` (which ``python -O`` strips), and the
 solve path computes in exact integers and Fractions only: no float literal,
 no ``float`` name, no ``math`` logarithm, square root or exponential.
 ``cli`` times its eval runs in float seconds and is left out of the second
-rule, as is ``reference``, which the solver never runs.
+rule.
 
 The benchmark's layer tracer patches module-global names where they are
 called, so each traced name must stay bound at module level in its module

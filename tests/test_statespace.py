@@ -19,7 +19,7 @@ from helpers import (
 )
 from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import Instance
-from incknap.reference import classify, heavy_excess, make_vector, prune_image, truncate, up_round
+from reference import classify, heavy_excess, make_vector, prune_image, truncate, up_round
 from incknap.statespace import (
     Family,
     _power_range,

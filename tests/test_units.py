@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -45,6 +46,28 @@ def test_integer_units_scales_each_kind_by_one_lcm():
     assert scaled.lambdas == (2, 3)
     assert (value_unit, weight_unit) == (40, 6)
     assert all(type(v) is int for v in scalars(scaled))
+
+
+def test_integer_units_equal_the_fraction_formula():
+    # each scalar times its kind's lcm of denominators, computed on Fractions
+    rng = random.Random(31)
+    for k in range(60):
+        instance = random_instance(rng, n_max=7, t_max=4)
+        if k % 3:
+            instance = divided(instance, *(rng.choice((1, 2, 6, 7, 10**12 + 39)) for _ in range(3)))
+        if k % 5 == 0:
+            instance, _, _ = integer_units(instance)  # plain int scalars
+        scaled, value_unit, weight_unit = integer_units(instance)
+        p_unit = math.lcm(1, *(Fraction(p).denominator for p, _ in instance.items))
+        l_unit = math.lcm(1, *(Fraction(v).denominator for v in instance.lambdas))
+        w_unit = math.lcm(
+            1, *(Fraction(w).denominator for _, w in instance.items), *(Fraction(c).denominator for c in instance.capacities)
+        )
+        assert (value_unit, weight_unit) == (p_unit * l_unit, w_unit)
+        assert scaled.items == tuple((int(Fraction(p) * p_unit), int(Fraction(w) * w_unit)) for p, w in instance.items)
+        assert scaled.capacities == tuple(int(Fraction(c) * w_unit) for c in instance.capacities)
+        assert scaled.lambdas == tuple(int(Fraction(v) * l_unit) for v in instance.lambdas)
+        assert all(type(v) is int for v in scalars(scaled))
 
 
 def test_solutions_invariant_under_unit_changes():
