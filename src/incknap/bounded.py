@@ -12,18 +12,18 @@ The inverse frontier skips each candidate window whose classes are all
 light and sit inside another window's: its vectors recur there with the
 same weights, values and chains.
 
-The DP table holds rounded profits times their common denominator
-(1/eps)**l_top, so on an instance in integer units (``model.integer_units``)
-the inner loop runs on plain ints; Fractions reappear only at the surface.
+Both public entries convert to integer units (``model.integer_units``) once
+and ``InverseFrontier`` takes no other scalar; the DP holds rounded profits
+times (1/eps)**l_top, so it runs on ints, and Fractions appear only in answers.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -37,6 +37,7 @@ from .model import (
     objective,
     preprocess,
     remap_solution,
+    validate,
 )
 from .statespace import Family, enumerate_family
 
@@ -75,10 +76,10 @@ def rescaled_third(eps: Fraction) -> Fraction:
 class BoundedDPTable:
     """Restricted DP values per (period, lattice cell), with backpointers.
 
-    ``raw[t][cell]`` holds the value scaled by ``value_den`` (None =
-    unreachable, not a family member, or heavier than every capacity) and
-    ``back[t][cell]`` the cell of its predecessor; ``value`` converts back
-    to the exact rounded-profit rational.
+    ``raw[t][cell]`` holds the rounded-profit value times ``value_den``,
+    an int in integer units (None = unreachable, not a family member, or
+    heavier than every capacity), and ``back[t][cell]`` the cell of its
+    predecessor.
     """
 
     interval: ClassInterval
@@ -86,10 +87,6 @@ class BoundedDPTable:
     raw: list[list[Optional[int]]]
     back: list[list[Optional[int]]]
     value_den: int
-
-    def value(self, t: int, cell: int) -> Optional[Fraction]:
-        v = self.raw[t][cell]
-        return None if v is None else Fraction(v, self.value_den)
 
     def chain(self, cell: int) -> list[tuple[int, ...]]:
         """Counts per period of the optimal path ending at a lattice cell."""
@@ -134,7 +131,8 @@ def dp_solve(
     downwards; a cell outside it never holds a value, and what a sweep
     would carry into it flows only to cells above it, outside the set too.
     So every swept cell gets the key a whole-lattice sweep gives it, and
-    the fill still checks each period's own capacity.
+    the fill still checks each period's own capacity.  The input is in
+    integer units, unchecked here, so the rows hold ints.
     """
     q = classes.eps.denominator
     active = interval.active
@@ -223,12 +221,12 @@ class InverseFrontier:
     binary search.  The frontier always contains the empty solution, so a
     query fails only when even the best value misses the threshold.
 
-    Entry values stay ints v over one denominator, top = the largest table
-    value_den (in integer units; elsewhere v may be a rational whose
-    denominator divides the lcm L of the suffix lambdas' ones).  With eps =
-    1/q and class scale a/b, entry i serves requirements up to its value
-    over (1-3*eps) = (q-3)/q, which is ``thresholds[i]`` = a*q*L*v over
-    ``den`` = b*top*(q-3)*L, an int; so construction makes no Fraction per
+    The instance must be in integer units (``model.integer_units``); any
+    other scalar raises ValueError.  Entry values are then ints v over one
+    denominator, top = the largest table value_den.  With eps = 1/q and
+    class scale s (the least profit, an int), entry i serves requirements
+    up to its value over (1-3*eps) = (q-3)/q, which is ``thresholds[i]`` =
+    s*q*v over ``den`` = top*(q-3); so construction makes no Fraction per
     entry, a query ceils phi*den once and bisects the ints, and only the
     entry it returns gets a rational rounded profit.  ``served`` is the
     Fraction view of the thresholds.
@@ -260,6 +258,8 @@ class InverseFrontier:
     def __init__(self, instance: Instance, eps: Fraction):
         if instance.suffix_lambdas.values[-1] <= 0:
             raise ValueError("instance must be preprocessed: trailing lambdas are zero")
+        if not all(isinstance(x, int) for x in (*chain(*instance.items), *instance.capacities, *instance.lambdas)):
+            raise ValueError("instance must be in integer units: every scalar an int")
         self.instance = instance
         self.eps = check_internal_eps(eps)
         q = self.eps.denominator
@@ -318,16 +318,12 @@ class InverseFrontier:
         self._frontier = frontier
         self._top = top
         # a value v/top is scale*v/top in true units, and it serves requirements
-        # up to that over 1 - 3*eps = (q-3)/q; values are sums of suffix
-        # lambdas times ints, so lcm_den of their denominators (1 in integer
-        # units) makes every threshold an int over one den
+        # up to that over 1 - 3*eps = (q-3)/q
         scale = self.classes.scale if self.classes is not None else 1
-        lcm_den = math.lcm(*(lam.denominator for lam in instance.suffix_lambdas.values))
-        self.den = scale.denominator * top * (q - 3) * lcm_den
-        lift = scale.numerator * q * lcm_den
+        self.den = top * (q - 3)
         # entry i is the lightest endpoint for requirements in (served[i-1], served[i]]
         self.weights = [e[0] for e in frontier]
-        self.thresholds = [(lift * e[1]).numerator for e in frontier]
+        self.thresholds = [scale * q * e[1] for e in frontier]
 
     @property
     def served(self) -> list[Fraction]:
@@ -362,32 +358,38 @@ class InverseFrontier:
 def solve_inverse(instance: Instance, phi: Fraction, eps: Fraction) -> Optional[InverseResult]:
     """Super-optimal inverse solve: weight never above the exact optimum's,
     true profit at least (1-3*eps)*phi.  None signals an infeasible floor.
-    Zero-lambda periods are dropped, and the solution mapped back to all periods."""
+    Validates, drops zero-lambda periods, solves in integer units and maps
+    the answer back to the original periods and units."""
+    validate(instance)
     try:
         pre, remap = preprocess(instance)
     except AllLambdasZero:
         return InverseResult(Solution.empty(instance.n), 0, 0, 0) if phi <= 0 else None
-    res = InverseFrontier(pre, eps).query(phi)
-    return None if res is None else replace(res, solution=remap_solution(res.solution, remap))
+    scaled, value_unit, weight_unit = integer_units(pre)
+    res = InverseFrontier(scaled, eps).query(Fraction(phi) * value_unit)
+    if res is None:
+        return None
+    rounded, true = Fraction(res.rounded_profit, value_unit), Fraction(res.true_profit, value_unit)
+    return InverseResult(remap_solution(res.solution, remap), rounded, true, Fraction(res.weight, weight_unit))
 
 
 def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
     """Forward solver: the first inverse-frontier endpoint, in frontier
     order, with the most true profit.
 
-    Zero-lambda periods are dropped first (all zero: the empty solution) and
-    the answer is mapped back to the original periods.  The paper's wrapper
-    sweeps a geometric grid of profit floors through a black-box inverse
-    solver; every answer such a sweep can return is a frontier endpoint, so
-    the best endpoint meets its (1-5*eps) bound a fortiori.
+    Validates, drops zero-lambda periods (all zero: the empty solution),
+    solves in integer units and maps the answer back to the original
+    periods.  The paper's wrapper sweeps a geometric grid of profit floors
+    through a black-box inverse solver; every answer such a sweep can
+    return is a frontier endpoint, so the best endpoint meets its (1-5*eps)
+    bound a fortiori.
     """
+    validate(instance)
     eps = check_internal_eps(eps)
     try:
         pre, remap = preprocess(instance)
     except AllLambdasZero:
         return Solution.empty(instance.n)
-    if pre.n == 0:
-        return Solution.empty(0)
     instance, _, _ = integer_units(pre)
     frontier = InverseFrontier(instance, eps)
     # the thresholds strictly increase, so querying served[i] reaches entry i

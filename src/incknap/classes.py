@@ -50,7 +50,8 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     1+eps = a/b, level l is reached iff scale * a**l <= p * b**l, so the
     distinct profits climb it once in ascending order, and profits landing
     exactly on a power of (1+eps) classify correctly.  Returns an empty
-    class map for an itemless instance.
+    class map for an itemless instance.  The instance is in integer units,
+    unchecked here, so the scale and prefix sums are ints.
     """
     if eps.numerator != 1:
         raise ValueError("eps must be a unit fraction")

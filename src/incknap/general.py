@@ -39,10 +39,6 @@ from .oracle import BudgetExceeded
 GRID_BUDGET = 2**15
 
 
-class EmptyCluster(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ClusterPlan:
     """Band index per period plus the clusters surviving offset xi."""
@@ -63,10 +59,10 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
     index xi modulo 1/eps are dropped; maximal runs of surviving bands whose
     periods are non-empty become the clusters, in period order.
 
-    The ladder runs on ints: with eps/n = a/b, s_t lies at or below
-    first*(a/b)**m iff s_t * b**m <= first * a**m (cross-multiplied by the
-    denominators of s_t and first).  Suffix values never increase, so each
-    period's climb resumes at the band of the period before it.
+    With eps/n = a/b, s_t lies at or below first*(a/b)**m iff s_t * b**m <=
+    first * a**m, exact for ints (integer units) and Fractions alike.
+    Suffix values never increase, so each period's climb resumes at the
+    band of the period before it.
     """
     inv_eps = eps.denominator
     if not 0 <= xi < inv_eps:
@@ -77,11 +73,10 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
     shrink = eps / instance.n
     a, b = shrink.numerator, shrink.denominator
     first = suffix.values[0]
-    f_num, f_den = first.numerator, first.denominator
     m, up, down = 1, a, b  # (eps/n)**m = up/down
     interval_of = []
     for s in suffix.values:
-        while s.numerator * f_den * down <= f_num * s.denominator * up:
+        while s * down <= first * up:
             m, up, down = m + 1, up * a, down * b
         interval_of.append(m)
 
@@ -188,9 +183,7 @@ def single_cluster_instance(
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    periods = plan.clusters[m - 1] if 1 <= m <= plan.num_clusters else ()
-    if not periods:
-        raise EmptyCluster(f"cluster {m} has no periods")
+    periods = plan.clusters[m - 1]
     item_ids = tuple(
         sorted(i for level, members in classes.members.items() if class_lo <= level <= class_hi for i in members)
     )

@@ -97,8 +97,7 @@ class SuffixLambdas:
     @property
     def ratio(self) -> Fraction:
         """Boundedness ratio: first suffix over last suffix."""
-        first, last = self.values[0], self.values[-1]
-        return Fraction(first.numerator * last.denominator, first.denominator * last.numerator)
+        return Fraction(self.values[0], self.values[-1])
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,9 @@ class _Bound:
     ``at`` builds the rows only if they hold no more cells than the search
     has assignments, (n+1)*(W_T+1) <= (T+1)^n, and only once it has bounded
     one node per ``CELLS_PER_NODE`` cells with ``dantzig``, which it takes
-    until then (for good past that size: large integer weights).  A search
-    that ends before the rows would pay for themselves never builds them.
+    until then; past that size (large integer weights) ``at`` is
+    ``dantzig`` itself.  A search that ends before the rows would pay for
+    themselves never builds them.
     ``cheap(i)``, every remaining item packed from period 1, bounds either
     from above at no cost.
     """
@@ -73,9 +74,11 @@ class _Bound:
         self.suffix_1 = scaled.suffix_lambdas.values[0] if scaled.horizon else 0
         self.width = scaled.capacities[-1] + 1 if scaled.horizon else 1
         cells = (len(items) + 1) * self.width
-        # nodes left to bound with ``dantzig`` before the rows are built; None: never
-        self.wait: Optional[int] = -(-cells // CELLS_PER_NODE) if cells <= assignments else None
+        # nodes left to bound with ``dantzig`` before the rows are built
+        self.wait = -(-cells // CELLS_PER_NODE)
         self.rows: Optional[list[list[int]]] = None
+        if cells > assignments:
+            self.at = self.dantzig  # the rows could never pay for themselves
         by_density = sorted(range(len(items)), key=lambda j: Fraction(-items[j][0], items[j][1]))
         # per suffix i: its items by density, with cumulative weights and profits
         self.split: list[list[tuple[int, int]]] = []
@@ -93,9 +96,8 @@ class _Bound:
     def at(self, i: int, residual: list[int]) -> int:
         """The bound for items i.. given ``residual[t-1] = r_t``."""
         if self.rows is None:
-            if self.wait is not None:
-                self.wait -= 1
-            if self.wait != 0:
+            self.wait -= 1
+            if self.wait:
                 return self.dantzig(i, residual)
             self.rows = self.knapsack_rows()
         row = self.rows[i]

@@ -340,6 +340,12 @@ def family_of(classes: ProfitClasses, interval: ClassInterval, vectors) -> Famil
     return Family(values=values, prefixes=prefixes, cells=sorted(map(cell, vectors)))
 
 
+def dp_value(table: BoundedDPTable, t: int, cell: int) -> Optional[Fraction]:
+    """The rounded-profit value of a DP cell at period t, or None."""
+    v = table.raw[t][cell]
+    return None if v is None else Fraction(v, table.value_den)
+
+
 def members(family: Family) -> list[tuple[tuple[int, ...], Fraction]]:
     """(counts, weight) of every member, in cell order."""
     return [(family.counts(cell), family.weights[cell]) for cell in family.cells]

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dp_value,
     members,
     random_class_structure,
     random_feasible_solution,
@@ -204,7 +205,7 @@ def test_criterion_5_restriction_loss():
         )
         opt_pruned = max(
             (
-                table.value(horizon, cell)
+                dp_value(table, horizon, cell)
                 for cell in table.family.cells
                 if table.raw[horizon][cell] is not None and table.family.weights[cell] <= w_star
             ),

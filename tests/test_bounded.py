@@ -9,6 +9,7 @@ import helpers
 from helpers import (
     AllWindowsFrontier,
     PairScanDP,
+    dp_value,
     e1,
     family_of,
     fraction_merge_frontier,
@@ -31,7 +32,17 @@ from incknap.bounded import (
     solve_inverse,
 )
 from incknap.classes import build_classes, make_interval, candidate_intervals
-from incknap.model import Instance, Solution, SuffixLambdas, check_feasible, integer_units, objective, preprocess
+from incknap.general import solve_detailed
+from incknap.model import (
+    Instance,
+    Solution,
+    SuffixLambdas,
+    ValidationError,
+    check_feasible,
+    integer_units,
+    objective,
+    preprocess,
+)
 from incknap.oracle import exact_inverse, exact_opt
 from reference import exact_restricted_dp
 from incknap.statespace import enumerate_family
@@ -68,9 +79,9 @@ def test_dp_solve_hand_rollout():
     family = family_for(instance, classes, interval)
     table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
     by_counts = {table.family.counts(cell): cell for cell in table.family.cells}
-    assert table.value(2, by_counts[(2,)]) == 3
-    assert table.value(1, by_counts[(2,)]) is None  # weight 3 over W_1
-    assert table.value(2, by_counts[(0,)]) == 0
+    assert dp_value(table, 2, by_counts[(2,)]) == 3
+    assert dp_value(table, 1, by_counts[(2,)]) is None  # weight 3 over W_1
+    assert dp_value(table, 2, by_counts[(0,)]) == 0
     assert table.chain(by_counts[(2,)]) == [(1,), (2,)]
 
 
@@ -84,7 +95,7 @@ def test_dp_zero_vector_reachable_every_period():
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             zero = next(cell for cell in table.family.cells if all(c == 0 for c in table.family.counts(cell)))
             for t in range(instance.horizon + 1):
-                assert table.value(t, zero) == 0
+                assert dp_value(table, t, zero) == 0
 
 
 def test_dp_restricted_below_exact():
@@ -99,7 +110,7 @@ def test_dp_restricted_below_exact():
         table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
         exact = exact_restricted_dp(instance, classes, interval, budget=200_000)
         for cell in table.family.cells:
-            approx = table.value(instance.horizon, cell)
+            approx = dp_value(table, instance.horizon, cell)
             full = exact[(instance.horizon, table.family.counts(cell))]
             if approx is not None:
                 assert full is not None
@@ -238,6 +249,7 @@ def test_inverse_frontier_matches_fraction_merge():
         instances.append(Instance.build(items=items, capacities=[10, 25], lambdas=[2, Fraction(1, 3)]))
     tops = set()
     for instance in instances:
+        instance, _, _ = integer_units(instance)
         frontier = InverseFrontier(instance, EPS)
         want = fraction_merge_frontier(instance, EPS)
         # a skipped window's vector comes from a window holding its copy, so
@@ -257,7 +269,7 @@ def test_inverse_frontier_matches_fraction_merge():
 def test_query_on_int_thresholds_matches_a_fraction_bisect():
     # requirements at, just below and just above every served value, the gap
     # a large-denominator rational, so the query's one ceiling must be exact;
-    # Fraction profits and weights give the class scale a denominator
+    # Fraction profits and weights, in integer units, give large units
     rng = random.Random(71)
     instances = [random_instance(rng, n_max=8, t_max=3) for _ in range(12)]
     for _ in range(6):
@@ -267,6 +279,7 @@ def test_query_on_int_thresholds_matches_a_fraction_bisect():
     gap = Fraction(1, 10**40 + 3)
     probes = 0
     for instance in instances:
+        instance, _, _ = integer_units(instance)
         frontier = InverseFrontier(instance, EPS)
         want = fraction_merge_frontier(instance, EPS)
         served = [value / (1 - 3 * EPS) for _, value, _, _ in want]
@@ -301,7 +314,7 @@ def frontier_equivalence_instances():
     for _ in range(40):  # all-light: at most 1/eps items per class
         levels = rng.sample(range(6), rng.randint(1, 4))
         yield power_profit_instance(rng, EPS, levels, range(1, 6), range(1, 11), rng.randint(1, 3)), EPS
-    for _ in range(60):  # tie-prone: weights 1-2, half of them in integer units
+    for _ in range(60):  # tie-prone: weights 1-2, half of them already in integer units
         levels = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
         instance = power_profit_instance(rng, EPS, levels, range(1, 7), (1, 2), rng.randint(1, 3))
         yield (integer_units(instance)[0] if rng.random() < 0.5 else instance), EPS
@@ -318,6 +331,7 @@ def test_inverse_frontier_matches_all_windows(monkeypatch):
     monkeypatch.setattr(bounded, "dp_solve", lambda *args: built.append(args[1]) or dp_solve(*args))
     skipped = 0
     for instance, eps in frontier_equivalence_instances():
+        instance, _, _ = integer_units(instance)
         built.clear()
         frontier = InverseFrontier(instance, eps)
         assert frontier_answers(frontier) == frontier_answers(AllWindowsFrontier(instance, eps))
@@ -352,6 +366,7 @@ def tie_instance():
 )
 def test_inverse_frontier_tie_goes_to_first_holding_window(monkeypatch, spans, winner):
     instance, eps = tie_instance()
+    instance, _, _ = integer_units(instance)
     classes = build_classes(instance, eps)
     windows = [make_interval(classes, lo, hi) for lo, hi in spans]
     for module in (bounded, helpers):
@@ -415,7 +430,7 @@ def test_solve_inverse_super_optimality_sweep():
         opt, _ = exact_opt(instance)
         if opt == 0:
             continue
-        frontier = InverseFrontier(instance, EPS)
+        frontier = InverseFrontier(integer_units(instance)[0], EPS)  # units 1: int profits and weights
         for quarter in (1, 2, 3, 4):
             phi = opt * quarter / 4
             oracle_res = exact_inverse(instance, phi)
@@ -477,6 +492,26 @@ def test_solve_bounded_single_item():
     assert objective(instance, solution) == 1
 
 
+@pytest.mark.parametrize(
+    "items, lambdas",
+    [
+        ([(0, 1), (3, 2)], [1]),  # profit 0: the class ladder's scale would be 0
+        ([(2, -1), (3, 2)], [1]),  # weight -1: an answer would weigh -1
+        ([(2, 1), (3, 2)], [-5]),  # lambda -5: preprocessing would drop it
+    ],
+)
+def test_bounded_entries_validate_like_solve_detailed(items, lambdas):
+    instance = Instance.build(items=items, capacities=[4], lambdas=lambdas)
+    with pytest.raises(ValueError) as general_error:
+        solve_detailed(instance, Fraction(1, 2))
+    assert isinstance(general_error.value, ValidationError)
+    for solve in (lambda: solve_bounded(instance, EPS), lambda: solve_inverse(instance, Fraction(1), EPS)):
+        with pytest.raises(ValueError) as error:
+            solve()
+        assert type(error.value) is type(general_error.value)
+        assert str(error.value) == str(general_error.value)
+
+
 @pytest.mark.parametrize("seed,n", [(0, 20), (0, 24), (1, 20), (1, 24)])
 def test_solve_bounded_guarantee_where_classes_are_heavy(seed, n):
     # profits 1.1 apart give one class each at internal eps 1/7, so at n >= 20
@@ -519,7 +554,7 @@ def test_solve_inverse_heavy_classes_super_optimal():
         )
         classes = build_classes(instance, EPS)
         assert any(classes.size(l) > int(1 / EPS) for l in classes.indices)
-        frontier = InverseFrontier(instance, EPS)
+        frontier = InverseFrontier(integer_units(instance)[0], EPS)  # units 1: int profits and weights
         if any(
             any(c > int(1 / EPS) for c in counts)
             for entry in frontier._frontier

@@ -8,7 +8,6 @@ from helpers import PullClusterTable, e1, random_instance
 from incknap import general
 from incknap.classes import build_classes
 from incknap.general import (
-    EmptyCluster,
     build_grid,
     build_plan,
     cluster_dp,
@@ -71,6 +70,14 @@ def test_build_plan_bad_interval_drops_periods():
     assert plan.clusters == ((1, 2),)
 
 
+def test_build_plan_takes_offsets_below_one_over_eps():
+    instance = five_item_instance([1, Fraction(1, 2), Fraction(1, 50)])
+    assert build_plan(instance, EPS, xi=4).clusters == ((1, 2, 3),)  # bands 1 and 2 both kept
+    for xi in (5, -1):
+        with pytest.raises(ValueError, match=r"xi must lie in \[0, 4\]"):
+            build_plan(instance, EPS, xi)
+
+
 def test_build_plan_uniform_lambda():
     instance = Instance.build(items=[(1, 1)] * 3, capacities=[1, 2], lambdas=[1, 1])
     for xi in range(5):
@@ -106,14 +113,6 @@ def test_single_cluster_lambdas_preserve_suffix_values():
         local_suffix = sub.instance.suffix_lambdas
         for local_t, t in enumerate(periods, start=1):
             assert local_suffix.at(local_t) == instance.suffix_lambdas.at(t)
-
-
-def test_single_cluster_empty_cluster_raises():
-    instance = five_item_instance([1, Fraction(1, 2)])
-    classes = build_classes(instance, EPS)
-    plan = build_plan(instance, EPS, xi=0)
-    with pytest.raises(EmptyCluster):
-        single_cluster_instance(instance, classes, plan, 5, 0, 0, Fraction(0))
 
 
 def test_build_grid_structure():
@@ -330,7 +329,7 @@ def test_small_eps_guarantee_on_long_grids():
 
 
 def test_cluster_dp_terminal_rules():
-    instance, _ = preprocess(e1())
+    instance, _, _ = integer_units(preprocess(e1())[0])
     classes = build_classes(instance, EPS)
     plan = build_plan(instance, EPS, xi=0)
     grid = build_grid(EPS, 1, instance.lambdas[-1], Fraction(3), Fraction(100))
@@ -342,7 +341,7 @@ def test_cluster_dp_terminal_rules():
 
 
 def test_cluster_dp_and_glue_on_e1():
-    instance, _ = preprocess(e1())
+    instance, _, _ = integer_units(preprocess(e1())[0])
     classes = build_classes(instance, EPS)
     plan = build_plan(instance, EPS, xi=0)
     profits = [p for p, _ in instance.items]
@@ -390,23 +389,26 @@ def test_uncrossing_audit_on_two_cluster_winners():
 def test_cluster_dp_two_clusters_with_weight_offset():
     # the top certified profit needs both clusters, so cluster 2's subproblem
     # must see its capacity reduced by omega = 1 (item 0's weight); the final
-    # weight telescopes as the sum of the per-cluster sub-solution weights
+    # weight telescopes as the sum of the per-cluster sub-solution weights;
+    # the DP runs on the integer-units copy (lambdas times 10^6), where the
+    # certified floor is checked too
     x = Fraction(1, 1_000_000)
     instance = Instance.build(
         items=[(3, 1), (10**7, 2)], capacities=[1, 3], lambdas=[1 - x, x]
     )
-    classes = build_classes(instance, EPS)
-    plan = build_plan(instance, EPS, xi=3)
+    core, _, _ = integer_units(instance)
+    classes = build_classes(core, EPS)
+    plan = build_plan(core, EPS, xi=3)
     assert plan.clusters == ((1,), (2,))
-    profits = [p for p, _ in instance.items]
+    profits = [p for p, _ in core.items]
     grid = build_grid(
         EPS,
         plan.num_clusters,
-        instance.lambdas[-1],
+        core.lambdas[-1],
         max(profits),
-        instance.suffix_lambdas.values[0] * sum(profits),
+        core.suffix_lambdas.values[0] * sum(profits),
     )
-    table = cluster_dp(instance, classes, plan, grid, EPS)
+    table = cluster_dp(core, classes, plan, grid, EPS)
     solution, phi_target = glue(plan, table, instance.n)
     assert solution.intro == (1, 2)
     assert objective(instance, solution) == 13
@@ -416,7 +418,7 @@ def test_cluster_dp_two_clusters_with_weight_offset():
     back = table.backpointer(2, top, target_idx)
     assert table.value(1, back[0], back[1]) == 1  # omega passed down to cluster 2
     floor = (1 - 2 * EPS) * phi_target - plan.num_clusters * grid.delta
-    assert objective(instance, solution) >= floor
+    assert objective(core, solution) >= floor
 
 
 def test_solve_e1_guarantee():
@@ -571,7 +573,7 @@ def stars_cases():
     rng = random.Random(61)
     for _ in range(6):
         instance = random_instance(rng, n_max=4, t_max=2)
-        pre, _ = preprocess(instance)
+        pre, _, _ = integer_units(preprocess(instance)[0])
         classes = build_classes(pre, EPS)
         profits = [p for p, _ in pre.items]
         for xi in range(int(1 / EPS)):
@@ -678,7 +680,7 @@ def test_cluster_dp_push_range_ends_on_a_point_equal_to_the_requirement():
     # a hand-built grid with points exactly at cutoff + offset, and one unit
     # past it, for every entry of the one-cluster frontier: the first point
     # is served by that entry, the second only by a heavier one
-    instance = Instance.build(items=[(5, 1), (5, 2), (5, 4)], capacities=[3, 7], lambdas=[1, 1])
+    instance, _, _ = integer_units(Instance.build(items=[(5, 1), (5, 2), (5, 4)], capacities=[3, 7], lambdas=[1, 1]))
     classes = build_classes(instance, EPS)
     plan = build_plan(instance, EPS, xi=0)
     assert plan.num_clusters == 1

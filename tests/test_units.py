@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
-from helpers import random_instance
-from incknap.bounded import InverseFrontier, solve_bounded
+import pytest
+
+from helpers import e1, random_instance
+from incknap.bounded import InverseFrontier, InverseResult, solve_bounded, solve_inverse
 from incknap.general import solve_detailed
-from incknap.model import Instance, integer_units, objective, preprocess
+from incknap.model import Instance, integer_units, objective, preprocess, remap_solution
 from incknap.oracle import exact_opt
 
 
@@ -105,3 +107,53 @@ def test_no_float_in_results_on_integer_units():
         for phi in (0, 1, objective(instance, result.solution)):
             answer = frontier.query(phi)
             assert not any(isinstance(v, float) for v in scalars(answer))
+
+
+def test_solve_inverse_is_the_integer_units_frontier_mapped_back():
+    # non-unit denominators in every kind of scalar and some zero lambdas:
+    # the answer is the query of the integer-units frontier at phi times
+    # value_unit, with its profits and weight divided back, and it still
+    # weighs and scores as its solution does on the original instance
+    rng = random.Random(37)
+    scaled_runs = 0
+    for _ in range(16):
+        base = random_instance(rng, n_max=6, t_max=3, positive_lambdas=False)
+        instance = divided(base, *(rng.choice((1, 2, 3, 7)) for _ in range(3)))
+        pre, remap = preprocess(instance)
+        scaled, value_unit, weight_unit = integer_units(pre)
+        scaled_runs += value_unit > 1 and weight_unit > 1
+        frontier = InverseFrontier(scaled, Fraction(1, 5))
+        served = [s / value_unit for s in frontier.served]
+        for phi in sorted({Fraction(0), *served, *(s + Fraction(1, 10**9) for s in served)}):
+            got = solve_inverse(instance, phi, Fraction(1, 5))
+            want = frontier.query(phi * value_unit)
+            if want is None:
+                assert got is None
+                continue
+            assert got == InverseResult(
+                solution=remap_solution(want.solution, remap),
+                rounded_profit=Fraction(want.rounded_profit, value_unit),
+                true_profit=Fraction(want.true_profit, value_unit),
+                weight=Fraction(want.weight, weight_unit),
+            )
+            assert got.true_profit == objective(instance, got.solution) >= Fraction(2, 5) * phi
+            assert got.weight == got.solution.weights_by_period(instance)[-1]
+            assert all(type(v) is Fraction for v in (got.rounded_profit, got.true_profit, got.weight))
+    assert scaled_runs >= 4
+
+
+def test_inverse_frontier_takes_only_ints_and_positive_trailing_lambdas():
+    scaled, _, _ = integer_units(e1())
+    InverseFrontier(scaled, Fraction(1, 5))
+    (p, w), other = scaled.items
+    fraction_scalars = [
+        dataclasses.replace(scaled, items=((Fraction(p), w), other)),
+        dataclasses.replace(scaled, items=((p, Fraction(w, 2)), other)),
+        dataclasses.replace(scaled, capacities=(scaled.capacities[0], Fraction(scaled.capacities[1]))),
+        dataclasses.replace(scaled, lambdas=(Fraction(1, 2), scaled.lambdas[1])),
+    ]
+    for instance in fraction_scalars:
+        with pytest.raises(ValueError, match="integer units"):
+            InverseFrontier(instance, Fraction(1, 5))
+    with pytest.raises(ValueError, match="trailing lambdas are zero"):
+        InverseFrontier(dataclasses.replace(scaled, lambdas=(1, 0)), Fraction(1, 5))
