@@ -263,28 +263,23 @@ class InverseFrontier:
         self.instance = instance
         self.eps = check_internal_eps(eps)
         q = self.eps.denominator
-        self.classes = None
+        self.classes = classes = build_classes(instance, self.eps)
+        indices = classes.indices
+        rho = instance.suffix_lambdas.ratio
+        intervals = candidate_intervals(classes, self.eps, rho)
+        windows = [frozenset(interval.active) for interval in intervals]
         tables: list[tuple[int, BoundedDPTable]] = []  # (window index, table)
-        windows: list[frozenset[int]] = []
-        indices: tuple[int, ...] = ()
-        if instance.n > 0:
-            classes = build_classes(instance, self.eps)
-            rho = instance.suffix_lambdas.ratio
-            intervals = candidate_intervals(classes, self.eps, rho)
-            windows = [frozenset(interval.active) for interval in intervals]
-            for index, interval in enumerate(intervals):
-                light = all(classes.size(l) <= q for l in interval.active)
-                if light and (windows[index] in windows[:index] or any(windows[index] < w for w in windows)):
-                    continue
-                item_weights = [
-                    instance.items[i][1] for l in interval.active for i in classes.members[l]
-                ]
-                wrange = (min(item_weights), max(item_weights))
-                family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights))
-                table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
-                tables.append((index, table))
-            self.classes = classes
-            indices = classes.indices
+        for index, interval in enumerate(intervals):
+            light = all(classes.size(l) <= q for l in interval.active)
+            if light and (windows[index] in windows[:index] or any(windows[index] < w for w in windows)):
+                continue
+            item_weights = [
+                instance.items[i][1] for l in interval.active for i in classes.members[l]
+            ]
+            wrange = (min(item_weights), max(item_weights))
+            family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights))
+            table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
+            tables.append((index, table))
 
         def rank(entry) -> tuple:
             _, _, index, table, cell = entry
@@ -319,11 +314,10 @@ class InverseFrontier:
         self._top = top
         # a value v/top is scale*v/top in true units, and it serves requirements
         # up to that over 1 - 3*eps = (q-3)/q
-        scale = self.classes.scale if self.classes is not None else 1
         self.den = top * (q - 3)
         # entry i is the lightest endpoint for requirements in (served[i-1], served[i]]
         self.weights = [e[0] for e in frontier]
-        self.thresholds = [scale * q * e[1] for e in frontier]
+        self.thresholds = [classes.scale * q * e[1] for e in frontier]
 
     @property
     def served(self) -> list[Fraction]:

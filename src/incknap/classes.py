@@ -38,10 +38,6 @@ class ProfitClasses:
     def size(self, index: int) -> int:
         return len(self.members.get(index, ()))
 
-    def rounded_profit(self, index: int) -> Fraction:
-        """Class profit in scaled units: (1+eps)**index."""
-        return (1 + self.eps) ** index
-
 
 def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     """Assign each item the largest l with (1+eps)**l <= p_i / min profit.
@@ -50,14 +46,15 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     1+eps = a/b, level l is reached iff scale * a**l <= p * b**l, so the
     distinct profits climb it once in ascending order, and profits landing
     exactly on a power of (1+eps) classify correctly.  Returns an empty
-    class map for an itemless instance.  The instance is in integer units,
-    unchecked here, so the scale and prefix sums are ints.
+    class map, of scale 1, for an itemless instance.  The instance is in
+    integer units, unchecked here, so the scale and prefix sums are ints;
+    a least profit that is not positive raises ValueError.
     """
     if eps.numerator != 1:
         raise ValueError("eps must be a unit fraction")
-    if not instance.items:
-        return ProfitClasses(eps=eps, scale=Fraction(1), members={}, prefix={})
-    scale = min(p for p, _ in instance.items)
+    scale = min((p for p, _ in instance.items), default=1)
+    if scale <= 0:
+        raise ValueError("item profits must be positive")
     a, b = eps.denominator + eps.numerator, eps.denominator
     level_of = {}
     level, up, down = 0, a, b  # (1+eps)**(level+1) = up/down

@@ -1,24 +1,25 @@
 """Exact solvers for desk-scale verification.
 
-Every solver here is a depth-first branch and bound over the full
-assignment space (one introduction period or NEVER per item), so results
-are ground truth the approximation pipeline is checked against.  The
-budget still counts that whole space, ``(T+1)^n`` assignments.  A subtree
-is cut only when an admissible bound (``_Bound``) proves it holds no answer
-the plain enumeration would take, so the answers are those of the
-enumeration whichever bound is used.  The searches run on the instance in
-integer units (``model.integer_units``) because Python int arithmetic is an
-order of magnitude faster than Fraction churn in these inner loops.
+Both oracles wrap one depth-first branch and bound (``_search``) over the
+full assignment space (one introduction period or NEVER per item), so
+results are ground truth the approximation pipeline is checked against.
+The budget still counts that whole space, ``(T+1)^n`` assignments.  A
+subtree is cut only when an admissible bound (``_Bound``) proves it holds
+no answer the plain enumeration would take, so the answers are those of the
+enumeration whichever bound is used.  The search validates its input, then
+runs in integer units (``model.integer_units``): Python int arithmetic is
+an order of magnitude faster than Fraction churn in these inner loops.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .model import Instance, Solution, integer_units
+from .model import Instance, Solution, integer_units, validate
 
 DEFAULT_BUDGET = 2_000_000
 # A node the search bounds with ``_Bound.dantzig`` takes about as much time
@@ -71,8 +72,8 @@ class _Bound:
     def __init__(self, scaled: Instance, assignments: int):
         self.items = items = scaled.items
         self.lambdas = scaled.lambdas
-        self.suffix_1 = scaled.suffix_lambdas.values[0] if scaled.horizon else 0
-        self.width = scaled.capacities[-1] + 1 if scaled.horizon else 1
+        self.suffix_1 = scaled.suffix_lambdas.values[0]
+        self.width = scaled.capacities[-1] + 1
         cells = (len(items) + 1) * self.width
         # nodes left to bound with ``dantzig`` before the rows are built
         self.wait = -(-cells // CELLS_PER_NODE)
@@ -140,40 +141,51 @@ def _residuals(caps: tuple[int, ...], cum: list[int]) -> list[int]:
     return out
 
 
-def exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Solution]:
-    """Maximum objective over all feasible assignments, ties lexicographic.
+def _search(
+    instance: Instance, budget: int, phi: Optional[Fraction] = None
+) -> Optional[tuple[Fraction, Fraction, Solution]]:
+    """(profit, weight, solution) of the last leaf taken, or None if none was.
 
-    NEVER sorts after every period when comparing assignment vectors, so the
-    reported optimum is deterministic for golden tests.  Children are visited
-    in that order and a leaf replaces the incumbent only when strictly
-    better; a node is cut when its profit plus the bound cannot beat the
-    incumbent, so every leaf before the first optimum is strictly worse and
-    no ancestor of it is cut.
+    A node is cut when its profit plus a bound falls below ``floor`` or its
+    packed weight reaches ``cutoff``, and a leaf is taken when its profit
+    meets ``floor``.  To maximize (``phi`` None), ``floor`` starts at 0 and
+    each taken leaf raises it to its profit + 1; for phi, ``floor`` is the
+    least int profit meeting phi and each taken leaf lowers ``cutoff``,
+    which starts above every weight, to its weight.  Children are visited
+    period by period, NEVER last.
     """
+    validate(instance)
     assignments = _check_budget(instance, budget)
     horizon = instance.horizon
     n = instance.n
-    scaled, value_unit, _ = integer_units(instance)
+    scaled, value_unit, weight_unit = integer_units(instance)
     contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
     weights = [w for _, w in scaled.items]
     caps = scaled.capacities
     bound = _Bound(scaled, assignments)
-    best_profit = -1  # below every leaf, so the first leaf is taken
-    best_intro: tuple[Optional[int], ...] = (None,) * n
+    # an int profit meets phi iff it meets phi's ceiling in value units
+    floor = 0 if phi is None else math.ceil(Fraction(phi) * value_unit)
+    cutoff = sum(weights) + 1
+    best: Optional[tuple[int, int, tuple[Optional[int], ...]]] = None
     cur: list[Optional[int]] = [None] * n
     cum = [0] * (horizon + 1)  # cum[t] = packed weight at period t
 
     def rec(i: int, profit: int) -> None:
-        nonlocal best_profit, best_intro
-        if i == n:
-            if profit > best_profit:
-                best_profit = profit
-                best_intro = tuple(cur)
+        nonlocal floor, cutoff, best
+        if cum[horizon] >= cutoff:
             return
-        if profit + bound.cheap(i) <= best_profit:
+        if i == n:
+            if profit >= floor:
+                best = (profit, cum[horizon], tuple(cur))
+                if phi is None:
+                    floor = profit + 1
+                else:
+                    cutoff = cum[horizon]
+            return
+        if profit + bound.cheap(i) < floor:
             return
         residual = _residuals(caps, cum)
-        if profit + bound.at(i, residual) <= best_profit:
+        if profit + bound.at(i, residual) < floor:
             return
         w = weights[i]
         for t in range(1, horizon + 1):
@@ -188,7 +200,23 @@ def exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fractio
         rec(i + 1, profit)
 
     rec(0, 0)
-    return Fraction(best_profit, value_unit), Solution(best_intro)
+    if best is None:
+        return None
+    profit, weight, intro = best
+    return Fraction(profit, value_unit), Fraction(weight, weight_unit), Solution(intro)
+
+
+def exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Solution]:
+    """Maximum objective over all feasible assignments, ties lexicographic.
+
+    NEVER sorts after every period when comparing assignment vectors, so the
+    reported optimum is deterministic for golden tests.  A leaf is taken
+    only when strictly better, and the first, of profit >= 0, always is; a
+    node is cut only when it cannot beat the incumbent, so every leaf before
+    the first optimum is strictly worse and no ancestor of it is cut.
+    """
+    profit, _, solution = _search(instance, budget)
+    return profit, solution
 
 
 def exact_inverse(
@@ -199,48 +227,5 @@ def exact_inverse(
     A subtree is cut when it cannot lighten the incumbent or when its
     profit plus the bound falls short of phi, which no accepted leaf does.
     """
-    assignments = _check_budget(instance, budget)
-    horizon = instance.horizon
-    n = instance.n
-    scaled, value_unit, weight_unit = integer_units(instance)
-    contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
-    weights = [w for _, w in scaled.items]
-    caps = scaled.capacities
-    bound = _Bound(scaled, assignments)
-    phi_scaled = Fraction(phi) * value_unit
-    need = -((-phi_scaled.numerator) // phi_scaled.denominator)  # an int profit meets phi iff it meets need
-    best_weight: Optional[int] = None
-    best_intro: tuple[Optional[int], ...] = (None,) * n
-    cur: list[Optional[int]] = [None] * n
-    cum = [0] * (horizon + 1)
-
-    def rec(i: int, profit: int) -> None:
-        nonlocal best_weight, best_intro
-        if best_weight is not None and cum[horizon] >= best_weight:
-            return
-        if i == n:
-            if profit >= need:
-                best_weight = cum[horizon]
-                best_intro = tuple(cur)
-            return
-        if profit + bound.cheap(i) < need:
-            return
-        residual = _residuals(caps, cum)
-        if profit + bound.at(i, residual) < need:
-            return
-        w = weights[i]
-        for t in range(1, horizon + 1):
-            if residual[t - 1] >= w:
-                for tau in range(t, horizon + 1):
-                    cum[tau] += w
-                cur[i] = t
-                rec(i + 1, profit + contrib[i][t - 1])
-                cur[i] = None
-                for tau in range(t, horizon + 1):
-                    cum[tau] -= w
-        rec(i + 1, profit)
-
-    rec(0, 0)
-    if best_weight is None:
-        return None
-    return Fraction(best_weight, weight_unit), Solution(best_intro)
+    found = _search(instance, budget, phi)
+    return None if found is None else found[1:]

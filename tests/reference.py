@@ -187,7 +187,7 @@ def exact_restricted_dp(
 
     def rounded(counts: tuple[int, ...]) -> Fraction:
         return sum(
-            (classes.rounded_profit(l) * c for l, c in zip(interval.active, counts) if c),
+            ((1 + classes.eps) ** l * c for l, c in zip(interval.active, counts) if c),
             Fraction(0),
         )
 

@@ -505,7 +505,13 @@ def test_bounded_entries_validate_like_solve_detailed(items, lambdas):
     with pytest.raises(ValueError) as general_error:
         solve_detailed(instance, Fraction(1, 2))
     assert isinstance(general_error.value, ValidationError)
-    for solve in (lambda: solve_bounded(instance, EPS), lambda: solve_inverse(instance, Fraction(1), EPS)):
+    entries = (
+        lambda: solve_bounded(instance, EPS),
+        lambda: solve_inverse(instance, Fraction(1), EPS),
+        lambda: exact_opt(instance),
+        lambda: exact_inverse(instance, Fraction(1)),
+    )
+    for solve in entries:
         with pytest.raises(ValueError) as error:
             solve()
         assert type(error.value) is type(general_error.value)

@@ -26,7 +26,7 @@ def test_build_classes_e1():
     assert classes.scale == 2
     assert classes.members == {0: (0,), 2: (1,)}
     # 1.2**2 = 1.44 <= 1.5 < 1.728
-    assert classes.rounded_profit(2) == Fraction(36, 25)
+    assert (1 + classes.eps) ** 2 == Fraction(36, 25)
 
 
 def test_build_classes_equal_profits_single_class():
@@ -101,6 +101,10 @@ def test_interval_length_cap_matches_ceiling():
     # smallest L with 1.2**L >= n*rho/eps: n=2, rho=1, eps=1/5 -> target 10
     assert interval_length_cap(Fraction(1, 5), 2, Fraction(1), max_useful=100) == 13
     assert Fraction(6, 5) ** 13 >= 10 > Fraction(6, 5) ** 12
+    # (6/5)**10 equals n*rho/eps exactly, and L = 10 already meets it
+    assert interval_length_cap(Fraction(1, 5), 1, Fraction(6**10, 5**11), max_useful=100) == 10
+    # the cap applies at L = max_useful, one short of the uncapped 13
+    assert interval_length_cap(Fraction(1, 5), 2, Fraction(1), max_useful=12) == 12
 
 
 def test_candidate_coverage_property():
@@ -131,7 +135,7 @@ def test_rounded_profit_brackets_true_profit():
         classes = build_classes(instance, eps)
         solution = random_feasible_solution(rng, instance)
         rounded_items = tuple(
-            (classes.scale * classes.rounded_profit(level), instance.items[i][1])
+            (classes.scale * (1 + classes.eps) ** level, instance.items[i][1])
             for level in sorted(classes.members)
             for i in classes.members[level]
         )

@@ -9,7 +9,7 @@ import pytest
 from helpers import brute_inverse, brute_opt, dfs_exact_inverse, dfs_exact_opt, e1, random_instance
 from incknap import oracle
 from incknap.classes import build_classes, make_interval
-from incknap.model import Instance, integer_units, objective
+from incknap.model import EmptyHorizon, Instance, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET, BudgetExceeded, _Bound, _residuals, exact_inverse, exact_opt
 from reference import exact_restricted_dp
 
@@ -31,6 +31,13 @@ def test_exact_opt_zero_capacity():
     profit, solution = exact_opt(instance)
     assert profit == 0
     assert solution.intro == (None,)
+
+
+def test_exact_oracles_refuse_an_empty_horizon():
+    instance = Instance.build(items=[(1, 1)], capacities=[], lambdas=[])
+    for solve in (lambda: exact_opt(instance), lambda: exact_inverse(instance, Fraction(0))):
+        with pytest.raises(EmptyHorizon):
+            solve()
 
 
 def test_exact_opt_budget():

@@ -200,6 +200,9 @@ def test_mu_vectors_respect_sum_cap():
     assert set(configs) == reference_partials(*args)
     # its bases: the powers of two in [eps/|I| * w_min, 2*eps/|I| * n * w_max]
     assert _power_range(Fraction(1, 10), Fraction(6)) == [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1, 2, 4]
+    # both ends are inclusive: a one-point range, and a power of two at hi
+    assert _power_range(Fraction(1, 2), Fraction(1, 2)) == [Fraction(1, 2)]
+    assert _power_range(Fraction(1, 4), Fraction(2)) == [Fraction(1, 4), Fraction(1, 2), 1, 2]
 
 
 def test_family_vectors_are_valid():

@@ -157,3 +157,9 @@ def test_inverse_frontier_takes_only_ints_and_positive_trailing_lambdas():
             InverseFrontier(instance, Fraction(1, 5))
     with pytest.raises(ValueError, match="trailing lambdas are zero"):
         InverseFrontier(dataclasses.replace(scaled, lambdas=(1, 0)), Fraction(1, 5))
+
+
+def test_inverse_frontier_refuses_a_zero_profit():
+    # the class ladder's scale would be 0, so its climb would never end
+    with pytest.raises(ValueError, match="profits must be positive"):
+        InverseFrontier(Instance(((0, 1), (3, 2)), (4,), (1,)), Fraction(1, 5))
