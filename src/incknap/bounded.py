@@ -20,7 +20,7 @@ times (1/eps)**l_top, so it runs on ints, and Fractions appear only in answers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
@@ -74,27 +74,31 @@ def rescaled_third(eps: Fraction) -> Fraction:
 
 @dataclass
 class BoundedDPTable:
-    """Restricted DP values per (period, lattice cell), with backpointers.
+    """Restricted DP values per (period, fitting cell), with backpointers.
 
-    ``raw[t][cell]`` holds the rounded-profit value times ``value_den``,
-    an int in integer units (None = unreachable, not a family member, or
-    heavier than every capacity), and ``back[t][cell]`` the cell of its
-    predecessor.
+    ``cells`` lists, in ascending order, the lattice cells weighing at most
+    the largest capacity, and ``weights`` their weights; rows are indexed
+    by position in that list.  ``raw[t][i]`` holds the rounded-profit value
+    times ``value_den``, an int in integer units (None = unreachable, not a
+    family member, or heavier than period t's capacity), and ``back[t][i]``
+    the position of its predecessor.
     """
 
     interval: ClassInterval
     family: Family
+    cells: tuple[int, ...]
+    weights: tuple
     raw: list[list[Optional[int]]]
     back: list[list[Optional[int]]]
     value_den: int
 
-    def chain(self, cell: int) -> list[tuple[int, ...]]:
-        """Counts per period of the optimal path ending at a lattice cell."""
+    def chain(self, pos: int) -> list[tuple[int, ...]]:
+        """Counts per period of the optimal path ending at a position."""
         horizon = len(self.raw) - 1
         out: list[tuple[int, ...]] = []
         for t in range(horizon, 0, -1):
-            out.append(self.family.counts(cell))
-            cell = self.back[t][cell]
+            out.append(self.family.counts(self.cells[pos]))
+            pos = self.back[t][pos]
         out.reverse()
         return out
 
@@ -113,44 +117,51 @@ def dp_solve(
     capacities: Sequence[Fraction],
     suffix: SuffixLambdas,
 ) -> BoundedDPTable:
-    """Run the family-restricted DP over the horizon, one row per lattice cell.
+    """Run the family-restricted DP over the horizon, one row per fitting cell.
+
+    Only the lattice cells weighing at most the largest capacity can hold a
+    value, so they are the DP's index set.  A walk builds them axis by axis
+    in ascending cell order, carrying each cell's weight, lifted rounded
+    profit and count sum; class prefix sums never decrease along an axis,
+    so each axis is cut, exactly, at the first count past the capacity left.
+    That set is closed downwards: what a sweep would carry into a cell
+    outside it flows only to cells above it, outside the set too.
 
     Transition: a vector extends the best coordinatewise-smaller reachable
     vector, paying the marginal count difference at the period's
     suffix-lambda rate.  That best predecessor comes from a running max
-    along each axis of the family's lattice (the max form of Yates' zeta
-    transform), O(P*d) per period for P lattice cells and d classes; only
-    member cells get a value, and every other cell stays None.  Weights,
-    rounded profits and tie ranks are sums of one term per axis, so each is
-    one outer sum over the lattice.  A cell holds the key (G, -rank), G =
-    prev - lam*profit and rank = count_sum*P + cell, so equal G goes to the
-    first predecessor in (count-sum, counts) order.
-
-    Only the cells weighing at most the largest capacity are swept.  Class
-    prefix sums never decrease along an axis, so that set is closed
-    downwards; a cell outside it never holds a value, and what a sweep
-    would carry into it flows only to cells above it, outside the set too.
-    So every swept cell gets the key a whole-lattice sweep gives it, and
-    the fill still checks each period's own capacity.  The input is in
-    integer units, unchecked here, so the rows hold ints.
+    along each axis of the fitting cells (the max form of Yates' zeta
+    transform), O(N*d) per period for N fitting cells and d classes; only
+    members within the period's capacity get a value.  A cell holds the key
+    (G, -rank), G = prev - lam*profit and rank = count_sum*N + position, so
+    equal G goes to the first predecessor in (count-sum, counts) order.
+    The input is in integer units, unchecked here, so the rows hold ints.
     """
     q = classes.eps.denominator
     active = interval.active
     ltop = max(active) if active else 0
     value_den = q**ltop
-    size = family.size
-    strides = family.strides
-    # an axis of stride s and k values splits the lattice into blocks of s*k
-    # cells, where each cell past the first s extends cell - s
-    axes = [(s, s * len(values)) for s, values in zip(strides, family.values)]
-    profits = family.outer([(q + 1) ** l * q ** (ltop - l) * v for v in vals] for l, vals in zip(active, family.values))
-    ranks = family.outer([-(v * size + k * s) for k, v in enumerate(vals)] for s, vals in zip(strides, family.values))
-    weights = family.weights
-    # cells within the largest capacity; per axis, those past their line's first s
     top = max(capacities)
-    fits = [cell for cell, w in enumerate(weights) if w <= top]
-    sweeps = [(stride, [cell for cell in fits if cell % block >= stride]) for stride, block in axes]
-    fill = [cell for cell in family.cells if weights[cell] <= top]
+    walk = [(0, 0, 0, 0)]  # (cell, weight, lifted profit, count sum)
+    for level, stride, values, prefixes in zip(active, family.strides, family.values, family.prefixes):
+        lift = (q + 1) ** level * q ** (ltop - level)
+        walk = [
+            (cell + k * stride, weight + prefixes[k], profit + lift * values[k], total + values[k])
+            for cell, weight, profit, total in walk
+            for k in range(bisect_right(prefixes, top - weight))
+        ]
+    cells, weights, profits, sums = zip(*walk)
+    del walk
+    size = len(cells)
+    ranks = [-(total * size + pos) for pos, total in enumerate(sums)]
+    # per axis, each position past its line's first count with the position
+    # of the cell one count below
+    at = {cell: pos for pos, cell in enumerate(cells)}
+    sweeps = [
+        [(pos, at[cell - stride]) for pos, cell in enumerate(cells) if cell // stride % len(values)]
+        for stride, values in zip(family.strides, family.values)
+    ]
+    fill = [pos for pos, cell in enumerate(cells) if cell in family.cells]
 
     horizon = len(capacities)
     raw: list[list[Optional[int]]] = [[None] * size for _ in range(horizon + 1)]
@@ -160,25 +171,23 @@ def dp_solve(
     for t in range(1, horizon + 1):
         lam = suffix.values[t - 1]
         cap = capacities[t - 1]
-        prev_row = raw[t - 1]
-        lattice: list[tuple] = [()] * size  # () sorts below every key
-        for cell in fits:
-            v = prev_row[cell]
+        keys: list[tuple] = [()] * size  # () sorts below every key
+        for pos, v in enumerate(raw[t - 1]):
             if v is not None:
-                lattice[cell] = (v - lam * profits[cell], ranks[cell])
-        for stride, cells in sweeps:
-            for cell in cells:
-                key = lattice[cell - stride]
-                if key > lattice[cell]:
-                    lattice[cell] = key
+                keys[pos] = (v - lam * profits[pos], ranks[pos])
+        for pairs in sweeps:
+            for pos, below in pairs:
+                key = keys[below]
+                if key > keys[pos]:
+                    keys[pos] = key
         cur_row = raw[t]
         back_row = back[t]
-        for cell in fill:
-            key = lattice[cell]
-            if key and weights[cell] <= cap:
-                cur_row[cell] = lam * profits[cell] + key[0]
-                back_row[cell] = -key[1] % size
-    return BoundedDPTable(interval=interval, family=family, raw=raw, back=back, value_den=value_den)
+        for pos in fill:
+            key = keys[pos]
+            if key and weights[pos] <= cap:
+                cur_row[pos] = lam * profits[pos] + key[0]
+                back_row[pos] = -key[1] % size
+    return BoundedDPTable(interval, family, cells, weights, raw, back, value_den)
 
 
 def prefix_to_solution(
@@ -282,10 +291,10 @@ class InverseFrontier:
             tables.append((index, table))
 
         def rank(entry) -> tuple:
-            _, _, index, table, cell = entry
+            _, _, index, table, pos = entry
             if table is None:
                 return (-1,)
-            counts = dict(zip(table.interval.active, table.family.counts(cell)))
+            counts = dict(zip(table.interval.active, table.family.counts(table.cells[pos])))
             used = {l for l, c in counts.items() if c}
             if all(c <= q for c in counts.values()):
                 index = next(i for i, w in enumerate(windows) if used <= w)
@@ -294,21 +303,20 @@ class InverseFrontier:
         # every value_den is a power of 1/eps, so the largest one is a common
         # denominator and the merge compares plain ints
         top = max((table.value_den for _, table in tables), default=1)
-        entries: list[tuple] = [(0, 0, -1, None, None)]  # (weight, value, window, table, cell)
+        entries: list[tuple] = [(0, 0, -1, None, None)]  # (weight, value, window, table, position)
         for index, table in tables:
             lift = top // table.value_den
-            weights = table.family.weights
-            for cell, v in enumerate(table.raw[-1]):
+            for pos, v in enumerate(table.raw[-1]):
                 if v is not None:
-                    entries.append((weights[cell], v * lift, index, table, cell))
+                    entries.append((table.weights[pos], v * lift, index, table, pos))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1
         for (weight, v), run in groupby(entries, key=itemgetter(0, 1)):
             if v > best:
                 run = list(run)
-                _, _, _, table, cell = min(run, key=rank) if len(run) > 1 else run[0]
-                frontier.append((weight, v, table, cell))
+                _, _, _, table, pos = min(run, key=rank) if len(run) > 1 else run[0]
+                frontier.append((weight, v, table, pos))
                 best = v
         self._frontier = frontier
         self._top = top
@@ -334,12 +342,12 @@ class InverseFrontier:
         idx = bisect_left(self.thresholds, -(-phi.numerator * self.den // phi.denominator))
         if idx == len(self._frontier):
             return None
-        weight, v, table, cell = self._frontier[idx]
+        weight, v, table, pos = self._frontier[idx]
         if table is None:
             solution = Solution.empty(self.instance.n)
             value = 0
         else:
-            solution = prefix_to_solution(self.classes, table.interval, table.chain(cell), self.instance.n)
+            solution = prefix_to_solution(self.classes, table.interval, table.chain(pos), self.instance.n)
             value = self.classes.scale * Fraction(v, self._top)
         return InverseResult(
             solution=solution,

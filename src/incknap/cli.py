@@ -222,7 +222,7 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     """Batch evaluation against the exact oracle, one CSV row per run."""
-    eps_list = [_parse_eps(e) for e in args.eps]
+    eps_list = [_parse_eps(e) for e in args.eps or ["0.5"]]
     modes = args.modes.split(",")
     unknown = [m for m in modes if m not in MODES]
     if unknown:
@@ -326,8 +326,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "eps", None) is None and args.command == "eval":
-        args.eps = ["0.5"]
     try:
         return args.func(args)
     except BadInput as exc:

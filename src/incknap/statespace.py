@@ -13,8 +13,8 @@ of them is reachable exactly when those least multipliers fit the counting
 cap.  The family is these heavy tuples crossed with the free light ranges,
 never the exponential vector space.  It is held as member cells of the
 product lattice of per-class counts (``Family``): weights and profits are
-sums of one term per class, so the DP reads them off outer sums over the
-lattice instead of building one object per member.
+sums of one term per class, so the DP builds them per cell as it walks the
+cells that fit instead of building one object per member.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional
 
 from .classes import ClassInterval, ProfitClasses
 
@@ -36,13 +36,14 @@ class Family:
     Axis pos (``interval.active`` order) takes the members' sorted distinct
     counts ``values[pos]``, weighing ``prefixes[pos]`` (class prefix sums).
     A cell numbers counts in mixed radix, last class fastest, so cell order
-    is lexicographic and cell 0 is the zero vector; ``cells`` lists the
-    members in order, ``range(size)`` when every cell is one.
+    is lexicographic and cell 0 is the zero vector.  ``cells`` is the member
+    set, ``range(size)`` when every cell is one; either way a member test
+    is O(1).
     """
 
     values: tuple[tuple[int, ...], ...]
     prefixes: tuple[tuple, ...]
-    cells: Sequence[int]
+    cells: Collection[int]
 
     @property
     def size(self) -> int:
@@ -57,17 +58,6 @@ class Family:
 
     def counts(self, cell: int) -> tuple[int, ...]:
         return tuple(values[cell // s % len(values)] for values, s in zip(self.values, self.strides))
-
-    def outer(self, terms) -> list:
-        """Per cell, the sum over axes pos of terms[pos][k], k its count's rank."""
-        out = [0]
-        for axis in terms:
-            out = [s + a for s in out for a in axis]
-        return out
-
-    @cached_property
-    def weights(self) -> list:
-        return self.outer(self.prefixes)
 
 
 def pow2_up(x: Fraction) -> Fraction:
@@ -171,7 +161,7 @@ def enumerate_family(
     beyond the exact image are harmless: the DP only gains actions and
     enforces feasibility itself.  When no tuple fixes two classes (every
     all-light or one-heavy window) every lattice cell is a member; else the
-    members are the union over tuples of outer sums of cell offsets.
+    members are the union over tuples of sums of one cell offset per axis.
     """
     threshold = eps.denominator
     light = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]
@@ -187,6 +177,8 @@ def enumerate_family(
     offsets = [{v: k * s for k, v in enumerate(vals)} for vals, s in zip(values, family.strides)]
     cells: set[int] = set()
     for partial in partials:
-        terms = [[at[v] for v in r] if c is None else [at[c]] for c, r, at in zip(partial, light, offsets)]
-        cells.update(family.outer(terms))
-    return replace(family, cells=sorted(cells))
+        sums = [0]
+        for c, r, at in zip(partial, light, offsets):
+            sums = [total + at[v] for total in sums for v in (r if c is None else (c,))]
+        cells.update(sums)
+    return replace(family, cells=frozenset(cells))

@@ -340,15 +340,48 @@ def family_of(classes: ProfitClasses, interval: ClassInterval, vectors) -> Famil
     return Family(values=values, prefixes=prefixes, cells=sorted(map(cell, vectors)))
 
 
+def lattice_weights(family: Family) -> list:
+    """The weight of every lattice cell, in cell order."""
+    weights = [0]
+    for prefixes in family.prefixes:
+        weights = [w + x for w in weights for x in prefixes]
+    return weights
+
+
+def position(table: BoundedDPTable, cell: int) -> Optional[int]:
+    """A lattice cell's position in the table's rows, None when it does not fit."""
+    pos = bisect_left(table.cells, cell)
+    return pos if pos < len(table.cells) and table.cells[pos] == cell else None
+
+
 def dp_value(table: BoundedDPTable, t: int, cell: int) -> Optional[Fraction]:
-    """The rounded-profit value of a DP cell at period t, or None."""
-    v = table.raw[t][cell]
+    """The rounded-profit value of a lattice cell at period t, or None."""
+    pos = position(table, cell)
+    v = None if pos is None else table.raw[t][pos]
     return None if v is None else Fraction(v, table.value_den)
+
+
+def lattice_rows(table: BoundedDPTable, t: int) -> tuple[list, list]:
+    """Period t's values and predecessor cells, one entry per lattice cell:
+    a cell that does not fit reads None in both."""
+    raw: list = [None] * table.family.size
+    back: list = [None] * table.family.size
+    for pos, cell in enumerate(table.cells):
+        raw[cell] = table.raw[t][pos]
+        if table.back[t][pos] is not None:
+            back[cell] = table.cells[table.back[t][pos]]
+    return raw, back
+
+
+def cell_chain(table: BoundedDPTable, cell: int) -> list[tuple[int, ...]]:
+    """Counts per period of the optimal path ending at a lattice cell."""
+    return table.chain(position(table, cell))
 
 
 def members(family: Family) -> list[tuple[tuple[int, ...], Fraction]]:
     """(counts, weight) of every member, in cell order."""
-    return [(family.counts(cell), family.weights[cell]) for cell in family.cells]
+    weights = lattice_weights(family)
+    return [(family.counts(cell), weights[cell]) for cell in sorted(family.cells)]
 
 
 def family_order(family: Family) -> list[int]:
@@ -492,9 +525,9 @@ class AllWindowsFrontier:
         for table in tables:
             lift = top // table.value_den
             for cell in family_order(table.family):
-                v = table.raw[-1][cell]
-                if v is not None:
-                    entries.append((table.family.weights[cell], v * lift, table, cell))
+                pos = position(table, cell)
+                if pos is not None and table.raw[-1][pos] is not None:
+                    entries.append((table.weights[pos], table.raw[-1][pos] * lift, table, pos))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1

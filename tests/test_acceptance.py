@@ -15,6 +15,7 @@ import pytest
 
 from helpers import (
     dp_value,
+    lattice_weights,
     members,
     random_class_structure,
     random_feasible_solution,
@@ -189,6 +190,7 @@ def test_criterion_5_restriction_loss():
         family = enumerate_family(classes, interval, EPS_INT, (min(weights), max(weights)), len(weights))
         table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
         horizon = instance.horizon
+        cell_weights = lattice_weights(table.family)
         opt_full = max(
             (
                 v
@@ -207,7 +209,7 @@ def test_criterion_5_restriction_loss():
             (
                 dp_value(table, horizon, cell)
                 for cell in table.family.cells
-                if table.raw[horizon][cell] is not None and table.family.weights[cell] <= w_star
+                if dp_value(table, horizon, cell) is not None and cell_weights[cell] <= w_star
             ),
             default=Fraction(0),
         )

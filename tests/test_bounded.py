@@ -9,10 +9,13 @@ import helpers
 from helpers import (
     AllWindowsFrontier,
     PairScanDP,
+    cell_chain,
     dp_value,
     e1,
     family_of,
     fraction_merge_frontier,
+    lattice_rows,
+    lattice_weights,
     members,
     random_class_structure,
     random_instance,
@@ -82,7 +85,7 @@ def test_dp_solve_hand_rollout():
     assert dp_value(table, 2, by_counts[(2,)]) == 3
     assert dp_value(table, 1, by_counts[(2,)]) is None  # weight 3 over W_1
     assert dp_value(table, 2, by_counts[(0,)]) == 0
-    assert table.chain(by_counts[(2,)]) == [(1,), (2,)]
+    assert cell_chain(table, by_counts[(2,)]) == [(1,), (2,)]
 
 
 def test_dp_zero_vector_reachable_every_period():
@@ -137,10 +140,11 @@ def assert_dp_matches_pair_scan(classes, interval, family, capacities, suffix):
     cells = set(family.cells)
     assert sorted(map(family.counts, cells)) == sorted(want.members)
     for t in range(len(capacities) + 1):
-        assert len(got.raw[t]) == len(got.back[t]) == family.size
-        assert all(got.raw[t][c] is None and got.back[t][c] is None for c in range(family.size) if c not in cells)
+        raw, back = lattice_rows(got, t)
+        assert len(raw) == len(back) == family.size
+        assert all(raw[c] is None and back[c] is None for c in range(family.size) if c not in cells)
         rows = {
-            family.counts(c): (got.raw[t][c], None if got.back[t][c] is None else family.counts(got.back[t][c]))
+            family.counts(c): (raw[c], None if back[c] is None else family.counts(back[c]))
             for c in cells
         }
         assert rows == {
@@ -183,14 +187,14 @@ def tight_capacities(rng, family, horizon):
     """Nondecreasing capacities drawn from the lattice cells' weights up to
     their median, so about half the cells or more never fit and some cells
     sit exactly on a capacity."""
-    low = sorted(family.weights)[: family.size // 2 + 1]
+    low = sorted(lattice_weights(family))[: family.size // 2 + 1]
     return sorted(rng.choice(low) for _ in range(horizon))
 
 
 def assert_fits_closed_downwards(family, cap):
     """Every cell within cap has each axis predecessor (one count rank lower)
     within cap too."""
-    weights = family.weights
+    weights = lattice_weights(family)
     for cell, w in enumerate(weights):
         if w <= cap:
             for stride, values in zip(family.strides, family.values):
@@ -215,7 +219,7 @@ def test_dp_solve_matches_pair_scan_under_tight_capacities():
         caps, suffix = random_horizon(rng, 1)
         caps = tight_capacities(rng, family, len(caps))
         assert_fits_closed_downwards(family, caps[-1])
-        cut += 2 * sum(w > caps[-1] for w in family.weights) >= family.size
+        cut += 2 * sum(w > caps[-1] for w in lattice_weights(family)) >= family.size
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
     assert cut >= len(families + heavy) // 2
 
@@ -232,8 +236,52 @@ def test_dp_solve_breaks_predecessor_ties_by_count_sum_first():
     family = family_of(classes, interval, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2)])
     assert family.size == 6 and len(family) == 5
     table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
-    assert table.chain(family.size - 1) == [(1, 0), (1, 0), (1, 2)]
+    assert cell_chain(table, family.size - 1) == [(1, 0), (1, 0), (1, 2)]
     assert_dp_matches_pair_scan(classes, interval, family, instance.capacities, instance.suffix_lambdas)
+
+
+def heavy_profit_families():
+    # profits 100/110/121 are one class each at eps 1/10; 14 items of profit
+    # 100 make that class heavy
+    eps = Fraction(1, 10)
+    rng = random.Random(5)
+    profits = [100] * 14 + [110] * 4 + [121] * 3
+    instance = Instance.build(items=[(p, rng.randint(1, 10)) for p in profits], capacities=[60], lambdas=[1])
+    classes = build_classes(instance, eps)
+    for interval in candidate_intervals(classes, eps, Fraction(1)):
+        yield classes, interval, family_for(instance, classes, interval, eps)
+
+
+def test_dp_rows_are_the_cells_that_fit():
+    # the walk's index set is the whole-lattice filter on the largest
+    # capacity, in cell order, and only members within a period's capacity
+    # hold a value: on random, heavy-profit, two-heavy and sparse families,
+    # under loose and tight capacities
+    rng = random.Random(31)
+    families = []
+    for _ in range(20):
+        instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=9, den=2)
+        families.append((classes, interval, family_for(instance, classes, interval)))
+    families += heavy_profit_families()
+    families += [(args[0], args[1], enumerate_family(*args)) for args in (*two_heavy_structures(), *sparse_heavy_structures())]
+    assert sum(family.size > len(family) for _, _, family in families) >= 2
+    cut = 0
+    for classes, interval, family in families:
+        weights = lattice_weights(family)
+        for tight in (False, True):
+            caps, suffix = random_horizon(rng, max(weights))
+            if tight:
+                caps = tight_capacities(rng, family, len(caps))
+            table = dp_solve(classes, interval, family, caps, suffix)
+            fits = [cell for cell, w in enumerate(weights) if w <= max(caps)]
+            assert list(table.cells) == fits
+            assert list(table.weights) == [weights[cell] for cell in fits]
+            cut += len(fits) < family.size
+            assert [v is None for v in table.raw[0]] == [cell != 0 for cell in fits]
+            for t in range(1, len(caps) + 1):
+                held = [table.cells[pos] for pos, v in enumerate(table.raw[t]) if v is not None]
+                assert all(cell in family.cells and weights[cell] <= caps[t - 1] for cell in held)
+    assert cut >= len(families)
 
 
 def counts_by_class(interval, counts):
@@ -256,8 +304,8 @@ def test_inverse_frontier_matches_fraction_merge():
         # compare counts per class rather than per window; entries keep ints,
         # so read each value back from the rational it serves
         got = [
-            (weight, served * (1 - 3 * EPS), table and counts_by_class(table.interval, table.family.counts(cell)))
-            for (weight, _, table, cell), served in zip(frontier._frontier, frontier.served)
+            (weight, served * (1 - 3 * EPS), table and counts_by_class(table.interval, table.family.counts(table.cells[pos])))
+            for (weight, _, table, pos), served in zip(frontier._frontier, frontier.served)
         ]
         assert got == [(w, v, i and counts_by_class(i, c)) for w, v, i, c in want]
         assert frontier.weights == [e[0] for e in want]
@@ -454,9 +502,9 @@ def test_backpointer_chains_monotone_and_feasible():
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             by_counts = dict(members(table.family))
             for cell in table.family.cells:
-                if table.raw[instance.horizon][cell] is None:
+                if dp_value(table, instance.horizon, cell) is None:
                     continue
-                chain = table.chain(cell)
+                chain = cell_chain(table, cell)
                 for t, (prev, cur) in enumerate(zip([(0,) * len(interval.active)] + chain, chain)):
                     assert all(a <= b for a, b in zip(prev, cur))
                     assert by_counts[cur] <= instance.capacities[t]

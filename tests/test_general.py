@@ -435,6 +435,28 @@ def test_solve_single_item_only_fits_last():
     assert objective(instance, solution) == 3
 
 
+def test_solve_detailed_keeps_the_first_offset_on_equal_profit():
+    # the one item fits period 2 only, so offsets 0 (clusters ((1, 2),)) and
+    # 1 (period 1 dropped) both pack it for profit 1: the tie goes to offset 0
+    instance = Instance.build(items=[(1, 5)], capacities=[1, 10], lambdas=[100, 1])
+    result = solve_detailed(instance, Fraction(1, 2))
+    assert result.profit == 1
+    assert result.xi == 0
+    assert result.plan.clusters == ((1, 2),)
+
+
+def test_glue_stops_at_the_zero_state_before_the_first_cluster():
+    # the one item fits period 3 only; plans such as ((1,), (3,)) pack it in
+    # their last cluster, so the trace back reaches grid index 0 with a
+    # cluster left, whose zero state has no backpointer
+    instance = Instance.build(items=[(1, 5)], capacities=[1, 1, 10], lambdas=[10000, 100, 1])
+    eps = internal_eps(Fraction(1, 2))
+    assert ((1,), (3,)) in {build_plan(instance, eps, xi).clusters for xi in range(eps.denominator)}
+    result = solve_detailed(instance, Fraction(1, 2))
+    assert result.solution.intro == (3,)
+    assert result.profit == 1
+
+
 def test_solve_zero_items():
     instance = Instance.build(items=[], capacities=[1], lambdas=[1])
     assert solve(instance, Fraction(1, 2)).intro == ()
