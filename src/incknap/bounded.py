@@ -5,8 +5,8 @@ floor phi.  The restricted DP walks utilization vectors of the enumerated
 family period by period; among final vectors clearing (1-3*eps)*phi in the
 rounded-profit metric it keeps the lightest, which is super-optimal against
 the exact inverse optimum while violating the floor by at most that factor.
-The forward solver takes the most profitable endpoint of the frontier of
-those answers instead of sweeping profit floors through it.
+The forward solver scores every endpoint of the frontier of those answers
+on ints and queries only the most profitable, instead of sweeping floors.
 
 The inverse frontier skips each candidate window whose classes are all
 light and sit inside another window's: its vectors recur there with the
@@ -23,13 +23,14 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
 from .model import (
     AllLambdasZero,
+    InfeasibleSolution,
     Instance,
     Solution,
     SuffixLambdas,
@@ -94,20 +95,11 @@ class BoundedDPTable:
 
     def chain(self, pos: int) -> list[tuple[int, ...]]:
         """Counts per period of the optimal path ending at a position."""
-        horizon = len(self.raw) - 1
         out: list[tuple[int, ...]] = []
-        for t in range(horizon, 0, -1):
+        for t in range(len(self.raw) - 1, 0, -1):
             out.append(self.family.counts(self.cells[pos]))
             pos = self.back[t][pos]
-        out.reverse()
-        return out
-
-
-def _dominates(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-    for a, b in zip(small, big):
-        if a > b:
-            return False
-    return True
+        return out[::-1]
 
 
 def dp_solve(
@@ -190,6 +182,12 @@ def dp_solve(
     return BoundedDPTable(interval, family, cells, weights, raw, back, value_den)
 
 
+def _check_monotone(chain: Sequence[tuple[int, ...]]) -> None:
+    for prev, cur in zip(chain, chain[1:]):
+        if any(a > b for a, b in zip(prev, cur)):
+            raise ChainNotMonotone(f"{prev} -> {cur}")
+
+
 def prefix_to_solution(
     classes: ProfitClasses,
     interval: ClassInterval,
@@ -201,9 +199,7 @@ def prefix_to_solution(
     The k-th lightest item of a class enters at the first period whose count
     reaches k; items outside the chain's interval stay out.
     """
-    for prev, cur in zip(chain, chain[1:]):
-        if not _dominates(prev, cur):
-            raise ChainNotMonotone(f"{prev} -> {cur}")
+    _check_monotone(chain)
     intro: list[Optional[int]] = [None] * n_items
     # latest period first, so each item keeps the first period that packs it
     for pos, level in enumerate(interval.active):
@@ -384,7 +380,10 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
     periods.  The paper's wrapper sweeps a geometric grid of profit floors
     through a black-box inverse solver; every answer such a sweep can
     return is a frontier endpoint, so the best endpoint meets its (1-5*eps)
-    bound a fortiori.
+    bound a fortiori.  Each endpoint is scored on ints off its count chain,
+    with a query's checks (a monotone chain, each period within capacity):
+    period t packs the chain[t] lightest items of each class, weighed and
+    valued by class prefix sums.  Only the winner is queried.
     """
     validate(instance)
     eps = check_internal_eps(eps)
@@ -394,6 +393,21 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
         return Solution.empty(instance.n)
     instance, _, _ = integer_units(pre)
     frontier = InverseFrontier(instance, eps)
-    # the thresholds strictly increase, so querying served[i] reaches entry i
-    best = max((frontier.query(s) for s in frontier.served), key=lambda res: res.true_profit)
-    return remap_solution(best.solution, remap)
+    prefix, members = frontier.classes.prefix, frontier.classes.members
+    gains = {l: tuple(accumulate((instance.items[i][0] for i in ids), initial=0)) for l, ids in members.items()}
+
+    def true_profit(i: int) -> int:
+        _, _, table, pos = frontier._frontier[i]
+        chain = table.chain(pos) if table is not None else []
+        _check_monotone(chain)
+        profit = 0
+        for t, counts in enumerate(chain, start=1):
+            packed = list(zip(table.interval.active, counts))
+            if sum(prefix[l][c] for l, c in packed) > instance.capacities[t - 1]:
+                raise InfeasibleSolution(t)
+            profit += instance.lambdas[t - 1] * sum(gains[l][c] for l, c in packed)
+        return profit
+
+    # the thresholds strictly increase, so querying entry best's own threshold reaches it
+    best = max(range(len(frontier.thresholds)), key=true_profit)
+    return remap_solution(frontier.query(Fraction(frontier.thresholds[best], frontier.den)).solution, remap)

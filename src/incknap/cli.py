@@ -37,8 +37,6 @@ MODES = ("exact", "bounded", "general")
 
 def parse_rational(text: str) -> Fraction:
     """Exact value of a decimal string or an a/b ratio."""
-    if text.isascii() and text.isdigit():
-        return Fraction(int(text))
     return Fraction(text.strip())
 
 
@@ -74,10 +72,11 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _json_rational(value, where: str) -> Fraction:
+def _json_rational(value, where: str) -> Fraction | int:
+    """A document scalar: an int straight from a string of ASCII digits."""
     if not isinstance(value, str):
         raise ValueError(f"{where} must be a rational string, not {json.dumps(value)}")
-    return parse_rational(value)
+    return int(value) if value.isascii() and value.isdigit() else parse_rational(value)
 
 
 def _json_list(doc, key: str) -> list:

@@ -5,11 +5,13 @@ grows over T periods; items, once introduced, stay.  The objective weights
 each period's packed profit by a nonnegative coefficient, so a solution is
 fully described by one introduction period (or NEVER) per item.
 
-All scalars are exact rationals: ``fractions.Fraction`` or ``int``.
-Floating point is never used: the solvers rely on exact weight comparisons
-and exact super-optimality statements that are meaningless under rounding
-error.  ``integer_units`` is the one place units are chosen; the solvers
-run on its all-``int`` copy of an instance.
+All scalars are exact rationals: ``Instance.build`` stores an integral
+value as an ``int`` and any other as a ``fractions.Fraction``, so integral
+instances run on ints throughout.  Floating point is never used: the
+solvers rely on exact weight comparisons and exact super-optimality
+statements that are meaningless under rounding error.  ``integer_units``
+is the one place units are chosen; the solvers run on its all-``int``
+copy of an instance.
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ class ItemNotIntroduced(ValueError):
         self.item = item
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _scalar(x):
+    x = x if type(x) is int else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -104,17 +107,17 @@ class SuffixLambdas:
 class Instance:
     """Immutable problem instance; safe to share across solver tasks."""
 
-    items: tuple[tuple[Fraction, Fraction], ...]  # (profit, weight)
-    capacities: tuple[Fraction, ...]
-    lambdas: tuple[Fraction, ...]
+    items: tuple[tuple[Fraction | int, Fraction | int], ...]  # (profit, weight)
+    capacities: tuple[Fraction | int, ...]
+    lambdas: tuple[Fraction | int, ...]
 
     @staticmethod
     def build(items: Sequence[tuple], capacities: Sequence, lambdas: Sequence) -> "Instance":
-        """Coerce arbitrary rational-like scalars into an Instance."""
+        """Coerce arbitrary rational-like scalars into an Instance: ints where integral."""
         return Instance(
-            items=tuple((_frac(p), _frac(w)) for p, w in items),
-            capacities=tuple(_frac(c) for c in capacities),
-            lambdas=tuple(_frac(v) for v in lambdas),
+            items=tuple((_scalar(p), _scalar(w)) for p, w in items),
+            capacities=tuple(map(_scalar, capacities)),
+            lambdas=tuple(map(_scalar, lambdas)),
         )
 
     @property
@@ -152,8 +155,7 @@ class Solution:
 
     def weights_by_period(self, instance: Instance) -> tuple[Fraction, ...]:
         """Total packed weight at each period (cumulative)."""
-        horizon = instance.horizon
-        added = [0] * (horizon + 1)
+        added = [0] * (instance.horizon + 1)
         for i, t in self.introduced():
             added[t] += instance.items[i][1]
         return tuple(accumulate(added[1:]))
@@ -232,10 +234,7 @@ def remap_solution(solution: Solution, remap: tuple[int, ...]) -> Solution:
 def check_feasible(instance: Instance, solution: Solution) -> Optional[int]:
     """Return None when every period's capacity holds, else the first bad period."""
     weights = solution.weights_by_period(instance)
-    for t in range(1, instance.horizon + 1):
-        if weights[t - 1] > instance.capacities[t - 1]:
-            return t
-    return None
+    return next((t for t, (w, cap) in enumerate(zip(weights, instance.capacities), 1) if w > cap), None)
 
 
 def objective(instance: Instance, solution: Solution) -> Fraction:
@@ -243,8 +242,7 @@ def objective(instance: Instance, solution: Solution) -> Fraction:
     bad = check_feasible(instance, solution)
     if bad is not None:
         raise InfeasibleSolution(bad)
-    horizon = instance.horizon
-    added = [0] * (horizon + 1)
+    added = [0] * (instance.horizon + 1)
     for i, t in solution.introduced():
         added[t] += instance.items[i][0]
     return sum(lam * packed for lam, packed in zip(instance.lambdas, accumulate(added[1:])))

@@ -10,11 +10,12 @@ rounding back.  For one heavy class only the truncated count a multiplier
 produces matters, and that count is monotone in mu, so each class offers a
 short table of reachable truncated counts, each with its least mu; a tuple
 of them is reachable exactly when those least multipliers fit the counting
-cap.  The family is these heavy tuples crossed with the free light ranges,
-never the exponential vector space.  It is held as member cells of the
-product lattice of per-class counts (``Family``): weights and profits are
-sums of one term per class, so the DP builds them per cell as it walks the
-cells that fit instead of building one object per member.
+cap.  The bases come from bit lengths of ints, and each distinct tuple is
+yielded once.  The family is these heavy tuples crossed with the free light
+ranges, never the exponential vector space.  It is held as member cells of
+the product lattice of per-class counts (``Family``): weights and profits
+are sums of one term per class, so the DP builds them per cell as it walks
+the cells that fit instead of building one object per member.
 """
 
 from __future__ import annotations
@@ -60,20 +61,6 @@ class Family:
         return tuple(values[cell // s % len(values)] for values, s in zip(self.values, self.strides))
 
 
-def pow2_up(x: Fraction) -> Fraction:
-    """Smallest integer power of 2 that is >= x; zero maps to zero."""
-    if x < 0:
-        raise ValueError("pow2_up expects a nonnegative argument")
-    if x == 0:
-        return Fraction(0)
-    power = Fraction(1)
-    while power < x:
-        power *= 2
-    while power / 2 >= x:
-        power /= 2
-    return power
-
-
 def _truncated(k: int, threshold: int) -> int:
     """Heavy count k less its last ceil(2*eps*(k - 1/eps)) items, eps = 1/threshold."""
     return k + (-2 * (k - threshold)) // threshold
@@ -84,19 +71,18 @@ def mu_sum_cap(interval: ClassInterval, eps: Fraction) -> int:
     return 3 * interval.length * eps.denominator // 2
 
 
-def _power_range(lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Integer powers of 2 inside [lo, hi]; empty when the range is."""
-    if lo <= 0 or hi < lo:
-        return []
-    power = pow2_up(lo)
-    out = []
-    while power <= hi:
-        out.append(power)
-        power *= 2
-    return out
+def _floor_log2(a: int, b: int) -> int:
+    """Largest integer k with 2**k <= a/b, for positive ints a and b."""
+    return (a // b).bit_length() - 1 if a >= b else -(-(-b // a) - 1).bit_length()
 
 
-def _heavy_choices(classes: ProfitClasses, level: int, threshold: int, base: Fraction) -> dict[int, int]:
+def _power_range(lo: tuple[int, int], hi: tuple[int, int]) -> range:
+    """Exponents k of the powers 2**k inside [lo, hi], each a positive
+    (numerator, denominator) pair; empty when the range is."""
+    return range(-_floor_log2(lo[1], lo[0]), _floor_log2(*hi) + 1)
+
+
+def _heavy_choices(classes: ProfitClasses, level: int, threshold: int, num: int, den: int) -> dict[int, int]:
     """Truncated counts up-rounding can give a heavy class, each with its least mu.
 
     With mu_k = ceil(weight of items 1/eps+1..k / base), at least 1 since
@@ -104,11 +90,10 @@ def _heavy_choices(classes: ProfitClasses, level: int, threshold: int, base: Fra
     mu_k <= mu, so the counts reached are the last k of each distinct mu_k,
     and mu_k is the least multiplier reaching it.  Truncation is monotone,
     so the first mu seen for a truncated count is its least.  Empty when
-    the class holds at most 1/eps items.  The ceilings are negated floors
-    over base's numerator and denominator, on ints for int weights.
+    the class holds at most 1/eps items.  The base is num/den, and the
+    ceilings are negated floors over it, on ints for int weights.
     """
     prefix = classes.prefix[level][threshold:]
-    num, den = base.numerator, base.denominator
     reached = {-((prefix[0] - w) * den // num): k for k, w in enumerate(prefix[1:], start=threshold + 1)}
     choices: dict[int, int] = {}
     for mu, k in reached.items():
@@ -130,20 +115,24 @@ def heavy_configurations(
     maximal weight).  At each base every class is light (None) or, when it
     holds more than 1/eps items, takes one of its reachable truncated counts;
     a combination with at least one heavy class is reachable exactly when
-    the least multipliers of its counts sum to at most the counting cap.  A
-    tuple may repeat across bases.
+    the least multipliers of its counts sum to at most the counting cap.
+    The bases come from bit lengths of ints, and each distinct tuple is
+    yielded once, at the first base reaching it.
     """
     threshold = eps.denominator
     if all(classes.size(l) <= threshold for l in interval.active):
         return
     cap = mu_sum_cap(interval, eps)
-    lo = eps / interval.length * weight_range[0]
-    hi = 2 * eps / interval.length * n * weight_range[1]
-    for base in _power_range(lo, hi):
-        options = [[(None, 0), *_heavy_choices(classes, l, threshold, base).items()] for l in interval.active]
+    (a, b), (c, d) = ((w.numerator, w.denominator) for w in weight_range)
+    scale = eps.denominator * interval.length
+    configs: dict[tuple[Optional[int], ...], None] = {}  # insertion-ordered set
+    for k in _power_range((eps.numerator * a, scale * b), (2 * eps.numerator * n * c, scale * d)):
+        num, den = 1 << max(k, 0), 1 << max(-k, 0)  # base 2**k
+        options = [[(None, 0), *_heavy_choices(classes, l, threshold, num, den).items()] for l in interval.active]
         for combo in itertools.product(*options):
             if 0 < sum(mu for _, mu in combo) <= cap:
-                yield tuple(count for count, _ in combo)
+                configs[tuple(count for count, _ in combo)] = None
+    yield from configs
 
 
 def enumerate_family(

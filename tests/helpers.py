@@ -19,7 +19,6 @@ from incknap.bounded import (
     BoundedDPTable,
     InverseFrontier,
     InverseResult,
-    _dominates,
     check_internal_eps,
     dp_solve,
     prefix_to_solution,
@@ -196,7 +195,8 @@ def reference_partials(classes, interval, eps, weight_range, n, cap=None):
     the largest one whose excess fits mu * base, found by a linear scan, and
     is then truncated; a configuration where none fits brackets no vector.
     """
-    from incknap.statespace import _power_range, mu_sum_cap
+    from incknap.statespace import mu_sum_cap
+    from reference import power_range
 
     threshold = int(1 / eps)
     cap = mu_sum_cap(interval, eps) if cap is None else cap
@@ -219,7 +219,7 @@ def reference_partials(classes, interval, eps, weight_range, n, cap=None):
     partials = set()
     for size in range(1, len(eligible) + 1):
         for heavy in itertools.combinations(eligible, size):
-            for base in _power_range(lo, hi):
+            for base in power_range(lo, hi):
                 limits = [min(math.ceil(excess(l, classes.size(l)) / base), cap) for l in heavy]
                 for mus in itertools.product(*(range(1, limit + 1) for limit in limits)):
                     if sum(mus) > cap:
@@ -376,6 +376,10 @@ def lattice_rows(table: BoundedDPTable, t: int) -> tuple[list, list]:
 def cell_chain(table: BoundedDPTable, cell: int) -> list[tuple[int, ...]]:
     """Counts per period of the optimal path ending at a lattice cell."""
     return table.chain(position(table, cell))
+
+
+def _dominates(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    return all(a <= b for a, b in zip(small, big))
 
 
 def members(family: Family) -> list[tuple[tuple[int, ...], Fraction]]:

@@ -4,6 +4,7 @@ It lives beside the tests, outside the package, so no solver module can
 import it.  It holds the paper's maps
 and identities in their direct, unoptimized form: range-checked class
 prefix weights and the vectors weighed by them, one object per vector, the
+power-of-two bases climbed one Fraction doubling at a time, the
 up-rounding and truncation maps whose image the pruned family must cover,
 the unpruned restricted DP the family DP must not beat, the contribution
 form of the objective, the deletion of dropped-band periods behind the
@@ -23,7 +24,32 @@ from incknap.classes import ClassInterval, ProfitClasses
 from incknap.general import ClusterPlan
 from incknap.model import InfeasibleSolution, Instance, Solution, check_feasible
 from incknap.oracle import DEFAULT_BUDGET, BudgetExceeded
-from incknap.statespace import pow2_up
+
+
+def pow2_up(x: Fraction) -> Fraction:
+    """Smallest integer power of 2 that is >= x; zero maps to zero."""
+    if x < 0:
+        raise ValueError("pow2_up expects a nonnegative argument")
+    if x == 0:
+        return Fraction(0)
+    power = Fraction(1)
+    while power < x:
+        power *= 2
+    while power / 2 >= x:
+        power /= 2
+    return power
+
+
+def power_range(lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """Integer powers of 2 inside [lo, hi], climbed one doubling at a time."""
+    if lo <= 0 or hi < lo:
+        return []
+    power = pow2_up(lo)
+    out = []
+    while power <= hi:
+        out.append(power)
+        power *= 2
+    return out
 
 
 @dataclass(frozen=True)

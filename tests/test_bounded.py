@@ -37,6 +37,7 @@ from incknap.bounded import (
 from incknap.classes import build_classes, make_interval, candidate_intervals
 from incknap.general import solve_detailed
 from incknap.model import (
+    InfeasibleSolution,
     Instance,
     Solution,
     SuffixLambdas,
@@ -681,3 +682,47 @@ def test_solve_bounded_takes_most_profitable_frontier_entry():
         frontier = InverseFrontier(scaled, eps)
         best = max(frontier.query(s).true_profit for s in frontier.served)
         assert objective(scaled, solve_bounded(scaled, eps)) == best
+
+
+
+def test_solve_bounded_returns_the_first_most_profitable_query():
+    # the whole answer, not just its profit: the endpoint the forward solver
+    # scores on ints is the one a query per endpoint would pick, equal true
+    # profits going to the first endpoint in frontier order.  Random and
+    # heavy-profit instances (one class per profit at eps 1/10), then one
+    # where two endpoints tie: at eps 1/5 profit 2 rounds to 216/125, so
+    # {item 2} (weight 3) and {items 0, 1} (weight 4) both pack profit 2
+    rng = random.Random(59)
+    cases = []
+    for _ in range(24):
+        n, t = rng.randint(8, 32), rng.randint(1, 4)
+        items = [(rng.choice((100, 110, 121)), rng.randint(1, 10)) for _ in range(n)]
+        caps = list(itertools.accumulate(rng.randint(1, 10) for _ in range(t)))
+        lambdas = [rng.randint(1, 5) for _ in range(t)]
+        cases.append((Instance.build(items=items, capacities=caps, lambdas=lambdas), Fraction(1, 10)))
+        cases.append((random_instance(rng, n_max=9, t_max=4), rng.choice([EPS, Fraction(1, 6), Fraction(1, 10)])))
+    tie = Instance.build(items=[(1, 2), (1, 2), (2, 3)], capacities=[4], lambdas=[1])
+    for instance, eps in [*cases, (tie, EPS)]:
+        scaled, _, _ = integer_units(preprocess(instance)[0])
+        frontier = InverseFrontier(scaled, eps)
+        want = max((frontier.query(s) for s in frontier.served), key=lambda res: res.true_profit)
+        assert solve_bounded(scaled, eps) == want.solution
+    profits = [frontier.query(s).true_profit for s in frontier.served]
+    assert profits == [0, 1, 2, 2]
+    assert solve_bounded(tie, EPS) == Solution((None, None, 1))
+
+
+@pytest.mark.parametrize("shape, error", [("full then empty", ChainNotMonotone), ("full", InfeasibleSolution)])
+def test_solve_bounded_checks_every_scored_chain(monkeypatch, shape, error):
+    # the int scoring makes the checks a query makes: a chain that packs
+    # every item and then drops them is not monotone, and one that packs
+    # every item (weight 9) from period 1 exceeds capacity 4 there
+    def chain(table, pos):
+        full = tuple(values[-1] for values in table.family.values)
+        return [full, tuple(0 for _ in full)] if shape == "full then empty" else [full, full]
+
+    instance = Instance.build(items=[(3, 2), (4, 3), (5, 4)], capacities=[4, 6], lambdas=[1, 1])
+    monkeypatch.setattr(bounded.BoundedDPTable, "chain", chain)
+    with pytest.raises(error) as raised:
+        solve_bounded(instance, EPS)
+    assert error is ChainNotMonotone or raised.value.period == 1

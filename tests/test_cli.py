@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -7,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incknap import cli
 from incknap.cli import (
@@ -42,16 +46,21 @@ def test_parse_rational_forms():
     "text", ["0", "7", "007", "123456789012345678901234567890", " 7", "7 ", "+7", "-7", "1_000", "７", "٣", "", "x", "1/0"]
 )
 def test_parse_rational_agrees_with_fraction(text):
-    # plain ASCII digit strings take an int fast path; everything else,
-    # rejections included, goes through Fraction as before
+    # parse_rational is Fraction on the stripped text, rejections included;
+    # the document reader takes plain ASCII digit strings to an int instead
     try:
         want = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(type(exc)):
             parse_rational(text)
+        with pytest.raises(type(exc)):
+            cli._json_rational(text, "scalar")
     else:
         got = parse_rational(text)
         assert type(got) is Fraction and got == want
+        scalar = cli._json_rational(text, "scalar")
+        assert scalar == want
+        assert type(scalar) is (int if text.isascii() and text.isdigit() else Fraction)
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(22, 7), Fraction(-5, 16), Fraction(9)])
@@ -440,3 +449,146 @@ def test_cmd_eval_rejects_bad_arguments_before_solving(tmp_path, capsys, monkeyp
     out = tmp_path / "report.csv"
     _assert_one_line_rejection(capsys, main(["eval", "--seeds", "2", "--out", str(out), *flags]))
     assert not out.exists()
+
+
+SPELLINGS = {
+    "plain": str,
+    "zero-padded": lambda v: f"00{v}",
+    "decimal": lambda v: f"{v}.0",
+    "ratio": lambda v: f"{2 * v}/2",
+    "signed": lambda v: f"+{v}",
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "bounded", "general"])
+def test_scalar_spellings_give_identical_answers(tmp_path, mode):
+    # 7, 007, 7.0, 14/2 and +7 are one value: the reader hands every
+    # spelling to the solvers as the int 7, so the answers match byte for byte
+    instance = generate_instance(3, 7, 3, "uniform")
+    outputs = set()
+    rng = random.Random(5)
+    for name in [*SPELLINGS, "mixed"]:
+        def spell(v):
+            return SPELLINGS[rng.choice(list(SPELLINGS)) if name == "mixed" else name](v)
+
+        doc = {
+            "items": [{"p": spell(p), "w": spell(w)} for p, w in instance.items],
+            "capacities": [spell(c) for c in instance.capacities],
+            "lambdas": [spell(v) for v in instance.lambdas],
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert instance_from_json(path.read_text()) == instance
+        out = tmp_path / f"{name}-{mode}.json"
+        assert main(["solve", str(path), "--mode", mode, "--eps", "1/2", "--out", str(out)]) == 0
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+
+
+POSITIVE_FRACTIONS = st.fractions(min_value=Fraction(1, 50), max_value=50)
+
+
+@given(
+    st.lists(st.tuples(POSITIVE_FRACTIONS, POSITIVE_FRACTIONS), min_size=1, max_size=4),
+    st.lists(st.fractions(min_value=0, max_value=50), min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_instance_json_round_trip_keeps_values_and_types(items, capacities):
+    # integral values come back as ints, every other value as the same Fraction
+    instance = Instance.build(items=items, capacities=capacities, lambdas=[Fraction(1, 3)] * len(capacities))
+    again = instance_from_json(instance_to_json(instance))
+    assert again == instance
+    scalars = [*(x for item in again.items for x in item), *again.capacities, *again.lambdas]
+    assert [type(x) for x in scalars] == [int if x.denominator == 1 else Fraction for x in scalars]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+SCALARS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.fractions(min_value=-1, max_value=12, max_denominator=6).map(format_rational),
+    st.sampled_from(["007", "+3", "7.0", "14/2", "1e1", "-0", "", " 4", "1/0", "x", "0x10", "٣", "1_0", "9" * 5000]),
+    JSON_VALUES,
+)
+POSITIVE = st.fractions(min_value=Fraction(1, 6), max_value=12, max_denominator=6).map(format_rational)
+
+
+def _valid_document(horizon):
+    increment = st.fractions(min_value=0, max_value=10, max_denominator=4)
+    increments = st.lists(increment, min_size=horizon, max_size=horizon)
+    return st.fixed_dictionaries(
+        {
+            "items": st.lists(st.fixed_dictionaries({"p": POSITIVE, "w": POSITIVE}), max_size=6),
+            "capacities": increments.map(lambda xs: [format_rational(c) for c in itertools.accumulate(xs)]),
+            "lambdas": st.lists(st.integers(0, 5).map(str), min_size=horizon, max_size=horizon),
+        }
+    )
+
+
+def _replace_scalar(doc, key, index, scalar):
+    """doc with one scalar replaced: an item's "p" or "w", a capacity or a lambda."""
+    if key in ("p", "w") and doc["items"]:
+        doc["items"][index % len(doc["items"])][key] = scalar
+    elif key in ("capacities", "lambdas"):
+        doc[key][index % len(doc[key])] = scalar
+    return doc
+
+
+VALID_DOCUMENTS = st.integers(1, 4).flatmap(_valid_document)
+# valid instances, the same with one scalar or one field replaced, and
+# arbitrary JSON: most valid documents solve, so the solvers are fuzzed too
+DOCUMENTS = st.one_of(
+    VALID_DOCUMENTS,
+    st.builds(
+        _replace_scalar,
+        VALID_DOCUMENTS,
+        st.sampled_from(["p", "w", "capacities", "lambdas"]),
+        st.integers(0, 5),
+        SCALARS,
+    ),
+    st.tuples(
+        VALID_DOCUMENTS,
+        st.sampled_from(["items", "capacities", "lambdas"]),
+        st.lists(SCALARS, max_size=4)
+        | st.lists(st.dictionaries(st.sampled_from("pwx"), SCALARS), max_size=4)
+        | JSON_VALUES,
+    ).map(lambda t: {**t[0], t[1]: t[2]}),
+    JSON_VALUES,
+)
+# a mode, an eps no smaller than 1/10 (general mode slows sharply below
+# that), then one bad or extra argument in 8 draws of 11; "OUT"
+# stands for a file in the example's own directory
+FLAGS = st.tuples(
+    st.sampled_from([[], ["--mode", "exact"], ["--mode", "bounded"], ["--mode", "general"], ["--mode", "fast"]]),
+    st.sampled_from([[], ["--eps", "0.5"], ["--eps", "1/3"], ["--eps", "4/5"], ["--eps", "2"], ["--eps", "1e-1"]]),
+    st.sampled_from(
+        [[], [], [], ["--eps", "0"], ["--eps", "-1/2"], ["--eps", "nan"], ["--eps", "1/0"], ["--eps"], ["--bogus"]]
+        + [["extra"], ["--out", "OUT"]]
+    ),
+).map(lambda t: [*t[0], *t[1], *t[2]])
+
+
+@given(doc=DOCUMENTS, flags=FLAGS, truncated=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_cmd_solve_fuzz_ends_in_a_documented_exit_code(tmp_path_factory, doc, flags, truncated):
+    # any document (or non-JSON bytes) and any argument list ends in exit 0,
+    # 2 or 3 with a message, never a traceback; argparse's usage errors exit 2
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "doc.json"
+    path.write_text(json.dumps(doc)[:-1] if truncated else json.dumps(doc))
+    argv = ["solve", str(path), *(str(tmp / "out.json") if arg == "OUT" else arg for arg in flags)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    if code == 0:
+        answer = json.loads(stdout.getvalue() or (tmp / "out.json").read_text())
+        assert len(answer["intro"]) == len(doc["items"])
+    else:
+        assert stderr.getvalue()

@@ -27,6 +27,22 @@ from incknap.model import (
 from reference import objective_by_contributions
 
 
+def test_build_stores_integral_scalars_as_ints():
+    # exactly int where the value is integral, whatever its spelling, and a
+    # Fraction otherwise; integer_units and the solvers then run on ints
+    instance = Instance.build(
+        items=[(7, Fraction(14, 2)), ("3/2", 2.5), (True, "007")],
+        capacities=[Fraction(9, 3), "7.0", Fraction(1, 3)],
+        lambdas=["+7", 0, Fraction(-4, 2)],
+    )
+    assert instance.items == ((7, 7), (Fraction(3, 2), Fraction(5, 2)), (1, 7))
+    assert instance.capacities == (3, 7, Fraction(1, 3))
+    assert instance.lambdas == (7, 0, -2)
+    scalars = [*(x for item in instance.items for x in item), *instance.capacities, *instance.lambdas]
+    kinds = [type(x).__name__ for x in scalars]
+    assert kinds == ["int"] * 2 + ["Fraction"] * 2 + ["int"] * 4 + ["Fraction"] + ["int"] * 3
+
+
 def test_validate_smallest_instance():
     validate(Instance.build(items=[(1, 1)], capacities=[1], lambdas=[1]))
 

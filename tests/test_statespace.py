@@ -19,7 +19,7 @@ from helpers import (
 )
 from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import Instance
-from reference import classify, heavy_excess, make_vector, prune_image, truncate, up_round
+from reference import classify, heavy_excess, make_vector, pow2_up, power_range, prune_image, truncate, up_round
 from incknap.statespace import (
     Family,
     _power_range,
@@ -27,7 +27,6 @@ from incknap.statespace import (
     enumerate_family,
     heavy_configurations,
     mu_sum_cap,
-    pow2_up,
 )
 
 EPS = Fraction(1, 5)
@@ -199,10 +198,25 @@ def test_mu_vectors_respect_sum_cap():
     # the reference takes 1 <= mu and sum(mu) <= cap by construction
     assert set(configs) == reference_partials(*args)
     # its bases: the powers of two in [eps/|I| * w_min, 2*eps/|I| * n * w_max]
-    assert _power_range(Fraction(1, 10), Fraction(6)) == [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1, 2, 4]
+    assert _bases((1, 10), (6, 1)) == [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1, 2, 4]
     # both ends are inclusive: a one-point range, and a power of two at hi
-    assert _power_range(Fraction(1, 2), Fraction(1, 2)) == [Fraction(1, 2)]
-    assert _power_range(Fraction(1, 4), Fraction(2)) == [Fraction(1, 4), Fraction(1, 2), 1, 2]
+    assert _bases((1, 2), (1, 2)) == [Fraction(1, 2)]
+    assert _bases((1, 4), (2, 1)) == [Fraction(1, 4), Fraction(1, 2), 1, 2]
+
+
+def _bases(lo, hi):
+    return [Fraction(2) ** k for k in _power_range(lo, hi)]
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+)
+@settings(max_examples=300)
+def test_power_range_matches_doubling_reference(lo, hi):
+    # bit lengths of ints give the bases the Fraction doubling climb gives
+    got = _bases((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+    assert got == power_range(lo, hi)
 
 
 def test_family_vectors_are_valid():
@@ -216,10 +230,16 @@ def test_family_vectors_are_valid():
 
 def _family_rows(family):
     """Decoded (counts, weight) per member, checked against the lattice: one
-    row per cell, in cell order, and ``len`` the member count."""
+    row per cell, in cell order, and ``len`` the member count.  ``Family``
+    promises no iteration order of ``cells`` (a frozenset's is not sorted on
+    sparse cells), so the rows are matched with the sorted cells."""
     rows = members(family)
     assert len(family) == len(rows) == len(set(family.cells))
-    assert list(family.cells) == sorted(family.cells)
+    encoded = [
+        sum(values.index(c) * stride for c, values, stride in zip(counts, family.values, family.strides))
+        for counts, _ in rows
+    ]
+    assert encoded == sorted(family.cells)
     assert all(0 <= cell < family.size for cell in family.cells)
     return rows
 
