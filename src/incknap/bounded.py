@@ -6,7 +6,7 @@ family period by period; among final vectors clearing (1-3*eps)*phi in the
 rounded-profit metric it keeps the lightest, which is super-optimal against
 the exact inverse optimum while violating the floor by at most that factor.
 The forward solver scores every endpoint of the frontier of those answers
-on ints and queries only the most profitable, instead of sweeping floors.
+on ints and keeps the most profitable, instead of sweeping floors.
 
 The inverse frontier skips each candidate window whose classes are all
 light and sit inside another window's: its vectors recur there with the
@@ -23,14 +23,13 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
 from .model import (
     AllLambdasZero,
-    InfeasibleSolution,
     Instance,
     Solution,
     SuffixLambdas,
@@ -95,11 +94,20 @@ class BoundedDPTable:
 
     def chain(self, pos: int) -> list[tuple[int, ...]]:
         """Counts per period of the optimal path ending at a position."""
+        horizon = len(self.raw) - 1
         out: list[tuple[int, ...]] = []
-        for t in range(len(self.raw) - 1, 0, -1):
+        for t in range(horizon, 0, -1):
             out.append(self.family.counts(self.cells[pos]))
             pos = self.back[t][pos]
-        return out[::-1]
+        out.reverse()
+        return out
+
+
+def _dominates(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    for a, b in zip(small, big):
+        if a > b:
+            return False
+    return True
 
 
 def dp_solve(
@@ -182,12 +190,6 @@ def dp_solve(
     return BoundedDPTable(interval, family, cells, weights, raw, back, value_den)
 
 
-def _check_monotone(chain: Sequence[tuple[int, ...]]) -> None:
-    for prev, cur in zip(chain, chain[1:]):
-        if any(a > b for a, b in zip(prev, cur)):
-            raise ChainNotMonotone(f"{prev} -> {cur}")
-
-
 def prefix_to_solution(
     classes: ProfitClasses,
     interval: ClassInterval,
@@ -199,7 +201,9 @@ def prefix_to_solution(
     The k-th lightest item of a class enters at the first period whose count
     reaches k; items outside the chain's interval stay out.
     """
-    _check_monotone(chain)
+    for prev, cur in zip(chain, chain[1:]):
+        if not _dominates(prev, cur):
+            raise ChainNotMonotone(f"{prev} -> {cur}")
     intro: list[Optional[int]] = [None] * n_items
     # latest period first, so each item keeps the first period that packs it
     for pos, level in enumerate(interval.active):
@@ -233,8 +237,8 @@ class InverseFrontier:
     up to its value over (1-3*eps) = (q-3)/q, which is ``thresholds[i]`` =
     s*q*v over ``den`` = top*(q-3); so construction makes no Fraction per
     entry, a query ceils phi*den once and bisects the ints, and only the
-    entry it returns gets a rational rounded profit.  ``served`` is the
-    Fraction view of the thresholds.
+    entry it returns gets a rational rounded profit.  ``solution`` decodes
+    entry i directly.
 
     Only candidate windows that are not dominated get a DP table.  A window
     is dominated when its classes are all light (at most 1/eps items) and
@@ -319,35 +323,33 @@ class InverseFrontier:
         # a value v/top is scale*v/top in true units, and it serves requirements
         # up to that over 1 - 3*eps = (q-3)/q
         self.den = top * (q - 3)
-        # entry i is the lightest endpoint for requirements in (served[i-1], served[i]]
+        # entry i is the lightest endpoint for requirements in
+        # (thresholds[i-1]/den, thresholds[i]/den]
         self.weights = [e[0] for e in frontier]
         self.thresholds = [classes.scale * q * e[1] for e in frontier]
 
-    @property
-    def served(self) -> list[Fraction]:
-        """The largest requirement each entry serves, as exact rationals."""
-        return [Fraction(t, self.den) for t in self.thresholds]
+    def solution(self, i: int) -> Solution:
+        """Entry i's solution; the first entry is the empty one."""
+        _, _, table, pos = self._frontier[i]
+        if table is None:
+            return Solution.empty(self.instance.n)
+        return prefix_to_solution(self.classes, table.interval, table.chain(pos), self.instance.n)
 
     def query(self, phi: Fraction) -> Optional[InverseResult]:
         """Lightest endpoint whose rounded profit clears (1-3*eps)*phi.
 
-        served[i] >= phi iff thresholds[i] >= phi*den iff thresholds[i] >=
+        Entry i serves phi iff thresholds[i] >= phi*den iff thresholds[i] >=
         ceil(phi*den), as thresholds are ints: one ceiling, then a bisection."""
         if phi < 0:
             raise ValueError("profit requirement must be nonnegative")
         idx = bisect_left(self.thresholds, -(-phi.numerator * self.den // phi.denominator))
         if idx == len(self._frontier):
             return None
-        weight, v, table, pos = self._frontier[idx]
-        if table is None:
-            solution = Solution.empty(self.instance.n)
-            value = 0
-        else:
-            solution = prefix_to_solution(self.classes, table.interval, table.chain(pos), self.instance.n)
-            value = self.classes.scale * Fraction(v, self._top)
+        weight, v, table, _ = self._frontier[idx]
+        solution = self.solution(idx)
         return InverseResult(
             solution=solution,
-            rounded_profit=value,
+            rounded_profit=0 if table is None else self.classes.scale * Fraction(v, self._top),
             true_profit=objective(self.instance, solution),
             weight=weight,
         )
@@ -380,10 +382,8 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
     periods.  The paper's wrapper sweeps a geometric grid of profit floors
     through a black-box inverse solver; every answer such a sweep can
     return is a frontier endpoint, so the best endpoint meets its (1-5*eps)
-    bound a fortiori.  Each endpoint is scored on ints off its count chain,
-    with a query's checks (a monotone chain, each period within capacity):
-    period t packs the chain[t] lightest items of each class, weighed and
-    valued by class prefix sums.  Only the winner is queried.
+    bound a fortiori.  Each endpoint is decoded and scored once, on ints,
+    with no query and no rounded profit.
     """
     validate(instance)
     eps = check_internal_eps(eps)
@@ -393,21 +393,5 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
         return Solution.empty(instance.n)
     instance, _, _ = integer_units(pre)
     frontier = InverseFrontier(instance, eps)
-    prefix, members = frontier.classes.prefix, frontier.classes.members
-    gains = {l: tuple(accumulate((instance.items[i][0] for i in ids), initial=0)) for l, ids in members.items()}
-
-    def true_profit(i: int) -> int:
-        _, _, table, pos = frontier._frontier[i]
-        chain = table.chain(pos) if table is not None else []
-        _check_monotone(chain)
-        profit = 0
-        for t, counts in enumerate(chain, start=1):
-            packed = list(zip(table.interval.active, counts))
-            if sum(prefix[l][c] for l, c in packed) > instance.capacities[t - 1]:
-                raise InfeasibleSolution(t)
-            profit += instance.lambdas[t - 1] * sum(gains[l][c] for l, c in packed)
-        return profit
-
-    # the thresholds strictly increase, so querying entry best's own threshold reaches it
-    best = max(range(len(frontier.thresholds)), key=true_profit)
-    return remap_solution(frontier.query(Fraction(frontier.thresholds[best], frontier.den)).solution, remap)
+    solutions = map(frontier.solution, range(len(frontier.weights)))
+    return remap_solution(max(solutions, key=lambda solution: objective(instance, solution)), remap)

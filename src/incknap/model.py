@@ -116,8 +116,8 @@ class Instance:
         """Coerce arbitrary rational-like scalars into an Instance: ints where integral."""
         return Instance(
             items=tuple((_scalar(p), _scalar(w)) for p, w in items),
-            capacities=tuple(map(_scalar, capacities)),
-            lambdas=tuple(map(_scalar, lambdas)),
+            capacities=tuple(_scalar(c) for c in capacities),
+            lambdas=tuple(_scalar(v) for v in lambdas),
         )
 
     @property
@@ -155,7 +155,8 @@ class Solution:
 
     def weights_by_period(self, instance: Instance) -> tuple[Fraction, ...]:
         """Total packed weight at each period (cumulative)."""
-        added = [0] * (instance.horizon + 1)
+        horizon = instance.horizon
+        added = [0] * (horizon + 1)
         for i, t in self.introduced():
             added[t] += instance.items[i][1]
         return tuple(accumulate(added[1:]))
@@ -234,7 +235,10 @@ def remap_solution(solution: Solution, remap: tuple[int, ...]) -> Solution:
 def check_feasible(instance: Instance, solution: Solution) -> Optional[int]:
     """Return None when every period's capacity holds, else the first bad period."""
     weights = solution.weights_by_period(instance)
-    return next((t for t, (w, cap) in enumerate(zip(weights, instance.capacities), 1) if w > cap), None)
+    for t in range(1, instance.horizon + 1):
+        if weights[t - 1] > instance.capacities[t - 1]:
+            return t
+    return None
 
 
 def objective(instance: Instance, solution: Solution) -> Fraction:
@@ -242,7 +246,8 @@ def objective(instance: Instance, solution: Solution) -> Fraction:
     bad = check_feasible(instance, solution)
     if bad is not None:
         raise InfeasibleSolution(bad)
-    added = [0] * (instance.horizon + 1)
+    horizon = instance.horizon
+    added = [0] * (horizon + 1)
     for i, t in solution.introduced():
         added[t] += instance.items[i][0]
     return sum(lam * packed for lam, packed in zip(instance.lambdas, accumulate(added[1:])))

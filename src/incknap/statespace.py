@@ -10,12 +10,12 @@ rounding back.  For one heavy class only the truncated count a multiplier
 produces matters, and that count is monotone in mu, so each class offers a
 short table of reachable truncated counts, each with its least mu; a tuple
 of them is reachable exactly when those least multipliers fit the counting
-cap.  The bases come from bit lengths of ints, and each distinct tuple is
-yielded once.  The family is these heavy tuples crossed with the free light
-ranges, never the exponential vector space.  It is held as member cells of
-the product lattice of per-class counts (``Family``): weights and profits
-are sums of one term per class, so the DP builds them per cell as it walks
-the cells that fit instead of building one object per member.
+cap.  The power-of-two bases come from bit lengths of ints.  The family is
+these heavy tuples crossed with the free light ranges, never the
+exponential vector space.  It is held as member cells of the product
+lattice of per-class counts (``Family``): weights and profits are sums of
+one term per class, so the DP builds them per cell as it walks the cells
+that fit instead of building one object per member.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def heavy_configurations(
     holds more than 1/eps items, takes one of its reachable truncated counts;
     a combination with at least one heavy class is reachable exactly when
     the least multipliers of its counts sum to at most the counting cap.
-    The bases come from bit lengths of ints, and each distinct tuple is
-    yielded once, at the first base reaching it.
+    The bases come from bit lengths of ints.  A tuple may repeat across
+    bases.
     """
     threshold = eps.denominator
     if all(classes.size(l) <= threshold for l in interval.active):
@@ -125,14 +125,12 @@ def heavy_configurations(
     cap = mu_sum_cap(interval, eps)
     (a, b), (c, d) = ((w.numerator, w.denominator) for w in weight_range)
     scale = eps.denominator * interval.length
-    configs: dict[tuple[Optional[int], ...], None] = {}  # insertion-ordered set
     for k in _power_range((eps.numerator * a, scale * b), (2 * eps.numerator * n * c, scale * d)):
         num, den = 1 << max(k, 0), 1 << max(-k, 0)  # base 2**k
         options = [[(None, 0), *_heavy_choices(classes, l, threshold, num, den).items()] for l in interval.active]
         for combo in itertools.product(*options):
             if 0 < sum(mu for _, mu in combo) <= cap:
-                configs[tuple(count for count, _ in combo)] = None
-    yield from configs
+                yield tuple(count for count, _ in combo)
 
 
 def enumerate_family(

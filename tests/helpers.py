@@ -19,6 +19,7 @@ from incknap.bounded import (
     BoundedDPTable,
     InverseFrontier,
     InverseResult,
+    _dominates,
     check_internal_eps,
     dp_solve,
     prefix_to_solution,
@@ -373,13 +374,14 @@ def lattice_rows(table: BoundedDPTable, t: int) -> tuple[list, list]:
     return raw, back
 
 
+def served(frontier: InverseFrontier) -> list[Fraction]:
+    """The largest requirement each frontier entry serves, as exact rationals."""
+    return [Fraction(t, frontier.den) for t in frontier.thresholds]
+
+
 def cell_chain(table: BoundedDPTable, cell: int) -> list[tuple[int, ...]]:
     """Counts per period of the optimal path ending at a lattice cell."""
     return table.chain(position(table, cell))
-
-
-def _dominates(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(small, big))
 
 
 def members(family: Family) -> list[tuple[tuple[int, ...], Fraction]]:

@@ -1,19 +1,17 @@
 """sha256 of exit codes and ``solve`` output over the benchmark's instance pools.
 
-    PYTHONPATH=src python tests/pool_hashes.py [--seed N] [WORKLOAD ...]
+    PYTHONPATH=src python tests/pool_hashes.py
 
-Builds each workload's full pool through ``perfbench/workloads.py``, as
-the benchmark does, writes every instance to a file in a temporary
+Builds each workload's full seed-1 pool through ``perfbench/workloads.py``,
+as the benchmark does, writes every instance to a file in a temporary
 directory, and solves it through ``cli.main`` in each of the workload's
 modes at its eps.  Prints one line per workload: its name and the sha256
 of every exit code and standard output, in solve order.  Comparing these
-lines with recorded ones pins the answers on the benchmark's own
-instances (no workload at all by default: every one).
+lines with recorded ones pins the answers on the benchmark's own instances.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -27,12 +25,14 @@ import workloads  # noqa: E402
 
 from incknap import cli  # noqa: E402
 
+SEED = 1
 
-def pool_hash(workload: workloads.Workload, seed: int, workdir: Path) -> str:
+
+def pool_hash(workload: workloads.Workload, workdir: Path) -> str:
     digest = hashlib.sha256()
     for index in range(workload.pool):
         path = workdir / f"{workload.name}-{index}.json"
-        path.write_text(cli.instance_to_json(workload.make(seed, index)))
+        path.write_text(cli.instance_to_json(workload.make(SEED, index)))
         for mode in workload.modes:
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -42,16 +42,9 @@ def pool_hash(workload: workloads.Workload, seed: int, workdir: Path) -> str:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD")
-    args = parser.parse_args()
-    unknown = set(args.workloads) - set(workloads.WORKLOADS)
-    if unknown:
-        parser.error(f"unknown workloads: {sorted(unknown)}; choose from {list(workloads.WORKLOADS)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in args.workloads or workloads.WORKLOADS:
-            print(name, pool_hash(workloads.WORKLOADS[name], args.seed, Path(tmp)), flush=True)
+        for workload in workloads.WORKLOADS.values():
+            print(workload.name, pool_hash(workload, Path(tmp)), flush=True)
 
 
 if __name__ == "__main__":

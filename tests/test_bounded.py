@@ -20,6 +20,7 @@ from helpers import (
     random_class_structure,
     random_instance,
     sparse_heavy_structures,
+    served,
     two_heavy_structures,
 )
 from incknap import bounded
@@ -305,12 +306,12 @@ def test_inverse_frontier_matches_fraction_merge():
         # compare counts per class rather than per window; entries keep ints,
         # so read each value back from the rational it serves
         got = [
-            (weight, served * (1 - 3 * EPS), table and counts_by_class(table.interval, table.family.counts(table.cells[pos])))
-            for (weight, _, table, pos), served in zip(frontier._frontier, frontier.served)
+            (weight, s * (1 - 3 * EPS), table and counts_by_class(table.interval, table.family.counts(table.cells[pos])))
+            for (weight, _, table, pos), s in zip(frontier._frontier, served(frontier))
         ]
         assert got == [(w, v, i and counts_by_class(i, c)) for w, v, i, c in want]
         assert frontier.weights == [e[0] for e in want]
-        assert frontier.served == [e[1] / (1 - 3 * EPS) for e in want]
+        assert served(frontier) == [e[1] / (1 - 3 * EPS) for e in want]
         tops.add(len({e[2].hi for e in want if e[2] is not None}))
     assert max(tops) >= 3  # entries from tables of different value_den compete
 
@@ -331,11 +332,11 @@ def test_query_on_int_thresholds_matches_a_fraction_bisect():
         instance, _, _ = integer_units(instance)
         frontier = InverseFrontier(instance, EPS)
         want = fraction_merge_frontier(instance, EPS)
-        served = [value / (1 - 3 * EPS) for _, value, _, _ in want]
-        assert frontier.served == served
-        phis = {Fraction(0), served[-1] * 2} | {s + d for s in served for d in (-gap, 0, gap) if s + d >= 0}
+        want_served = [value / (1 - 3 * EPS) for _, value, _, _ in want]
+        assert served(frontier) == want_served
+        phis = {Fraction(0), want_served[-1] * 2} | {s + d for s in want_served for d in (-gap, 0, gap) if s + d >= 0}
         for phi in sorted(phis):
-            idx = bisect_left(served, phi)
+            idx = bisect_left(want_served, phi)
             res = frontier.query(phi)
             if idx == len(want):
                 assert res is None
@@ -345,10 +346,10 @@ def test_query_on_int_thresholds_matches_a_fraction_bisect():
     assert probes > 300
 
 
-def frontier_answers(frontier):
+def frontier_answers(frontier, served):
     """weights, served, and the full answer of every query that reaches an entry."""
-    answers = [frontier.query(s) for s in frontier.served]
-    return frontier.weights, frontier.served, [(r.solution, r.rounded_profit, r.true_profit, r.weight) for r in answers]
+    answers = [frontier.query(s) for s in served]
+    return frontier.weights, served, [(r.solution, r.rounded_profit, r.true_profit, r.weight) for r in answers]
 
 
 def power_profit_instance(rng, eps, levels, sizes, weights, horizon):
@@ -383,7 +384,8 @@ def test_inverse_frontier_matches_all_windows(monkeypatch):
         instance, _, _ = integer_units(instance)
         built.clear()
         frontier = InverseFrontier(instance, eps)
-        assert frontier_answers(frontier) == frontier_answers(AllWindowsFrontier(instance, eps))
+        reference = AllWindowsFrontier(instance, eps)
+        assert frontier_answers(frontier, served(frontier)) == frontier_answers(reference, reference.served)
         windows = candidate_intervals(frontier.classes, eps, instance.suffix_lambdas.ratio)
         threshold = int(1 / eps)
         heavy = [w for w in windows if any(frontier.classes.size(l) > threshold for l in w.active)]
@@ -421,8 +423,9 @@ def test_inverse_frontier_tie_goes_to_first_holding_window(monkeypatch, spans, w
     for module in (bounded, helpers):
         monkeypatch.setattr(module, "candidate_intervals", lambda classes, eps, rho: windows)
     frontier = InverseFrontier(instance, eps)
-    assert frontier_answers(frontier) == frontier_answers(AllWindowsFrontier(instance, eps))
-    tie = frontier.query(frontier.served[frontier.weights.index(6)])
+    reference = AllWindowsFrontier(instance, eps)
+    assert frontier_answers(frontier, served(frontier)) == frontier_answers(reference, reference.served)
+    tie = frontier.query(served(frontier)[frontier.weights.index(6)])
     assert {l for l in classes.indices for i in classes.members[l] if tie.solution.intro[i] is not None} == {winner}
 
 
@@ -680,14 +683,13 @@ def test_solve_bounded_takes_most_profitable_frontier_entry():
         pre, _ = preprocess(instance)
         scaled, _, _ = integer_units(pre)
         frontier = InverseFrontier(scaled, eps)
-        best = max(frontier.query(s).true_profit for s in frontier.served)
+        best = max(frontier.query(s).true_profit for s in served(frontier))
         assert objective(scaled, solve_bounded(scaled, eps)) == best
-
 
 
 def test_solve_bounded_returns_the_first_most_profitable_query():
     # the whole answer, not just its profit: the endpoint the forward solver
-    # scores on ints is the one a query per endpoint would pick, equal true
+    # decodes and scores is the one a query per endpoint would pick, equal true
     # profits going to the first endpoint in frontier order.  Random and
     # heavy-profit instances (one class per profit at eps 1/10), then one
     # where two endpoints tie: at eps 1/5 profit 2 rounds to 216/125, so
@@ -705,18 +707,18 @@ def test_solve_bounded_returns_the_first_most_profitable_query():
     for instance, eps in [*cases, (tie, EPS)]:
         scaled, _, _ = integer_units(preprocess(instance)[0])
         frontier = InverseFrontier(scaled, eps)
-        want = max((frontier.query(s) for s in frontier.served), key=lambda res: res.true_profit)
+        want = max((frontier.query(s) for s in served(frontier)), key=lambda res: res.true_profit)
         assert solve_bounded(scaled, eps) == want.solution
-    profits = [frontier.query(s).true_profit for s in frontier.served]
+    profits = [frontier.query(s).true_profit for s in served(frontier)]
     assert profits == [0, 1, 2, 2]
     assert solve_bounded(tie, EPS) == Solution((None, None, 1))
 
 
 @pytest.mark.parametrize("shape, error", [("full then empty", ChainNotMonotone), ("full", InfeasibleSolution)])
 def test_solve_bounded_checks_every_scored_chain(monkeypatch, shape, error):
-    # the int scoring makes the checks a query makes: a chain that packs
-    # every item and then drops them is not monotone, and one that packs
-    # every item (weight 9) from period 1 exceeds capacity 4 there
+    # every scored endpoint passes the checks a query makes: a chain that
+    # packs every item and then drops them is not monotone, and one that
+    # packs every item (weight 9) from period 1 exceeds capacity 4 there
     def chain(table, pos):
         full = tuple(values[-1] for values in table.family.values)
         return [full, tuple(0 for _ in full)] if shape == "full then empty" else [full, full]

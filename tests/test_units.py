@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import e1, random_instance
+from helpers import e1, random_instance, served
 from incknap.bounded import InverseFrontier, InverseResult, solve_bounded, solve_inverse
 from incknap.general import solve_detailed
 from incknap.model import Instance, integer_units, objective, preprocess, remap_solution
@@ -123,8 +123,8 @@ def test_solve_inverse_is_the_integer_units_frontier_mapped_back():
         scaled, value_unit, weight_unit = integer_units(pre)
         scaled_runs += value_unit > 1 and weight_unit > 1
         frontier = InverseFrontier(scaled, Fraction(1, 5))
-        served = [s / value_unit for s in frontier.served]
-        for phi in sorted({Fraction(0), *served, *(s + Fraction(1, 10**9) for s in served)}):
+        requirements = [s / value_unit for s in served(frontier)]
+        for phi in sorted({Fraction(0), *requirements, *(s + Fraction(1, 10**9) for s in requirements)}):
             got = solve_inverse(instance, phi, Fraction(1, 5))
             want = frontier.query(phi * value_unit)
             if want is None:
