@@ -11,6 +11,15 @@ per (cluster, top class) by pushing each inverse frontier entry over the
 grid range it serves, found by bisecting those ints.  The per-cluster
 subproblems are inverse solves with capacities reduced by the weight
 already committed below.
+
+Gluing reads one state of the last row, its most profitable feasible one,
+and its backpointer.  So the last row is filled for it alone, skipping
+each predecessor whose frontier a knapsack bound shows cannot reach that
+state, or cannot reach it lighter: an entry of weight x profits at most
+U(x) = sum_t lambda_t * KP(min(W_t - omega, x)) over the last cluster.
+Knapsack rows are built once per table, floored by a common divisor when
+the capacity exceeds ``KNAPSACK_CELLS``.  The skipped frontiers are never
+built, and the answer is the full row's.
 """
 
 from __future__ import annotations
@@ -32,11 +41,14 @@ from .model import (
     remap_solution,
     validate,
 )
-from .oracle import BudgetExceeded
+from .oracle import BudgetExceeded, add_item
 
 # Most profit-grid points (0 included) a solve may build: point k is an int
 # of O(k) digits, so a grid's time and memory grow with its length squared.
 GRID_BUDGET = 2**15
+# Most cells in one knapsack row of ``ClusterDPTable.final_state``'s bound;
+# past it, weights and capacities are floored by a common divisor.
+KNAPSACK_CELLS = 2**10
 
 
 @dataclass(frozen=True)
@@ -211,6 +223,12 @@ class ClusterDPTable:
     weight, so the row looks up each (ell_prev, weight) frontier's (cutoff,
     total weight) pairs once, and takes each predecessor's offset from the
     step's ints.
+
+    ``final_state`` fills the last row (M, top class) once more for ``glue``,
+    which reads only its highest feasible index and that index's
+    backpointer, and skips each predecessor that a knapsack bound
+    (``_LastRowBound``) shows cannot change those two; ``value`` and
+    ``backpointer`` read full rows.
     """
 
     instance: Instance
@@ -236,13 +254,14 @@ class ClusterDPTable:
             self._frontiers[key] = (frontier, sub, pushes)
         return self._frontiers[key]
 
-    def _row(self, m: int, ell: int) -> tuple[list, list]:
-        if (m, ell) in self._rows:
-            return self._rows[m, ell]
+    def _fill(self, m: int, ell: int, skip=None) -> tuple[list, list]:
+        """Row (m, ell), pushing every predecessor that ``skip(ell_prev,
+        weight, offset, reach, values)`` does not reject; reach is the
+        highest index written so far."""
         points = self.grid.values
         values: list = [0] + [None] * (len(points) - 1)  # build_grid puts 0 at index 0 only
         back: list = [None] * len(points)
-        self._rows[m, ell] = values, back
+        reach = 0
         # offset(k) = points[k] * num // den + delta, as in ProfitGrid.offset
         num, den, delta = self.grid.step.numerator, self.grid.step.denominator, points[1]
         # with no cluster or no class only the zero state is feasible; else the
@@ -254,10 +273,12 @@ class ClusterDPTable:
             for idx_prev, prev in enumerate(self._row(m - 1, ell_prev)[0]):
                 if prev is None:
                     continue
+                offset = points[idx_prev] * num // den + delta
+                if skip is not None and skip(ell_prev, prev, offset, reach, values):
+                    continue
                 pushes = by_weight.get(prev)
                 if pushes is None:
                     pushes = by_weight[prev] = self._frontier(m, ell_prev + 1, ell, prev)[2]
-                offset = points[idx_prev] * num // den + delta
                 lo = idx_prev or 1
                 for cutoff, cand in pushes:
                     hi = bisect_right(points, cutoff + offset, lo)
@@ -267,7 +288,32 @@ class ClusterDPTable:
                             values[idx] = cand
                             back[idx] = (ell_prev, idx_prev, prev)
                     lo = hi
+                # the empty entry serves offset >= points[idx_prev], so every
+                # index from idx_prev or 1 up to lo - 1 now holds a value
+                reach = max(reach, lo - 1)
         return values, back
+
+    def _row(self, m: int, ell: int) -> tuple[list, list]:
+        if (m, ell) not in self._rows:
+            self._rows[m, ell] = self._fill(m, ell)
+        return self._rows[m, ell]
+
+    def final_state(self) -> tuple[int, Optional[tuple[int, int, Fraction]]]:
+        """The last row's highest feasible index and its backpointer.
+
+        Fills row (M, top class) as ``_row`` does, minus the predecessors
+        that ``_LastRowBound.skips`` shows cannot write above reach, the
+        highest index written so far, nor strictly lighter than the value
+        at reach.  Reach never passes the full row's target, so a skipped
+        predecessor either writes only below that target, or writes at it
+        nothing lighter than a kept push before it.  The kept pushes keep
+        their order, so the target (the highest index written) and its
+        first lightest push, hence its weight and backpointer, are the
+        full row's.
+        """
+        values, back = self._fill(self.plan.num_clusters, self.classes.indices[-1], _LastRowBound(self).skips)
+        target = next(idx for idx in range(len(values) - 1, -1, -1) if values[idx] is not None)
+        return target, back[target]
 
     def value(self, m: int, ell: int, phi_idx: int) -> Optional[Fraction]:
         """Minimum achievable weight, or None when the state is infeasible."""
@@ -277,12 +323,80 @@ class ClusterDPTable:
         """(ell_prev, idx_prev, its weight) of the winning predecessor, if any."""
         return self._row(m, ell)[1][phi_idx]
 
-    def transition(self, m: int, ell: int, phi_idx: int):
-        """(ell_prev, idx_prev, InverseResult, SingleClusterInstance) of cluster m's step."""
-        ell_prev, idx_prev, prev = self.backpointer(m, ell, phi_idx)
+    def transition(self, m: int, ell: int, phi_idx: int, link: Optional[tuple[int, int, Fraction]] = None):
+        """(ell_prev, idx_prev, InverseResult, SingleClusterInstance) of cluster m's step.
+
+        ``link`` is the state's backpointer, read from its full row if not given."""
+        ell_prev, idx_prev, prev = link or self.backpointer(m, ell, phi_idx)
         frontier, sub, _ = self._frontier(m, ell_prev + 1, ell, prev)
         phi_req = Fraction(max(self.grid.values[phi_idx] - self.grid.offset(idx_prev), 0), self.grid.unit)
         return ell_prev, idx_prev, frontier.query(phi_req), sub
+
+
+class _LastRowBound:
+    """Which predecessors of the last row (M, top class) ``glue`` needs.
+
+    Cluster M's frontier for a predecessor (ell_prev, weight omega) holds
+    feasible solutions of its subinstance on the classes above ell_prev.
+    An entry of weight x has rounded profit at most its true profit, at
+    most U(x) = sum_t lambda_t * KP(min(W_t - omega, x)) over the cluster's
+    local lambdas and capacities, KP being the 0/1 knapsack optimum over
+    the items of classes above ell_prev.  It serves requirements up to its
+    rounded profit times q/(q-3), so it writes grid index idx only if
+    U(x) * q/(q-3) >= grid[idx] - offset, offset being the predecessor's.
+
+    ``rows[ell_prev]`` holds KP for every class suffix, built once, back to
+    front over the classes, one item at a time (``oracle.add_item``).  To
+    keep a row within ``KNAPSACK_CELLS`` cells, every weight and capacity is
+    floored by the least divisor g that does: a set of weight at most c
+    floors to at most c // g, so the floored KP is never below the true one.
+    """
+
+    def __init__(self, table: ClusterDPTable):
+        instance, classes = table.instance, table.classes
+        periods = table.plan.clusters[-1]
+        ends = [instance.suffix_lambdas.at(t) for t in periods] + [0]
+        self.lambdas = [a - b for a, b in zip(ends, ends[1:])]
+        self.caps = [instance.capacities[t - 1] for t in periods]
+        self.points = table.grid.values
+        q = table._sub_eps.denominator
+        self.scale, self.loss = q * table.grid.unit, q - 3
+        width = instance.capacities[-1] + 1
+        self.g = g = -(-width // KNAPSACK_CELLS)
+        row = [0] * ((width - 1) // g + 1)
+        self.rows: dict[int, list[int]] = {}
+        for level in reversed(classes.indices):
+            self.rows[level] = row
+            for i in classes.members[level]:
+                p, w = instance.items[i]
+                row = add_item(row, p, w // g)
+        self.rows[-1] = row
+        self.most: dict[tuple[int, int], int] = {}
+
+    def profit(self, ell_prev: int, omega: int, x: int) -> int:
+        """U(x) for the frontier of predecessor (ell_prev, omega)."""
+        row, g = self.rows[ell_prev], self.g
+        return sum(lam * row[min(max(c - omega, 0), x) // g] for lam, c in zip(self.lambdas, self.caps))
+
+    def cutoff(self, ell_prev: int, omega: int, x: int) -> int:
+        """The largest requirement, in grid units, an entry of weight at most x may serve."""
+        return self.profit(ell_prev, omega, x) * self.scale // self.loss
+
+    def skips(self, ell_prev: int, omega: int, offset: int, reach: int, values: list) -> bool:
+        """True unless some entry may write above ``reach`` or strictly
+        lighter than values[reach]: the cutoff at the largest capacity,
+        kept per (ell_prev, omega), tests the first, and the cutoff at
+        values[reach] - omega - 1 the second, as U never falls as x grows."""
+        points = self.points
+        most = self.most.get((ell_prev, omega))
+        if most is None:
+            most = self.most[ell_prev, omega] = self.cutoff(ell_prev, omega, self.caps[-1])
+        if most + offset < points[reach]:
+            return True
+        if reach + 1 < len(points) and most + offset >= points[reach + 1]:
+            return False
+        lighter = values[reach] - omega - 1
+        return lighter < 0 or self.cutoff(ell_prev, omega, lighter) + offset < points[reach]
 
 
 def cluster_dp(
@@ -301,25 +415,27 @@ def cluster_dp(
 def glue(plan: ClusterPlan, table: ClusterDPTable, n_items: int) -> tuple[Solution, Fraction]:
     """Trace back from the most profitable feasible final state.
 
+    The final state and its backpointer come from ``table.final_state``.
+    It fills the last row without the predecessors whose entries cannot,
+    by the knapsack bound U(x) (its rows floored past ``KNAPSACK_CELLS``
+    cells), write above the highest index so far or lighter at it; those
+    never change the target or its backpointer.  Earlier steps read full
+    rows.
     Each traversed backpointer contributes one single-cluster solution; the
     union over clusters, re-indexed to parent periods and items, is the
     glued solution.  Returns it with the certified grid profit.
     """
-    top = max(table.classes.indices)
-    grid = table.grid
-    # every row holds the zero state at index 0, so some index is feasible
-    target_idx = next(
-        idx for idx in range(len(grid.values) - 1, -1, -1) if table.value(plan.num_clusters, top, idx) is not None
-    )
+    target_idx, link = table.final_state()
     intro: list[Optional[int]] = [None] * n_items
-    m, ell, idx = plan.num_clusters, top, target_idx
+    m, ell, idx = plan.num_clusters, table.classes.indices[-1], target_idx
     # a feasible state past index 0 got its backpointer with its value
     while m >= 1 and idx > 0:
-        ell_prev, idx_prev, res, sub = table.transition(m, ell, idx)
+        ell_prev, idx_prev, res, sub = table.transition(m, ell, idx, link)
         for local_item, local_t in res.solution.introduced():
             intro[sub.item_ids[local_item]] = sub.periods[local_t - 1]
         m, ell, idx = m - 1, ell_prev, idx_prev
-    return Solution(tuple(intro)), grid.point(target_idx)
+        link = table.backpointer(m, ell, idx)
+    return Solution(tuple(intro)), table.grid.point(target_idx)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,12 @@ def _check_budget(instance: Instance, budget: int) -> int:
     return required
 
 
+def add_item(row: list[int], profit: int, weight: int) -> list[int]:
+    """The 0/1 knapsack row of ``row``'s items and one more item: entry c
+    is the most profit packing at most c of weight."""
+    return row[:weight] + [max(keep, take + profit) for keep, take in zip(row[weight:], row)]
+
+
 class _Bound:
     """Upper bound on the objective that items i..n-1 can still add.
 
@@ -109,7 +115,7 @@ class _Bound:
         row = [0] * self.width
         rows = [row]
         for p, w in reversed(self.items):
-            row = row[:w] + [max(keep, take + p) for keep, take in zip(row[w:], row)]
+            row = add_item(row, p, w)
             rows.append(row)
         return rows[::-1]
 

@@ -1,11 +1,15 @@
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import PullClusterTable, e1, random_instance
 from incknap import general
+from incknap.bounded import InverseFrontier, rescaled_third
 from incknap.classes import build_classes
 from incknap.general import (
     build_grid,
@@ -748,3 +752,185 @@ def test_drop_bad_periods_keeps_good_intros():
     plan = build_plan(instance, EPS, xi=2)  # band 2 (period 3) is bad
     filtered = drop_bad_periods(plan, Solution((1, 3, None, 2, 3)))
     assert filtered.intro == (1, None, None, 2, None)
+
+
+def solve_tables(instance, eps_public):
+    """(core, classes, plan, grid, eps) per distinct plan, set up as ``solve_detailed`` sets them up."""
+    pre, _ = preprocess(instance)
+    fit = tuple(item for item in pre.items if item[1] <= pre.capacities[-1])
+    if not fit:
+        return
+    core, _, _ = integer_units(Instance(fit, pre.capacities, pre.lambdas))
+    eps = internal_eps(eps_public)
+    classes = build_classes(core, eps)
+    profits = [p for p, _ in core.items]
+    seen = set()
+    for xi in range(eps.denominator):
+        plan = build_plan(core, eps, xi)
+        if plan.num_clusters == 0 or plan.clusters in seen:
+            continue
+        seen.add(plan.clusters)
+        psi_cap = core.suffix_lambdas.values[0] * sum(profits)
+        grid = build_grid(eps, plan.num_clusters, core.lambdas[-1], max(profits), psi_cap)
+        yield core, classes, plan, grid, eps
+
+
+def glue_from_full_rows(plan, table, n_items):
+    """``glue`` read off full rows: the last row's highest feasible index, then its backpointers."""
+    m, ell = plan.num_clusters, max(table.classes.indices)
+    target = max(idx for idx in range(len(table.grid.values)) if table.value(m, ell, idx) is not None)
+    intro = [None] * n_items
+    idx = target
+    while m >= 1 and idx > 0:
+        ell_prev, idx_prev, res, sub = table.transition(m, ell, idx)
+        for local_item, local_t in res.solution.introduced():
+            intro[sub.item_ids[local_item]] = sub.periods[local_t - 1]
+        m, ell, idx = m - 1, ell_prev, idx_prev
+    return Solution(tuple(intro)), table.grid.point(target)
+
+
+def last_row_cases():
+    """Uniform, heavy-profit, scaled two-cluster and fractional instances, with a public eps."""
+    rng = random.Random(20)
+    for _ in range(6):
+        yield random_instance(rng, n_max=9, t_max=4), Fraction(1, 2)
+    for _ in range(4):
+        items = [(rng.choice((100, 110, 121)), rng.randint(1, 10)) for _ in range(rng.randint(6, 10))]
+        caps = list(itertools.accumulate(rng.randint(3, 12) for _ in range(rng.randint(2, 4))))
+        yield Instance.build(items, caps, [rng.randint(1, 5) for _ in caps]), Fraction(1, 2)
+    for seed in range(4):
+        # weights past KNAPSACK_CELLS, so the bound floors them
+        base = two_cluster_instance(seed)
+        items = [(p, w * 1000 + rng.randint(0, 99)) for p, w in base.items]
+        yield Instance.build(items, [c * 1000 for c in base.capacities], base.lambdas), Fraction(4, 5)
+    for _ in range(3):
+
+        def frac(lo, hi):
+            return Fraction(rng.randint(lo * 4, hi * 4), rng.choice([2, 3, 5]))
+
+        caps = list(itertools.accumulate(frac(1, 6) for _ in range(3)))
+        items = [(frac(1, 8), frac(1, 4)) for _ in range(rng.randint(3, 7))]
+        yield Instance.build(items, caps, [frac(1, 3) for _ in caps]), Fraction(1, 2)
+
+
+def test_glue_answers_from_the_full_last_row():
+    # the pruned last row gives glue the full row's target, backpointer and
+    # weight, while building fewer frontiers; some cases floor their weights
+    built = {"pruned": 0, "full": 0}
+    kinds = Counter()
+    for instance, eps_public in last_row_cases():
+        for core, classes, plan, grid, eps in solve_tables(instance, eps_public):
+            pruned = cluster_dp(core, classes, plan, grid, eps)
+            got = glue(plan, pruned, core.n)
+            built["pruned"] += len(pruned._frontiers)
+            full = cluster_dp(core, classes, plan, grid, eps)
+            assert got == glue_from_full_rows(plan, full, core.n)
+            built["full"] += len(full._frontiers)
+            m, top = plan.num_clusters, max(classes.indices)
+            target, link = pruned.final_state()
+            assert link == full.backpointer(m, top, target)
+            if link is not None:
+                assert link[2] + pruned.transition(m, top, target, link)[2].weight == full.value(m, top, target)
+            kinds[plan.num_clusters, general._LastRowBound(pruned).g > 1] += 1
+    assert built["pruned"] < built["full"]
+    assert kinds[2, True] and kinds[1, False]
+
+
+def assignment_weights(sub):
+    """(packed weight per period, objective) of every assignment of sub, feasible or not."""
+    suffix = sub.suffix_lambdas.values
+    for intro in itertools.product(range(sub.horizon + 1), repeat=sub.n):  # 0: never
+        weights = [sum(w for (_, w), t in zip(sub.items, intro) if 0 < t <= period) for period in range(1, sub.horizon + 1)]
+        yield weights, sum(p * suffix[t - 1] for (p, _), t in zip(sub.items, intro) if t)
+
+
+@pytest.mark.parametrize("cells", [general.KNAPSACK_CELLS, 4])
+def test_last_row_bound_is_admissible(monkeypatch, cells):
+    # every feasible assignment of the last cluster's subinstance profits at
+    # most U(its weight), at every committed weight omega it fits, also when
+    # a cell budget of 4 floors the knapsack rows
+    monkeypatch.setattr(general, "KNAPSACK_CELLS", cells)
+    rng = random.Random(cells)
+    checked = 0
+    for _ in range(15):
+        instance = random_instance(rng, n_max=7, t_max=3)
+        for core, classes, plan, grid, eps in solve_tables(instance, Fraction(1, 2)):
+            bound = general._LastRowBound(cluster_dp(core, classes, plan, grid, eps))
+            assert (bound.g > 1) == (cells == 4 and core.capacities[-1] >= 4)
+            top = max(classes.indices)
+            for ell_prev in (-1,) + classes.indices:
+                sub = single_cluster_instance(core, classes, plan, plan.num_clusters, ell_prev + 1, top, 0).instance
+                for weights, profit in assignment_weights(sub):
+                    # feasible at omega iff every nonzero weight fits W_t - omega
+                    slack = [c - w for c, w in zip(sub.capacities, weights) if w]
+                    if slack and min(slack) < 0:
+                        continue
+                    most = min(slack, default=core.capacities[-1])
+                    for omega in {0, rng.randint(0, most), most}:
+                        assert profit <= bound.profit(ell_prev, omega, weights[-1])
+                        checked += 1
+    assert checked > 1000
+
+
+def test_last_row_skips_exactly_what_a_linear_scan_rules_out():
+    # skips(...) is True iff no entry of any weight writes above reach and
+    # the least weight writing at reach, by a scan of every weight, gives
+    # no total lighter than values[reach]; an entry of weight x writes idx
+    # iff floor(U(x) * q/(q-3) in grid units) + offset >= grid[idx].  Each
+    # state is drawn at random, then with the offset or values[reach] moved
+    # onto the boundaries of both tests
+    rng = random.Random(3)
+    cases = Counter()
+    for instance, eps_public in last_row_cases():
+        for core, classes, plan, grid, eps in solve_tables(instance, eps_public):
+            bound = general._LastRowBound(cluster_dp(core, classes, plan, grid, eps))
+            top_weight = core.capacities[-1]
+            if top_weight > 100:
+                continue
+            q = rescaled_third(eps).denominator
+            points = grid.values
+            for _ in range(10):
+                ell_prev = rng.choice((-1,) + classes.indices)
+                omega = rng.randint(0, top_weight)
+                reach = rng.randrange(len(points))
+
+                def cutoff(x):
+                    return math.floor(Fraction(bound.profit(ell_prev, omega, x) * q, q - 3) * grid.unit)
+
+                most = cutoff(top_weight)
+                offsets = {grid.offset(rng.randrange(len(points))), points[reach] - most, points[reach] - most - 1}
+                if reach + 1 < len(points):
+                    offsets |= {points[reach + 1] - most, points[reach + 1] - most - 1}
+                for offset in offsets:
+                    least = next((x for x in range(top_weight + 1) if cutoff(x) + offset >= points[reach]), None)
+                    above = any(most + offset >= points[idx] for idx in range(reach + 1, len(points)))
+                    heaviest = {rng.randint(0, 2 * top_weight)}
+                    if least is not None:
+                        heaviest |= {omega + least, omega + least + 1}
+                    for value in heaviest:
+                        values = [None] * len(points)
+                        values[reach] = value
+                        lighter = least is not None and omega + least < value
+                        assert bound.skips(ell_prev, omega, offset, reach, values) == (not above and not lighter)
+                        cases[above, lighter] += 1
+    assert min(cases[key] for key in itertools.product((False, True), repeat=2)) > 50
+
+
+def test_glue_builds_few_frontiers_on_the_benchmark(monkeypatch):
+    # the first 12 seed-1 general-uniform instances, as the benchmark builds
+    # them: a full last row builds 92 frontiers, the pruned one 23
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    built = []
+
+    class Counted(InverseFrontier):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(general, "InverseFrontier", Counted)
+    workload = workloads.WORKLOADS["general-uniform"]
+    for index in range(12):
+        solve_detailed(workload.make(1, index), Fraction(workload.eps))
+    assert 0 < len(built) <= 30
