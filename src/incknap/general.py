@@ -17,9 +17,9 @@ and its backpointer.  So the last row is filled for it alone, skipping
 each predecessor whose frontier a knapsack bound shows cannot reach that
 state, or cannot reach it lighter: an entry of weight x profits at most
 U(x) = sum_t lambda_t * KP(min(W_t - omega, x)) over the last cluster.
-Knapsack rows are built once per table, floored by a common divisor when
-the capacity exceeds ``KNAPSACK_CELLS``.  The skipped frontiers are never
-built, and the answer is the full row's.
+KP is read off ``oracle.knapsack_rows``, built once per table, floored by a
+common divisor past ``oracle.KNAPSACK_CELLS`` cells.  The skipped
+frontiers are never built, and the answer is the full row's.
 """
 
 from __future__ import annotations
@@ -41,14 +41,11 @@ from .model import (
     remap_solution,
     validate,
 )
-from .oracle import BudgetExceeded, add_item
+from .oracle import BudgetExceeded, knapsack_rows
 
 # Most profit-grid points (0 included) a solve may build: point k is an int
 # of O(k) digits, so a grid's time and memory grow with its length squared.
 GRID_BUDGET = 2**15
-# Most cells in one knapsack row of ``ClusterDPTable.final_state``'s bound;
-# past it, weights and capacities are floored by a common divisor.
-KNAPSACK_CELLS = 2**10
 
 
 @dataclass(frozen=True)
@@ -227,8 +224,8 @@ class ClusterDPTable:
     ``final_state`` fills the last row (M, top class) once more for ``glue``,
     which reads only its highest feasible index and that index's
     backpointer, and skips each predecessor that a knapsack bound
-    (``_LastRowBound``) shows cannot change those two; ``value`` and
-    ``backpointer`` read full rows.
+    (``_LastRowBound``) shows cannot change those two; ``backpointer``
+    reads full rows.
     """
 
     instance: Instance
@@ -315,10 +312,6 @@ class ClusterDPTable:
         target = next(idx for idx in range(len(values) - 1, -1, -1) if values[idx] is not None)
         return target, back[target]
 
-    def value(self, m: int, ell: int, phi_idx: int) -> Optional[Fraction]:
-        """Minimum achievable weight, or None when the state is infeasible."""
-        return self._row(m, ell)[0][phi_idx]
-
     def backpointer(self, m: int, ell: int, phi_idx: int) -> Optional[tuple[int, int, Fraction]]:
         """(ell_prev, idx_prev, its weight) of the winning predecessor, if any."""
         return self._row(m, ell)[1][phi_idx]
@@ -345,32 +338,21 @@ class _LastRowBound:
     rounded profit times q/(q-3), so it writes grid index idx only if
     U(x) * q/(q-3) >= grid[idx] - offset, offset being the predecessor's.
 
-    ``rows[ell_prev]`` holds KP for every class suffix, built once, back to
-    front over the classes, one item at a time (``oracle.add_item``).  To
-    keep a row within ``KNAPSACK_CELLS`` cells, every weight and capacity is
-    floored by the least divisor g that does: a set of weight at most c
-    floors to at most c // g, so the floored KP is never below the true one.
+    ``rows[ell_prev]`` bounds KP for every class suffix from above, read at
+    c // g: the rows of ``oracle.knapsack_rows`` over the classes, built
+    once, floored past ``oracle.KNAPSACK_CELLS`` cells.
     """
 
     def __init__(self, table: ClusterDPTable):
-        instance, classes = table.instance, table.classes
-        periods = table.plan.clusters[-1]
-        ends = [instance.suffix_lambdas.at(t) for t in periods] + [0]
-        self.lambdas = [a - b for a, b in zip(ends, ends[1:])]
-        self.caps = [instance.capacities[t - 1] for t in periods]
+        instance, classes, plan, indices = table.instance, table.classes, table.plan, table.classes.indices
+        local = single_cluster_instance(instance, classes, plan, plan.num_clusters, indices[0], indices[-1], 0).instance
+        self.lambdas, self.caps = local.lambdas, local.capacities
         self.points = table.grid.values
         q = table._sub_eps.denominator
         self.scale, self.loss = q * table.grid.unit, q - 3
-        width = instance.capacities[-1] + 1
-        self.g = g = -(-width // KNAPSACK_CELLS)
-        row = [0] * ((width - 1) // g + 1)
-        self.rows: dict[int, list[int]] = {}
-        for level in reversed(classes.indices):
-            self.rows[level] = row
-            for i in classes.members[level]:
-                p, w = instance.items[i]
-                row = add_item(row, p, w // g)
-        self.rows[-1] = row
+        groups = [[instance.items[i] for i in classes.members[level]] for level in indices]
+        self.g, rows = knapsack_rows(groups, instance.capacities[-1])
+        self.rows = dict(zip(table._ell_states, rows))
         self.most: dict[tuple[int, int], int] = {}
 
     def profit(self, ell_prev: int, omega: int, x: int) -> int:
@@ -417,10 +399,10 @@ def glue(plan: ClusterPlan, table: ClusterDPTable, n_items: int) -> tuple[Soluti
 
     The final state and its backpointer come from ``table.final_state``.
     It fills the last row without the predecessors whose entries cannot,
-    by the knapsack bound U(x) (its rows floored past ``KNAPSACK_CELLS``
-    cells), write above the highest index so far or lighter at it; those
-    never change the target or its backpointer.  Earlier steps read full
-    rows.
+    by the knapsack bound U(x) (rows of ``oracle.knapsack_rows``, floored
+    past ``oracle.KNAPSACK_CELLS`` cells), write above the highest index so
+    far or lighter at it; those never change the target or its backpointer.
+    Earlier steps read full rows.
     Each traversed backpointer contributes one single-cluster solution; the
     union over clusters, re-indexed to parent periods and items, is the
     glued solution.  Returns it with the certified grid profit.

@@ -4,17 +4,18 @@ Both oracles wrap one depth-first branch and bound (``_search``) over the
 full assignment space (one introduction period or NEVER per item), so
 results are ground truth the approximation pipeline is checked against.
 The budget still counts that whole space, ``(T+1)^n`` assignments.  A
-subtree is cut only when an admissible bound (``_Bound``) proves it holds
-no answer the plain enumeration would take, so the answers are those of the
-enumeration whichever bound is used.  The search validates its input, then
-runs in integer units (``model.integer_units``): Python int arithmetic is
-an order of magnitude faster than Fraction churn in these inner loops.
+subtree is cut only when an admissible bound (``_Bound``, over the 0/1
+knapsack rows of ``knapsack_rows``, which also bound the cluster DP's last
+row in ``general``) proves it holds no answer the plain enumeration would
+take, so the answers are those of the enumeration.  The search validates
+its input, then runs in integer units (``model.integer_units``): Python int
+arithmetic is an order of magnitude faster than Fraction churn in these
+inner loops.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
@@ -22,11 +23,9 @@ from typing import Optional
 from .model import Instance, Solution, integer_units, validate
 
 DEFAULT_BUDGET = 2_000_000
-# A node the search bounds with ``_Bound.dantzig`` takes about as much time
-# as 12-30 cells of the knapsack rows (CPython 3.11, more cells on small
-# ints), so building the rows once the search has bounded one node per 10
-# cells keeps their cost below that of the search before them.
-CELLS_PER_NODE = 10
+# Most cells in one knapsack row (``knapsack_rows``); past it, weights and
+# capacities are floored by a common divisor.
+KNAPSACK_CELLS = 2**10
 
 
 class BudgetExceeded(RuntimeError):
@@ -36,12 +35,11 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-def _check_budget(instance: Instance, budget: int) -> int:
-    """The size of the assignment space, ``(T+1)^n``, once it fits the budget."""
+def _check_budget(instance: Instance, budget: int) -> None:
+    """Raise BudgetExceeded when the assignment space, ``(T+1)^n``, exceeds the budget."""
     required = (instance.horizon + 1) ** instance.n
     if required > budget:
         raise BudgetExceeded(required, budget)
-    return required
 
 
 def add_item(row: list[int], profit: int, weight: int) -> list[int]:
@@ -50,89 +48,53 @@ def add_item(row: list[int], profit: int, weight: int) -> list[int]:
     return row[:weight] + [max(keep, take + profit) for keep, take in zip(row[weight:], row)]
 
 
+def knapsack_rows(groups: list[list[tuple[int, int]]], capacity: int) -> tuple[int, list[list[int]]]:
+    """(g, rows): ``rows[k][c // g]`` bounds from above the 0/1 knapsack
+    optimum of the items of ``groups[k:]`` at weight c, 0 <= c <= capacity.
+
+    Rows are built back to front, one item at a time (``add_item``), so
+    ``rows[len(groups)]`` is all zeros.  g is the least divisor that keeps a
+    row within ``KNAPSACK_CELLS`` cells; every weight is floored by it, and a
+    set of weight at most c floors to at most c // g, so a row is never below
+    the true optimum, and it is exact when g = 1.
+    """
+    g = capacity // KNAPSACK_CELLS + 1
+    row = [0] * (capacity // g + 1)
+    rows = [row]
+    for group in reversed(groups):
+        for p, w in group:
+            row = add_item(row, p, w // g)
+        rows.append(row)
+    return g, rows[::-1]
+
+
 class _Bound:
     """Upper bound on the objective that items i..n-1 can still add.
 
     Period t can pack at most the residual capacity ``r_t``, the least slack
     of periods t..T (an item packed at t stays packed), so its packed profit
     from items i..n-1 is at most KP_i(r_t), the 0/1 knapsack optimum of
-    those items at ``r_t``.  ``at`` bounds a node by a lambda-weighted sum
-    over periods of one of two per-period bounds, both admissible:
-
-    - KP_i(r_t) itself, read off ``rows[i]``, dense over capacities 0..W_T
-      and built back to front in one pass (``knapsack_rows``);
-    - ``dantzig``: the fractional knapsack at ``r_t``, with the one split
-      item's share rounded up.  It is at least KP_i(r_t), so the rows never
-      keep a node that it cuts.
-
-    ``at`` builds the rows only if they hold no more cells than the search
-    has assignments, (n+1)*(W_T+1) <= (T+1)^n, and only once it has bounded
-    one node per ``CELLS_PER_NODE`` cells with ``dantzig``, which it takes
-    until then; past that size (large integer weights) ``at`` is
-    ``dantzig`` itself.  A search that ends before the rows would pay for
-    themselves never builds them.
-    ``cheap(i)``, every remaining item packed from period 1, bounds either
-    from above at no cost.
+    those items at ``r_t``.  ``at`` bounds a node by sum_t lambda_t *
+    rows[i][r_t // g], the rows of ``knapsack_rows`` over the item suffixes,
+    built once at the root; floored past ``KNAPSACK_CELLS`` cells, they only
+    loosen the bound.  ``cheap(i)``, every remaining item packed from period
+    1, bounds it from above at no cost.
     """
 
-    def __init__(self, scaled: Instance, assignments: int):
-        self.items = items = scaled.items
+    def __init__(self, scaled: Instance):
+        items = scaled.items
         self.lambdas = scaled.lambdas
+        self.g, self.rows = knapsack_rows([[item] for item in items], scaled.capacities[-1])
         self.suffix_1 = scaled.suffix_lambdas.values[0]
-        self.width = scaled.capacities[-1] + 1
-        cells = (len(items) + 1) * self.width
-        # nodes left to bound with ``dantzig`` before the rows are built
-        self.wait = -(-cells // CELLS_PER_NODE)
-        self.rows: Optional[list[list[int]]] = None
-        if cells > assignments:
-            self.at = self.dantzig  # the rows could never pay for themselves
-        by_density = sorted(range(len(items)), key=lambda j: Fraction(-items[j][0], items[j][1]))
-        # per suffix i: its items by density, with cumulative weights and profits
-        self.split: list[list[tuple[int, int]]] = []
-        self.cum_w: list[list[int]] = []
-        self.cum_p: list[list[int]] = []
-        for i in range(len(items) + 1):
-            split = [items[j] for j in by_density if j >= i]
-            self.split.append(split)
-            self.cum_w.append([0, *accumulate(w for _, w in split)])
-            self.cum_p.append([0, *accumulate(p for p, _ in split)])
+        self.profit_left = [*accumulate((p for p, _ in reversed(items)), initial=0)][::-1]
 
     def cheap(self, i: int) -> int:
-        return self.suffix_1 * self.cum_p[i][-1]
+        return self.suffix_1 * self.profit_left[i]
 
     def at(self, i: int, residual: list[int]) -> int:
         """The bound for items i.. given ``residual[t-1] = r_t``."""
-        if self.rows is None:
-            self.wait -= 1
-            if self.wait:
-                return self.dantzig(i, residual)
-            self.rows = self.knapsack_rows()
-        row = self.rows[i]
-        return sum(lam * row[r] for lam, r in zip(self.lambdas, residual))
-
-    def knapsack_rows(self) -> list[list[int]]:
-        """rows[i][c] = KP_i(c) for c = 0..W_T; row i adds item i to row i+1."""
-        row = [0] * self.width
-        rows = [row]
-        for p, w in reversed(self.items):
-            row = add_item(row, p, w)
-            rows.append(row)
-        return rows[::-1]
-
-    def dantzig(self, i: int, residual: list[int]) -> int:
-        """sum_t lambda_t * ceil(fractional knapsack of items i.. at r_t)."""
-        cum_w, cum_p, split = self.cum_w[i], self.cum_p[i], self.split[i]
-        full = len(split)
-        total = 0
-        for lam, r in zip(self.lambdas, residual):
-            if lam:
-                k = bisect_right(cum_w, r) - 1
-                packed = cum_p[k]
-                if k < full:
-                    p, w = split[k]
-                    packed -= (-p * (r - cum_w[k])) // w
-                total += lam * packed
-        return total
+        row, g = self.rows[i], self.g
+        return sum(lam * row[r // g] for lam, r in zip(self.lambdas, residual))
 
 
 def _residuals(caps: tuple[int, ...], cum: list[int]) -> list[int]:
@@ -161,14 +123,14 @@ def _search(
     period by period, NEVER last.
     """
     validate(instance)
-    assignments = _check_budget(instance, budget)
+    _check_budget(instance, budget)
     horizon = instance.horizon
     n = instance.n
     scaled, value_unit, weight_unit = integer_units(instance)
     contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
     weights = [w for _, w in scaled.items]
     caps = scaled.capacities
-    bound = _Bound(scaled, assignments)
+    bound = _Bound(scaled)
     # an int profit meets phi iff it meets phi's ceiling in value units
     floor = 0 if phi is None else math.ceil(Fraction(phi) * value_unit)
     cutoff = sum(weights) + 1

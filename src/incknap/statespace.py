@@ -38,17 +38,13 @@ class Family:
     counts ``values[pos]``, weighing ``prefixes[pos]`` (class prefix sums).
     A cell numbers counts in mixed radix, last class fastest, so cell order
     is lexicographic and cell 0 is the zero vector.  ``cells`` is the member
-    set, ``range(size)`` when every cell is one; either way a member test
-    is O(1).
+    set, the range of every lattice cell when all are members; either way a
+    member test is O(1).
     """
 
     values: tuple[tuple[int, ...], ...]
     prefixes: tuple[tuple, ...]
     cells: Collection[int]
-
-    @property
-    def size(self) -> int:
-        return math.prod(map(len, self.values))
 
     @cached_property
     def strides(self) -> list[int]:

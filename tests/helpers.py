@@ -26,7 +26,7 @@ from incknap.bounded import (
     rescaled_third,
 )
 from incknap.classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
-from incknap.general import ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
+from incknap.general import ClusterDPTable, ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
 from incknap.model import Instance, Solution, SuffixLambdas, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET, _check_budget
 from incknap.statespace import Family, enumerate_family
@@ -341,6 +341,11 @@ def family_of(classes: ProfitClasses, interval: ClassInterval, vectors) -> Famil
     return Family(values=values, prefixes=prefixes, cells=sorted(map(cell, vectors)))
 
 
+def lattice_size(family: Family) -> int:
+    """The number of lattice cells, members or not."""
+    return math.prod(map(len, family.values))
+
+
 def lattice_weights(family: Family) -> list:
     """The weight of every lattice cell, in cell order."""
     weights = [0]
@@ -362,11 +367,17 @@ def dp_value(table: BoundedDPTable, t: int, cell: int) -> Optional[Fraction]:
     return None if v is None else Fraction(v, table.value_den)
 
 
+def cluster_value(table: ClusterDPTable, m: int, ell: int, phi_idx: int) -> Optional[int]:
+    """The cluster DP's least weight at state (m, ell, phi_idx), read off its
+    full row, or None when the state is infeasible."""
+    return table._row(m, ell)[0][phi_idx]
+
+
 def lattice_rows(table: BoundedDPTable, t: int) -> tuple[list, list]:
     """Period t's values and predecessor cells, one entry per lattice cell:
     a cell that does not fit reads None in both."""
-    raw: list = [None] * table.family.size
-    back: list = [None] * table.family.size
+    raw: list = [None] * lattice_size(table.family)
+    back: list = [None] * lattice_size(table.family)
     for pos, cell in enumerate(table.cells):
         raw[cell] = table.raw[t][pos]
         if table.back[t][pos] is not None:

@@ -15,6 +15,7 @@ from helpers import (
     family_of,
     fraction_merge_frontier,
     lattice_rows,
+    lattice_size,
     lattice_weights,
     members,
     random_class_structure,
@@ -143,8 +144,8 @@ def assert_dp_matches_pair_scan(classes, interval, family, capacities, suffix):
     assert sorted(map(family.counts, cells)) == sorted(want.members)
     for t in range(len(capacities) + 1):
         raw, back = lattice_rows(got, t)
-        assert len(raw) == len(back) == family.size
-        assert all(raw[c] is None and back[c] is None for c in range(family.size) if c not in cells)
+        assert len(raw) == len(back) == lattice_size(family)
+        assert all(raw[c] is None and back[c] is None for c in range(lattice_size(family)) if c not in cells)
         rows = {
             family.counts(c): (raw[c], None if back[c] is None else family.counts(back[c]))
             for c in cells
@@ -171,7 +172,7 @@ def test_dp_solve_matches_pair_scan():
         product = list(itertools.product(*(range(classes.size(l) + 1) for l in interval.active)))
         picked = {product[0], *rng.sample(product, rng.randint(1, len(product)))}
         family = family_of(classes, interval, picked)
-        sparse += family.size > len(family)
+        sparse += lattice_size(family) > len(family)
         caps, suffix = random_horizon(rng, instance.capacities[0])
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
     assert sparse >= 10
@@ -189,7 +190,7 @@ def tight_capacities(rng, family, horizon):
     """Nondecreasing capacities drawn from the lattice cells' weights up to
     their median, so about half the cells or more never fit and some cells
     sit exactly on a capacity."""
-    low = sorted(lattice_weights(family))[: family.size // 2 + 1]
+    low = sorted(lattice_weights(family))[: lattice_size(family) // 2 + 1]
     return sorted(rng.choice(low) for _ in range(horizon))
 
 
@@ -215,13 +216,13 @@ def test_dp_solve_matches_pair_scan_under_tight_capacities():
             instance, classes, interval = random_class_structure(rng, eps, max_classes=3, max_items=9, den=den)
             families.append((classes, interval, family_for(instance, classes, interval, eps)))
     heavy = [(args[0], args[1], enumerate_family(*args)) for args in (*two_heavy_structures(), *sparse_heavy_structures())]
-    assert sum(family.size > len(family) for _, _, family in heavy) >= 2
+    assert sum(lattice_size(family) > len(family) for _, _, family in heavy) >= 2
     cut = 0
     for classes, interval, family in families + heavy:
         caps, suffix = random_horizon(rng, 1)
         caps = tight_capacities(rng, family, len(caps))
         assert_fits_closed_downwards(family, caps[-1])
-        cut += 2 * sum(w > caps[-1] for w in lattice_weights(family)) >= family.size
+        cut += 2 * sum(w > caps[-1] for w in lattice_weights(family)) >= lattice_size(family)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
     assert cut >= len(families + heavy) // 2
 
@@ -236,9 +237,9 @@ def test_dp_solve_breaks_predecessor_ties_by_count_sum_first():
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, 0, 1)
     family = family_of(classes, interval, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2)])
-    assert family.size == 6 and len(family) == 5
+    assert lattice_size(family) == 6 and len(family) == 5
     table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
-    assert cell_chain(table, family.size - 1) == [(1, 0), (1, 0), (1, 2)]
+    assert cell_chain(table, lattice_size(family) - 1) == [(1, 0), (1, 0), (1, 2)]
     assert_dp_matches_pair_scan(classes, interval, family, instance.capacities, instance.suffix_lambdas)
 
 
@@ -266,7 +267,7 @@ def test_dp_rows_are_the_cells_that_fit():
         families.append((classes, interval, family_for(instance, classes, interval)))
     families += heavy_profit_families()
     families += [(args[0], args[1], enumerate_family(*args)) for args in (*two_heavy_structures(), *sparse_heavy_structures())]
-    assert sum(family.size > len(family) for _, _, family in families) >= 2
+    assert sum(lattice_size(family) > len(family) for _, _, family in families) >= 2
     cut = 0
     for classes, interval, family in families:
         weights = lattice_weights(family)
@@ -278,7 +279,7 @@ def test_dp_rows_are_the_cells_that_fit():
             fits = [cell for cell, w in enumerate(weights) if w <= max(caps)]
             assert list(table.cells) == fits
             assert list(table.weights) == [weights[cell] for cell in fits]
-            cut += len(fits) < family.size
+            cut += len(fits) < lattice_size(family)
             assert [v is None for v in table.raw[0]] == [cell != 0 for cell in fits]
             for t in range(1, len(caps) + 1):
                 held = [table.cells[pos] for pos, v in enumerate(table.raw[t]) if v is not None]

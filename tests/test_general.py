@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import PullClusterTable, e1, random_instance
-from incknap import general
+from helpers import PullClusterTable, cluster_value, e1, random_instance
+from incknap import general, oracle
 from incknap.bounded import InverseFrontier, rescaled_third
 from incknap.classes import build_classes
 from incknap.general import (
@@ -339,9 +339,9 @@ def test_cluster_dp_terminal_rules():
     grid = build_grid(EPS, 1, instance.lambdas[-1], Fraction(3), Fraction(100))
     table = cluster_dp(instance, classes, plan, grid, EPS)
     top = max(classes.indices)
-    assert table.value(1, top, 0) == 0  # phi = 0 is free
-    assert table.value(0, top, 1) is None
-    assert table.value(1, -1, 1) is None
+    assert cluster_value(table, 1, top, 0) == 0  # phi = 0 is free
+    assert cluster_value(table, 0, top, 1) is None
+    assert cluster_value(table, 1, -1, 1) is None
 
 
 def test_cluster_dp_and_glue_on_e1():
@@ -418,9 +418,9 @@ def test_cluster_dp_two_clusters_with_weight_offset():
     assert objective(instance, solution) == 13
     top = max(classes.indices)
     target_idx = grid.values.index(phi_target * grid.unit)
-    assert table.value(2, top, target_idx) == solution.weights_by_period(instance)[-1]
+    assert cluster_value(table, 2, top, target_idx) == solution.weights_by_period(instance)[-1]
     back = table.backpointer(2, top, target_idx)
-    assert table.value(1, back[0], back[1]) == 1  # omega passed down to cluster 2
+    assert cluster_value(table, 1, back[0], back[1]) == 1  # omega passed down to cluster 2
     floor = (1 - 2 * EPS) * phi_target - plan.num_clusters * grid.delta
     assert objective(core, solution) >= floor
 
@@ -633,7 +633,7 @@ def test_cluster_dp_lower_bounds_exact_stars_value():
                     ]
                     if not exact:
                         continue
-                    approx = table.value(m, level, idx)
+                    approx = cluster_value(table, m, level, idx)
                     assert approx is not None
                     assert approx <= min(exact)
                     checked += 1
@@ -662,7 +662,7 @@ def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
                 break
     assert pull._values
     for (m, level, idx), value in pull._values.items():
-        assert push.value(m, level, idx) == value
+        assert cluster_value(push, m, level, idx) == value
         want = pull.backpointer(m, level, idx)
         if want is None:
             assert push.backpointer(m, level, idx) is None
@@ -720,8 +720,8 @@ def test_cluster_dp_push_range_ends_on_a_point_equal_to_the_requirement():
     assert_push_matches_pull(instance, classes, plan, grid, EPS, read_all=True)
     table = cluster_dp(instance, classes, plan, grid, EPS)
     for cutoff, weight in pushes:
-        assert table.value(1, top, points.index(cutoff + delta)) == weight
-        past = table.value(1, top, points.index(cutoff + delta + 1))
+        assert cluster_value(table, 1, top, points.index(cutoff + delta)) == weight
+        past = cluster_value(table, 1, top, points.index(cutoff + delta + 1))
         assert past is None or past > weight
 
 
@@ -778,7 +778,7 @@ def solve_tables(instance, eps_public):
 def glue_from_full_rows(plan, table, n_items):
     """``glue`` read off full rows: the last row's highest feasible index, then its backpointers."""
     m, ell = plan.num_clusters, max(table.classes.indices)
-    target = max(idx for idx in range(len(table.grid.values)) if table.value(m, ell, idx) is not None)
+    target = max(idx for idx in range(len(table.grid.values)) if cluster_value(table, m, ell, idx) is not None)
     intro = [None] * n_items
     idx = target
     while m >= 1 and idx > 0:
@@ -830,7 +830,7 @@ def test_glue_answers_from_the_full_last_row():
             target, link = pruned.final_state()
             assert link == full.backpointer(m, top, target)
             if link is not None:
-                assert link[2] + pruned.transition(m, top, target, link)[2].weight == full.value(m, top, target)
+                assert link[2] + pruned.transition(m, top, target, link)[2].weight == cluster_value(full, m, top, target)
             kinds[plan.num_clusters, general._LastRowBound(pruned).g > 1] += 1
     assert built["pruned"] < built["full"]
     assert kinds[2, True] and kinds[1, False]
@@ -844,12 +844,12 @@ def assignment_weights(sub):
         yield weights, sum(p * suffix[t - 1] for (p, _), t in zip(sub.items, intro) if t)
 
 
-@pytest.mark.parametrize("cells", [general.KNAPSACK_CELLS, 4])
+@pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
 def test_last_row_bound_is_admissible(monkeypatch, cells):
     # every feasible assignment of the last cluster's subinstance profits at
     # most U(its weight), at every committed weight omega it fits, also when
     # a cell budget of 4 floors the knapsack rows
-    monkeypatch.setattr(general, "KNAPSACK_CELLS", cells)
+    monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
     rng = random.Random(cells)
     checked = 0
     for _ in range(15):

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -194,8 +193,8 @@ def tie_rich_instance(rng: random.Random, kind: str) -> Instance:
             lambdas=[Fraction(v, rng.choice((3, 7))) for v in lambdas],
         )
     if kind == "large-weight":
-        # weights near multiples of 10^6: the knapsack rows never fit, so the
-        # searches bound every node with Dantzig
+        # weights near multiples of 10^6: past KNAPSACK_CELLS, so the
+        # searches floor their knapsack rows by a common divisor
         weights = [w * 10**6 + rng.randint(-999, 999) for w in weights]
         caps = [c * 10**6 for c in caps]
     return Instance.build(items=list(zip(profits, weights)), capacities=caps, lambdas=lambdas)
@@ -206,7 +205,7 @@ KINDS = ("uniform", "subset-sum", "equal-profit", "zero-lambda", "fraction", "ze
 
 def test_branch_and_bound_matches_plain_search(monkeypatch):
     # same value and the same solution as the plain enumeration, ties
-    # included, whether a search builds the knapsack rows or keeps Dantzig
+    # included, whether a search's knapsack rows are exact or floored
     bounds = []
 
     class Recorded(oracle._Bound):
@@ -222,20 +221,8 @@ def test_branch_and_bound_matches_plain_search(monkeypatch):
         assert opt == dfs_exact_opt(instance)
         for phi in (Fraction(0), opt[0] / 2, opt[0] * rng.randint(1, 4) / 5, opt[0], opt[0] + 1):
             assert exact_inverse(instance, phi) == dfs_exact_inverse(instance, phi)
-    paths = Counter(bound.rows is not None for bound in bounds)
-    assert paths[True] >= 20 and paths[False] >= 20
-
-
-def dantzig(items, capacity) -> Fraction:
-    """Fractional knapsack optimum, straight from its definition."""
-    total, room = Fraction(0), Fraction(capacity)
-    for p, w in sorted(items, key=lambda pw: Fraction(pw[0], pw[1]), reverse=True):
-        take = min(Fraction(1), room / w)
-        total += take * p
-        room -= take * w
-        if room == 0:
-            break
-    return total
+    floored = Counter(bound.g > 1 for bound in bounds)
+    assert floored[True] >= 20 and floored[False] >= 20
 
 
 def knapsack(items, capacity) -> int:
@@ -286,59 +273,53 @@ def sampled_nodes(seed: int, count: int):
         yield KINDS[k % len(KINDS)], scaled, i, residual, best
 
 
-def assignments(scaled: Instance) -> int:
-    return (scaled.horizon + 1) ** scaled.n
-
-
-def test_bound_is_the_rounded_up_dantzig_bound():
-    # the Dantzig bound at a node is sum_t lambda_t * ceil(Dantzig at the
-    # least slack of periods t..T), and no completion of the node adds more
-    checked = 0
-    for _, scaled, i, residual, best in sampled_nodes(4, 180):
-        bound = _Bound(scaled, assignments(scaled))
+def test_knapsack_rows_give_the_exact_knapsack_bound(monkeypatch):
+    # the bound at a node is sum_t lambda_t * rows[i][r_t // g]: the 0/1
+    # knapsack of the remaining items at each r_t when g = 1, at least it
+    # when the rows are floored (large weights, or a cap of 4 cells), and
+    # best <= at <= cheap either way
+    nodes = list(sampled_nodes(6, 180))
+    bounds = [_Bound(scaled) for _, scaled, *_ in nodes]
+    monkeypatch.setattr(oracle, "KNAPSACK_CELLS", 4)
+    checked = Counter()
+    for (kind, scaled, i, residual, best), bound in zip(nodes, bounds):
         rest = scaled.items[i:]
-        expected = sum(lam * math.ceil(dantzig(rest, r)) for lam, r in zip(scaled.lambdas, residual))
-        assert bound.dantzig(i, residual) == expected
-        assert best <= bound.dantzig(i, residual) <= bound.cheap(i)
-        checked += 1
-    assert checked >= 100
+        kp = [knapsack(rest, r) for r in residual]
+        assert (bound.g > 1) == (kind == "large-weight")
+        if bound.g == 1:
+            assert [bound.rows[i][r] for r in residual] == kp
+        for b in (bound, _Bound(scaled)):
+            read = [b.rows[i][r // b.g] for r in residual]
+            assert all(v >= k for v, k in zip(read, kp))
+            assert b.at(i, residual) == sum(lam * v for lam, v in zip(scaled.lambdas, read))
+            assert best <= b.at(i, residual) <= b.cheap(i)
+            checked[kind == "large-weight", b.g > 1] += 1
+    assert checked[False, False] >= 100 and checked[False, True] >= 80 and checked[True, True] >= 15
 
 
-def test_knapsack_rows_give_the_exact_knapsack_bound():
-    # the row bound at a node is sum_t lambda_t * KP(r_t) over the remaining
-    # items, and best <= rows <= Dantzig <= cheap; the searches never build
-    # rows as wide as the large weights need
-    checked = 0
-    for kind, scaled, i, residual, best in sampled_nodes(6, 180):
-        bound = _Bound(scaled, assignments(scaled))
-        if kind == "large-weight":
-            assert bound.at == bound.dantzig  # the rows are never built
-            continue
-        rest = scaled.items[i:]
-        rows = bound.knapsack_rows()
-        assert [rows[i][r] for r in residual] == [knapsack(rest, r) for r in residual]
-        bound.rows = rows
-        value = _Bound.at(bound, i, residual)  # the row read, even where this search keeps ``dantzig``
-        assert value == sum(lam * knapsack(rest, r) for lam, r in zip(scaled.lambdas, residual))
-        assert best <= value <= bound.dantzig(i, residual) <= bound.cheap(i)
-        checked += 1
-    assert checked >= 100
-
-
-def test_rows_are_built_once_enough_nodes_are_bounded():
-    # 3 items of weight 2 under W_T = 10: 44 cells, so the fifth node bounded
-    # builds the rows; with fewer assignments than cells they are never built
-    scaled = Instance(items=((3, 2), (2, 2), (1, 2)), capacities=(5, 10), lambdas=(1, 2))
-    assert oracle.CELLS_PER_NODE == 10
-    bound = _Bound(scaled, 44)
-    residual = [5, 10]
-    dantzig_value = bound.dantzig(0, residual)
-    for _ in range(4):
-        assert bound.at(0, residual) == dantzig_value
-        assert bound.rows is None
-    assert bound.at(0, residual) == 1 * 5 + 2 * 6 < dantzig_value
-    assert bound.rows == bound.knapsack_rows()
-    never = _Bound(scaled, 43)
-    for _ in range(10):
-        assert never.at(0, residual) == dantzig_value
-    assert never.rows is None and never.at == never.dantzig
+def test_knapsack_rows_over_groups_bound_every_suffix(monkeypatch):
+    # rows[j] over groups of several items is the 0/1 knapsack of groups j..
+    # with weights floored by g (exact at g = 1), read at c // g no smaller
+    # than the true knapsack at c; rows[len(groups)] is all zeros and g is
+    # the least divisor that fits the cell cap
+    rng = random.Random(8)
+    floored = Counter()
+    default = oracle.KNAPSACK_CELLS
+    for k in range(60):
+        cells = default if k % 2 else rng.choice((4, 7))
+        monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
+        groups = [
+            [(rng.randint(1, 9), rng.randint(1, 12)) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(0, 4))
+        ]
+        capacity = rng.randint(0, 30)
+        g, rows = oracle.knapsack_rows(groups, capacity)
+        width = capacity // g + 1
+        assert width <= cells and (g == 1 or capacity // (g - 1) + 1 > cells)
+        assert len(rows) == len(groups) + 1 and rows[-1] == [0] * width
+        for j in range(len(groups) + 1):
+            items = [item for group in groups[j:] for item in group]
+            floors = [(p, w // g) for p, w in items]
+            assert rows[j] == [knapsack(floors, c) for c in range(width)]
+            assert all(rows[j][c // g] >= knapsack(items, c) for c in range(capacity + 1))
+        floored[g > 1] += 1
+    assert floored[True] >= 20 and floored[False] >= 20

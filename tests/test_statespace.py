@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     class_structure,
+    lattice_size,
     members,
     random_class_structure,
     random_vector_pair,
@@ -159,7 +160,7 @@ def test_enumerate_family_empty_interval():
     interval = make_interval(classes, 0, 0)
     family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 0)
     assert members(family) == [((), 0)]
-    assert len(family) == family.size == 1
+    assert len(family) == lattice_size(family) == 1
 
 
 def test_enumerate_family_six_unit_items():
@@ -240,7 +241,7 @@ def _family_rows(family):
         for counts, _ in rows
     ]
     assert encoded == sorted(family.cells)
-    assert all(0 <= cell < family.size for cell in family.cells)
+    assert all(0 <= cell < lattice_size(family) for cell in family.cells)
     return rows
 
 
@@ -289,7 +290,7 @@ def test_enumerate_family_equals_reference_on_heavy_profits():
         args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
         family = enumerate_family(*args)
         assert _family_rows(family) == _reference_rows(args)
-        assert family.cells == range(family.size)  # one heavy class: a full lattice
+        assert family.cells == range(lattice_size(family))  # one heavy class: a full lattice
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
     assert heavy_hits == len(intervals)
 
@@ -312,7 +313,7 @@ def test_enumerate_family_equals_reference_where_cells_are_sparse():
     for args in sparse_heavy_structures():
         family = enumerate_family(*args)
         assert _family_rows(family) == _reference_rows(args)
-        sparse += len(family) < family.size
+        sparse += len(family) < lattice_size(family)
     assert sparse >= 2
 
 
