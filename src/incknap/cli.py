@@ -6,8 +6,9 @@ parse/serialize round trip is value-identical and float contamination is
 impossible: a scalar that is not a string is rejected.  Exit codes: 0
 success; 1 an ``eval`` batch with failure rows; 2 an unreadable, malformed
 or invalid instance file, a bad argument, or an unwritable ``--out``; 3 a
-resource overrun on a valid input: the oracle budget exceeded, or a result
-value longer than the interpreter's integer string conversion limit.
+resource overrun on a valid input: the oracle budget exceeded, a solve out
+of memory, or a result value longer than the interpreter's integer string
+conversion limit.
 """
 
 from __future__ import annotations
@@ -193,6 +194,9 @@ def cmd_solve(args) -> int:
         solution, profit = _solve_mode(instance, args.mode, eps)
     except oracle.BudgetExceeded as exc:
         print(f"{args.mode} mode budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print(f"{args.mode} mode ran out of memory", file=sys.stderr)
         return EXIT_BUDGET
     try:
         text = solution_to_json(instance, solution, profit)

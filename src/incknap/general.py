@@ -13,20 +13,26 @@ subproblems are inverse solves with capacities reduced by the weight
 already committed below.
 
 Gluing reads one state of the last row, its most profitable feasible one,
-and its backpointer.  So the last row is filled for it alone, skipping
-each predecessor whose frontier a knapsack bound shows cannot reach that
-state, or cannot reach it lighter: an entry of weight x profits at most
-U(x) = sum_t lambda_t * KP(min(W_t - omega, x)) over the last cluster.
-KP is read off ``oracle.knapsack_rows``, built once per table, floored by a
-common divisor past ``oracle.KNAPSACK_CELLS`` cells.  The skipped
-frontiers are never built, and the answer is the full row's.
+and the chain of backpointers below it; every row is filled as a branch
+and bound for that chain.  An entry of weight x of cluster m's frontier
+profits at most U(x) = sum_t lambda_t * KP(min(W_t - omega, x)) over that
+cluster, KP read off class-suffix and class-prefix rows of
+``oracle.knapsack_rows``, built once per table, floored by a common divisor
+past ``oracle.KNAPSACK_CELLS`` cells.  Composed over the later clusters,
+it bounds the last-row index any chain through a state can reach; an index
+the zero state reaches bounds the target from below.  Rows of earlier
+clusters push only the predecessors, and keep only the states, through
+which some chain may reach that index; the last row skips each predecessor
+that cannot write above its highest index so far, nor lighter at it.  The
+skipped frontiers are never built, and the answer is the full rows'.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Optional
 
 from .bounded import InverseFrontier, accuracy_budget, rescaled_third
@@ -221,11 +227,24 @@ class ClusterDPTable:
     total weight) pairs once, and takes each predecessor's offset from the
     step's ints.
 
-    ``final_state`` fills the last row (M, top class) once more for ``glue``,
-    which reads only its highest feasible index and that index's
-    backpointer, and skips each predecessor that a knapsack bound
-    (``_LastRowBound``) shows cannot change those two; ``backpointer``
-    reads full rows.
+    Rows hold only the states that may lie on ``glue``'s chain.  Cluster
+    k's knapsack bound (``_ClusterBound``) caps the index a state can push
+    to, so F_m(ell, idx) (``_climb``), that cap applied through clusters
+    m+1..M on the classes above ell, bounds the last-row index of every
+    chain through state (m, ell, idx); F never falls as idx grows, and
+    F_M(ell, idx) = idx.  L (``_least_target``) is an index the full last
+    row writes, so its target is at least L.  A row (m, ell) with m < M
+    (``_pruned_fill``) skips each predecessor whose frontier, by the bound,
+    writes no state of F >= L, never building it, and keeps only its states
+    of F >= L.  By induction over m, those hold the full table's values and
+    backpointers: a predecessor that pushes into such a state has F >= L
+    itself, so it is kept, with its full value, and is not skipped.  Each
+    state of the target's chain has F at least the target, hence at least L.
+
+    ``final_state`` fills the last row (M, top class) once more for
+    ``glue``, which reads only its highest feasible index and that index's
+    backpointer, and skips each predecessor that cluster M's bound shows
+    cannot change those two; ``backpointer`` reads rows filled as above.
     """
 
     instance: Instance
@@ -292,23 +311,86 @@ class ClusterDPTable:
 
     def _row(self, m: int, ell: int) -> tuple[list, list]:
         if (m, ell) not in self._rows:
-            self._rows[m, ell] = self._fill(m, ell)
+            earlier = 0 < m < self.plan.num_clusters and ell >= 0
+            self._rows[m, ell] = self._pruned_fill(m, ell) if earlier else self._fill(m, ell)
         return self._rows[m, ell]
+
+    def _pruned_fill(self, m: int, ell: int) -> tuple[list, list]:
+        """Row (m, ell), m < M, holding the full row's states of F >= L alone:
+        those from index need on, need the least with F_m(ell, need) >= L.
+
+        A predecessor is pushed only if its most serving entry, by cluster
+        m's bound, reaches grid[need]; whatever it writes below need is
+        dropped."""
+        points = self.grid.values
+        need = bisect_left(range(len(points)), self._least_target, key=partial(self._climb, m, ell))
+        if need == len(points):
+            return [None] * need, [None] * need
+        least, most = points[need], self._bounds[m - 1].most
+
+        def skip(ell_prev, omega, offset, reach, values):
+            return most(ell_prev, ell, omega) + offset < least
+
+        values, back = self._fill(m, ell, skip)
+        values[:need] = back[:need] = [None] * need
+        return values, back
+
+    def _climb(self, m: int, ell: int, idx: int) -> int:
+        """F_m(ell, idx): no chain through state (m, ell, idx) ends above this last-row index.
+
+        Cluster k > m serves at most ``most(ell, top, 0)`` above a state's
+        offset: its classes lie above ell, and weight 0 leaves it the most
+        capacity.  So each step is one bisection."""
+        points, offset, top = self.grid.values, self.grid.offset, self.classes.indices[-1]
+        for bound in self._bounds[m:]:
+            idx = bisect_right(points, bound.most(ell, top, 0) + offset(idx)) - 1
+        return idx
+
+    @cached_property
+    def _least_target(self) -> int:
+        """L, an index the full last row writes: the most, over m, of the
+        index cluster m reaches taking every class from the zero state (the
+        reach of frontier (m, 0, top, 0)), carried through clusters m+1..M
+        by their empty frontiers, each taking no class (index i goes to the
+        last index at or below offset(i))."""
+        points, offset, top = self.grid.values, self.grid.offset, self.classes.indices[-1]
+        least = 0
+        for m in range(1, self.plan.num_clusters + 1):
+            idx = bisect_right(points, max(cutoff for cutoff, _ in self._frontier(m, 0, top, 0)[2]) + offset(0)) - 1
+            for _ in range(m, self.plan.num_clusters):
+                idx = bisect_right(points, offset(idx)) - 1
+            least = max(least, idx)
+        return least
+
+    @cached_property
+    def _bounds(self) -> tuple[_ClusterBound, ...]:
+        """Cluster m's bound at position m - 1, all reading one set of rows:
+        class-suffix rows, and class-prefix rows when some row has ell below
+        the top class (M > 1); the top class's prefix row is the first
+        suffix row, both holding every class."""
+        instance, indices = self.instance, self.classes.indices
+        groups = [[instance.items[i] for i in self.classes.members[level]] for level in indices]
+        g, rows = knapsack_rows(groups, instance.capacities[-1])
+        suffix = dict(zip(self._ell_states, rows))
+        prefix = {indices[-1]: rows[0]}
+        if self.plan.num_clusters > 1:
+            prefix = dict(zip(reversed(self._ell_states), knapsack_rows(groups[::-1], instance.capacities[-1])[1]))
+        return tuple(_ClusterBound(self, m, g, suffix, prefix) for m in range(1, self.plan.num_clusters + 1))
 
     def final_state(self) -> tuple[int, Optional[tuple[int, int, Fraction]]]:
         """The last row's highest feasible index and its backpointer.
 
         Fills row (M, top class) as ``_row`` does, minus the predecessors
-        that ``_LastRowBound.skips`` shows cannot write above reach, the
-        highest index written so far, nor strictly lighter than the value
-        at reach.  Reach never passes the full row's target, so a skipped
-        predecessor either writes only below that target, or writes at it
-        nothing lighter than a kept push before it.  The kept pushes keep
-        their order, so the target (the highest index written) and its
-        first lightest push, hence its weight and backpointer, are the
-        full row's.
+        that cluster M's ``_ClusterBound.skips`` shows cannot write above
+        reach, the highest index written so far, nor strictly lighter than
+        the value at reach.  Reach never passes the full row's target, so a
+        skipped predecessor either writes only below that target, or writes
+        at it nothing lighter than a kept push before it.  The kept pushes
+        keep their order, so the target (the highest index written) and its
+        first lightest push, hence its weight and backpointer, are the full
+        row's.
         """
-        values, back = self._fill(self.plan.num_clusters, self.classes.indices[-1], _LastRowBound(self).skips)
+        values, back = self._fill(self.plan.num_clusters, self.classes.indices[-1], self._bounds[-1].skips)
         target = next(idx for idx in range(len(values) - 1, -1, -1) if values[idx] is not None)
         return target, back[target]
 
@@ -319,66 +401,76 @@ class ClusterDPTable:
     def transition(self, m: int, ell: int, phi_idx: int, link: Optional[tuple[int, int, Fraction]] = None):
         """(ell_prev, idx_prev, InverseResult, SingleClusterInstance) of cluster m's step.
 
-        ``link`` is the state's backpointer, read from its full row if not given."""
+        ``link`` is the state's backpointer, read from its row if not given."""
         ell_prev, idx_prev, prev = link or self.backpointer(m, ell, phi_idx)
         frontier, sub, _ = self._frontier(m, ell_prev + 1, ell, prev)
         phi_req = Fraction(max(self.grid.values[phi_idx] - self.grid.offset(idx_prev), 0), self.grid.unit)
         return ell_prev, idx_prev, frontier.query(phi_req), sub
 
 
-class _LastRowBound:
-    """Which predecessors of the last row (M, top class) ``glue`` needs.
+class _ClusterBound:
+    """What cluster m's frontiers can serve, by a 0/1 knapsack bound.
 
-    Cluster M's frontier for a predecessor (ell_prev, weight omega) holds
-    feasible solutions of its subinstance on the classes above ell_prev.
-    An entry of weight x has rounded profit at most its true profit, at
-    most U(x) = sum_t lambda_t * KP(min(W_t - omega, x)) over the cluster's
-    local lambdas and capacities, KP being the 0/1 knapsack optimum over
-    the items of classes above ell_prev.  It serves requirements up to its
-    rounded profit times q/(q-3), so it writes grid index idx only if
-    U(x) * q/(q-3) >= grid[idx] - offset, offset being the predecessor's.
+    Cluster m's frontier for a predecessor (ell_prev, weight omega) of row
+    (m, ell) holds feasible solutions of its subinstance on classes
+    ell_prev+1..ell.  An entry of weight x has rounded profit at most its
+    true profit, at most U(x) = sum_t lambda_t * KP(min(W_t - omega, x))
+    over the cluster's local lambdas and capacities, KP being the 0/1
+    knapsack optimum over those classes' items.  It serves requirements up
+    to its rounded profit times q/(q-3), so it writes grid index idx only
+    if U(x) * q/(q-3) >= grid[idx] - offset, offset being the predecessor's.
 
-    ``rows[ell_prev]`` bounds KP for every class suffix from above, read at
-    c // g: the rows of ``oracle.knapsack_rows`` over the classes, built
-    once, floored past ``oracle.KNAPSACK_CELLS`` cells.
+    KP is at most both ``suffix[ell_prev]`` (the classes above ell_prev)
+    and ``prefix[ell]`` (the classes up to ell), read at c // g: rows of
+    ``oracle.knapsack_rows`` over the classes, built once per table, floored
+    past ``oracle.KNAPSACK_CELLS`` cells.  Each bounds the knapsack of a
+    superset of the items, so their least is admissible.
     """
 
-    def __init__(self, table: ClusterDPTable):
-        instance, classes, plan, indices = table.instance, table.classes, table.plan, table.classes.indices
-        local = single_cluster_instance(instance, classes, plan, plan.num_clusters, indices[0], indices[-1], 0).instance
+    def __init__(self, table: ClusterDPTable, m: int, g: int, suffix: dict, prefix: dict):
+        instance, classes, indices = table.instance, table.classes, table.classes.indices
+        local = single_cluster_instance(instance, classes, table.plan, m, indices[0], indices[-1], 0).instance
         self.lambdas, self.caps = local.lambdas, local.capacities
-        self.points = table.grid.values
+        self.g, self.suffix, self.prefix = g, suffix, prefix
+        self.points, self.top = table.grid.values, indices[-1]
         q = table._sub_eps.denominator
         self.scale, self.loss = q * table.grid.unit, q - 3
-        groups = [[instance.items[i] for i in classes.members[level]] for level in indices]
-        self.g, rows = knapsack_rows(groups, instance.capacities[-1])
-        self.rows = dict(zip(table._ell_states, rows))
-        self.most: dict[tuple[int, int], int] = {}
+        self._most: dict[tuple[int, int, int], int] = {}
 
-    def profit(self, ell_prev: int, omega: int, x: int) -> int:
-        """U(x) for the frontier of predecessor (ell_prev, omega)."""
-        row, g = self.rows[ell_prev], self.g
-        return sum(lam * row[min(max(c - omega, 0), x) // g] for lam, c in zip(self.lambdas, self.caps))
+    def profit(self, ell_prev: int, ell: int, omega: int, x: int) -> int:
+        """U(x) for the frontier of predecessor (ell_prev, omega) in row (m, ell)."""
+        low, high, g = self.suffix[ell_prev], self.prefix[ell], self.g
+        total = 0
+        for lam, c in zip(self.lambdas, self.caps):
+            r = min(max(c - omega, 0), x) // g
+            total += lam * min(low[r], high[r])
+        return total
 
-    def cutoff(self, ell_prev: int, omega: int, x: int) -> int:
+    def cutoff(self, ell_prev: int, ell: int, omega: int, x: int) -> int:
         """The largest requirement, in grid units, an entry of weight at most x may serve."""
-        return self.profit(ell_prev, omega, x) * self.scale // self.loss
+        return self.profit(ell_prev, ell, omega, x) * self.scale // self.loss
+
+    def most(self, ell_prev: int, ell: int, omega: int) -> int:
+        """The cutoff at the largest capacity, which no entry passes; kept per key."""
+        key = (ell_prev, ell, omega)
+        most = self._most.get(key)
+        if most is None:
+            most = self._most[key] = self.cutoff(ell_prev, ell, omega, self.caps[-1])
+        return most
 
     def skips(self, ell_prev: int, omega: int, offset: int, reach: int, values: list) -> bool:
-        """True unless some entry may write above ``reach`` or strictly
-        lighter than values[reach]: the cutoff at the largest capacity,
-        kept per (ell_prev, omega), tests the first, and the cutoff at
-        values[reach] - omega - 1 the second, as U never falls as x grows."""
-        points = self.points
-        most = self.most.get((ell_prev, omega))
-        if most is None:
-            most = self.most[ell_prev, omega] = self.cutoff(ell_prev, omega, self.caps[-1])
+        """For the last row: True unless some entry may write above
+        ``reach`` or strictly lighter than values[reach].  ``most`` tests
+        the first, and the cutoff at values[reach] - omega - 1 the second,
+        as U never falls as x grows."""
+        points, top = self.points, self.top
+        most = self.most(ell_prev, top, omega)
         if most + offset < points[reach]:
             return True
         if reach + 1 < len(points) and most + offset >= points[reach + 1]:
             return False
         lighter = values[reach] - omega - 1
-        return lighter < 0 or self.cutoff(ell_prev, omega, lighter) + offset < points[reach]
+        return lighter < 0 or self.cutoff(ell_prev, top, omega, lighter) + offset < points[reach]
 
 
 def cluster_dp(
@@ -402,7 +494,8 @@ def glue(plan: ClusterPlan, table: ClusterDPTable, n_items: int) -> tuple[Soluti
     by the knapsack bound U(x) (rows of ``oracle.knapsack_rows``, floored
     past ``oracle.KNAPSACK_CELLS`` cells), write above the highest index so
     far or lighter at it; those never change the target or its backpointer.
-    Earlier steps read full rows.
+    Earlier steps read rows that hold, exactly as full rows would, every
+    state whose bound F reaches L, and each state on the chain does.
     Each traversed backpointer contributes one single-cluster solution; the
     union over clusters, re-indexed to parent periods and items, is the
     glued solution.  Returns it with the certified grid profit.

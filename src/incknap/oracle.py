@@ -5,8 +5,8 @@ full assignment space (one introduction period or NEVER per item), so
 results are ground truth the approximation pipeline is checked against.
 The budget still counts that whole space, ``(T+1)^n`` assignments.  A
 subtree is cut only when an admissible bound (``_Bound``, over the 0/1
-knapsack rows of ``knapsack_rows``, which also bound the cluster DP's last
-row in ``general``) proves it holds no answer the plain enumeration would
+knapsack rows of ``knapsack_rows``, which also bound the cluster DP's rows
+in ``general``) proves it holds no answer the plain enumeration would
 take, so the answers are those of the enumeration.  The search validates
 its input, then runs in integer units (``model.integer_units``): Python int
 arithmetic is an order of magnitude faster than Fraction churn in these

@@ -260,7 +260,8 @@ class PullClusterTable:
     """Cluster DP in pull form: each state scans every predecessor pair.
 
     The reference that the row-filling ``general.ClusterDPTable`` must match
-    state by state, backpointers and built frontiers included.
+    on every state it keeps exact, backpointers included; it builds every
+    frontier the table builds.
     """
 
     instance: Instance
@@ -369,8 +370,15 @@ def dp_value(table: BoundedDPTable, t: int, cell: int) -> Optional[Fraction]:
 
 def cluster_value(table: ClusterDPTable, m: int, ell: int, phi_idx: int) -> Optional[int]:
     """The cluster DP's least weight at state (m, ell, phi_idx), read off its
-    full row, or None when the state is infeasible."""
+    row, or None when the state is infeasible."""
     return table._row(m, ell)[0][phi_idx]
+
+
+class FullRowTable(ClusterDPTable):
+    """The cluster DP with every row filled in full: no row skips a predecessor."""
+
+    def _pruned_fill(self, m: int, ell: int) -> tuple[list, list]:
+        return self._fill(m, ell)
 
 
 def lattice_rows(table: BoundedDPTable, t: int) -> tuple[list, list]:

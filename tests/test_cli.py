@@ -265,6 +265,31 @@ def test_cmd_solve_overlong_result_exits_3(tmp_path, capsys, mode):
 
 
 @pytest.mark.parametrize(
+    "mode, solver",
+    [
+        ("general", (cli.general, "solve_detailed")),
+        ("bounded", (cli.bounded, "solve_bounded")),
+        ("exact", (cli.oracle, "exact_opt")),
+    ],
+)
+def test_cmd_solve_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, mode, solver):
+    # a solver that runs out of memory ends in one stderr line and exit 3,
+    # with no traceback and no output file
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(*solver, exhausted)
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(generate_instance(3, 3, 2, "uniform")))
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--mode", mode, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{mode} mode ran out of memory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "mode, eps",
     [("general", "abc"), ("general", "0"), ("bounded", "0"), ("bounded", "-1"), ("exact", "1/0")],
 )

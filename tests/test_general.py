@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import PullClusterTable, cluster_value, e1, random_instance
+from helpers import FullRowTable, PullClusterTable, cluster_value, e1, random_instance
 from incknap import general, oracle
 from incknap.bounded import InverseFrontier, rescaled_third
 from incknap.classes import build_classes
@@ -640,28 +641,66 @@ def test_cluster_dp_lower_bounds_exact_stars_value():
     assert checked > 500
 
 
+def glue_chain(plan, table):
+    """(m, ell, idx, (ell_prev, idx_prev), step weight) of each state ``glue`` traverses."""
+    target, link = table.final_state()
+    m, ell, idx = plan.num_clusters, max(table.classes.indices), target
+    chain = []
+    while m >= 1 and idx > 0:
+        chain.append((m, ell, idx, link[:2], table.transition(m, ell, idx, link)[2].weight))
+        m, ell, idx = m - 1, link[0], link[1]
+        link = table.backpointer(m, ell, idx)
+    return chain
+
+
+def glue_from_pull(plan, pull, n_items):
+    """``glue`` over the pull reference: (solution, certified profit, chain as in ``glue_chain``)."""
+    m, ell = plan.num_clusters, max(pull.classes.indices)
+    target = next(idx for idx in range(len(pull.grid.values) - 1, -1, -1) if pull.value(m, ell, idx) is not None)
+    intro = [None] * n_items
+    chain = []
+    idx = target
+    while m >= 1 and idx > 0:
+        ell_prev, idx_prev, res, sub = pull.backpointer(m, ell, idx)
+        chain.append((m, ell, idx, (ell_prev, idx_prev), res.weight))
+        for local_item, local_t in res.solution.introduced():
+            intro[sub.item_ids[local_item]] = sub.periods[local_t - 1]
+        m, ell, idx = m - 1, ell_prev, idx_prev
+    return Solution(tuple(intro)), pull.grid.point(target), chain
+
+
 def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
-    """Compare the row-filling table with the pull reference state by state.
+    """Compare the row-filling table with the pull reference; return
+    whether glue built strictly fewer frontiers than the reference.
 
     With ``read_all`` every (m, class, idx) state is read from both tables;
-    otherwise each is read as ``glue`` reads it: the top class at the last
-    cluster, from the top grid index down to the first feasible one.
+    otherwise the reference reads each as ``glue`` would read it from full
+    rows: the top class at the last cluster, from the top grid index down
+    to the first feasible one.  glue's solution, certified profit and chain
+    are the reference's, and it builds only frontiers the reference builds.
+    A single-cluster table matches every state and frontier.  Past one
+    cluster, only the states with F >= L (``_climb``, ``_least_target``)
+    match; earlier rows hold no other state.
     """
     push = cluster_dp(instance, classes, plan, grid, eps)
     pull = PullClusterTable(instance, classes, plan, grid, eps)
-    top = max(classes.indices)
+    solution, profit = glue(plan, push, instance.n)
+    chain = glue_chain(plan, push)
+    built = set(push._frontiers)
     if read_all:
         for m in range(1, plan.num_clusters + 1):
             for level in classes.indices:
                 for idx in range(len(grid.values)):
                     pull.value(m, level, idx)
-    else:
-        glue(plan, push, instance.n)
-        for idx in range(len(grid.values) - 1, -1, -1):
-            if pull.value(plan.num_clusters, top, idx) is not None:
-                break
+    assert (solution, profit, chain) == glue_from_pull(plan, pull, instance.n)
+    assert built <= set(pull._frontiers)
+    pruned = plan.num_clusters > 1
     assert pull._values
     for (m, level, idx), value in pull._values.items():
+        if pruned and push._climb(m, level, idx) < push._least_target:
+            # earlier rows drop the states that cannot reach the target
+            assert m == plan.num_clusters or cluster_value(push, m, level, idx) is None
+            continue
         assert cluster_value(push, m, level, idx) == value
         want = pull.backpointer(m, level, idx)
         if want is None:
@@ -671,35 +710,43 @@ def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
         assert got[:2] == want[:2]
         assert (got[2].weight, got[2].solution) == (want[2].weight, want[2].solution)
         assert push.backpointer(m, level, idx)[2] + got[2].weight == value
-    assert set(push._frontiers) == set(pull._frontiers)
+    if not pruned:
+        assert set(push._frontiers) == set(pull._frontiers)
+    return built < set(pull._frontiers)
 
 
 def test_cluster_dp_matches_pull_reference():
+    # the stars cases read every state; two_cluster_instance seeds 0-7 and
+    # a hand-built three-cluster plan read the states glue reads; every
+    # case past one cluster builds strictly fewer frontiers than the reference
     clusters = Counter()
+    fewer = Counter()
     for pre, classes, plan, grid in stars_cases():
-        assert_push_matches_pull(pre, classes, plan, grid, EPS, read_all=True)
+        fewer[plan.num_clusters] += assert_push_matches_pull(pre, classes, plan, grid, EPS, read_all=True)
         clusters[plan.num_clusters] += 1
     eps = internal_eps(Fraction(4, 5))
     for seed in range(8):
         core, _, _ = integer_units(two_cluster_instance(seed))
         classes = build_classes(core, eps)
         profits = [p for p, _ in core.items]
+        psi_cap = core.suffix_lambdas.values[0] * sum(profits)
         seen = set()
         for xi in range(int(1 / eps)):
             plan = build_plan(core, eps, xi)
             if plan.num_clusters == 0 or plan.clusters in seen:
                 continue
             seen.add(plan.clusters)
-            grid = build_grid(
-                eps,
-                plan.num_clusters,
-                core.lambdas[-1],
-                max(profits),
-                core.suffix_lambdas.values[0] * sum(profits),
-            )
-            assert_push_matches_pull(core, classes, plan, grid, eps, read_all=False)
+            grid = build_grid(eps, plan.num_clusters, core.lambdas[-1], max(profits), psi_cap)
+            fewer[plan.num_clusters] += assert_push_matches_pull(core, classes, plan, grid, eps, read_all=False)
             clusters[plan.num_clusters] += 1
+    instance = Instance.build(items=[(3, 4), (1, 10), (8, 3), (2, 6), (2, 4)], capacities=[6, 8, 15], lambdas=[5, 2, 5])
+    core, _, _ = integer_units(instance)
+    profits = [p for p, _ in core.items]
+    plan = general.ClusterPlan(interval_of=(1, 2, 3), clusters=((1,), (2,), (3,)))
+    grid = build_grid(EPS, 3, core.lambdas[-1], max(profits), core.suffix_lambdas.values[0] * sum(profits))
+    fewer[3] += assert_push_matches_pull(core, build_classes(core, EPS), plan, grid, EPS, read_all=False)
     assert clusters[1] > 40 and clusters[2] >= 8
+    assert fewer[2] == clusters[2] and fewer[3] == 1
 
 
 def test_cluster_dp_push_range_ends_on_a_point_equal_to_the_requirement():
@@ -814,7 +861,7 @@ def last_row_cases():
 
 
 def test_glue_answers_from_the_full_last_row():
-    # the pruned last row gives glue the full row's target, backpointer and
+    # the pruned rows give glue the full rows' target, backpointer and
     # weight, while building fewer frontiers; some cases floor their weights
     built = {"pruned": 0, "full": 0}
     kinds = Counter()
@@ -823,7 +870,7 @@ def test_glue_answers_from_the_full_last_row():
             pruned = cluster_dp(core, classes, plan, grid, eps)
             got = glue(plan, pruned, core.n)
             built["pruned"] += len(pruned._frontiers)
-            full = cluster_dp(core, classes, plan, grid, eps)
+            full = FullRowTable(core, classes, plan, grid, eps)
             assert got == glue_from_full_rows(plan, full, core.n)
             built["full"] += len(full._frontiers)
             m, top = plan.num_clusters, max(classes.indices)
@@ -831,7 +878,7 @@ def test_glue_answers_from_the_full_last_row():
             assert link == full.backpointer(m, top, target)
             if link is not None:
                 assert link[2] + pruned.transition(m, top, target, link)[2].weight == cluster_value(full, m, top, target)
-            kinds[plan.num_clusters, general._LastRowBound(pruned).g > 1] += 1
+            kinds[plan.num_clusters, pruned._bounds[-1].g > 1] += 1
     assert built["pruned"] < built["full"]
     assert kinds[2, True] and kinds[1, False]
 
@@ -855,7 +902,7 @@ def test_last_row_bound_is_admissible(monkeypatch, cells):
     for _ in range(15):
         instance = random_instance(rng, n_max=7, t_max=3)
         for core, classes, plan, grid, eps in solve_tables(instance, Fraction(1, 2)):
-            bound = general._LastRowBound(cluster_dp(core, classes, plan, grid, eps))
+            bound = cluster_dp(core, classes, plan, grid, eps)._bounds[-1]
             assert (bound.g > 1) == (cells == 4 and core.capacities[-1] >= 4)
             top = max(classes.indices)
             for ell_prev in (-1,) + classes.indices:
@@ -867,7 +914,7 @@ def test_last_row_bound_is_admissible(monkeypatch, cells):
                         continue
                     most = min(slack, default=core.capacities[-1])
                     for omega in {0, rng.randint(0, most), most}:
-                        assert profit <= bound.profit(ell_prev, omega, weights[-1])
+                        assert profit <= bound.profit(ell_prev, top, omega, weights[-1])
                         checked += 1
     assert checked > 1000
 
@@ -883,8 +930,8 @@ def test_last_row_skips_exactly_what_a_linear_scan_rules_out():
     cases = Counter()
     for instance, eps_public in last_row_cases():
         for core, classes, plan, grid, eps in solve_tables(instance, eps_public):
-            bound = general._LastRowBound(cluster_dp(core, classes, plan, grid, eps))
-            top_weight = core.capacities[-1]
+            bound = cluster_dp(core, classes, plan, grid, eps)._bounds[-1]
+            top, top_weight = max(classes.indices), core.capacities[-1]
             if top_weight > 100:
                 continue
             q = rescaled_third(eps).denominator
@@ -895,7 +942,7 @@ def test_last_row_skips_exactly_what_a_linear_scan_rules_out():
                 reach = rng.randrange(len(points))
 
                 def cutoff(x):
-                    return math.floor(Fraction(bound.profit(ell_prev, omega, x) * q, q - 3) * grid.unit)
+                    return math.floor(Fraction(bound.profit(ell_prev, top, omega, x) * q, q - 3) * grid.unit)
 
                 most = cutoff(top_weight)
                 offsets = {grid.offset(rng.randrange(len(points))), points[reach] - most, points[reach] - most - 1}
@@ -934,3 +981,158 @@ def test_glue_builds_few_frontiers_on_the_benchmark(monkeypatch):
     for index in range(12):
         solve_detailed(workload.make(1, index), Fraction(workload.eps))
     assert 0 < len(built) <= 30
+
+
+def test_glue_builds_few_frontiers_on_the_multicluster_benchmark(monkeypatch):
+    # the seed-1 general-multicluster pool, as the benchmark builds it: rows
+    # of earlier clusters filled in full build 1,030 frontiers, pruned 441
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    built = []
+
+    class Counted(InverseFrontier):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(general, "InverseFrontier", Counted)
+    workload = workloads.WORKLOADS["general-multicluster"]
+    for index in range(workload.pool):
+        solve_detailed(workload.make(1, index), Fraction(workload.eps))
+    assert 0 < len(built) <= 600
+
+
+def hand_built_plans(cells):
+    """(core, classes, plan, grid) at EPS: random instances of n <= 7 and T
+    of 2 or 3 under every plan of two or three clusters over their periods."""
+    rng = random.Random(cells)
+    plans = {
+        2: [((1,), (2,))],
+        3: [((1,), (2, 3)), ((1, 2), (3,)), ((1,), (3,)), ((1,), (2,), (3,))],
+    }
+    while True:
+        instance = random_instance(rng, n_max=7, t_max=3)
+        if instance.horizon == 1:
+            continue
+        core, _, _ = integer_units(preprocess(instance)[0])
+        if core.horizon == 1:
+            continue
+        classes = build_classes(core, EPS)
+        profits = [p for p, _ in core.items]
+        for clusters in plans[core.horizon]:
+            plan = general.ClusterPlan(interval_of=tuple(range(1, core.horizon + 1)), clusters=clusters)
+            psi_cap = core.suffix_lambdas.values[0] * sum(profits)
+            yield core, classes, plan, build_grid(EPS, len(clusters), core.lambdas[-1], max(profits), psi_cap)
+
+
+def highest_reach(table, m, ell, idx, omega, memo):
+    """The highest last-row index any chain of pushes from state (m, ell,
+    idx) at weight omega writes, each entry taken at any weight it serves."""
+    key = (m, ell, idx, omega)
+    if m == table.plan.num_clusters:
+        return idx
+    if key not in memo:
+        points, offset = table.grid.values, table.grid.offset(idx)
+        best = idx
+        for nxt in table._ell_states:
+            if nxt < ell:
+                continue
+            for cutoff, weight in table._frontier(m + 1, ell + 1, nxt, omega)[2]:
+                reached = bisect_right(points, cutoff + offset) - 1
+                best = max(best, highest_reach(table, m + 1, nxt, reached, weight, memo))
+        memo[key] = best
+    return memo[key]
+
+
+@pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
+def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
+    # by brute force over every state of the full rows: no chain of pushes
+    # from a state ends above F_m(ell, idx) (``_climb``), and L
+    # (``_least_target``) is at most the full last row's target; also when
+    # a cell budget of 4 floors the knapsack rows
+    monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
+    states = Counter()
+    floored = 0
+    for core, classes, plan, grid in itertools.islice(hand_built_plans(cells), 20):
+        full = FullRowTable(core, classes, plan, grid, EPS)
+        table = cluster_dp(core, classes, plan, grid, EPS)
+        clusters, top = plan.num_clusters, max(classes.indices)
+        target = max(idx for idx in range(len(grid.values)) if cluster_value(full, clusters, top, idx) is not None)
+        assert table._least_target <= target
+        floored += table._bounds[0].g > 1
+        memo = {}
+        for m in range(clusters):
+            for ell in table._ell_states:
+                for idx, omega in enumerate(full._row(m, ell)[0]):
+                    if omega is None:
+                        continue
+                    bound = table._climb(m, ell, idx)
+                    assert highest_reach(full, m, ell, idx, omega, memo) <= bound
+                    states[clusters, bound < table._least_target] += 1
+    assert min(states[key] for key in itertools.product((2, 3), (False, True))) > 20
+    assert (floored > 0) == (cells == 4)
+
+
+@pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
+def test_cluster_bounds_are_admissible_on_every_class_range(monkeypatch, cells):
+    # every feasible assignment of cluster m's subinstance on classes
+    # ell_prev+1..ell profits at most U(its weight) of cluster m's bound,
+    # at every committed weight omega it fits
+    monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
+    rng = random.Random(cells + 1)
+    checked = Counter()
+    for core, classes, plan, grid in itertools.islice(hand_built_plans(cells + 1), 12):
+        table = cluster_dp(core, classes, plan, grid, EPS)
+        for m, bound in enumerate(table._bounds, start=1):
+            for ell_prev, ell in itertools.combinations(table._ell_states, 2):
+                sub = single_cluster_instance(core, classes, plan, m, ell_prev + 1, ell, 0).instance
+                for weights, profit in assignment_weights(sub):
+                    slack = [c - w for c, w in zip(sub.capacities, weights) if w]
+                    if slack and min(slack) < 0:
+                        continue
+                    most = min(slack, default=core.capacities[-1])
+                    for omega in {0, rng.randint(0, most), most}:
+                        assert profit <= bound.profit(ell_prev, ell, omega, weights[-1])
+                        checked[ell < max(classes.indices)] += 1
+    assert checked[True] > 1000 and checked[False] > 1000
+
+
+def test_earlier_rows_skip_exactly_the_predecessors_that_cannot_reach_the_floor():
+    # a row (m, ell) with m < M skips a predecessor (ell_prev, omega) at an
+    # offset iff F_m(ell, idx1) < L, idx1 being the highest index its most
+    # serving entry may write by cluster m's bound; offsets drawn at random
+    # and on both sides of every grid point
+    rng = random.Random(7)
+    cases = Counter()
+    for core, classes, plan, grid in itertools.islice(hand_built_plans(7), 12):
+        table = cluster_dp(core, classes, plan, grid, EPS)
+        skips = {}
+        fill = table._fill
+
+        def capture(m, ell, skip=None):
+            skips[m, ell] = skip
+            return fill(m, ell, skip)
+
+        table._fill = capture
+        glue(plan, table, core.n)
+        points, least = grid.values, table._least_target
+        for (m, ell), skip in skips.items():
+            if not 0 < m < plan.num_clusters or ell < 0:
+                continue
+            bound = table._bounds[m - 1]
+            for ell_prev in table._ell_states:
+                if ell_prev > ell:
+                    break
+                for omega in {0, rng.randint(0, core.capacities[-1])}:
+                    most = bound.most(ell_prev, ell, omega)
+                    offsets = {grid.offset(rng.randrange(len(points)))}
+                    offsets |= {point - most + d for point in points for d in (-1, 0)}
+                    for offset in offsets:
+                        if offset < 0:
+                            continue
+                        idx1 = bisect_right(points, most + offset) - 1
+                        want = table._climb(m, ell, idx1) < least
+                        assert skip(ell_prev, omega, offset, 0, []) == want
+                        cases[want] += 1
+    assert cases[True] > 1000 and cases[False] > 1000
