@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import Instance
+from .oracle import BudgetExceeded
+
+# Most profit-class levels (0 included) a solve may climb: level l is an int
+# of O(l) digits, so a ladder's time grows with its length squared.
+CLASS_BUDGET = 2**14
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,15 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     class map, of scale 1, for an itemless instance.  The instance is in
     integer units, unchecked here, so the scale and prefix sums are ints;
     a least profit that is not positive raises ValueError.
+
+    A ladder past ``CLASS_BUDGET`` levels raises BudgetExceeded before it
+    is climbed: the top profit's level is at least the budget B iff
+    low * a**B <= high * b**B (top/scale = high/low on ints), one exact
+    test, as ``general.build_grid`` checks its grid.  Most ladders skip
+    even that: high/low < 2**(b_high - b_low + 1) (bit lengths) and
+    (1+eps)**B >= 2**(B*eps), so b_high - b_low + 1 <= B*eps accepts them
+    on small ints.  ``interval_length_cap`` climbs at most one level past
+    the top, so the budget bounds it too.
     """
     if eps.numerator != 1:
         raise ValueError("eps must be a unit fraction")
@@ -56,6 +70,11 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     if scale <= 0:
         raise ValueError("item profits must be positive")
     a, b = eps.denominator + eps.numerator, eps.denominator
+    top, budget = max((p for p, _ in instance.items), default=1), CLASS_BUDGET
+    high, low = top.numerator * scale.denominator, scale.numerator * top.denominator  # top/scale = high/low
+    if (high.bit_length() - low.bit_length() + 1) * b > budget * (a - b):
+        if low * a**budget <= high * b**budget:
+            raise BudgetExceeded(budget + 1, budget, "profit class ladder of at least {} levels")
     level_of = {}
     level, up, down = 0, a, b  # (1+eps)**(level+1) = up/down
     for p in sorted({p for p, _ in instance.items}):

@@ -6,9 +6,9 @@ parse/serialize round trip is value-identical and float contamination is
 impossible: a scalar that is not a string is rejected.  Exit codes: 0
 success; 1 an ``eval`` batch with failure rows; 2 an unreadable, malformed
 or invalid instance file, a bad argument, or an unwritable ``--out``; 3 a
-resource overrun on a valid input: the oracle budget exceeded, a solve out
-of memory, or a result value longer than the interpreter's integer string
-conversion limit.
+resource overrun on a valid input: the oracle budget, the profit grid
+budget or the profit class budget exceeded, a solve out of memory, or a
+result value longer than the interpreter's integer string conversion limit.
 """
 
 from __future__ import annotations

@@ -19,12 +19,13 @@ profits at most U(x) = sum_t lambda_t * KP(min(W_t - omega, x)) over that
 cluster, KP read off class-suffix and class-prefix rows of
 ``oracle.knapsack_rows``, built once per table, floored by a common divisor
 past ``oracle.KNAPSACK_CELLS`` cells.  Composed over the later clusters,
-it bounds the last-row index any chain through a state can reach; an index
-the zero state reaches bounds the target from below.  Rows of earlier
-clusters push only the predecessors, and keep only the states, through
-which some chain may reach that index; the last row skips each predecessor
-that cannot write above its highest index so far, nor lighter at it.  The
-skipped frontiers are never built, and the answer is the full rows'.
+it bounds the last-row index F any chain through a state can reach; an
+index L the zero state reaches bounds the target from below.  One rule
+fills every row: keep only the states of F >= L, and push only the
+predecessors that may write one; the last row, where F is the index
+itself, also skips those that cannot write above its highest index so
+far, nor lighter at it.  The skipped frontiers are never built, and the
+answer is the full rows'.
 """
 
 from __future__ import annotations
@@ -233,18 +234,22 @@ class ClusterDPTable:
     m+1..M on the classes above ell, bounds the last-row index of every
     chain through state (m, ell, idx); F never falls as idx grows, and
     F_M(ell, idx) = idx.  L (``_least_target``) is an index the full last
-    row writes, so its target is at least L.  A row (m, ell) with m < M
-    (``_pruned_fill``) skips each predecessor whose frontier, by the bound,
-    writes no state of F >= L, never building it, and keeps only its states
-    of F >= L.  By induction over m, those hold the full table's values and
-    backpointers: a predecessor that pushes into such a state has F >= L
-    itself, so it is kept, with its full value, and is not skipped.  Each
-    state of the target's chain has F at least the target, hence at least L.
-
-    ``final_state`` fills the last row (M, top class) once more for
-    ``glue``, which reads only its highest feasible index and that index's
-    backpointer, and skips each predecessor that cluster M's bound shows
-    cannot change those two; ``backpointer`` reads rows filled as above.
+    row writes, so its target is at least L.  Every row keeps only its
+    states of F >= L, those from index need on, and skips each predecessor
+    that ``_ClusterBound.skips`` shows writes none of them, never building
+    its frontier.  By induction over m, the kept states of rows m < M hold
+    the full table's values and backpointers: a predecessor that pushes
+    into such a state has F >= L itself, so it is kept, with its full
+    value, and is not skipped.  The last row, read by ``glue`` for its
+    highest feasible index (the target) and that index's backpointer
+    alone, also skips a predecessor that cannot write above reach, the
+    highest index written so far, nor strictly lighter than the value at
+    reach.  Reach never passes the full row's target, so a skipped
+    predecessor either writes only below that target, or writes at it
+    nothing lighter than a kept push before it.  The kept pushes keep their
+    order, so the target and its first lightest push, hence its weight and
+    backpointer, are the full row's; each state of its chain has F at least
+    the target, hence at least L.
     """
 
     instance: Instance
@@ -270,19 +275,26 @@ class ClusterDPTable:
             self._frontiers[key] = (frontier, sub, pushes)
         return self._frontiers[key]
 
-    def _fill(self, m: int, ell: int, skip=None) -> tuple[list, list]:
-        """Row (m, ell), pushing every predecessor that ``skip(ell_prev,
-        weight, offset, reach, values)`` does not reject; reach is the
-        highest index written so far."""
+    def _row(self, m: int, ell: int) -> tuple[list, list]:
+        """Row (m, ell), filled and kept on first read: the states from
+        index need on, need the least with F_m(ell, need) >= L, and none
+        below it.  A predecessor is pushed unless cluster m's
+        ``_ClusterBound.skips`` rules it out at reach, which starts at need
+        and, in the last row alone, rises to the highest index written."""
+        if (m, ell) in self._rows:
+            return self._rows[m, ell]
         points = self.grid.values
+        # with no cluster or no class only the zero state is feasible, so need
+        # is sought up to index 1; else the (ell_prev, idx_prev) order and a
+        # strict < keep the first lightest move
+        fills = m > 0 and ell >= 0
+        need = bisect_left(range(len(points) if fills else 1), self._least_target, key=partial(self._climb, m, ell))
         values: list = [0] + [None] * (len(points) - 1)  # build_grid puts 0 at index 0 only
         back: list = [None] * len(points)
-        reach = 0
+        last, reach, skips = m == self.plan.num_clusters, need, self._bounds[m - 1].skips  # unread in row 0
         # offset(k) = points[k] * num // den + delta, as in ProfitGrid.offset
         num, den, delta = self.grid.step.numerator, self.grid.step.denominator, points[1]
-        # with no cluster or no class only the zero state is feasible; else the
-        # (ell_prev, idx_prev) order and a strict < keep the first lightest move
-        for ell_prev in self._ell_states if m > 0 and ell >= 0 else ():
+        for ell_prev in self._ell_states if fills and need < len(points) else ():
             if ell_prev > ell:
                 break
             by_weight: dict[int, list[tuple[int, int]]] = {}
@@ -290,7 +302,7 @@ class ClusterDPTable:
                 if prev is None:
                     continue
                 offset = points[idx_prev] * num // den + delta
-                if skip is not None and skip(ell_prev, prev, offset, reach, values):
+                if skips(ell_prev, ell, prev, offset, reach, values[reach] if last else None):
                     continue
                 pushes = by_weight.get(prev)
                 if pushes is None:
@@ -306,33 +318,10 @@ class ClusterDPTable:
                     lo = hi
                 # the empty entry serves offset >= points[idx_prev], so every
                 # index from idx_prev or 1 up to lo - 1 now holds a value
-                reach = max(reach, lo - 1)
-        return values, back
-
-    def _row(self, m: int, ell: int) -> tuple[list, list]:
-        if (m, ell) not in self._rows:
-            earlier = 0 < m < self.plan.num_clusters and ell >= 0
-            self._rows[m, ell] = self._pruned_fill(m, ell) if earlier else self._fill(m, ell)
-        return self._rows[m, ell]
-
-    def _pruned_fill(self, m: int, ell: int) -> tuple[list, list]:
-        """Row (m, ell), m < M, holding the full row's states of F >= L alone:
-        those from index need on, need the least with F_m(ell, need) >= L.
-
-        A predecessor is pushed only if its most serving entry, by cluster
-        m's bound, reaches grid[need]; whatever it writes below need is
-        dropped."""
-        points = self.grid.values
-        need = bisect_left(range(len(points)), self._least_target, key=partial(self._climb, m, ell))
-        if need == len(points):
-            return [None] * need, [None] * need
-        least, most = points[need], self._bounds[m - 1].most
-
-        def skip(ell_prev, omega, offset, reach, values):
-            return most(ell_prev, ell, omega) + offset < least
-
-        values, back = self._fill(m, ell, skip)
+                if last:
+                    reach = max(reach, lo - 1)
         values[:need] = back[:need] = [None] * need
+        self._rows[m, ell] = values, back
         return values, back
 
     def _climb(self, m: int, ell: int, idx: int) -> int:
@@ -341,7 +330,7 @@ class ClusterDPTable:
         Cluster k > m serves at most ``most(ell, top, 0)`` above a state's
         offset: its classes lie above ell, and weight 0 leaves it the most
         capacity.  So each step is one bisection."""
-        points, offset, top = self.grid.values, self.grid.offset, self.classes.indices[-1]
+        points, offset, top = self.grid.values, self.grid.offset, self._ell_states[-1]
         for bound in self._bounds[m:]:
             idx = bisect_right(points, bound.most(ell, top, 0) + offset(idx)) - 1
         return idx
@@ -377,32 +366,13 @@ class ClusterDPTable:
             prefix = dict(zip(reversed(self._ell_states), knapsack_rows(groups[::-1], instance.capacities[-1])[1]))
         return tuple(_ClusterBound(self, m, g, suffix, prefix) for m in range(1, self.plan.num_clusters + 1))
 
-    def final_state(self) -> tuple[int, Optional[tuple[int, int, Fraction]]]:
-        """The last row's highest feasible index and its backpointer.
-
-        Fills row (M, top class) as ``_row`` does, minus the predecessors
-        that cluster M's ``_ClusterBound.skips`` shows cannot write above
-        reach, the highest index written so far, nor strictly lighter than
-        the value at reach.  Reach never passes the full row's target, so a
-        skipped predecessor either writes only below that target, or writes
-        at it nothing lighter than a kept push before it.  The kept pushes
-        keep their order, so the target (the highest index written) and its
-        first lightest push, hence its weight and backpointer, are the full
-        row's.
-        """
-        values, back = self._fill(self.plan.num_clusters, self.classes.indices[-1], self._bounds[-1].skips)
-        target = next(idx for idx in range(len(values) - 1, -1, -1) if values[idx] is not None)
-        return target, back[target]
-
     def backpointer(self, m: int, ell: int, phi_idx: int) -> Optional[tuple[int, int, Fraction]]:
         """(ell_prev, idx_prev, its weight) of the winning predecessor, if any."""
         return self._row(m, ell)[1][phi_idx]
 
-    def transition(self, m: int, ell: int, phi_idx: int, link: Optional[tuple[int, int, Fraction]] = None):
-        """(ell_prev, idx_prev, InverseResult, SingleClusterInstance) of cluster m's step.
-
-        ``link`` is the state's backpointer, read from its row if not given."""
-        ell_prev, idx_prev, prev = link or self.backpointer(m, ell, phi_idx)
+    def transition(self, m: int, ell: int, phi_idx: int):
+        """(ell_prev, idx_prev, InverseResult, SingleClusterInstance) of cluster m's step into a state."""
+        ell_prev, idx_prev, prev = self.backpointer(m, ell, phi_idx)
         frontier, sub, _ = self._frontier(m, ell_prev + 1, ell, prev)
         phi_req = Fraction(max(self.grid.values[phi_idx] - self.grid.offset(idx_prev), 0), self.grid.unit)
         return ell_prev, idx_prev, frontier.query(phi_req), sub
@@ -424,7 +394,8 @@ class _ClusterBound:
     and ``prefix[ell]`` (the classes up to ell), read at c // g: rows of
     ``oracle.knapsack_rows`` over the classes, built once per table, floored
     past ``oracle.KNAPSACK_CELLS`` cells.  Each bounds the knapsack of a
-    superset of the items, so their least is admissible.
+    superset of the items, so their least is admissible.  ``skips`` asks
+    these bounds whether a predecessor's frontier may change a row.
     """
 
     def __init__(self, table: ClusterDPTable, m: int, g: int, suffix: dict, prefix: dict):
@@ -432,7 +403,7 @@ class _ClusterBound:
         local = single_cluster_instance(instance, classes, table.plan, m, indices[0], indices[-1], 0).instance
         self.lambdas, self.caps = local.lambdas, local.capacities
         self.g, self.suffix, self.prefix = g, suffix, prefix
-        self.points, self.top = table.grid.values, indices[-1]
+        self.points = table.grid.values
         q = table._sub_eps.denominator
         self.scale, self.loss = q * table.grid.unit, q - 3
         self._most: dict[tuple[int, int, int], int] = {}
@@ -458,19 +429,21 @@ class _ClusterBound:
             most = self._most[key] = self.cutoff(ell_prev, ell, omega, self.caps[-1])
         return most
 
-    def skips(self, ell_prev: int, omega: int, offset: int, reach: int, values: list) -> bool:
-        """For the last row: True unless some entry may write above
-        ``reach`` or strictly lighter than values[reach].  ``most`` tests
-        the first, and the cutoff at values[reach] - omega - 1 the second,
-        as U never falls as x grows."""
-        points, top = self.points, self.top
-        most = self.most(ell_prev, top, omega)
-        if most + offset < points[reach]:
+    def skips(self, ell_prev: int, ell: int, omega: int, offset: int, reach: int, weight: Optional[int]) -> bool:
+        """True unless predecessor (ell_prev, omega) at ``offset`` may write
+        at or above index ``reach`` of row (m, ell) and, given the ``weight``
+        held at reach, above reach or strictly lighter than weight at it;
+        None (earlier rows, or nothing yet at reach) asks the first alone.
+        ``most`` tests the first two, and the cutoff at weight - omega - 1
+        the last, as U never falls as x grows."""
+        points = self.points
+        most = self.most(ell_prev, ell, omega) + offset
+        if most < points[reach]:
             return True
-        if reach + 1 < len(points) and most + offset >= points[reach + 1]:
+        if weight is None or reach + 1 < len(points) and most >= points[reach + 1]:
             return False
-        lighter = values[reach] - omega - 1
-        return lighter < 0 or self.cutoff(ell_prev, top, omega, lighter) + offset < points[reach]
+        lighter = weight - omega - 1
+        return lighter < 0 or self.cutoff(ell_prev, ell, omega, lighter) + offset < points[reach]
 
 
 def cluster_dp(
@@ -489,27 +462,24 @@ def cluster_dp(
 def glue(plan: ClusterPlan, table: ClusterDPTable, n_items: int) -> tuple[Solution, Fraction]:
     """Trace back from the most profitable feasible final state.
 
-    The final state and its backpointer come from ``table.final_state``.
-    It fills the last row without the predecessors whose entries cannot,
-    by the knapsack bound U(x) (rows of ``oracle.knapsack_rows``, floored
-    past ``oracle.KNAPSACK_CELLS`` cells), write above the highest index so
-    far or lighter at it; those never change the target or its backpointer.
-    Earlier steps read rows that hold, exactly as full rows would, every
-    state whose bound F reaches L, and each state on the chain does.
+    The final state is the highest feasible index of the last row (M, top
+    class), which the table fills as a branch and bound for it: that index,
+    its weight and every backpointer on its chain are the full rows'.
     Each traversed backpointer contributes one single-cluster solution; the
     union over clusters, re-indexed to parent periods and items, is the
     glued solution.  Returns it with the certified grid profit.
     """
-    target_idx, link = table.final_state()
+    m, ell = plan.num_clusters, table.classes.indices[-1]
+    values = table._row(m, ell)[0]
+    target_idx = next(idx for idx in range(len(values) - 1, -1, -1) if values[idx] is not None)
     intro: list[Optional[int]] = [None] * n_items
-    m, ell, idx = plan.num_clusters, table.classes.indices[-1], target_idx
+    idx = target_idx
     # a feasible state past index 0 got its backpointer with its value
     while m >= 1 and idx > 0:
-        ell_prev, idx_prev, res, sub = table.transition(m, ell, idx, link)
+        ell_prev, idx_prev, res, sub = table.transition(m, ell, idx)
         for local_item, local_t in res.solution.introduced():
             intro[sub.item_ids[local_item]] = sub.periods[local_t - 1]
         m, ell, idx = m - 1, ell_prev, idx_prev
-        link = table.backpointer(m, ell, idx)
     return Solution(tuple(intro)), table.grid.point(target_idx)
 
 

@@ -374,11 +374,26 @@ def cluster_value(table: ClusterDPTable, m: int, ell: int, phi_idx: int) -> Opti
     return table._row(m, ell)[0][phi_idx]
 
 
-class FullRowTable(ClusterDPTable):
-    """The cluster DP with every row filled in full: no row skips a predecessor."""
+class _NoBound:
+    """A cluster bound that rules nothing out: it caps no index above a
+    state's offset, and skips no predecessor."""
 
-    def _pruned_fill(self, m: int, ell: int) -> tuple[list, list]:
-        return self._fill(m, ell)
+    def most(self, ell_prev: int, ell: int, omega: int) -> int:
+        return 0
+
+    def skips(self, *args) -> bool:
+        return False
+
+
+class FullRowTable(ClusterDPTable):
+    """The cluster DP with every row filled in full: with L = 0 every state
+    has F >= L, and no row skips a predecessor."""
+
+    _least_target = 0
+
+    @property
+    def _bounds(self) -> tuple[_NoBound, ...]:
+        return (_NoBound(),) * self.plan.num_clusters
 
 
 def lattice_rows(table: BoundedDPTable, t: int) -> tuple[list, list]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import e1, random_feasible_solution, random_instance
+from incknap import classes as classes_module
 from incknap.classes import build_classes, candidate_intervals, interval_length_cap, make_interval
 from incknap.model import Instance, objective
+from incknap.oracle import BudgetExceeded
 from reference import ClassIndexOutOfRange, CountOutOfRange, prefix_weight
 
 
@@ -40,6 +43,42 @@ def test_build_classes_boundary_power():
     instance = unit_items([1, 1], profits=[1, Fraction(6, 5)])
     classes = build_classes(instance, Fraction(1, 5))
     assert set(classes.members) == {0, 1}
+
+
+@pytest.mark.parametrize("budget, top, refused", [(5, 6**5, True), (6, 6**5, False), (5, 6**5 - 1, False)])
+def test_build_classes_budget_boundary(monkeypatch, budget, top, refused):
+    # profit 6**5 over scale 5**5 sits exactly on level 5 at eps 1/5, one
+    # unit less on level 4: a ladder whose top level reaches the budget
+    # (budget + 1 levels, 0 included) is refused, one level lower is not
+    monkeypatch.setattr(classes_module, "CLASS_BUDGET", budget)
+    instance = unit_items([1, 1], profits=[5**5, top])
+    if refused:
+        with pytest.raises(BudgetExceeded, match=f"profit class ladder of at least {budget + 1} levels exceeds budget {budget}$"):
+            build_classes(instance, Fraction(1, 5))
+    else:
+        assert max(build_classes(instance, Fraction(1, 5)).indices) == budget - 1
+
+
+def test_build_classes_budget_matches_the_ladder(monkeypatch):
+    # the bit-length shortcut and the exact test together refuse a ladder
+    # iff climbing it would pass the budget, on int and Fraction profits
+    refused = Counter()
+    for d, scale, top in itertools.product(range(1, 7), (1, 3, Fraction(2, 3)), range(1, 70, 3)):
+        level = 0
+        while scale * (1 + Fraction(1, d)) ** (level + 1) <= top:
+            level += 1
+        instance = unit_items([1, 1], profits=[scale, max(top, scale)])
+        for budget in range(1, 13):
+            monkeypatch.setattr(classes_module, "CLASS_BUDGET", budget)
+            try:
+                build_classes(instance, Fraction(1, d))
+            except BudgetExceeded:
+                refused[True] += 1
+                assert level >= budget
+            else:
+                refused[False] += 1
+                assert level < budget
+    assert min(refused.values()) > 500
 
 
 def test_build_classes_empty_instance():

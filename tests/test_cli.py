@@ -248,6 +248,27 @@ def test_cmd_solve_general_grid_budget_exits_3(tmp_path, capsys):
     assert captured.err == "general mode budget exceeded: profit grid of at least 32769 points exceeds budget 32768\n"
 
 
+@pytest.mark.parametrize(
+    "mode, eps, instance",
+    [
+        ("bounded", "1/20000", generate_instance(1, 5, 2, "uniform")),
+        ("general", "1/2", Instance.build(items=[(1, 1), (2**2000, 1)], capacities=[1, 2], lambdas=[1, 1])),
+    ],
+    ids=["bounded", "general"],
+)
+def test_cmd_solve_class_ladder_budget_exits_3(tmp_path, capsys, mode, eps, instance):
+    # profits 1-10 at bounded eps 1/20000, and profits 1 and 2**2000 at
+    # general eps 1/2 (internal 1/14, about 20,000 levels), each need a
+    # profit class ladder past the budget; it is refused before any climb
+    path = tmp_path / "ladder.json"
+    path.write_text(instance_to_json(instance))
+    assert main(["solve", str(path), "--mode", mode, "--eps", eps]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = f"{mode} mode budget exceeded: profit class ladder of at least 16385 levels exceeds budget 16384\n"
+    assert captured.err == want
+
+
 @pytest.mark.parametrize("mode", ["general", "bounded", "exact"])
 def test_cmd_solve_overlong_result_exits_3(tmp_path, capsys, mode):
     # a valid instance whose profit lambda * p has about 5000 digits, past

@@ -338,7 +338,7 @@ def test_cluster_dp_terminal_rules():
     classes = build_classes(instance, EPS)
     plan = build_plan(instance, EPS, xi=0)
     grid = build_grid(EPS, 1, instance.lambdas[-1], Fraction(3), Fraction(100))
-    table = cluster_dp(instance, classes, plan, grid, EPS)
+    table = FullRowTable(instance, classes, plan, grid, EPS)
     top = max(classes.indices)
     assert cluster_value(table, 1, top, 0) == 0  # phi = 0 is free
     assert cluster_value(table, 0, top, 1) is None
@@ -621,7 +621,7 @@ def test_cluster_dp_lower_bounds_exact_stars_value():
     # the discretized DP never exceeds the exhaustive uncrossing-stars value
     checked = 0
     for pre, classes, plan, grid in stars_cases():
-        table = cluster_dp(pre, classes, plan, grid, EPS)
+        table = FullRowTable(pre, classes, plan, grid, EPS)
         sols = stars_solutions(pre, classes, plan)
         for m in range(1, plan.num_clusters + 1):
             for level in classes.indices:
@@ -641,15 +641,20 @@ def test_cluster_dp_lower_bounds_exact_stars_value():
     assert checked > 500
 
 
+def last_target(table):
+    """The highest feasible index of the table's last row (M, top class)."""
+    values = table._row(table.plan.num_clusters, max(table.classes.indices))[0]
+    return max(idx for idx, value in enumerate(values) if value is not None)
+
+
 def glue_chain(plan, table):
     """(m, ell, idx, (ell_prev, idx_prev), step weight) of each state ``glue`` traverses."""
-    target, link = table.final_state()
-    m, ell, idx = plan.num_clusters, max(table.classes.indices), target
+    m, ell, idx = plan.num_clusters, max(table.classes.indices), last_target(table)
     chain = []
     while m >= 1 and idx > 0:
-        chain.append((m, ell, idx, link[:2], table.transition(m, ell, idx, link)[2].weight))
-        m, ell, idx = m - 1, link[0], link[1]
         link = table.backpointer(m, ell, idx)
+        chain.append((m, ell, idx, link[:2], table.transition(m, ell, idx)[2].weight))
+        m, ell, idx = m - 1, link[0], link[1]
     return chain
 
 
@@ -669,6 +674,20 @@ def glue_from_pull(plan, pull, n_items):
     return Solution(tuple(intro)), pull.grid.point(target), chain
 
 
+def assert_state_matches_pull(table, pull, m, level, idx):
+    """State (m, level, idx) holds the reference's value, backpointer and step."""
+    value = pull.value(m, level, idx)
+    assert cluster_value(table, m, level, idx) == value
+    want = pull.backpointer(m, level, idx)
+    if want is None:
+        assert table.backpointer(m, level, idx) is None
+        return
+    got = table.transition(m, level, idx)
+    assert got[:2] == want[:2]
+    assert (got[2].weight, got[2].solution) == (want[2].weight, want[2].solution)
+    assert table.backpointer(m, level, idx)[2] + got[2].weight == value
+
+
 def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
     """Compare the row-filling table with the pull reference; return
     whether glue built strictly fewer frontiers than the reference.
@@ -676,13 +695,16 @@ def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
     With ``read_all`` every (m, class, idx) state is read from both tables;
     otherwise the reference reads each as ``glue`` would read it from full
     rows: the top class at the last cluster, from the top grid index down
-    to the first feasible one.  glue's solution, certified profit and chain
-    are the reference's, and it builds only frontiers the reference builds.
-    A single-cluster table matches every state and frontier.  Past one
-    cluster, only the states with F >= L (``_climb``, ``_least_target``)
-    match; earlier rows hold no other state.
+    to the first feasible one.  The full-row table (``FullRowTable``)
+    matches every state the reference reads, and builds the reference's
+    frontiers.  The pruned table gives glue the reference's solution,
+    certified profit and chain, and the last row's target and backpointer,
+    and builds only frontiers the reference builds.  Its earlier rows hold
+    the states with F >= L (``_climb``, ``_least_target``), matching the
+    reference's, and no other.
     """
     push = cluster_dp(instance, classes, plan, grid, eps)
+    full = FullRowTable(instance, classes, plan, grid, eps)
     pull = PullClusterTable(instance, classes, plan, grid, eps)
     solution, profit = glue(plan, push, instance.n)
     chain = glue_chain(plan, push)
@@ -694,24 +716,20 @@ def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
                     pull.value(m, level, idx)
     assert (solution, profit, chain) == glue_from_pull(plan, pull, instance.n)
     assert built <= set(pull._frontiers)
-    pruned = plan.num_clusters > 1
+    target = last_target(push)
+    assert_state_matches_pull(push, pull, plan.num_clusters, max(classes.indices), target)
     assert pull._values
-    for (m, level, idx), value in pull._values.items():
-        if pruned and push._climb(m, level, idx) < push._least_target:
+    for m, level, idx in list(pull._values):
+        assert_state_matches_pull(full, pull, m, level, idx)
+        if m == plan.num_clusters:
+            # the last row keeps its target alone exact
+            continue
+        if push._climb(m, level, idx) < push._least_target:
             # earlier rows drop the states that cannot reach the target
-            assert m == plan.num_clusters or cluster_value(push, m, level, idx) is None
+            assert cluster_value(push, m, level, idx) is None
             continue
-        assert cluster_value(push, m, level, idx) == value
-        want = pull.backpointer(m, level, idx)
-        if want is None:
-            assert push.backpointer(m, level, idx) is None
-            continue
-        got = push.transition(m, level, idx)
-        assert got[:2] == want[:2]
-        assert (got[2].weight, got[2].solution) == (want[2].weight, want[2].solution)
-        assert push.backpointer(m, level, idx)[2] + got[2].weight == value
-    if not pruned:
-        assert set(push._frontiers) == set(pull._frontiers)
+        assert_state_matches_pull(push, pull, m, level, idx)
+    assert set(full._frontiers) == set(pull._frontiers)
     return built < set(pull._frontiers)
 
 
@@ -745,7 +763,15 @@ def test_cluster_dp_matches_pull_reference():
     plan = general.ClusterPlan(interval_of=(1, 2, 3), clusters=((1,), (2,), (3,)))
     grid = build_grid(EPS, 3, core.lambdas[-1], max(profits), core.suffix_lambdas.values[0] * sum(profits))
     fewer[3] += assert_push_matches_pull(core, build_classes(core, EPS), plan, grid, EPS, read_all=False)
-    assert clusters[1] > 40 and clusters[2] >= 8
+    # a two-cluster plan read whole: cluster 1's rows get states wrong if
+    # they, like the last row, skip what cannot write above its reach
+    core = Instance.build(items=[(3, 1), (5, 1), (6, 7), (1, 9)], capacities=[7, 13], lambdas=[4, 5])
+    profits = [p for p, _ in core.items]
+    plan = general.ClusterPlan(interval_of=(1, 2), clusters=((1,), (2,)))
+    grid = build_grid(EPS, 2, core.lambdas[-1], max(profits), core.suffix_lambdas.values[0] * sum(profits))
+    fewer[2] += assert_push_matches_pull(core, build_classes(core, EPS), plan, grid, EPS, read_all=True)
+    clusters[2] += 1
+    assert clusters[1] > 40 and clusters[2] >= 9
     assert fewer[2] == clusters[2] and fewer[3] == 1
 
 
@@ -765,7 +791,7 @@ def test_cluster_dp_push_range_ends_on_a_point_equal_to_the_requirement():
     points = sorted({0, delta} | {cutoff + delta + j for cutoff, _ in pushes for j in (0, 1)})
     grid = general.ProfitGrid(Fraction(delta, unit), 1 + EPS, unit, tuple(points))
     assert_push_matches_pull(instance, classes, plan, grid, EPS, read_all=True)
-    table = cluster_dp(instance, classes, plan, grid, EPS)
+    table = FullRowTable(instance, classes, plan, grid, EPS)
     for cutoff, weight in pushes:
         assert cluster_value(table, 1, top, points.index(cutoff + delta)) == weight
         past = cluster_value(table, 1, top, points.index(cutoff + delta + 1))
@@ -825,7 +851,7 @@ def solve_tables(instance, eps_public):
 def glue_from_full_rows(plan, table, n_items):
     """``glue`` read off full rows: the last row's highest feasible index, then its backpointers."""
     m, ell = plan.num_clusters, max(table.classes.indices)
-    target = max(idx for idx in range(len(table.grid.values)) if cluster_value(table, m, ell, idx) is not None)
+    target = last_target(table)
     intro = [None] * n_items
     idx = target
     while m >= 1 and idx > 0:
@@ -873,11 +899,11 @@ def test_glue_answers_from_the_full_last_row():
             full = FullRowTable(core, classes, plan, grid, eps)
             assert got == glue_from_full_rows(plan, full, core.n)
             built["full"] += len(full._frontiers)
-            m, top = plan.num_clusters, max(classes.indices)
-            target, link = pruned.final_state()
+            m, top, target = plan.num_clusters, max(classes.indices), last_target(pruned)
+            link = pruned.backpointer(m, top, target)
             assert link == full.backpointer(m, top, target)
             if link is not None:
-                assert link[2] + pruned.transition(m, top, target, link)[2].weight == cluster_value(full, m, top, target)
+                assert link[2] + pruned.transition(m, top, target)[2].weight == cluster_value(full, m, top, target)
             kinds[plan.num_clusters, pruned._bounds[-1].g > 1] += 1
     assert built["pruned"] < built["full"]
     assert kinds[2, True] and kinds[1, False]
@@ -954,11 +980,11 @@ def test_last_row_skips_exactly_what_a_linear_scan_rules_out():
                     heaviest = {rng.randint(0, 2 * top_weight)}
                     if least is not None:
                         heaviest |= {omega + least, omega + least + 1}
+                    # nothing held at reach: skipped iff no entry writes at or above it
+                    assert bound.skips(ell_prev, top, omega, offset, reach, None) == (least is None)
                     for value in heaviest:
-                        values = [None] * len(points)
-                        values[reach] = value
                         lighter = least is not None and omega + least < value
-                        assert bound.skips(ell_prev, omega, offset, reach, values) == (not above and not lighter)
+                        assert bound.skips(ell_prev, top, omega, offset, reach, value) == (not above and not lighter)
                         cases[above, lighter] += 1
     assert min(cases[key] for key in itertools.product((False, True), repeat=2)) > 50
 
@@ -980,7 +1006,7 @@ def test_glue_builds_few_frontiers_on_the_benchmark(monkeypatch):
     workload = workloads.WORKLOADS["general-uniform"]
     for index in range(12):
         solve_detailed(workload.make(1, index), Fraction(workload.eps))
-    assert 0 < len(built) <= 30
+    assert 0 < len(built) <= 23
 
 
 def test_glue_builds_few_frontiers_on_the_multicluster_benchmark(monkeypatch):
@@ -1000,7 +1026,7 @@ def test_glue_builds_few_frontiers_on_the_multicluster_benchmark(monkeypatch):
     workload = workloads.WORKLOADS["general-multicluster"]
     for index in range(workload.pool):
         solve_detailed(workload.make(1, index), Fraction(workload.eps))
-    assert 0 < len(built) <= 600
+    assert 0 < len(built) <= 441
 
 
 def hand_built_plans(cells):
@@ -1058,8 +1084,7 @@ def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
         full = FullRowTable(core, classes, plan, grid, EPS)
         table = cluster_dp(core, classes, plan, grid, EPS)
         clusters, top = plan.num_clusters, max(classes.indices)
-        target = max(idx for idx in range(len(grid.values)) if cluster_value(full, clusters, top, idx) is not None)
-        assert table._least_target <= target
+        assert table._least_target <= last_target(full)
         floored += table._bounds[0].g > 1
         memo = {}
         for m in range(clusters):
@@ -1101,25 +1126,21 @@ def test_cluster_bounds_are_admissible_on_every_class_range(monkeypatch, cells):
 def test_earlier_rows_skip_exactly_the_predecessors_that_cannot_reach_the_floor():
     # a row (m, ell) with m < M skips a predecessor (ell_prev, omega) at an
     # offset iff F_m(ell, idx1) < L, idx1 being the highest index its most
-    # serving entry may write by cluster m's bound; offsets drawn at random
-    # and on both sides of every grid point
+    # serving entry may write by cluster m's bound: the row asks ``skips``
+    # at reach need, the least index of F >= L, with no weight there.
+    # Offsets drawn at random and on both sides of every grid point
     rng = random.Random(7)
     cases = Counter()
     for core, classes, plan, grid in itertools.islice(hand_built_plans(7), 12):
         table = cluster_dp(core, classes, plan, grid, EPS)
-        skips = {}
-        fill = table._fill
-
-        def capture(m, ell, skip=None):
-            skips[m, ell] = skip
-            return fill(m, ell, skip)
-
-        table._fill = capture
         glue(plan, table, core.n)
         points, least = grid.values, table._least_target
-        for (m, ell), skip in skips.items():
+        for m, ell in list(table._rows):
             if not 0 < m < plan.num_clusters or ell < 0:
                 continue
+            need = next((idx for idx in range(len(points)) if table._climb(m, ell, idx) >= least), len(points))
+            if need == len(points):
+                continue  # the row pushes nothing
             bound = table._bounds[m - 1]
             for ell_prev in table._ell_states:
                 if ell_prev > ell:
@@ -1133,6 +1154,6 @@ def test_earlier_rows_skip_exactly_the_predecessors_that_cannot_reach_the_floor(
                             continue
                         idx1 = bisect_right(points, most + offset) - 1
                         want = table._climb(m, ell, idx1) < least
-                        assert skip(ell_prev, omega, offset, 0, []) == want
+                        assert bound.skips(ell_prev, ell, omega, offset, need, None) == want
                         cases[want] += 1
     assert cases[True] > 1000 and cases[False] > 1000
