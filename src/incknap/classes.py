@@ -44,6 +44,22 @@ class ProfitClasses:
         return len(self.members.get(index, ()))
 
 
+def power_order(a: int, b: int, k: int, high: int, low: int) -> int:
+    """The sign of (a/b)**k - high/low, for ints 1 < a/b <= 2, k >= 0 and
+    high, low > 0, exact.  With x = a/b - 1 and r = high/low, cheap bounds
+    decide most cases before the powers are taken, which for a b of
+    thousands of digits would not end: (1+x)**k >= 2**(k*x) (as x <= 1)
+    and r < 2**(b_high - b_low + 1) (bit lengths), (1+x)**k >= 1 + k*x,
+    and, when k*x < 1, (1+x)**k <= e**(k*x) < 1/(1 - k*x)."""
+    rise = k * (a - b)  # k*x over b
+    if (high.bit_length() - low.bit_length() + 1) * b <= rise or high * b < low * (b + rise):
+        return 1
+    if 0 < rise < b and high * (b - rise) >= low * b:
+        return -1
+    left, right = low * a**k, high * b**k
+    return (left > right) - (left < right)
+
+
 def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     """Assign each item the largest l with (1+eps)**l <= p_i / min profit.
 
@@ -57,12 +73,9 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
 
     A ladder past ``CLASS_BUDGET`` levels raises BudgetExceeded before it
     is climbed: the top profit's level is at least the budget B iff
-    low * a**B <= high * b**B (top/scale = high/low on ints), one exact
-    test, as ``general.build_grid`` checks its grid.  Most ladders skip
-    even that: high/low < 2**(b_high - b_low + 1) (bit lengths) and
-    (1+eps)**B >= 2**(B*eps), so b_high - b_low + 1 <= B*eps accepts them
-    on small ints.  ``interval_length_cap`` climbs at most one level past
-    the top, so the budget bounds it too.
+    (a/b)**B <= top/scale, which ``power_order`` decides, as
+    ``general.build_grid`` checks its grid.  ``interval_length_cap``
+    climbs at most one level past the top, so the budget bounds it too.
     """
     if eps.numerator != 1:
         raise ValueError("eps must be a unit fraction")
@@ -72,9 +85,8 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
     a, b = eps.denominator + eps.numerator, eps.denominator
     top, budget = max((p for p, _ in instance.items), default=1), CLASS_BUDGET
     high, low = top.numerator * scale.denominator, scale.numerator * top.denominator  # top/scale = high/low
-    if (high.bit_length() - low.bit_length() + 1) * b > budget * (a - b):
-        if low * a**budget <= high * b**budget:
-            raise BudgetExceeded(budget + 1, budget, "profit class ladder of at least {} levels")
+    if power_order(a, b, budget, high, low) <= 0:
+        raise BudgetExceeded(budget + 1, budget, "profit class ladder of at least {} levels")
     level_of = {}
     level, up, down = 0, a, b  # (1+eps)**(level+1) = up/down
     for p in sorted({p for p, _ in instance.items}):

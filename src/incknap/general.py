@@ -21,11 +21,10 @@ cluster, KP read off class-suffix and class-prefix rows of
 past ``oracle.KNAPSACK_CELLS`` cells.  Composed over the later clusters,
 it bounds the last-row index F any chain through a state can reach; an
 index L the zero state reaches bounds the target from below.  One rule
-fills every row: keep only the states of F >= L, and push only the
-predecessors that may write one; the last row, where F is the index
-itself, also skips those that cannot write above its highest index so
-far, nor lighter at it.  The skipped frontiers are never built, and the
-answer is the full rows'.
+fills every row: keep only the states of F >= L, and push a predecessor
+only if it may write above reach or lighter at it, reach being the least
+index kept, or in the last row the highest written.  The skipped
+frontiers are never built, and the answer is the full rows'.
 """
 
 from __future__ import annotations
@@ -34,10 +33,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import Optional
 
 from .bounded import InverseFrontier, accuracy_budget, rescaled_third
-from .classes import ProfitClasses, build_classes
+from .classes import ProfitClasses, build_classes, power_order
 from .model import (
     AllLambdasZero,
     Instance,
@@ -147,11 +147,8 @@ def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Frac
     With step = num/den, point k >= 1 is delta*step**(k-1), so the grid has
     top+1 points for the least top with reach*num**(top-1) >= need*den**(top-1)
     (reach/need = delta/psi_cap on ints).  It overruns the budget B iff top
-    >= B, that is iff point B-1 still misses the cap: reach*num**(B-2) <
-    need*den**(B-2), one exact test before any counting.  Most grids skip
-    even that: as need/reach < 2**(b_need - b_reach + 1) (bit lengths) and
-    step**j >= 2**(j*x) for step = 1+x <= 2, b_need - b_reach + 1 <= (B-2)*x
-    accepts them on small ints.
+    >= B, that is iff point B-1 still misses the cap: step**(B-2) <
+    need/reach, which ``classes.power_order`` decides before any counting.
     """
     delta = eps / num_clusters * lam_last * p_max
     step = 1 + eps / num_clusters
@@ -159,9 +156,8 @@ def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Frac
     reach = delta.numerator * psi_cap.denominator
     need = psi_cap.numerator * delta.denominator
     budget = GRID_BUDGET
-    if (need.bit_length() - reach.bit_length() + 1) * den > (budget - 2) * (num - den):
-        if reach * num ** (budget - 2) < need * den ** (budget - 2):
-            raise BudgetExceeded(budget + 1, budget, "profit grid of at least {} points")
+    if power_order(num, den, budget - 2, need, reach) < 0:
+        raise BudgetExceeded(budget + 1, budget, "profit grid of at least {} points")
     top = 1
     while reach < need:
         reach, need, top = reach * num, need * den, top + 1
@@ -223,33 +219,31 @@ class ClusterDPTable:
     requirement grid[idx] - grid.offset(idx_prev) it covers.  Both terms are
     ints over ``grid.unit``, so flooring served requirements in it is exact:
     the frontier's thresholds are ints over its ``den``, and the cutoff of
-    one is threshold * unit // den.  Many predecessors of a row share a
-    weight, so the row looks up each (ell_prev, weight) frontier's (cutoff,
-    total weight) pairs once, and takes each predecessor's offset from the
-    step's ints.
+    one is threshold * unit // den.  ``transition`` reads a step's entry
+    off the same cutoffs.
 
     Rows hold only the states that may lie on ``glue``'s chain.  Cluster
     k's knapsack bound (``_ClusterBound``) caps the index a state can push
     to, so F_m(ell, idx) (``_climb``), that cap applied through clusters
     m+1..M on the classes above ell, bounds the last-row index of every
-    chain through state (m, ell, idx); F never falls as idx grows, and
-    F_M(ell, idx) = idx.  L (``_least_target``) is an index the full last
-    row writes, so its target is at least L.  Every row keeps only its
-    states of F >= L, those from index need on, and skips each predecessor
-    that ``_ClusterBound.skips`` shows writes none of them, never building
-    its frontier.  By induction over m, the kept states of rows m < M hold
-    the full table's values and backpointers: a predecessor that pushes
-    into such a state has F >= L itself, so it is kept, with its full
-    value, and is not skipped.  The last row, read by ``glue`` for its
-    highest feasible index (the target) and that index's backpointer
-    alone, also skips a predecessor that cannot write above reach, the
-    highest index written so far, nor strictly lighter than the value at
-    reach.  Reach never passes the full row's target, so a skipped
-    predecessor either writes only below that target, or writes at it
-    nothing lighter than a kept push before it.  The kept pushes keep their
-    order, so the target and its first lightest push, hence its weight and
-    backpointer, are the full row's; each state of its chain has F at least
-    the target, hence at least L.
+    chain through state (m, ell, idx); F never falls as idx grows or as
+    ell falls, and F_M(ell, idx) = idx.  L (``_least_target``) is an index
+    the full last row writes, so its target is at least L.  Every row
+    keeps its states from need on, need the least index of F >= L, and
+    skips, never building its frontier, each predecessor that
+    ``_ClusterBound.skips`` shows writes nothing above reach nor strictly
+    lighter than the weight at reach.  Reach is need; in the last row,
+    read by ``glue`` for its highest feasible index (the target) and that
+    index's backpointer alone, it rises to the highest index written,
+    never past the full row's target.  So a skipped predecessor writes nothing at a kept state
+    of rows m < M, or at the target, lighter than a kept push before it,
+    and the kept pushes keep their order.  By induction over m, the kept
+    states of rows m < M hold the full table's values and backpointers (a
+    predecessor that pushes into one has F >= L, so it is kept, with its
+    full value), and the target and its first lightest push are the full
+    row's; each state of its chain has F at least the target, hence at
+    least L.  Rows with no cluster or no class share one zero row: a zero
+    state of F < L writes only below need, so ``skips`` drops it.
     """
 
     instance: Instance
@@ -263,6 +257,8 @@ class ClusterDPTable:
         self._frontiers: dict[tuple, tuple[InverseFrontier, SingleClusterInstance, list[tuple[int, int]]]] = {}
         self._sub_eps = rescaled_third(self.eps)
         self._ell_states = (-1,) + self.classes.indices
+        size = len(self.grid.values)  # build_grid puts 0 at index 0 only
+        self._zero = [0] + [None] * (size - 1), [None] * size
 
     def _frontier(self, m: int, lo: int, hi: int, omega: Fraction):
         key = (m, lo, hi, omega)
@@ -277,38 +273,36 @@ class ClusterDPTable:
 
     def _row(self, m: int, ell: int) -> tuple[list, list]:
         """Row (m, ell), filled and kept on first read: the states from
-        index need on, need the least with F_m(ell, need) >= L, and none
-        below it.  A predecessor is pushed unless cluster m's
-        ``_ClusterBound.skips`` rules it out at reach, which starts at need
-        and, in the last row alone, rises to the highest index written."""
+        index need on, need the least with F_m(ell, need) >= L.  A
+        predecessor is pushed unless cluster m's ``_ClusterBound.skips``
+        rules it out at reach and the weight held there; reach starts at
+        need and, in the last row alone, rises to the highest index
+        written.  Rows with no cluster or no class are one shared zero row."""
+        if m == 0 or ell == -1:
+            return self._zero
         if (m, ell) in self._rows:
             return self._rows[m, ell]
         points = self.grid.values
-        # with no cluster or no class only the zero state is feasible, so need
-        # is sought up to index 1; else the (ell_prev, idx_prev) order and a
-        # strict < keep the first lightest move
-        fills = m > 0 and ell >= 0
-        need = bisect_left(range(len(points) if fills else 1), self._least_target, key=partial(self._climb, m, ell))
-        values: list = [0] + [None] * (len(points) - 1)  # build_grid puts 0 at index 0 only
+        need = bisect_left(range(len(points)), self._least_target, key=partial(self._climb, m, ell))
+        values: list = [None] * len(points)
         back: list = [None] * len(points)
-        last, reach, skips = m == self.plan.num_clusters, need, self._bounds[m - 1].skips  # unread in row 0
+        if need == 0:
+            values[0] = 0
+        last, reach, skips = m == self.plan.num_clusters, need, self._bounds[m - 1].skips
         # offset(k) = points[k] * num // den + delta, as in ProfitGrid.offset
         num, den, delta = self.grid.step.numerator, self.grid.step.denominator, points[1]
-        for ell_prev in self._ell_states if fills and need < len(points) else ():
+        # the (ell_prev, idx_prev) order and a strict < keep the first lightest move
+        for ell_prev in self._ell_states if need < len(points) else ():
             if ell_prev > ell:
                 break
-            by_weight: dict[int, list[tuple[int, int]]] = {}
             for idx_prev, prev in enumerate(self._row(m - 1, ell_prev)[0]):
                 if prev is None:
                     continue
                 offset = points[idx_prev] * num // den + delta
-                if skips(ell_prev, ell, prev, offset, reach, values[reach] if last else None):
+                if skips(ell_prev, ell, prev, offset, reach, values[reach]):
                     continue
-                pushes = by_weight.get(prev)
-                if pushes is None:
-                    pushes = by_weight[prev] = self._frontier(m, ell_prev + 1, ell, prev)[2]
-                lo = idx_prev or 1
-                for cutoff, cand in pushes:
+                lo = max(idx_prev, need, 1)
+                for cutoff, cand in self._frontier(m, ell_prev + 1, ell, prev)[2]:
                     hi = bisect_right(points, cutoff + offset, lo)
                     for idx in range(lo, hi):
                         old = values[idx]
@@ -316,11 +310,10 @@ class ClusterDPTable:
                             values[idx] = cand
                             back[idx] = (ell_prev, idx_prev, prev)
                     lo = hi
-                # the empty entry serves offset >= points[idx_prev], so every
-                # index from idx_prev or 1 up to lo - 1 now holds a value
+                # the empty entry serves offset > points[idx_prev], so every
+                # index from the first pushed up to lo - 1 now holds a value
                 if last:
                     reach = max(reach, lo - 1)
-        values[:need] = back[:need] = [None] * need
         self._rows[m, ell] = values, back
         return values, back
 
@@ -345,7 +338,7 @@ class ClusterDPTable:
         points, offset, top = self.grid.values, self.grid.offset, self.classes.indices[-1]
         least = 0
         for m in range(1, self.plan.num_clusters + 1):
-            idx = bisect_right(points, max(cutoff for cutoff, _ in self._frontier(m, 0, top, 0)[2]) + offset(0)) - 1
+            idx = bisect_right(points, self._frontier(m, 0, top, 0)[2][-1][0] + offset(0)) - 1
             for _ in range(m, self.plan.num_clusters):
                 idx = bisect_right(points, offset(idx)) - 1
             least = max(least, idx)
@@ -370,12 +363,14 @@ class ClusterDPTable:
         """(ell_prev, idx_prev, its weight) of the winning predecessor, if any."""
         return self._row(m, ell)[1][phi_idx]
 
-    def transition(self, m: int, ell: int, phi_idx: int):
-        """(ell_prev, idx_prev, InverseResult, SingleClusterInstance) of cluster m's step into a state."""
+    def transition(self, m: int, ell: int, phi_idx: int) -> tuple[int, int, Solution, SingleClusterInstance]:
+        """(ell_prev, idx_prev, solution, SingleClusterInstance) of cluster m's
+        step into a state: the first entry whose cutoff covers the state's
+        requirement, the entry its row pushed there."""
         ell_prev, idx_prev, prev = self.backpointer(m, ell, phi_idx)
-        frontier, sub, _ = self._frontier(m, ell_prev + 1, ell, prev)
-        phi_req = Fraction(max(self.grid.values[phi_idx] - self.grid.offset(idx_prev), 0), self.grid.unit)
-        return ell_prev, idx_prev, frontier.query(phi_req), sub
+        frontier, sub, pushes = self._frontier(m, ell_prev + 1, ell, prev)
+        need = self.grid.values[phi_idx] - self.grid.offset(idx_prev)
+        return ell_prev, idx_prev, frontier.solution(bisect_left(pushes, need, key=itemgetter(0))), sub
 
 
 class _ClusterBound:
@@ -433,7 +428,7 @@ class _ClusterBound:
         """True unless predecessor (ell_prev, omega) at ``offset`` may write
         at or above index ``reach`` of row (m, ell) and, given the ``weight``
         held at reach, above reach or strictly lighter than weight at it;
-        None (earlier rows, or nothing yet at reach) asks the first alone.
+        None (nothing yet at reach) asks the first alone.
         ``most`` tests the first two, and the cutoff at weight - omega - 1
         the last, as U never falls as x grows."""
         points = self.points
@@ -476,8 +471,8 @@ def glue(plan: ClusterPlan, table: ClusterDPTable, n_items: int) -> tuple[Soluti
     idx = target_idx
     # a feasible state past index 0 got its backpointer with its value
     while m >= 1 and idx > 0:
-        ell_prev, idx_prev, res, sub = table.transition(m, ell, idx)
-        for local_item, local_t in res.solution.introduced():
+        ell_prev, idx_prev, step, sub = table.transition(m, ell, idx)
+        for local_item, local_t in step.introduced():
             intro[sub.item_ids[local_item]] = sub.periods[local_t - 1]
         m, ell, idx = m - 1, ell_prev, idx_prev
     return Solution(tuple(intro)), table.grid.point(target_idx)

@@ -59,13 +59,25 @@ def test_build_classes_budget_boundary(monkeypatch, budget, top, refused):
         assert max(build_classes(instance, Fraction(1, 5)).indices) == budget - 1
 
 
+def ladder_cases():
+    """(d, scale, top): eps 1/d from 1 to 1/6 over free tops, and eps of
+    41- and 254-digit denominators over tops on, just below and well past
+    the levels up to 14."""
+    yield from itertools.product(range(1, 7), (1, 3, Fraction(2, 3)), range(1, 70, 3))
+    for d in (10**40 + 7, 7**300):
+        for scale, j in itertools.product((1, Fraction(2, 3)), range(15)):
+            on = scale * (1 + Fraction(1, d)) ** j
+            yield from ((d, scale, top) for top in (on, on * (1 - Fraction(1, d * d)), on * 2))
+
+
 def test_build_classes_budget_matches_the_ladder(monkeypatch):
-    # the bit-length shortcut and the exact test together refuse a ladder
-    # iff climbing it would pass the budget, on int and Fraction profits
+    # ``power_order``'s bounds and its exact test together refuse a ladder
+    # iff climbing it would pass the budget, on int and Fraction profits;
+    # the levels are climbed up to 13 alone, past every budget tried
     refused = Counter()
-    for d, scale, top in itertools.product(range(1, 7), (1, 3, Fraction(2, 3)), range(1, 70, 3)):
+    for d, scale, top in ladder_cases():
         level = 0
-        while scale * (1 + Fraction(1, d)) ** (level + 1) <= top:
+        while level < 13 and scale * (1 + Fraction(1, d)) ** (level + 1) <= top:
             level += 1
         instance = unit_items([1, 1], profits=[scale, max(top, scale)])
         for budget in range(1, 13):
@@ -78,7 +90,28 @@ def test_build_classes_budget_matches_the_ladder(monkeypatch):
             else:
                 refused[False] += 1
                 assert level < budget
-    assert min(refused.values()) > 500
+    assert min(refused.values()) > 600
+
+
+@pytest.mark.parametrize("digits", [1, 2, 40])
+def test_power_order_matches_the_exact_powers(digits):
+    # ratios on, one part in b**2 around, and well off (a/b)**k, and near
+    # the cheap bounds 1 + k*x and 1/(1 - k*x), with b of up to 40 digits;
+    # each ratio is a pair of ints, not reduced
+    rng = random.Random(digits)
+    signs = Counter()
+    for _ in range(300):
+        b = rng.randint(10 ** (digits - 1), 10**digits)
+        a = b + rng.randint(1, min(b, 10))
+        k = rng.randint(0, 40)
+        up, down, rise, bb = a**k, b**k, k * (a - b), b * b
+        near = [(up, down), (b + rise, b), (b, b - rise) if rise < b else (3 * up, down), (1, 3), (up << 40, down)]
+        for top, bottom in near:
+            for high, low in ((top, bottom), (top * (bb + 1), bottom * bb), (top * (bb - 1), bottom * bb)):
+                want = (up * low > down * high) - (up * low < down * high)
+                assert classes_module.power_order(a, b, k, high, low) == want
+                signs[want] += 1
+    assert min(signs.values()) > 200
 
 
 def test_build_classes_empty_instance():

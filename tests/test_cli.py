@@ -253,13 +253,15 @@ def test_cmd_solve_general_grid_budget_exits_3(tmp_path, capsys):
     [
         ("bounded", "1/20000", generate_instance(1, 5, 2, "uniform")),
         ("general", "1/2", Instance.build(items=[(1, 1), (2**2000, 1)], capacities=[1, 2], lambdas=[1, 1])),
+        ("bounded", "1e-5000", generate_instance(1, 5, 2, "uniform")),
     ],
-    ids=["bounded", "general"],
+    ids=["bounded", "general", "bounded-tiny-eps"],
 )
 def test_cmd_solve_class_ladder_budget_exits_3(tmp_path, capsys, mode, eps, instance):
-    # profits 1-10 at bounded eps 1/20000, and profits 1 and 2**2000 at
-    # general eps 1/2 (internal 1/14, about 20,000 levels), each need a
-    # profit class ladder past the budget; it is refused before any climb
+    # profits 1-10 at bounded eps 1/20000 or 1e-5000, and profits 1 and
+    # 2**2000 at general eps 1/2 (internal 1/14, about 20,000 levels), each
+    # need a profit class ladder past the budget; it is refused before any
+    # climb, and at 1e-5000 before any power of its 16,600-bit step
     path = tmp_path / "ladder.json"
     path.write_text(instance_to_json(instance))
     assert main(["solve", str(path), "--mode", mode, "--eps", eps]) == 3
@@ -267,6 +269,27 @@ def test_cmd_solve_class_ladder_budget_exits_3(tmp_path, capsys, mode, eps, inst
     assert captured.out == ""
     want = f"{mode} mode budget exceeded: profit class ladder of at least 16385 levels exceeds budget 16384\n"
     assert captured.err == want
+
+
+def test_cmd_solve_tiny_eps_grid_exits_3(tmp_path, capsys):
+    # eps 1e-5000 makes the grid's step a ratio of ints of about 16,600
+    # bits: cheap bounds refuse the grid without raising the step to the
+    # budget's power, which would not end
+    path = tmp_path / "tiny.json"
+    path.write_text(instance_to_json(generate_instance(1, 5, 2, "uniform")))
+    assert main(["solve", str(path), "--eps", "1e-5000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "general mode budget exceeded: profit grid of at least 32769 points exceeds budget 32768\n"
+
+
+def test_cmd_solve_tiny_eps_on_equal_profits_solves_bounded(tmp_path, capsys):
+    # equal profits make one class, so the ladder is short at any eps, and
+    # cheap bounds accept it at 1e-5000 without taking a power
+    path = tmp_path / "equal.json"
+    path.write_text(instance_to_json(Instance.build(items=[(5, 3), (5, 2), (5, 4)], capacities=[4, 9], lambdas=[1, 2])))
+    assert main(["solve", str(path), "--mode", "bounded", "--eps", "1e-5000"]) == 0
+    assert json.loads(capsys.readouterr().out)["profit"] == "35"
 
 
 @pytest.mark.parametrize("mode", ["general", "bounded", "exact"])
