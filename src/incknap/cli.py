@@ -74,10 +74,18 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def _json_rational(value, where: str) -> Fraction | int:
-    """A document scalar: an int straight from a string of ASCII digits."""
+    """A document scalar: an int straight from a string of ASCII digits.
+
+    Other forms refuse an exponent past the integer string limit, whose
+    power of ten ``Fraction`` would build unchecked."""
     if not isinstance(value, str):
         raise ValueError(f"{where} must be a rational string, not {json.dumps(value)}")
-    return int(value) if value.isascii() and value.isdigit() else parse_rational(value)
+    if value.isascii() and value.isdigit():
+        return int(value)
+    exponent, limit = value.lower().partition("e")[2], sys.get_int_max_str_digits()
+    if exponent and limit and abs(int(exponent)) > limit:
+        raise ValueError(f"{where} has an exponent past the {limit}-digit integer string limit")
+    return parse_rational(value)
 
 
 def _json_list(doc, key: str) -> list:

@@ -14,17 +14,13 @@ already committed below.
 
 Gluing reads one state of the last row, its most profitable feasible one,
 and the chain of backpointers below it; every row is filled as a branch
-and bound for that chain.  An entry of weight x of cluster m's frontier
-profits at most U(x) = sum_t lambda_t * KP(min(W_t - omega, x)) over that
-cluster, KP read off class-suffix and class-prefix rows of
-``oracle.knapsack_rows``, built once per table, floored by a common divisor
-past ``oracle.KNAPSACK_CELLS`` cells.  Composed over the later clusters,
-it bounds the last-row index F any chain through a state can reach; an
-index L the zero state reaches bounds the target from below.  One rule
-fills every row: keep only the states of F >= L, and push a predecessor
-only if it may write above reach or lighter at it, reach being the least
-index kept, or in the last row the highest written.  The skipped
-frontiers are never built, and the answer is the full rows'.
+and bound for that chain.  A 0/1 knapsack bound per cluster caps the
+last-row index F any chain through a state reaches, and each row keeps
+its states from need on, need the least index of F >= L (an index the
+zero state reaches), one bisection of the grid's offsets per later
+cluster back from L.  It skips each predecessor that cannot write above
+reach or lighter at it; their frontiers are never built, and the answer
+is the full rows'.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
@@ -119,20 +115,18 @@ class ProfitGrid:
     """Profit points 0, delta, delta*step, ..., step = 1 + eps/M, as ints over ``unit``.
 
     ``unit`` = den(delta) * den(step)**top, top = len(values) - 1, makes
-    delta*step**k integral for every k <= top, so the offsets are ints too."""
+    delta*step**k integral for every k <= top.  ``offsets[k]`` =
+    step*point(k) + delta, what state k takes off the next cluster's
+    requirement, is delta at k = 0 and point k+1 + delta past it."""
 
     delta: Fraction
-    step: Fraction
     unit: int
     values: tuple[int, ...]
+    offsets: tuple[int, ...]
 
     def point(self, k: int) -> Fraction:
         """Grid point k as a Fraction."""
         return Fraction(self.values[k], self.unit)
-
-    def offset(self, k: int) -> int:
-        """step*point(k) + delta over ``unit``: what state k takes off the next cluster's requirement."""
-        return self.values[k] * self.step.numerator // self.step.denominator + self.values[1]
 
 
 def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Fraction, psi_cap: Fraction) -> ProfitGrid:
@@ -161,10 +155,11 @@ def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Frac
     top = 1
     while reach < need:
         reach, need, top = reach * num, need * den, top + 1
-    points = [delta.numerator * den**top]  # delta*step**(k-1) over the unit, k = 1..top
-    for _ in range(top - 1):
+    points = [delta.numerator * den**top]  # delta*step**(k-1) over the unit, k = 1..top+1
+    for _ in range(top):
         points.append(points[-1] * num // den)
-    return ProfitGrid(delta=delta, step=step, unit=delta.denominator * den**top, values=(0, *points))
+    offsets = (points[0], *(p + points[0] for p in points[1:]))
+    return ProfitGrid(delta=delta, unit=delta.denominator * den**top, values=(0, *points[:-1]), offsets=offsets)
 
 
 @dataclass(frozen=True)
@@ -216,34 +211,36 @@ class ClusterDPTable:
     ell_prev, idx_prev) through cluster m's frontier on classes
     ell_prev+1..ell, at capacities reduced by that state's weight: each
     frontier entry serves the contiguous range of indices idx whose
-    requirement grid[idx] - grid.offset(idx_prev) it covers.  Both terms are
+    requirement grid[idx] - offsets[idx_prev] it covers.  Both terms are
     ints over ``grid.unit``, so flooring served requirements in it is exact:
-    the frontier's thresholds are ints over its ``den``, and the cutoff of
-    one is threshold * unit // den.  ``transition`` reads a step's entry
-    off the same cutoffs.
+    a threshold t over the frontier's ``den`` has cutoff t * unit // den,
+    off which ``transition`` also reads a step's entry.
 
-    Rows hold only the states that may lie on ``glue``'s chain.  Cluster
-    k's knapsack bound (``_ClusterBound``) caps the index a state can push
-    to, so F_m(ell, idx) (``_climb``), that cap applied through clusters
-    m+1..M on the classes above ell, bounds the last-row index of every
-    chain through state (m, ell, idx); F never falls as idx grows or as
-    ell falls, and F_M(ell, idx) = idx.  L (``_least_target``) is an index
-    the full last row writes, so its target is at least L.  Every row
-    keeps its states from need on, need the least index of F >= L, and
-    skips, never building its frontier, each predecessor that
-    ``_ClusterBound.skips`` shows writes nothing above reach nor strictly
-    lighter than the weight at reach.  Reach is need; in the last row,
-    read by ``glue`` for its highest feasible index (the target) and that
-    index's backpointer alone, it rises to the highest index written,
-    never past the full row's target.  So a skipped predecessor writes nothing at a kept state
-    of rows m < M, or at the target, lighter than a kept push before it,
-    and the kept pushes keep their order.  By induction over m, the kept
-    states of rows m < M hold the full table's values and backpointers (a
-    predecessor that pushes into one has F >= L, so it is kept, with its
-    full value), and the target and its first lightest push are the full
-    row's; each state of its chain has F at least the target, hence at
-    least L.  Rows with no cluster or no class share one zero row: a zero
-    state of F < L writes only below need, so ``skips`` drops it.
+    Rows hold only the states that may lie on ``glue``'s chain.  By its
+    knapsack bound (``_ClusterBound``), cluster k serves the classes above
+    ell at most most = ``most(ell, top, 0)`` past a state's offset, taking
+    index i to g(i) or below, the last index at or below most + offsets[i];
+    F_m(ell, idx), the g of clusters m+1..M composed, bounds the last-row
+    index of every chain through state (m, ell, idx).  L (``_least_target``)
+    is an index the full last row writes, so its target is at least L.
+    Points and offsets rise, so g(i) >= j iff offsets[i] >= points[j] -
+    most: need, the least index of F >= L, is one ``bisect_left`` on the
+    offsets per later cluster, back from L (``_need``).  Every row keeps its
+    states from need on, and skips, never building its frontier, each
+    predecessor that ``_ClusterBound.skips`` shows writes nothing above
+    reach nor strictly lighter than the weight at reach.  Reach is need; in
+    the last row, read by ``glue`` for its highest feasible index (the
+    target) and that index's backpointer alone, it rises to the highest
+    index written, never past the full row's target.  So a skipped
+    predecessor writes nothing at a kept state of rows m < M, or at the
+    target, lighter than a kept push before it, and the kept pushes keep
+    their order.  By induction over m, the kept states of rows m < M hold
+    the full table's values and backpointers (a predecessor that pushes into
+    one has F >= L, so it is kept, with its full value), and the target and
+    its first lightest push are the full row's; each state of its chain has
+    F at least the target, hence at least L.  Rows with no cluster or no
+    class share one zero row: a zero state of F < L writes only below need,
+    so ``skips`` drops it.
     """
 
     instance: Instance
@@ -273,32 +270,30 @@ class ClusterDPTable:
 
     def _row(self, m: int, ell: int) -> tuple[list, list]:
         """Row (m, ell), filled and kept on first read: the states from
-        index need on, need the least with F_m(ell, need) >= L.  A
-        predecessor is pushed unless cluster m's ``_ClusterBound.skips``
-        rules it out at reach and the weight held there; reach starts at
-        need and, in the last row alone, rises to the highest index
-        written.  Rows with no cluster or no class are one shared zero row."""
+        index ``_need`` on.  A predecessor is pushed unless cluster m's
+        ``_ClusterBound.skips`` rules it out at reach and the weight held
+        there; reach starts at need and, in the last row alone, rises to
+        the highest index written.  Rows with no cluster or no class are
+        one shared zero row."""
         if m == 0 or ell == -1:
             return self._zero
         if (m, ell) in self._rows:
             return self._rows[m, ell]
-        points = self.grid.values
-        need = bisect_left(range(len(points)), self._least_target, key=partial(self._climb, m, ell))
+        points, offsets = self.grid.values, self.grid.offsets
+        need = self._need(m, ell)
         values: list = [None] * len(points)
         back: list = [None] * len(points)
         if need == 0:
             values[0] = 0
         last, reach, skips = m == self.plan.num_clusters, need, self._bounds[m - 1].skips
-        # offset(k) = points[k] * num // den + delta, as in ProfitGrid.offset
-        num, den, delta = self.grid.step.numerator, self.grid.step.denominator, points[1]
         # the (ell_prev, idx_prev) order and a strict < keep the first lightest move
-        for ell_prev in self._ell_states if need < len(points) else ():
+        for ell_prev in self._ell_states:
             if ell_prev > ell:
                 break
             for idx_prev, prev in enumerate(self._row(m - 1, ell_prev)[0]):
                 if prev is None:
                     continue
-                offset = points[idx_prev] * num // den + delta
+                offset = offsets[idx_prev]
                 if skips(ell_prev, ell, prev, offset, reach, values[reach]):
                     continue
                 lo = max(idx_prev, need, 1)
@@ -317,15 +312,12 @@ class ClusterDPTable:
         self._rows[m, ell] = values, back
         return values, back
 
-    def _climb(self, m: int, ell: int, idx: int) -> int:
-        """F_m(ell, idx): no chain through state (m, ell, idx) ends above this last-row index.
-
-        Cluster k > m serves at most ``most(ell, top, 0)`` above a state's
-        offset: its classes lie above ell, and weight 0 leaves it the most
-        capacity.  So each step is one bisection."""
-        points, offset, top = self.grid.values, self.grid.offset, self._ell_states[-1]
-        for bound in self._bounds[m:]:
-            idx = bisect_right(points, bound.most(ell, top, 0) + offset(idx)) - 1
+    def _need(self, m: int, ell: int) -> int:
+        """The least idx of F_m(ell, idx) >= L; at most L, as offsets[i] >= points[i + 1]."""
+        points, offsets, top = self.grid.values, self.grid.offsets, self._ell_states[-1]
+        idx = self._least_target
+        for bound in reversed(self._bounds[m:]):
+            idx = bisect_left(offsets, points[idx] - bound.most(ell, top, 0))
         return idx
 
     @cached_property
@@ -334,13 +326,13 @@ class ClusterDPTable:
         index cluster m reaches taking every class from the zero state (the
         reach of frontier (m, 0, top, 0)), carried through clusters m+1..M
         by their empty frontiers, each taking no class (index i goes to the
-        last index at or below offset(i))."""
-        points, offset, top = self.grid.values, self.grid.offset, self.classes.indices[-1]
+        last index at or below offsets[i])."""
+        points, offsets, top = self.grid.values, self.grid.offsets, self.classes.indices[-1]
         least = 0
         for m in range(1, self.plan.num_clusters + 1):
-            idx = bisect_right(points, self._frontier(m, 0, top, 0)[2][-1][0] + offset(0)) - 1
+            idx = bisect_right(points, self._frontier(m, 0, top, 0)[2][-1][0] + offsets[0]) - 1
             for _ in range(m, self.plan.num_clusters):
-                idx = bisect_right(points, offset(idx)) - 1
+                idx = bisect_right(points, offsets[idx]) - 1
             least = max(least, idx)
         return least
 
@@ -369,7 +361,7 @@ class ClusterDPTable:
         requirement, the entry its row pushed there."""
         ell_prev, idx_prev, prev = self.backpointer(m, ell, phi_idx)
         frontier, sub, pushes = self._frontier(m, ell_prev + 1, ell, prev)
-        need = self.grid.values[phi_idx] - self.grid.offset(idx_prev)
+        need = self.grid.values[phi_idx] - self.grid.offsets[idx_prev]
         return ell_prev, idx_prev, frontier.solution(bisect_left(pushes, need, key=itemgetter(0))), sub
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional
 
 from .model import Instance, Solution, integer_units, validate
@@ -77,19 +76,12 @@ class _Bound:
     those items at ``r_t``.  ``at`` bounds a node by sum_t lambda_t *
     rows[i][r_t // g], the rows of ``knapsack_rows`` over the item suffixes,
     built once at the root; floored past ``KNAPSACK_CELLS`` cells, they only
-    loosen the bound.  ``cheap(i)``, every remaining item packed from period
-    1, bounds it from above at no cost.
+    loosen the bound.
     """
 
     def __init__(self, scaled: Instance):
-        items = scaled.items
         self.lambdas = scaled.lambdas
-        self.g, self.rows = knapsack_rows([[item] for item in items], scaled.capacities[-1])
-        self.suffix_1 = scaled.suffix_lambdas.values[0]
-        self.profit_left = [*accumulate((p for p, _ in reversed(items)), initial=0)][::-1]
-
-    def cheap(self, i: int) -> int:
-        return self.suffix_1 * self.profit_left[i]
+        self.g, self.rows = knapsack_rows([[item] for item in scaled.items], scaled.capacities[-1])
 
     def at(self, i: int, residual: list[int]) -> int:
         """The bound for items i.. given ``residual[t-1] = r_t``."""
@@ -149,8 +141,6 @@ def _search(
                     floor = profit + 1
                 else:
                     cutoff = cum[horizon]
-            return
-        if profit + bound.cheap(i) < floor:
             return
         residual = _residuals(caps, cum)
         if profit + bound.at(i, residual) < floor:

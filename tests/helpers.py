@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -372,6 +372,17 @@ def cluster_value(table: ClusterDPTable, m: int, ell: int, phi_idx: int) -> Opti
     """The cluster DP's least weight at state (m, ell, phi_idx), read off its
     row, or None when the state is infeasible."""
     return table._row(m, ell)[0][phi_idx]
+
+
+def climb(table: ClusterDPTable, m: int, ell: int, idx: int) -> int:
+    """F_m(ell, idx) by the forward climb: cluster k > m takes index i to
+    the last index at or below most + offsets[i], most being what its
+    bound lets the classes above ell serve at weight 0.  No chain through
+    state (m, ell, idx) ends above it."""
+    points, offsets, top = table.grid.values, table.grid.offsets, table._ell_states[-1]
+    for bound in table._bounds[m:]:
+        idx = bisect_right(points, bound.most(ell, top, 0) + offsets[idx]) - 1
+    return idx
 
 
 class _NoBound:

@@ -483,6 +483,37 @@ def test_malformed_instance_exits_2(tmp_path, capsys, command, text):
     _assert_one_line_rejection(capsys, main([command, str(path)]))
 
 
+@pytest.mark.parametrize(
+    "key, text", [("p", "1e5000"), ("lambdas", "1e10000000"), ("capacities", "1E-10000000"), ("w", "2.5e+4301")]
+)
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_exponent_past_the_digit_limit_exits_2(tmp_path, capsys, command, key, text):
+    # "1" and 5000 zeros exits 2 by the 4300-digit integer string limit; an
+    # exponent past that limit is refused the same way, before Fraction
+    # builds its power of ten (1e10000000 took over 10 s there)
+    doc = {"items": [dict(GOOD_ITEM)], "capacities": ["2"], "lambdas": ["1"]}
+    if key in GOOD_ITEM:
+        doc["items"][0][key] = text
+    else:
+        doc[key] = [text]
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    _assert_one_line_rejection(capsys, main([command, str(path)]))
+
+
+def test_exponent_within_the_digit_limit_parses(tmp_path, capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({"items": [{"p": "1e3", "w": "1"}], "capacities": ["2"], "lambdas": ["1"]}))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 1 items, 1 periods\n"
+    assert cli._json_rational("1e3", "scalar") == 1000
+    assert cli._json_rational(f"1e-{limit}", "scalar") == Fraction(1, 10**limit)
+    # with the limit off (0), no exponent is refused
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert cli._json_rational("1e5000", "scalar") == 10**5000
+
+
 @pytest.mark.parametrize("name", ["missing.json", "."])
 @pytest.mark.parametrize("command", ["solve", "validate"])
 def test_unreadable_instance_exits_2(tmp_path, capsys, command, name):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FullRowTable, PullClusterTable, cluster_value, e1, random_instance
+from helpers import FullRowTable, PullClusterTable, climb, cluster_value, e1, random_instance
 from incknap import general, oracle
 from incknap.bounded import InverseFrontier, rescaled_third
 from incknap.classes import build_classes
@@ -293,8 +293,8 @@ def test_build_grid_refuses_exactly_the_grids_past_the_budget(monkeypatch):
 def test_build_grid_cap_at_or_below_delta(psi_cap):
     grid = build_grid(EPS, 2, Fraction(1), Fraction(10), psi_cap)
     assert [grid.point(k) for k in range(len(grid.values))] == [0, 1]
-    assert Fraction(grid.offset(0), grid.unit) == 1
-    assert Fraction(grid.offset(1), grid.unit) == 1 + EPS / 2 + 1
+    assert Fraction(grid.offsets[0], grid.unit) == 1
+    assert Fraction(grid.offsets[1], grid.unit) == 1 + EPS / 2 + 1
 
 
 def test_cluster_dp_grid_units_match_fractions():
@@ -312,8 +312,29 @@ def test_cluster_dp_grid_units_match_fractions():
     for k, phi in enumerate(phis):
         assert grid.values[k] * phi.denominator == phi.numerator * grid.unit
         offset = step * phi + grid.delta
-        assert grid.offset(k) * offset.denominator == offset.numerator * grid.unit
+        assert grid.offsets[k] * offset.denominator == offset.numerator * grid.unit
     assert grid.point(len(phis) - 1) == phis[-1]
+
+
+@pytest.mark.parametrize("num_clusters", [1, 2, 3])
+@pytest.mark.parametrize(
+    "eps, lam_last, p_max, psi_cap",
+    [
+        (EPS, Fraction(1), Fraction(10), Fraction(1)),  # one point past 0 at M = 1
+        (Fraction(1, 7), Fraction(4, 3), Fraction(10), Fraction(10**3)),
+        (Fraction(1, 14), Fraction(5, 9), Fraction(7, 2), Fraction(12345, 7)),
+    ],
+)
+def test_grid_offsets_are_the_floored_step_past_each_point(num_clusters, eps, lam_last, p_max, psi_cap):
+    # offsets[k] = floor((step*point(k) + delta) * unit) by Fractions at
+    # every k, 0 and the top included, though build_grid adds delta to the
+    # next point; so they rise strictly
+    grid = build_grid(eps, num_clusters, lam_last, p_max, psi_cap)
+    step = 1 + eps / num_clusters
+    assert len(grid.offsets) == len(grid.values)
+    for k in range(len(grid.values)):
+        assert grid.offsets[k] == math.floor((step * grid.point(k) + grid.delta) * grid.unit)
+    assert all(a < b for a, b in zip(grid.offsets, grid.offsets[1:]))
 
 
 def test_small_eps_guarantee_on_long_grids():
@@ -707,7 +728,7 @@ def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
     frontiers.  The pruned table gives glue the reference's solution,
     certified profit and chain, and the last row's target and backpointer,
     and builds only frontiers the reference builds.  Its earlier rows hold
-    the states with F >= L (``_climb``, ``_least_target``), matching the
+    the states with F >= L (``climb``, ``_least_target``), matching the
     reference's, and no other.
     """
     push = cluster_dp(instance, classes, plan, grid, eps)
@@ -731,7 +752,7 @@ def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
         if m == plan.num_clusters:
             # the last row keeps its target alone exact
             continue
-        if push._climb(m, level, idx) < push._least_target:
+        if climb(push, m, level, idx) < push._least_target:
             # earlier rows drop the states that cannot reach the target
             assert cluster_value(push, m, level, idx) is None
             continue
@@ -791,12 +812,16 @@ def test_cluster_dp_push_range_ends_on_a_point_equal_to_the_requirement():
     plan = build_plan(instance, EPS, xi=0)
     assert plan.num_clusters == 1
     top = max(classes.indices)
-    unit, delta = 1000, 7  # offset(0) = delta over the unit
-    probe = general.ProfitGrid(Fraction(delta, unit), 1 + EPS, unit, (0, delta))
-    pushes = cluster_dp(instance, classes, plan, probe, EPS)._frontier(1, 0, top, 0)[2]
+    unit, delta = 1000, 7  # offsets[0] = delta over the unit
+
+    def grid_of(points):
+        offsets = tuple(math.floor(p * (1 + EPS)) + delta for p in points)
+        return general.ProfitGrid(Fraction(delta, unit), unit, tuple(points), offsets)
+
+    pushes = cluster_dp(instance, classes, plan, grid_of((0, delta)), EPS)._frontier(1, 0, top, 0)[2]
     assert len(pushes) == 4
     points = sorted({0, delta} | {cutoff + delta + j for cutoff, _ in pushes for j in (0, 1)})
-    grid = general.ProfitGrid(Fraction(delta, unit), 1 + EPS, unit, tuple(points))
+    grid = grid_of(points)
     assert_push_matches_pull(instance, classes, plan, grid, EPS, read_all=True)
     table = FullRowTable(instance, classes, plan, grid, EPS)
     for cutoff, weight in pushes:
@@ -978,7 +1003,7 @@ def test_last_row_skips_exactly_what_a_linear_scan_rules_out():
                     return math.floor(Fraction(bound.profit(ell_prev, top, omega, x) * q, q - 3) * grid.unit)
 
                 most = cutoff(top_weight)
-                offsets = {grid.offset(rng.randrange(len(points))), points[reach] - most, points[reach] - most - 1}
+                offsets = {rng.choice(grid.offsets), points[reach] - most, points[reach] - most - 1}
                 if reach + 1 < len(points):
                     offsets |= {points[reach + 1] - most, points[reach + 1] - most - 1}
                 for offset in offsets:
@@ -1016,11 +1041,17 @@ def test_glue_builds_few_frontiers_on_the_benchmark(monkeypatch):
     assert 0 < len(built) <= 23
 
 
-def test_glue_builds_few_frontiers_on_the_multicluster_benchmark(monkeypatch):
-    # the seed-1 general-multicluster pool, as the benchmark builds it: rows
-    # of earlier clusters filled in full build 1,030 frontiers; keeping only
-    # their states of F >= L, 441; also skipping every predecessor that
-    # writes nothing above need nor lighter at it, 395
+@pytest.mark.parametrize(
+    "name, most",
+    [("general-uniform", 428), ("general-multicluster", 395), ("verify-small", 249)],
+    ids=["general-uniform", "general-multicluster", "verify-small"],
+)
+def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name, most):
+    # each full seed-1 pool, as the benchmark builds it, counting the
+    # general solves' frontiers; on general-multicluster, rows of earlier
+    # clusters filled in full build 1,030; keeping only their states of
+    # F >= L, 441; also skipping every predecessor that writes nothing
+    # above need nor lighter at it, 395
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
@@ -1032,10 +1063,10 @@ def test_glue_builds_few_frontiers_on_the_multicluster_benchmark(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(general, "InverseFrontier", Counted)
-    workload = workloads.WORKLOADS["general-multicluster"]
+    workload = workloads.WORKLOADS[name]
     for index in range(workload.pool):
         solve_detailed(workload.make(1, index), Fraction(workload.eps))
-    assert 0 < len(built) <= 395
+    assert 0 < len(built) <= most
 
 
 def hand_built_plans(cells):
@@ -1068,7 +1099,7 @@ def highest_reach(table, m, ell, idx, omega, memo):
     if m == table.plan.num_clusters:
         return idx
     if key not in memo:
-        points, offset = table.grid.values, table.grid.offset(idx)
+        points, offset = table.grid.values, table.grid.offsets[idx]
         best = idx
         for nxt in table._ell_states:
             if nxt < ell:
@@ -1083,7 +1114,7 @@ def highest_reach(table, m, ell, idx, omega, memo):
 @pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
 def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
     # by brute force over every state of the full rows: no chain of pushes
-    # from a state ends above F_m(ell, idx) (``_climb``), and L
+    # from a state ends above F_m(ell, idx) (``climb``), and L
     # (``_least_target``) is at most the full last row's target; also when
     # a cell budget of 4 floors the knapsack rows
     monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
@@ -1101,7 +1132,7 @@ def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
                 for idx, omega in enumerate(full._row(m, ell)[0]):
                     if omega is None:
                         continue
-                    bound = table._climb(m, ell, idx)
+                    bound = climb(table, m, ell, idx)
                     assert highest_reach(full, m, ell, idx, omega, memo) <= bound
                     states[clusters, bound < table._least_target] += 1
     assert min(states[key] for key in itertools.product((2, 3), (False, True))) > 20
@@ -1132,6 +1163,11 @@ def test_cluster_bounds_are_admissible_on_every_class_range(monkeypatch, cells):
     assert checked[True] > 1000 and checked[False] > 1000
 
 
+def reference_need(table, m, ell):
+    """The least index whose forward climb (``climb``) reaches L; the top index's climb does."""
+    return next(idx for idx in range(len(table.grid.values)) if climb(table, m, ell, idx) >= table._least_target)
+
+
 def test_earlier_rows_skip_exactly_the_predecessors_that_cannot_reach_the_floor():
     # a row (m, ell) with m < M skips a predecessor (ell_prev, omega) at an
     # offset iff F_m(ell, idx1) < L, idx1 being the highest index its most
@@ -1147,22 +1183,73 @@ def test_earlier_rows_skip_exactly_the_predecessors_that_cannot_reach_the_floor(
         for m, ell in list(table._rows):
             if not 0 < m < plan.num_clusters or ell < 0:
                 continue
-            need = next((idx for idx in range(len(points)) if table._climb(m, ell, idx) >= least), len(points))
-            if need == len(points):
-                continue  # the row pushes nothing
+            need = reference_need(table, m, ell)
             bound = table._bounds[m - 1]
             for ell_prev in table._ell_states:
                 if ell_prev > ell:
                     break
                 for omega in {0, rng.randint(0, core.capacities[-1])}:
                     most = bound.most(ell_prev, ell, omega)
-                    offsets = {grid.offset(rng.randrange(len(points)))}
+                    offsets = {rng.choice(grid.offsets)}
                     offsets |= {point - most + d for point in points for d in (-1, 0)}
                     for offset in offsets:
                         if offset < 0:
                             continue
                         idx1 = bisect_right(points, most + offset) - 1
-                        want = table._climb(m, ell, idx1) < least
+                        want = climb(table, m, ell, idx1) < least
                         assert bound.skips(ell_prev, ell, omega, offset, need, None) == want
                         cases[want] += 1
     assert cases[True] > 1000 and cases[False] > 1000
+
+
+def test_each_row_needs_the_least_index_the_climb_lifts_to_the_floor(monkeypatch):
+    # ``_need`` bisects the offsets back from L, one later cluster at a
+    # time; it is ``reference_need``, never above L.  Hand-built plans of
+    # two and three clusters, and two multicluster benchmark instances;
+    # earlier rows of both sizes need index 0 and a later one
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    workload = workloads.WORKLOADS["general-multicluster"]
+    cases = [(*case, EPS) for seed in (5, 6) for case in itertools.islice(hand_built_plans(seed), 40)]
+    for index in (0, 1):
+        cases += solve_tables(workload.make(1, index), Fraction(workload.eps))
+    rows = Counter()
+    for core, classes, plan, grid, eps in cases:
+        table = cluster_dp(core, classes, plan, grid, eps)
+        for m in range(1, plan.num_clusters + 1):
+            for ell in classes.indices:
+                need = table._need(m, ell)
+                assert need == reference_need(table, m, ell) <= table._least_target
+                if m < plan.num_clusters:
+                    rows[plan.num_clusters, need > 0] += 1
+    assert min(rows[key] for key in itertools.product((2, 3), (False, True))) > 20
+    # and with every later cluster's most set on a boundary, points[j] -
+    # offsets[i] or one below it, where bisect_left and bisect_right part;
+    # ties counts the cases where some offset plus a most is a point
+    rng = random.Random(5)
+    ties = 0
+    for core, classes, plan, grid in itertools.islice(hand_built_plans(5), 40):
+        points, offsets = grid.values, grid.offsets
+        for _ in range(5):
+            table = cluster_dp(core, classes, plan, grid, EPS)
+            table._least_target = rng.randrange(len(points))
+            table._bounds = tuple(
+                FixedMost(max(points[j] - rng.choice(offsets[:j]) - rng.randint(0, 1), 0))
+                for j in (rng.randrange(1, len(points)) for _ in range(plan.num_clusters))
+            )
+            top = max(classes.indices)
+            for m in range(1, plan.num_clusters):
+                assert table._need(m, top) == reference_need(table, m, top)
+                ties += any(bound.most() + offset in points for bound in table._bounds[m:] for offset in offsets)
+    assert ties > 100
+
+
+class FixedMost:
+    """A cluster bound whose ``most`` is one fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def most(self, *args):
+        return self.value
