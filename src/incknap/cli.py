@@ -5,7 +5,8 @@ string (or "a/b" when the denominator is not a power of 2 and 5), so a
 parse/serialize round trip is value-identical and float contamination is
 impossible: a scalar that is not a string is rejected.  Exit codes: 0
 success; 1 an ``eval`` batch with failure rows; 2 an unreadable, malformed
-or invalid instance file, a bad argument, or an unwritable ``--out``; 3 a
+or invalid instance file, a bad argument (an ``--eps`` exponent past
+``EPS_EXPONENT_LIMIT`` in magnitude too), or an unwritable ``--out``; 3 a
 resource overrun on a valid input: the oracle budget, the profit grid
 budget or the profit class budget exceeded, a solve out of memory, or a
 result value longer than the interpreter's integer string conversion limit.
@@ -31,13 +32,18 @@ from .model import Instance, Solution, objective, validate
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EPS_EXPONENT_LIMIT = 100_000  # past it, --eps exits 2 before Fraction builds a power of ten
 
 PROFILES = ("uniform", "geometric-lambda", "subset-sum")
 MODES = ("exact", "bounded", "general")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Exact value of a decimal string or an a/b ratio."""
+def parse_rational(text: str, limit: int = 0) -> Fraction:
+    """Exact value of a decimal string or an a/b ratio.  A nonzero limit
+    refuses a larger exponent magnitude before Fraction builds its power of ten."""
+    exponent = text.lower().partition("e")[2]
+    if limit and exponent and abs(int(exponent)) > limit:
+        raise ValueError(f"exponent {exponent.strip()} is past {limit} in magnitude")
     return Fraction(text.strip())
 
 
@@ -74,18 +80,13 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def _json_rational(value, where: str) -> Fraction | int:
-    """A document scalar: an int straight from a string of ASCII digits.
-
-    Other forms refuse an exponent past the integer string limit, whose
-    power of ten ``Fraction`` would build unchecked."""
+    """A document scalar: an int straight from a string of ASCII digits;
+    other forms refuse an exponent past the integer string limit."""
     if not isinstance(value, str):
         raise ValueError(f"{where} must be a rational string, not {json.dumps(value)}")
     if value.isascii() and value.isdigit():
         return int(value)
-    exponent, limit = value.lower().partition("e")[2], sys.get_int_max_str_digits()
-    if exponent and limit and abs(int(exponent)) > limit:
-        raise ValueError(f"{where} has an exponent past the {limit}-digit integer string limit")
-    return parse_rational(value)
+    return parse_rational(value, sys.get_int_max_str_digits())
 
 
 def _json_list(doc, key: str) -> list:
@@ -176,7 +177,7 @@ def _load_instance(path: str) -> Instance:
 
 def _parse_eps(text: str) -> Fraction:
     try:
-        eps = parse_rational(text)
+        eps = parse_rational(text, EPS_EXPONENT_LIMIT)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"invalid --eps {text!r}: {exc}") from exc
     if eps <= 0:

@@ -16,11 +16,11 @@ Gluing reads one state of the last row, its most profitable feasible one,
 and the chain of backpointers below it; every row is filled as a branch
 and bound for that chain.  A 0/1 knapsack bound per cluster caps the
 last-row index F any chain through a state reaches, and each row keeps
-its states from need on, need the least index of F >= L (an index the
-zero state reaches), one bisection of the grid's offsets per later
-cluster back from L.  It skips each predecessor that cannot write above
-reach or lighter at it; their frontiers are never built, and the answer
-is the full rows'.
+its states from need on, need the least index of F >= L (where the zero
+state ends if cluster 1 takes every class and the rest none), one
+bisection of the grid's offsets per later cluster back from L.  It skips
+each predecessor that cannot write above reach or lighter at it; their
+frontiers are never built, and the answer is the full rows'.
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ class ClusterDPTable:
     index i to g(i) or below, the last index at or below most + offsets[i];
     F_m(ell, idx), the g of clusters m+1..M composed, bounds the last-row
     index of every chain through state (m, ell, idx).  L (``_least_target``)
-    is an index the full last row writes, so its target is at least L.
+    ends a chain of the full rows, cluster 1 taking every class from the
+    zero state and the rest none, so the full last row's target is at least L.
     Points and offsets rise, so g(i) >= j iff offsets[i] >= points[j] -
     most: need, the least index of F >= L, is one ``bisect_left`` on the
     offsets per later cluster, back from L (``_need``).  Every row keeps its
@@ -322,19 +323,15 @@ class ClusterDPTable:
 
     @cached_property
     def _least_target(self) -> int:
-        """L, an index the full last row writes: the most, over m, of the
-        index cluster m reaches taking every class from the zero state (the
-        reach of frontier (m, 0, top, 0)), carried through clusters m+1..M
-        by their empty frontiers, each taking no class (index i goes to the
-        last index at or below offsets[i])."""
-        points, offsets, top = self.grid.values, self.grid.offsets, self.classes.indices[-1]
-        least = 0
-        for m in range(1, self.plan.num_clusters + 1):
-            idx = bisect_right(points, self._frontier(m, 0, top, 0)[2][-1][0] + offsets[0]) - 1
-            for _ in range(m, self.plan.num_clusters):
-                idx = bisect_right(points, offsets[idx]) - 1
-            least = max(least, idx)
-        return least
+        """L, where a chain of the full rows ends: cluster 1 takes every
+        class from the zero state (the reach of frontier (1, 0, top, 0)),
+        then clusters 2..M take none (index i goes to the last index at or
+        below offsets[i])."""
+        points, offsets = self.grid.values, self.grid.offsets
+        idx = bisect_right(points, self._frontier(1, 0, self.classes.indices[-1], 0)[2][-1][0] + offsets[0]) - 1
+        for _ in range(1, self.plan.num_clusters):
+            idx = bisect_right(points, offsets[idx]) - 1
+        return idx
 
     @cached_property
     def _bounds(self) -> tuple[_ClusterBound, ...]:

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -344,6 +345,36 @@ def test_cmd_solve_rejects_bad_eps(tmp_path, capsys, mode, eps):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--eps" in captured.err
+
+
+@pytest.mark.parametrize(
+    "eps, code", [("1e-5000", 3), ("1e-1000000", 2), ("1e-10000000", 2), ("5e-1", 0), ("1E-1", 0)]
+)
+@pytest.mark.parametrize("mode", ["general", "bounded"])
+def test_cmd_solve_eps_exponent_past_the_limit_exits_2_at_once(tmp_path, capsys, mode, eps, code):
+    # an --eps exponent past EPS_EXPONENT_LIMIT in magnitude is refused
+    # before Fraction builds its power of ten: unrefused, 1e-1000000 reached
+    # the grid budget only after 2.5 s and 1e-10000000 ran past 20 s on a
+    # 2-core box.  1e-5000 still reaches the grid and ladder budgets, and
+    # small exponents solve
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(generate_instance(1, 5, 2, "uniform")))
+    start = time.perf_counter()
+    assert main(["solve", str(path), "--mode", mode, "--eps", eps]) == code
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    if code == 2:
+        assert seconds < 1
+        assert captured.out == "" and captured.err.count("\n") == 1 and "--eps" in captured.err
+
+
+def test_eps_exponent_limit_is_inclusive():
+    limit = cli.EPS_EXPONENT_LIMIT
+    assert cli._parse_eps(f"1e-{limit}") == Fraction(1, 10**limit)
+    assert parse_rational(f" 1E+{limit} ", limit) == 10**limit
+    for text in (f"1e-{limit + 1}", f"1E{limit + 1}"):
+        with pytest.raises(cli.BadInput, match="past"):
+            cli._parse_eps(text)
 
 
 @pytest.mark.parametrize("mode", ["bounded", "general"])

@@ -61,6 +61,17 @@ def two_cluster_instance(seed, k=9):
     return Instance.build(items=items, capacities=caps, lambdas=[(8 * k) ** 2, 8 * k, 1])
 
 
+def forced_instance(seed, n, horizon):
+    """Profits in {1, 3, 9, 27}, weights 1-10, capacity steps 4-10, lambdas
+    (2nk)^(T-t) with k = 1/internal_eps(4/5): at eps 4/5 each period holds
+    its own band, so every offset drops one and T=10 gives 2-cluster plans."""
+    rng = random.Random(seed)
+    k = int(1 / internal_eps(Fraction(4, 5)))
+    items = [(rng.choice((1, 3, 9, 27)), rng.randint(1, 10)) for _ in range(n)]
+    caps = list(itertools.accumulate(rng.randint(4, 10) for _ in range(horizon)))
+    return Instance.build(items=items, capacities=caps, lambdas=[(2 * n * k) ** (horizon - t) for t in range(1, horizon + 1)])
+
+
 def test_build_plan_thresholds():
     # suffix values (1, 1/2, 1/50) with eps/n = 1/25: bands {1,2} and {3}
     instance = five_item_instance([1, Fraction(1, 2), Fraction(1, 50)])
@@ -916,11 +927,14 @@ def last_row_cases():
         caps = list(itertools.accumulate(frac(1, 6) for _ in range(3)))
         items = [(frac(1, 8), frac(1, 4)) for _ in range(rng.randint(3, 7))]
         yield Instance.build(items, caps, [frac(1, 3) for _ in caps]), Fraction(1, 2)
+    for seed in (1, 2):
+        yield forced_instance(seed, 8, 10), Fraction(4, 5)
 
 
 def test_glue_answers_from_the_full_last_row():
     # the pruned rows give glue the full rows' target, backpointer and
-    # weight, while building fewer frontiers; some cases floor their weights
+    # weight, while building fewer frontiers; some cases floor their weights,
+    # and the forced-shape cases have two clusters in every plan, unfloored
     built = {"pruned": 0, "full": 0}
     kinds = Counter()
     for instance, eps_public in last_row_cases():
@@ -938,7 +952,7 @@ def test_glue_answers_from_the_full_last_row():
                 assert link[2] + step_weight(pruned, m, top, target) == cluster_value(full, m, top, target)
             kinds[plan.num_clusters, pruned._bounds[-1].g > 1] += 1
     assert built["pruned"] < built["full"]
-    assert kinds[2, True] and kinds[1, False]
+    assert kinds[2, True] and kinds[2, False] and kinds[1, False]
 
 
 def assignment_weights(sub):
@@ -1043,7 +1057,7 @@ def test_glue_builds_few_frontiers_on_the_benchmark(monkeypatch):
 
 @pytest.mark.parametrize(
     "name, most",
-    [("general-uniform", 428), ("general-multicluster", 395), ("verify-small", 249)],
+    [("general-uniform", 428), ("general-multicluster", 348), ("verify-small", 249)],
     ids=["general-uniform", "general-multicluster", "verify-small"],
 )
 def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name, most):
@@ -1051,7 +1065,8 @@ def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name
     # general solves' frontiers; on general-multicluster, rows of earlier
     # clusters filled in full build 1,030; keeping only their states of
     # F >= L, 441; also skipping every predecessor that writes nothing
-    # above need nor lighter at it, 395
+    # above need nor lighter at it, 395; taking L from cluster 1's chain
+    # alone, never building frontier (m, 0, top, 0) for m >= 2, 348
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
@@ -1114,9 +1129,9 @@ def highest_reach(table, m, ell, idx, omega, memo):
 @pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
 def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
     # by brute force over every state of the full rows: no chain of pushes
-    # from a state ends above F_m(ell, idx) (``climb``), and L
-    # (``_least_target``) is at most the full last row's target; also when
-    # a cell budget of 4 floors the knapsack rows
+    # from a state ends above F_m(ell, idx) (``climb``), and the full last
+    # row writes L (``_least_target``), so its target is at least L; also
+    # when a cell budget of 4 floors the knapsack rows
     monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
     states = Counter()
     floored = 0
@@ -1124,7 +1139,7 @@ def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
         full = FullRowTable(core, classes, plan, grid, EPS)
         table = cluster_dp(core, classes, plan, grid, EPS)
         clusters, top = plan.num_clusters, max(classes.indices)
-        assert table._least_target <= last_target(full)
+        assert full._row(clusters, top)[0][table._least_target] is not None
         floored += table._bounds[0].g > 1
         memo = {}
         for m in range(clusters):
