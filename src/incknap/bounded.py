@@ -67,11 +67,6 @@ def accuracy_budget(eps, losses: int) -> Fraction:
     return Fraction(1, max(5, math.ceil(losses / eps)))
 
 
-def rescaled_third(eps: Fraction) -> Fraction:
-    """Wrapper accuracy: internal eps delivering a (1-eps) profit floor."""
-    return accuracy_budget(eps, 3)
-
-
 @dataclass
 class BoundedDPTable:
     """Restricted DP values per (period, fitting cell), with backpointers.

@@ -32,7 +32,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
-from .bounded import InverseFrontier, accuracy_budget, rescaled_third
+from .bounded import InverseFrontier, accuracy_budget
 from .classes import ProfitClasses, build_classes, power_order
 from .model import (
     AllLambdasZero,
@@ -53,9 +53,8 @@ GRID_BUDGET = 2**15
 
 @dataclass(frozen=True)
 class ClusterPlan:
-    """Band index per period plus the clusters surviving offset xi."""
+    """The clusters surviving offset xi, each a run of periods in order."""
 
-    interval_of: tuple[int, ...]  # 1-based band index per period
     clusters: tuple[tuple[int, ...], ...]
 
     @property
@@ -73,41 +72,33 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
 
     With eps/n = a/b, s_t lies at or below first*(a/b)**m iff s_t * b**m <=
     first * a**m, exact for ints (integer units) and Fractions alike.
-    Suffix values never increase, so each period's climb resumes at the
-    band of the period before it.
+    Suffix values never increase, so bands never fall: each period's climb
+    resumes at the band of the period before it.  A kept period joins the
+    last cluster unless its run key (m - xi) // (1/eps) differs, which opens
+    a new cluster; the key changes exactly across a dropped band.
     """
     inv_eps = eps.denominator
     if not 0 <= xi < inv_eps:
         raise ValueError(f"xi must lie in [0, {inv_eps - 1}]")
     if instance.n == 0:
-        return ClusterPlan(interval_of=(), clusters=())
+        return ClusterPlan(clusters=())
     suffix = instance.suffix_lambdas
     shrink = eps / instance.n
     a, b = shrink.numerator, shrink.denominator
     first = suffix.values[0]
     m, up, down = 1, a, b  # (eps/n)**m = up/down
-    interval_of = []
-    for s in suffix.values:
+    clusters: list[list[int]] = []
+    last = None  # run key of the last cluster
+    for t, s in enumerate(suffix.values, start=1):
         while s * down <= first * up:
             m, up, down = m + 1, up * a, down * b
-        interval_of.append(m)
-
-    by_band: dict[int, list[int]] = {}
-    for t, m in enumerate(interval_of, start=1):
-        by_band.setdefault(m, []).append(t)
-
-    clusters: list[tuple[int, ...]] = []
-    run: list[int] = []
-    for m in range(1, max(by_band) + 1):
-        if m % inv_eps == xi:
-            if run:
-                clusters.append(tuple(run))
-            run = []
-        else:
-            run.extend(by_band.get(m, ()))
-    if run:
-        clusters.append(tuple(run))
-    return ClusterPlan(interval_of=tuple(interval_of), clusters=tuple(clusters))
+        if m % inv_eps != xi:
+            key = (m - xi) // inv_eps
+            if key != last:
+                clusters.append([])
+                last = key
+            clusters[-1].append(t)
+    return ClusterPlan(clusters=tuple(map(tuple, clusters)))
 
 
 @dataclass(frozen=True)
@@ -178,7 +169,7 @@ def single_cluster_instance(
     m: int,
     class_lo: int,
     class_hi: int,
-    omega: Fraction,
+    omega: int,
 ) -> SingleClusterInstance:
     """Restrict to cluster m's periods and classes [class_lo, class_hi].
 
@@ -253,12 +244,12 @@ class ClusterDPTable:
     def __post_init__(self):
         self._rows: dict[tuple[int, int], tuple[list, list]] = {}
         self._frontiers: dict[tuple, tuple[InverseFrontier, SingleClusterInstance, list[tuple[int, int]]]] = {}
-        self._sub_eps = rescaled_third(self.eps)
+        self._sub_eps = accuracy_budget(self.eps, 3)
         self._ell_states = (-1,) + self.classes.indices
         size = len(self.grid.values)  # build_grid puts 0 at index 0 only
         self._zero = [0] + [None] * (size - 1), [None] * size
 
-    def _frontier(self, m: int, lo: int, hi: int, omega: Fraction):
+    def _frontier(self, m: int, lo: int, hi: int, omega: int):
         key = (m, lo, hi, omega)
         if key not in self._frontiers:
             sub = single_cluster_instance(self.instance, self.classes, self.plan, m, lo, hi, omega)
@@ -336,19 +327,15 @@ class ClusterDPTable:
     @cached_property
     def _bounds(self) -> tuple[_ClusterBound, ...]:
         """Cluster m's bound at position m - 1, all reading one set of rows:
-        class-suffix rows, and class-prefix rows when some row has ell below
-        the top class (M > 1); the top class's prefix row is the first
-        suffix row, both holding every class."""
-        instance, indices = self.instance, self.classes.indices
-        groups = [[instance.items[i] for i in self.classes.members[level]] for level in indices]
-        g, rows = knapsack_rows(groups, instance.capacities[-1])
+        class-suffix rows and class-prefix rows."""
+        instance, cap = self.instance, self.instance.capacities[-1]
+        groups = [[instance.items[i] for i in self.classes.members[level]] for level in self.classes.indices]
+        g, rows = knapsack_rows(groups, cap)
         suffix = dict(zip(self._ell_states, rows))
-        prefix = {indices[-1]: rows[0]}
-        if self.plan.num_clusters > 1:
-            prefix = dict(zip(reversed(self._ell_states), knapsack_rows(groups[::-1], instance.capacities[-1])[1]))
+        prefix = dict(zip(reversed(self._ell_states), knapsack_rows(groups[::-1], cap)[1]))
         return tuple(_ClusterBound(self, m, g, suffix, prefix) for m in range(1, self.plan.num_clusters + 1))
 
-    def backpointer(self, m: int, ell: int, phi_idx: int) -> Optional[tuple[int, int, Fraction]]:
+    def backpointer(self, m: int, ell: int, phi_idx: int) -> Optional[tuple[int, int, int]]:
         """(ell_prev, idx_prev, its weight) of the winning predecessor, if any."""
         return self._row(m, ell)[1][phi_idx]
 
@@ -443,7 +430,7 @@ def cluster_dp(
     return ClusterDPTable(instance=instance, classes=classes, plan=plan, grid=grid, eps=eps)
 
 
-def glue(plan: ClusterPlan, table: ClusterDPTable, n_items: int) -> tuple[Solution, Fraction]:
+def glue(plan: ClusterPlan, table: ClusterDPTable) -> tuple[Solution, Fraction]:
     """Trace back from the most profitable feasible final state.
 
     The final state is the highest feasible index of the last row (M, top
@@ -456,7 +443,7 @@ def glue(plan: ClusterPlan, table: ClusterDPTable, n_items: int) -> tuple[Soluti
     m, ell = plan.num_clusters, table.classes.indices[-1]
     values = table._row(m, ell)[0]
     target_idx = next(idx for idx in range(len(values) - 1, -1, -1) if values[idx] is not None)
-    intro: list[Optional[int]] = [None] * n_items
+    intro: list[Optional[int]] = [None] * table.instance.n
     idx = target_idx
     # a feasible state past index 0 got its backpointer with its value
     while m >= 1 and idx > 0:
@@ -527,7 +514,7 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
             if classes is None:
                 classes = build_classes(core, eps)
             table = cluster_dp(core, classes, plan, grid, eps)
-            core_solution, phi_target = glue(plan, table, core.n)
+            core_solution, phi_target = glue(plan, table)
             intro_pre: list[Optional[int]] = [None] * pre.n
             for j, t in core_solution.introduced():
                 intro_pre[fit_ids[j]] = t

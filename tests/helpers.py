@@ -20,10 +20,10 @@ from incknap.bounded import (
     InverseFrontier,
     InverseResult,
     _dominates,
+    accuracy_budget,
     check_internal_eps,
     dp_solve,
     prefix_to_solution,
-    rescaled_third,
 )
 from incknap.classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
 from incknap.general import ClusterDPTable, ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
@@ -276,7 +276,7 @@ class PullClusterTable:
         self._frontiers: dict[
             tuple[int, int, int, Fraction], tuple[InverseFrontier, SingleClusterInstance]
         ] = {}
-        self._sub_eps = rescaled_third(self.eps)
+        self._sub_eps = accuracy_budget(self.eps, 3)
         self._ell_states = (-1,) + self.classes.indices
         self._step = 1 + self.eps / self.plan.num_clusters
 

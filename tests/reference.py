@@ -7,8 +7,9 @@ prefix weights and the vectors weighed by them, one object per vector, the
 power-of-two bases climbed one Fraction doubling at a time, the
 up-rounding and truncation maps whose image the pruned family must cover,
 the unpruned restricted DP the family DP must not beat, the contribution
-form of the objective, the deletion of dropped-band periods behind the
-derandomized offset, and the star-uncrossing audit.
+form of the objective, the runs of surviving bands that form the clusters
+and the deletion of dropped-band periods behind the derandomized offset,
+and the star-uncrossing audit.
 """
 
 from __future__ import annotations
@@ -256,6 +257,22 @@ def objective_by_contributions(instance: Instance, solution: Solution) -> Fracti
         (instance.items[i][0] * suffix.at(t) for i, t in solution.introduced()),
         Fraction(0),
     )
+
+
+def band_runs(bands: list[int], inv_eps: int, xi: int) -> tuple[tuple[int, ...], ...]:
+    """Clusters from the 1-based band of each period: band by band from 1
+    to the highest, every band m with m % inv_eps == xi ends a run (possibly
+    an empty one), and the non-empty runs of the other bands' periods are
+    the clusters."""
+    clusters, run = [], []
+    for m in range(1, max(bands, default=0) + 1):
+        if m % inv_eps == xi:
+            clusters.append(tuple(run))
+            run = []
+        else:
+            run.extend(t for t, band in enumerate(bands, start=1) if band == m)
+    clusters.append(tuple(run))
+    return tuple(run for run in clusters if run)
 
 
 def drop_bad_periods(plan: ClusterPlan, solution: Solution) -> Solution:

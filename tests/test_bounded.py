@@ -32,7 +32,6 @@ from incknap.bounded import (
     check_internal_eps,
     dp_solve,
     prefix_to_solution,
-    rescaled_third,
     solve_bounded,
     solve_inverse,
 )
@@ -68,13 +67,13 @@ def test_check_internal_eps():
             check_internal_eps(bad)
 
 
-def test_rescaled_third():
-    assert rescaled_third(Fraction(1, 5)) == Fraction(1, 15)
-    assert rescaled_third(Fraction(1, 14)) == Fraction(1, 42)
-    assert rescaled_third(Fraction(1)) == Fraction(1, 5)
+def test_accuracy_budget_of_three_losses():
+    assert accuracy_budget(Fraction(1, 5), 3) == Fraction(1, 15)
+    assert accuracy_budget(Fraction(1, 14), 3) == Fraction(1, 42)
+    assert accuracy_budget(Fraction(1), 3) == Fraction(1, 5)
     for bad in (Fraction(0), Fraction(-1)):
         with pytest.raises(ValueError):
-            rescaled_third(bad)
+            accuracy_budget(bad, 3)
 
 
 def test_dp_solve_hand_rollout():

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import FullRowTable, PullClusterTable, climb, cluster_value, e1, random_instance
 from incknap import general, oracle
-from incknap.bounded import InverseFrontier, rescaled_third
+from incknap.bounded import InverseFrontier, accuracy_budget
 from incknap.classes import build_classes
 from incknap.general import (
     build_grid,
@@ -24,7 +24,7 @@ from incknap.general import (
 )
 from incknap.model import Instance, Solution, check_feasible, integer_units, objective, preprocess
 from incknap.oracle import BudgetExceeded, exact_opt
-from reference import audit_uncrossing, drop_bad_periods, star_graph_edges
+from reference import audit_uncrossing, band_runs, drop_bad_periods, star_graph_edges
 
 EPS = Fraction(1, 5)
 
@@ -76,7 +76,6 @@ def test_build_plan_thresholds():
     # suffix values (1, 1/2, 1/50) with eps/n = 1/25: bands {1,2} and {3}
     instance = five_item_instance([1, Fraction(1, 2), Fraction(1, 50)])
     plan = build_plan(instance, EPS, xi=0)
-    assert plan.interval_of == (1, 1, 2)
     assert plan.clusters == ((1, 2, 3),)
 
 
@@ -196,7 +195,8 @@ def fraction_bands(instance, eps):
 
 def test_build_plan_bands_match_a_fraction_ladder():
     # suffixes on, just above and just below first*(eps/n)**m, and free ones;
-    # each instance also in integer units, where the ladder runs on ints
+    # each instance also in integer units, where the ladder runs on ints.
+    # Every offset's clusters are the runs of the ladder's surviving bands
     rng = random.Random(83)
     on_a_bound = 0
     for _ in range(300):
@@ -215,9 +215,11 @@ def test_build_plan_bands_match_a_fraction_ladder():
             suffix.append(min(value, suffix[-1]))
             on_a_bound += suffix[-1] == on
         instance = Instance.build(items=[(1, 1)] * n, capacities=[1] * len(suffix), lambdas=lambda_from_suffix(suffix))
-        want = fraction_bands(instance, eps)
-        for inst in (instance, integer_units(instance)[0]):
-            assert list(build_plan(inst, eps, 0).interval_of) == want
+        bands = fraction_bands(instance, eps)
+        for xi in range(eps.denominator):
+            want = band_runs(bands, eps.denominator, xi)
+            for inst in (instance, integer_units(instance)[0]):
+                assert build_plan(inst, eps, xi).clusters == want
     assert on_a_bound > 50
 
 
@@ -387,7 +389,7 @@ def test_cluster_dp_and_glue_on_e1():
         EPS, 1, instance.lambdas[-1], max(profits), instance.suffix_lambdas.values[0] * sum(profits)
     )
     table = cluster_dp(instance, classes, plan, grid, EPS)
-    solution, phi_target = glue(plan, table, instance.n)
+    solution, phi_target = glue(plan, table)
     assert check_feasible(instance, solution) is None
     assert phi_target > 0
     profit = objective(instance, solution)
@@ -447,7 +449,7 @@ def test_cluster_dp_two_clusters_with_weight_offset():
         core.suffix_lambdas.values[0] * sum(profits),
     )
     table = cluster_dp(core, classes, plan, grid, EPS)
-    solution, phi_target = glue(plan, table, instance.n)
+    solution, phi_target = glue(plan, table)
     assert solution.intro == (1, 2)
     assert objective(instance, solution) == 13
     top = max(classes.indices)
@@ -745,7 +747,7 @@ def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
     push = cluster_dp(instance, classes, plan, grid, eps)
     full = FullRowTable(instance, classes, plan, grid, eps)
     pull = PullClusterTable(instance, classes, plan, grid, eps)
-    solution, profit = glue(plan, push, instance.n)
+    solution, profit = glue(plan, push)
     chain = glue_chain(plan, push)
     built = set(push._frontiers)
     if read_all:
@@ -799,14 +801,14 @@ def test_cluster_dp_matches_pull_reference():
     instance = Instance.build(items=[(3, 4), (1, 10), (8, 3), (2, 6), (2, 4)], capacities=[6, 8, 15], lambdas=[5, 2, 5])
     core, _, _ = integer_units(instance)
     profits = [p for p, _ in core.items]
-    plan = general.ClusterPlan(interval_of=(1, 2, 3), clusters=((1,), (2,), (3,)))
+    plan = general.ClusterPlan(clusters=((1,), (2,), (3,)))
     grid = build_grid(EPS, 3, core.lambdas[-1], max(profits), core.suffix_lambdas.values[0] * sum(profits))
     fewer[3] += assert_push_matches_pull(core, build_classes(core, EPS), plan, grid, EPS, read_all=False)
     # a two-cluster plan read whole: cluster 1's rows get states wrong if
     # they, like the last row, skip what cannot write above its reach
     core = Instance.build(items=[(3, 1), (5, 1), (6, 7), (1, 9)], capacities=[7, 13], lambdas=[4, 5])
     profits = [p for p, _ in core.items]
-    plan = general.ClusterPlan(interval_of=(1, 2), clusters=((1,), (2,)))
+    plan = general.ClusterPlan(clusters=((1,), (2,)))
     grid = build_grid(EPS, 2, core.lambdas[-1], max(profits), core.suffix_lambdas.values[0] * sum(profits))
     fewer[2] += assert_push_matches_pull(core, build_classes(core, EPS), plan, grid, EPS, read_all=True)
     clusters[2] += 1
@@ -940,7 +942,7 @@ def test_glue_answers_from_the_full_last_row():
     for instance, eps_public in last_row_cases():
         for core, classes, plan, grid, eps in solve_tables(instance, eps_public):
             pruned = cluster_dp(core, classes, plan, grid, eps)
-            got = glue(plan, pruned, core.n)
+            got = glue(plan, pruned)
             built["pruned"] += len(pruned._frontiers)
             full = FullRowTable(core, classes, plan, grid, eps)
             assert got == glue_from_full_rows(plan, full, core.n)
@@ -1006,7 +1008,7 @@ def test_last_row_skips_exactly_what_a_linear_scan_rules_out():
             top, top_weight = max(classes.indices), core.capacities[-1]
             if top_weight > 100:
                 continue
-            q = rescaled_third(eps).denominator
+            q = accuracy_budget(eps, 3).denominator
             points = grid.values
             for _ in range(10):
                 ell_prev = rng.choice((-1,) + classes.indices)
@@ -1102,7 +1104,7 @@ def hand_built_plans(cells):
         classes = build_classes(core, EPS)
         profits = [p for p, _ in core.items]
         for clusters in plans[core.horizon]:
-            plan = general.ClusterPlan(interval_of=tuple(range(1, core.horizon + 1)), clusters=clusters)
+            plan = general.ClusterPlan(clusters=clusters)
             psi_cap = core.suffix_lambdas.values[0] * sum(profits)
             yield core, classes, plan, build_grid(EPS, len(clusters), core.lambdas[-1], max(profits), psi_cap)
 
@@ -1193,7 +1195,7 @@ def test_earlier_rows_skip_exactly_the_predecessors_that_cannot_reach_the_floor(
     cases = Counter()
     for core, classes, plan, grid in itertools.islice(hand_built_plans(7), 12):
         table = cluster_dp(core, classes, plan, grid, EPS)
-        glue(plan, table, core.n)
+        glue(plan, table)
         points, least = grid.values, table._least_target
         for m, ell in list(table._rows):
             if not 0 < m < plan.num_clusters or ell < 0:
