@@ -8,9 +8,13 @@ order-aligned profit-class ranges to clusters (uncrossing stars), which a
 minimum-weight DP over (cluster, top class, accumulated profit) recovers on
 a discretized profit grid, held once as ints over one unit, filling one row
 per (cluster, top class) by pushing each inverse frontier entry over the
-grid range it serves, found by bisecting those ints.  The per-cluster
-subproblems are inverse solves with capacities reduced by the weight
-already committed below.
+grid range it serves, found by bisecting those ints.  Each row lists the
+indices it holds, so the next row visits only those predecessors.  The
+per-cluster subproblems are inverse solves with capacities reduced by the
+weight already committed below.  A grid depends on its plan only through
+the cluster count, so a solve builds one grid per count; the class
+knapsack rows behind the bound below depend on no plan, and a solve
+builds them once.
 
 Gluing reads one state of the last row, its most profitable feasible one,
 and the chain of backpointers below it; every row is filled as a branch
@@ -240,14 +244,15 @@ class ClusterDPTable:
     plan: ClusterPlan
     grid: ProfitGrid
     eps: Fraction
+    class_rows: tuple[int, dict, dict]  # ``class_rows(instance, classes)``
 
     def __post_init__(self):
-        self._rows: dict[tuple[int, int], tuple[list, list]] = {}
+        self._rows: dict[tuple[int, int], tuple[list, list, list]] = {}
         self._frontiers: dict[tuple, tuple[InverseFrontier, SingleClusterInstance, list[tuple[int, int]]]] = {}
         self._sub_eps = accuracy_budget(self.eps, 3)
         self._ell_states = (-1,) + self.classes.indices
         size = len(self.grid.values)  # build_grid puts 0 at index 0 only
-        self._zero = [0] + [None] * (size - 1), [None] * size
+        self._zero = [0] + [None] * (size - 1), [None] * size, (0,)
 
     def _frontier(self, m: int, lo: int, hi: int, omega: int):
         key = (m, lo, hi, omega)
@@ -260,10 +265,11 @@ class ClusterDPTable:
             self._frontiers[key] = (frontier, sub, pushes)
         return self._frontiers[key]
 
-    def _row(self, m: int, ell: int) -> tuple[list, list]:
+    def _row(self, m: int, ell: int) -> tuple[list, list, list]:
         """Row (m, ell), filled and kept on first read: the states from
-        index ``_need`` on.  A predecessor is pushed unless cluster m's
-        ``_ClusterBound.skips`` rules it out at reach and the weight held
+        index ``_need`` on, as values, backpointers and the ascending
+        indices that hold a value.  A predecessor is pushed unless cluster
+        m's ``_ClusterBound.skips`` rules it out at reach and the weight held
         there; reach starts at need and, in the last row alone, rises to
         the highest index written.  Rows with no cluster or no class are
         one shared zero row."""
@@ -275,17 +281,18 @@ class ClusterDPTable:
         need = self._need(m, ell)
         values: list = [None] * len(points)
         back: list = [None] * len(points)
+        held = []
         if need == 0:
             values[0] = 0
+            held.append(0)
         last, reach, skips = m == self.plan.num_clusters, need, self._bounds[m - 1].skips
         # the (ell_prev, idx_prev) order and a strict < keep the first lightest move
         for ell_prev in self._ell_states:
             if ell_prev > ell:
                 break
-            for idx_prev, prev in enumerate(self._row(m - 1, ell_prev)[0]):
-                if prev is None:
-                    continue
-                offset = offsets[idx_prev]
+            prev_values, _, prev_held = self._row(m - 1, ell_prev)
+            for idx_prev in prev_held:
+                prev, offset = prev_values[idx_prev], offsets[idx_prev]
                 if skips(ell_prev, ell, prev, offset, reach, values[reach]):
                     continue
                 lo = max(idx_prev, need, 1)
@@ -293,16 +300,19 @@ class ClusterDPTable:
                     hi = bisect_right(points, cutoff + offset, lo)
                     for idx in range(lo, hi):
                         old = values[idx]
-                        if old is None or cand < old:
-                            values[idx] = cand
-                            back[idx] = (ell_prev, idx_prev, prev)
+                        if old is None:
+                            held.append(idx)
+                        elif cand >= old:
+                            continue
+                        values[idx] = cand
+                        back[idx] = (ell_prev, idx_prev, prev)
                     lo = hi
                 # the empty entry serves offset > points[idx_prev], so every
                 # index from the first pushed up to lo - 1 now holds a value
                 if last:
                     reach = max(reach, lo - 1)
-        self._rows[m, ell] = values, back
-        return values, back
+        self._rows[m, ell] = row = values, back, sorted(held)
+        return row
 
     def _need(self, m: int, ell: int) -> int:
         """The least idx of F_m(ell, idx) >= L; at most L, as offsets[i] >= points[i + 1]."""
@@ -326,14 +336,8 @@ class ClusterDPTable:
 
     @cached_property
     def _bounds(self) -> tuple[_ClusterBound, ...]:
-        """Cluster m's bound at position m - 1, all reading one set of rows:
-        class-suffix rows and class-prefix rows."""
-        instance, cap = self.instance, self.instance.capacities[-1]
-        groups = [[instance.items[i] for i in self.classes.members[level]] for level in self.classes.indices]
-        g, rows = knapsack_rows(groups, cap)
-        suffix = dict(zip(self._ell_states, rows))
-        prefix = dict(zip(reversed(self._ell_states), knapsack_rows(groups[::-1], cap)[1]))
-        return tuple(_ClusterBound(self, m, g, suffix, prefix) for m in range(1, self.plan.num_clusters + 1))
+        """Cluster m's bound at position m - 1, all reading the solve's class rows."""
+        return tuple(_ClusterBound(self, m, *self.class_rows) for m in range(1, self.plan.num_clusters + 1))
 
     def backpointer(self, m: int, ell: int, phi_idx: int) -> Optional[tuple[int, int, int]]:
         """(ell_prev, idx_prev, its weight) of the winning predecessor, if any."""
@@ -362,9 +366,8 @@ class _ClusterBound:
     if U(x) * q/(q-3) >= grid[idx] - offset, offset being the predecessor's.
 
     KP is at most both ``suffix[ell_prev]`` (the classes above ell_prev)
-    and ``prefix[ell]`` (the classes up to ell), read at c // g: rows of
-    ``oracle.knapsack_rows`` over the classes, built once per table, floored
-    past ``oracle.KNAPSACK_CELLS`` cells.  Each bounds the knapsack of a
+    and ``prefix[ell]`` (the classes up to ell), read at c // g: the rows
+    of ``class_rows``, built once per solve.  Each bounds the knapsack of a
     superset of the items, so their least is admissible.  ``skips`` asks
     these bounds whether a predecessor's frontier may change a row.
     """
@@ -417,17 +420,30 @@ class _ClusterBound:
         return lighter < 0 or self.cutoff(ell_prev, ell, omega, lighter) + offset < points[reach]
 
 
+def class_rows(instance: Instance, classes: ProfitClasses) -> tuple[int, dict, dict]:
+    """(g, suffix, prefix): ``oracle.knapsack_rows`` over the profit classes
+    at the last capacity, floored by g past ``oracle.KNAPSACK_CELLS`` cells.
+    ``suffix[ell]`` bounds the classes above ell and ``prefix[ell]`` those up
+    to ell; no plan enters them, so a solve builds them once."""
+    cap, states = instance.capacities[-1], (-1,) + classes.indices
+    groups = [[instance.items[i] for i in classes.members[level]] for level in classes.indices]
+    g, rows = knapsack_rows(groups, cap)
+    prefix = knapsack_rows(groups[::-1], cap)[1]
+    return g, dict(zip(states, rows)), dict(zip(reversed(states), prefix))
+
+
 def cluster_dp(
     instance: Instance,
     classes: ProfitClasses,
     plan: ClusterPlan,
     grid: ProfitGrid,
     eps: Fraction,
+    class_rows: tuple[int, dict, dict],
 ) -> ClusterDPTable:
-    """Build the cluster DP table; each row is filled when first read."""
+    """Build the cluster DP table on the solve's class rows; each row is filled when first read."""
     if plan.num_clusters < 1:
         raise ValueError("plan must contain at least one cluster")
-    return ClusterDPTable(instance=instance, classes=classes, plan=plan, grid=grid, eps=eps)
+    return ClusterDPTable(instance=instance, classes=classes, plan=plan, grid=grid, eps=eps, class_rows=class_rows)
 
 
 def glue(plan: ClusterPlan, table: ClusterDPTable) -> tuple[Solution, Fraction]:
@@ -441,8 +457,7 @@ def glue(plan: ClusterPlan, table: ClusterDPTable) -> tuple[Solution, Fraction]:
     glued solution.  Returns it with the certified grid profit.
     """
     m, ell = plan.num_clusters, table.classes.indices[-1]
-    values = table._row(m, ell)[0]
-    target_idx = next(idx for idx in range(len(values) - 1, -1, -1) if values[idx] is not None)
+    target_idx = table._row(m, ell)[2][-1]
     intro: list[Optional[int]] = [None] * table.instance.n
     idx = target_idx
     # a feasible state past index 0 got its backpointer with its value
@@ -496,6 +511,7 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
         return empty
     core, _, _ = integer_units(Instance(tuple(pre.items[i] for i in fit_ids), pre.capacities, pre.lambdas))
     classes: Optional[ProfitClasses] = None  # built after the first grid, which may refuse the budget
+    grids: dict[int, ProfitGrid] = {}  # by cluster count, the grid's only plan-dependent argument
     profits = [p for p, _ in core.items]
     p_max = max(profits)
     psi_cap = core.suffix_lambdas.values[0] * sum(profits)
@@ -510,10 +526,13 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
         if plan.num_clusters == 0:
             candidate = empty
         else:
-            grid = build_grid(eps, plan.num_clusters, core.lambdas[-1], p_max, psi_cap)
+            grid = grids.get(plan.num_clusters)
+            if grid is None:
+                grid = grids[plan.num_clusters] = build_grid(eps, plan.num_clusters, core.lambdas[-1], p_max, psi_cap)
             if classes is None:
                 classes = build_classes(core, eps)
-            table = cluster_dp(core, classes, plan, grid, eps)
+                rows = class_rows(core, classes)
+            table = cluster_dp(core, classes, plan, grid, eps, rows)
             core_solution, phi_target = glue(plan, table)
             intro_pre: list[Optional[int]] = [None] * pre.n
             for j, t in core_solution.introduced():

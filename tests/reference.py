@@ -9,7 +9,8 @@ up-rounding and truncation maps whose image the pruned family must cover,
 the unpruned restricted DP the family DP must not beat, the contribution
 form of the objective, the runs of surviving bands that form the clusters
 and the deletion of dropped-band periods behind the derandomized offset,
-and the star-uncrossing audit.
+the class knapsack rows as each cluster DP table once built them for
+itself, and the star-uncrossing audit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 from incknap.classes import ClassInterval, ProfitClasses
 from incknap.general import ClusterPlan
 from incknap.model import InfeasibleSolution, Instance, Solution, check_feasible
-from incknap.oracle import DEFAULT_BUDGET, BudgetExceeded
+from incknap.oracle import DEFAULT_BUDGET, BudgetExceeded, knapsack_rows
 
 
 def pow2_up(x: Fraction) -> Fraction:
@@ -283,6 +284,18 @@ def drop_bad_periods(plan: ClusterPlan, solution: Solution) -> Solution:
     """
     kept = {t for periods in plan.clusters for t in periods}
     return Solution(tuple(t if t in kept else None for t in solution.intro))
+
+
+def table_class_rows(table) -> tuple[int, dict, dict]:
+    """(g, suffix, prefix) built from one cluster DP table's own instance
+    and classes: class-suffix rows, and class-prefix rows keyed backward."""
+    instance, cap = table.instance, table.instance.capacities[-1]
+    states = (-1,) + table.classes.indices
+    groups = [[instance.items[i] for i in table.classes.members[level]] for level in table.classes.indices]
+    g, rows = knapsack_rows(groups, cap)
+    suffix = dict(zip(states, rows))
+    prefix = dict(zip(reversed(states), knapsack_rows(groups[::-1], cap)[1]))
+    return g, suffix, prefix
 
 
 def star_graph_edges(

@@ -15,6 +15,7 @@ from incknap.classes import build_classes
 from incknap.general import (
     build_grid,
     build_plan,
+    class_rows,
     cluster_dp,
     glue,
     internal_eps,
@@ -24,7 +25,7 @@ from incknap.general import (
 )
 from incknap.model import Instance, Solution, check_feasible, integer_units, objective, preprocess
 from incknap.oracle import BudgetExceeded, exact_opt
-from reference import audit_uncrossing, band_runs, drop_bad_periods, star_graph_edges
+from reference import audit_uncrossing, band_runs, drop_bad_periods, star_graph_edges, table_class_rows
 
 EPS = Fraction(1, 5)
 
@@ -373,7 +374,7 @@ def test_cluster_dp_terminal_rules():
     classes = build_classes(instance, EPS)
     plan = build_plan(instance, EPS, xi=0)
     grid = build_grid(EPS, 1, instance.lambdas[-1], Fraction(3), Fraction(100))
-    table = FullRowTable(instance, classes, plan, grid, EPS)
+    table = FullRowTable(instance, classes, plan, grid, EPS, class_rows(instance, classes))
     top = max(classes.indices)
     assert cluster_value(table, 1, top, 0) == 0  # phi = 0 is free
     assert cluster_value(table, 0, top, 1) is None
@@ -388,7 +389,7 @@ def test_cluster_dp_and_glue_on_e1():
     grid = build_grid(
         EPS, 1, instance.lambdas[-1], max(profits), instance.suffix_lambdas.values[0] * sum(profits)
     )
-    table = cluster_dp(instance, classes, plan, grid, EPS)
+    table = cluster_dp(instance, classes, plan, grid, EPS, class_rows(instance, classes))
     solution, phi_target = glue(plan, table)
     assert check_feasible(instance, solution) is None
     assert phi_target > 0
@@ -448,7 +449,7 @@ def test_cluster_dp_two_clusters_with_weight_offset():
         max(profits),
         core.suffix_lambdas.values[0] * sum(profits),
     )
-    table = cluster_dp(core, classes, plan, grid, EPS)
+    table = cluster_dp(core, classes, plan, grid, EPS, class_rows(core, classes))
     solution, phi_target = glue(plan, table)
     assert solution.intro == (1, 2)
     assert objective(instance, solution) == 13
@@ -656,7 +657,7 @@ def test_cluster_dp_lower_bounds_exact_stars_value():
     # the discretized DP never exceeds the exhaustive uncrossing-stars value
     checked = 0
     for pre, classes, plan, grid in stars_cases():
-        table = FullRowTable(pre, classes, plan, grid, EPS)
+        table = FullRowTable(pre, classes, plan, grid, EPS, class_rows(pre, classes))
         sols = stars_solutions(pre, classes, plan)
         for m in range(1, plan.num_clusters + 1):
             for level in classes.indices:
@@ -744,8 +745,9 @@ def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
     the states with F >= L (``climb``, ``_least_target``), matching the
     reference's, and no other.
     """
-    push = cluster_dp(instance, classes, plan, grid, eps)
-    full = FullRowTable(instance, classes, plan, grid, eps)
+    rows = class_rows(instance, classes)
+    push = cluster_dp(instance, classes, plan, grid, eps, rows)
+    full = FullRowTable(instance, classes, plan, grid, eps, rows)
     pull = PullClusterTable(instance, classes, plan, grid, eps)
     solution, profit = glue(plan, push)
     chain = glue_chain(plan, push)
@@ -831,12 +833,13 @@ def test_cluster_dp_push_range_ends_on_a_point_equal_to_the_requirement():
         offsets = tuple(math.floor(p * (1 + EPS)) + delta for p in points)
         return general.ProfitGrid(Fraction(delta, unit), unit, tuple(points), offsets)
 
-    pushes = cluster_dp(instance, classes, plan, grid_of((0, delta)), EPS)._frontier(1, 0, top, 0)[2]
+    rows = class_rows(instance, classes)
+    pushes = cluster_dp(instance, classes, plan, grid_of((0, delta)), EPS, rows)._frontier(1, 0, top, 0)[2]
     assert len(pushes) == 4
     points = sorted({0, delta} | {cutoff + delta + j for cutoff, _ in pushes for j in (0, 1)})
     grid = grid_of(points)
     assert_push_matches_pull(instance, classes, plan, grid, EPS, read_all=True)
-    table = FullRowTable(instance, classes, plan, grid, EPS)
+    table = FullRowTable(instance, classes, plan, grid, EPS, rows)
     for cutoff, weight in pushes:
         assert cluster_value(table, 1, top, points.index(cutoff + delta)) == weight
         past = cluster_value(table, 1, top, points.index(cutoff + delta + 1))
@@ -933,20 +936,31 @@ def last_row_cases():
         yield forced_instance(seed, 8, 10), Fraction(4, 5)
 
 
+def assert_rows_list_their_states(table):
+    """Every filled row, the shared zero row included, lists the indices
+    that hold a value, ascending."""
+    for values, _, held in (table._zero, *table._rows.values()):
+        assert list(held) == [idx for idx, v in enumerate(values) if v is not None]
+
+
 def test_glue_answers_from_the_full_last_row():
     # the pruned rows give glue the full rows' target, backpointer and
     # weight, while building fewer frontiers; some cases floor their weights,
-    # and the forced-shape cases have two clusters in every plan, unfloored
+    # and the forced-shape cases have two clusters in every plan, unfloored.
+    # Both tables' rows list exactly the indices they hold
     built = {"pruned": 0, "full": 0}
     kinds = Counter()
     for instance, eps_public in last_row_cases():
         for core, classes, plan, grid, eps in solve_tables(instance, eps_public):
-            pruned = cluster_dp(core, classes, plan, grid, eps)
+            rows = class_rows(core, classes)
+            pruned = cluster_dp(core, classes, plan, grid, eps, rows)
             got = glue(plan, pruned)
             built["pruned"] += len(pruned._frontiers)
-            full = FullRowTable(core, classes, plan, grid, eps)
+            full = FullRowTable(core, classes, plan, grid, eps, rows)
             assert got == glue_from_full_rows(plan, full, core.n)
             built["full"] += len(full._frontiers)
+            assert_rows_list_their_states(pruned)
+            assert_rows_list_their_states(full)
             m, top, target = plan.num_clusters, max(classes.indices), last_target(pruned)
             link = pruned.backpointer(m, top, target)
             assert link == full.backpointer(m, top, target)
@@ -955,6 +969,88 @@ def test_glue_answers_from_the_full_last_row():
             kinds[plan.num_clusters, pruned._bounds[-1].g > 1] += 1
     assert built["pruned"] < built["full"]
     assert kinds[2, True] and kinds[2, False] and kinds[1, False]
+
+
+class RandomSkips:
+    """A cluster bound that caps no index and skips each predecessor at random."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def most(self, *args):
+        return 0
+
+    def skips(self, *args):
+        return self.rng.random() < 0.5
+
+
+def test_rows_list_the_indices_they_hold_on_hand_built_plans():
+    # every row of three tables on plans of two and three clusters: the
+    # pruned one read by glue, where rows of need > 0 hold no index 0 and
+    # some hold nothing; the full one read whole; and one whose bound skips
+    # predecessors at random, so later predecessors fill gaps and a row's
+    # indices need not be written in ascending order
+    rng = random.Random(4)
+    shapes = Counter()
+    for core, classes, plan, grid in itertools.islice(hand_built_plans(9), 30):
+        rows = class_rows(core, classes)
+        table = cluster_dp(core, classes, plan, grid, EPS, rows)
+        glue(plan, table)
+        assert_rows_list_their_states(table)
+        for _, _, held in table._rows.values():
+            shapes[plan.num_clusters, held[:1] == [0]] += 1
+        full = FullRowTable(core, classes, plan, grid, EPS, rows)
+        skipping = cluster_dp(core, classes, plan, grid, EPS, rows)
+        skipping._least_target, skipping._bounds = 0, (RandomSkips(rng),) * plan.num_clusters
+        for other in (full, skipping):
+            for m in range(plan.num_clusters + 1):
+                for ell in other._ell_states:
+                    other._row(m, ell)
+            assert_rows_list_their_states(other)
+    assert min(shapes[key] for key in itertools.product((2, 3), (False, True))) > 5
+
+
+def solve_recording_tables(monkeypatch, instance, eps_public):
+    """``solve_detailed``'s result, with the cluster DP tables it built in order."""
+    tables = []
+
+    def recorded(*args):
+        tables.append(cluster_dp(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(general, "cluster_dp", recorded)
+    return solve_detailed(instance, eps_public), tables
+
+
+@pytest.mark.parametrize("horizon, n, grids", [(10, 32, 1), (20, 16, 2)], ids=["T=10", "T=20"])
+def test_plans_of_one_cluster_count_share_one_grid(monkeypatch, horizon, n, grids):
+    # the instances of CI's forced multicluster rows: every T=10 plan has two
+    # clusters, T=20 plans three or four, and each count's grid is built
+    # once and read by every plan of that count
+    built = []
+    monkeypatch.setattr(general, "build_grid", lambda *args: built.append(args) or build_grid(*args))
+    _, tables = solve_recording_tables(monkeypatch, forced_instance(1, n, horizon), Fraction(4, 5))
+    assert len(built) == grids
+    by_count = {}
+    for table in tables:
+        assert by_count.setdefault(table.plan.num_clusters, table.grid) is table.grid
+    assert len(by_count) == grids < len(tables)
+
+
+@pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
+def test_every_table_of_a_solve_reads_its_class_rows(monkeypatch, cells):
+    # one set of class rows per solve, the very rows each table would have
+    # built for itself (``reference.table_class_rows``), also when a cell
+    # budget of 4 floors them
+    monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
+    shared = Counter()
+    for instance, eps_public in last_row_cases():
+        _, tables = solve_recording_tables(monkeypatch, instance, eps_public)
+        for table in tables:
+            assert table.class_rows is tables[0].class_rows
+            assert table.class_rows == table_class_rows(table)
+            shared[len(tables) > 1, table.class_rows[0] > 1] += 1
+    assert shared[True, cells == 4] > 0
 
 
 def assignment_weights(sub):
@@ -976,7 +1072,7 @@ def test_last_row_bound_is_admissible(monkeypatch, cells):
     for _ in range(15):
         instance = random_instance(rng, n_max=7, t_max=3)
         for core, classes, plan, grid, eps in solve_tables(instance, Fraction(1, 2)):
-            bound = cluster_dp(core, classes, plan, grid, eps)._bounds[-1]
+            bound = cluster_dp(core, classes, plan, grid, eps, class_rows(core, classes))._bounds[-1]
             assert (bound.g > 1) == (cells == 4 and core.capacities[-1] >= 4)
             top = max(classes.indices)
             for ell_prev in (-1,) + classes.indices:
@@ -1004,7 +1100,7 @@ def test_last_row_skips_exactly_what_a_linear_scan_rules_out():
     cases = Counter()
     for instance, eps_public in last_row_cases():
         for core, classes, plan, grid, eps in solve_tables(instance, eps_public):
-            bound = cluster_dp(core, classes, plan, grid, eps)._bounds[-1]
+            bound = cluster_dp(core, classes, plan, grid, eps, class_rows(core, classes))._bounds[-1]
             top, top_weight = max(classes.indices), core.capacities[-1]
             if top_weight > 100:
                 continue
@@ -1058,32 +1154,47 @@ def test_glue_builds_few_frontiers_on_the_benchmark(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, most",
-    [("general-uniform", 428), ("general-multicluster", 348), ("verify-small", 249)],
+    "name, most, grids, rows",
+    [("general-uniform", 428, 200, 400), ("general-multicluster", 348, 108, 108), ("verify-small", 249, 120, 240)],
     ids=["general-uniform", "general-multicluster", "verify-small"],
 )
-def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name, most):
+def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name, most, grids, rows):
     # each full seed-1 pool, as the benchmark builds it, counting the
     # general solves' frontiers; on general-multicluster, rows of earlier
     # clusters filled in full build 1,030; keeping only their states of
     # F >= L, 441; also skipping every predecessor that writes nothing
     # above need nor lighter at it, 395; taking L from cluster 1's chain
-    # alone, never building frontier (m, 0, top, 0) for m >= 2, 348
+    # alone, never building frontier (m, 0, top, 0) for m >= 2, 348.
+    # Grids and class knapsack rows (two ``knapsack_rows`` calls) in the same
+    # pass: one of each per plan built 216 grids and 432 row sets on
+    # general-multicluster; one grid per cluster count and one set of rows
+    # per solve, 108 and 108.  The other pools solve one plan each
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
-    built = []
+    built = Counter()
 
     class Counted(InverseFrontier):
         def __init__(self, *args):
-            built.append(1)
+            built["frontiers"] += 1
             super().__init__(*args)
 
+    def counted(name, fn):
+        def call(*args):
+            built[name] += 1
+            return fn(*args)
+
+        return call
+
     monkeypatch.setattr(general, "InverseFrontier", Counted)
+    monkeypatch.setattr(general, "build_grid", counted("grids", general.build_grid))
+    monkeypatch.setattr(general, "knapsack_rows", counted("rows", general.knapsack_rows))
     workload = workloads.WORKLOADS[name]
     for index in range(workload.pool):
         solve_detailed(workload.make(1, index), Fraction(workload.eps))
-    assert 0 < len(built) <= most
+    assert 0 < built["frontiers"] <= most
+    assert 0 < built["grids"] <= grids
+    assert 0 < built["rows"] <= rows
 
 
 def hand_built_plans(cells):
@@ -1138,8 +1249,9 @@ def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
     states = Counter()
     floored = 0
     for core, classes, plan, grid in itertools.islice(hand_built_plans(cells), 20):
-        full = FullRowTable(core, classes, plan, grid, EPS)
-        table = cluster_dp(core, classes, plan, grid, EPS)
+        rows = class_rows(core, classes)
+        full = FullRowTable(core, classes, plan, grid, EPS, rows)
+        table = cluster_dp(core, classes, plan, grid, EPS, rows)
         clusters, top = plan.num_clusters, max(classes.indices)
         assert full._row(clusters, top)[0][table._least_target] is not None
         floored += table._bounds[0].g > 1
@@ -1165,7 +1277,7 @@ def test_cluster_bounds_are_admissible_on_every_class_range(monkeypatch, cells):
     rng = random.Random(cells + 1)
     checked = Counter()
     for core, classes, plan, grid in itertools.islice(hand_built_plans(cells + 1), 12):
-        table = cluster_dp(core, classes, plan, grid, EPS)
+        table = cluster_dp(core, classes, plan, grid, EPS, class_rows(core, classes))
         for m, bound in enumerate(table._bounds, start=1):
             for ell_prev, ell in itertools.combinations(table._ell_states, 2):
                 sub = single_cluster_instance(core, classes, plan, m, ell_prev + 1, ell, 0).instance
@@ -1194,7 +1306,7 @@ def test_earlier_rows_skip_exactly_the_predecessors_that_cannot_reach_the_floor(
     rng = random.Random(7)
     cases = Counter()
     for core, classes, plan, grid in itertools.islice(hand_built_plans(7), 12):
-        table = cluster_dp(core, classes, plan, grid, EPS)
+        table = cluster_dp(core, classes, plan, grid, EPS, class_rows(core, classes))
         glue(plan, table)
         points, least = grid.values, table._least_target
         for m, ell in list(table._rows):
@@ -1233,7 +1345,7 @@ def test_each_row_needs_the_least_index_the_climb_lifts_to_the_floor(monkeypatch
         cases += solve_tables(workload.make(1, index), Fraction(workload.eps))
     rows = Counter()
     for core, classes, plan, grid, eps in cases:
-        table = cluster_dp(core, classes, plan, grid, eps)
+        table = cluster_dp(core, classes, plan, grid, eps, class_rows(core, classes))
         for m in range(1, plan.num_clusters + 1):
             for ell in classes.indices:
                 need = table._need(m, ell)
@@ -1249,7 +1361,7 @@ def test_each_row_needs_the_least_index_the_climb_lifts_to_the_floor(monkeypatch
     for core, classes, plan, grid in itertools.islice(hand_built_plans(5), 40):
         points, offsets = grid.values, grid.offsets
         for _ in range(5):
-            table = cluster_dp(core, classes, plan, grid, EPS)
+            table = cluster_dp(core, classes, plan, grid, EPS, class_rows(core, classes))
             table._least_target = rng.randrange(len(points))
             table._bounds = tuple(
                 FixedMost(max(points[j] - rng.choice(offsets[:j]) - rng.randint(0, 1), 0))
