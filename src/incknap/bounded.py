@@ -39,7 +39,13 @@ from .model import (
     remap_solution,
     validate,
 )
+from .oracle import BudgetExceeded
 from .statespace import Family, enumerate_family
+
+# Most entries (fitting cells times T+1 rows) one ``dp_solve`` table may hold.
+# A solve peaks near 260 bytes per entry, so this caps it near 2.2 GB; general
+# mode on gen --seed 1 --n 100 --t 4 at eps 1/2 needs 5,841,965 (1.5 GB peak).
+FAMILY_BUDGET = 2**23
 
 
 class ChainNotMonotone(ValueError):
@@ -131,6 +137,7 @@ def dp_solve(
     (G, -rank), G = prev - lam*profit and rank = count_sum*N + position, so
     equal G goes to the first predecessor in (count-sum, counts) order.
     The input is in integer units, unchecked here, so the rows hold ints.
+    Past ``FAMILY_BUDGET`` entries it raises BudgetExceeded before any row.
     """
     q = classes.eps.denominator
     active = interval.active
@@ -145,6 +152,9 @@ def dp_solve(
             for cell, weight, profit, total in walk
             for k in range(bisect_right(prefixes, top - weight))
         ]
+    horizon = len(capacities)
+    if len(walk) * (horizon + 1) > FAMILY_BUDGET:
+        raise BudgetExceeded(len(walk) * (horizon + 1), FAMILY_BUDGET, "family DP table of {} entries")
     cells, weights, profits, sums = zip(*walk)
     del walk
     size = len(cells)
@@ -158,7 +168,6 @@ def dp_solve(
     ]
     fill = [pos for pos, cell in enumerate(cells) if cell in family.cells]
 
-    horizon = len(capacities)
     raw: list[list[Optional[int]]] = [[None] * size for _ in range(horizon + 1)]
     back: list[list[Optional[int]]] = [[None] * size for _ in range(horizon + 1)]
     raw[0][0] = 0
@@ -359,7 +368,7 @@ def solve_inverse(instance: Instance, phi: Fraction, eps: Fraction) -> Optional[
     try:
         pre, remap = preprocess(instance)
     except AllLambdasZero:
-        return InverseResult(Solution.empty(instance.n), 0, 0, 0) if phi <= 0 else None
+        return InverseResult(Solution.empty(instance.n), Fraction(0), Fraction(0), Fraction(0)) if phi <= 0 else None
     scaled, value_unit, weight_unit = integer_units(pre)
     res = InverseFrontier(scaled, eps).query(Fraction(phi) * value_unit)
     if res is None:

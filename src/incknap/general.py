@@ -8,13 +8,13 @@ order-aligned profit-class ranges to clusters (uncrossing stars), which a
 minimum-weight DP over (cluster, top class, accumulated profit) recovers on
 a discretized profit grid, held once as ints over one unit, filling one row
 per (cluster, top class) by pushing each inverse frontier entry over the
-grid range it serves, found by bisecting those ints.  Each row lists the
-indices it holds, so the next row visits only those predecessors.  The
-per-cluster subproblems are inverse solves with capacities reduced by the
-weight already committed below.  A grid depends on its plan only through
-the cluster count, so a solve builds one grid per count; the class
-knapsack rows behind the bound below depend on no plan, and a solve
-builds them once.
+grid range it serves, found by bisecting those ints.  Each row maps the
+indices it holds, ascending, to their weight and backpointer, so the next
+row visits only those predecessors.  The per-cluster subproblems are
+inverse solves with capacities reduced by the weight already committed
+below.  A grid depends on its plan only through the cluster count, so a
+solve builds one grid per count; the class knapsack rows behind the bound
+below depend on no plan, and a solve builds them once.
 
 Gluing reads one state of the last row, its most profitable feasible one,
 and the chain of backpointers below it; every row is filled as a branch
@@ -202,7 +202,8 @@ def single_cluster_instance(
 class ClusterDPTable:
     """Min-weight table over (cluster, class, grid profit), one row per (m, ell).
 
-    A row is filled on first read by pushing each feasible state (m-1,
+    A row maps each index it holds, ascending, to (weight, backpointer).
+    It is filled on first read by pushing each feasible state (m-1,
     ell_prev, idx_prev) through cluster m's frontier on classes
     ell_prev+1..ell, at capacities reduced by that state's weight: each
     frontier entry serves the contiguous range of indices idx whose
@@ -225,18 +226,17 @@ class ClusterDPTable:
     states from need on, and skips, never building its frontier, each
     predecessor that ``_ClusterBound.skips`` shows writes nothing above
     reach nor strictly lighter than the weight at reach.  Reach is need; in
-    the last row, read by ``glue`` for its highest feasible index (the
-    target) and that index's backpointer alone, it rises to the highest
-    index written, never past the full row's target.  So a skipped
-    predecessor writes nothing at a kept state of rows m < M, or at the
-    target, lighter than a kept push before it, and the kept pushes keep
-    their order.  By induction over m, the kept states of rows m < M hold
-    the full table's values and backpointers (a predecessor that pushes into
-    one has F >= L, so it is kept, with its full value), and the target and
-    its first lightest push are the full row's; each state of its chain has
-    F at least the target, hence at least L.  Rows with no cluster or no
-    class share one zero row: a zero state of F < L writes only below need,
-    so ``skips`` drops it.
+    the last row, read by ``glue`` for its last key (the target) and that
+    key's backpointer alone, it rises to the highest index written, never
+    past the full row's target.  So a skipped predecessor writes nothing at
+    a kept state of rows m < M, or at the target, lighter than a kept push
+    before it, and the kept pushes keep their order.  By induction over m,
+    the kept states of rows m < M hold the full table's weights and
+    backpointers (a predecessor that pushes into one has F >= L, so it is
+    kept, with its full weight), and the target and its first lightest push
+    are the full row's; each state of its chain has F at least the target,
+    hence at least L.  Rows with no cluster or no class share one zero row:
+    a zero state of F < L writes only below need, so ``skips`` drops it.
     """
 
     instance: Instance
@@ -247,12 +247,11 @@ class ClusterDPTable:
     class_rows: tuple[int, dict, dict]  # ``class_rows(instance, classes)``
 
     def __post_init__(self):
-        self._rows: dict[tuple[int, int], tuple[list, list, list]] = {}
+        self._rows: dict[tuple[int, int], dict] = {}
         self._frontiers: dict[tuple, tuple[InverseFrontier, SingleClusterInstance, list[tuple[int, int]]]] = {}
         self._sub_eps = accuracy_budget(self.eps, 3)
         self._ell_states = (-1,) + self.classes.indices
-        size = len(self.grid.values)  # build_grid puts 0 at index 0 only
-        self._zero = [0] + [None] * (size - 1), [None] * size, (0,)
+        self._zero = {0: (0, None)}  # build_grid puts 0 at index 0 only
 
     def _frontier(self, m: int, lo: int, hi: int, omega: int):
         key = (m, lo, hi, omega)
@@ -265,11 +264,12 @@ class ClusterDPTable:
             self._frontiers[key] = (frontier, sub, pushes)
         return self._frontiers[key]
 
-    def _row(self, m: int, ell: int) -> tuple[list, list, list]:
-        """Row (m, ell), filled and kept on first read: the states from
-        index ``_need`` on, as values, backpointers and the ascending
-        indices that hold a value.  A predecessor is pushed unless cluster
-        m's ``_ClusterBound.skips`` rules it out at reach and the weight held
+    def _row(self, m: int, ell: int) -> dict:
+        """Row (m, ell), filled and kept on first read: its states from
+        index ``_need`` on, each index mapped to (weight, link), link the
+        (ell_prev, idx_prev, weight) of its first lightest predecessor, in
+        ascending index order.  A predecessor is pushed unless cluster m's
+        ``_ClusterBound.skips`` rules it out at reach and the weight held
         there; reach starts at need and, in the last row alone, rises to
         the highest index written.  Rows with no cluster or no class are
         one shared zero row."""
@@ -279,39 +279,29 @@ class ClusterDPTable:
             return self._rows[m, ell]
         points, offsets = self.grid.values, self.grid.offsets
         need = self._need(m, ell)
-        values: list = [None] * len(points)
-        back: list = [None] * len(points)
-        held = []
-        if need == 0:
-            values[0] = 0
-            held.append(0)
+        row = {0: (0, None)} if need == 0 else {}
         last, reach, skips = m == self.plan.num_clusters, need, self._bounds[m - 1].skips
         # the (ell_prev, idx_prev) order and a strict < keep the first lightest move
         for ell_prev in self._ell_states:
             if ell_prev > ell:
                 break
-            prev_values, _, prev_held = self._row(m - 1, ell_prev)
-            for idx_prev in prev_held:
-                prev, offset = prev_values[idx_prev], offsets[idx_prev]
-                if skips(ell_prev, ell, prev, offset, reach, values[reach]):
+            for idx_prev, (prev, _) in self._row(m - 1, ell_prev).items():
+                offset, held = offsets[idx_prev], row.get(reach)
+                if skips(ell_prev, ell, prev, offset, reach, None if held is None else held[0]):
                     continue
-                lo = max(idx_prev, need, 1)
+                lo, link = max(idx_prev, need, 1), (ell_prev, idx_prev, prev)
                 for cutoff, cand in self._frontier(m, ell_prev + 1, ell, prev)[2]:
                     hi = bisect_right(points, cutoff + offset, lo)
                     for idx in range(lo, hi):
-                        old = values[idx]
-                        if old is None:
-                            held.append(idx)
-                        elif cand >= old:
-                            continue
-                        values[idx] = cand
-                        back[idx] = (ell_prev, idx_prev, prev)
+                        old = row.get(idx)
+                        if old is None or cand < old[0]:
+                            row[idx] = cand, link
                     lo = hi
                 # the empty entry serves offset > points[idx_prev], so every
                 # index from the first pushed up to lo - 1 now holds a value
                 if last:
                     reach = max(reach, lo - 1)
-        self._rows[m, ell] = row = values, back, sorted(held)
+        self._rows[m, ell] = row = dict(sorted(row.items()))
         return row
 
     def _need(self, m: int, ell: int) -> int:
@@ -341,7 +331,7 @@ class ClusterDPTable:
 
     def backpointer(self, m: int, ell: int, phi_idx: int) -> Optional[tuple[int, int, int]]:
         """(ell_prev, idx_prev, its weight) of the winning predecessor, if any."""
-        return self._row(m, ell)[1][phi_idx]
+        return self._row(m, ell).get(phi_idx, (None, None))[1]
 
     def transition(self, m: int, ell: int, phi_idx: int) -> tuple[int, int, Solution, SingleClusterInstance]:
         """(ell_prev, idx_prev, solution, SingleClusterInstance) of cluster m's
@@ -457,7 +447,7 @@ def glue(plan: ClusterPlan, table: ClusterDPTable) -> tuple[Solution, Fraction]:
     glued solution.  Returns it with the certified grid profit.
     """
     m, ell = plan.num_clusters, table.classes.indices[-1]
-    target_idx = table._row(m, ell)[2][-1]
+    target_idx = next(reversed(table._row(m, ell)))
     intro: list[Optional[int]] = [None] * table.instance.n
     idx = target_idx
     # a feasible state past index 0 got its backpointer with its value

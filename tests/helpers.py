@@ -371,7 +371,8 @@ def dp_value(table: BoundedDPTable, t: int, cell: int) -> Optional[Fraction]:
 def cluster_value(table: ClusterDPTable, m: int, ell: int, phi_idx: int) -> Optional[int]:
     """The cluster DP's least weight at state (m, ell, phi_idx), read off its
     row, or None when the state is infeasible."""
-    return table._row(m, ell)[0][phi_idx]
+    state = table._row(m, ell).get(phi_idx)
+    return None if state is None else state[0]
 
 
 def climb(table: ClusterDPTable, m: int, ell: int, idx: int) -> int:

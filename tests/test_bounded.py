@@ -48,7 +48,7 @@ from incknap.model import (
     objective,
     preprocess,
 )
-from incknap.oracle import exact_inverse, exact_opt
+from incknap.oracle import BudgetExceeded, exact_inverse, exact_opt
 from reference import exact_restricted_dp
 from incknap.statespace import enumerate_family
 
@@ -88,6 +88,22 @@ def test_dp_solve_hand_rollout():
     assert dp_value(table, 1, by_counts[(2,)]) is None  # weight 3 over W_1
     assert dp_value(table, 2, by_counts[(0,)]) == 0
     assert cell_chain(table, by_counts[(2,)]) == [(1,), (2,)]
+
+
+def test_dp_solve_refuses_a_table_past_the_family_budget(monkeypatch):
+    # a table of exactly FAMILY_BUDGET entries (fitting cells times T+1
+    # rows) is built; one entry more is refused with the count it needs
+    instance = Instance.build(items=[(1, 1), (1, 2), (3, 2)], capacities=[2, 4], lambdas=[1, 1])
+    classes = build_classes(instance, EPS)
+    interval = make_interval(classes, classes.indices[0], classes.indices[-1])
+    family = family_for(instance, classes, interval)
+    entries = len(dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas).cells) * 3
+    monkeypatch.setattr(bounded, "FAMILY_BUDGET", entries)
+    dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
+    monkeypatch.setattr(bounded, "FAMILY_BUDGET", entries - 1)
+    with pytest.raises(BudgetExceeded) as info:
+        dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
+    assert (info.value.required, info.value.budget) == (entries, entries - 1)
 
 
 def test_dp_zero_vector_reachable_every_period():
@@ -473,6 +489,16 @@ def test_solve_inverse_drops_zero_lambda_periods():
     zero = Instance.build(items=[(2, 1)], capacities=[2, 3], lambdas=[0, 0])
     assert solve_inverse(zero, Fraction(0), EPS).solution.intro == (None,)
     assert solve_inverse(zero, Fraction(1), EPS) is None
+
+
+@pytest.mark.parametrize("lambdas", [[1, 1], [0, 0]], ids=["frontier", "all-zero-lambdas"])
+def test_solve_inverse_answers_in_fractions(lambdas):
+    # every lambda zero returns before any frontier is built, and must
+    # still answer in the frontier path's types
+    instance = Instance.build(items=[(2, 1), (3, 2)], capacities=[2, 3], lambdas=lambdas)
+    result = solve_inverse(instance, Fraction(0), EPS)
+    assert result.solution.intro == (None, None)
+    assert [type(v) for v in (result.rounded_profit, result.true_profit, result.weight)] == [Fraction] * 3
 
 
 def test_solve_inverse_super_optimality_sweep():

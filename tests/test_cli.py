@@ -249,6 +249,20 @@ def test_cmd_solve_general_grid_budget_exits_3(tmp_path, capsys):
     assert captured.err == "general mode budget exceeded: profit grid of at least 32769 points exceeds budget 32768\n"
 
 
+@pytest.mark.parametrize("mode", ["general", "bounded"])
+def test_cmd_solve_family_budget_exits_3(tmp_path, capsys, monkeypatch, mode):
+    # every table of T=2 holds at least 3 entries (the zero cell's rows), so
+    # a budget of 2 refuses the first one before any row is built
+    monkeypatch.setattr(cli.bounded, "FAMILY_BUDGET", 2)
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(generate_instance(3, 3, 2, "uniform")))
+    assert main(["solve", str(path), "--mode", mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{mode} mode budget exceeded: family DP table of ")
+    assert captured.err.endswith(" entries exceeds budget 2\n") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "mode, eps, instance",
     [

@@ -679,8 +679,7 @@ def test_cluster_dp_lower_bounds_exact_stars_value():
 
 def last_target(table):
     """The highest feasible index of the table's last row (M, top class)."""
-    values = table._row(table.plan.num_clusters, max(table.classes.indices))[0]
-    return max(idx for idx, value in enumerate(values) if value is not None)
+    return max(table._row(table.plan.num_clusters, max(table.classes.indices)))
 
 
 def step_weight(table, m, ell, idx):
@@ -936,18 +935,17 @@ def last_row_cases():
         yield forced_instance(seed, 8, 10), Fraction(4, 5)
 
 
-def assert_rows_list_their_states(table):
-    """Every filled row, the shared zero row included, lists the indices
-    that hold a value, ascending."""
-    for values, _, held in (table._zero, *table._rows.values()):
-        assert list(held) == [idx for idx, v in enumerate(values) if v is not None]
+def assert_rows_ascend(table):
+    """Every filled row, the shared zero row included, holds its indices ascending."""
+    for row in (table._zero, *table._rows.values()):
+        assert list(row) == sorted(row)
 
 
 def test_glue_answers_from_the_full_last_row():
     # the pruned rows give glue the full rows' target, backpointer and
     # weight, while building fewer frontiers; some cases floor their weights,
     # and the forced-shape cases have two clusters in every plan, unfloored.
-    # Both tables' rows list exactly the indices they hold
+    # Both tables' rows hold their indices in ascending order
     built = {"pruned": 0, "full": 0}
     kinds = Counter()
     for instance, eps_public in last_row_cases():
@@ -959,8 +957,8 @@ def test_glue_answers_from_the_full_last_row():
             full = FullRowTable(core, classes, plan, grid, eps, rows)
             assert got == glue_from_full_rows(plan, full, core.n)
             built["full"] += len(full._frontiers)
-            assert_rows_list_their_states(pruned)
-            assert_rows_list_their_states(full)
+            assert_rows_ascend(pruned)
+            assert_rows_ascend(full)
             m, top, target = plan.num_clusters, max(classes.indices), last_target(pruned)
             link = pruned.backpointer(m, top, target)
             assert link == full.backpointer(m, top, target)
@@ -996,9 +994,9 @@ def test_rows_list_the_indices_they_hold_on_hand_built_plans():
         rows = class_rows(core, classes)
         table = cluster_dp(core, classes, plan, grid, EPS, rows)
         glue(plan, table)
-        assert_rows_list_their_states(table)
-        for _, _, held in table._rows.values():
-            shapes[plan.num_clusters, held[:1] == [0]] += 1
+        assert_rows_ascend(table)
+        for row in table._rows.values():
+            shapes[plan.num_clusters, 0 in row] += 1
         full = FullRowTable(core, classes, plan, grid, EPS, rows)
         skipping = cluster_dp(core, classes, plan, grid, EPS, rows)
         skipping._least_target, skipping._bounds = 0, (RandomSkips(rng),) * plan.num_clusters
@@ -1006,7 +1004,7 @@ def test_rows_list_the_indices_they_hold_on_hand_built_plans():
             for m in range(plan.num_clusters + 1):
                 for ell in other._ell_states:
                     other._row(m, ell)
-            assert_rows_list_their_states(other)
+            assert_rows_ascend(other)
     assert min(shapes[key] for key in itertools.product((2, 3), (False, True))) > 5
 
 
@@ -1253,14 +1251,12 @@ def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
         full = FullRowTable(core, classes, plan, grid, EPS, rows)
         table = cluster_dp(core, classes, plan, grid, EPS, rows)
         clusters, top = plan.num_clusters, max(classes.indices)
-        assert full._row(clusters, top)[0][table._least_target] is not None
+        assert table._least_target in full._row(clusters, top)
         floored += table._bounds[0].g > 1
         memo = {}
         for m in range(clusters):
             for ell in table._ell_states:
-                for idx, omega in enumerate(full._row(m, ell)[0]):
-                    if omega is None:
-                        continue
+                for idx, (omega, _) in full._row(m, ell).items():
                     bound = climb(table, m, ell, idx)
                     assert highest_reach(full, m, ell, idx, omega, memo) <= bound
                     states[clusters, bound < table._least_target] += 1
