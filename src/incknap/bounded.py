@@ -20,7 +20,7 @@ times (1/eps)**l_top, so it runs on ints, and Fractions appear only in answers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
@@ -39,13 +39,7 @@ from .model import (
     remap_solution,
     validate,
 )
-from .oracle import BudgetExceeded
 from .statespace import Family, enumerate_family
-
-# Most entries (fitting cells times T+1 rows) one ``dp_solve`` table may hold.
-# A solve peaks near 260 bytes per entry, so this caps it near 2.2 GB; general
-# mode on gen --seed 1 --n 100 --t 4 at eps 1/2 needs 5,841,965 (1.5 GB peak).
-FAMILY_BUDGET = 2**23
 
 
 class ChainNotMonotone(ValueError):
@@ -77,18 +71,15 @@ def accuracy_budget(eps, losses: int) -> Fraction:
 class BoundedDPTable:
     """Restricted DP values per (period, fitting cell), with backpointers.
 
-    ``cells`` lists, in ascending order, the lattice cells weighing at most
-    the largest capacity, and ``weights`` their weights; rows are indexed
-    by position in that list.  ``raw[t][i]`` holds the rounded-profit value
-    times ``value_den``, an int in integer units (None = unreachable, not a
-    family member, or heavier than period t's capacity), and ``back[t][i]``
-    the position of its predecessor.
+    Rows are indexed by position in ``family.cells``, the lattice cells
+    weighing at most the largest capacity.  ``raw[t][i]`` holds the
+    rounded-profit value times ``value_den``, an int in integer units (None
+    = unreachable, not a family member, or heavier than period t's
+    capacity), and ``back[t][i]`` the position of its predecessor.
     """
 
     interval: ClassInterval
     family: Family
-    cells: tuple[int, ...]
-    weights: tuple
     raw: list[list[Optional[int]]]
     back: list[list[Optional[int]]]
     value_den: int
@@ -98,7 +89,7 @@ class BoundedDPTable:
         horizon = len(self.raw) - 1
         out: list[tuple[int, ...]] = []
         for t in range(horizon, 0, -1):
-            out.append(self.family.counts(self.cells[pos]))
+            out.append(self.family.counts(self.family.cells[pos]))
             pos = self.back[t][pos]
         out.reverse()
         return out
@@ -120,13 +111,11 @@ def dp_solve(
 ) -> BoundedDPTable:
     """Run the family-restricted DP over the horizon, one row per fitting cell.
 
-    Only the lattice cells weighing at most the largest capacity can hold a
-    value, so they are the DP's index set.  A walk builds them axis by axis
-    in ascending cell order, carrying each cell's weight, lifted rounded
-    profit and count sum; class prefix sums never decrease along an axis,
-    so each axis is cut, exactly, at the first count past the capacity left.
-    That set is closed downwards: what a sweep would carry into a cell
-    outside it flows only to cells above it, outside the set too.
+    ``family`` was cut at max(capacities), so its cells, the lattice cells
+    weighing at most that, are the only ones that can hold a value, and
+    they are the DP's index set.  That set is closed downwards: what a sweep
+    would carry into a cell outside it flows only to cells above it, outside
+    the set too.
 
     Transition: a vector extends the best coordinatewise-smaller reachable
     vector, paying the marginal count difference at the period's
@@ -137,28 +126,12 @@ def dp_solve(
     (G, -rank), G = prev - lam*profit and rank = count_sum*N + position, so
     equal G goes to the first predecessor in (count-sum, counts) order.
     The input is in integer units, unchecked here, so the rows hold ints.
-    Past ``FAMILY_BUDGET`` entries it raises BudgetExceeded before any row.
     """
-    q = classes.eps.denominator
-    active = interval.active
-    ltop = max(active) if active else 0
-    value_den = q**ltop
-    top = max(capacities)
-    walk = [(0, 0, 0, 0)]  # (cell, weight, lifted profit, count sum)
-    for level, stride, values, prefixes in zip(active, family.strides, family.values, family.prefixes):
-        lift = (q + 1) ** level * q ** (ltop - level)
-        walk = [
-            (cell + k * stride, weight + prefixes[k], profit + lift * values[k], total + values[k])
-            for cell, weight, profit, total in walk
-            for k in range(bisect_right(prefixes, top - weight))
-        ]
+    value_den = classes.eps.denominator ** max(interval.active, default=0)
+    cells, weights, profits = family.cells, family.weights, family.profits
     horizon = len(capacities)
-    if len(walk) * (horizon + 1) > FAMILY_BUDGET:
-        raise BudgetExceeded(len(walk) * (horizon + 1), FAMILY_BUDGET, "family DP table of {} entries")
-    cells, weights, profits, sums = zip(*walk)
-    del walk
     size = len(cells)
-    ranks = [-(total * size + pos) for pos, total in enumerate(sums)]
+    ranks = [-(total * size + pos) for pos, total in enumerate(family.sums)]
     # per axis, each position past its line's first count with the position
     # of the cell one count below
     at = {cell: pos for pos, cell in enumerate(cells)}
@@ -166,7 +139,6 @@ def dp_solve(
         [(pos, at[cell - stride]) for pos, cell in enumerate(cells) if cell // stride % len(values)]
         for stride, values in zip(family.strides, family.values)
     ]
-    fill = [pos for pos, cell in enumerate(cells) if cell in family.cells]
 
     raw: list[list[Optional[int]]] = [[None] * size for _ in range(horizon + 1)]
     back: list[list[Optional[int]]] = [[None] * size for _ in range(horizon + 1)]
@@ -186,12 +158,12 @@ def dp_solve(
                     keys[pos] = key
         cur_row = raw[t]
         back_row = back[t]
-        for pos in fill:
+        for pos in family.members:
             key = keys[pos]
             if key and weights[pos] <= cap:
                 cur_row[pos] = lam * profits[pos] + key[0]
                 back_row[pos] = -key[1] % size
-    return BoundedDPTable(interval, family, cells, weights, raw, back, value_den)
+    return BoundedDPTable(interval, family, raw, back, value_den)
 
 
 def prefix_to_solution(
@@ -248,14 +220,14 @@ class InverseFrontier:
     is dominated when its classes are all light (at most 1/eps items) and
     its active set is a proper subset of another window's or equal to an
     earlier window's; those relations end at a window that gets a table.
-    Every family holds the light box of its window (counts up to
-    min(1/eps, |P_l|) per class).  So a vector with every count at most
-    1/eps, call it boxed, and every vector below it lie in the family of
-    each window whose classes include its nonzero ones.  Its DP value
-    depends only on those vectors' weights, lifted profits and relative
-    (count-sum, counts) order, which zero coordinates keep; so each such
-    window reaches it with the same weight, lifted value and chain, and a
-    dominated window, all of whose vectors are boxed, adds only copies.
+    Every family holds the light box of its window (counts up to min(1/eps,
+    |P_l|) per class) within the largest capacity.  So a fitting vector with
+    every count at most 1/eps, call it boxed, and every vector below it lie
+    in the family of each window whose classes include its nonzero ones.
+    Its DP value depends only on those vectors' weights, lifted profits and
+    relative (count-sum, counts) order, which zero coordinates keep; so each
+    such window reaches it with the same weight, lifted value and chain, and
+    a dominated window, all of whose vectors are boxed, adds only copies.
 
     The merge keeps the all-windows tie rule (equal (weight, value) goes to
     the earliest window in candidate order, then the first vector in its
@@ -290,7 +262,7 @@ class InverseFrontier:
                 instance.items[i][1] for l in interval.active for i in classes.members[l]
             ]
             wrange = (min(item_weights), max(item_weights))
-            family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights))
+            family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights), instance.capacities)
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             tables.append((index, table))
 
@@ -298,7 +270,7 @@ class InverseFrontier:
             _, _, index, table, pos = entry
             if table is None:
                 return (-1,)
-            counts = dict(zip(table.interval.active, table.family.counts(table.cells[pos])))
+            counts = dict(zip(table.interval.active, table.family.counts(table.family.cells[pos])))
             used = {l for l, c in counts.items() if c}
             if all(c <= q for c in counts.values()):
                 index = next(i for i, w in enumerate(windows) if used <= w)
@@ -312,7 +284,7 @@ class InverseFrontier:
             lift = top // table.value_den
             for pos, v in enumerate(table.raw[-1]):
                 if v is not None:
-                    entries.append((table.weights[pos], v * lift, index, table, pos))
+                    entries.append((table.family.weights[pos], v * lift, index, table, pos))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1

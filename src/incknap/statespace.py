@@ -12,46 +12,58 @@ short table of reachable truncated counts, each with its least mu; a tuple
 of them is reachable exactly when those least multipliers fit the counting
 cap.  The power-of-two bases come from bit lengths of ints.  The family is
 these heavy tuples crossed with the free light ranges, never the
-exponential vector space.  It is held as member cells of the product
-lattice of per-class counts (``Family``): weights and profits are sums of
-one term per class, so the DP builds them per cell as it walks the cells
-that fit instead of building one object per member.
+exponential vector space.  It is held as the lattice of per-class counts
+cut at the solve's largest capacity (``Family``): weights, profits and
+tuple masks combine one term per class, so one walk builds them per cell
+for the cells that fit, instead of building one object per member.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .classes import ClassInterval, ProfitClasses
+from .oracle import BudgetExceeded
+
+
+# Most entries (fitting cells times T+1 rows) one family's DP table may hold.
+# A solve peaks near 260 bytes per entry, so this caps it near 2.2 GB; general
+# mode on gen --seed 1 --n 100 --t 4 at eps 1/2 needs 5,841,965 (1.5 GB peak).
+FAMILY_BUDGET = 2**23
 
 
 @dataclass(frozen=True)
 class Family:
-    """Pruned family: member cells of the lattice of per-class counts.
+    """Pruned family, cut at a capacity: the lattice cells of per-class counts that fit.
 
     Axis pos (``interval.active`` order) takes the members' sorted distinct
-    counts ``values[pos]``, weighing ``prefixes[pos]`` (class prefix sums).
-    A cell numbers counts in mixed radix, last class fastest, so cell order
-    is lexicographic and cell 0 is the zero vector.  ``cells`` is the member
-    set, the range of every lattice cell when all are members; either way a
-    member test is O(1).
+    counts ``values[pos]``.  A cell numbers counts in mixed radix, last class
+    fastest, so cell order is lexicographic and cell 0 is the zero vector.
+    ``cells`` lists, ascending, the lattice cells weighing at most the cut,
+    members or not; ``weights``, ``profits`` (rounded profits times
+    (1/eps)**l_top, ints) and ``sums`` (count sums) are their columns, and
+    ``members`` the positions of the member cells, which ``len`` counts.
     """
 
     values: tuple[tuple[int, ...], ...]
-    prefixes: tuple[tuple, ...]
-    cells: Collection[int]
+    cells: tuple[int, ...]
+    weights: tuple
+    profits: tuple[int, ...]
+    sums: tuple[int, ...]
+    members: list[int]
 
     @cached_property
     def strides(self) -> list[int]:
         return [math.prod(map(len, self.values[pos + 1 :])) for pos in range(len(self.values))]
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.members)
 
     def counts(self, cell: int) -> tuple[int, ...]:
         return tuple(values[cell // s % len(values)] for values, s in zip(self.values, self.strides))
@@ -135,33 +147,48 @@ def enumerate_family(
     eps: Fraction,
     weight_range: tuple[Fraction, Fraction],
     n: int,
+    capacities: Sequence,
 ) -> Family:
-    """Directly enumerate a superset of the truncated up-rounding image.
+    """Directly enumerate a superset of the truncated up-rounding image, cut at max(capacities).
 
     The members are the reachable truncated heavy tuples of
     ``heavy_configurations`` and the all-light tuple, each crossed with the
     light counts [0, min(1/eps, |P_l|)] of its open classes.  Extra vectors
     beyond the exact image are harmless: the DP only gains actions and
-    enforces feasibility itself.  When no tuple fixes two classes (every
-    all-light or one-heavy window) every lattice cell is a member; else the
-    members are the union over tuples of sums of one cell offset per axis.
+    enforces feasibility itself.
+
+    One walk lists the cells axis by axis in ascending cell order, carrying
+    each cell's weight, lifted profit, count sum and tuple mask; class
+    prefix sums never decrease along an axis, so each axis is cut, exactly,
+    at the first count past the capacity left.  Tuple i owns bit i, and an
+    axis count carries the bits of the tuples it agrees with (the tuple
+    fixes that count, or leaves the class open and the count is light); a
+    cell is a member when its counts' masks share a bit.  Before each axis
+    the walk sums the cells it will hold, and raises BudgetExceeded when
+    that count times T+1 rows passes ``FAMILY_BUDGET``.
     """
-    threshold = eps.denominator
-    light = [range(min(threshold, classes.size(l)) + 1) for l in interval.active]
-    partials = {(None,) * len(interval.active), *heavy_configurations(classes, interval, eps, weight_range, n)}
-    values = [sorted({*r, *(p[pos] for p in partials if p[pos] is not None)}) for pos, r in enumerate(light)]
-    family = Family(
-        values=tuple(map(tuple, values)),
-        prefixes=tuple(tuple(classes.prefix[l][v] for v in vals) for l, vals in zip(interval.active, values)),
-        cells=range(math.prod(map(len, values))),
-    )
-    if all(len(p) - p.count(None) <= 1 for p in partials):
-        return family
-    offsets = [{v: k * s for k, v in enumerate(vals)} for vals, s in zip(values, family.strides)]
-    cells: set[int] = set()
-    for partial in partials:
-        sums = [0]
-        for c, r, at in zip(partial, light, offsets):
-            sums = [total + at[v] for total in sums for v in (r if c is None else (c,))]
-        cells.update(sums)
-    return replace(family, cells=frozenset(cells))
+    q = eps.denominator
+    ltop = max(interval.active, default=0)
+    top, rows = max(capacities), len(capacities) + 1
+    light = [min(q, classes.size(l)) for l in interval.active]
+    partials = [*{(None,) * len(light), *heavy_configurations(classes, interval, eps, weight_range, n)}]
+    values = [sorted({*range(r + 1), *(p[pos] for p in partials if p[pos] is not None)}) for pos, r in enumerate(light)]
+    walk = [(0, 0, 0, 0, (1 << len(partials)) - 1)]  # (cell, weight, lifted profit, count sum, mask)
+    for pos, (level, vals) in enumerate(zip(interval.active, values)):
+        prefixes = [classes.prefix[level][v] for v in vals]
+        lift = (q + 1) ** level * q ** (ltop - level)
+        agree = [
+            sum(1 << i for i, p in enumerate(partials) if p[pos] == v or p[pos] is None and v <= light[pos])
+            for v in vals
+        ]
+        cuts = [bisect_right(prefixes, top - weight) for _, weight, _, _, _ in walk]
+        if sum(cuts) * rows > FAMILY_BUDGET:
+            raise BudgetExceeded(sum(cuts) * rows, FAMILY_BUDGET, "family DP table of {} entries")
+        walk = [
+            (cell * len(vals) + k, weight + prefixes[k], profit + lift * vals[k], total + vals[k], mask & agree[k])
+            for (cell, weight, profit, total, mask), cut in zip(walk, cuts)
+            for k in range(cut)
+        ]
+    cells, weights, profits, sums, masks = zip(*walk)
+    members = [pos for pos, mask in enumerate(masks) if mask]
+    return Family(tuple(map(tuple, values)), cells, weights, profits, sums, members)

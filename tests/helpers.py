@@ -325,40 +325,54 @@ class PullClusterTable:
         return self._back.get((m, ell, phi_idx))
 
 
-def family_of(classes: ProfitClasses, interval: ClassInterval, vectors) -> Family:
-    """A ``Family`` holding exactly the given count vectors: each axis takes
-    the counts the vectors use, and a member's cell is its mixed-radix
-    number, last class fastest."""
+def family_of(classes: ProfitClasses, interval: ClassInterval, vectors, capacities) -> Family:
+    """A ``Family`` holding exactly the given count vectors, cut at
+    max(capacities): each axis takes the counts the vectors use, the cells
+    are the lattice's mixed-radix numbers (last class fastest) whose vectors
+    weigh at most the cut, with their weights, lifted rounded profits and
+    count sums, and the members are the given vectors among them."""
     vectors = set(vectors)
     values = tuple(tuple(sorted({c[pos] for c in vectors})) for pos in range(len(interval.active)))
-    prefixes = tuple(tuple(classes.prefix[l][v] for v in vals) for l, vals in zip(interval.active, values))
+    q = int(1 / classes.eps)
+    ltop = max(interval.active, default=0)
+    columns = []
+    for cell, counts in enumerate(itertools.product(*values)):
+        weight = sum(classes.prefix[l][c] for l, c in zip(interval.active, counts))
+        if weight <= max(capacities):
+            profit = sum((q + 1) ** l * q ** (ltop - l) * c for l, c in zip(interval.active, counts))
+            columns.append((cell, weight, profit, sum(counts), counts in vectors))
+    cells, weights, profits, sums, member = zip(*columns)
+    return Family(values, cells, weights, profits, sums, [pos for pos, m in enumerate(member) if m])
 
-    def cell(counts):
-        out = 0
-        for c, vals in zip(counts, values):
-            out = out * len(vals) + vals.index(c)
-        return out
 
-    return Family(values=values, prefixes=prefixes, cells=sorted(map(cell, vectors)))
+def uncut(classes: ProfitClasses, interval: ClassInterval) -> list:
+    """One capacity every lattice cell fits: the interval's full class weights."""
+    return [sum(classes.prefix[l][-1] for l in interval.active)]
+
+
+def member_cells(family: Family) -> list[int]:
+    """The member cells, ascending."""
+    return [family.cells[pos] for pos in family.members]
 
 
 def lattice_size(family: Family) -> int:
-    """The number of lattice cells, members or not."""
+    """The number of lattice cells, fitting or not, members or not."""
     return math.prod(map(len, family.values))
 
 
-def lattice_weights(family: Family) -> list:
+def lattice_weights(classes: ProfitClasses, interval: ClassInterval, family: Family) -> list:
     """The weight of every lattice cell, in cell order."""
     weights = [0]
-    for prefixes in family.prefixes:
-        weights = [w + x for w in weights for x in prefixes]
+    for level, values in zip(interval.active, family.values):
+        weights = [w + classes.prefix[level][v] for w in weights for v in values]
     return weights
 
 
 def position(table: BoundedDPTable, cell: int) -> Optional[int]:
     """A lattice cell's position in the table's rows, None when it does not fit."""
-    pos = bisect_left(table.cells, cell)
-    return pos if pos < len(table.cells) and table.cells[pos] == cell else None
+    cells = table.family.cells
+    pos = bisect_left(cells, cell)
+    return pos if pos < len(cells) and cells[pos] == cell else None
 
 
 def dp_value(table: BoundedDPTable, t: int, cell: int) -> Optional[Fraction]:
@@ -413,10 +427,11 @@ def lattice_rows(table: BoundedDPTable, t: int) -> tuple[list, list]:
     a cell that does not fit reads None in both."""
     raw: list = [None] * lattice_size(table.family)
     back: list = [None] * lattice_size(table.family)
-    for pos, cell in enumerate(table.cells):
+    cells = table.family.cells
+    for pos, cell in enumerate(cells):
         raw[cell] = table.raw[t][pos]
         if table.back[t][pos] is not None:
-            back[cell] = table.cells[table.back[t][pos]]
+            back[cell] = cells[table.back[t][pos]]
     return raw, back
 
 
@@ -432,13 +447,12 @@ def cell_chain(table: BoundedDPTable, cell: int) -> list[tuple[int, ...]]:
 
 def members(family: Family) -> list[tuple[tuple[int, ...], Fraction]]:
     """(counts, weight) of every member, in cell order."""
-    weights = lattice_weights(family)
-    return [(family.counts(cell), weights[cell]) for cell in sorted(family.cells)]
+    return [(family.counts(family.cells[pos]), family.weights[pos]) for pos in family.members]
 
 
 def family_order(family: Family) -> list[int]:
     """Member cells in (count-sum, counts) order: the DP's tie order."""
-    return sorted(family.cells, key=lambda cell: (sum(family.counts(cell)), family.counts(cell)))
+    return sorted(member_cells(family), key=lambda cell: (sum(family.counts(cell)), family.counts(cell)))
 
 
 @dataclass
@@ -475,7 +489,7 @@ def PairScanDP(
     rp_int = [(q + 1) ** l * q ** (ltop - l) for l in active]
     value_den = q**ltop
 
-    counts = sorted((family.counts(cell) for cell in family.cells), key=lambda c: (sum(c), c))
+    counts = sorted(map(family.counts, member_cells(family)), key=lambda c: (sum(c), c))
     sums = [sum(c) for c in counts]
     profits = [sum(r * k for r, k in zip(rp_int, c)) for c in counts]
     weights = [sum(classes.prefix[l][k] for l, k in zip(active, c)) for c in counts]
@@ -528,7 +542,8 @@ def fraction_merge_frontier(instance: Instance, eps: Fraction):
         classes = build_classes(instance, eps)
         for interval in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
             weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
-            family = enumerate_family(classes, interval, eps, (min(weights), max(weights)), len(weights))
+            wrange = (min(weights), max(weights))
+            family = enumerate_family(classes, interval, eps, wrange, len(weights), instance.capacities)
             table = PairScanDP(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             for j, v in enumerate(table.raw[instance.horizon]):
                 if v is not None:
@@ -565,7 +580,7 @@ class AllWindowsFrontier:
                     instance.items[i][1] for l in interval.active for i in classes.members[l]
                 ]
                 wrange = (min(item_weights), max(item_weights))
-                family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights))
+                family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights), instance.capacities)
                 tables.append(dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas))
             self.classes = classes
         else:
@@ -579,7 +594,7 @@ class AllWindowsFrontier:
             for cell in family_order(table.family):
                 pos = position(table, cell)
                 if pos is not None and table.raw[-1][pos] is not None:
-                    entries.append((table.weights[pos], table.raw[-1][pos] * lift, table, pos))
+                    entries.append((table.family.weights[pos], table.raw[-1][pos] * lift, table, pos))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1

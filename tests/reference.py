@@ -7,8 +7,9 @@ prefix weights and the vectors weighed by them, one object per vector, the
 power-of-two bases climbed one Fraction doubling at a time, the
 up-rounding and truncation maps whose image the pruned family must cover,
 the unpruned restricted DP the family DP must not beat, the contribution
-form of the objective, the runs of surviving bands that form the clusters
-and the deletion of dropped-band periods behind the derandomized offset,
+form of the objective, an exact optimum over per-profit count vectors, the
+runs of surviving bands that form the clusters and the deletion of
+dropped-band periods behind the derandomized offset,
 the class knapsack rows as each cluster DP table once built them for
 itself, and the star-uncrossing audit.
 """
@@ -243,6 +244,37 @@ def exact_restricted_dp(
                         best = cand
             table[(t, v)] = best
     return table
+
+
+def exact_opt_by_profits(instance: Instance) -> Fraction:
+    """Optimum objective by a DP over per-profit count vectors; profits only.
+
+    Among items of equal profit a lighter one can enter no later than a
+    heavier one: swapping two such items' periods keeps every period's
+    profit and never raises its weight.  So some optimum packs, per
+    distinct profit, the k lightest items in each period, and is a chain of
+    count vectors k, nondecreasing over the periods, each within its
+    period's capacity.  Period t's value at k is lambda_t times k's profit
+    plus the best value of period t-1 at or below k; the zero vector starts.
+    """
+    by_profit: dict = {}
+    for p, w in instance.items:
+        by_profit.setdefault(p, []).append(w)
+    profits = sorted(by_profit)
+    prefixes = [list(itertools.accumulate(sorted(by_profit[p]), initial=0)) for p in profits]
+    vectors = list(itertools.product(*(range(len(prefix)) for prefix in prefixes)))
+    weight = {k: sum(prefix[c] for prefix, c in zip(prefixes, k)) for k in vectors}
+    profit = {k: sum(p * c for p, c in zip(profits, k)) for k in vectors}
+    value: dict = {k: None if any(k) else 0 for k in vectors}
+    for lam, cap in zip(instance.lambdas, instance.capacities):
+        # best value at or below k, built in lexicographic order, so every
+        # vector one count below k is done before k
+        below: dict = {}
+        for k in vectors:
+            lower = [below[k[:i] + (c - 1,) + k[i + 1 :]] for i, c in enumerate(k) if c]
+            below[k] = max((v for v in (value[k], *lower) if v is not None), default=None)
+        value = {k: None if below[k] is None or weight[k] > cap else below[k] + lam * profit[k] for k in vectors}
+    return max(v for v in value.values() if v is not None)
 
 
 def objective_by_contributions(instance: Instance, solution: Solution) -> Fraction:

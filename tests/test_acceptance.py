@@ -22,6 +22,7 @@ from helpers import (
     random_instance,
     random_vector_pair,
     reference_partials,
+    uncut,
 )
 from incknap.bounded import dp_solve, solve_inverse
 from incknap.classes import build_classes, make_interval
@@ -156,7 +157,7 @@ def test_criterion_4_family_correctness():
         ]
         wrange = (min(weights), max(weights))
         n = len(weights)
-        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS_INT, wrange, n))}
+        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS_INT, wrange, n, uncut(classes, interval)))}
         sizes = [classes.size(l) for l in interval.active]
         for counts in itertools.product(*(range(s + 1) for s in sizes)):
             assert prune_image(counts, classes, interval, EPS_INT).counts in family
@@ -187,10 +188,11 @@ def test_criterion_5_restriction_loss():
         interval = make_interval(classes, 0, max(classes.indices))
         exact_table = exact_restricted_dp(instance, classes, interval, budget=500_000)
         weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
-        family = enumerate_family(classes, interval, EPS_INT, (min(weights), max(weights)), len(weights))
+        wrange = (min(weights), max(weights))
+        family = enumerate_family(classes, interval, EPS_INT, wrange, len(weights), instance.capacities)
         table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
         horizon = instance.horizon
-        cell_weights = lattice_weights(table.family)
+        cell_weights = lattice_weights(classes, interval, table.family)
         opt_full = max(
             (
                 v

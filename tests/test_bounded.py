@@ -17,14 +17,16 @@ from helpers import (
     lattice_rows,
     lattice_size,
     lattice_weights,
+    member_cells,
     members,
     random_class_structure,
     random_instance,
     sparse_heavy_structures,
     served,
     two_heavy_structures,
+    uncut,
 )
-from incknap import bounded
+from incknap import bounded, statespace
 from incknap.bounded import (
     ChainNotMonotone,
     InverseFrontier,
@@ -49,15 +51,20 @@ from incknap.model import (
     preprocess,
 )
 from incknap.oracle import BudgetExceeded, exact_inverse, exact_opt
-from reference import exact_restricted_dp
+from reference import exact_opt_by_profits, exact_restricted_dp
 from incknap.statespace import enumerate_family
 
 EPS = Fraction(1, 5)
 
 
-def family_for(instance, classes, interval, eps=EPS):
+def family_args(instance, classes, interval, eps=EPS):
+    """``enumerate_family``'s arguments for an interval, capacities left out."""
     weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
-    return enumerate_family(classes, interval, eps, (min(weights), max(weights)), len(weights))
+    return classes, interval, eps, (min(weights), max(weights)), len(weights)
+
+
+def family_for(instance, classes, interval, capacities, eps=EPS):
+    return enumerate_family(*family_args(instance, classes, interval, eps), capacities)
 
 
 def test_check_internal_eps():
@@ -81,7 +88,7 @@ def test_dp_solve_hand_rollout():
     instance = Instance.build(items=[(1, 1), (1, 2)], capacities=[1, 3], lambdas=[1, 1])
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, 0, 0)
-    family = family_for(instance, classes, interval)
+    family = family_for(instance, classes, interval, instance.capacities)
     table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
     by_counts = {table.family.counts(cell): cell for cell in table.family.cells}
     assert dp_value(table, 2, by_counts[(2,)]) == 3
@@ -92,17 +99,18 @@ def test_dp_solve_hand_rollout():
 
 def test_dp_solve_refuses_a_table_past_the_family_budget(monkeypatch):
     # a table of exactly FAMILY_BUDGET entries (fitting cells times T+1
-    # rows) is built; one entry more is refused with the count it needs
+    # rows) is built; one entry more is refused, by the family's walk before
+    # any row, with the count it needs
     instance = Instance.build(items=[(1, 1), (1, 2), (3, 2)], capacities=[2, 4], lambdas=[1, 1])
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, classes.indices[0], classes.indices[-1])
-    family = family_for(instance, classes, interval)
-    entries = len(dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas).cells) * 3
-    monkeypatch.setattr(bounded, "FAMILY_BUDGET", entries)
+    entries = len(family_for(instance, classes, interval, instance.capacities).cells) * 3
+    monkeypatch.setattr(statespace, "FAMILY_BUDGET", entries)
+    family = family_for(instance, classes, interval, instance.capacities)
     dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
-    monkeypatch.setattr(bounded, "FAMILY_BUDGET", entries - 1)
+    monkeypatch.setattr(statespace, "FAMILY_BUDGET", entries - 1)
     with pytest.raises(BudgetExceeded) as info:
-        dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
+        family_for(instance, classes, interval, instance.capacities)
     assert (info.value.required, info.value.budget) == (entries, entries - 1)
 
 
@@ -112,7 +120,7 @@ def test_dp_zero_vector_reachable_every_period():
         instance = random_instance(rng, n_max=5, t_max=3)
         classes = build_classes(instance, EPS)
         for interval in candidate_intervals(classes, EPS, instance.suffix_lambdas.ratio):
-            family = family_for(instance, classes, interval)
+            family = family_for(instance, classes, interval, instance.capacities)
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             zero = next(cell for cell in table.family.cells if all(c == 0 for c in table.family.counts(cell)))
             for t in range(instance.horizon + 1):
@@ -127,7 +135,7 @@ def test_dp_restricted_below_exact():
         classes = build_classes(instance, EPS)
         top = max(classes.indices)
         interval = make_interval(classes, 0, top)
-        family = family_for(instance, classes, interval)
+        family = family_for(instance, classes, interval, instance.capacities)
         table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
         exact = exact_restricted_dp(instance, classes, interval, budget=200_000)
         for cell in table.family.cells:
@@ -155,7 +163,7 @@ def assert_dp_matches_pair_scan(classes, interval, family, capacities, suffix):
     want = PairScanDP(classes, interval, family, capacities, suffix)
     assert got.family is family
     assert got.value_den == want.value_den
-    cells = set(family.cells)
+    cells = set(member_cells(family))
     assert sorted(map(family.counts, cells)) == sorted(want.members)
     for t in range(len(capacities) + 1):
         raw, back = lattice_rows(got, t)
@@ -177,8 +185,8 @@ def test_dp_solve_matches_pair_scan():
     for eps, den in itertools.product((Fraction(1, 5), Fraction(1, 8)), (2, 3)):
         for _ in range(12):
             instance, classes, interval = random_class_structure(rng, eps, max_classes=3, max_items=9, den=den)
-            family = family_for(instance, classes, interval, eps)
             caps, suffix = random_horizon(rng, instance.capacities[0])
+            family = family_for(instance, classes, interval, caps, eps)
             assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
     # sub-families (zero plus a random subset of a product): lattices with empty cells
     sparse = 0
@@ -186,9 +194,9 @@ def test_dp_solve_matches_pair_scan():
         instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=4, den=2)
         product = list(itertools.product(*(range(classes.size(l) + 1) for l in interval.active)))
         picked = {product[0], *rng.sample(product, rng.randint(1, len(product)))}
-        family = family_of(classes, interval, picked)
-        sparse += lattice_size(family) > len(family)
         caps, suffix = random_horizon(rng, instance.capacities[0])
+        family = family_of(classes, interval, picked, caps)
+        sparse += len(family.cells) > len(family)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
     assert sparse >= 10
     # two heavy classes at once, where the counting cap cuts combinations
@@ -196,23 +204,22 @@ def test_dp_solve_matches_pair_scan():
     assert len(cases) >= 3
     for args in cases:
         classes, interval = args[:2]
-        family = enumerate_family(*args)
         caps, suffix = random_horizon(rng, 60)
+        family = enumerate_family(*args, caps)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
 
 
-def tight_capacities(rng, family, horizon):
+def tight_capacities(rng, weights, horizon):
     """Nondecreasing capacities drawn from the lattice cells' weights up to
     their median, so about half the cells or more never fit and some cells
     sit exactly on a capacity."""
-    low = sorted(lattice_weights(family))[: lattice_size(family) // 2 + 1]
+    low = sorted(weights)[: len(weights) // 2 + 1]
     return sorted(rng.choice(low) for _ in range(horizon))
 
 
-def assert_fits_closed_downwards(family, cap):
+def assert_fits_closed_downwards(family, weights, cap):
     """Every cell within cap has each axis predecessor (one count rank lower)
     within cap too."""
-    weights = lattice_weights(family)
     for cell, w in enumerate(weights):
         if w <= cap:
             for stride, values in zip(family.strides, family.values):
@@ -229,16 +236,21 @@ def test_dp_solve_matches_pair_scan_under_tight_capacities():
     for eps, den in itertools.product((Fraction(1, 5), Fraction(1, 8)), (2, 3)):
         for _ in range(10):
             instance, classes, interval = random_class_structure(rng, eps, max_classes=3, max_items=9, den=den)
-            families.append((classes, interval, family_for(instance, classes, interval, eps)))
-    heavy = [(args[0], args[1], enumerate_family(*args)) for args in (*two_heavy_structures(), *sparse_heavy_structures())]
-    assert sum(lattice_size(family) > len(family) for _, _, family in heavy) >= 2
-    cut = 0
-    for classes, interval, family in families + heavy:
+            families.append(family_args(instance, classes, interval, eps))
+    heavy = [*two_heavy_structures(), *sparse_heavy_structures()]
+    cut = sparse = 0
+    for args in families + heavy:
+        classes, interval = args[:2]
+        whole = enumerate_family(*args, uncut(classes, interval))
+        sparse += lattice_size(whole) > len(whole)
+        weights = lattice_weights(classes, interval, whole)
         caps, suffix = random_horizon(rng, 1)
-        caps = tight_capacities(rng, family, len(caps))
-        assert_fits_closed_downwards(family, caps[-1])
-        cut += 2 * sum(w > caps[-1] for w in lattice_weights(family)) >= lattice_size(family)
+        caps = tight_capacities(rng, weights, len(caps))
+        family = enumerate_family(*args, caps)
+        assert_fits_closed_downwards(family, weights, caps[-1])
+        cut += 2 * sum(w > caps[-1] for w in weights) >= len(weights)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
+    assert sparse >= 2
     assert cut >= len(families + heavy) // 2
 
 
@@ -251,7 +263,7 @@ def test_dp_solve_breaks_predecessor_ties_by_count_sum_first():
     instance = Instance.build(items=[(5, 1), (6, 2), (6, 2)], capacities=[1, 4, 5], lambdas=[7, 5, 1])
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, 0, 1)
-    family = family_of(classes, interval, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2)])
+    family = family_of(classes, interval, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2)], instance.capacities)
     assert lattice_size(family) == 6 and len(family) == 5
     table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
     assert cell_chain(table, lattice_size(family) - 1) == [(1, 0), (1, 0), (1, 2)]
@@ -267,7 +279,7 @@ def heavy_profit_families():
     instance = Instance.build(items=[(p, rng.randint(1, 10)) for p in profits], capacities=[60], lambdas=[1])
     classes = build_classes(instance, eps)
     for interval in candidate_intervals(classes, eps, Fraction(1)):
-        yield classes, interval, family_for(instance, classes, interval, eps)
+        yield family_args(instance, classes, interval, eps)
 
 
 def test_dp_rows_are_the_cells_that_fit():
@@ -279,26 +291,31 @@ def test_dp_rows_are_the_cells_that_fit():
     families = []
     for _ in range(20):
         instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=9, den=2)
-        families.append((classes, interval, family_for(instance, classes, interval)))
+        families.append(family_args(instance, classes, interval))
     families += heavy_profit_families()
-    families += [(args[0], args[1], enumerate_family(*args)) for args in (*two_heavy_structures(), *sparse_heavy_structures())]
-    assert sum(lattice_size(family) > len(family) for _, _, family in families) >= 2
-    cut = 0
-    for classes, interval, family in families:
-        weights = lattice_weights(family)
+    families += [*two_heavy_structures(), *sparse_heavy_structures()]
+    cut = sparse = 0
+    for args in families:
+        classes, interval = args[:2]
+        whole = enumerate_family(*args, uncut(classes, interval))
+        sparse += lattice_size(whole) > len(whole)
+        inside = set(member_cells(whole))
+        weights = lattice_weights(classes, interval, whole)
         for tight in (False, True):
             caps, suffix = random_horizon(rng, max(weights))
             if tight:
-                caps = tight_capacities(rng, family, len(caps))
+                caps = tight_capacities(rng, weights, len(caps))
+            family = enumerate_family(*args, caps)
             table = dp_solve(classes, interval, family, caps, suffix)
             fits = [cell for cell, w in enumerate(weights) if w <= max(caps)]
-            assert list(table.cells) == fits
-            assert list(table.weights) == [weights[cell] for cell in fits]
+            assert list(family.cells) == fits
+            assert list(family.weights) == [weights[cell] for cell in fits]
             cut += len(fits) < lattice_size(family)
             assert [v is None for v in table.raw[0]] == [cell != 0 for cell in fits]
             for t in range(1, len(caps) + 1):
-                held = [table.cells[pos] for pos, v in enumerate(table.raw[t]) if v is not None]
-                assert all(cell in family.cells and weights[cell] <= caps[t - 1] for cell in held)
+                held = [family.cells[pos] for pos, v in enumerate(table.raw[t]) if v is not None]
+                assert all(cell in inside and weights[cell] <= caps[t - 1] for cell in held)
+    assert sparse >= 2
     assert cut >= len(families)
 
 
@@ -322,7 +339,7 @@ def test_inverse_frontier_matches_fraction_merge():
         # compare counts per class rather than per window; entries keep ints,
         # so read each value back from the rational it serves
         got = [
-            (weight, s * (1 - 3 * EPS), table and counts_by_class(table.interval, table.family.counts(table.cells[pos])))
+            (weight, s * (1 - 3 * EPS), table and counts_by_class(table.interval, table.family.counts(table.family.cells[pos])))
             for (weight, _, table, pos), s in zip(frontier._frontier, served(frontier))
         ]
         assert got == [(w, v, i and counts_by_class(i, c)) for w, v, i, c in want]
@@ -528,7 +545,7 @@ def test_backpointer_chains_monotone_and_feasible():
         instance = random_instance(rng, n_max=5, t_max=3)
         classes = build_classes(instance, EPS)
         for interval in candidate_intervals(classes, EPS, instance.suffix_lambdas.ratio):
-            family = family_for(instance, classes, interval)
+            family = family_for(instance, classes, interval, instance.capacities)
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             by_counts = dict(members(table.family))
             for cell in table.family.cells:
@@ -754,3 +771,39 @@ def test_solve_bounded_checks_every_scored_chain(monkeypatch, shape, error):
     with pytest.raises(error) as raised:
         solve_bounded(instance, EPS)
     assert error is ChainNotMonotone or raised.value.period == 1
+
+
+def test_exact_opt_by_profits_matches_the_oracle():
+    # zero lambdas and Fraction profits included, and profits repeat often
+    rng = random.Random(41)
+    for _ in range(60):
+        instance = random_instance(rng, n_max=7, t_max=3, positive_lambdas=False)
+        if rng.random() < 0.5:
+            items = [(Fraction(rng.choice((2, 3, 7)), 2), w) for _, w in instance.items]
+            instance = Instance.build(items=items, capacities=instance.capacities, lambdas=instance.lambdas)
+        assert exact_opt_by_profits(instance) == exact_opt(instance)[0]
+
+
+def test_solve_bounded_meets_its_bound_where_two_heavy_classes_engage(monkeypatch):
+    # profits 100/110/121 are one class each at eps 1/10, and at n = 32 to 48
+    # two classes often pass 10 items at once, so heavy_configurations yields
+    # tuples fixing two heavy counts; the answer is held to (1-5*eps)*OPT
+    # against the count-vector optimum
+    eps = Fraction(1, 10)
+    two_heavy = []
+    configurations = statespace.heavy_configurations
+
+    def recording(*args):
+        for partial in configurations(*args):
+            two_heavy.append(len(partial) - partial.count(None) >= 2)
+            yield partial
+
+    monkeypatch.setattr(statespace, "heavy_configurations", recording)
+    for n, seed in itertools.product((32, 40, 48), range(3)):
+        rng = random.Random(seed)
+        items = [(rng.choice((100, 110, 121)), rng.randint(1, 10)) for _ in range(n)]
+        caps = list(itertools.accumulate(rng.randint(10, 40) for _ in range(4)))
+        instance = Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(4)])
+        opt = exact_opt_by_profits(instance)
+        assert objective(instance, solve_bounded(instance, eps)) >= (1 - 5 * eps) * opt
+    assert any(two_heavy)

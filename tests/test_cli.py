@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incknap import cli
+from incknap import cli, statespace
 from incknap.cli import (
     format_rational,
     generate_instance,
@@ -253,7 +253,7 @@ def test_cmd_solve_general_grid_budget_exits_3(tmp_path, capsys):
 def test_cmd_solve_family_budget_exits_3(tmp_path, capsys, monkeypatch, mode):
     # every table of T=2 holds at least 3 entries (the zero cell's rows), so
     # a budget of 2 refuses the first one before any row is built
-    monkeypatch.setattr(cli.bounded, "FAMILY_BUDGET", 2)
+    monkeypatch.setattr(statespace, "FAMILY_BUDGET", 2)
     path = tmp_path / "inst.json"
     path.write_text(instance_to_json(generate_instance(3, 3, 2, "uniform")))
     assert main(["solve", str(path), "--mode", mode]) == 3

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     class_structure,
     lattice_size,
+    member_cells,
     members,
     random_class_structure,
     random_vector_pair,
@@ -17,9 +18,12 @@ from helpers import (
     reference_partials,
     sparse_heavy_structures,
     two_heavy_structures,
+    uncut,
 )
+from incknap import statespace
 from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import Instance
+from incknap.oracle import BudgetExceeded
 from reference import classify, heavy_excess, make_vector, pow2_up, power_range, prune_image, truncate, up_round
 from incknap.statespace import (
     Family,
@@ -141,7 +145,8 @@ def test_rounding_and_truncation_invariants(eps):
 
 
 def test_family_strides_are_built_once():
-    family = Family(values=((0, 1, 2), (0, 1), (0, 3, 4, 5)), prefixes=((0, 1, 2), (0, 1), (0, 1, 2, 3)), cells=range(24))
+    cells = tuple(range(24))
+    family = Family(values=((0, 1, 2), (0, 1), (0, 3, 4, 5)), cells=cells, weights=cells, profits=cells, sums=cells, members=[])
     assert family.strides == [8, 4, 1]
     assert family.strides is family.strides
     assert [family.counts(cell) for cell in (0, 5, 23)] == [(0, 0, 0), (0, 1, 3), (2, 1, 5)]
@@ -149,23 +154,23 @@ def test_family_strides_are_built_once():
 
 def test_enumerate_family_two_item_class():
     _, classes, interval = class_structure([1, 1])
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 2)
+    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 2, uncut(classes, interval))
     assert [counts for counts, _ in members(family)] == [(0,), (1,), (2,)]
-    assert family.cells == range(3)
+    assert family.cells == (0, 1, 2) and family.members == [0, 1, 2]
 
 
 def test_enumerate_family_empty_interval():
     instance = Instance.build(items=[], capacities=[1], lambdas=[1])
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, 0, 0)
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 0)
+    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 0, [1])
     assert members(family) == [((), 0)]
     assert len(family) == lattice_size(family) == 1
 
 
 def test_enumerate_family_six_unit_items():
     _, classes, interval = class_structure([1] * 6)
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 6)
+    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 6, uncut(classes, interval))
     counts = {counts for counts, _ in members(family)}
     assert {(k,) for k in range(6)} <= counts
     image = {prune_image((k,), classes, interval, EPS).counts for k in range(7)}
@@ -182,7 +187,7 @@ def test_family_covers_bruteforce_image():
         _, classes, interval = class_structure(*weight_lists)
         items = [w for ws in weight_lists for w in ws]
         wrange = (Fraction(min(items)), Fraction(max(items)))
-        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS, wrange, len(items)))}
+        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS, wrange, len(items), uncut(classes, interval)))}
         sizes = [classes.size(l) for l in interval.active]
         for counts in itertools.product(*(range(s + 1) for s in sizes)):
             assert prune_image(counts, classes, interval, EPS).counts in family
@@ -222,7 +227,7 @@ def test_power_range_matches_doubling_reference(lo, hi):
 
 def test_family_vectors_are_valid():
     _, classes, interval = class_structure([1] * 7, [3, 4])
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(4)), 9)
+    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(4)), 9, uncut(classes, interval))
     for counts, weight in members(family):
         for pos, level in enumerate(interval.active):
             assert 0 <= counts[pos] <= classes.size(level)
@@ -231,18 +236,24 @@ def test_family_vectors_are_valid():
 
 def _family_rows(family):
     """Decoded (counts, weight) per member, checked against the lattice: one
-    row per cell, in cell order, and ``len`` the member count.  ``Family``
-    promises no iteration order of ``cells`` (a frozenset's is not sorted on
-    sparse cells), so the rows are matched with the sorted cells."""
+    row per member cell, in cell order, and ``len`` the member count; the
+    cells ascend inside the lattice."""
     rows = members(family)
-    assert len(family) == len(rows) == len(set(family.cells))
+    assert len(family) == len(rows) == len(family.members)
     encoded = [
         sum(values.index(c) * stride for c, values, stride in zip(counts, family.values, family.strides))
         for counts, _ in rows
     ]
-    assert encoded == sorted(family.cells)
+    assert encoded == member_cells(family)
+    assert list(family.cells) == sorted(set(family.cells))
     assert all(0 <= cell < lattice_size(family) for cell in family.cells)
     return rows
+
+
+def _two_past_light(family, eps):
+    """True when some member takes two counts past 1/eps, which only a
+    tuple fixing two heavy classes gives."""
+    return any(sum(c > 1 / eps for c in counts) >= 2 for counts, _ in members(family))
 
 
 def _reference_rows(args):
@@ -266,7 +277,7 @@ def test_enumerate_family_equals_reference(eps, max_classes):
         )
         weights = [w for _, w in instance.items]
         args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
-        family = enumerate_family(*args)
+        family = enumerate_family(*args, uncut(*args[:2]))
         assert _family_rows(family) == _reference_rows(args)
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
     assert heavy_hits >= 5
@@ -288,9 +299,9 @@ def test_enumerate_family_equals_reference_on_heavy_profits():
     for interval in intervals:
         weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
         args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
-        family = enumerate_family(*args)
+        family = enumerate_family(*args, uncut(classes, interval))
         assert _family_rows(family) == _reference_rows(args)
-        assert family.cells == range(lattice_size(family))  # one heavy class: a full lattice
+        assert family.members == list(range(lattice_size(family)))  # one heavy class: a full lattice
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
     assert heavy_hits == len(intervals)
 
@@ -299,10 +310,10 @@ def test_enumerate_family_equals_reference_on_two_heavy_classes():
     cases = list(two_heavy_structures())
     assert len(cases) >= 3
     for args in cases:
-        family = enumerate_family(*args)
+        family = enumerate_family(*args, uncut(*args[:2]))
         assert _family_rows(family) == _reference_rows(args)
-        # two heavy classes fixed at once: members built cell by cell
-        assert not isinstance(family.cells, range)
+        # two heavy classes fixed at once: the masks of two heavy counts meet
+        assert _two_past_light(family, args[2])
 
 
 def test_enumerate_family_equals_reference_where_cells_are_sparse():
@@ -311,7 +322,7 @@ def test_enumerate_family_equals_reference_where_cells_are_sparse():
     # so the member cells miss part of the lattice
     sparse = 0
     for args in sparse_heavy_structures():
-        family = enumerate_family(*args)
+        family = enumerate_family(*args, uncut(*args[:2]))
         assert _family_rows(family) == _reference_rows(args)
         sparse += len(family) < lattice_size(family)
     assert sparse >= 2
@@ -331,6 +342,46 @@ def test_sum_cap_binds_on_two_heavy_classes():
     capped = reference_partials(*args)
     assert set(heavy_configurations(*args)) == capped
     assert reference_partials(*args, cap=math.inf) - capped == {(10, 12)}
-    family = enumerate_family(*args)
+    family = enumerate_family(*args, uncut(*args[:2]))
     assert _family_rows(family) == _reference_rows(args)
-    assert not isinstance(family.cells, range)
+    assert _two_past_light(family, eps)
+
+
+def test_family_budget_refuses_at_the_first_axis_past_it(monkeypatch):
+    # three classes, the walk holding 4, 18 and then 60 cells of weight at
+    # most 9: with the budget at the first axis's entries, the walk stops at
+    # the second axis and reports its count, not the table's
+    instance, classes, interval = class_structure([1, 2, 3], [1, 1, 2, 2], [1, 2, 2, 3, 3], eps=EPS)
+    args = (classes, interval, EPS, (Fraction(1), Fraction(3)), 12)
+    caps = [9, 9]
+    family = enumerate_family(*args, caps)
+    counts = []
+    for axes in (1, 2, 3):
+        heads = itertools.product(*family.values[:axes])
+        counts.append(sum(sum(classes.prefix[l][c] for l, c in zip(interval.active, head)) <= 9 for head in heads))
+    assert counts[0] < counts[1] < counts[2] == len(family.cells)
+    monkeypatch.setattr(statespace, "FAMILY_BUDGET", counts[0] * 3)
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_family(*args, caps)
+    assert (info.value.required, info.value.budget) == (counts[1] * 3, counts[0] * 3)
+
+
+def test_capacity_cut_keeps_exactly_the_reference_members_that_fit():
+    # capacities below the heaviest lattice cell: the members are the
+    # reference family's vectors within the largest one, in cell order, and
+    # a fitting cell outside the family stays a non-member
+    fitting_outsiders = 0
+    for args in (*two_heavy_structures(), *sparse_heavy_structures()):
+        classes, interval = args[:2]
+        whole = enumerate_family(*args, uncut(classes, interval))
+        weights = sorted(whole.weights)
+        member = set(whole.members)
+        outside = [w for pos, w in enumerate(whole.weights) if pos not in member]
+        for top in {weights[len(weights) // 2], *outside[:1]}:
+            family = enumerate_family(*args, [top // 2, top])
+            want = [(v.counts, v.weight) for v in reference_family(*args) if v.weight <= top]
+            assert members(family) == want
+            assert len(family) == len(want)
+            assert len(family.cells) < lattice_size(family)
+            fitting_outsiders += len(family.cells) > len(family)
+    assert fitting_outsiders >= 1
