@@ -311,6 +311,31 @@ class InverseFrontier:
             return Solution.empty(self.instance.n)
         return prefix_to_solution(self.classes, table.interval, table.chain(pos), self.instance.n)
 
+    def rounded_profit(self, i: int) -> Fraction:
+        """Entry i's rounded profit in true units, scale*v/top; 0 for the empty entry."""
+        return self.classes.scale * Fraction(self._frontier[i][1], self._top)
+
+    def best(self) -> tuple[int, Solution]:
+        """The first entry, in frontier order, of the most true profit, with its solution.
+
+        Each profit is rounded down to a power of 1+eps times the least, so
+        an entry of rounded profit r earns at least r and less than
+        (1+eps)*r, or 0 if it is the empty one.  Rounded profits rise along
+        the frontier, so a scan from the last entry down stops at the first
+        entry whose (1+eps)*r is at most the most profit found: neither it
+        nor any entry before it earns as much.  Each entry the scan reaches
+        is decoded and scored once, on ints, and ties go to the earlier."""
+        q, scale, top = self.eps.denominator, self.classes.scale, self._top
+        most, found = -1, None  # below every profit; the empty entry is always there
+        for i in reversed(range(len(self._frontier))):
+            if (q + 1) * scale * self._frontier[i][1] <= most * q * top:
+                break
+            solution = self.solution(i)
+            profit = objective(self.instance, solution)
+            if profit >= most:
+                most, found = profit, (i, solution)
+        return found
+
     def query(self, phi: Fraction) -> Optional[InverseResult]:
         """Lightest endpoint whose rounded profit clears (1-3*eps)*phi.
 
@@ -321,13 +346,12 @@ class InverseFrontier:
         idx = bisect_left(self.thresholds, -(-phi.numerator * self.den // phi.denominator))
         if idx == len(self._frontier):
             return None
-        weight, v, table, _ = self._frontier[idx]
         solution = self.solution(idx)
         return InverseResult(
             solution=solution,
-            rounded_profit=0 if table is None else self.classes.scale * Fraction(v, self._top),
+            rounded_profit=self.rounded_profit(idx),
             true_profit=objective(self.instance, solution),
-            weight=weight,
+            weight=self.weights[idx],
         )
 
 
@@ -358,8 +382,8 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
     periods.  The paper's wrapper sweeps a geometric grid of profit floors
     through a black-box inverse solver; every answer such a sweep can
     return is a frontier endpoint, so the best endpoint meets its (1-5*eps)
-    bound a fortiori.  Each endpoint is decoded and scored once, on ints,
-    with no query and no rounded profit.
+    bound a fortiori.  ``InverseFrontier.best`` scores the endpoints, with
+    no query.
     """
     validate(instance)
     eps = check_internal_eps(eps)
@@ -368,6 +392,5 @@ def solve_bounded(instance: Instance, eps: Fraction) -> Solution:
     except AllLambdasZero:
         return Solution.empty(instance.n)
     instance, _, _ = integer_units(pre)
-    frontier = InverseFrontier(instance, eps)
-    solutions = map(frontier.solution, range(len(frontier.weights)))
-    return remap_solution(max(solutions, key=lambda solution: objective(instance, solution)), remap)
+    _, solution = InverseFrontier(instance, eps).best()
+    return remap_solution(solution, remap)

@@ -16,12 +16,14 @@ below.  A grid depends on its plan only through the cluster count, so a
 solve builds one grid per count; the class knapsack rows behind the bound
 below depend on no plan, and a solve builds them once.
 
-Gluing reads one state of the last row, its most profitable feasible one,
-and the chain of backpointers below it; every row is filled as a branch
-and bound for that chain.  A 0/1 knapsack bound per cluster caps the
-last-row index F any chain through a state reaches, and each row keeps
-its states from need on, need the least index of F >= L (where the zero
-state ends if cluster 1 takes every class and the rest none), one
+Gluing answers a plan of one cluster by the first endpoint of most true
+profit of one frontier, cluster 1's on every class, and fills no row.  For
+more clusters it reads one state of the last row, its most profitable
+feasible one, and the chain of backpointers below it; every row is filled
+as a branch and bound for that chain.  A 0/1 knapsack bound per cluster
+caps the last-row index F any chain through a state reaches, and each row
+keeps its states from need on, need the least index of F >= L (where the
+zero state ends if cluster 1 takes every class and the rest none), one
 bisection of the grid's offsets per later cluster back from L.  It skips
 each predecessor that cannot write above reach or lighter at it; their
 frontiers are never built, and the answer is the full rows'.
@@ -437,35 +439,59 @@ def cluster_dp(
 
 
 def glue(plan: ClusterPlan, table: ClusterDPTable) -> tuple[Solution, Fraction]:
-    """Trace back from the most profitable feasible final state.
+    """The plan's answer over the table's instance, with its certified value.
 
-    The final state is the highest feasible index of the last row (M, top
+    One cluster: the first endpoint of most true profit of frontier (1, 0,
+    top, 0), certified by its rounded profit, a lower bound on its true
+    profit; no row is filled and no other frontier is built.  This keeps
+    the scheme's guarantee.  The plan's analysis needs an entry serving the
+    rounded profit phi* of the near-optimal solution S* in the cluster.  S*
+    uses classes 0..top only, and the inverse solver on all classes is
+    super-optimal against the exact inverse optimum over all items, whose
+    weight is at most w(S*); so the frontier holds an entry of true profit
+    at least (1-3*eps_sub)*phi*, and its most profitable endpoint earns at
+    least that entry's profit.  The sub-instance's suffix values are the
+    parent's, so its true profit is the answer's.
+
+    More clusters: the highest feasible index of the last row (M, top
     class), which the table fills as a branch and bound for it: that index,
-    its weight and every backpointer on its chain are the full rows'.
-    Each traversed backpointer contributes one single-cluster solution; the
-    union over clusters, re-indexed to parent periods and items, is the
-    glued solution.  Returns it with the certified grid profit.
+    its weight and every backpointer on its chain are the full rows'.  Each
+    traversed backpointer contributes one single-cluster solution, and the
+    certified value is the index's grid point.
+
+    The union of the clusters' solutions, re-indexed to parent periods and
+    items, is the glued solution.
     """
     m, ell = plan.num_clusters, table.classes.indices[-1]
-    target_idx = next(reversed(table._row(m, ell)))
+    if m == 1:
+        frontier, sub, _ = table._frontier(1, 0, ell, 0)
+        i, step = frontier.best()
+        steps, value = [(step, sub)], frontier.rounded_profit(i)
+    else:
+        idx = next(reversed(table._row(m, ell)))
+        steps, value = [], table.grid.point(idx)
+        # a feasible state past index 0 got its backpointer with its value
+        while m >= 1 and idx > 0:
+            ell, idx, step, sub = table.transition(m, ell, idx)
+            steps.append((step, sub))
+            m -= 1
     intro: list[Optional[int]] = [None] * table.instance.n
-    idx = target_idx
-    # a feasible state past index 0 got its backpointer with its value
-    while m >= 1 and idx > 0:
-        ell_prev, idx_prev, step, sub = table.transition(m, ell, idx)
+    for step, sub in steps:
         for local_item, local_t in step.introduced():
             intro[sub.item_ids[local_item]] = sub.periods[local_t - 1]
-        m, ell, idx = m - 1, ell_prev, idx_prev
-    return Solution(tuple(intro)), table.grid.point(target_idx)
+    return Solution(tuple(intro)), value
 
 
 @dataclass(frozen=True)
 class GeneralResult:
     """Winning solution plus the diagnostics of the offset that produced it.
 
-    ``phi_target`` (a grid point), ``grid`` (ints over ``grid.unit``) and
-    ``classes`` are in ``core_instance``'s integer units; the diagnostics are
-    None when no cluster DP ran."""
+    ``phi_target`` is the winning plan's certified value (``glue``): with
+    one cluster, its endpoint's rounded profit, at most the answer's profit
+    on ``core_instance``; with more, its last-row state's grid point.  It,
+    ``grid`` (ints over ``grid.unit``) and ``classes`` are in
+    ``core_instance``'s integer units; the diagnostics are None when no
+    cluster DP ran."""
 
     solution: Solution  # over the original instance
     profit: Fraction

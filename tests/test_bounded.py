@@ -757,6 +757,45 @@ def test_solve_bounded_returns_the_first_most_profitable_query():
     assert solve_bounded(tie, EPS) == Solution((None, None, 1))
 
 
+def test_best_decodes_only_the_entries_that_may_earn_the_most(monkeypatch):
+    # every entry earns at least its rounded profit r and less than
+    # (1+eps)*r, the empty one 0, so best() scans from the last entry down
+    # and stops once (1+eps)*r is at most the most profit found; it decodes
+    # each entry it reaches once and still returns the first entry of most
+    # true profit, found here by decoding them all.  Heavy-profit instances
+    # (one class per profit at eps 1/10) and random ones
+    rng = random.Random(61)
+    decode = InverseFrontier.solution
+    decoded = []
+    monkeypatch.setattr(InverseFrontier, "solution", lambda self, i: decoded.append(i) or decode(self, i))
+    stopped = 0
+    for case in range(40):
+        if case % 2:
+            instance, eps = random_instance(rng, n_max=9, t_max=4), rng.choice([EPS, Fraction(1, 6), Fraction(1, 10)])
+        else:
+            n, t = rng.randint(8, 32), rng.randint(1, 4)
+            items = [(rng.choice((100, 110, 121)), rng.randint(1, 10)) for _ in range(n)]
+            caps = list(itertools.accumulate(rng.randint(1, 10) for _ in range(t)))
+            instance = Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(t)])
+            eps = Fraction(1, 10)
+        scaled, _, _ = integer_units(preprocess(instance)[0])
+        frontier = InverseFrontier(scaled, eps)
+        profits, bounds = [], []
+        for i in range(len(frontier.weights)):
+            profit, rounded = objective(scaled, decode(frontier, i)), frontier.rounded_profit(i)
+            assert rounded <= profit < (1 + eps) * rounded or profit == rounded == 0
+            profits.append(profit)
+            bounds.append((1 + eps) * rounded)
+        decoded.clear()
+        i, solution = frontier.best()
+        assert i == profits.index(max(profits)) and solution == decode(frontier, i)
+        last = len(profits) - 1
+        stop = next((j for j in range(last - 1, -1, -1) if bounds[j] <= max(profits[j + 1 :])), -1)
+        assert decoded == list(range(last, stop, -1))
+        stopped += stop >= 0
+    assert stopped > 30
+
+
 @pytest.mark.parametrize("shape, error", [("full then empty", ChainNotMonotone), ("full", InfeasibleSolution)])
 def test_solve_bounded_checks_every_scored_chain(monkeypatch, shape, error):
     # every scored endpoint passes the checks a query makes: a chain that

@@ -163,12 +163,13 @@ GOLDEN_SOLVES = {
     ((3, 6, 3, "uniform"), "exact", "0.5"): "8cc0b96aad54403d1fce62d0d9ebd4e6b8b339fcc62c9985ec44ce3765e02da3",
     ((3, 6, 3, "uniform"), "bounded", "0.5"): "8cc0b96aad54403d1fce62d0d9ebd4e6b8b339fcc62c9985ec44ce3765e02da3",
     ((3, 6, 3, "uniform"), "general", "0.5"): "8cc0b96aad54403d1fce62d0d9ebd4e6b8b339fcc62c9985ec44ce3765e02da3",
-    # a two-cluster winner with items introduced in both clusters
+    # geometric lambdas: glue earns 139968 on the plan of two clusters and
+    # 145728 on the one-cluster plans, from their frontiers' best endpoints
     ((2, 4, 4, "geometric-lambda"), "general", "4/5"): (
-        "5f69d2da17dbd7babf7ef9555e2da3fee21d9e1dc2bf596c82146571accb8ec8"
+        "9eb9edbf24734fa78f6dfb031db78bdb980e2739edb0ff5ffa88340e07a48736"
     ),
     # general mode at a size where families reach a thousand vectors
-    ((1, 20, 4, "uniform"), "general", "0.5"): "09e6194d178b671f84f9977ab6ceff0681520d59c10628a52876f42519ee3f4e",
+    ((1, 20, 4, "uniform"), "general", "0.5"): "daee24ae7ce99c791fc03223139224bc40734d617d90ac4775f78f2d4c053ec3",
     # two heavy classes in one window: its family members are not a full product
     (("heavy", 2), "bounded", "0.5"): "ba2ffcf49964d7c734e6664817f5bd0447fe57c28b2539c37b55e24f11c40b3b",
 }

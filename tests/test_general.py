@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import FullRowTable, PullClusterTable, climb, cluster_value, e1, random_instance
-from incknap import general, oracle
+from incknap import general, oracle, statespace
 from incknap.bounded import InverseFrontier, accuracy_budget
 from incknap.classes import build_classes
 from incknap.general import (
@@ -25,7 +25,14 @@ from incknap.general import (
 )
 from incknap.model import Instance, Solution, check_feasible, integer_units, objective, preprocess
 from incknap.oracle import BudgetExceeded, exact_opt
-from reference import audit_uncrossing, band_runs, drop_bad_periods, star_graph_edges, table_class_rows
+from reference import (
+    audit_uncrossing,
+    band_runs,
+    drop_bad_periods,
+    exact_opt_by_profits,
+    star_graph_edges,
+    table_class_rows,
+)
 
 EPS = Fraction(1, 5)
 
@@ -398,33 +405,55 @@ def test_cluster_dp_and_glue_on_e1():
 
 
 def test_glue_two_clusters_disjoint_class_ranges():
-    # steep lambda decay with a bad middle band splits periods 1 and 3
+    # steep lambda decay with a bad middle band splits periods 1 and 3; glue
+    # on that plan places items in both clusters, on disjoint class ranges,
+    # and the solve's answer earns at least as much
     instance = two_cluster_instance(7, k=14)
     result = solve_detailed(instance, Fraction(1, 2))
-    assert check_feasible(instance, result.solution) is None
     opt, _ = exact_opt(instance)
-    assert result.profit >= (1 - Fraction(1, 2)) * opt
-    assert result.plan.num_clusters == 2
-    edges = star_graph_edges(result.classes, result.plan, result.core_solution)
+    cases = solve_tables(instance, Fraction(1, 2))
+    core, classes, plan, grid, eps = next(case for case in cases if case[2].num_clusters > 1)
+    assert plan.clusters == ((1,), (3,))
+    solution, _ = glue(plan, cluster_dp(core, classes, plan, grid, eps, class_rows(core, classes)))
+    # every item fits and no lambda is zero, so core items and periods are the instance's
+    assert check_feasible(instance, solution) is None
+    assert result.profit >= objective(instance, solution) >= (1 - Fraction(1, 2)) * opt
+    edges = star_graph_edges(classes, plan, solution)
     assert {m for m, _ in edges} == {1, 2}
     assert audit_uncrossing(edges)
 
 
 def test_uncrossing_audit_on_two_cluster_winners():
+    # on the forced shape two-cluster plans win, and each answer meets its
+    # bound against the count-vector optimum and passes the audit; there the
+    # first cluster's periods carry nearly all the value, so glue on the
+    # two-cluster plans of two_cluster_instance, whose big item fits only in
+    # period 3, checks answers that place items in both clusters
     eps = Fraction(4, 5)
     two_cluster_winners = 0
     for seed in range(8):
-        instance = two_cluster_instance(seed)
+        instance = forced_instance(seed, 8, 10)
         result = solve_detailed(instance, eps)
-        opt, _ = exact_opt(instance)
+        opt = exact_opt_by_profits(instance)
         assert result.profit >= (1 - eps) * opt
         edges = star_graph_edges(result.classes, result.plan, result.core_solution)
         assert audit_uncrossing(edges)
         floor = (1 - 2 * result.eps_int) * result.phi_target
         floor -= result.plan.num_clusters * result.grid.delta
         assert objective(result.core_instance, result.core_solution) >= floor
-        two_cluster_winners += len({m for m, _ in edges}) == 2
+        two_cluster_winners += result.plan.num_clusters == 2
     assert two_cluster_winners >= 3
+    both_clusters = 0
+    for seed in range(8):
+        for core, classes, plan, grid, eps_int in solve_tables(two_cluster_instance(seed), eps):
+            if plan.num_clusters == 2:
+                table = cluster_dp(core, classes, plan, grid, eps_int, class_rows(core, classes))
+                solution, phi_target = glue(plan, table)
+                edges = star_graph_edges(classes, plan, solution)
+                assert audit_uncrossing(edges)
+                assert objective(core, solution) >= (1 - 2 * eps_int) * phi_target - 2 * grid.delta
+                both_clusters += len({m for m, _ in edges}) == 2
+    assert both_clusters >= 3
 
 
 def test_cluster_dp_two_clusters_with_weight_offset():
@@ -543,12 +572,48 @@ def test_solve_with_heavy_subcall_classes():
     classes = build_classes(result.core_instance, result.eps_int)
     assert any(classes.size(l) > 15 for l in classes.indices)  # heavy at sub eps 1/15
     assert check_feasible(instance, result.solution) is None
-    assert result.profit == 139
+    assert result.profit == 147
     edges = star_graph_edges(result.classes, result.plan, result.core_solution)
     assert audit_uncrossing(edges)
     floor = (1 - 2 * result.eps_int) * result.phi_target
     floor -= result.plan.num_clusters * result.grid.delta
     assert result.profit >= floor
+
+
+def test_solve_meets_its_bound_where_heavy_classes_engage(monkeypatch):
+    # profits 100/101/102 fall in one class at the frontiers' accuracy (1/42
+    # at eps 1/2), which n = 44 to 60 items pass, so every solve's families
+    # come from heavy_configurations; each answer is held to (1-eps)*OPT
+    # against the count-vector optimum
+    eps = Fraction(1, 2)
+    yielded = Counter()
+    configurations = statespace.heavy_configurations
+
+    def recording(*args):
+        for partial in configurations(*args):
+            yielded["tuples"] += 1
+            yield partial
+
+    monkeypatch.setattr(statespace, "heavy_configurations", recording)
+    for n, seed in itertools.product((44, 52, 60), range(2)):
+        rng = random.Random(seed)
+        items = [(rng.choice((100, 101, 102)), rng.randint(1, 10)) for _ in range(n)]
+        caps = list(itertools.accumulate(rng.randint(10, 40) for _ in range(4)))
+        instance = Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(4)])
+        before = yielded["tuples"]
+        assert solve_detailed(instance, eps).profit >= (1 - eps) * exact_opt_by_profits(instance)
+        assert yielded["tuples"] > before
+
+
+def test_solve_meets_its_bound_on_multi_cluster_winners():
+    # the forced shape at T=10: every winning plan has two or more clusters,
+    # and each answer is held to (1-eps)*OPT against the count-vector optimum
+    eps = Fraction(4, 5)
+    for n, seed in itertools.product((8, 16, 24, 32), range(3)):
+        instance = forced_instance(seed, n, 10)
+        result = solve_detailed(instance, eps)
+        assert result.plan.num_clusters >= 2
+        assert result.profit >= (1 - eps) * exact_opt_by_profits(instance)
 
 
 def test_internal_eps_rescaling():
@@ -731,15 +796,17 @@ def assert_state_matches_pull(table, pull, m, level, idx):
 
 def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
     """Compare the row-filling table with the pull reference; return
-    whether glue built strictly fewer frontiers than the reference.
+    whether its last row's answer built strictly fewer frontiers than the
+    reference.  On plans of two or more clusters that answer is ``glue``'s;
+    a one-cluster plan's row (1, top) and its chain are compared directly.
 
     With ``read_all`` every (m, class, idx) state is read from both tables;
-    otherwise the reference reads each as ``glue`` would read it from full
-    rows: the top class at the last cluster, from the top grid index down
-    to the first feasible one.  The full-row table (``FullRowTable``)
-    matches every state the reference reads, and builds the reference's
-    frontiers.  The pruned table gives glue the reference's solution,
-    certified profit and chain, and the last row's target and backpointer,
+    otherwise the reference reads each as the last row's answer reads it
+    from full rows: the top class at the last cluster, from the top grid
+    index down to the first feasible one.  The full-row table
+    (``FullRowTable``) matches every state the reference reads, and builds
+    the reference's frontiers.  The pruned table gives the reference's
+    solution, certified profit and chain, and the last row's target and backpointer,
     and builds only frontiers the reference builds.  Its earlier rows hold
     the states with F >= L (``climb``, ``_least_target``), matching the
     reference's, and no other.
@@ -748,7 +815,9 @@ def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
     push = cluster_dp(instance, classes, plan, grid, eps, rows)
     full = FullRowTable(instance, classes, plan, grid, eps, rows)
     pull = PullClusterTable(instance, classes, plan, grid, eps)
-    solution, profit = glue(plan, push)
+    solution, profit = last_row_answer(plan, push, instance.n)
+    if plan.num_clusters > 1:
+        assert glue(plan, push) == (solution, profit)
     chain = glue_chain(plan, push)
     built = set(push._frontiers)
     if read_all:
@@ -895,8 +964,10 @@ def solve_tables(instance, eps_public):
         yield core, classes, plan, grid, eps
 
 
-def glue_from_full_rows(plan, table, n_items):
-    """``glue`` read off full rows: the last row's highest feasible index, then its backpointers."""
+def last_row_answer(plan, table, n_items):
+    """The answer of the last row (M, top class): its highest feasible index,
+    then its backpointers.  ``glue`` returns it on plans of two or more
+    clusters; on one-cluster plans row (1, top) is read through it."""
     m, ell = plan.num_clusters, max(table.classes.indices)
     target = last_target(table)
     intro = [None] * n_items
@@ -942,20 +1013,23 @@ def assert_rows_ascend(table):
 
 
 def test_glue_answers_from_the_full_last_row():
-    # the pruned rows give glue the full rows' target, backpointer and
-    # weight, while building fewer frontiers; some cases floor their weights,
-    # and the forced-shape cases have two clusters in every plan, unfloored.
-    # Both tables' rows hold their indices in ascending order
+    # the pruned rows give the full rows' target, backpointer and weight,
+    # while building fewer frontiers, and glue answers from them on plans of
+    # two or more clusters; some cases floor their weights, and the
+    # forced-shape cases have two clusters in every plan, unfloored.  Both
+    # tables' rows hold their indices in ascending order
     built = {"pruned": 0, "full": 0}
     kinds = Counter()
     for instance, eps_public in last_row_cases():
         for core, classes, plan, grid, eps in solve_tables(instance, eps_public):
             rows = class_rows(core, classes)
             pruned = cluster_dp(core, classes, plan, grid, eps, rows)
-            got = glue(plan, pruned)
+            got = last_row_answer(plan, pruned, core.n)
+            if plan.num_clusters > 1:
+                assert glue(plan, pruned) == got
             built["pruned"] += len(pruned._frontiers)
             full = FullRowTable(core, classes, plan, grid, eps, rows)
-            assert got == glue_from_full_rows(plan, full, core.n)
+            assert got == last_row_answer(plan, full, core.n)
             built["full"] += len(full._frontiers)
             assert_rows_ascend(pruned)
             assert_rows_ascend(full)
@@ -967,6 +1041,46 @@ def test_glue_answers_from_the_full_last_row():
             kinds[plan.num_clusters, pruned._bounds[-1].g > 1] += 1
     assert built["pruned"] < built["full"]
     assert kinds[2, True] and kinds[2, False] and kinds[1, False]
+
+
+def test_glue_answers_a_one_cluster_plan_by_the_best_endpoint_of_one_frontier():
+    # glue returns the first endpoint, in frontier order, of the most true
+    # profit of frontier (1, 0, top, 0), found here by decoding every
+    # endpoint; it fills no row and builds no other frontier, and certifies
+    # the endpoint's rounded profit, read off its threshold, at most the
+    # answer's profit.  A one-cluster winner of the solve carries that value.
+    # The last case's frontier ends in item 0 alone (weight 4) and items 1
+    # and 2 (weight 5), both of profit 31: the first is the answer
+    tie = Instance.build(items=[(31, 4), (15, 2), (16, 3)], capacities=[5], lambdas=[1])
+    checked, ties = 0, 0
+    for instance, eps_public in [*last_row_cases(), (tie, Fraction(1, 2))]:
+        for core, classes, plan, grid, eps in solve_tables(instance, eps_public):
+            if plan.num_clusters > 1:
+                continue
+            table = cluster_dp(core, classes, plan, grid, eps, class_rows(core, classes))
+            solution, value = glue(plan, table)
+            top = max(classes.indices)
+            assert table._rows == {} and set(table._frontiers) == {(1, 0, top, 0)}
+            sub = single_cluster_instance(core, classes, plan, 1, 0, top, 0)
+            frontier = InverseFrontier(sub.instance, accuracy_budget(eps, 3))
+            answers = []
+            for i in range(len(frontier.weights)):
+                intro = [None] * core.n
+                for local_item, local_t in frontier.solution(i).introduced():
+                    intro[sub.item_ids[local_item]] = sub.periods[local_t - 1]
+                answers.append(Solution(tuple(intro)))
+            profits = [objective(core, answer) for answer in answers]
+            first = profits.index(max(profits))
+            ties += profits.count(max(profits)) > 1
+            assert solution == answers[first]
+            q = frontier.eps.denominator
+            assert value == Fraction(frontier.thresholds[first], frontier.den) * (q - 3) / q
+            assert value <= objective(core, solution)
+            checked += 1
+        result = solve_detailed(instance, eps_public)
+        if result.plan is not None and result.plan.num_clusters == 1:
+            assert result.phi_target <= objective(result.core_instance, result.core_solution)
+    assert checked > 20 and ties
 
 
 class RandomSkips:
@@ -1133,7 +1247,8 @@ def test_last_row_skips_exactly_what_a_linear_scan_rules_out():
 
 def test_glue_builds_few_frontiers_on_the_benchmark(monkeypatch):
     # the first 12 seed-1 general-uniform instances, as the benchmark builds
-    # them: a full last row builds 92 frontiers, the pruned one 23
+    # them: a full last row builds 92 frontiers, the pruned one 23, and the
+    # best endpoint of frontier (1, 0, top, 0) one per solve, 12
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
@@ -1148,12 +1263,12 @@ def test_glue_builds_few_frontiers_on_the_benchmark(monkeypatch):
     workload = workloads.WORKLOADS["general-uniform"]
     for index in range(12):
         solve_detailed(workload.make(1, index), Fraction(workload.eps))
-    assert 0 < len(built) <= 23
+    assert 0 < len(built) <= 12
 
 
 @pytest.mark.parametrize(
     "name, most, grids, rows",
-    [("general-uniform", 428, 200, 400), ("general-multicluster", 348, 108, 108), ("verify-small", 249, 120, 240)],
+    [("general-uniform", 200, 200, 400), ("general-multicluster", 337, 108, 108), ("verify-small", 120, 120, 240)],
     ids=["general-uniform", "general-multicluster", "verify-small"],
 )
 def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name, most, grids, rows):
@@ -1162,11 +1277,14 @@ def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name
     # clusters filled in full build 1,030; keeping only their states of
     # F >= L, 441; also skipping every predecessor that writes nothing
     # above need nor lighter at it, 395; taking L from cluster 1's chain
-    # alone, never building frontier (m, 0, top, 0) for m >= 2, 348.
-    # Grids and class knapsack rows (two ``knapsack_rows`` calls) in the same
-    # pass: one of each per plan built 216 grids and 432 row sets on
-    # general-multicluster; one grid per cluster count and one set of rows
-    # per solve, 108 and 108.  The other pools solve one plan each
+    # alone, never building frontier (m, 0, top, 0) for m >= 2, 348;
+    # answering one-cluster plans by frontier (1, 0, top, 0)'s best endpoint,
+    # with no row filled, 337.  The other pools solve one plan each, of one
+    # cluster, and build that one frontier per solve (428 and 249 when their
+    # rows were filled).  Grids and class knapsack rows (two
+    # ``knapsack_rows`` calls) in the same pass: one of each per plan built
+    # 216 grids and 432 row sets on general-multicluster; one grid per
+    # cluster count and one set of rows per solve, 108 and 108
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
