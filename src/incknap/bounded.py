@@ -20,10 +20,10 @@ times (1/eps)**l_top, so it runs on ints, and Fractions appear only in answers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain, filterfalse, groupby
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -113,56 +113,79 @@ def dp_solve(
 
     ``family`` was cut at max(capacities), so its cells, the lattice cells
     weighing at most that, are the only ones that can hold a value, and
-    they are the DP's index set.  That set is closed downwards: what a sweep
-    would carry into a cell outside it flows only to cells above it, outside
-    the set too.
+    they are the DP's index set.  That set is closed downwards: a cell's
+    axis predecessors (one count lower) fit too.
 
     Transition: a vector extends the best coordinatewise-smaller reachable
     vector, paying the marginal count difference at the period's
-    suffix-lambda rate.  That best predecessor comes from a running max
-    along each axis of the fitting cells (the max form of Yates' zeta
-    transform), O(N*d) per period for N fitting cells and d classes; only
-    members within the period's capacity get a value.  A cell holds the key
-    (G, -rank), G = prev - lam*profit and rank = count_sum*N + position, so
-    equal G goes to the first predecessor in (count-sum, counts) order.
-    The input is in integer units, unchecked here, so the rows hold ints.
+    suffix-lambda rate.  A reached cell's key is (G, -rank), G = prev -
+    lam*profit and rank = count_sum*N + position, so equal G goes to the
+    first predecessor in (count-sum, counts) order.  The best key at or
+    below a cell is the max of its own and its axis predecessors' best (the
+    max form of Yates' zeta transform), found in position order, where a
+    cell's axis predecessors come first (weight order would do too, but
+    scatters the reads of a large table); only members within the period's
+    capacity get a value.  The zero cell, a member of weight 0, is
+    reached in every row, so row t holds exactly the members within
+    capacity t.
+
+    Carry-forward: if lambda_{t-1} > 0, that is lam' = suffix[t-2] > lam,
+    a member p reached at t-1 keeps its value and points to itself.  Its
+    value there is lam'*profit(p) plus the best G at or below it, at least
+    that of any q below p; so at rate lam its G beats q's by at least
+    (lam' - lam)*(profit(p) - profit(q)) > 0, as lifted profits rise along
+    every axis.  Period t then visits only the cells within its capacity
+    that row t-1 left empty, the members its capacity newly admits and the
+    non-members: a reached predecessor gives its own key, an empty one its
+    best found earlier in the pass.  After a zero lambda_{t-1} keys tie and
+    a reached cell may point below itself, so that period visits every
+    cell within its capacity, as period 1 does.  The input is in integer
+    units, unchecked here, so the rows hold ints.
     """
     value_den = classes.eps.denominator ** max(interval.active, default=0)
-    cells, weights, profits = family.cells, family.weights, family.profits
-    horizon = len(capacities)
-    size = len(cells)
+    cells, weights, profits, lams = family.cells, family.weights, family.profits, suffix.values
+    horizon, size = len(capacities), len(cells)
     ranks = [-(total * size + pos) for pos, total in enumerate(family.sums)]
-    # per axis, each position past its line's first count with the position
-    # of the cell one count below
     at = {cell: pos for pos, cell in enumerate(cells)}
-    sweeps = [
-        [(pos, at[cell - stride]) for pos, cell in enumerate(cells) if cell // stride % len(values)]
-        for stride, values in zip(family.strides, family.values)
-    ]
+    axes = list(zip(family.strides, map(len, family.values)))
+    member = bytearray(size)
+    for pos in family.members:
+        member[pos] = 1
+    # positions by weight, and how many of them each period's capacity admits
+    order = sorted(range(size), key=weights.__getitem__)
+    ends = [0, *(bisect_right(order, cap, key=weights.__getitem__) for cap in capacities)]
 
-    raw: list[list[Optional[int]]] = [[None] * size for _ in range(horizon + 1)]
-    back: list[list[Optional[int]]] = [[None] * size for _ in range(horizon + 1)]
+    raw: list[list[Optional[int]]] = [[None] * size]
+    back: list[list[Optional[int]]] = [[None] * size]
     raw[0][0] = 0
-
+    own: list[Optional[int]] = [None] * size  # each reached position, pointing to itself
+    keys: list[tuple] = [()] * size  # () sorts below every key
+    waiting: list[int] = []  # the non-members admitted so far
     for t in range(1, horizon + 1):
-        lam = suffix.values[t - 1]
-        cap = capacities[t - 1]
-        keys: list[tuple] = [()] * size  # () sorts below every key
-        for pos, v in enumerate(raw[t - 1]):
-            if v is not None:
-                keys[pos] = (v - lam * profits[pos], ranks[pos])
-        for pairs in sweeps:
-            for pos, below in pairs:
-                key = keys[below]
-                if key > keys[pos]:
-                    keys[pos] = key
-        cur_row = raw[t]
-        back_row = back[t]
-        for pos in family.members:
-            key = keys[pos]
-            if key and weights[pos] <= cap:
-                cur_row[pos] = lam * profits[pos] + key[0]
-                back_row[pos] = -key[1] % size
+        lam, prev = lams[t - 1], raw[t - 1]
+        carry = t == 1 or lams[t - 2] > lam
+        fresh = order[ends[t - 1] : ends[t]]
+        visit = sorted(waiting + fresh if carry else order[: ends[t]])
+        waiting += filterfalse(member.__getitem__, fresh)
+        cur, back_row = prev.copy(), own.copy()
+        for pos in visit:
+            v = prev[pos]
+            best = () if v is None else (v - lam * profits[pos], ranks[pos])
+            cell = cells[pos]
+            for stride, k in axes:
+                if cell // stride % k:
+                    b = at[cell - stride]
+                    v = prev[b]
+                    key = keys[b] if v is None or not carry else (v - lam * profits[b], ranks[b])
+                    if key > best:
+                        best = key
+            keys[pos] = best
+            if member[pos]:
+                cur[pos] = lam * profits[pos] + best[0]
+                back_row[pos] = -best[1] % size
+                own[pos] = pos
+        raw.append(cur)
+        back.append(back_row)
     return BoundedDPTable(interval, family, raw, back, value_den)
 
 
@@ -238,6 +261,15 @@ class InverseFrontier:
     all lie in that window's family, where (count-sum, counts over all
     classes) is their family order.  So the least-ranked built entry is the
     entry the all-windows merge picks, or a copy of it.
+
+    Each table first gives only its own Pareto entries: its live final-row
+    positions sorted by weight (and by value, descending, within a weight),
+    keeping the best-valued entries of a weight whose value beats the
+    table's best at lower weights, all of them when several tie.  A dropped
+    entry is worth no more than a lighter entry of its own table, or less
+    than one of equal weight, so the merge over all entries drops it too;
+    and every entry of a run that merge keeps passes its table's scan.  So
+    merging the kept entries on (weight, -value) ranks the same candidates.
     """
 
     def __init__(self, instance: Instance, eps: Fraction):
@@ -281,10 +313,16 @@ class InverseFrontier:
         top = max((table.value_den for _, table in tables), default=1)
         entries: list[tuple] = [(0, 0, -1, None, None)]  # (weight, value, window, table, position)
         for index, table in tables:
-            lift = top // table.value_den
-            for pos, v in enumerate(table.raw[-1]):
-                if v is not None:
-                    entries.append((table.family.weights[pos], v * lift, index, table, pos))
+            lift, row, weights = top // table.value_den, table.raw[-1], table.family.weights
+            # by weight, then value descending, then position: both sorts are stable
+            live = sorted((pos for pos, v in enumerate(row) if v is not None), key=row.__getitem__, reverse=True)
+            live.sort(key=weights.__getitem__)
+            most = held = -1  # the table's best value so far, and the weight that holds it
+            for pos in live:
+                v = row[pos]
+                if v > most or v == most and weights[pos] == held:
+                    most, held = v, weights[pos]
+                    entries.append((held, v * lift, index, table, pos))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1

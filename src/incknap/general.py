@@ -14,13 +14,16 @@ row visits only those predecessors.  The per-cluster subproblems are
 inverse solves with capacities reduced by the weight already committed
 below.  A grid depends on its plan only through the cluster count, so a
 solve builds one grid per count; the class knapsack rows behind the bound
-below depend on no plan, and a solve builds them once.
+below depend on no plan, and a solve builds them once.  Both serve plans
+of two or more clusters only.
 
 Gluing answers a plan of one cluster by the first endpoint of most true
-profit of one frontier, cluster 1's on every class, and fills no row.  For
-more clusters it reads one state of the last row, its most profitable
-feasible one, and the chain of backpointers below it; every row is filled
-as a branch and bound for that chain.  A 0/1 knapsack bound per cluster
+profit of one frontier, cluster 1's on every class; such a plan builds no
+grid, class rows or pushes, and fills no row, though the grid its cluster
+count would need is still held to ``GRID_BUDGET``.  For more clusters it
+reads one state of the last row, its most profitable feasible one, and
+the chain of backpointers below it; every row is filled as a branch and
+bound for that chain.  A 0/1 knapsack bound per cluster
 caps the last-row index F any chain through a state reaches, and each row
 keeps its states from need on, need the least index of F >= L (where the
 zero state ends if cluster 1 takes every class and the rest none), one
@@ -126,29 +129,39 @@ class ProfitGrid:
         return Fraction(self.values[k], self.unit)
 
 
+def grid_budget(
+    eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Fraction, psi_cap: Fraction
+) -> tuple[Fraction, Fraction, int, int]:
+    """(delta, step, reach, need) of the grid ``build_grid`` builds, reach/need
+    = delta/psi_cap on ints, after its budget test: a grid of more than
+    ``GRID_BUDGET`` points raises BudgetExceeded before any point is counted.
+
+    With step = num/den, point k >= 1 is delta*step**(k-1), so the grid has
+    top+1 points for the least top with reach*num**(top-1) >= need*den**(top-1).
+    It overruns the budget B iff top >= B, that is iff point B-1 still misses
+    the cap: step**(B-2) < need/reach, which ``classes.power_order`` decides.
+    """
+    delta = eps / num_clusters * lam_last * p_max
+    step = 1 + eps / num_clusters
+    reach = delta.numerator * psi_cap.denominator
+    need = psi_cap.numerator * delta.denominator
+    if power_order(step.numerator, step.denominator, GRID_BUDGET - 2, need, reach) < 0:
+        raise BudgetExceeded(GRID_BUDGET + 1, GRID_BUDGET, "profit grid of at least {} points")
+    return delta, step, reach, need
+
+
 def build_grid(eps: Fraction, num_clusters: int, lam_last: Fraction, p_max: Fraction, psi_cap: Fraction) -> ProfitGrid:
     """Grid from delta = eps/M * lambda_T * p_max up to the profit ceiling.
 
     The last point is the first at or above psi_cap (suffix-lambda of period
     1 times the total profit mass), so the grid covers every achievable
     profit; a cap short of that would silently truncate the DP's reachable
-    states.  The point count is found on ints before any point is built,
-    and a grid of more than ``GRID_BUDGET`` points raises BudgetExceeded.
-
-    With step = num/den, point k >= 1 is delta*step**(k-1), so the grid has
-    top+1 points for the least top with reach*num**(top-1) >= need*den**(top-1)
-    (reach/need = delta/psi_cap on ints).  It overruns the budget B iff top
-    >= B, that is iff point B-1 still misses the cap: step**(B-2) <
-    need/reach, which ``classes.power_order`` decides before any counting.
+    states.  ``grid_budget`` refuses a grid past ``GRID_BUDGET`` points
+    before they are counted, and they are counted, on ints, before any is
+    built.
     """
-    delta = eps / num_clusters * lam_last * p_max
-    step = 1 + eps / num_clusters
+    delta, step, reach, need = grid_budget(eps, num_clusters, lam_last, p_max, psi_cap)
     num, den = step.numerator, step.denominator
-    reach = delta.numerator * psi_cap.denominator
-    need = psi_cap.numerator * delta.denominator
-    budget = GRID_BUDGET
-    if power_order(num, den, budget - 2, need, reach) < 0:
-        raise BudgetExceeded(budget + 1, budget, "profit grid of at least {} points")
     top = 1
     while reach < need:
         reach, need, top = reach * num, need * den, top + 1
@@ -239,14 +252,17 @@ class ClusterDPTable:
     are the full row's; each state of its chain has F at least the target,
     hence at least L.  Rows with no cluster or no class share one zero row:
     a zero state of F < L writes only below need, so ``skips`` drops it.
+
+    A plan of one cluster gets no ``grid`` nor ``class_rows`` (None); its
+    table only builds frontier (1, 0, top, 0), without pushes, for ``glue``.
     """
 
     instance: Instance
     classes: ProfitClasses
     plan: ClusterPlan
-    grid: ProfitGrid
+    grid: Optional[ProfitGrid]  # None for a plan of one cluster
     eps: Fraction
-    class_rows: tuple[int, dict, dict]  # ``class_rows(instance, classes)``
+    class_rows: Optional[tuple[int, dict, dict]]  # ``class_rows(instance, classes)``; None for one cluster
 
     def __post_init__(self):
         self._rows: dict[tuple[int, int], dict] = {}
@@ -260,9 +276,11 @@ class ClusterDPTable:
         if key not in self._frontiers:
             sub = single_cluster_instance(self.instance, self.classes, self.plan, m, lo, hi, omega)
             frontier = InverseFrontier(sub.instance, self._sub_eps)
-            unit, den = self.grid.unit, frontier.den
-            # each entry's cutoff, with the total weight it gives a state of weight omega
-            pushes = [(t * unit // den, omega + w) for t, w in zip(frontier.thresholds, frontier.weights)]
+            pushes = None  # a plan of one cluster pushes nothing
+            if self.grid is not None:
+                unit, den = self.grid.unit, frontier.den
+                # each entry's cutoff, with the total weight it gives a state of weight omega
+                pushes = [(t * unit // den, omega + w) for t, w in zip(frontier.thresholds, frontier.weights)]
             self._frontiers[key] = (frontier, sub, pushes)
         return self._frontiers[key]
 
@@ -491,6 +509,7 @@ class GeneralResult:
     on ``core_instance``; with more, its last-row state's grid point.  It,
     ``grid`` (ints over ``grid.unit``) and ``classes`` are in
     ``core_instance``'s integer units; the diagnostics are None when no
+    plan ran, and ``grid`` also when the winner has one cluster, as no
     cluster DP ran."""
 
     solution: Solution  # over the original instance
@@ -526,8 +545,10 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
     if not fit_ids:
         return empty
     core, _, _ = integer_units(Instance(tuple(pre.items[i] for i in fit_ids), pre.capacities, pre.lambdas))
-    classes: Optional[ProfitClasses] = None  # built after the first grid, which may refuse the budget
-    grids: dict[int, ProfitGrid] = {}  # by cluster count, the grid's only plan-dependent argument
+    classes: Optional[ProfitClasses] = None  # built after the first grid budget test, which may refuse
+    rows: Optional[tuple[int, dict, dict]] = None  # built for the first plan of two or more clusters
+    # by cluster count, the grid's only plan-dependent argument; None for one cluster, which reads none
+    grids: dict[int, Optional[ProfitGrid]] = {}
     profits = [p for p, _ in core.items]
     p_max = max(profits)
     psi_cap = core.suffix_lambdas.values[0] * sum(profits)
@@ -542,13 +563,20 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
         if plan.num_clusters == 0:
             candidate = empty
         else:
-            grid = grids.get(plan.num_clusters)
-            if grid is None:
-                grid = grids[plan.num_clusters] = build_grid(eps, plan.num_clusters, core.lambdas[-1], p_max, psi_cap)
+            count = plan.num_clusters
+            if count not in grids:
+                bounds = (eps, count, core.lambdas[-1], p_max, psi_cap)
+                if count > 1:
+                    grids[count] = build_grid(*bounds)
+                else:  # one cluster reads no grid, but its budget holds all the same
+                    grid_budget(*bounds)
+                    grids[count] = None
             if classes is None:
                 classes = build_classes(core, eps)
+            if count > 1 and rows is None:
                 rows = class_rows(core, classes)
-            table = cluster_dp(core, classes, plan, grid, eps, rows)
+            grid = grids[count]
+            table = cluster_dp(core, classes, plan, grid, eps, rows if count > 1 else None)
             core_solution, phi_target = glue(plan, table)
             intro_pre: list[Optional[int]] = [None] * pre.n
             for j, t in core_solution.introduced():

@@ -33,8 +33,8 @@ from .oracle import BudgetExceeded
 
 
 # Most entries (fitting cells times T+1 rows) one family's DP table may hold.
-# A solve peaks near 260 bytes per entry, so this caps it near 2.2 GB; general
-# mode on gen --seed 1 --n 100 --t 4 at eps 1/2 needs 5,841,965 (1.5 GB peak).
+# A solve peaks near 150 bytes per entry, so this caps it near 1.3 GB; general
+# mode on gen --seed 1 --n 100 --t 4 at eps 1/2 needs 5,841,965 (0.82 GB peak).
 FAMILY_BUDGET = 2**23
 
 
@@ -90,8 +90,8 @@ def _power_range(lo: tuple[int, int], hi: tuple[int, int]) -> range:
     return range(-_floor_log2(lo[1], lo[0]), _floor_log2(*hi) + 1)
 
 
-def _heavy_choices(classes: ProfitClasses, level: int, threshold: int, num: int, den: int) -> dict[int, int]:
-    """Truncated counts up-rounding can give a heavy class, each with its least mu.
+def _heavy_choices(classes: ProfitClasses, level: int, threshold: int, num: int, den: int, cap: int) -> dict[int, int]:
+    """Truncated counts up-rounding can give a heavy class, each with its least mu, if at most cap.
 
     With mu_k = ceil(weight of items 1/eps+1..k / base), at least 1 since
     weights are positive, the estimate mu * base lands on the largest k with
@@ -105,7 +105,8 @@ def _heavy_choices(classes: ProfitClasses, level: int, threshold: int, num: int,
     reached = {-((prefix[0] - w) * den // num): k for k, w in enumerate(prefix[1:], start=threshold + 1)}
     choices: dict[int, int] = {}
     for mu, k in reached.items():
-        choices.setdefault(_truncated(k, threshold), mu)
+        if mu <= cap:
+            choices.setdefault(_truncated(k, threshold), mu)
     return choices
 
 
@@ -116,16 +117,17 @@ def heavy_configurations(
     weight_range: tuple[Fraction, Fraction],
     n: int,
 ) -> Iterator[tuple[Optional[int], ...]]:
-    """Yield every reachable truncated heavy-count tuple, None for light classes.
+    """Yield every reachable truncated heavy-count tuple once, None for light classes.
 
     The base ranges over powers of two bracketing eps/|interval| times the
     possible heavy excess (between the lightest single item and n items of
     maximal weight).  At each base every class is light (None) or, when it
     holds more than 1/eps items, takes one of its reachable truncated counts;
     a combination with at least one heavy class is reachable exactly when
-    the least multipliers of its counts sum to at most the counting cap.
-    The bases come from bit lengths of ints.  A tuple may repeat across
-    bases.
+    the least multipliers of its counts sum to at most the counting cap, so
+    a class offers no count whose least multiplier alone passes the cap.
+    The bases come from bit lengths of ints.  Several bases may reach a
+    tuple; it is yielded at the first.
     """
     threshold = eps.denominator
     if all(classes.size(l) <= threshold for l in interval.active):
@@ -133,12 +135,16 @@ def heavy_configurations(
     cap = mu_sum_cap(interval, eps)
     (a, b), (c, d) = ((w.numerator, w.denominator) for w in weight_range)
     scale = eps.denominator * interval.length
+    seen: set[tuple[Optional[int], ...]] = set()
     for k in _power_range((eps.numerator * a, scale * b), (2 * eps.numerator * n * c, scale * d)):
         num, den = 1 << max(k, 0), 1 << max(-k, 0)  # base 2**k
-        options = [[(None, 0), *_heavy_choices(classes, l, threshold, num, den).items()] for l in interval.active]
+        options = [[(None, 0), *_heavy_choices(classes, l, threshold, num, den, cap).items()] for l in interval.active]
         for combo in itertools.product(*options):
             if 0 < sum(mu for _, mu in combo) <= cap:
-                yield tuple(count for count, _ in combo)
+                partial = tuple(count for count, _ in combo)
+                if partial not in seen:
+                    seen.add(partial)
+                    yield partial
 
 
 def enumerate_family(
@@ -171,7 +177,7 @@ def enumerate_family(
     ltop = max(interval.active, default=0)
     top, rows = max(capacities), len(capacities) + 1
     light = [min(q, classes.size(l)) for l in interval.active]
-    partials = [*{(None,) * len(light), *heavy_configurations(classes, interval, eps, weight_range, n)}]
+    partials = [(None,) * len(light), *heavy_configurations(classes, interval, eps, weight_range, n)]
     values = [sorted({*range(r + 1), *(p[pos] for p in partials if p[pos] is not None)}) for pos, r in enumerate(light)]
     walk = [(0, 0, 0, 0, (1 << len(partials)) - 1)]  # (cell, weight, lifted profit, count sum, mask)
     for pos, (level, vals) in enumerate(zip(interval.active, values)):

@@ -422,6 +422,18 @@ class FullRowTable(ClusterDPTable):
         return (_NoBound(),) * self.plan.num_clusters
 
 
+def certified_floor(result) -> Fraction:
+    """The least profit a ``solve_detailed`` winner's certificate promises on
+    its core instance: (1-2*eps_int)*phi_target, less M*delta when its plan
+    of M >= 2 clusters read a grid.  A winner of one cluster builds no grid,
+    and its phi_target, its endpoint's rounded profit, is no grid point."""
+    floor = (1 - 2 * result.eps_int) * result.phi_target
+    if result.plan.num_clusters == 1:
+        assert result.grid is None
+        return floor
+    return floor - result.plan.num_clusters * result.grid.delta
+
+
 def lattice_rows(table: BoundedDPTable, t: int) -> tuple[list, list]:
     """Period t's values and predecessor cells, one entry per lattice cell:
     a cell that does not fit reads None in both."""

@@ -11,7 +11,9 @@ form of the objective, an exact optimum over per-profit count vectors, the
 runs of surviving bands that form the clusters and the deletion of
 dropped-band periods behind the derandomized offset,
 the class knapsack rows as each cluster DP table once built them for
-itself, and the star-uncrossing audit.
+itself, the star-uncrossing audit, the family DP swept over every fitting
+cell in every period, and the inverse frontier merged from every entry of
+every table.
 """
 
 from __future__ import annotations
@@ -354,3 +356,84 @@ def audit_uncrossing(edges: set[tuple[int, int]]) -> bool:
         return False
     ordered = sorted((level, next(iter(ms))) for level, ms in by_class.items())
     return all(a[1] <= b[1] for a, b in zip(ordered, ordered[1:]))
+
+
+def full_sweep_dp(classes: ProfitClasses, interval: ClassInterval, family, capacities, suffix) -> tuple[list, list]:
+    """(raw, back) of the family-restricted DP with every fitting cell swept in every period.
+
+    The reference ``bounded.dp_solve``'s carry-forward must match entry for
+    entry: each period fills a key (G, -rank) for every cell the last row
+    reached, G = prev - lam*profit and rank = count_sum*N + position, then
+    runs the max along each axis over all fitting cells, and gives every
+    member within the period's capacity the best key below it.
+    """
+    cells, weights, profits = family.cells, family.weights, family.profits
+    size = len(cells)
+    ranks = [-(total * size + pos) for pos, total in enumerate(family.sums)]
+    at = {cell: pos for pos, cell in enumerate(cells)}
+    sweeps = [
+        [(pos, at[cell - stride]) for pos, cell in enumerate(cells) if cell // stride % len(values)]
+        for stride, values in zip(family.strides, family.values)
+    ]
+    raw = [[None] * size for _ in range(len(capacities) + 1)]
+    back = [[None] * size for _ in range(len(capacities) + 1)]
+    raw[0][0] = 0
+    for t in range(1, len(capacities) + 1):
+        lam = suffix.values[t - 1]
+        keys = [()] * size
+        for pos, v in enumerate(raw[t - 1]):
+            if v is not None:
+                keys[pos] = (v - lam * profits[pos], ranks[pos])
+        for pairs in sweeps:
+            for pos, below in pairs:
+                if keys[below] > keys[pos]:
+                    keys[pos] = keys[below]
+        for pos in family.members:
+            if keys[pos] and weights[pos] <= capacities[t - 1]:
+                raw[t][pos] = lam * profits[pos] + keys[pos][0]
+                back[t][pos] = -keys[pos][1] % size
+    return raw, back
+
+
+def all_entries_merge(tables, intervals, classes: ProfitClasses) -> tuple[list, int]:
+    """(frontier, ties): ``InverseFrontier``'s merge over every final-row entry of every table.
+
+    The reference its per-table Pareto scan must match.  ``tables`` holds
+    (window index, table) in candidate order and ``intervals`` the candidate
+    windows.  Every live final-row entry of every table becomes a (weight,
+    value, window, table, position) tuple beside the empty one, and all of
+    them are sorted on (weight, -value); each run of equal (weight, value)
+    whose value beats every lighter one gives its entry of least rank, as
+    (weight, value, table, position).  ``ties`` counts the runs of more than
+    one entry that the rank decided.
+    """
+    q = classes.eps.denominator
+    windows = [frozenset(interval.active) for interval in intervals]
+
+    def rank(entry) -> tuple:
+        _, _, index, table, pos = entry
+        if table is None:
+            return (-1,)
+        counts = dict(zip(table.interval.active, table.family.counts(table.family.cells[pos])))
+        used = {l for l, c in counts.items() if c}
+        if all(c <= q for c in counts.values()):
+            index = next(i for i, w in enumerate(windows) if used <= w)
+        return (index, sum(counts.values()), tuple(counts.get(l, 0) for l in classes.indices))
+
+    top = max((table.value_den for _, table in tables), default=1)
+    entries = [(0, 0, -1, None, None)]
+    for index, table in tables:
+        lift = top // table.value_den
+        for pos, v in enumerate(table.raw[-1]):
+            if v is not None:
+                entries.append((table.family.weights[pos], v * lift, index, table, pos))
+    entries.sort(key=lambda e: (e[0], -e[1]))
+    frontier, best, ties = [], -1, 0
+    for (weight, v), run in itertools.groupby(entries, key=lambda e: e[:2]):
+        if v > best:
+            run = list(run)
+            ties += len(run) > 1
+            _, _, _, table, pos = min(run, key=rank)
+            frontier.append((weight, v, table, pos))
+            best = v
+    return frontier, ties

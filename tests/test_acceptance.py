@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    certified_floor,
     dp_value,
     lattice_weights,
     members,
@@ -248,8 +249,7 @@ def test_criterion_7_structural_audits(general_runs):
         edges = star_graph_edges(result.classes, result.plan, result.core_solution)
         assert audit_uncrossing(edges)
         core_profit = objective(result.core_instance, result.core_solution)
-        floor = (1 - 2 * result.eps_int) * result.phi_target
-        floor -= result.plan.num_clusters * result.grid.delta
+        floor = certified_floor(result)
         assert core_profit >= floor
         accounting += 1
     print(

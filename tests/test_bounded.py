@@ -1,7 +1,9 @@
 import itertools
 import random
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +40,7 @@ from incknap.bounded import (
     solve_inverse,
 )
 from incknap.classes import build_classes, make_interval, candidate_intervals
-from incknap.general import solve_detailed
+from incknap.general import internal_eps, solve_detailed
 from incknap.model import (
     InfeasibleSolution,
     Instance,
@@ -51,7 +53,7 @@ from incknap.model import (
     preprocess,
 )
 from incknap.oracle import BudgetExceeded, exact_inverse, exact_opt
-from reference import exact_opt_by_profits, exact_restricted_dp
+from reference import all_entries_merge, exact_opt_by_profits, exact_restricted_dp, full_sweep_dp
 from incknap.statespace import enumerate_family
 
 EPS = Fraction(1, 5)
@@ -319,6 +321,98 @@ def test_dp_rows_are_the_cells_that_fit():
     assert cut >= len(families)
 
 
+def bench_pool(monkeypatch, name):
+    """The seed-1 pool of a benchmark workload and its public eps, as the benchmark builds them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    workload = workloads.WORKLOADS[name]
+    return [workload.make(1, index) for index in range(workload.pool)], Fraction(workload.eps)
+
+
+def test_dp_solve_matches_the_full_sweep_on_bench_families(monkeypatch):
+    # every dp_solve call of the seed-1 general-uniform (general mode) and
+    # bounded-heavy (bounded mode) pools gives the rows of the sweep over
+    # every fitting cell in every period, entry for entry
+    calls = []
+
+    def checked(*args):
+        table = dp_solve(*args)
+        assert (table.raw, table.back) == full_sweep_dp(*args)
+        calls.append(len(args[2].cells))
+        return table
+
+    monkeypatch.setattr(bounded, "dp_solve", checked)
+    instances, eps = bench_pool(monkeypatch, "general-uniform")
+    for instance in instances:
+        solve_detailed(instance, eps)
+    assert len(calls) == 200
+    instances, eps = bench_pool(monkeypatch, "bounded-heavy")
+    for instance in instances:
+        solve_bounded(instance, accuracy_budget(eps, 5))
+    assert len(calls) == 903 and max(calls) > 1000
+
+
+def random_horizon_tables(rng):
+    """(family DP table, capacities, suffix) on random horizons, zero lambdas
+    among them: random, sparse (lattice cells outside the family), two-heavy
+    and sparse-heavy families, under loose and tight capacities."""
+    for _ in range(30):
+        instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=9, den=2)
+        caps, suffix = random_horizon(rng, instance.capacities[0])
+        args = (classes, interval, family_for(instance, classes, interval, caps), caps, suffix)
+        yield dp_solve(*args), args
+    for _ in range(30):
+        instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=4, den=2)
+        product = list(itertools.product(*(range(classes.size(l) + 1) for l in interval.active)))
+        picked = {product[0], *rng.sample(product, rng.randint(1, len(product)))}
+        caps, suffix = random_horizon(rng, instance.capacities[0])
+        args = (classes, interval, family_of(classes, interval, picked, caps), caps, suffix)
+        yield dp_solve(*args), args
+    for args in [*two_heavy_structures(), *sparse_heavy_structures()]:
+        classes, interval = args[:2]
+        weights = lattice_weights(classes, interval, enumerate_family(*args, uncut(classes, interval)))
+        for tight in (False, True):
+            caps, suffix = random_horizon(rng, 60)
+            if tight:
+                caps = tight_capacities(rng, weights, len(caps))
+            full = (classes, interval, enumerate_family(*args, caps), caps, suffix)
+            yield dp_solve(*full), full
+
+
+def test_dp_solve_matches_the_full_sweep_on_random_horizons():
+    # zero lambdas make consecutive suffix values and predecessor keys tie,
+    # where the period sweeps every fitting cell; non-member cells are
+    # swept in every period
+    rng = random.Random(35)
+    zero = sparse = 0
+    for table, args in random_horizon_tables(rng):
+        assert (table.raw, table.back) == full_sweep_dp(*args)
+        suffix = args[4].values
+        zero += any(a == b for a, b in zip(suffix, suffix[1:]))
+        sparse += len(args[2]) < len(args[2].cells)
+    assert zero >= 20 and sparse >= 20
+
+
+def test_dp_carries_every_reached_member_after_a_positive_lambda():
+    # after lambda_{t-1} > 0 a member reached at t-1 keeps its value and
+    # points to itself; after a zero lambda some point below themselves
+    rng = random.Random(36)
+    carried = below = 0
+    for table, args in random_horizon_tables(rng):
+        suffix = args[4].values
+        for t in range(2, len(suffix) + 1):
+            for pos, v in enumerate(table.raw[t - 1]):
+                if v is None:
+                    continue
+                if suffix[t - 2] > suffix[t - 1]:
+                    assert (table.raw[t][pos], table.back[t][pos]) == (v, pos)
+                    carried += 1
+                else:
+                    below += table.back[t][pos] != pos
+    assert carried > 1000 and below > 0
+
+
 def counts_by_class(interval, counts):
     return {l: c for l, c in zip(interval.active, counts) if c}
 
@@ -347,6 +441,62 @@ def test_inverse_frontier_matches_fraction_merge():
         assert served(frontier) == [e[1] / (1 - 3 * EPS) for e in want]
         tops.add(len({e[2].hi for e in want if e[2] is not None}))
     assert max(tops) >= 3  # entries from tables of different value_den compete
+
+
+def recorded_frontier(monkeypatch, instance, eps):
+    """``InverseFrontier(instance, eps)``, its candidate windows, and the
+    (window index, table) of each DP table it built, in order."""
+    seen, tables = [], []
+    monkeypatch.setattr(bounded, "candidate_intervals", lambda *args: seen.append(candidate_intervals(*args)) or seen[-1])
+    monkeypatch.setattr(bounded, "dp_solve", lambda *args: tables.append(dp_solve(*args)) or tables[-1])
+    frontier = InverseFrontier(instance, eps)
+    (intervals,) = seen
+    indexed = [(next(i for i, w in enumerate(intervals) if w is table.interval), table) for table in tables]
+    return frontier, intervals, indexed
+
+
+def test_pareto_scan_matches_the_all_entries_merge(monkeypatch):
+    # per-table Pareto scans, then the merge, give the entries, weights,
+    # thresholds and solutions of merging every final-row entry of every
+    # table: random instances, heavy windows of several tables each (only
+    # heavy windows give a frontier more than one table), where equal
+    # (weight, value) entries of different tables tie, and the first
+    # seed-1 instances of bounded-heavy and general-uniform at their
+    # frontiers' accuracies (1/10, and 1/42 for general mode's clusters)
+    rng = random.Random(62)
+    cases = [(random_instance(rng, n_max=8, t_max=3), EPS) for _ in range(20)]
+    for _ in range(8):
+        items = [(Fraction(rng.choice([3, 4, 9]), rng.randint(1, 3)), rng.randint(1, 6)) for _ in range(4)]
+        items += [(Fraction(7, 2), rng.randint(1, 6)) for _ in range(6)]
+        cases.append((Instance.build(items=items, capacities=[10, 25], lambdas=[2, Fraction(1, 3)]), EPS))
+    profits = [100] * 14 + [110] * 4 + [121] * 3
+    for _ in range(4):
+        items = [(p, rng.randint(1, 10)) for p in profits]
+        cases.append((Instance.build(items=items, capacities=[30, 60], lambdas=[2, 1]), Fraction(1, 10)))
+    instances, _ = bench_pool(monkeypatch, "bounded-heavy")
+    cases += [(instance, Fraction(1, 10)) for instance in instances[:12]]
+    instances, eps = bench_pool(monkeypatch, "general-uniform")
+    cases += [(instance, accuracy_budget(internal_eps(eps), 3)) for instance in instances[:12]]
+    shapes = Counter()
+    for instance, eps in cases:
+        instance, _, _ = integer_units(preprocess(instance)[0])
+        frontier, intervals, tables = recorded_frontier(monkeypatch, instance, eps)
+        want, ties = all_entries_merge(tables, intervals, frontier.classes)
+        assert [(w, v, table, pos) for w, v, table, pos in frontier._frontier] == want
+        assert all(got[2] is entry[2] for got, entry in zip(frontier._frontier, want))
+        assert frontier.weights == [w for w, _, _, _ in want]
+        q = frontier.eps.denominator
+        assert frontier.thresholds == [frontier.classes.scale * q * v for _, v, _, _ in want]
+        for i, (_, _, table, pos) in enumerate(want):
+            if table is None:
+                assert frontier.solution(i) == Solution.empty(instance.n)
+            else:
+                chain = table.chain(pos)
+                assert frontier.solution(i) == prefix_to_solution(frontier.classes, table.interval, chain, instance.n)
+        heavy = any(frontier.classes.size(l) > q for _, table in tables for l in table.interval.active)
+        shapes[len(tables) > 1, heavy] += 1
+        shapes["ties"] += ties
+    assert shapes[True, True] >= 10 and shapes["ties"] >= 20
 
 
 def test_query_on_int_thresholds_matches_a_fraction_bisect():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FullRowTable, PullClusterTable, climb, cluster_value, e1, random_instance
+from helpers import FullRowTable, PullClusterTable, certified_floor, climb, cluster_value, e1, random_instance
 from incknap import general, oracle, statespace
 from incknap.bounded import InverseFrontier, accuracy_budget
 from incknap.classes import build_classes
@@ -173,6 +173,10 @@ def test_build_grid_refuses_a_grid_past_the_budget_before_building_it():
     with pytest.raises(BudgetExceeded) as info:
         build_grid(Fraction(1), 1, Fraction(1), Fraction(1), Fraction(2**40000))
     assert (info.value.required, info.value.budget) == (2**15 + 1, 2**15)
+    # the same test without the grid, as a plan of one cluster runs it
+    with pytest.raises(BudgetExceeded) as alone:
+        general.grid_budget(Fraction(1), 1, Fraction(1), Fraction(1), Fraction(2**40000))
+    assert str(alone.value) == str(info.value)
 
 
 def test_solve_refuses_the_grid_before_building_classes(monkeypatch):
@@ -358,21 +362,32 @@ def test_grid_offsets_are_the_floored_step_past_each_point(num_clusters, eps, la
     assert all(a < b for a, b in zip(grid.offsets, grid.offsets[1:]))
 
 
-def test_small_eps_guarantee_on_long_grids():
-    # public eps 1/50 gives grids of a few thousand points
-    eps = Fraction(1, 50)
+def test_small_eps_guarantee_on_long_grids(monkeypatch):
+    # public eps 1/50 on random draws, whose plans all have one cluster and
+    # build no grid; and public eps 1/10 on two_cluster_instance, whose
+    # 2-cluster plans build grids of a few thousand points and glue on them
+    # meets its certified floor
+    built, glued = [], []
+    monkeypatch.setattr(general, "build_grid", lambda *args: built.append(build_grid(*args)) or built[-1])
+    monkeypatch.setattr(general, "glue", lambda plan, table: glued.append((plan, table, glue(plan, table))) or glued[-1][2])
     rng = random.Random(50)
+    cases = [(random_instance(rng, n_max=4, t_max=3), Fraction(1, 50)) for _ in range(6)]
+    k = internal_eps(Fraction(1, 10)).denominator
+    cases += [(two_cluster_instance(seed, k), Fraction(1, 10)) for seed in range(6)]
     long_grids = 0
-    for _ in range(6):
-        instance = random_instance(rng, n_max=4, t_max=3)
+    for instance, eps in cases:
+        built.clear()
+        glued.clear()
         result = solve_detailed(instance, eps)
         assert check_feasible(instance, result.solution) is None
         opt, _ = exact_opt(instance)
         assert result.profit >= (1 - eps) * opt
-        floor = (1 - 2 * result.eps_int) * result.phi_target
-        floor -= result.plan.num_clusters * result.grid.delta
-        assert objective(result.core_instance, result.core_solution) >= floor
-        long_grids += len(result.grid.values) >= 2000
+        assert objective(result.core_instance, result.core_solution) >= certified_floor(result)
+        for plan, table, (solution, phi_target) in glued:
+            if plan.num_clusters > 1:
+                floor = (1 - 2 * result.eps_int) * phi_target - plan.num_clusters * table.grid.delta
+                assert objective(result.core_instance, solution) >= floor
+        long_grids += any(len(grid.values) >= 2000 for grid in built)
     assert long_grids == 6
 
 
@@ -575,9 +590,7 @@ def test_solve_with_heavy_subcall_classes():
     assert result.profit == 147
     edges = star_graph_edges(result.classes, result.plan, result.core_solution)
     assert audit_uncrossing(edges)
-    floor = (1 - 2 * result.eps_int) * result.phi_target
-    floor -= result.plan.num_clusters * result.grid.delta
-    assert result.profit >= floor
+    assert result.profit >= certified_floor(result)
 
 
 def test_solve_meets_its_bound_where_heavy_classes_engage(monkeypatch):
@@ -931,9 +944,7 @@ def test_solve_detailed_diagnostics_support_audits():
             continue
         edges = star_graph_edges(result.classes, result.plan, result.core_solution)
         assert audit_uncrossing(edges)
-        floor = (1 - 2 * result.eps_int) * result.phi_target
-        floor -= result.plan.num_clusters * result.grid.delta
-        assert objective(result.core_instance, result.core_solution) >= floor
+        assert objective(result.core_instance, result.core_solution) >= certified_floor(result)
 
 
 def test_drop_bad_periods_keeps_good_intros():
@@ -1151,17 +1162,22 @@ def test_plans_of_one_cluster_count_share_one_grid(monkeypatch, horizon, n, grid
 
 @pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
 def test_every_table_of_a_solve_reads_its_class_rows(monkeypatch, cells):
-    # one set of class rows per solve, the very rows each table would have
-    # built for itself (``reference.table_class_rows``), also when a cell
-    # budget of 4 floors them
+    # one set of class rows per solve, the very rows each table of two or
+    # more clusters would have built for itself (``reference.table_class_rows``),
+    # also when a cell budget of 4 floors them; a table of one cluster reads
+    # neither rows nor a grid, and gets none
     monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
     shared = Counter()
     for instance, eps_public in last_row_cases():
         _, tables = solve_recording_tables(monkeypatch, instance, eps_public)
+        multi = [table for table in tables if table.plan.num_clusters > 1]
         for table in tables:
-            assert table.class_rows is tables[0].class_rows
+            if table.plan.num_clusters == 1:
+                assert table.class_rows is None and table.grid is None
+                continue
+            assert table.class_rows is multi[0].class_rows
             assert table.class_rows == table_class_rows(table)
-            shared[len(tables) > 1, table.class_rows[0] > 1] += 1
+            shared[len(multi) > 1, table.class_rows[0] > 1] += 1
     assert shared[True, cells == 4] > 0
 
 
@@ -1268,7 +1284,7 @@ def test_glue_builds_few_frontiers_on_the_benchmark(monkeypatch):
 
 @pytest.mark.parametrize(
     "name, most, grids, rows",
-    [("general-uniform", 200, 200, 400), ("general-multicluster", 337, 108, 108), ("verify-small", 120, 120, 240)],
+    [("general-uniform", 200, 0, 0), ("general-multicluster", 337, 54, 108), ("verify-small", 120, 0, 0)],
     ids=["general-uniform", "general-multicluster", "verify-small"],
 )
 def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name, most, grids, rows):
@@ -1282,9 +1298,12 @@ def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name
     # with no row filled, 337.  The other pools solve one plan each, of one
     # cluster, and build that one frontier per solve (428 and 249 when their
     # rows were filled).  Grids and class knapsack rows (two
-    # ``knapsack_rows`` calls) in the same pass: one of each per plan built
-    # 216 grids and 432 row sets on general-multicluster; one grid per
-    # cluster count and one set of rows per solve, 108 and 108
+    # ``knapsack_rows`` calls) in the same pass, counted exactly: one of each
+    # per plan built 216 grids and 432 row sets on general-multicluster; one
+    # grid per cluster count and one set of rows per solve, 108 and 108; and
+    # none for plans of one cluster, which read neither, 54 grids (one per
+    # solve, all of two clusters) and 108, and none at all on the other pools
+    # (200 and 400 on general-uniform, 120 and 240 on verify-small before)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
@@ -1309,8 +1328,8 @@ def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name
     for index in range(workload.pool):
         solve_detailed(workload.make(1, index), Fraction(workload.eps))
     assert 0 < built["frontiers"] <= most
-    assert 0 < built["grids"] <= grids
-    assert 0 < built["rows"] <= rows
+    assert built["grids"] == grids
+    assert built["rows"] == rows
 
 
 def hand_built_plans(cells):

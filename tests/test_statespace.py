@@ -201,6 +201,8 @@ def test_mu_vectors_respect_sum_cap():
     configs = list(heavy_configurations(*args))
     assert configs
     assert all(any(c is not None for c in partial) for partial in configs)
+    # each tuple once, though its bases reach these 8 tuples 29 times
+    assert len(configs) == len(set(configs)) == 8
     # the reference takes 1 <= mu and sum(mu) <= cap by construction
     assert set(configs) == reference_partials(*args)
     # its bases: the powers of two in [eps/|I| * w_min, 2*eps/|I| * n * w_max]
