@@ -3,7 +3,8 @@
 Pack items into a knapsack whose capacity grows over a horizon; introduced
 items persist and each period's packed profit is weighted by a coefficient.
 `solve` approximates the optimum within any requested factor; `oracle`
-provides brute-force ground truth for verification at small sizes.
+provides exact ground truth by a DP over per-profit count vectors, at the
+sizes where the scheme's rounding engages.
 """
 
 from .bounded import InverseResult, solve_bounded, solve_inverse

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance
-from .oracle import BudgetExceeded
+from .model import BudgetExceeded, Instance
 
 # Most profit-class levels (0 included) a solve may climb: level l is an int
 # of O(l) digits, so a ladder's time grows with its length squared.

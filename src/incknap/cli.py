@@ -7,9 +7,10 @@ impossible: a scalar that is not a string is rejected.  Exit codes: 0
 success; 1 an ``eval`` batch with failure rows; 2 an unreadable, malformed
 or invalid instance file, a bad argument (an ``--eps`` exponent past
 ``EPS_EXPONENT_LIMIT`` in magnitude too), or an unwritable ``--out``; 3 a
-resource overrun on a valid input: the oracle budget, the profit grid
-budget or the profit class budget exceeded, a solve out of memory, or a
-result value longer than the interpreter's integer string conversion limit.
+resource overrun on a valid input: the oracle budget (lattice cells times
+periods), the profit grid budget or the profit class budget exceeded, a
+solve out of memory, or a result value longer than the interpreter's
+integer string conversion limit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import bounded, general, oracle
-from .model import Instance, Solution, objective, validate
+from .model import BudgetExceeded, Instance, Solution, objective, validate
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -201,7 +202,7 @@ def cmd_solve(args) -> int:
     eps = _parse_eps(args.eps)
     try:
         solution, profit = _solve_mode(instance, args.mode, eps)
-    except oracle.BudgetExceeded as exc:
+    except BudgetExceeded as exc:
         print(f"{args.mode} mode budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except MemoryError:
@@ -248,7 +249,7 @@ def cmd_eval(args) -> int:
         name = f"{args.profile}-{seed}"
         try:
             opt_profit, _ = oracle.exact_opt(instance, budget=args.budget)
-        except oracle.BudgetExceeded as exc:
+        except BudgetExceeded as exc:
             failures += 1
             for mode in modes:
                 for eps in eps_list:
@@ -324,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--profile", choices=PROFILES, default="uniform")
     p_eval.add_argument("--eps", action="append", default=None)
     p_eval.add_argument("--modes", default="general")
-    p_eval.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p_eval.add_argument(
+        "--budget", type=int, default=oracle.DEFAULT_BUDGET, help="most lattice cells times periods the oracle may hold"
+    )
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(func=cmd_eval)
     return parser

@@ -45,6 +45,7 @@ from .bounded import InverseFrontier, accuracy_budget
 from .classes import ProfitClasses, build_classes, power_order
 from .model import (
     AllLambdasZero,
+    BudgetExceeded,
     Instance,
     Solution,
     integer_units,
@@ -53,11 +54,13 @@ from .model import (
     remap_solution,
     validate,
 )
-from .oracle import BudgetExceeded, knapsack_rows
 
 # Most profit-grid points (0 included) a solve may build: point k is an int
 # of O(k) digits, so a grid's time and memory grow with its length squared.
 GRID_BUDGET = 2**15
+# Most cells in one knapsack row (``knapsack_rows``); past it, weights and
+# capacities are floored by a common divisor.
+KNAPSACK_CELLS = 2**10
 
 
 @dataclass(frozen=True)
@@ -430,9 +433,35 @@ class _ClusterBound:
         return lighter < 0 or self.cutoff(ell_prev, ell, omega, lighter) + offset < points[reach]
 
 
+def add_item(row: list[int], profit: int, weight: int) -> list[int]:
+    """The 0/1 knapsack row of ``row``'s items and one more item: entry c
+    is the most profit packing at most c of weight."""
+    return row[:weight] + [max(keep, take + profit) for keep, take in zip(row[weight:], row)]
+
+
+def knapsack_rows(groups: list[list[tuple[int, int]]], capacity: int) -> tuple[int, list[list[int]]]:
+    """(g, rows): ``rows[k][c // g]`` bounds from above the 0/1 knapsack
+    optimum of the items of ``groups[k:]`` at weight c, 0 <= c <= capacity.
+
+    Rows are built back to front, one item at a time (``add_item``), so
+    ``rows[len(groups)]`` is all zeros.  g is the least divisor that keeps a
+    row within ``KNAPSACK_CELLS`` cells; every weight is floored by it, and a
+    set of weight at most c floors to at most c // g, so a row is never below
+    the true optimum, and it is exact when g = 1.
+    """
+    g = capacity // KNAPSACK_CELLS + 1
+    row = [0] * (capacity // g + 1)
+    rows = [row]
+    for group in reversed(groups):
+        for p, w in group:
+            row = add_item(row, p, w // g)
+        rows.append(row)
+    return g, rows[::-1]
+
+
 def class_rows(instance: Instance, classes: ProfitClasses) -> tuple[int, dict, dict]:
-    """(g, suffix, prefix): ``oracle.knapsack_rows`` over the profit classes
-    at the last capacity, floored by g past ``oracle.KNAPSACK_CELLS`` cells.
+    """(g, suffix, prefix): ``knapsack_rows`` over the profit classes at the
+    last capacity, floored by g past ``KNAPSACK_CELLS`` cells.
     ``suffix[ell]`` bounds the classes above ell and ``prefix[ell]`` those up
     to ell; no plan enters them, so a solve builds them once."""
     cap, states = instance.capacities[-1], (-1,) + classes.indices

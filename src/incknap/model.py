@@ -70,6 +70,13 @@ class AllLambdasZero(ValueError):
     """Every period coefficient is zero; only the empty solution has value."""
 
 
+class BudgetExceeded(RuntimeError):
+    def __init__(self, required: int, budget: int, what: str = "enumeration of {} states"):
+        super().__init__(f"{what.format(required)} exceeds budget {budget}")
+        self.required = required
+        self.budget = budget
+
+
 class InfeasibleSolution(ValueError):
     def __init__(self, period: int):
         super().__init__(f"capacity exceeded at period {period}")

@@ -1,189 +1,143 @@
-"""Exact solvers for desk-scale verification.
+"""Exact solvers for verification: a DP over per-profit count vectors.
 
-Both oracles wrap one depth-first branch and bound (``_search``) over the
-full assignment space (one introduction period or NEVER per item), so
-results are ground truth the approximation pipeline is checked against.
-The budget still counts that whole space, ``(T+1)^n`` assignments.  A
-subtree is cut only when an admissible bound (``_Bound``, over the 0/1
-knapsack rows of ``knapsack_rows``, which also bound the cluster DP's rows
-in ``general``) proves it holds no answer the plain enumeration would
-take, so the answers are those of the enumeration.  The search validates
-its input, then runs in integer units (``model.integer_units``): Python int
-arithmetic is an order of magnitude faster than Fraction churn in these
-inner loops.
+Among items of equal profit a lighter one can enter no later than a heavier
+one: swapping their periods keeps every period's profit and never raises its
+weight (the profit grouping of Kellerer, Pferschy and Pisinger, *Knapsack
+Problems*, 2004).  So some optimum packs, per distinct profit, the k lightest
+items of that profit, and is a chain of count vectors k_1 <= ... <= k_T, each
+within its period's capacity; and a lightest final vector whose chain meets
+phi minimises w(S_T).  The vectors form the lattice of counts cut at the
+largest capacity, closed downwards.  Period t's value at k is lambda_t times
+k's profit plus the best value of period t-1 at or below k, one pass per axis
+(the max form of Yates' zeta transform), and that best is kept as period t's
+backpointer row.  The DP runs on ``model.integer_units`` alone, with no
+rounding or pruning, and shares no code with the solvers it checks.
+
+Budget: lattice cells times T, counted before each axis is built.  A lattice
+has at most 2^n cells, and T*2^n <= (T+1)^n once n >= 2, so ``DEFAULT_BUDGET``
+admits every instance of two or more items whose (T+1)^n assignments it bounds.
+
+Ties: items of one profit are ordered by weight, then index; cells by count
+vector, lexicographically, profits ascending.  Among equal values the first
+cell wins, in each best at or below and for ``exact_opt``'s final cell, and
+``exact_inverse`` takes the first of the lightest final cells meeting phi.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
-from .model import Instance, Solution, integer_units, validate
+from .model import BudgetExceeded, Instance, Solution, integer_units, validate
 
+# Most lattice cells times periods one DP may hold.
 DEFAULT_BUDGET = 2_000_000
-# Most cells in one knapsack row (``knapsack_rows``); past it, weights and
-# capacities are floored by a common divisor.
-KNAPSACK_CELLS = 2**10
 
 
-class BudgetExceeded(RuntimeError):
-    def __init__(self, required: int, budget: int, what: str = "enumeration of {} states"):
-        super().__init__(f"{what.format(required)} exceeds budget {budget}")
-        self.required = required
-        self.budget = budget
+def _down_pairs(codes: list[int], radixes: list[int]) -> tuple[array, array]:
+    """(cells, downs): axis by axis, each cell with a positive count on the
+    axis, in lattice order, beside the cell one count below it there."""
+    index = {code: j for j, code in enumerate(codes)}
+    cells, downs = array("l"), array("l")
+    stride = 1
+    for radix in reversed(radixes):
+        above = [j for j, code in enumerate(codes) if code // stride % radix]
+        cells.extend(above)
+        downs.extend([index[codes[j] - stride] for j in above])
+        stride *= radix
+    return cells, downs
 
 
-def _check_budget(instance: Instance, budget: int) -> None:
-    """Raise BudgetExceeded when the assignment space, ``(T+1)^n``, exceeds the budget."""
-    required = (instance.horizon + 1) ** instance.n
-    if required > budget:
-        raise BudgetExceeded(required, budget)
+class _CountDP:
+    """The count-vector DP of a validated instance, in integer units.
 
-
-def add_item(row: list[int], profit: int, weight: int) -> list[int]:
-    """The 0/1 knapsack row of ``row``'s items and one more item: entry c
-    is the most profit packing at most c of weight."""
-    return row[:weight] + [max(keep, take + profit) for keep, take in zip(row[weight:], row)]
-
-
-def knapsack_rows(groups: list[list[tuple[int, int]]], capacity: int) -> tuple[int, list[list[int]]]:
-    """(g, rows): ``rows[k][c // g]`` bounds from above the 0/1 knapsack
-    optimum of the items of ``groups[k:]`` at weight c, 0 <= c <= capacity.
-
-    Rows are built back to front, one item at a time (``add_item``), so
-    ``rows[len(groups)]`` is all zeros.  g is the least divisor that keeps a
-    row within ``KNAPSACK_CELLS`` cells; every weight is floored by it, and a
-    set of weight at most c floors to at most c // g, so a row is never below
-    the true optimum, and it is exact when g = 1.
-    """
-    g = capacity // KNAPSACK_CELLS + 1
-    row = [0] * (capacity // g + 1)
-    rows = [row]
-    for group in reversed(groups):
-        for p, w in group:
-            row = add_item(row, p, w // g)
-        rows.append(row)
-    return g, rows[::-1]
-
-
-class _Bound:
-    """Upper bound on the objective that items i..n-1 can still add.
-
-    Period t can pack at most the residual capacity ``r_t``, the least slack
-    of periods t..T (an item packed at t stays packed), so its packed profit
-    from items i..n-1 is at most KP_i(r_t), the 0/1 knapsack optimum of
-    those items at ``r_t``.  ``at`` bounds a node by sum_t lambda_t *
-    rows[i][r_t // g], the rows of ``knapsack_rows`` over the item suffixes,
-    built once at the root; floored past ``KNAPSACK_CELLS`` cells, they only
-    loosen the bound.
+    A cell's code is its count vector in mixed radix, the first profit
+    most significant, so lattice order is code order.  ``keys`` holds the
+    last period's values and ``back[t-1]`` period t's best at or below each
+    cell, both encoded as value * cells + (cells - 1 - cell), so that one
+    int comparison takes the larger value and, among equal values, the
+    first cell; an unreachable cell holds -1.
     """
 
-    def __init__(self, scaled: Instance):
-        self.lambdas = scaled.lambdas
-        self.g, self.rows = knapsack_rows([[item] for item in scaled.items], scaled.capacities[-1])
+    def __init__(self, instance: Instance, budget: int):
+        validate(instance)
+        scaled, self.value_unit, self.weight_unit = integer_units(instance)
+        self.n = scaled.n
+        by_profit: dict[int, list[int]] = {}
+        for i, (p, _) in enumerate(scaled.items):
+            by_profit.setdefault(p, []).append(i)
+        profits = sorted(by_profit)
+        self.groups = [sorted(by_profit[p], key=lambda i: scaled.items[i][1]) for p in profits]
+        self.radixes = [len(group) + 1 for group in self.groups]
+        top, horizon = scaled.capacities[-1], scaled.horizon
+        walk = [(0, 0, 0)]  # (code, weight, profit)
+        for p, group, radix in zip(profits, self.groups, self.radixes):
+            prefix = list(accumulate((scaled.items[i][1] for i in group), initial=0))
+            cuts = [bisect_right(prefix, top - weight) for _, weight, _ in walk]
+            if sum(cuts) * horizon > budget:
+                raise BudgetExceeded(sum(cuts) * horizon, budget, "count-vector DP of {} cells times periods")
+            walk = [
+                (code * radix + k, weight + prefix[k], profit + p * k)
+                for (code, weight, profit), cut in zip(walk, cuts)
+                for k in range(cut)
+            ]
+        self.codes, self.weights, profits = map(list, zip(*walk))
+        size = self.size = len(walk)
+        last = size - 1
+        cells, downs = _down_pairs(self.codes, self.radixes) if horizon > 1 else ((), ())
+        below = [last] * size  # period 0 holds the zero vector alone, at or below every cell
+        self.back = []
+        for t, (lam, cap) in enumerate(zip(scaled.lambdas, scaled.capacities)):
+            if t:
+                below = self.keys[:]
+                for j, d in zip(cells, downs):
+                    if below[d] > below[j]:
+                        below[j] = below[d]
+            self.back.append(below)
+            self.keys = [
+                (lam * q + b // size) * size + last - j if w <= cap else -1
+                for j, (w, q, b) in enumerate(zip(self.weights, profits, below))
+            ]
 
-    def at(self, i: int, residual: list[int]) -> int:
-        """The bound for items i.. given ``residual[t-1] = r_t``."""
-        row, g = self.rows[i], self.g
-        return sum(lam * row[r // g] for lam, r in zip(self.lambdas, residual))
-
-
-def _residuals(caps: tuple[int, ...], cum: list[int]) -> list[int]:
-    """r_t = least slack ``caps[tau-1] - cum[tau]`` over tau = t..T, by t."""
-    out = list(caps)
-    least = None
-    for t in range(len(caps), 0, -1):
-        slack = caps[t - 1] - cum[t]
-        if least is None or slack < least:
-            least = slack
-        out[t - 1] = least
-    return out
-
-
-def _search(
-    instance: Instance, budget: int, phi: Optional[Fraction] = None
-) -> Optional[tuple[Fraction, Fraction, Solution]]:
-    """(profit, weight, solution) of the last leaf taken, or None if none was.
-
-    A node is cut when its profit plus a bound falls below ``floor`` or its
-    packed weight reaches ``cutoff``, and a leaf is taken when its profit
-    meets ``floor``.  To maximize (``phi`` None), ``floor`` starts at 0 and
-    each taken leaf raises it to its profit + 1; for phi, ``floor`` is the
-    least int profit meeting phi and each taken leaf lowers ``cutoff``,
-    which starts above every weight, to its weight.  Children are visited
-    period by period, NEVER last.
-    """
-    validate(instance)
-    _check_budget(instance, budget)
-    horizon = instance.horizon
-    n = instance.n
-    scaled, value_unit, weight_unit = integer_units(instance)
-    contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
-    weights = [w for _, w in scaled.items]
-    caps = scaled.capacities
-    bound = _Bound(scaled)
-    # an int profit meets phi iff it meets phi's ceiling in value units
-    floor = 0 if phi is None else math.ceil(Fraction(phi) * value_unit)
-    cutoff = sum(weights) + 1
-    best: Optional[tuple[int, int, tuple[Optional[int], ...]]] = None
-    cur: list[Optional[int]] = [None] * n
-    cum = [0] * (horizon + 1)  # cum[t] = packed weight at period t
-
-    def rec(i: int, profit: int) -> None:
-        nonlocal floor, cutoff, best
-        if cum[horizon] >= cutoff:
-            return
-        if i == n:
-            if profit >= floor:
-                best = (profit, cum[horizon], tuple(cur))
-                if phi is None:
-                    floor = profit + 1
-                else:
-                    cutoff = cum[horizon]
-            return
-        residual = _residuals(caps, cum)
-        if profit + bound.at(i, residual) < floor:
-            return
-        w = weights[i]
-        for t in range(1, horizon + 1):
-            if residual[t - 1] >= w:
-                for tau in range(t, horizon + 1):
-                    cum[tau] += w
-                cur[i] = t
-                rec(i + 1, profit + contrib[i][t - 1])
-                cur[i] = None
-                for tau in range(t, horizon + 1):
-                    cum[tau] -= w
-        rec(i + 1, profit)
-
-    rec(0, 0)
-    if best is None:
-        return None
-    profit, weight, intro = best
-    return Fraction(profit, value_unit), Fraction(weight, weight_unit), Solution(intro)
+    def solution(self, cell: int) -> Solution:
+        """The chain of backpointers ending at ``cell`` in period T: the k-th
+        lightest item of a profit enters at the first period whose count
+        reaches k."""
+        chain = []
+        for below in reversed(self.back):
+            chain.append(self.codes[cell])
+            cell = self.size - 1 - below[cell] % self.size
+        intro: list[Optional[int]] = [None] * self.n
+        for t, code in enumerate(reversed(chain), start=1):
+            for group, radix in zip(reversed(self.groups), reversed(self.radixes)):
+                code, k = divmod(code, radix)
+                for i in group[:k]:
+                    if intro[i] is None:
+                        intro[i] = t
+        return Solution(tuple(intro))
 
 
 def exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Solution]:
-    """Maximum objective over all feasible assignments, ties lexicographic.
-
-    NEVER sorts after every period when comparing assignment vectors, so the
-    reported optimum is deterministic for golden tests.  A leaf is taken
-    only when strictly better, and the first, of profit >= 0, always is; a
-    node is cut only when it cannot beat the incumbent, so every leaf before
-    the first optimum is strictly worse and no ancestor of it is cut.
-    """
-    profit, _, solution = _search(instance, budget)
-    return profit, solution
+    """Maximum objective over all feasible assignments, ties as the module states."""
+    dp = _CountDP(instance, budget)
+    key = max(dp.keys)
+    return Fraction(key // dp.size, dp.value_unit), dp.solution(dp.size - 1 - key % dp.size)
 
 
 def exact_inverse(
     instance: Instance, phi: Fraction, budget: int = DEFAULT_BUDGET
 ) -> Optional[tuple[Fraction, Solution]]:
-    """Minimum total weight achieving objective >= phi, or None if impossible.
-
-    A subtree is cut when it cannot lighten the incumbent or when its
-    profit plus the bound falls short of phi, which no accepted leaf does.
-    """
-    found = _search(instance, budget, phi)
-    return None if found is None else found[1:]
+    """Minimum total weight achieving objective >= phi, or None if impossible."""
+    dp = _CountDP(instance, budget)
+    # an int value meets phi iff it meets phi's ceiling in value units; a
+    # reachable cell's key is at least 0, and -1 marks the others
+    threshold = max(math.ceil(Fraction(phi) * dp.value_unit), 0) * dp.size
+    meets = [(w, j) for j, (w, key) in enumerate(zip(dp.weights, dp.keys)) if key >= threshold]
+    if not meets:
+        return None
+    weight, cell = min(meets)
+    return Fraction(weight, dp.weight_unit), dp.solution(cell)

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .classes import ClassInterval, ProfitClasses
-from .oracle import BudgetExceeded
+from .model import BudgetExceeded
 
 
 # Most entries (fitting cells times T+1 rows) one family's DP table may hold.

@@ -27,8 +27,8 @@ from incknap.bounded import (
 )
 from incknap.classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
 from incknap.general import ClusterDPTable, ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
-from incknap.model import Instance, Solution, SuffixLambdas, integer_units, objective
-from incknap.oracle import DEFAULT_BUDGET, _check_budget
+from incknap.model import BudgetExceeded, Instance, Solution, SuffixLambdas, integer_units, objective
+from incknap.oracle import DEFAULT_BUDGET
 from incknap.statespace import Family, enumerate_family
 
 
@@ -640,9 +640,10 @@ class AllWindowsFrontier:
         )
 
 
-# The plain depth-first enumeration that the branch and bound of
-# ``oracle.exact_opt`` and ``oracle.exact_inverse`` must match in value and
-# solution: it prunes on capacity only (and, in the inverse, on weight).
+# The plain depth-first enumeration that the count-vector DP of
+# ``oracle.exact_opt`` and ``oracle.exact_inverse`` must match in value (the
+# two break ties differently): it prunes on capacity only (and, in the
+# inverse, on weight), over the (T+1)^n assignments a budget bounds.
 
 
 def dfs_exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Solution]:
@@ -651,7 +652,9 @@ def dfs_exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fra
     NEVER sorts after every period when comparing assignment vectors, so the
     reported optimum is deterministic for golden tests.
     """
-    _check_budget(instance, budget)
+    states = (instance.horizon + 1) ** instance.n
+    if states > budget:
+        raise BudgetExceeded(states, budget)
     horizon = instance.horizon
     scaled, value_unit, _ = integer_units(instance)
     contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
@@ -693,7 +696,9 @@ def dfs_exact_inverse(
     instance: Instance, phi: Fraction, budget: int = DEFAULT_BUDGET
 ) -> Optional[tuple[Fraction, Solution]]:
     """Minimum total weight achieving objective >= phi, or None if impossible."""
-    _check_budget(instance, budget)
+    states = (instance.horizon + 1) ** instance.n
+    if states > budget:
+        raise BudgetExceeded(states, budget)
     horizon = instance.horizon
     scaled, value_unit, weight_unit = integer_units(instance)
     contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]

@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Optional
 
 from incknap.classes import ClassInterval, ProfitClasses
-from incknap.general import ClusterPlan
-from incknap.model import InfeasibleSolution, Instance, Solution, check_feasible
-from incknap.oracle import DEFAULT_BUDGET, BudgetExceeded, knapsack_rows
+from incknap.general import ClusterPlan, knapsack_rows
+from incknap.model import BudgetExceeded, InfeasibleSolution, Instance, Solution, check_feasible
+from incknap.oracle import DEFAULT_BUDGET
 
 
 def pow2_up(x: Fraction) -> Fraction:

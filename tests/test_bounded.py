@@ -42,6 +42,7 @@ from incknap.bounded import (
 from incknap.classes import build_classes, make_interval, candidate_intervals
 from incknap.general import internal_eps, solve_detailed
 from incknap.model import (
+    BudgetExceeded,
     InfeasibleSolution,
     Instance,
     Solution,
@@ -52,7 +53,7 @@ from incknap.model import (
     objective,
     preprocess,
 )
-from incknap.oracle import BudgetExceeded, exact_inverse, exact_opt
+from incknap.oracle import exact_inverse, exact_opt
 from reference import all_entries_merge, exact_opt_by_profits, exact_restricted_dp, full_sweep_dp
 from incknap.statespace import enumerate_family
 
@@ -767,7 +768,7 @@ def test_bounded_entries_validate_like_solve_detailed(items, lambdas):
 def test_solve_bounded_guarantee_where_classes_are_heavy(seed, n):
     # profits 1.1 apart give one class each at internal eps 1/7, so at n >= 20
     # some class holds more than 7 items and the heavy branch runs; the exact
-    # optimum comes from the branch-and-bound oracle with a budget to match
+    # optimum comes from the package oracle
     eps_int = accuracy_budget(Fraction(4, 5), 5)
     assert eps_int == Fraction(1, 7)
     rng = random.Random(seed * 100 + n)
@@ -779,7 +780,7 @@ def test_solve_bounded_guarantee_where_classes_are_heavy(seed, n):
     instance = Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(4)])
     classes = build_classes(preprocess(instance)[0], eps_int)
     assert max(classes.size(l) for l in classes.indices) > 7
-    opt, _ = exact_opt(instance, budget=5**n)
+    opt, _ = exact_opt(instance)
     assert objective(instance, solve_bounded(instance, eps_int)) >= (1 - 5 * eps_int) * opt
 
 

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from helpers import e1, random_feasible_solution, random_instance
 from incknap import classes as classes_module
 from incknap.classes import build_classes, candidate_intervals, interval_length_cap, make_interval
-from incknap.model import Instance, objective
-from incknap.oracle import BudgetExceeded
+from incknap.model import BudgetExceeded, Instance, objective
 from reference import ClassIndexOutOfRange, CountOutOfRange, prefix_weight
 
 

@@ -234,10 +234,14 @@ def test_cmd_solve_invalid_instance(tmp_path):
     assert main(["solve", str(path)]) == 2
 
 
-def test_cmd_solve_budget_exceeded(tmp_path):
+def test_cmd_solve_budget_exceeded(tmp_path, capsys):
+    # 40 items over 64 periods: the oracle's lattice passes 2,000,000 cells
+    # times periods at an early axis, refused before it is built
     path = tmp_path / "big.json"
-    path.write_text(instance_to_json(generate_instance(1, 14, 3, "uniform")))
+    path.write_text(instance_to_json(generate_instance(1, 40, 64, "uniform")))
     assert main(["solve", str(path), "--mode", "exact"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("exact mode budget exceeded: count-vector DP of ") and err.endswith(" exceeds budget 2000000\n")
 
 
 def test_cmd_solve_general_grid_budget_exits_3(tmp_path, capsys):

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from helpers import FullRowTable, PullClusterTable, certified_floor, climb, cluster_value, e1, random_instance
-from incknap import general, oracle, statespace
-from incknap.bounded import InverseFrontier, accuracy_budget
+from incknap import general, statespace
+from incknap.bounded import InverseFrontier, accuracy_budget, solve_bounded
 from incknap.classes import build_classes
 from incknap.general import (
     build_grid,
@@ -23,8 +23,8 @@ from incknap.general import (
     solve,
     solve_detailed,
 )
-from incknap.model import Instance, Solution, check_feasible, integer_units, objective, preprocess
-from incknap.oracle import BudgetExceeded, exact_opt
+from incknap.model import BudgetExceeded, Instance, Solution, check_feasible, integer_units, objective, preprocess
+from incknap.oracle import exact_opt
 from reference import (
     audit_uncrossing,
     band_runs,
@@ -618,6 +618,30 @@ def test_solve_meets_its_bound_where_heavy_classes_engage(monkeypatch):
         assert yielded["tuples"] > before
 
 
+def test_both_modes_meet_their_bound_against_the_oracle_where_rounding_engages():
+    # profits 100/101/102 at n = 44 to 64: at eps 1/2 both modes merge them
+    # into one heavy class, so rounding engages and answers fall short of
+    # the optimum, which the package oracle supplies; each answer is held to
+    # (1-eps)*OPT and never above it
+    eps = Fraction(1, 2)
+    short = Counter()
+    for n, seed in itertools.product((44, 49, 54, 59, 64), range(4)):
+        rng = random.Random(seed)
+        items = [(rng.choice((100, 101, 102)), rng.randint(1, 10)) for _ in range(n)]
+        caps = list(itertools.accumulate(rng.randint(10, 40) for _ in range(4)))
+        instance = Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(4)])
+        opt, _ = exact_opt(instance)
+        answers = {
+            "general": solve_detailed(instance, eps).solution,
+            "bounded": solve_bounded(instance, accuracy_budget(eps, 5)),
+        }
+        for mode, solution in answers.items():
+            profit = objective(instance, solution)
+            assert (1 - eps) * opt <= profit <= opt
+            short[mode] += profit < opt
+    assert short["general"] >= 18 and short["bounded"] >= 18
+
+
 def test_solve_meets_its_bound_on_multi_cluster_winners():
     # the forced shape at T=10: every winning plan has two or more clusters,
     # and each answer is held to (1-eps)*OPT against the count-vector optimum
@@ -1160,13 +1184,13 @@ def test_plans_of_one_cluster_count_share_one_grid(monkeypatch, horizon, n, grid
     assert len(by_count) == grids < len(tables)
 
 
-@pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
+@pytest.mark.parametrize("cells", [general.KNAPSACK_CELLS, 4])
 def test_every_table_of_a_solve_reads_its_class_rows(monkeypatch, cells):
     # one set of class rows per solve, the very rows each table of two or
     # more clusters would have built for itself (``reference.table_class_rows``),
     # also when a cell budget of 4 floors them; a table of one cluster reads
     # neither rows nor a grid, and gets none
-    monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
+    monkeypatch.setattr(general, "KNAPSACK_CELLS", cells)
     shared = Counter()
     for instance, eps_public in last_row_cases():
         _, tables = solve_recording_tables(monkeypatch, instance, eps_public)
@@ -1189,12 +1213,12 @@ def assignment_weights(sub):
         yield weights, sum(p * suffix[t - 1] for (p, _), t in zip(sub.items, intro) if t)
 
 
-@pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
+@pytest.mark.parametrize("cells", [general.KNAPSACK_CELLS, 4])
 def test_last_row_bound_is_admissible(monkeypatch, cells):
     # every feasible assignment of the last cluster's subinstance profits at
     # most U(its weight), at every committed weight omega it fits, also when
     # a cell budget of 4 floors the knapsack rows
-    monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
+    monkeypatch.setattr(general, "KNAPSACK_CELLS", cells)
     rng = random.Random(cells)
     checked = 0
     for _ in range(15):
@@ -1374,13 +1398,13 @@ def highest_reach(table, m, ell, idx, omega, memo):
     return memo[key]
 
 
-@pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
+@pytest.mark.parametrize("cells", [general.KNAPSACK_CELLS, 4])
 def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
     # by brute force over every state of the full rows: no chain of pushes
     # from a state ends above F_m(ell, idx) (``climb``), and the full last
     # row writes L (``_least_target``), so its target is at least L; also
     # when a cell budget of 4 floors the knapsack rows
-    monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
+    monkeypatch.setattr(general, "KNAPSACK_CELLS", cells)
     states = Counter()
     floored = 0
     for core, classes, plan, grid in itertools.islice(hand_built_plans(cells), 20):
@@ -1401,12 +1425,12 @@ def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
     assert (floored > 0) == (cells == 4)
 
 
-@pytest.mark.parametrize("cells", [oracle.KNAPSACK_CELLS, 4])
+@pytest.mark.parametrize("cells", [general.KNAPSACK_CELLS, 4])
 def test_cluster_bounds_are_admissible_on_every_class_range(monkeypatch, cells):
     # every feasible assignment of cluster m's subinstance on classes
     # ell_prev+1..ell profits at most U(its weight) of cluster m's bound,
     # at every committed weight omega it fits
-    monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
+    monkeypatch.setattr(general, "KNAPSACK_CELLS", cells)
     rng = random.Random(cells + 1)
     checked = Counter()
     for core, classes, plan, grid in itertools.islice(hand_built_plans(cells + 1), 12):

@@ -1,16 +1,17 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from helpers import brute_inverse, brute_opt, dfs_exact_inverse, dfs_exact_opt, e1, random_instance
-from incknap import oracle
+from incknap import general
 from incknap.classes import build_classes, make_interval
-from incknap.model import EmptyHorizon, Instance, integer_units, objective
-from incknap.oracle import DEFAULT_BUDGET, BudgetExceeded, _Bound, _residuals, exact_inverse, exact_opt
-from reference import exact_restricted_dp
+from incknap.model import BudgetExceeded, EmptyHorizon, Instance, Solution, check_feasible, integer_units, objective
+from incknap.oracle import DEFAULT_BUDGET, exact_inverse, exact_opt
+from reference import exact_opt_by_profits, exact_restricted_dp
 
 
 def test_exact_opt_e1():
@@ -42,18 +43,64 @@ def test_exact_oracles_refuse_an_empty_horizon():
 def test_exact_opt_budget():
     instance = Instance.build(items=[(1, 1)] * 10, capacities=[5], lambdas=[1])
     with pytest.raises(BudgetExceeded):
-        exact_opt(instance, budget=100)
+        exact_opt(instance, budget=5)
 
 
-def test_budget_counts_the_whole_assignment_space():
+def test_budget_counts_lattice_cells_times_periods():
+    # one profit: counts 0..3 fit the last capacity, 4 cells times T = 2
     instance = Instance.build(items=[(1, 1)] * 6, capacities=[2, 3], lambdas=[1, 1])
-    exact_opt(instance, budget=3**6)
-    exact_inverse(instance, Fraction(1), budget=3**6)
+    exact_opt(instance, budget=8)
+    exact_inverse(instance, Fraction(1), budget=8)
     for solver in (exact_opt, lambda inst, budget: exact_inverse(inst, Fraction(1), budget)):
         with pytest.raises(BudgetExceeded) as info:
-            solver(instance, budget=3**6 - 1)
-        assert info.value.required == 3**6
+            solver(instance, budget=7)
+        assert info.value.required == 8
     assert DEFAULT_BUDGET == 2_000_000
+
+
+def test_default_budget_admits_every_assignment_space_it_bounded():
+    # a lattice has at most 2^n cells, and T*2^n <= (T+1)^n once n >= 2, so
+    # every instance of two or more items with (T+1)^n <= DEFAULT_BUDGET is
+    # admitted; a single item is refused only past a million periods
+    checked = 0
+    for n in range(2, 21):
+        for horizon in range(1, DEFAULT_BUDGET):
+            if (horizon + 1) ** n > DEFAULT_BUDGET:
+                break
+            assert horizon * 2**n <= (horizon + 1) ** n <= DEFAULT_BUDGET
+            checked += 1
+    assert checked > 1000 and 2**21 > DEFAULT_BUDGET
+    # one item makes at most 2 cells, so T up to 10^6 is admitted
+    assert DEFAULT_BUDGET // 2 == 10**6
+
+
+def distinct_profit_instance(n: int, horizon: int, seed: int, full: bool = True) -> Instance:
+    """n distinct profits over equal capacities at the total weight (every
+    count vector fits) or at half of it."""
+    rng = random.Random(seed)
+    items = [(p, rng.randint(1, 10)) for p in rng.sample(range(1, 1000), n)]
+    total = sum(w for _, w in items)
+    return Instance.build(items=items, capacities=[total if full else total // 2] * horizon, lambdas=[1] * horizon)
+
+
+def test_a_lattice_past_the_budget_is_refused_before_its_last_axis():
+    # 2^19 cells times T = 4 pass the budget; the walk counts them from the
+    # 2^18 cells before the last axis, and builds none of them
+    instance = distinct_profit_instance(19, 4, 3)
+    start = time.perf_counter()
+    for solve in (lambda: exact_opt(instance), lambda: exact_inverse(instance, Fraction(1))):
+        with pytest.raises(BudgetExceeded) as info:
+            solve()
+        assert info.value.required == 4 * 2**19
+    assert time.perf_counter() - start < 2
+
+
+def test_many_distinct_profits_at_one_period_match_the_plain_search():
+    for seed, full in ((1, True), (2, False)):
+        instance = distinct_profit_instance(14, 1, seed, full)
+        profit, solution = exact_opt(instance)
+        assert profit == dfs_exact_opt(instance)[0]
+        assert check_feasible(instance, solution) is None and objective(instance, solution) == profit
 
 
 def test_exact_opt_matches_definition_on_random_instances():
@@ -193,8 +240,8 @@ def tie_rich_instance(rng: random.Random, kind: str) -> Instance:
             lambdas=[Fraction(v, rng.choice((3, 7))) for v in lambdas],
         )
     if kind == "large-weight":
-        # weights near multiples of 10^6: past KNAPSACK_CELLS, so the
-        # searches floor their knapsack rows by a common divisor
+        # weights near multiples of 10^6: past KNAPSACK_CELLS, so knapsack
+        # rows over them are floored by a common divisor
         weights = [w * 10**6 + rng.randint(-999, 999) for w in weights]
         caps = [c * 10**6 for c in caps]
     return Instance.build(items=list(zip(profits, weights)), capacities=caps, lambdas=lambdas)
@@ -203,26 +250,54 @@ def tie_rich_instance(rng: random.Random, kind: str) -> Instance:
 KINDS = ("uniform", "subset-sum", "equal-profit", "zero-lambda", "fraction", "zero-capacity", "empty", "large-weight")
 
 
-def test_branch_and_bound_matches_plain_search(monkeypatch):
-    # same value and the same solution as the plain enumeration, ties
-    # included, whether a search's knapsack rows are exact or floored
-    bounds = []
-
-    class Recorded(oracle._Bound):
-        def __init__(self, *args):
-            super().__init__(*args)
-            bounds.append(self)
-
-    monkeypatch.setattr(oracle, "_Bound", Recorded)
+def test_exact_opt_matches_every_reference():
+    # profits against the exhaustive search, the plain depth-first search and
+    # the count-vector reference; each solution is feasible and scores its
+    # reported profit
     rng = random.Random(10)
     for k in range(280):
         instance = tie_rich_instance(rng, KINDS[k % len(KINDS)])
-        opt = exact_opt(instance)
-        assert opt == dfs_exact_opt(instance)
-        for phi in (Fraction(0), opt[0] / 2, opt[0] * rng.randint(1, 4) / 5, opt[0], opt[0] + 1):
-            assert exact_inverse(instance, phi) == dfs_exact_inverse(instance, phi)
-    floored = Counter(bound.g > 1 for bound in bounds)
-    assert floored[True] >= 20 and floored[False] >= 20
+        profit, solution = exact_opt(instance)
+        assert check_feasible(instance, solution) is None and objective(instance, solution) == profit
+        assert profit == dfs_exact_opt(instance)[0] == exact_opt_by_profits(instance)
+        if k < 120:
+            assert profit == brute_opt(instance)
+
+
+def test_exact_inverse_matches_every_reference():
+    # the least weight of S_T meeting phi, as the exhaustive and the plain
+    # depth-first searches find it; the solution meets phi at that weight
+    rng = random.Random(12)
+    for k in range(160):
+        instance = tie_rich_instance(rng, KINDS[k % len(KINDS)])
+        opt = exact_opt(instance)[0]
+        for phi in (Fraction(0), opt / 2, opt * rng.randint(1, 4) / 5, opt, opt + 1):
+            res = exact_inverse(instance, phi)
+            plain = dfs_exact_inverse(instance, phi)
+            assert (res is None) == (plain is None) == (phi > opt)
+            if res is not None:
+                weight, solution = res
+                assert weight == plain[0] == solution.weights_by_period(instance)[-1]
+                assert check_feasible(instance, solution) is None and objective(instance, solution) >= phi
+                if k < 60:
+                    assert weight == brute_inverse(instance, phi)
+
+
+def test_ties_follow_the_documented_rule():
+    # equal profit and weight: the item of lower index enters
+    assert exact_opt(Instance.build(items=[(3, 2), (3, 2)], capacities=[2], lambdas=[1]))[1].intro == (1, None)
+    # two profit-1 items or one profit-2 item: count vector (0, 1) comes
+    # before (2, 0) in lattice order
+    instance = Instance.build(items=[(1, 1), (1, 1), (2, 2)], capacities=[2], lambdas=[1])
+    assert exact_opt(instance) == (2, Solution((None, None, 1)))
+    # period 1 earns nothing, so every chain into both items ties, and its
+    # best at or below is the zero vector, first in lattice order
+    instance = Instance.build(items=[(1, 1), (2, 1)], capacities=[1, 2], lambdas=[0, 1])
+    assert exact_opt(instance) == (3, Solution((2, 2)))
+    # the inverse takes the first of the lightest cells meeting phi: (0, 1)
+    # before (1, 0), though (1, 0) also meets phi = 1 at weight 1
+    instance = Instance.build(items=[(1, 1), (2, 1)], capacities=[1], lambdas=[1])
+    assert exact_inverse(instance, Fraction(1)) == (1, Solution((None, 1)))
 
 
 def knapsack(items, capacity) -> int:
@@ -235,65 +310,33 @@ def knapsack(items, capacity) -> int:
     )
 
 
-def sampled_nodes(seed: int, count: int):
-    """(kind, scaled instance, i, residual, best completion) at random feasible nodes.
-
-    ``residual[t-1]`` is the least slack of periods t..T after a random prefix
-    of i assignments, and the best completion is the most the remaining items
-    can add, by enumerating every tail of assignments.
-    """
-    rng = random.Random(seed)
-    for k in range(count):
-        instance = tie_rich_instance(rng, KINDS[k % len(KINDS)])
-        scaled, _, _ = integer_units(instance)
-        horizon = scaled.horizon
-        choices = list(range(1, horizon + 1)) + [None]
-        i = rng.randint(0, scaled.n)
-        prefix = [rng.choice(choices) for _ in range(i)]
-        cum = [0] * (horizon + 1)
-        for (_, w), t in zip(scaled.items, prefix):
-            for tau in range(t or horizon + 1, horizon + 1):
-                cum[tau] += w
-        if any(cum[t] > scaled.capacities[t - 1] for t in range(1, horizon + 1)):
-            continue
-        residual = _residuals(scaled.capacities, cum)
-        assert residual == [
-            min(scaled.capacities[tau - 1] - cum[tau] for tau in range(t, horizon + 1)) for t in range(1, horizon + 1)
-        ]
-        rest = scaled.items[i:]
-        suffix = scaled.suffix_lambdas.values
-        best = 0
-        for tail in itertools.product(choices, repeat=len(rest)):
-            added = [0] * (horizon + 1)
-            for (_, w), t in zip(rest, tail):
-                for tau in range(t or horizon + 1, horizon + 1):
-                    added[tau] += w
-            if all(cum[t] + added[t] <= scaled.capacities[t - 1] for t in range(1, horizon + 1)):
-                best = max(best, sum(p * suffix[t - 1] for (p, _), t in zip(rest, tail) if t is not None))
-        yield KINDS[k % len(KINDS)], scaled, i, residual, best
-
-
 def test_knapsack_rows_give_the_exact_knapsack_bound(monkeypatch):
-    # the bound at a node is sum_t lambda_t * rows[i][r_t // g]: the 0/1
-    # knapsack of the remaining items at each r_t when g = 1, at least it
-    # when the rows are floored (large weights, or a cap of 4 cells), and
-    # at least best either way
-    nodes = list(sampled_nodes(6, 180))
-    bounds = [_Bound(scaled) for _, scaled, *_ in nodes]
-    monkeypatch.setattr(oracle, "KNAPSACK_CELLS", 4)
+    # rows over the item suffixes, read at any capacity r up to the last: the
+    # 0/1 knapsack of the remaining items when g = 1, at least it when the
+    # rows are floored (large weights, or a cap of 4 cells)
+    rng = random.Random(6)
     checked = Counter()
-    for (kind, scaled, i, residual, best), bound in zip(nodes, bounds):
-        rest = scaled.items[i:]
-        kp = [knapsack(rest, r) for r in residual]
-        assert (bound.g > 1) == (kind == "large-weight")
-        if bound.g == 1:
-            assert [bound.rows[i][r] for r in residual] == kp
-        for b in (bound, _Bound(scaled)):
-            read = [b.rows[i][r // b.g] for r in residual]
-            assert all(v >= k for v, k in zip(read, kp))
-            assert b.at(i, residual) == sum(lam * v for lam, v in zip(scaled.lambdas, read))
-            assert best <= b.at(i, residual)
-            checked[kind == "large-weight", b.g > 1] += 1
+    default = general.KNAPSACK_CELLS
+    for k in range(180):
+        kind = KINDS[k % len(KINDS)]
+        scaled, _, _ = integer_units(tie_rich_instance(rng, kind))
+        if scaled.horizon == 0:
+            continue
+        cap = scaled.capacities[-1]
+        groups = [[item] for item in scaled.items]
+        for cells in (default, 4):
+            monkeypatch.setattr(general, "KNAPSACK_CELLS", cells)
+            g, rows = general.knapsack_rows(groups, cap)
+            if cells == default:
+                assert (g > 1) == (kind == "large-weight")
+            i = rng.randint(0, scaled.n)
+            rest = scaled.items[i:]
+            for r in {0, cap, rng.randint(0, cap)}:
+                kp = knapsack(rest, r)
+                assert rows[i][r // g] >= kp
+                if g == 1:
+                    assert rows[i][r] == kp
+                checked[kind == "large-weight", g > 1] += 1
     assert checked[False, False] >= 100 and checked[False, True] >= 80 and checked[True, True] >= 15
 
 
@@ -304,15 +347,15 @@ def test_knapsack_rows_over_groups_bound_every_suffix(monkeypatch):
     # the least divisor that fits the cell cap
     rng = random.Random(8)
     floored = Counter()
-    default = oracle.KNAPSACK_CELLS
+    default = general.KNAPSACK_CELLS
     for k in range(60):
         cells = default if k % 2 else rng.choice((4, 7))
-        monkeypatch.setattr(oracle, "KNAPSACK_CELLS", cells)
+        monkeypatch.setattr(general, "KNAPSACK_CELLS", cells)
         groups = [
             [(rng.randint(1, 9), rng.randint(1, 12)) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(0, 4))
         ]
         capacity = rng.randint(0, 30)
-        g, rows = oracle.knapsack_rows(groups, capacity)
+        g, rows = general.knapsack_rows(groups, capacity)
         width = capacity // g + 1
         assert width <= cells and (g == 1 or capacity // (g - 1) + 1 > cells)
         assert len(rows) == len(groups) + 1 and rows[-1] == [0] * width

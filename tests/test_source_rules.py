@@ -153,3 +153,42 @@ def test_traced_call_rule_detects_a_bypass():
         "a does not bind f at module level",
         "b does not bind g at module level",
     ]
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """Modules of the package that a module imports, relatively or by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "incknap":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                names.add(parts[0])
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("incknap."))
+    return names
+
+
+def test_the_oracle_stays_off_the_solve_path():
+    # ground truth must not feed what it checks: no solve-path module but the
+    # oracle itself imports it
+    importers = [m for m in SOLVE_PATH if m != "oracle" and "oracle" in package_imports(parse(PACKAGE / f"{m}.py"))]
+    assert importers == []
+
+
+def test_import_rule_detects_every_form():
+    forms = (
+        "from . import oracle",
+        "from .oracle import exact_opt",
+        "from incknap.oracle import x",
+        "from incknap import general, oracle",
+        "import incknap.oracle",
+    )
+    for source in forms:
+        assert "oracle" in package_imports(ast.parse(source)), source
+    assert package_imports(ast.parse("from .model import BudgetExceeded\nimport oracle\nfrom x.oracle import y")) == {"model"}

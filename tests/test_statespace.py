@@ -22,8 +22,7 @@ from helpers import (
 )
 from incknap import statespace
 from incknap.classes import build_classes, candidate_intervals, make_interval
-from incknap.model import Instance
-from incknap.oracle import BudgetExceeded
+from incknap.model import BudgetExceeded, Instance
 from reference import classify, heavy_excess, make_vector, pow2_up, power_range, prune_image, truncate, up_round
 from incknap.statespace import (
     Family,
