@@ -285,9 +285,10 @@ class InverseFrontier:
         rho = instance.suffix_lambdas.ratio
         intervals = candidate_intervals(classes, self.eps, rho)
         windows = [frozenset(interval.active) for interval in intervals]
+        heavy = {l for l in indices if classes.size(l) > q}
         tables: list[tuple[int, BoundedDPTable]] = []  # (window index, table)
         for index, interval in enumerate(intervals):
-            light = all(classes.size(l) <= q for l in interval.active)
+            light = heavy.isdisjoint(interval.active)
             if light and (windows[index] in windows[:index] or any(windows[index] < w for w in windows)):
                 continue
             item_weights = [

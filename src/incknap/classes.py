@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .model import BudgetExceeded, Instance
 
@@ -34,9 +35,9 @@ class ProfitClasses:
     members: dict[int, tuple[int, ...]]
     prefix: dict[int, tuple[Fraction, ...]]
 
-    @property
+    @cached_property
     def indices(self) -> tuple[int, ...]:
-        """Non-empty class indices, ascending."""
+        """Non-empty class indices, ascending, sorted on the first read."""
         return tuple(sorted(self.members))
 
     def size(self, index: int) -> int:
@@ -135,16 +136,17 @@ def interval_length_cap(eps: Fraction, n: int, rho: Fraction, max_useful: int) -
 
     With 1+eps = a/b the test is a**L * rho.den * eps.num >= n * rho.num *
     eps.den * b**L, on ints.  Any value beyond max_useful produces the same
-    intervals, so the ladder stops early instead of grinding huge exponents.
+    intervals, so one ``power_order`` test at max_useful returns a binding
+    cap at once, and otherwise the ladder climbs to L <= max_useful.
     """
     a, b = eps.denominator + eps.numerator, eps.denominator
     have = rho.denominator * eps.numerator
     need = n * rho.numerator * eps.denominator
+    if need > have and power_order(a, b, max_useful, need, have) < 0:
+        return max_useful
     up, down = 1, 1  # (1+eps)**length = up/down
     length = 0
     while up * have < need * down:
-        if length >= max_useful:
-            return max_useful
         length, up, down = length + 1, up * a, down * b
     return max(length, 1)
 

@@ -1,12 +1,22 @@
 """Command line interface: instance I/O, generation, solving, batch eval.
 
+usage: inc-knap solve PATH [--mode exact|bounded|general] [--eps 0.5] [--out FILE]
+       inc-knap gen --seed N --n N --t N [--profile uniform|geometric-lambda|subset-sum] [--out FILE]
+       inc-knap validate PATH
+       inc-knap eval --out FILE [--seeds 10] [--seed-start 0] [--n 5] [--t 2] [--profile uniform]
+                     [--eps 0.5 [--eps ...]] [--modes general[,bounded,exact]] [--budget 2000000]
+
+Options read ``--name value`` or ``--name=value``, in any order, by their
+exact names; ``-h`` or ``--help`` anywhere prints this text and exits 0.
+
 Instances travel as JSON with every scalar written as an exact decimal
 string (or "a/b" when the denominator is not a power of 2 and 5), so a
 parse/serialize round trip is value-identical and float contamination is
 impossible: a scalar that is not a string is rejected.  Exit codes: 0
 success; 1 an ``eval`` batch with failure rows; 2 an unreadable, malformed
-or invalid instance file, a bad argument (an ``--eps`` exponent past
-``EPS_EXPONENT_LIMIT`` in magnitude too), or an unwritable ``--out``; 3 a
+or invalid instance file, a bad argument (an unknown or missing command or
+option, a value of the wrong kind, or an ``--eps`` exponent past
+``EPS_EXPONENT_LIMIT`` in magnitude), or an unwritable ``--out``; 3 a
 resource overrun on a valid input: the oracle budget (lattice cells times
 periods), the profit grid budget or the profit class budget exceeded, a
 solve out of memory, or a result value longer than the interpreter's
@@ -15,16 +25,14 @@ integer string conversion limit.
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import json
 import random
 import sys
 import time
 from fractions import Fraction
 from itertools import accumulate
-from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 from . import bounded, general, oracle
@@ -139,15 +147,16 @@ def generate_instance(seed: int, n: int, t: int, profile: str = "uniform") -> In
     )
 
 
+def _json_block(words: list[str]) -> str:
+    return "[\n    " + ",\n    ".join(words) + "\n  ]" if words else "[]"
+
+
 def solution_to_json(instance: Instance, solution: Solution, profit: Fraction) -> str:
-    doc = {
-        "intro": list(solution.intro),
-        "profit": format_rational(profit),
-        "weights_by_period": [
-            format_rational(w) for w in solution.weights_by_period(instance)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The answer document, written as ``json.dumps(doc, indent=2)`` writes it;
+    its strings are rational forms, which JSON writes unescaped."""
+    intro = _json_block(["null" if t is None else str(t) for t in solution.intro])
+    weights = _json_block([f'"{format_rational(w)}"' for w in solution.weights_by_period(instance)])
+    return f'{{\n  "intro": {intro},\n  "profit": "{format_rational(profit)}",\n  "weights_by_period": {weights}\n}}\n'
 
 
 def _solve_mode(instance: Instance, mode: str, eps: Fraction) -> tuple[Solution, Fraction]:
@@ -159,7 +168,7 @@ def _solve_mode(instance: Instance, mode: str, eps: Fraction) -> tuple[Solution,
         return solution, objective(instance, solution)
     if mode == "general":
         result = general.solve_detailed(instance, eps)
-        return result.solution, objective(instance, result.solution)
+        return result.solution, result.profit
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -169,7 +178,8 @@ class BadInput(Exception):
 
 def _load_instance(path: str) -> Instance:
     try:
-        instance = instance_from_json(Path(path).read_text())
+        with open(path) as handle:
+            instance = instance_from_json(handle.read())
         validate(instance)
     except (OSError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise BadInput(f"invalid instance: {exc}") from exc
@@ -192,7 +202,8 @@ def _write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as handle:
+            handle.write(text)
     except OSError as exc:
         raise BadInput(f"cannot write --out: {exc}") from exc
 
@@ -284,7 +295,7 @@ def cmd_eval(args) -> int:
                     ]
                 )
     try:
-        with Path(args.out).open("w", newline="") as handle:
+        with open(args.out, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["id", "mode", "eps", "solver_profit", "oracle_profit", "ratio", "weight", "ms", "error"])
             writer.writerows(rows)
@@ -294,55 +305,61 @@ def cmd_eval(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="inc-knap", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve an instance file")
-    p_solve.add_argument("path")
-    p_solve.add_argument("--mode", choices=MODES, default="general")
-    p_solve.add_argument("--eps", default="0.5")
-    p_solve.add_argument("--out", default=None)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_gen = sub.add_parser("gen", help="generate a random instance")
-    p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--t", type=int, required=True)
-    p_gen.add_argument("--profile", choices=PROFILES, default="uniform")
-    p_gen.add_argument("--out", default=None)
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_val = sub.add_parser("validate", help="parse and validate an instance file")
-    p_val.add_argument("path")
-    p_val.set_defaults(func=cmd_validate)
-
-    p_eval = sub.add_parser("eval", help="batch-evaluate solvers against the oracle")
-    p_eval.add_argument("--seeds", type=int, default=10)
-    p_eval.add_argument("--seed-start", type=int, default=0)
-    p_eval.add_argument("--n", type=int, default=5)
-    p_eval.add_argument("--t", type=int, default=2)
-    p_eval.add_argument("--profile", choices=PROFILES, default="uniform")
-    p_eval.add_argument("--eps", action="append", default=None)
-    p_eval.add_argument("--modes", default="general")
-    p_eval.add_argument(
-        "--budget", type=int, default=oracle.DEFAULT_BUDGET, help="most lattice cells times periods the oracle may hold"
-    )
-    p_eval.add_argument("--out", required=True)
-    p_eval.set_defaults(func=cmd_eval)
-    return parser
+# command: (handler, positional argument or None, {option: (default, kind)}); a
+# kind is str, int, a tuple of choices, or list (each use appends one value)
+REQUIRED = object()  # the default of an option that must be given
+COMMANDS = {
+    "solve": (cmd_solve, "path", {"mode": ("general", MODES), "eps": ("0.5", str), "out": (None, str)}),
+    "gen": (cmd_gen, None, {"seed": (REQUIRED, int), "n": (REQUIRED, int), "t": (REQUIRED, int),
+                            "profile": ("uniform", PROFILES), "out": (None, str)}),
+    "validate": (cmd_validate, "path", {}),
+    "eval": (cmd_eval, None, {"seeds": (10, int), "seed-start": (0, int), "n": (5, int), "t": (2, int),
+                              "profile": ("uniform", PROFILES), "eps": (None, list), "modes": ("general", str),
+                              "budget": (oracle.DEFAULT_BUDGET, int), "out": (REQUIRED, str)}),
+}
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parsing leaves it unchanged."""
-    return build_parser()
+def parse_args(argv: list[str]) -> Optional[tuple]:
+    """(handler, arguments) of a command line, or None if it holds -h or --help.  Options read
+    ``--name value`` or ``--name=value``, in any order, the last use winning; a bad argument raises BadInput."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        raise BadInput(f"inc-knap: pick a command from {', '.join(COMMANDS)}" + (f", not {argv[0]!r}" if argv else ""))
+    (command, *rest), (handler, positional, options) = argv, COMMANDS[argv[0]]
+    values, words = ({positional: REQUIRED} if positional else {}), iter(rest)
+    values.update((name, default) for name, (default, _) in options.items())
+    for word in words:
+        name, eq, value = word[2:].partition("=")
+        if not word.startswith("--") and values.get(positional) is REQUIRED:
+            values[positional] = word
+        elif word.startswith("--") and name in options:
+            kind, value = options[name][1], value if eq else next(words, None)
+            try:
+                if value is None or value.startswith("--") and not eq or isinstance(kind, tuple) and value not in kind:
+                    raise ValueError
+                values[name] = int(value) if kind is int else [*(values[name] or ()), value] if kind is list else value
+            except ValueError:
+                want = "a value" if kind in (str, list) else "an int" if kind is int else "one of " + ", ".join(kind)
+                got = f", not {value!r}" if value else ""
+                raise BadInput(f"inc-knap {command}: --{name} needs {want}{got}") from None
+        else:
+            raise BadInput(f"inc-knap {command}: unexpected argument {word!r}")
+    missing = [name if name == positional else f"--{name}" for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise BadInput(f"inc-knap {command}: missing {', '.join(missing)}")
+    return handler, SimpleNamespace(**{name.replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line; returns the exit code, never raises SystemExit."""
     try:
-        return args.func(args)
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            print(__doc__, end="")
+            return EXIT_OK
+        handler, args = parsed
+        return handler(args)
     except BadInput as exc:
         print(exc, file=sys.stderr)
         return EXIT_INVALID

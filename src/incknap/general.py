@@ -82,8 +82,9 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
     index xi modulo 1/eps are dropped; maximal runs of surviving bands whose
     periods are non-empty become the clusters, in period order.
 
-    With eps/n = a/b, s_t lies at or below first*(a/b)**m iff s_t * b**m <=
-    first * a**m, exact for ints (integer units) and Fractions alike.
+    With a/b = eps.numerator/(eps.denominator*n), unreduced, s_t lies at or
+    below first*(a/b)**m iff s_t * b**m <= first * a**m, exact for ints
+    (integer units) and Fractions alike, on a ladder of ints.
     Suffix values never increase, so bands never fall: each period's climb
     resumes at the band of the period before it.  A kept period joins the
     last cluster unless its run key (m - xi) // (1/eps) differs, which opens
@@ -95,8 +96,7 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
     if instance.n == 0:
         return ClusterPlan(clusters=())
     suffix = instance.suffix_lambdas
-    shrink = eps / instance.n
-    a, b = shrink.numerator, shrink.denominator
+    a, b = eps.numerator, inv_eps * instance.n  # eps/n
     first = suffix.values[0]
     m, up, down = 1, a, b  # (eps/n)**m = up/down
     clusters: list[list[int]] = []
@@ -542,7 +542,7 @@ class GeneralResult:
     cluster DP ran."""
 
     solution: Solution  # over the original instance
-    profit: Fraction
+    profit: Fraction  # its objective, scored on the instance without zero-lambda periods, which is equal
     eps_int: Fraction
     xi: Optional[int] = None
     plan: Optional[ClusterPlan] = None

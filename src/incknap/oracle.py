@@ -74,19 +74,17 @@ class _CountDP:
         self.groups = [sorted(by_profit[p], key=lambda i: scaled.items[i][1]) for p in profits]
         self.radixes = [len(group) + 1 for group in self.groups]
         top, horizon = scaled.capacities[-1], scaled.horizon
-        walk = [(0, 0, 0)]  # (code, weight, profit)
+        codes, weights, values = [0], [0], [0]  # the walk's cells, one column per field
         for p, group, radix in zip(profits, self.groups, self.radixes):
             prefix = list(accumulate((scaled.items[i][1] for i in group), initial=0))
-            cuts = [bisect_right(prefix, top - weight) for _, weight, _ in walk]
+            cuts = [bisect_right(prefix, top - weight) for weight in weights]
             if sum(cuts) * horizon > budget:
                 raise BudgetExceeded(sum(cuts) * horizon, budget, "count-vector DP of {} cells times periods")
-            walk = [
-                (code * radix + k, weight + prefix[k], profit + p * k)
-                for (code, weight, profit), cut in zip(walk, cuts)
-                for k in range(cut)
-            ]
-        self.codes, self.weights, profits = map(list, zip(*walk))
-        size = self.size = len(walk)
+            codes = [code * radix + k for code, cut in zip(codes, cuts) for k in range(cut)]
+            weights = [weight + prefix[k] for weight, cut in zip(weights, cuts) for k in range(cut)]
+            values = [value + p * k for value, cut in zip(values, cuts) for k in range(cut)]
+        self.codes, self.weights = codes, weights
+        size = self.size = len(codes)
         last = size - 1
         cells, downs = _down_pairs(self.codes, self.radixes) if horizon > 1 else ((), ())
         below = [last] * size  # period 0 holds the zero vector alone, at or below every cell
@@ -100,7 +98,7 @@ class _CountDP:
             self.back.append(below)
             self.keys = [
                 (lam * q + b // size) * size + last - j if w <= cap else -1
-                for j, (w, q, b) in enumerate(zip(self.weights, profits, below))
+                for j, (w, q, b) in enumerate(zip(weights, values, below))
             ]
 
     def solution(self, cell: int) -> Solution:

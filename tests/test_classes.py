@@ -178,6 +178,38 @@ def test_interval_length_cap_matches_ceiling():
     assert interval_length_cap(Fraction(1, 5), 2, Fraction(1), max_useful=12) == 12
 
 
+def stepwise_length_cap(eps, n, rho, max_useful):
+    """The smallest L with (1+eps)**L >= n*rho/eps, climbed one level at a time, capped at max_useful."""
+    target, power, length = n * rho / eps, Fraction(1), 0
+    while power < target:
+        if length >= max_useful:
+            return max_useful
+        power, length = power * (1 + eps), length + 1
+    return max(length, 1)
+
+
+def test_interval_length_cap_matches_the_stepwise_climb():
+    # n*rho/eps on, just above or just below a power (1+eps)**L, or free,
+    # against caps below, at and above L
+    rng = random.Random(37)
+    on_a_power = binding = 0
+    for _ in range(1500):
+        eps = Fraction(1, rng.choice([1, 2, 5, 10, 14, 42]))
+        n, level = rng.randint(1, 60), rng.randint(0, 120)
+        kind = rng.choice(["on", "above", "below", "free"])
+        if kind == "free":
+            rho = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**3))
+        else:
+            nudge = {"on": 1, "above": 1 + Fraction(1, 10**12), "below": 1 - Fraction(1, 10**12)}[kind]
+            rho = (1 + eps) ** level * eps / n * nudge
+        max_useful = rng.choice([rng.randint(0, 130), max(level + rng.randint(-1, 1), 0)])
+        want = stepwise_length_cap(eps, n, rho, max_useful)
+        assert interval_length_cap(eps, n, rho, max_useful) == want
+        on_a_power += kind == "on"
+        binding += want == max_useful and n * rho / eps > (1 + eps) ** max_useful
+    assert on_a_power > 200 and binding > 200
+
+
 def test_candidate_coverage_property():
     # the interval emitted for a solution's true top class covers every class
     # within the window below it

@@ -24,7 +24,7 @@ from incknap.cli import (
 )
 from incknap.bounded import accuracy_budget
 from incknap.classes import build_classes
-from incknap.model import Instance, Solution, preprocess, validate
+from incknap.model import Instance, Solution, objective, preprocess, validate
 from incknap.oracle import exact_opt
 
 
@@ -437,22 +437,195 @@ def test_cmd_eval_batch(tmp_path):
         assert Fraction(1, 2) <= ratio <= 1
 
 
-def test_main_builds_the_parser_once(tmp_path, monkeypatch):
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
-    cli._parser.cache_clear()
-    try:
-        out = tmp_path / "report.csv"
-        eps_columns = []
-        for flags in (["--eps", "1/3"], []):
-            assert main(["eval", "--seeds", "1", "--n", "2", "--t", "1", *flags, "--out", str(out)]) == 0
-            with out.open() as handle:
-                eps_columns.append([row["eps"] for row in csv.DictReader(handle)])
-    finally:
-        cli._parser.cache_clear()
-    assert built == [1]
+EVAL_DEFAULTS = {
+    "seeds": 10,
+    "seed_start": 0,
+    "n": 5,
+    "t": 2,
+    "profile": "uniform",
+    "eps": None,
+    "modes": "general",
+    "budget": 2_000_000,
+}
+# the README's and CI's command lines, with the values argparse gave them
+COMMAND_LINES = [
+    (
+        "gen --seed 1 --n 5 --t 3 --profile uniform --out inst.json",
+        {"seed": 1, "n": 5, "t": 3, "profile": "uniform", "out": "inst.json"},
+    ),
+    ("validate inst.json", {"path": "inst.json"}),
+    ("solve inst.json --mode general --eps 0.5", {"path": "inst.json", "mode": "general", "eps": "0.5", "out": None}),
+    (
+        "eval --seeds 10 --n 5 --t 2 --eps 0.5 --modes general,bounded --out report.csv",
+        {**EVAL_DEFAULTS, "eps": ["0.5"], "modes": "general,bounded", "out": "report.csv"},
+    ),
+    (
+        "gen --seed 1 --profile subset-sum --n 13 --t 2 --out F",
+        {"seed": 1, "n": 13, "t": 2, "profile": "subset-sum", "out": "F"},
+    ),
+    ("gen --seed 1 --n 200 --t 4 --out F", {"seed": 1, "n": 200, "t": 4, "profile": "uniform", "out": "F"}),
+    ("solve F --mode exact --eps 1/2", {"path": "F", "mode": "exact", "eps": "1/2", "out": None}),
+    ("solve F --mode general --eps 4/5", {"path": "F", "mode": "general", "eps": "4/5", "out": None}),
+    ("solve F --mode bounded --eps 1e-5000", {"path": "F", "mode": "bounded", "eps": "1e-5000", "out": None}),
+    ("solve F --mode bounded --eps 0.5 --out O", {"path": "F", "mode": "bounded", "eps": "0.5", "out": "O"}),
+    ("solve F", {"path": "F", "mode": "general", "eps": "0.5", "out": None}),
+    ("eval --out r.csv", {**EVAL_DEFAULTS, "out": "r.csv"}),
+    (
+        "eval --eps 0.5 --eps 1/3 --seed-start 7 --budget 99 --out r.csv",
+        {**EVAL_DEFAULTS, "eps": ["0.5", "1/3"], "seed_start": 7, "budget": 99, "out": "r.csv"},
+    ),
+]
+HANDLERS = {"solve": cli.cmd_solve, "gen": cli.cmd_gen, "validate": cli.cmd_validate, "eval": cli.cmd_eval}
+
+
+def _regroup(words):
+    """A command line as (command, [argument groups]): each option with its value, or a positional."""
+    groups, rest = [], iter(words[1:])
+    for word in rest:
+        groups.append([word, next(rest)] if word.startswith("--") else [word])
+    return words[0], groups
+
+
+@pytest.mark.parametrize("line, want", COMMAND_LINES, ids=[line for line, _ in COMMAND_LINES])
+def test_reader_gives_the_values_argparse_gave(line, want):
+    # each line also parses the same in any order, with any option spelled
+    # --name=value; repeated --eps values keep their own order
+    handler, args = cli.parse_args(line.split())
+    assert handler is HANDLERS[line.split()[0]]
+    assert vars(args) == want
+    command, groups = _regroup(line.split())
+    rng = random.Random(line)
+    for _ in range(20):
+        shuffled = rng.sample(groups, len(groups))
+        if isinstance(want.get("eps"), list):
+            eps_values = iter(want["eps"])
+            shuffled = [[g[0], next(eps_values)] if g[0] == "--eps" else g for g in shuffled]
+        words = [command]
+        for group in shuffled:
+            words += ["=".join(group)] if len(group) == 2 and rng.random() < 0.5 else group
+        assert vars(cli.parse_args(words)[1]) == want
+
+
+def test_eval_eps_defaults_afresh_on_every_call(tmp_path):
+    # a repeated option's values never carry over into the next command line
+    out = tmp_path / "report.csv"
+    eps_columns = []
+    for flags in (["--eps", "1/3"], []):
+        assert main(["eval", "--seeds", "1", "--n", "2", "--t", "1", *flags, "--out", str(out)]) == 0
+        with out.open() as handle:
+            eps_columns.append([row["eps"] for row in csv.DictReader(handle)])
     assert eps_columns == [["1/3"], ["0.5"]]
+
+
+def test_reader_keeps_the_last_use_of_an_option():
+    _, args = cli.parse_args(["solve", "F", "--mode", "exact", "--eps=1/3", "--mode", "bounded", "--eps", "0.25"])
+    assert (args.mode, args.eps) == ("bounded", "0.25")
+    # a value may start with one dash, or hold "=" after --name=
+    _, args = cli.parse_args(["solve", "F", "--eps", "-1/2", "--out=a=b"])
+    assert (args.eps, args.out) == ("-1/2", "a=b")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["--mode", "exact"],
+        ["solve"],
+        ["solve", "F", "--mode", "fast"],
+        ["solve", "F", "--mode"],
+        ["solve", "F", "--mode", "--eps", "0.5"],
+        ["solve", "F", "--mode="],
+        ["solve", "F", "--out", "--mode=exact"],
+        ["solve", "F", "extra"],
+        ["solve", "F", "--bogus", "1"],
+        ["solve", "F", "--mod", "exact"],
+        ["solve", "F", "-m", "exact"],
+        ["solve", "F", "--"],
+        ["validate"],
+        ["validate", "F", "G"],
+        ["gen", "--seed", "1", "--n", "3"],
+        ["gen", "--seed", "x", "--n", "3", "--t", "2"],
+        ["gen", "--seed", "1.5", "--n", "3", "--t", "2"],
+        ["gen", "--seed", "1", "--n", "3", "--t", "2", "--profile", "wide"],
+        ["gen", "--seed", "1", "--n", "3", "--t", "2", "F"],
+        ["eval", "--seeds", "1"],
+        ["eval", "--budget", "lots", "--out", "OUT"],
+        ["eval", "--eps", "--out", "OUT"],
+    ],
+)
+def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    def no_run(args):
+        raise AssertionError("ran a command on bad arguments")
+
+    for command in HANDLERS:
+        spec = cli.COMMANDS[command]
+        monkeypatch.setitem(cli.COMMANDS, command, (no_run, *spec[1:]))
+    out = tmp_path / "report.csv"
+    _assert_one_line_rejection(capsys, main([str(out) if word == "OUT" else word for word in argv]))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "--help"], ["gen", "--seed", "x", "-h"]])
+def test_help_prints_the_usage_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cli.__doc__ and captured.err == ""
+    assert "usage: inc-knap solve PATH" in captured.out
+
+
+def test_main_reads_sys_argv_by_default(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(generate_instance(1, 3, 2, "uniform")))
+    monkeypatch.setattr(sys, "argv", ["inc-knap", "validate", str(path)])
+    assert main() == 0
+    assert capsys.readouterr().out == "ok: 3 items, 2 periods\n"
+    monkeypatch.setattr(sys, "argv", ["inc-knap"])
+    _assert_one_line_rejection(capsys, main())
+
+
+def _dumped_solution(instance, solution, profit):
+    doc = {
+        "intro": list(solution.intro),
+        "profit": format_rational(profit),
+        "weights_by_period": [format_rational(w) for w in solution.weights_by_period(instance)],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_solution_to_json_is_the_indented_json_dump():
+    rng = random.Random(59)
+    scalars = [lambda: rng.randint(1, 10**30), lambda: Fraction(rng.randint(1, 999), rng.choice([3, 8, 10, 7 * 16]))]
+    for trial in range(300):
+        n, horizon = trial % 5, rng.randint(1, 4)
+        items = tuple((rng.choice(scalars)(), rng.choice(scalars)()) for _ in range(n))
+        instance = Instance(items, tuple(sorted(rng.choice(scalars)() for _ in range(horizon))), (1,) * horizon)
+        solution = Solution(tuple(rng.choice([None, *range(1, horizon + 1)]) for _ in range(n)))
+        profit = rng.choice([0, Fraction(-3, 4), rng.choice(scalars)()])
+        assert cli.solution_to_json(instance, solution, profit) == _dumped_solution(instance, solution, profit)
+    assert cli.solution_to_json(Instance((), (1,), (1,)), Solution(()), 0) == (
+        '{\n  "intro": [],\n  "profit": "0",\n  "weights_by_period": [\n    "0"\n  ]\n}\n'
+    )
+
+
+def test_general_answers_score_on_the_original_instance(tmp_path):
+    # general mode writes GeneralResult.profit, scored on the instance with its
+    # zero-lambda periods dropped: it must equal the score of the written
+    # solution on the file's own instance, unfittable items included
+    rng = random.Random(61)
+    path, out = tmp_path / "inst.json", tmp_path / "sol.json"
+    for _ in range(25):
+        n, horizon = rng.randint(1, 6), rng.randint(2, 4)
+        items = [(rng.randint(1, 10), rng.randint(1, 12)) for _ in range(n)]
+        capacities = sorted(rng.randint(1, 10) for _ in range(horizon))
+        lambdas = [rng.choice([0, 0, 1, 3]) for _ in range(horizon - 1)] + [rng.randint(0, 2)]
+        instance = Instance.build(items=items, capacities=capacities, lambdas=lambdas)
+        path.write_text(instance_to_json(instance))
+        assert main(["solve", str(path), "--mode", "general", "--out", str(out)]) == 0
+        answer = json.loads(out.read_text())
+        solution = Solution(tuple(answer["intro"]))
+        want = objective(instance, solution) if any(lambdas) else 0
+        assert parse_rational(answer["profit"]) == want
 
 
 def test_cmd_eval_header_and_empty_batch(tmp_path):
@@ -725,17 +898,14 @@ FLAGS = st.tuples(
 @settings(max_examples=200, deadline=None)
 def test_cmd_solve_fuzz_ends_in_a_documented_exit_code(tmp_path_factory, doc, flags, truncated):
     # any document (or non-JSON bytes) and any argument list ends in exit 0,
-    # 2 or 3 with a message, never a traceback; argparse's usage errors exit 2
+    # 2 or 3 with a message, never a traceback nor a raised SystemExit
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "doc.json"
     path.write_text(json.dumps(doc)[:-1] if truncated else json.dumps(doc))
     argv = ["solve", str(path), *(str(tmp / "out.json") if arg == "OUT" else arg for arg in flags)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     assert code in (0, 2, 3)
     if code == 0:
         answer = json.loads(stdout.getvalue() or (tmp / "out.json").read_text())
