@@ -8,9 +8,9 @@ the exact inverse optimum while violating the floor by at most that factor.
 The forward solver scores every endpoint of the frontier of those answers
 on ints and keeps the most profitable, instead of sweeping floors.
 
-The inverse frontier skips each candidate window whose classes are all
-light and sit inside another window's: its vectors recur there with the
-same weights, values and chains.
+The inverse frontier builds no table for a candidate window whose family
+another window's table already holds, padded with zeros: its vectors recur
+there with the same weights, values and chains.
 
 Both public entries convert to integer units (``model.integer_units``) once
 and ``InverseFrontier`` takes no other scalar; the DP holds rounded profits
@@ -39,7 +39,7 @@ from .model import (
     remap_solution,
     validate,
 )
-from .statespace import Family, enumerate_family
+from .statespace import Family, enumerate_family, family_tuples
 
 
 class ChainNotMonotone(ValueError):
@@ -239,28 +239,46 @@ class InverseFrontier:
     entry it returns gets a rational rounded profit.  ``solution`` decodes
     entry i directly.
 
-    Only candidate windows that are not dominated get a DP table.  A window
-    is dominated when its classes are all light (at most 1/eps items) and
-    its active set is a proper subset of another window's or equal to an
-    earlier window's; those relations end at a window that gets a table.
+    Only windows that no other window absorbs get a DP table.  Window B
+    absorbs window A when B's classes strictly contain A's, or equal them
+    with B earlier in candidate order, and B's tuples (``family_tuples``:
+    the all-light tuple and the heavy ones) that leave every class outside A
+    open, restricted to A's classes, are exactly A's tuples.  The relation
+    is transitive and has no cycles, so an absorbed window is absorbed by a
+    window that gets a table.  A truncated heavy count is at least
+    1/eps > 0, so a member of B's family that counts 0 on every class outside A
+    agrees only with tuples leaving those classes open; both families share
+    the light box, the cut at the largest capacity and the class prefix
+    sums, so B's members with zeros outside A are exactly A's members padded
+    with zeros.  That sub-lattice is closed downwards, lifted profits differ
+    by the one factor q**(ltop_B - ltop_A) on every cell, and zero
+    coordinates keep the (count-sum, counts) order; so each vector of A
+    gets, over the merge's common denominator, the same value, backpointers
+    and chain in B's table.  A light window's only tuple is the all-light
+    one, and so is every restriction to it, so light windows are absorbed on
+    their classes alone and no tuples are computed for them.  Containment
+    alone is not enough: B's restriction may hold extra tuples, whose
+    vectors can raise A's values or move its ties.
+
     Every family holds the light box of its window (counts up to min(1/eps,
     |P_l|) per class) within the largest capacity.  So a fitting vector with
     every count at most 1/eps, call it boxed, and every vector below it lie
-    in the family of each window whose classes include its nonzero ones.
-    Its DP value depends only on those vectors' weights, lifted profits and
-    relative (count-sum, counts) order, which zero coordinates keep; so each
-    such window reaches it with the same weight, lifted value and chain, and
-    a dominated window, all of whose vectors are boxed, adds only copies.
+    in the family of each window whose classes include its nonzero ones,
+    and each such window reaches it with the same weight, lifted value and
+    chain, by the argument above.
 
     The merge keeps the all-windows tie rule (equal (weight, value) goes to
     the earliest window in candidate order, then the first vector in its
-    family order) by ranking each entry by the first window holding its
-    vector at that value: for a boxed vector, the first window including
-    its nonzero classes; for any other, its own window, as such vectors
-    live only in heavy windows, which all get tables.  Vectors of one rank
-    all lie in that window's family, where (count-sum, counts over all
-    classes) is their family order.  So the least-ranked built entry is the
-    entry the all-windows merge picks, or a copy of it.
+    family order) by ranking each entry by the first window whose own table
+    would hold its vector at that value with that chain: for a boxed vector,
+    the first window including its nonzero classes; for any other, the first
+    window including them among its table's own window and the windows that
+    table absorbs.  Each window of the all-windows merge gets a table or is
+    absorbed by one, so each of its entries has a copy here ranked no later
+    than it; and vectors of one rank all lie in that window's family, where
+    (count-sum, counts over all classes) is their family order.  So the
+    least-ranked built entry is the entry the all-windows merge picks, or a
+    copy of it.
 
     Each table first gives only its own Pareto entries: its live final-row
     positions sorted by weight (and by value, descending, within a weight),
@@ -286,44 +304,66 @@ class InverseFrontier:
         intervals = candidate_intervals(classes, self.eps, rho)
         windows = [frozenset(interval.active) for interval in intervals]
         heavy = {l for l in indices if classes.size(l) > q}
-        tables: list[tuple[int, BoundedDPTable]] = []  # (window index, table)
+        tuples = []  # per window: the all-light tuple, then its heavy tuples
+        for interval in intervals:
+            if heavy.isdisjoint(interval.active):
+                tuples.append([(None,) * len(interval.active)])
+            else:
+                item_weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
+                wrange = (min(item_weights), max(item_weights))
+                tuples.append(family_tuples(classes, interval, self.eps, wrange, len(item_weights)))
+
+        def restricts_to(b: int, a: int) -> bool:
+            """Whether window b's tuples leaving every class outside window a
+            open, restricted to a's classes, are exactly a's tuples."""
+            if heavy.isdisjoint(windows[a]):  # each side is the all-light tuple alone
+                return True
+            inside = [l in windows[a] for l in intervals[b].active]
+            kept = {
+                tuple(c for c, i in zip(t, inside) if i)
+                for t in tuples[b]
+                if all(i or c is None for c, i in zip(t, inside))
+            }
+            return kept == set(tuples[a])
+
+        absorbers = [
+            [b for b, big in enumerate(windows) if (small < big or small == big and b < a) and restricts_to(b, a)]
+            for a, small in enumerate(windows)
+        ]
+        tables: list[tuple[list[int], BoundedDPTable]] = []  # (windows the table holds, table)
         for index, interval in enumerate(intervals):
-            light = heavy.isdisjoint(interval.active)
-            if light and (windows[index] in windows[:index] or any(windows[index] < w for w in windows)):
+            if absorbers[index]:
                 continue
-            item_weights = [
-                instance.items[i][1] for l in interval.active for i in classes.members[l]
-            ]
-            wrange = (min(item_weights), max(item_weights))
-            family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights), instance.capacities)
+            held = [a for a, by in enumerate(absorbers) if a == index or index in by]
+            family = enumerate_family(classes, interval, self.eps, tuples[index], instance.capacities)
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
-            tables.append((index, table))
+            tables.append((held, table))
 
         def rank(entry) -> tuple:
-            _, _, index, table, pos = entry
+            _, _, held, table, pos = entry
             if table is None:
                 return (-1,)
             counts = dict(zip(table.interval.active, table.family.counts(table.family.cells[pos])))
             used = {l for l, c in counts.items() if c}
-            if all(c <= q for c in counts.values()):
-                index = next(i for i, w in enumerate(windows) if used <= w)
+            among = range(len(windows)) if all(c <= q for c in counts.values()) else held
+            index = next(i for i in among if used <= windows[i])
             return (index, sum(counts.values()), tuple(counts.get(l, 0) for l in indices))
 
         # every value_den is a power of 1/eps, so the largest one is a common
         # denominator and the merge compares plain ints
         top = max((table.value_den for _, table in tables), default=1)
-        entries: list[tuple] = [(0, 0, -1, None, None)]  # (weight, value, window, table, position)
-        for index, table in tables:
+        entries: list[tuple] = [(0, 0, None, None, None)]  # (weight, value, held windows, table, position)
+        for held, table in tables:
             lift, row, weights = top // table.value_den, table.raw[-1], table.family.weights
             # by weight, then value descending, then position: both sorts are stable
             live = sorted((pos for pos, v in enumerate(row) if v is not None), key=row.__getitem__, reverse=True)
             live.sort(key=weights.__getitem__)
-            most = held = -1  # the table's best value so far, and the weight that holds it
+            most = at = -1  # the table's best value so far, and the weight that holds it
             for pos in live:
                 v = row[pos]
-                if v > most or v == most and weights[pos] == held:
-                    most, held = v, weights[pos]
-                    entries.append((held, v * lift, index, table, pos))
+                if v > most or v == most and weights[pos] == at:
+                    most, at = v, weights[pos]
+                    entries.append((at, v * lift, held, table, pos))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1

@@ -12,15 +12,17 @@ short table of reachable truncated counts, each with its least mu; a tuple
 of them is reachable exactly when those least multipliers fit the counting
 cap.  The power-of-two bases come from bit lengths of ints.  The family is
 these heavy tuples crossed with the free light ranges, never the
-exponential vector space.  It is held as the lattice of per-class counts
-cut at the solve's largest capacity (``Family``): weights, profits and
-tuple masks combine one term per class, so one walk builds them per cell
-for the cells that fit, instead of building one object per member.
+exponential vector space.  ``family_tuples`` lists a window's tuples and
+``enumerate_family`` takes them as given, so a caller can compare windows'
+tuples before it enumerates any family.  The family is held as the lattice
+of per-class counts cut at the solve's largest capacity (``Family``):
+weights, profits and tuple masks combine one term per class, so one walk
+builds them per cell for the cells that fit, instead of building one object
+per member.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -127,7 +129,11 @@ def heavy_configurations(
     the least multipliers of its counts sum to at most the counting cap, so
     a class offers no count whose least multiplier alone passes the cap.
     The bases come from bit lengths of ints.  Several bases may reach a
-    tuple; it is yielded at the first.
+    tuple; it is yielded at the first.  A base whose per-class options, with
+    their multipliers, repeat the previous base's reaches only tuples
+    already yielded, so it is skipped.  The product over classes is built
+    class by class in product order, dropping a prefix as soon as its
+    multipliers pass the cap, since multipliers are never negative.
     """
     threshold = eps.denominator
     if all(classes.size(l) <= threshold for l in interval.active):
@@ -136,29 +142,50 @@ def heavy_configurations(
     (a, b), (c, d) = ((w.numerator, w.denominator) for w in weight_range)
     scale = eps.denominator * interval.length
     seen: set[tuple[Optional[int], ...]] = set()
+    last = None  # the previous base's options
     for k in _power_range((eps.numerator * a, scale * b), (2 * eps.numerator * n * c, scale * d)):
         num, den = 1 << max(k, 0), 1 << max(-k, 0)  # base 2**k
         options = [[(None, 0), *_heavy_choices(classes, l, threshold, num, den, cap).items()] for l in interval.active]
-        for combo in itertools.product(*options):
-            if 0 < sum(mu for _, mu in combo) <= cap:
-                partial = tuple(count for count, _ in combo)
-                if partial not in seen:
-                    seen.add(partial)
-                    yield partial
+        if options == last:
+            continue
+        last = options
+        combos = [((), 0)]  # (counts so far, multiplier sum), in product order
+        for option in options:
+            combos = [(t + (count,), total + mu) for t, total in combos for count, mu in option if total + mu <= cap]
+        for partial, total in combos:
+            if total and partial not in seen:
+                seen.add(partial)
+                yield partial
+
+
+def family_tuples(
+    classes: ProfitClasses,
+    interval: ClassInterval,
+    eps: Fraction,
+    weight_range: tuple[Fraction, Fraction],
+    n: int,
+) -> list[tuple[Optional[int], ...]]:
+    """A window's tuples: the all-light tuple, then ``heavy_configurations``' tuples.
+
+    Each tuple fixes the truncated count of some heavy classes and leaves
+    the others open (None); the family crosses each with the light counts of
+    its open classes.  ``weight_range`` bounds the window's item weights and
+    ``n`` counts its items.
+    """
+    return [(None,) * len(interval.active), *heavy_configurations(classes, interval, eps, weight_range, n)]
 
 
 def enumerate_family(
     classes: ProfitClasses,
     interval: ClassInterval,
     eps: Fraction,
-    weight_range: tuple[Fraction, Fraction],
-    n: int,
+    tuples: Sequence[tuple[Optional[int], ...]],
     capacities: Sequence,
 ) -> Family:
     """Directly enumerate a superset of the truncated up-rounding image, cut at max(capacities).
 
-    The members are the reachable truncated heavy tuples of
-    ``heavy_configurations`` and the all-light tuple, each crossed with the
+    The members are the given ``tuples`` (``family_tuples``: the all-light
+    tuple and the reachable truncated heavy tuples), each crossed with the
     light counts [0, min(1/eps, |P_l|)] of its open classes.  Extra vectors
     beyond the exact image are harmless: the DP only gains actions and
     enforces feasibility itself.
@@ -168,25 +195,29 @@ def enumerate_family(
     prefix sums never decrease along an axis, so each axis is cut, exactly,
     at the first count past the capacity left.  Tuple i owns bit i, and an
     axis count carries the bits of the tuples it agrees with (the tuple
-    fixes that count, or leaves the class open and the count is light); a
-    cell is a member when its counts' masks share a bit.  Before each axis
-    the walk sums the cells it will hold, and raises BudgetExceeded when
-    that count times T+1 rows passes ``FAMILY_BUDGET``.
+    fixes that count, or leaves the class open and the count is light),
+    gathered for all counts in one pass over the tuples; a cell is a member
+    when its counts' masks share a bit.  Before each axis the walk sums the
+    cells it will hold, and raises BudgetExceeded when that count times T+1
+    rows passes ``FAMILY_BUDGET``.
     """
     q = eps.denominator
     ltop = max(interval.active, default=0)
     top, rows = max(capacities), len(capacities) + 1
     light = [min(q, classes.size(l)) for l in interval.active]
-    partials = [(None,) * len(light), *heavy_configurations(classes, interval, eps, weight_range, n)]
-    values = [sorted({*range(r + 1), *(p[pos] for p in partials if p[pos] is not None)}) for pos, r in enumerate(light)]
-    walk = [(0, 0, 0, 0, (1 << len(partials)) - 1)]  # (cell, weight, lifted profit, count sum, mask)
+    values = [sorted({*range(r + 1), *(t[pos] for t in tuples if t[pos] is not None)}) for pos, r in enumerate(light)]
+    walk = [(0, 0, 0, 0, (1 << len(tuples)) - 1)]  # (cell, weight, lifted profit, count sum, mask)
     for pos, (level, vals) in enumerate(zip(interval.active, values)):
         prefixes = [classes.prefix[level][v] for v in vals]
         lift = (q + 1) ** level * q ** (ltop - level)
-        agree = [
-            sum(1 << i for i, p in enumerate(partials) if p[pos] == v or p[pos] is None and v <= light[pos])
-            for v in vals
-        ]
+        fixed: dict[int, int] = {}  # count -> bits of the tuples fixing it
+        free = 0  # bits of the tuples leaving the class open
+        for i, t in enumerate(tuples):
+            if t[pos] is None:
+                free |= 1 << i
+            else:
+                fixed[t[pos]] = fixed.get(t[pos], 0) | 1 << i
+        agree = [fixed.get(v, 0) | (free if v <= light[pos] else 0) for v in vals]
         cuts = [bisect_right(prefixes, top - weight) for _, weight, _, _, _ in walk]
         if sum(cuts) * rows > FAMILY_BUDGET:
             raise BudgetExceeded(sum(cuts) * rows, FAMILY_BUDGET, "family DP table of {} entries")

@@ -12,8 +12,8 @@ runs of surviving bands that form the clusters and the deletion of
 dropped-band periods behind the derandomized offset,
 the class knapsack rows as each cluster DP table once built them for
 itself, the star-uncrossing audit, the family DP swept over every fitting
-cell in every period, and the inverse frontier merged from every entry of
-every table.
+cell in every period, the windows whose tables hold another window's
+family, and the inverse frontier merged from every entry of every table.
 """
 
 from __future__ import annotations
@@ -395,17 +395,48 @@ def full_sweep_dp(classes: ProfitClasses, interval: ClassInterval, family, capac
     return raw, back
 
 
-def all_entries_merge(tables, intervals, classes: ProfitClasses) -> tuple[list, int]:
+def absorbers(intervals, tuples) -> list[list[int]]:
+    """Per candidate window, the windows whose DP table holds its family padded with zeros.
+
+    Window b absorbs window a when b's classes strictly contain a's, or equal
+    them with b earlier in candidate order, and the tuples of b (``tuples[b]``,
+    each one count or None per class of b) that leave every class outside a
+    open, restricted to a's classes, are exactly the tuples of a.  Light and
+    heavy windows alike: a light window's only tuple is the all-light one.
+    """
+    out = []
+    for a, small in enumerate(intervals):
+        inner = set(small.active)
+        out.append([])
+        for b, big in enumerate(intervals):
+            outer = set(big.active)
+            if not (inner < outer or inner == outer and b < a):
+                continue
+            restricted = set()
+            for t in tuples[b]:
+                counts = dict(zip(big.active, t))
+                if all(counts[l] is None for l in outer - inner):
+                    restricted.add(tuple(counts[l] for l in small.active))
+            if restricted == set(tuples[a]):
+                out[-1].append(b)
+    return out
+
+
+def all_entries_merge(tables, intervals, absorbed_by, classes: ProfitClasses) -> tuple[list, int]:
     """(frontier, ties): ``InverseFrontier``'s merge over every final-row entry of every table.
 
     The reference its per-table Pareto scan must match.  ``tables`` holds
-    (window index, table) in candidate order and ``intervals`` the candidate
-    windows.  Every live final-row entry of every table becomes a (weight,
-    value, window, table, position) tuple beside the empty one, and all of
-    them are sorted on (weight, -value); each run of equal (weight, value)
-    whose value beats every lighter one gives its entry of least rank, as
-    (weight, value, table, position).  ``ties`` counts the runs of more than
-    one entry that the rank decided.
+    (window index, table) in candidate order, ``intervals`` the candidate
+    windows and ``absorbed_by`` each window's absorbers (``absorbers``).
+    Every live final-row entry of every table becomes a (weight, value,
+    window, table, position) tuple beside the empty one, and all of them are
+    sorted on (weight, -value); each run of equal (weight, value) whose value
+    beats every lighter one gives its entry of least rank, as (weight, value,
+    table, position).  An entry ranks by the first window including its
+    nonzero classes: among every window when each count is at most 1/eps,
+    and otherwise among its table's window and the windows that window
+    absorbs.  ``ties`` counts the runs of more than one entry that the rank
+    decided.
     """
     q = classes.eps.denominator
     windows = [frozenset(interval.active) for interval in intervals]
@@ -417,8 +448,11 @@ def all_entries_merge(tables, intervals, classes: ProfitClasses) -> tuple[list, 
         counts = dict(zip(table.interval.active, table.family.counts(table.family.cells[pos])))
         used = {l for l, c in counts.items() if c}
         if all(c <= q for c in counts.values()):
-            index = next(i for i, w in enumerate(windows) if used <= w)
-        return (index, sum(counts.values()), tuple(counts.get(l, 0) for l in classes.indices))
+            among = range(len(windows))
+        else:
+            among = sorted([index, *(a for a, by in enumerate(absorbed_by) if index in by)])
+        first = next(i for i in among if used <= windows[i])
+        return (first, sum(counts.values()), tuple(counts.get(l, 0) for l in classes.indices))
 
     top = max((table.value_den for _, table in tables), default=1)
     entries = [(0, 0, -1, None, None)]

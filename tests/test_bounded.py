@@ -14,6 +14,7 @@ from helpers import (
     cell_chain,
     dp_value,
     e1,
+    family_from,
     family_of,
     fraction_merge_frontier,
     lattice_rows,
@@ -54,20 +55,20 @@ from incknap.model import (
     preprocess,
 )
 from incknap.oracle import exact_inverse, exact_opt
-from reference import all_entries_merge, exact_opt_by_profits, exact_restricted_dp, full_sweep_dp
-from incknap.statespace import enumerate_family
+from incknap.statespace import family_tuples
+from reference import absorbers, all_entries_merge, exact_opt_by_profits, exact_restricted_dp, full_sweep_dp
 
 EPS = Fraction(1, 5)
 
 
 def family_args(instance, classes, interval, eps=EPS):
-    """``enumerate_family``'s arguments for an interval, capacities left out."""
+    """``family_from``'s arguments for an interval, capacities left out."""
     weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
     return classes, interval, eps, (min(weights), max(weights)), len(weights)
 
 
 def family_for(instance, classes, interval, capacities, eps=EPS):
-    return enumerate_family(*family_args(instance, classes, interval, eps), capacities)
+    return family_from(*family_args(instance, classes, interval, eps), capacities)
 
 
 def test_check_internal_eps():
@@ -208,7 +209,7 @@ def test_dp_solve_matches_pair_scan():
     for args in cases:
         classes, interval = args[:2]
         caps, suffix = random_horizon(rng, 60)
-        family = enumerate_family(*args, caps)
+        family = family_from(*args, caps)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
 
 
@@ -244,12 +245,12 @@ def test_dp_solve_matches_pair_scan_under_tight_capacities():
     cut = sparse = 0
     for args in families + heavy:
         classes, interval = args[:2]
-        whole = enumerate_family(*args, uncut(classes, interval))
+        whole = family_from(*args, uncut(classes, interval))
         sparse += lattice_size(whole) > len(whole)
         weights = lattice_weights(classes, interval, whole)
         caps, suffix = random_horizon(rng, 1)
         caps = tight_capacities(rng, weights, len(caps))
-        family = enumerate_family(*args, caps)
+        family = family_from(*args, caps)
         assert_fits_closed_downwards(family, weights, caps[-1])
         cut += 2 * sum(w > caps[-1] for w in weights) >= len(weights)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
@@ -300,7 +301,7 @@ def test_dp_rows_are_the_cells_that_fit():
     cut = sparse = 0
     for args in families:
         classes, interval = args[:2]
-        whole = enumerate_family(*args, uncut(classes, interval))
+        whole = family_from(*args, uncut(classes, interval))
         sparse += lattice_size(whole) > len(whole)
         inside = set(member_cells(whole))
         weights = lattice_weights(classes, interval, whole)
@@ -308,7 +309,7 @@ def test_dp_rows_are_the_cells_that_fit():
             caps, suffix = random_horizon(rng, max(weights))
             if tight:
                 caps = tight_capacities(rng, weights, len(caps))
-            family = enumerate_family(*args, caps)
+            family = family_from(*args, caps)
             table = dp_solve(classes, interval, family, caps, suffix)
             fits = [cell for cell, w in enumerate(weights) if w <= max(caps)]
             assert list(family.cells) == fits
@@ -351,7 +352,7 @@ def test_dp_solve_matches_the_full_sweep_on_bench_families(monkeypatch):
     instances, eps = bench_pool(monkeypatch, "bounded-heavy")
     for instance in instances:
         solve_bounded(instance, accuracy_budget(eps, 5))
-    assert len(calls) == 903 and max(calls) > 1000
+    assert len(calls) == 500 and max(calls) > 1000
 
 
 def random_horizon_tables(rng):
@@ -372,12 +373,12 @@ def random_horizon_tables(rng):
         yield dp_solve(*args), args
     for args in [*two_heavy_structures(), *sparse_heavy_structures()]:
         classes, interval = args[:2]
-        weights = lattice_weights(classes, interval, enumerate_family(*args, uncut(classes, interval)))
+        weights = lattice_weights(classes, interval, family_from(*args, uncut(classes, interval)))
         for tight in (False, True):
             caps, suffix = random_horizon(rng, 60)
             if tight:
                 caps = tight_capacities(rng, weights, len(caps))
-            full = (classes, interval, enumerate_family(*args, caps), caps, suffix)
+            full = (classes, interval, family_from(*args, caps), caps, suffix)
             yield dp_solve(*full), full
 
 
@@ -457,13 +458,15 @@ def recorded_frontier(monkeypatch, instance, eps):
 
 
 def test_pareto_scan_matches_the_all_entries_merge(monkeypatch):
-    # per-table Pareto scans, then the merge, give the entries, weights,
-    # thresholds and solutions of merging every final-row entry of every
-    # table: random instances, heavy windows of several tables each (only
-    # heavy windows give a frontier more than one table), where equal
-    # (weight, value) entries of different tables tie, and the first
-    # seed-1 instances of bounded-heavy and general-uniform at their
-    # frontiers' accuracies (1/10, and 1/42 for general mode's clusters)
+    # the tables are the windows no window absorbs, and per-table Pareto
+    # scans, then the merge, give the entries, weights, thresholds and
+    # solutions of merging every final-row entry of every table: random
+    # instances, heavy windows that stay several tables (they overlap, or a
+    # window's tuples differ from a wider window's restricted ones; only heavy
+    # windows give a frontier more than one table), where equal (weight,
+    # value) entries of different tables tie, and the first seed-1 instances
+    # of bounded-heavy and general-uniform at their frontiers' accuracies
+    # (1/10, and 1/42 for general mode's clusters)
     rng = random.Random(62)
     cases = [(random_instance(rng, n_max=8, t_max=3), EPS) for _ in range(20)]
     for _ in range(8):
@@ -474,6 +477,10 @@ def test_pareto_scan_matches_the_all_entries_merge(monkeypatch):
     for _ in range(4):
         items = [(p, rng.randint(1, 10)) for p in profits]
         cases.append((Instance.build(items=items, capacities=[30, 60], lambdas=[2, 1]), Fraction(1, 10)))
+    for _ in range(12):  # profits 48 levels apart at 1/10, past the window width: heavy windows overlap
+        items = [(p, rng.randint(1, 10)) for p in (1, 100, 10**4) for _ in range(rng.randint(8, 14))]
+        cases.append((Instance.build(items=items, capacities=[30, 60], lambdas=[2, 1]), Fraction(1, 10)))
+    cases.append(nested_heavy_instance())
     instances, _ = bench_pool(monkeypatch, "bounded-heavy")
     cases += [(instance, Fraction(1, 10)) for instance in instances[:12]]
     instances, eps = bench_pool(monkeypatch, "general-uniform")
@@ -482,7 +489,10 @@ def test_pareto_scan_matches_the_all_entries_merge(monkeypatch):
     for instance, eps in cases:
         instance, _, _ = integer_units(preprocess(instance)[0])
         frontier, intervals, tables = recorded_frontier(monkeypatch, instance, eps)
-        want, ties = all_entries_merge(tables, intervals, frontier.classes)
+        classes = frontier.classes
+        absorbed_by = absorbers(intervals, [family_tuples(*family_args(instance, classes, w, eps)) for w in intervals])
+        assert [index for index, _ in tables] == [index for index, by in enumerate(absorbed_by) if not by]
+        want, ties = all_entries_merge(tables, intervals, absorbed_by, classes)
         assert [(w, v, table, pos) for w, v, table, pos in frontier._frontier] == want
         assert all(got[2] is entry[2] for got, entry in zip(frontier._frontier, want))
         assert frontier.weights == [w for w, _, _, _ in want]
@@ -560,22 +570,111 @@ def frontier_equivalence_instances():
         yield Instance.build(items=items, capacities=caps, lambdas=lambdas), Fraction(1, 10)
 
 
+def members_within(interval, family, active):
+    """Counts on the classes ``active`` of the members that count 0 on every other class of ``interval``."""
+    inside = [l in active for l in interval.active]
+    return {
+        tuple(c for c, i in zip(counts, inside) if i)
+        for counts, _ in members(family)
+        if all(i or c == 0 for c, i in zip(counts, inside))
+    }
+
+
 def test_inverse_frontier_matches_all_windows(monkeypatch):
+    # answers equal the all-windows frontier's; every heavy window gets a
+    # table or is absorbed, and an absorbed window's family, enumerated
+    # here, is the members of a table whose classes include its own that
+    # count 0 outside them
     built = []
-    monkeypatch.setattr(bounded, "dp_solve", lambda *args: built.append(args[1]) or dp_solve(*args))
-    skipped = 0
+    monkeypatch.setattr(bounded, "dp_solve", lambda *args: built.append(args[1:3]) or dp_solve(*args))
+    skipped = heavy = 0
     for instance, eps in frontier_equivalence_instances():
         instance, _, _ = integer_units(instance)
         built.clear()
         frontier = InverseFrontier(instance, eps)
         reference = AllWindowsFrontier(instance, eps)
         assert frontier_answers(frontier, served(frontier)) == frontier_answers(reference, reference.served)
-        windows = candidate_intervals(frontier.classes, eps, instance.suffix_lambdas.ratio)
-        threshold = int(1 / eps)
-        heavy = [w for w in windows if any(frontier.classes.size(l) > threshold for l in w.active)]
-        assert all(w in built for w in heavy)
-        skipped += len(windows) - len(built)
-    assert skipped > 0
+        classes = frontier.classes
+        for window in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
+            if any(window == interval for interval, _ in built):
+                continue
+            own = {counts for counts, _ in members(family_for(instance, classes, window, instance.capacities, eps))}
+            assert any(
+                set(window.active) <= set(interval.active) and members_within(interval, family, window.active) == own
+                for interval, family in built
+            )
+            skipped += 1
+            heavy += any(classes.size(l) > eps.denominator for l in window.active)
+    assert skipped > 0 and heavy > 0
+
+
+def random_heavy_shape(rng):
+    """An instance whose classes may pass 1/eps items, and its eps (1/5 to
+    1/10): profits {100, 110, 121}, {100, 101, 102}, {1000, 1500} or a short
+    geometric ladder, weights 1-10, zero lambdas among them."""
+    eps = Fraction(1, rng.choice((5, 6, 8, 10)))
+    q = eps.denominator
+    ratio = rng.choice((Fraction(5, 4), Fraction(3, 2), Fraction(2)))
+    ladder = tuple(int(100 * ratio**i) for i in range(rng.randint(2, 4)))
+    profits = rng.choice(((100, 110, 121), (100, 101, 102), (1000, 1500), ladder))
+    items = [(p, rng.randint(1, 10)) for p in profits for _ in range(rng.choice((rng.randint(1, q), rng.randint(q + 1, q + 6))))]
+    rng.shuffle(items)
+    horizon = rng.randint(1, 4)
+    caps = list(itertools.accumulate(rng.randint(3, 25) for _ in range(horizon)))
+    lambdas = [rng.randint(0, 5) for _ in range(horizon - 1)] + [rng.randint(1, 5)]
+    return Instance.build(items=items, capacities=caps, lambdas=lambdas), eps
+
+
+def test_inverse_frontier_matches_all_windows_on_random_heavy_shapes(monkeypatch):
+    # many heavy windows are absorbed, and a heavy window whose classes
+    # another window's include, but whose tuples differ from that window's
+    # restricted ones, keeps its table; answers equal the all-windows
+    # frontier's either way
+    built = []
+    monkeypatch.setattr(bounded, "dp_solve", lambda *args: built.append(args[1]) or dp_solve(*args))
+    rng = random.Random(1)
+    absorbed = kept = 0
+    for _ in range(200):
+        instance, eps = random_heavy_shape(rng)
+        instance, _, _ = integer_units(preprocess(instance)[0])
+        built.clear()
+        frontier = InverseFrontier(instance, eps)
+        reference = AllWindowsFrontier(instance, eps)
+        assert frontier_answers(frontier, served(frontier)) == frontier_answers(reference, reference.served)
+        intervals = candidate_intervals(frontier.classes, eps, instance.suffix_lambdas.ratio)
+        windows = [set(interval.active) for interval in intervals]
+        for index, (window, interval) in enumerate(zip(windows, intervals)):
+            if all(frontier.classes.size(l) <= eps.denominator for l in window):
+                continue
+            inside = any(window < w or window == w and j < index for j, w in enumerate(windows))
+            absorbed += interval not in built
+            kept += inside and interval in built
+    assert absorbed >= 100 and kept >= 3
+
+
+def nested_heavy_instance():
+    """Classes 0 and 2 at eps 1/5, both heavy; window {0} lies inside {0, 2}."""
+    items = [
+        (1000, 4), (1500, 5), (1500, 5), (1000, 4), (1000, 9), (1000, 1), (1000, 2), (1000, 4),
+        (1500, 5), (1500, 3), (1000, 2), (1000, 10), (1500, 1), (1000, 8), (1500, 1), (1000, 6),
+        (1500, 2), (1000, 9), (1000, 10), (1500, 2), (1000, 8), (1000, 6), (1500, 7), (1000, 8),
+    ]
+    return Instance.build(items=items, capacities=[4, 7, 37, 48], lambdas=[4, 5, 4, 3]), Fraction(1, 5)
+
+
+def test_a_heavy_window_whose_family_is_smaller_keeps_its_table(monkeypatch):
+    # {0}'s family is a strict subset of {0, 2}'s members counting 0 on
+    # class 2, so containment alone does not absorb it: both get tables
+    instance, eps = nested_heavy_instance()
+    instance, _, _ = integer_units(instance)
+    built = []
+    monkeypatch.setattr(bounded, "dp_solve", lambda *args: built.append(args[1:3]) or dp_solve(*args))
+    frontier = InverseFrontier(instance, eps)
+    assert [interval.active for interval, _ in built] == [(0,), (0, 2)]
+    (small, own), (big, family) = built
+    assert {counts for counts, _ in members(own)} < members_within(big, family, small.active)
+    reference = AllWindowsFrontier(instance, eps)
+    assert frontier_answers(frontier, served(frontier)) == frontier_answers(reference, reference.served)
 
 
 def tie_instance():
@@ -595,7 +694,8 @@ def tie_instance():
         ([(2, 2), (1, 1), (2, 3)], 2),
         # {2} repeats later; the first of the two keeps rank 0
         ([(2, 2), (1, 1), (2, 2)], 2),
-        # the heavy {1} lies inside {0, 1} but holds the winner first
+        # the heavy {1} lies inside {0, 1}, which absorbs it; the winner's
+        # copy there must keep rank 0, although it counts 6 > 1/eps items
         ([(1, 1), (2, 2), (0, 1)], 1),
     ],
 )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     class_structure,
+    family_from,
     lattice_size,
     member_cells,
     members,
@@ -28,7 +29,6 @@ from incknap.statespace import (
     Family,
     _power_range,
     _truncated,
-    enumerate_family,
     heavy_configurations,
     mu_sum_cap,
 )
@@ -153,7 +153,7 @@ def test_family_strides_are_built_once():
 
 def test_enumerate_family_two_item_class():
     _, classes, interval = class_structure([1, 1])
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 2, uncut(classes, interval))
+    family = family_from(classes, interval, EPS, (Fraction(1), Fraction(1)), 2, uncut(classes, interval))
     assert [counts for counts, _ in members(family)] == [(0,), (1,), (2,)]
     assert family.cells == (0, 1, 2) and family.members == [0, 1, 2]
 
@@ -162,14 +162,14 @@ def test_enumerate_family_empty_interval():
     instance = Instance.build(items=[], capacities=[1], lambdas=[1])
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, 0, 0)
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 0, [1])
+    family = family_from(classes, interval, EPS, (Fraction(1), Fraction(1)), 0, [1])
     assert members(family) == [((), 0)]
     assert len(family) == lattice_size(family) == 1
 
 
 def test_enumerate_family_six_unit_items():
     _, classes, interval = class_structure([1] * 6)
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 6, uncut(classes, interval))
+    family = family_from(classes, interval, EPS, (Fraction(1), Fraction(1)), 6, uncut(classes, interval))
     counts = {counts for counts, _ in members(family)}
     assert {(k,) for k in range(6)} <= counts
     image = {prune_image((k,), classes, interval, EPS).counts for k in range(7)}
@@ -186,7 +186,7 @@ def test_family_covers_bruteforce_image():
         _, classes, interval = class_structure(*weight_lists)
         items = [w for ws in weight_lists for w in ws]
         wrange = (Fraction(min(items)), Fraction(max(items)))
-        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS, wrange, len(items), uncut(classes, interval)))}
+        family = {counts for counts, _ in members(family_from(classes, interval, EPS, wrange, len(items), uncut(classes, interval)))}
         sizes = [classes.size(l) for l in interval.active]
         for counts in itertools.product(*(range(s + 1) for s in sizes)):
             assert prune_image(counts, classes, interval, EPS).counts in family
@@ -228,7 +228,7 @@ def test_power_range_matches_doubling_reference(lo, hi):
 
 def test_family_vectors_are_valid():
     _, classes, interval = class_structure([1] * 7, [3, 4])
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(4)), 9, uncut(classes, interval))
+    family = family_from(classes, interval, EPS, (Fraction(1), Fraction(4)), 9, uncut(classes, interval))
     for counts, weight in members(family):
         for pos, level in enumerate(interval.active):
             assert 0 <= counts[pos] <= classes.size(level)
@@ -278,7 +278,7 @@ def test_enumerate_family_equals_reference(eps, max_classes):
         )
         weights = [w for _, w in instance.items]
         args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
-        family = enumerate_family(*args, uncut(*args[:2]))
+        family = family_from(*args, uncut(*args[:2]))
         assert _family_rows(family) == _reference_rows(args)
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
     assert heavy_hits >= 5
@@ -300,7 +300,7 @@ def test_enumerate_family_equals_reference_on_heavy_profits():
     for interval in intervals:
         weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
         args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
-        family = enumerate_family(*args, uncut(classes, interval))
+        family = family_from(*args, uncut(classes, interval))
         assert _family_rows(family) == _reference_rows(args)
         assert family.members == list(range(lattice_size(family)))  # one heavy class: a full lattice
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
@@ -311,7 +311,7 @@ def test_enumerate_family_equals_reference_on_two_heavy_classes():
     cases = list(two_heavy_structures())
     assert len(cases) >= 3
     for args in cases:
-        family = enumerate_family(*args, uncut(*args[:2]))
+        family = family_from(*args, uncut(*args[:2]))
         assert _family_rows(family) == _reference_rows(args)
         # two heavy classes fixed at once: the masks of two heavy counts meet
         assert _two_past_light(family, args[2])
@@ -323,7 +323,7 @@ def test_enumerate_family_equals_reference_where_cells_are_sparse():
     # so the member cells miss part of the lattice
     sparse = 0
     for args in sparse_heavy_structures():
-        family = enumerate_family(*args, uncut(*args[:2]))
+        family = family_from(*args, uncut(*args[:2]))
         assert _family_rows(family) == _reference_rows(args)
         sparse += len(family) < lattice_size(family)
     assert sparse >= 2
@@ -343,7 +343,7 @@ def test_sum_cap_binds_on_two_heavy_classes():
     capped = reference_partials(*args)
     assert set(heavy_configurations(*args)) == capped
     assert reference_partials(*args, cap=math.inf) - capped == {(10, 12)}
-    family = enumerate_family(*args, uncut(*args[:2]))
+    family = family_from(*args, uncut(*args[:2]))
     assert _family_rows(family) == _reference_rows(args)
     assert _two_past_light(family, eps)
 
@@ -355,7 +355,7 @@ def test_family_budget_refuses_at_the_first_axis_past_it(monkeypatch):
     instance, classes, interval = class_structure([1, 2, 3], [1, 1, 2, 2], [1, 2, 2, 3, 3], eps=EPS)
     args = (classes, interval, EPS, (Fraction(1), Fraction(3)), 12)
     caps = [9, 9]
-    family = enumerate_family(*args, caps)
+    family = family_from(*args, caps)
     counts = []
     for axes in (1, 2, 3):
         heads = itertools.product(*family.values[:axes])
@@ -363,7 +363,7 @@ def test_family_budget_refuses_at_the_first_axis_past_it(monkeypatch):
     assert counts[0] < counts[1] < counts[2] == len(family.cells)
     monkeypatch.setattr(statespace, "FAMILY_BUDGET", counts[0] * 3)
     with pytest.raises(BudgetExceeded) as info:
-        enumerate_family(*args, caps)
+        family_from(*args, caps)
     assert (info.value.required, info.value.budget) == (counts[1] * 3, counts[0] * 3)
 
 
@@ -374,12 +374,12 @@ def test_capacity_cut_keeps_exactly_the_reference_members_that_fit():
     fitting_outsiders = 0
     for args in (*two_heavy_structures(), *sparse_heavy_structures()):
         classes, interval = args[:2]
-        whole = enumerate_family(*args, uncut(classes, interval))
+        whole = family_from(*args, uncut(classes, interval))
         weights = sorted(whole.weights)
         member = set(whole.members)
         outside = [w for pos, w in enumerate(whole.weights) if pos not in member]
         for top in {weights[len(weights) // 2], *outside[:1]}:
-            family = enumerate_family(*args, [top // 2, top])
+            family = family_from(*args, [top // 2, top])
             want = [(v.counts, v.weight) for v in reference_family(*args) if v.weight <= top]
             assert members(family) == want
             assert len(family) == len(want)
