@@ -69,37 +69,37 @@ def accuracy_budget(eps, losses: int) -> Fraction:
 
 @dataclass
 class BoundedDPTable:
-    """Restricted DP values per (period, fitting cell), with backpointers.
+    """Restricted DP values of the last period per fitting cell, with predecessors.
 
     Rows are indexed by position in ``family.cells``, the lattice cells
-    weighing at most the largest capacity.  ``raw[t][i]`` holds the
-    rounded-profit value times ``value_den``, an int in integer units (None
-    = unreachable, not a family member, or heavier than period t's
-    capacity), and ``back[t][i]`` the position of its predecessor.
+    weighing at most the largest capacity.  ``values[i]`` holds the last
+    period's rounded-profit value times ``value_den``, an int in integer
+    units (None = not a family member), and ``pred[i]`` the position of its
+    predecessor in its entry period, the first whose capacity admits it.
+    Every lambda is positive, so these two rows hold the whole table
+    (``dp_solve``): period t's row is ``values`` restricted to the members
+    within ``capacities[t-1]``, and after its entry period a member is its
+    own predecessor.
     """
 
     interval: ClassInterval
     family: Family
-    raw: list[list[Optional[int]]]
-    back: list[list[Optional[int]]]
+    values: list[Optional[int]]
+    pred: list[Optional[int]]
+    capacities: Sequence
     value_den: int
 
     def chain(self, pos: int) -> list[tuple[int, ...]]:
-        """Counts per period of the optimal path ending at a position."""
-        horizon = len(self.raw) - 1
+        """Counts per period of the optimal path ending at a position, which
+        stays at a member back to its entry period and then moves to ``pred``."""
+        weights, capacities = self.family.weights, self.capacities
         out: list[tuple[int, ...]] = []
-        for t in range(horizon, 0, -1):
+        for t in range(len(capacities), 0, -1):
             out.append(self.family.counts(self.family.cells[pos]))
-            pos = self.back[t][pos]
+            if t == 1 or weights[pos] > capacities[t - 2]:
+                pos = self.pred[pos]
         out.reverse()
         return out
-
-
-def _dominates(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-    for a, b in zip(small, big):
-        if a > b:
-            return False
-    return True
 
 
 def dp_solve(
@@ -126,21 +126,21 @@ def dp_solve(
     cell's axis predecessors come first (weight order would do too, but
     scatters the reads of a large table); only members within the period's
     capacity get a value.  The zero cell, a member of weight 0, is
-    reached in every row, so row t holds exactly the members within
-    capacity t.
+    reached in row 0, so row t holds exactly the members within capacity t.
 
-    Carry-forward: if lambda_{t-1} > 0, that is lam' = suffix[t-2] > lam,
-    a member p reached at t-1 keeps its value and points to itself.  Its
+    Every lambda is positive, unchecked here as the input's integer units
+    are, so the rows hold ints.  Then lam' = suffix[t-2] > lam = suffix[t-1],
+    and a member p reached at t-1 keeps its value and points to itself: its
     value there is lam'*profit(p) plus the best G at or below it, at least
-    that of any q below p; so at rate lam its G beats q's by at least
+    that of any q below p, so at rate lam its G beats q's by at least
     (lam' - lam)*(profit(p) - profit(q)) > 0, as lifted profits rise along
-    every axis.  Period t then visits only the cells within its capacity
-    that row t-1 left empty, the members its capacity newly admits and the
-    non-members: a reached predecessor gives its own key, an empty one its
-    best found earlier in the pass.  After a zero lambda_{t-1} keys tie and
-    a reached cell may point below itself, so that period visits every
-    cell within its capacity, as period 1 does.  The input is in integer
-    units, unchecked here, so the rows hold ints.
+    every axis.  So row t is the last row restricted to the members within
+    capacity t, and a member's predecessor changes only in its entry
+    period: the table keeps those two rows.  Period t visits only the cells
+    within its capacity that row t-1 left empty, the members its capacity
+    newly admits and the non-members: a reached predecessor gives its own
+    key, an empty one its best found earlier in the pass, and the new
+    members' values are written after it, so it reads row t-1.
     """
     value_den = classes.eps.denominator ** max(interval.active, default=0)
     cells, weights, profits, lams = family.cells, family.weights, family.profits, suffix.values
@@ -151,42 +151,34 @@ def dp_solve(
     member = bytearray(size)
     for pos in family.members:
         member[pos] = 1
-    # positions by weight, and how many of them each period's capacity admits
+    # positions by weight; row t admits the first ends[t], row 0 the zero cell
     order = sorted(range(size), key=weights.__getitem__)
-    ends = [0, *(bisect_right(order, cap, key=weights.__getitem__) for cap in capacities)]
+    ends = [1, *(bisect_right(order, cap, key=weights.__getitem__) for cap in capacities)]
 
-    raw: list[list[Optional[int]]] = [[None] * size]
-    back: list[list[Optional[int]]] = [[None] * size]
-    raw[0][0] = 0
-    own: list[Optional[int]] = [None] * size  # each reached position, pointing to itself
+    values: list[Optional[int]] = [None] * size
+    pred: list[Optional[int]] = [None] * size
+    values[0] = pred[0] = 0
     keys: list[tuple] = [()] * size  # () sorts below every key
     waiting: list[int] = []  # the non-members admitted so far
     for t in range(1, horizon + 1):
-        lam, prev = lams[t - 1], raw[t - 1]
-        carry = t == 1 or lams[t - 2] > lam
+        lam = lams[t - 1]
         fresh = order[ends[t - 1] : ends[t]]
-        visit = sorted(waiting + fresh if carry else order[: ends[t]])
-        waiting += filterfalse(member.__getitem__, fresh)
-        cur, back_row = prev.copy(), own.copy()
-        for pos in visit:
-            v = prev[pos]
-            best = () if v is None else (v - lam * profits[pos], ranks[pos])
+        for pos in sorted(waiting + fresh):
+            best = ()
             cell = cells[pos]
             for stride, k in axes:
                 if cell // stride % k:
                     b = at[cell - stride]
-                    v = prev[b]
-                    key = keys[b] if v is None or not carry else (v - lam * profits[b], ranks[b])
+                    v = values[b]
+                    key = keys[b] if v is None else (v - lam * profits[b], ranks[b])
                     if key > best:
                         best = key
             keys[pos] = best
-            if member[pos]:
-                cur[pos] = lam * profits[pos] + best[0]
-                back_row[pos] = -best[1] % size
-                own[pos] = pos
-        raw.append(cur)
-        back.append(back_row)
-    return BoundedDPTable(interval, family, raw, back, value_den)
+        waiting += filterfalse(member.__getitem__, fresh)
+        for pos in filter(member.__getitem__, fresh):
+            values[pos] = lam * profits[pos] + keys[pos][0]
+            pred[pos] = -keys[pos][1] % size
+    return BoundedDPTable(interval, family, values, pred, capacities, value_den)
 
 
 def prefix_to_solution(
@@ -201,7 +193,7 @@ def prefix_to_solution(
     reaches k; items outside the chain's interval stay out.
     """
     for prev, cur in zip(chain, chain[1:]):
-        if not _dominates(prev, cur):
+        if any(a > b for a, b in zip(prev, cur)):
             raise ChainNotMonotone(f"{prev} -> {cur}")
     intro: list[Optional[int]] = [None] * n_items
     # latest period first, so each item keeps the first period that packs it
@@ -229,15 +221,16 @@ class InverseFrontier:
     binary search.  The frontier always contains the empty solution, so a
     query fails only when even the best value misses the threshold.
 
-    The instance must be in integer units (``model.integer_units``); any
-    other scalar raises ValueError.  Entry values are then ints v over one
-    denominator, top = the largest table value_den.  With eps = 1/q and
-    class scale s (the least profit, an int), entry i serves requirements
-    up to its value over (1-3*eps) = (q-3)/q, which is ``thresholds[i]`` =
-    s*q*v over ``den`` = top*(q-3); so construction makes no Fraction per
-    entry, a query ceils phi*den once and bisects the ints, and only the
-    entry it returns gets a rational rounded profit.  ``solution`` decodes
-    entry i directly.
+    The instance must be preprocessed, every lambda positive
+    (``model.preprocess``), and in integer units (``model.integer_units``);
+    a zero lambda, or a scalar that is no int, raises ValueError.  Entry
+    values are then ints v over one denominator, top = the largest table
+    value_den.  With eps = 1/q and class scale s (the least profit, an
+    int), entry i serves requirements up to its value over (1-3*eps) =
+    (q-3)/q, which is ``thresholds[i]`` = s*q*v over ``den`` = top*(q-3);
+    so construction makes no Fraction per entry, a query ceils phi*den once
+    and bisects the ints, and only the entry it returns gets a rational
+    rounded profit.  ``solution`` decodes entry i directly.
 
     Only windows that no other window absorbs get a DP table.  Window B
     absorbs window A when B's classes strictly contain A's, or equal them
@@ -253,27 +246,20 @@ class InverseFrontier:
     with zeros.  That sub-lattice is closed downwards, lifted profits differ
     by the one factor q**(ltop_B - ltop_A) on every cell, and zero
     coordinates keep the (count-sum, counts) order; so each vector of A
-    gets, over the merge's common denominator, the same value, backpointers
+    gets, over the merge's common denominator, the same value, predecessors
     and chain in B's table.  A light window's only tuple is the all-light
     one, and so is every restriction to it, so light windows are absorbed on
     their classes alone and no tuples are computed for them.  Containment
     alone is not enough: B's restriction may hold extra tuples, whose
     vectors can raise A's values or move its ties.
 
-    Every family holds the light box of its window (counts up to min(1/eps,
-    |P_l|) per class) within the largest capacity.  So a fitting vector with
-    every count at most 1/eps, call it boxed, and every vector below it lie
-    in the family of each window whose classes include its nonzero ones,
-    and each such window reaches it with the same weight, lifted value and
-    chain, by the argument above.
-
     The merge keeps the all-windows tie rule (equal (weight, value) goes to
     the earliest window in candidate order, then the first vector in its
-    family order) by ranking each entry by the first window whose own table
-    would hold its vector at that value with that chain: for a boxed vector,
-    the first window including its nonzero classes; for any other, the first
-    window including them among its table's own window and the windows that
-    table absorbs.  Each window of the all-windows merge gets a table or is
+    family order) by ranking each entry by the first window including its
+    nonzero classes among its table's own window and the windows that table
+    absorbs; that window's own table would hold the vector at that value
+    with that chain, so each rank here is the rank of an entry of the
+    all-windows merge.  Each window of that merge gets a table or is
     absorbed by one, so each of its entries has a copy here ranked no later
     than it; and vectors of one rank all lie in that window's family, where
     (count-sum, counts over all classes) is their family order.  So the
@@ -291,8 +277,8 @@ class InverseFrontier:
     """
 
     def __init__(self, instance: Instance, eps: Fraction):
-        if instance.suffix_lambdas.values[-1] <= 0:
-            raise ValueError("instance must be preprocessed: trailing lambdas are zero")
+        if not all(instance.lambdas):
+            raise ValueError("instance must be preprocessed: every lambda positive")
         if not all(isinstance(x, int) for x in (*chain(*instance.items), *instance.capacities, *instance.lambdas)):
             raise ValueError("instance must be in integer units: every scalar an int")
         self.instance = instance
@@ -345,8 +331,7 @@ class InverseFrontier:
                 return (-1,)
             counts = dict(zip(table.interval.active, table.family.counts(table.family.cells[pos])))
             used = {l for l, c in counts.items() if c}
-            among = range(len(windows)) if all(c <= q for c in counts.values()) else held
-            index = next(i for i in among if used <= windows[i])
+            index = next(i for i in held if used <= windows[i])
             return (index, sum(counts.values()), tuple(counts.get(l, 0) for l in indices))
 
         # every value_den is a power of 1/eps, so the largest one is a common
@@ -354,7 +339,7 @@ class InverseFrontier:
         top = max((table.value_den for _, table in tables), default=1)
         entries: list[tuple] = [(0, 0, None, None, None)]  # (weight, value, held windows, table, position)
         for held, table in tables:
-            lift, row, weights = top // table.value_den, table.raw[-1], table.family.weights
+            lift, row, weights = top // table.value_den, table.values, table.family.weights
             # by weight, then value descending, then position: both sorts are stable
             live = sorted((pos for pos, v in enumerate(row) if v is not None), key=row.__getitem__, reverse=True)
             live.sort(key=weights.__getitem__)

@@ -34,10 +34,12 @@ from .classes import ClassInterval, ProfitClasses
 from .model import BudgetExceeded
 
 
-# Most entries (fitting cells times T+1 rows) one family's DP table may hold.
-# A solve peaks near 150 bytes per entry, so this caps it near 1.3 GB; general
-# mode on gen --seed 1 --n 100 --t 4 at eps 1/2 needs 5,841,965 (0.82 GB peak).
+# Most entries, fitting cells times T+1, one family's DP table may count: the
+# admission rule, though a table keeps two rows.  General mode at eps 1/2
+# needs 5,841,965 on gen --seed 1 --n 100 --t 4 and refuses --n 200 by it.
 FAMILY_BUDGET = 2**23
+# Most tuples one list of a window's heavy product may hold (heavy_configurations).
+TUPLE_BUDGET = 2**17
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,14 @@ def heavy_configurations(
     already yielded, so it is skipped.  The product over classes is built
     class by class in product order, dropping a prefix as soon as its
     multipliers pass the cap, since multipliers are never negative.
+
+    Each class offers the light option at multiplier 0, so no list is
+    shorter than the one before.  ``enumerate_family`` gives each tuple a
+    mask bit in every cell, so its walk grows with tuples times cells
+    (bounded n=140 at eps 1/2: 874,800 tuples, 68 s over 841,611 cells).
+    A list that could pass TUPLE_BUDGET is counted before it is built and
+    refused past it; the budget keeps a mask within 16 KiB and admits
+    bounded n=130's 90,827.
     """
     threshold = eps.denominator
     if all(classes.size(l) <= threshold for l in interval.active):
@@ -151,6 +161,10 @@ def heavy_configurations(
         last = options
         combos = [((), 0)]  # (counts so far, multiplier sum), in product order
         for option in options:
+            if len(combos) * len(option) > TUPLE_BUDGET:  # else the list cannot pass it
+                size = sum(total + mu <= cap for _, total in combos for _, mu in option)
+                if size > TUPLE_BUDGET:
+                    raise BudgetExceeded(size, TUPLE_BUDGET, "heavy tuple list of {} entries")
             combos = [(t + (count,), total + mu) for t, total in combos for count, mu in option if total + mu <= cap]
         for partial, total in combos:
             if total and partial not in seen:

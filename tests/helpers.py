@@ -19,7 +19,6 @@ from incknap.bounded import (
     BoundedDPTable,
     InverseFrontier,
     InverseResult,
-    _dominates,
     accuracy_budget,
     check_internal_eps,
     dp_solve,
@@ -30,6 +29,11 @@ from incknap.general import ClusterDPTable, ClusterPlan, ProfitGrid, SingleClust
 from incknap.model import BudgetExceeded, Instance, Solution, SuffixLambdas, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET
 from incknap.statespace import Family, enumerate_family, family_tuples
+
+
+def _dominates(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    """Whether every count of small is at most big's."""
+    return all(a <= b for a, b in zip(small, big))
 
 
 def e1() -> Instance:
@@ -380,10 +384,29 @@ def position(table: BoundedDPTable, cell: int) -> Optional[int]:
     return pos if pos < len(cells) and cells[pos] == cell else None
 
 
+def period_rows(table: BoundedDPTable) -> tuple[list, list]:
+    """(raw, back): the table's value and predecessor rows for periods 0..T,
+    rebuilt from its two rows by nesting.  Row 0 holds the zero cell alone;
+    row t holds each member within capacity t at its last-row value, and
+    its predecessor is ``pred`` in its entry period and itself after."""
+    weights, caps, size = table.family.weights, table.capacities, len(table.values)
+    raw, back = [[None] * size], [[None] * size]
+    raw[0][0] = 0
+    for t, cap in enumerate(caps, start=1):
+        raw.append([v if v is not None and weights[pos] <= cap else None for pos, v in enumerate(table.values)])
+        back.append(
+            [
+                None if v is None else table.pred[pos] if t == 1 or weights[pos] > caps[t - 2] else pos
+                for pos, v in enumerate(raw[t])
+            ]
+        )
+    return raw, back
+
+
 def dp_value(table: BoundedDPTable, t: int, cell: int) -> Optional[Fraction]:
     """The rounded-profit value of a lattice cell at period t, or None."""
     pos = position(table, cell)
-    v = None if pos is None else table.raw[t][pos]
+    v = None if pos is None else period_rows(table)[0][t][pos]
     return None if v is None else Fraction(v, table.value_den)
 
 
@@ -445,10 +468,11 @@ def lattice_rows(table: BoundedDPTable, t: int) -> tuple[list, list]:
     raw: list = [None] * lattice_size(table.family)
     back: list = [None] * lattice_size(table.family)
     cells = table.family.cells
+    rows, backs = period_rows(table)
     for pos, cell in enumerate(cells):
-        raw[cell] = table.raw[t][pos]
-        if table.back[t][pos] is not None:
-            back[cell] = cells[table.back[t][pos]]
+        raw[cell] = rows[t][pos]
+        if backs[t][pos] is not None:
+            back[cell] = cells[backs[t][pos]]
     return raw, back
 
 
@@ -585,8 +609,8 @@ class AllWindowsFrontier:
     """
 
     def __init__(self, instance: Instance, eps: Fraction):
-        if instance.suffix_lambdas.values[-1] <= 0:
-            raise ValueError("instance must be preprocessed: trailing lambdas are zero")
+        if not all(instance.lambdas):
+            raise ValueError("instance must be preprocessed: every lambda positive")
         self.instance = instance
         self.eps = check_internal_eps(eps)
         tables: list[BoundedDPTable] = []
@@ -611,8 +635,8 @@ class AllWindowsFrontier:
             lift = top // table.value_den
             for cell in family_order(table.family):
                 pos = position(table, cell)
-                if pos is not None and table.raw[-1][pos] is not None:
-                    entries.append((table.family.weights[pos], table.raw[-1][pos] * lift, table, pos))
+                if pos is not None and table.values[pos] is not None:
+                    entries.append((table.family.weights[pos], table.values[pos] * lift, table, pos))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1

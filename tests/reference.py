@@ -458,7 +458,7 @@ def all_entries_merge(tables, intervals, absorbed_by, classes: ProfitClasses) ->
     entries = [(0, 0, -1, None, None)]
     for index, table in tables:
         lift = top // table.value_den
-        for pos, v in enumerate(table.raw[-1]):
+        for pos, v in enumerate(table.values):
             if v is not None:
                 entries.append((table.family.weights[pos], v * lift, index, table, pos))
     entries.sort(key=lambda e: (e[0], -e[1]))

@@ -22,6 +22,7 @@ from helpers import (
     lattice_weights,
     member_cells,
     members,
+    period_rows,
     random_class_structure,
     random_instance,
     sparse_heavy_structures,
@@ -151,12 +152,10 @@ def test_dp_restricted_below_exact():
 
 
 def random_horizon(rng, total_weight):
-    """Fraction capacities up to the total weight and Fraction lambdas, some
-    zero, so consecutive suffix values can tie and so can predecessors."""
+    """Fraction capacities up to the total weight and positive Fraction lambdas."""
     horizon = rng.randint(1, 4)
     caps = sorted(Fraction(rng.randint(0, 3 * int(total_weight) + 3), 3) for _ in range(horizon))
-    lambdas = [rng.choice([0, Fraction(rng.randint(1, 9), rng.randint(1, 4))]) for _ in range(horizon)]
-    lambdas[-1] += 1
+    lambdas = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(horizon)]
     return caps, SuffixLambdas(tuple(itertools.accumulate(reversed(lambdas)))[::-1])
 
 
@@ -315,9 +314,10 @@ def test_dp_rows_are_the_cells_that_fit():
             assert list(family.cells) == fits
             assert list(family.weights) == [weights[cell] for cell in fits]
             cut += len(fits) < lattice_size(family)
-            assert [v is None for v in table.raw[0]] == [cell != 0 for cell in fits]
+            raw, _ = period_rows(table)
+            assert [v is None for v in raw[0]] == [cell != 0 for cell in fits]
             for t in range(1, len(caps) + 1):
-                held = [family.cells[pos] for pos, v in enumerate(table.raw[t]) if v is not None]
+                held = [family.cells[pos] for pos, v in enumerate(raw[t]) if v is not None]
                 assert all(cell in inside and weights[cell] <= caps[t - 1] for cell in held)
     assert sparse >= 2
     assert cut >= len(families)
@@ -340,7 +340,7 @@ def test_dp_solve_matches_the_full_sweep_on_bench_families(monkeypatch):
 
     def checked(*args):
         table = dp_solve(*args)
-        assert (table.raw, table.back) == full_sweep_dp(*args)
+        assert period_rows(table) == full_sweep_dp(*args)
         calls.append(len(args[2].cells))
         return table
 
@@ -355,22 +355,20 @@ def test_dp_solve_matches_the_full_sweep_on_bench_families(monkeypatch):
     assert len(calls) == 500 and max(calls) > 1000
 
 
-def random_horizon_tables(rng):
-    """(family DP table, capacities, suffix) on random horizons, zero lambdas
-    among them: random, sparse (lattice cells outside the family), two-heavy
-    and sparse-heavy families, under loose and tight capacities."""
+def random_horizon_args(rng):
+    """``dp_solve``'s arguments on random horizons: random, sparse (lattice
+    cells outside the family), two-heavy and sparse-heavy families, under
+    loose and tight capacities."""
     for _ in range(30):
         instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=9, den=2)
         caps, suffix = random_horizon(rng, instance.capacities[0])
-        args = (classes, interval, family_for(instance, classes, interval, caps), caps, suffix)
-        yield dp_solve(*args), args
-    for _ in range(30):
+        yield classes, interval, family_for(instance, classes, interval, caps), caps, suffix
+    for _ in range(40):
         instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=4, den=2)
         product = list(itertools.product(*(range(classes.size(l) + 1) for l in interval.active)))
         picked = {product[0], *rng.sample(product, rng.randint(1, len(product)))}
         caps, suffix = random_horizon(rng, instance.capacities[0])
-        args = (classes, interval, family_of(classes, interval, picked, caps), caps, suffix)
-        yield dp_solve(*args), args
+        yield classes, interval, family_of(classes, interval, picked, caps), caps, suffix
     for args in [*two_heavy_structures(), *sparse_heavy_structures()]:
         classes, interval = args[:2]
         weights = lattice_weights(classes, interval, family_from(*args, uncut(classes, interval)))
@@ -378,40 +376,60 @@ def random_horizon_tables(rng):
             caps, suffix = random_horizon(rng, 60)
             if tight:
                 caps = tight_capacities(rng, weights, len(caps))
-            full = (classes, interval, family_from(*args, caps), caps, suffix)
-            yield dp_solve(*full), full
+            yield classes, interval, family_from(*args, caps), caps, suffix
 
 
 def test_dp_solve_matches_the_full_sweep_on_random_horizons():
-    # zero lambdas make consecutive suffix values and predecessor keys tie,
-    # where the period sweeps every fitting cell; non-member cells are
-    # swept in every period
+    # non-member cells are swept in every period, and each chain walks the
+    # sweep's predecessors back from the last row
     rng = random.Random(35)
-    zero = sparse = 0
-    for table, args in random_horizon_tables(rng):
-        assert (table.raw, table.back) == full_sweep_dp(*args)
-        suffix = args[4].values
-        zero += any(a == b for a, b in zip(suffix, suffix[1:]))
+    sparse = entered = 0
+    for args in random_horizon_args(rng):
+        table = dp_solve(*args)
+        raw, back = full_sweep_dp(*args)
+        assert period_rows(table) == (raw, back)
         sparse += len(args[2]) < len(args[2].cells)
-    assert zero >= 20 and sparse >= 20
+        family, caps = args[2], args[3]
+        for pos, v in enumerate(raw[-1]):
+            if v is not None:
+                path = [pos]
+                for t in range(len(caps), 1, -1):
+                    path.append(back[t][path[-1]])
+                assert table.chain(pos) == [family.counts(family.cells[p]) for p in reversed(path)]
+                # a member weighing exactly an earlier capacity is carried from the next period
+                entered += family.weights[pos] in caps[:-1]
+    assert sparse >= 20 and entered >= 20
+
+
+def with_a_zero_lambda(rng, suffix):
+    """The suffix with one lambda before the last set to zero, or None at T=1."""
+    lambdas = [a - b for a, b in zip(suffix.values, (*suffix.values[1:], 0))]
+    if len(lambdas) < 2:
+        return None
+    lambdas[rng.randrange(len(lambdas) - 1)] = 0
+    return SuffixLambdas(tuple(itertools.accumulate(reversed(lambdas)))[::-1])
 
 
 def test_dp_carries_every_reached_member_after_a_positive_lambda():
-    # after lambda_{t-1} > 0 a member reached at t-1 keeps its value and
-    # points to itself; after a zero lambda some point below themselves
+    # in the full sweep (tests/reference.py), with every lambda positive a
+    # member reached at t-1 keeps its value and points to itself at t, so the
+    # rows nest: each is the last row restricted to the members within its
+    # capacity; after a zero lambda keys tie and some point below themselves
     rng = random.Random(36)
     carried = below = 0
-    for table, args in random_horizon_tables(rng):
-        suffix = args[4].values
-        for t in range(2, len(suffix) + 1):
-            for pos, v in enumerate(table.raw[t - 1]):
-                if v is None:
-                    continue
-                if suffix[t - 2] > suffix[t - 1]:
-                    assert (table.raw[t][pos], table.back[t][pos]) == (v, pos)
-                    carried += 1
-                else:
-                    below += table.back[t][pos] != pos
+    for classes, interval, family, caps, suffix in random_horizon_args(rng):
+        zeroed = with_a_zero_lambda(rng, suffix)
+        for lams in (suffix, zeroed) if zeroed else (suffix,):
+            raw, back = full_sweep_dp(classes, interval, family, caps, lams)
+            for t in range(2, len(caps) + 1):
+                for pos, v in enumerate(raw[t - 1]):
+                    if v is None:
+                        continue
+                    if lams is suffix:
+                        assert (raw[t][pos], back[t][pos]) == (v, pos)
+                        carried += 1
+                    else:
+                        below += back[t][pos] != pos
     assert carried > 1000 and below > 0
 
 
@@ -1078,7 +1096,7 @@ def test_solve_bounded_meets_its_bound_where_two_heavy_classes_engage(monkeypatc
     # profits 100/110/121 are one class each at eps 1/10, and at n = 32 to 48
     # two classes often pass 10 items at once, so heavy_configurations yields
     # tuples fixing two heavy counts; the answer is held to (1-5*eps)*OPT
-    # against the count-vector optimum
+    # against the package oracle's optimum
     eps = Fraction(1, 10)
     two_heavy = []
     configurations = statespace.heavy_configurations
@@ -1094,6 +1112,6 @@ def test_solve_bounded_meets_its_bound_where_two_heavy_classes_engage(monkeypatc
         items = [(rng.choice((100, 110, 121)), rng.randint(1, 10)) for _ in range(n)]
         caps = list(itertools.accumulate(rng.randint(10, 40) for _ in range(4)))
         instance = Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(4)])
-        opt = exact_opt_by_profits(instance)
+        opt, _ = exact_opt(instance)
         assert objective(instance, solve_bounded(instance, eps)) >= (1 - 5 * eps) * opt
     assert any(two_heavy)

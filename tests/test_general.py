@@ -29,7 +29,6 @@ from reference import (
     audit_uncrossing,
     band_runs,
     drop_bad_periods,
-    exact_opt_by_profits,
     star_graph_edges,
     table_class_rows,
 )
@@ -440,8 +439,8 @@ def test_glue_two_clusters_disjoint_class_ranges():
 
 def test_uncrossing_audit_on_two_cluster_winners():
     # on the forced shape two-cluster plans win, and each answer meets its
-    # bound against the count-vector optimum and passes the audit; there the
-    # first cluster's periods carry nearly all the value, so glue on the
+    # bound against the package oracle's optimum and passes the audit; there
+    # the first cluster's periods carry nearly all the value, so glue on the
     # two-cluster plans of two_cluster_instance, whose big item fits only in
     # period 3, checks answers that place items in both clusters
     eps = Fraction(4, 5)
@@ -449,7 +448,7 @@ def test_uncrossing_audit_on_two_cluster_winners():
     for seed in range(8):
         instance = forced_instance(seed, 8, 10)
         result = solve_detailed(instance, eps)
-        opt = exact_opt_by_profits(instance)
+        opt, _ = exact_opt(instance)
         assert result.profit >= (1 - eps) * opt
         edges = star_graph_edges(result.classes, result.plan, result.core_solution)
         assert audit_uncrossing(edges)
@@ -597,7 +596,7 @@ def test_solve_meets_its_bound_where_heavy_classes_engage(monkeypatch):
     # profits 100/101/102 fall in one class at the frontiers' accuracy (1/42
     # at eps 1/2), which n = 44 to 60 items pass, so every solve's families
     # come from heavy_configurations; each answer is held to (1-eps)*OPT
-    # against the count-vector optimum
+    # against the package oracle's optimum
     eps = Fraction(1, 2)
     yielded = Counter()
     configurations = statespace.heavy_configurations
@@ -614,7 +613,7 @@ def test_solve_meets_its_bound_where_heavy_classes_engage(monkeypatch):
         caps = list(itertools.accumulate(rng.randint(10, 40) for _ in range(4)))
         instance = Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(4)])
         before = yielded["tuples"]
-        assert solve_detailed(instance, eps).profit >= (1 - eps) * exact_opt_by_profits(instance)
+        assert solve_detailed(instance, eps).profit >= (1 - eps) * exact_opt(instance)[0]
         assert yielded["tuples"] > before
 
 
@@ -644,13 +643,14 @@ def test_both_modes_meet_their_bound_against_the_oracle_where_rounding_engages()
 
 def test_solve_meets_its_bound_on_multi_cluster_winners():
     # the forced shape at T=10: every winning plan has two or more clusters,
-    # and each answer is held to (1-eps)*OPT against the count-vector optimum
+    # and each answer is held to (1-eps)*OPT against the package oracle's
+    # optimum
     eps = Fraction(4, 5)
     for n, seed in itertools.product((8, 16, 24, 32), range(3)):
         instance = forced_instance(seed, n, 10)
         result = solve_detailed(instance, eps)
         assert result.plan.num_clusters >= 2
-        assert result.profit >= (1 - eps) * exact_opt_by_profits(instance)
+        assert result.profit >= (1 - eps) * exact_opt(instance)[0]
 
 
 def test_internal_eps_rescaling():

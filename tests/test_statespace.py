@@ -367,6 +367,32 @@ def test_family_budget_refuses_at_the_first_axis_past_it(monkeypatch):
     assert (info.value.required, info.value.budget) == (counts[1] * 3, counts[0] * 3)
 
 
+def test_tuple_budget_refuses_a_list_before_it_is_built(monkeypatch):
+    # two heavy classes: a base's last list is its longest (every class
+    # offers the light option) and holds distinct tuples, all yielded but
+    # the all-light one, so a budget of one more than the yields refuses
+    # nothing; the least budget that refuses nothing is the longest list,
+    # and one less refuses it with that count
+    eps = Fraction(1, 10)
+    items = [(100, 1)] * 12 + [(100, 5)] + [(110, 10)] * 13
+    instance = Instance.build(items=items, capacities=[60], lambdas=[1])
+    classes = build_classes(instance, eps)
+    args = (classes, make_interval(classes, 0, 1), eps, (Fraction(1), Fraction(10)), len(items))
+    tuples = list(heavy_configurations(*args))
+    monkeypatch.setattr(statespace, "TUPLE_BUDGET", len(tuples) + 1)
+    assert list(heavy_configurations(*args)) == tuples
+    longest = len(tuples) + 1
+    while True:
+        monkeypatch.setattr(statespace, "TUPLE_BUDGET", longest - 1)
+        try:
+            list(heavy_configurations(*args))
+        except BudgetExceeded as exc:
+            assert (exc.required, exc.budget) == (longest, longest - 1)
+            break
+        longest -= 1
+    assert 2 < longest <= len(tuples) + 1
+
+
 def test_capacity_cut_keeps_exactly_the_reference_members_that_fit():
     # capacities below the heaviest lattice cell: the members are the
     # reference family's vectors within the largest one, in cell order, and

@@ -155,8 +155,10 @@ def test_inverse_frontier_takes_only_ints_and_positive_trailing_lambdas():
     for instance in fraction_scalars:
         with pytest.raises(ValueError, match="integer units"):
             InverseFrontier(instance, Fraction(1, 5))
-    with pytest.raises(ValueError, match="trailing lambdas are zero"):
-        InverseFrontier(dataclasses.replace(scaled, lambdas=(1, 0)), Fraction(1, 5))
+    # a zero lambda anywhere, not only a trailing one
+    for lambdas in ((1, 0), (0, 1)):
+        with pytest.raises(ValueError, match="every lambda positive"):
+            InverseFrontier(dataclasses.replace(scaled, lambdas=lambdas), Fraction(1, 5))
 
 
 def test_inverse_frontier_refuses_a_zero_profit():
