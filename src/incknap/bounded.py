@@ -39,7 +39,7 @@ from .model import (
     remap_solution,
     validate,
 )
-from .statespace import Family, enumerate_family, family_tuples
+from .statespace import Family, enumerate_family
 
 
 class ChainNotMonotone(ValueError):
@@ -234,24 +234,23 @@ class InverseFrontier:
 
     Only windows that no other window absorbs get a DP table.  Window B
     absorbs window A when B's classes strictly contain A's, or equal them
-    with B earlier in candidate order, and B's tuples (``family_tuples``:
-    the all-light tuple and the heavy ones) that leave every class outside A
-    open, restricted to A's classes, are exactly A's tuples.  The relation
-    is transitive and has no cycles, so an absorbed window is absorbed by a
-    window that gets a table.  A truncated heavy count is at least
-    1/eps > 0, so a member of B's family that counts 0 on every class outside A
-    agrees only with tuples leaving those classes open; both families share
-    the light box, the cut at the largest capacity and the class prefix
-    sums, so B's members with zeros outside A are exactly A's members padded
-    with zeros.  That sub-lattice is closed downwards, lifted profits differ
-    by the one factor q**(ltop_B - ltop_A) on every cell, and zero
-    coordinates keep the (count-sum, counts) order; so each vector of A
-    gets, over the merge's common denominator, the same value, predecessors
-    and chain in B's table.  A light window's only tuple is the all-light
-    one, and so is every restriction to it, so light windows are absorbed on
-    their classes alone and no tuples are computed for them.  Containment
-    alone is not enough: B's restriction may hold extra tuples, whose
-    vectors can raise A's values or move its ties.
+    with B earlier in candidate order, and B's family members that count 0
+    on every class outside A, restricted to A's classes, are exactly A's
+    members.  Both families are cut at the largest capacity and share the
+    class prefix sums, so that sub-lattice of B is closed downwards, lifted
+    profits differ by the one factor q**(ltop_B - ltop_A) on every cell,
+    and zero coordinates keep the (count-sum, counts) order; so each vector
+    of A gets, over the merge's common denominator, the same value,
+    predecessors and chain in B's table.  The relation is transitive and
+    has no cycles, so a window is absorbed by some window exactly when it is
+    absorbed by a window that gets a table; windows are decided with the
+    most classes first, then in candidate order, so every possible absorber
+    is decided before them.  A window none of whose classes fits more than
+    1/eps items within the largest capacity has, in its own family and in
+    B's, only light counts that fit, all members; so it is absorbed on its
+    classes alone, with no family built (light windows among them).
+    Containment alone is not enough otherwise: B's restriction may hold
+    extra vectors, which can raise A's values or move its ties.
 
     The merge keeps the all-windows tie rule (equal (weight, value) goes to
     the earliest window in candidate order, then the first vector in its
@@ -289,41 +288,45 @@ class InverseFrontier:
         rho = instance.suffix_lambdas.ratio
         intervals = candidate_intervals(classes, self.eps, rho)
         windows = [frozenset(interval.active) for interval in intervals]
-        heavy = {l for l in indices if classes.size(l) > q}
-        tuples = []  # per window: the all-light tuple, then its heavy tuples
-        for interval in intervals:
-            if heavy.isdisjoint(interval.active):
-                tuples.append([(None,) * len(interval.active)])
-            else:
+        top = max(instance.capacities)
+        boxed = [all(classes.size(l) <= q or classes.prefix[l][q + 1] > top for l in w) for w in windows]
+        families: dict[int, Family] = {}
+
+        def family(index: int) -> Family:
+            if index not in families:
+                interval = intervals[index]
                 item_weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
                 wrange = (min(item_weights), max(item_weights))
-                tuples.append(family_tuples(classes, interval, self.eps, wrange, len(item_weights)))
+                families[index] = enumerate_family(classes, interval, self.eps, wrange, len(item_weights), instance.capacities)
+            return families[index]
 
-        def restricts_to(b: int, a: int) -> bool:
-            """Whether window b's tuples leaving every class outside window a
-            open, restricted to a's classes, are exactly a's tuples."""
-            if heavy.isdisjoint(windows[a]):  # each side is the all-light tuple alone
-                return True
-            inside = [l in windows[a] for l in intervals[b].active]
-            kept = {
-                tuple(c for c, i in zip(t, inside) if i)
-                for t in tuples[b]
-                if all(i or c is None for c, i in zip(t, inside))
-            }
-            return kept == set(tuples[a])
+        def members(index: int, inside: frozenset) -> set:
+            """Counts on ``inside`` of the members of a window's family that count 0 elsewhere."""
+            fam, active = family(index), intervals[index].active
+            kept = set()
+            for pos in fam.members:
+                counts = fam.counts(fam.cells[pos])
+                if all(c == 0 or l in inside for l, c in zip(active, counts)):
+                    kept.add(tuple(c for l, c in zip(active, counts) if l in inside))
+            return kept
 
-        absorbers = [
-            [b for b, big in enumerate(windows) if (small < big or small == big and b < a) and restricts_to(b, a)]
-            for a, small in enumerate(windows)
-        ]
+        holds: dict[int, list[int]] = {}  # per window with a table: the windows its table holds
+        for a in sorted(range(len(windows)), key=lambda i: (-len(windows[i]), i)):
+            small = windows[a]
+            by = [b for b in holds if small < windows[b] or small == windows[b] and b < a]
+            if by and not boxed[a]:
+                own = members(a, small)
+                by = [b for b in by if members(b, small) == own]
+            for b in by:
+                holds[b].append(a)
+            if by:
+                families.pop(a, None)
+            else:
+                holds[a] = [a]
         tables: list[tuple[list[int], BoundedDPTable]] = []  # (windows the table holds, table)
-        for index, interval in enumerate(intervals):
-            if absorbers[index]:
-                continue
-            held = [a for a, by in enumerate(absorbers) if a == index or index in by]
-            family = enumerate_family(classes, interval, self.eps, tuples[index], instance.capacities)
-            table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
-            tables.append((held, table))
+        for index in sorted(holds):
+            table = dp_solve(classes, intervals[index], family(index), instance.capacities, instance.suffix_lambdas)
+            tables.append((sorted(holds[index]), table))
 
         def rank(entry) -> tuple:
             _, _, held, table, pos = entry

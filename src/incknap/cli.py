@@ -18,9 +18,9 @@ or invalid instance file, a bad argument (an unknown or missing command or
 option, a value of the wrong kind, or an ``--eps`` exponent past
 ``EPS_EXPONENT_LIMIT`` in magnitude), or an unwritable ``--out``; 3 a
 resource overrun on a valid input: the oracle budget (lattice cells times
-periods), the profit grid, profit class, family DP table (fitting cells
-times T+1) or heavy tuple budget exceeded, a solve out of memory, or a
-result value longer than the interpreter's integer string conversion limit.
+periods), the profit grid, profit class or family DP table (fitting
+cells times T+1) budget exceeded, a solve out of memory, or a result
+value longer than the interpreter's integer string conversion limit.
 """
 
 from __future__ import annotations

@@ -7,18 +7,16 @@ snaps each heavy class's excess weight up to an integer multiple mu of a
 power-of-two base derived from the total heavy excess, and truncation then
 drops the last ceil(2*eps*Delta) items of each heavy class to pay the
 rounding back.  For one heavy class only the truncated count a multiplier
-produces matters, and that count is monotone in mu, so each class offers a
-short table of reachable truncated counts, each with its least mu; a tuple
-of them is reachable exactly when those least multipliers fit the counting
-cap.  The power-of-two bases come from bit lengths of ints.  The family is
-these heavy tuples crossed with the free light ranges, never the
-exponential vector space.  ``family_tuples`` lists a window's tuples and
-``enumerate_family`` takes them as given, so a caller can compare windows'
-tuples before it enumerates any family.  The family is held as the lattice
-of per-class counts cut at the solve's largest capacity (``Family``):
-weights, profits and tuple masks combine one term per class, so one walk
-builds them per cell for the cells that fit, instead of building one object
-per member.
+produces matters, and that count is monotone in mu, so each class offers,
+per base, a short table of reachable truncated counts, each with its least
+mu (``heavy_configurations``).  A vector is a member when, at some base,
+the least multipliers of its counts past the light range sum to at most
+the counting cap, never the exponential product of the classes' options.
+The power-of-two bases come from bit lengths of ints.  The family is held
+as the lattice of per-class counts cut at the solve's largest capacity
+(``Family``): weights, profits and per-base multiplier sums combine one
+term per class, so one walk builds them per cell for the cells that fit,
+instead of building one object per member.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .classes import ClassInterval, ProfitClasses
 from .model import BudgetExceeded
@@ -38,8 +36,6 @@ from .model import BudgetExceeded
 # admission rule, though a table keeps two rows.  General mode at eps 1/2
 # needs 5,841,965 on gen --seed 1 --n 100 --t 4 and refuses --n 200 by it.
 FAMILY_BUDGET = 2**23
-# Most tuples one list of a window's heavy product may hold (heavy_configurations).
-TUPLE_BUDGET = 2**17
 
 
 @dataclass(frozen=True)
@@ -120,30 +116,34 @@ def heavy_configurations(
     eps: Fraction,
     weight_range: tuple[Fraction, Fraction],
     n: int,
-) -> Iterator[tuple[Optional[int], ...]]:
-    """Yield every reachable truncated heavy-count tuple once, None for light classes.
+) -> Iterator[list[dict[int, int]]]:
+    """Yield, per power-of-two base, every class's {truncated count: least mu} table.
 
     The base ranges over powers of two bracketing eps/|interval| times the
     possible heavy excess (between the lightest single item and n items of
-    maximal weight).  At each base every class is light (None) or, when it
-    holds more than 1/eps items, takes one of its reachable truncated counts;
-    a combination with at least one heavy class is reachable exactly when
-    the least multipliers of its counts sum to at most the counting cap, so
-    a class offers no count whose least multiplier alone passes the cap.
-    The bases come from bit lengths of ints.  Several bases may reach a
-    tuple; it is yielded at the first.  A base whose per-class options, with
-    their multipliers, repeat the previous base's reaches only tuples
-    already yielded, so it is skipped.  The product over classes is built
-    class by class in product order, dropping a prefix as soon as its
-    multipliers pass the cap, since multipliers are never negative.
+    maximal weight).  At each base a class holding more than 1/eps items
+    offers its reachable truncated counts, each with its least multiplier,
+    and no count whose least multiplier alone passes the counting cap; a
+    light class offers none.  The bases come from bit lengths of ints.  A
+    base that offers nothing, or repeats the previous base's tables, is
+    skipped; nothing is yielded when no class is heavy.
 
-    Each class offers the light option at multiplier 0, so no list is
-    shorter than the one before.  ``enumerate_family`` gives each tuple a
-    mask bit in every cell, so its walk grows with tuples times cells
-    (bounded n=140 at eps 1/2: 874,800 tuples, 68 s over 841,611 cells).
-    A list that could pass TUPLE_BUDGET is counted before it is built and
-    refused past it; the budget keeps a mask within 16 KiB and admits
-    bounded n=130's 90,827.
+    Membership.  The counting argument reaches a tuple, one offered count
+    or None (light) per class with at least one count, when at one base the
+    least multipliers of its counts sum to at most ``mu_sum_cap``; a family
+    member is an all-light vector, or such a tuple with each open class
+    given a light count (at most min(1/eps, |P_l|)).  At base b let a count
+    cost 0 when it is light, its least mu when the class offers it there,
+    and be barred otherwise.  A vector is a member iff it is all light or,
+    at some base, its costs sum to at most the cap.  If it agrees with a
+    tuple reached at b, each class costs at most that tuple's multiplier
+    (0 where the tuple leaves it open and the count is light), so its costs
+    sum to at most the tuple's.  Conversely, if its costs at b sum to at
+    most the cap and it is not all light, leave its light counts open and
+    fix the others at their least multipliers: that tuple has a count, is
+    reached at b on the same sum, and the vector agrees with it.  Multipliers
+    are at least 1 and the all-light vector costs 0, so the rule is the
+    tuple rule exactly, with no product of the classes' options.
     """
     threshold = eps.denominator
     if all(classes.size(l) <= threshold for l in interval.active):
@@ -151,95 +151,71 @@ def heavy_configurations(
     cap = mu_sum_cap(interval, eps)
     (a, b), (c, d) = ((w.numerator, w.denominator) for w in weight_range)
     scale = eps.denominator * interval.length
-    seen: set[tuple[Optional[int], ...]] = set()
-    last = None  # the previous base's options
+    last = None  # the previous base's tables
     for k in _power_range((eps.numerator * a, scale * b), (2 * eps.numerator * n * c, scale * d)):
         num, den = 1 << max(k, 0), 1 << max(-k, 0)  # base 2**k
-        options = [[(None, 0), *_heavy_choices(classes, l, threshold, num, den, cap).items()] for l in interval.active]
-        if options == last:
-            continue
-        last = options
-        combos = [((), 0)]  # (counts so far, multiplier sum), in product order
-        for option in options:
-            if len(combos) * len(option) > TUPLE_BUDGET:  # else the list cannot pass it
-                size = sum(total + mu <= cap for _, total in combos for _, mu in option)
-                if size > TUPLE_BUDGET:
-                    raise BudgetExceeded(size, TUPLE_BUDGET, "heavy tuple list of {} entries")
-            combos = [(t + (count,), total + mu) for t, total in combos for count, mu in option if total + mu <= cap]
-        for partial, total in combos:
-            if total and partial not in seen:
-                seen.add(partial)
-                yield partial
-
-
-def family_tuples(
-    classes: ProfitClasses,
-    interval: ClassInterval,
-    eps: Fraction,
-    weight_range: tuple[Fraction, Fraction],
-    n: int,
-) -> list[tuple[Optional[int], ...]]:
-    """A window's tuples: the all-light tuple, then ``heavy_configurations``' tuples.
-
-    Each tuple fixes the truncated count of some heavy classes and leaves
-    the others open (None); the family crosses each with the light counts of
-    its open classes.  ``weight_range`` bounds the window's item weights and
-    ``n`` counts its items.
-    """
-    return [(None,) * len(interval.active), *heavy_configurations(classes, interval, eps, weight_range, n)]
+        options = [_heavy_choices(classes, l, threshold, num, den, cap) for l in interval.active]
+        if any(options) and options != last:
+            last = options
+            yield options
 
 
 def enumerate_family(
     classes: ProfitClasses,
     interval: ClassInterval,
     eps: Fraction,
-    tuples: Sequence[tuple[Optional[int], ...]],
+    weight_range: tuple[Fraction, Fraction],
+    n: int,
     capacities: Sequence,
 ) -> Family:
     """Directly enumerate a superset of the truncated up-rounding image, cut at max(capacities).
 
-    The members are the given ``tuples`` (``family_tuples``: the all-light
-    tuple and the reachable truncated heavy tuples), each crossed with the
-    light counts [0, min(1/eps, |P_l|)] of its open classes.  Extra vectors
-    beyond the exact image are harmless: the DP only gains actions and
-    enforces feasibility itself.
+    The members are the vectors ``heavy_configurations``' rule admits for
+    the window (``weight_range`` bounds its item weights and ``n`` counts
+    its items): all light, each count in [0, min(1/eps, |P_l|)], or, at
+    some base, each count past that range offered there, at least
+    multipliers summing to at most the counting cap.  Extra vectors beyond
+    the exact image are harmless: the DP only gains actions and enforces
+    feasibility itself.
 
     One walk lists the cells axis by axis in ascending cell order, carrying
-    each cell's weight, lifted profit, count sum and tuple mask; class
-    prefix sums never decrease along an axis, so each axis is cut, exactly,
-    at the first count past the capacity left.  Tuple i owns bit i, and an
-    axis count carries the bits of the tuples it agrees with (the tuple
-    fixes that count, or leaves the class open and the count is light),
-    gathered for all counts in one pass over the tuples; a cell is a member
-    when its counts' masks share a bit.  Before each axis the walk sums the
-    cells it will hold, and raises BudgetExceeded when that count times T+1
-    rows passes ``FAMILY_BUDGET``.
+    each cell's weight, lifted profit, count sum and per-base multiplier
+    sums; class prefix sums never decrease along an axis, so each axis is
+    cut, exactly, at the first count past the capacity left.  The sums are
+    one int of one field per base, where a count adds its cost (a barred
+    count cap+1); a cell is a member when its sums are 0 (all light) or,
+    with G-1-cap added to each field, some field stays below its guard bit
+    G.  G passes classes*(cap+1), so no field carries into the next.
+    Before each axis the walk sums the cells it will hold, and raises
+    BudgetExceeded when that count times T+1 rows passes ``FAMILY_BUDGET``.
     """
     q = eps.denominator
     ltop = max(interval.active, default=0)
     top, rows = max(capacities), len(capacities) + 1
     light = [min(q, classes.size(l)) for l in interval.active]
-    values = [sorted({*range(r + 1), *(t[pos] for t in tuples if t[pos] is not None)}) for pos, r in enumerate(light)]
-    walk = [(0, 0, 0, 0, (1 << len(tuples)) - 1)]  # (cell, weight, lifted profit, count sum, mask)
+    bases = list(heavy_configurations(classes, interval, eps, weight_range, n))
+    barred = mu_sum_cap(interval, eps) + 1
+    guard = 1 << (len(light) * barred).bit_length()
+    shifts = [j * guard.bit_length() for j in range(len(bases))]
+    guards = sum(guard << s for s in shifts)
+    values = [sorted({*range(r + 1), *(c for options in bases for c in options[pos])}) for pos, r in enumerate(light)]
+    walk = [(0, 0, 0, 0, 0)]  # (cell, weight, lifted profit, count sum, mu sums)
     for pos, (level, vals) in enumerate(zip(interval.active, values)):
         prefixes = [classes.prefix[level][v] for v in vals]
         lift = (q + 1) ** level * q ** (ltop - level)
-        fixed: dict[int, int] = {}  # count -> bits of the tuples fixing it
-        free = 0  # bits of the tuples leaving the class open
-        for i, t in enumerate(tuples):
-            if t[pos] is None:
-                free |= 1 << i
-            else:
-                fixed[t[pos]] = fixed.get(t[pos], 0) | 1 << i
-        agree = [fixed.get(v, 0) | (free if v <= light[pos] else 0) for v in vals]
+        costs = [
+            0 if v <= light[pos] else sum(options[pos].get(v, barred) << s for options, s in zip(bases, shifts))
+            for v in vals
+        ]
         cuts = [bisect_right(prefixes, top - weight) for _, weight, _, _, _ in walk]
         if sum(cuts) * rows > FAMILY_BUDGET:
             raise BudgetExceeded(sum(cuts) * rows, FAMILY_BUDGET, "family DP table of {} entries")
         walk = [
-            (cell * len(vals) + k, weight + prefixes[k], profit + lift * vals[k], total + vals[k], mask & agree[k])
-            for (cell, weight, profit, total, mask), cut in zip(walk, cuts)
+            (cell * len(vals) + k, weight + prefixes[k], profit + lift * vals[k], total + vals[k], mus + costs[k])
+            for (cell, weight, profit, total, mus), cut in zip(walk, cuts)
             for k in range(cut)
         ]
-    cells, weights, profits, sums, masks = zip(*walk)
-    members = [pos for pos, mask in enumerate(masks) if mask]
+    cells, weights, profits, sums, mus = zip(*walk)
+    start = sum(guard - barred << s for s in shifts)
+    members = [pos for pos, m in enumerate(mus) if not m or (m + start) & guards != guards]
     return Family(tuple(map(tuple, values)), cells, weights, profits, sums, members)

@@ -28,7 +28,7 @@ from incknap.classes import ClassInterval, ProfitClasses, build_classes, candida
 from incknap.general import ClusterDPTable, ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
 from incknap.model import BudgetExceeded, Instance, Solution, SuffixLambdas, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET
-from incknap.statespace import Family, enumerate_family, family_tuples
+from incknap.statespace import Family, enumerate_family
 
 
 def _dominates(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
@@ -135,15 +135,10 @@ def random_class_structure(rng: random.Random, eps: Fraction, max_classes=4, max
     return class_structure(*weight_lists, eps=eps)
 
 
-def family_from(classes, interval, eps, weight_range, n, capacities) -> Family:
-    """``enumerate_family`` over the window's own ``family_tuples``, cut at max(capacities)."""
-    return enumerate_family(classes, interval, eps, family_tuples(classes, interval, eps, weight_range, n), capacities)
-
-
 def two_heavy_structures():
     """Bench-shaped classes: profits 100/110/121 are one class each at eps
     1/10, and two of them hold more than 10 items at once.  Yields the
-    ``family_from`` arguments of every such interval."""
+    ``enumerate_family`` arguments of every such interval."""
     eps = Fraction(1, 10)
     for seed in range(3):
         rng = random.Random(seed)
@@ -162,7 +157,7 @@ def sparse_heavy_structures():
     """Two heavy classes of weights 1 to 40: some heavy count tuple is cut by
     the counting cap at every base while each of its counts is reached alone,
     so the family misses part of the lattice for some seeds.  Yields the
-    ``family_from`` arguments."""
+    ``enumerate_family`` arguments."""
     for seed in range(12):
         rng = random.Random(seed)
         eps = rng.choice((Fraction(1, 5), Fraction(1, 6), Fraction(1, 8)))
@@ -584,7 +579,7 @@ def fraction_merge_frontier(instance: Instance, eps: Fraction):
         for interval in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
             weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
             wrange = (min(weights), max(weights))
-            family = family_from(classes, interval, eps, wrange, len(weights), instance.capacities)
+            family = enumerate_family(classes, interval, eps, wrange, len(weights), instance.capacities)
             table = PairScanDP(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             for j, v in enumerate(table.raw[instance.horizon]):
                 if v is not None:
@@ -622,7 +617,7 @@ class AllWindowsFrontier:
                     instance.items[i][1] for l in interval.active for i in classes.members[l]
                 ]
                 wrange = (min(item_weights), max(item_weights))
-                family = family_from(classes, interval, self.eps, wrange, len(item_weights), instance.capacities)
+                family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights), instance.capacities)
                 tables.append(dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas))
             self.classes = classes
         else:

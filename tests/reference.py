@@ -11,9 +11,11 @@ form of the objective, an exact optimum over per-profit count vectors, the
 runs of surviving bands that form the clusters and the deletion of
 dropped-band periods behind the derandomized offset,
 the class knapsack rows as each cluster DP table once built them for
-itself, the star-uncrossing audit, the family DP swept over every fitting
-cell in every period, the windows whose tables hold another window's
-family, and the inverse frontier merged from every entry of every table.
+itself, the star-uncrossing audit, the pruned family by the tuple product
+(one mask bit per heavy tuple in every cell), the family DP swept over
+every fitting cell in every period, the windows whose tables hold another
+window's family, and the inverse frontier merged from every entry of every
+table.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from incknap.classes import ClassInterval, ProfitClasses
 from incknap.general import ClusterPlan, knapsack_rows
 from incknap.model import BudgetExceeded, InfeasibleSolution, Instance, Solution, check_feasible
 from incknap.oracle import DEFAULT_BUDGET
+from incknap.statespace import Family, heavy_configurations, mu_sum_cap
 
 
 def pow2_up(x: Fraction) -> Fraction:
@@ -395,31 +398,88 @@ def full_sweep_dp(classes: ProfitClasses, interval: ClassInterval, family, capac
     return raw, back
 
 
-def absorbers(intervals, tuples) -> list[list[int]]:
+def absorbers(intervals, families) -> list[list[int]]:
     """Per candidate window, the windows whose DP table holds its family padded with zeros.
 
     Window b absorbs window a when b's classes strictly contain a's, or equal
-    them with b earlier in candidate order, and the tuples of b (``tuples[b]``,
-    each one count or None per class of b) that leave every class outside a
-    open, restricted to a's classes, are exactly the tuples of a.  Light and
-    heavy windows alike: a light window's only tuple is the all-light one.
+    them with b earlier in candidate order, and b's member vectors
+    (``families[b]``, cut at the largest capacity) that count 0 on every
+    class outside a, restricted to a's classes, are exactly a's member
+    vectors.  Every window's family is decoded, light or heavy.
     """
+    vectors = [
+        [dict(zip(interval.active, family.counts(family.cells[pos]))) for pos in family.members]
+        for interval, family in zip(intervals, families)
+    ]
     out = []
     for a, small in enumerate(intervals):
         inner = set(small.active)
+        own = {tuple(v[l] for l in small.active) for v in vectors[a]}
         out.append([])
         for b, big in enumerate(intervals):
             outer = set(big.active)
             if not (inner < outer or inner == outer and b < a):
                 continue
-            restricted = set()
-            for t in tuples[b]:
-                counts = dict(zip(big.active, t))
-                if all(counts[l] is None for l in outer - inner):
-                    restricted.add(tuple(counts[l] for l in small.active))
-            if restricted == set(tuples[a]):
+            restricted = {tuple(v[l] for l in small.active) for v in vectors[b] if all(v[l] == 0 for l in outer - inner)}
+            if restricted == own:
                 out[-1].append(b)
     return out
+
+
+def heavy_tuples(classes: ProfitClasses, interval: ClassInterval, eps: Fraction, weight_range, n: int) -> set:
+    """The tuple product: every reachable truncated heavy-count tuple, None for light classes.
+
+    At each base ``heavy_configurations`` yields, every class is light (None,
+    multiplier 0) or takes one of the counts it offers there at its least
+    multiplier; the product over the classes is kept where the multipliers
+    sum to at most ``mu_sum_cap`` and at least one count is fixed.
+    """
+    cap = mu_sum_cap(interval, eps)
+    tuples = set()
+    for options in heavy_configurations(classes, interval, eps, weight_range, n):
+        combos = [((), 0)]  # (counts so far, multiplier sum)
+        for option in options:
+            combos = [
+                (partial + (count,), total + mu)
+                for partial, total in combos
+                for count, mu in [(None, 0), *option.items()]
+                if total + mu <= cap
+            ]
+        tuples.update(partial for partial, total in combos if total)
+    return tuples
+
+
+def tuple_family(classes: ProfitClasses, interval: ClassInterval, eps: Fraction, weight_range, n: int, capacities) -> Family:
+    """The pruned family by the tuple rule, cut at max(capacities).
+
+    The members are the all-light tuple and ``heavy_tuples``, each crossed
+    with the light counts [0, min(1/eps, |P_l|)] of its open classes.  One
+    walk lists the lattice cells that fit, axis by axis, each carrying one
+    mask bit per tuple it agrees with: the tuple fixes that count, or leaves
+    the class open and the count is light.  A cell is a member when its
+    counts' masks share a bit.  ``statespace.enumerate_family`` must equal
+    this cell for cell.
+    """
+    q = eps.denominator
+    ltop = max(interval.active, default=0)
+    top = max(capacities)
+    light = [min(q, classes.size(l)) for l in interval.active]
+    tuples = [(None,) * len(light), *sorted(heavy_tuples(classes, interval, eps, weight_range, n), key=repr)]
+    values = [sorted({*range(r + 1), *(t[pos] for t in tuples if t[pos] is not None)}) for pos, r in enumerate(light)]
+    walk = [(0, 0, 0, 0, (1 << len(tuples)) - 1)]  # (cell, weight, lifted profit, count sum, mask)
+    for pos, (level, vals) in enumerate(zip(interval.active, values)):
+        agree = [
+            sum(1 << i for i, t in enumerate(tuples) if t[pos] == v or t[pos] is None and v <= light[pos]) for v in vals
+        ]
+        lift = (q + 1) ** level * q ** (ltop - level)
+        walk = [
+            (cell * len(vals) + k, weight + classes.prefix[level][v], profit + lift * v, total + v, mask & agree[k])
+            for cell, weight, profit, total, mask in walk
+            for k, v in enumerate(vals)
+            if weight + classes.prefix[level][v] <= top
+        ]
+    cells, weights, profits, sums, masks = zip(*walk)
+    return Family(tuple(map(tuple, values)), cells, weights, profits, sums, [pos for pos, mask in enumerate(masks) if mask])
 
 
 def all_entries_merge(tables, intervals, absorbed_by, classes: ProfitClasses) -> tuple[list, int]:

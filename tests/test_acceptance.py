@@ -16,7 +16,6 @@ import pytest
 from helpers import (
     certified_floor,
     dp_value,
-    family_from,
     lattice_weights,
     members,
     random_class_structure,
@@ -38,6 +37,7 @@ from reference import (
     drop_bad_periods,
     exact_restricted_dp,
     heavy_excess,
+    heavy_tuples,
     make_vector,
     objective_by_contributions,
     prune_image,
@@ -45,7 +45,7 @@ from reference import (
     truncate,
     up_round,
 )
-from incknap.statespace import heavy_configurations
+from incknap.statespace import enumerate_family
 
 EPS_PUBLIC = (Fraction(1, 2), Fraction(4, 5))
 EPS_INT = Fraction(1, 5)
@@ -159,12 +159,12 @@ def test_criterion_4_family_correctness():
         ]
         wrange = (min(weights), max(weights))
         n = len(weights)
-        family = {counts for counts, _ in members(family_from(classes, interval, EPS_INT, wrange, n, uncut(classes, interval)))}
+        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS_INT, wrange, n, uncut(classes, interval)))}
         sizes = [classes.size(l) for l in interval.active]
         for counts in itertools.product(*(range(s + 1) for s in sizes)):
             assert prune_image(counts, classes, interval, EPS_INT).counts in family
             vectors_checked += 1
-        configs = set(heavy_configurations(classes, interval, EPS_INT, wrange, n))
+        configs = heavy_tuples(classes, interval, EPS_INT, wrange, n)
         assert all(any(c is not None for c in partial) for partial in configs)
         assert configs == reference_partials(classes, interval, EPS_INT, wrange, n)
         instances += 1
@@ -191,7 +191,7 @@ def test_criterion_5_restriction_loss():
         exact_table = exact_restricted_dp(instance, classes, interval, budget=500_000)
         weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
         wrange = (min(weights), max(weights))
-        family = family_from(classes, interval, EPS_INT, wrange, len(weights), instance.capacities)
+        family = enumerate_family(classes, interval, EPS_INT, wrange, len(weights), instance.capacities)
         table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
         horizon = instance.horizon
         cell_weights = lattice_weights(classes, interval, table.family)

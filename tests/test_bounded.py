@@ -14,7 +14,6 @@ from helpers import (
     cell_chain,
     dp_value,
     e1,
-    family_from,
     family_of,
     fraction_merge_frontier,
     lattice_rows,
@@ -42,6 +41,7 @@ from incknap.bounded import (
     solve_inverse,
 )
 from incknap.classes import build_classes, make_interval, candidate_intervals
+from incknap.cli import generate_instance
 from incknap.general import internal_eps, solve_detailed
 from incknap.model import (
     BudgetExceeded,
@@ -56,20 +56,20 @@ from incknap.model import (
     preprocess,
 )
 from incknap.oracle import exact_inverse, exact_opt
-from incknap.statespace import family_tuples
-from reference import absorbers, all_entries_merge, exact_opt_by_profits, exact_restricted_dp, full_sweep_dp
+from incknap.statespace import enumerate_family
+from reference import absorbers, all_entries_merge, exact_opt_by_profits, exact_restricted_dp, full_sweep_dp, tuple_family
 
 EPS = Fraction(1, 5)
 
 
 def family_args(instance, classes, interval, eps=EPS):
-    """``family_from``'s arguments for an interval, capacities left out."""
+    """``enumerate_family``'s arguments for an interval, capacities left out."""
     weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
     return classes, interval, eps, (min(weights), max(weights)), len(weights)
 
 
 def family_for(instance, classes, interval, capacities, eps=EPS):
-    return family_from(*family_args(instance, classes, interval, eps), capacities)
+    return enumerate_family(*family_args(instance, classes, interval, eps), capacities)
 
 
 def test_check_internal_eps():
@@ -208,7 +208,7 @@ def test_dp_solve_matches_pair_scan():
     for args in cases:
         classes, interval = args[:2]
         caps, suffix = random_horizon(rng, 60)
-        family = family_from(*args, caps)
+        family = enumerate_family(*args, caps)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
 
 
@@ -244,12 +244,12 @@ def test_dp_solve_matches_pair_scan_under_tight_capacities():
     cut = sparse = 0
     for args in families + heavy:
         classes, interval = args[:2]
-        whole = family_from(*args, uncut(classes, interval))
+        whole = enumerate_family(*args, uncut(classes, interval))
         sparse += lattice_size(whole) > len(whole)
         weights = lattice_weights(classes, interval, whole)
         caps, suffix = random_horizon(rng, 1)
         caps = tight_capacities(rng, weights, len(caps))
-        family = family_from(*args, caps)
+        family = enumerate_family(*args, caps)
         assert_fits_closed_downwards(family, weights, caps[-1])
         cut += 2 * sum(w > caps[-1] for w in weights) >= len(weights)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
@@ -300,7 +300,7 @@ def test_dp_rows_are_the_cells_that_fit():
     cut = sparse = 0
     for args in families:
         classes, interval = args[:2]
-        whole = family_from(*args, uncut(classes, interval))
+        whole = enumerate_family(*args, uncut(classes, interval))
         sparse += lattice_size(whole) > len(whole)
         inside = set(member_cells(whole))
         weights = lattice_weights(classes, interval, whole)
@@ -308,7 +308,7 @@ def test_dp_rows_are_the_cells_that_fit():
             caps, suffix = random_horizon(rng, max(weights))
             if tight:
                 caps = tight_capacities(rng, weights, len(caps))
-            family = family_from(*args, caps)
+            family = enumerate_family(*args, caps)
             table = dp_solve(classes, interval, family, caps, suffix)
             fits = [cell for cell, w in enumerate(weights) if w <= max(caps)]
             assert list(family.cells) == fits
@@ -332,10 +332,53 @@ def bench_pool(monkeypatch, name):
     return [workload.make(1, index) for index in range(workload.pool)], Fraction(workload.eps)
 
 
+def test_per_base_family_equals_the_tuple_product_cell_for_cell(monkeypatch):
+    # enumerate_family's per-base multiplier sums give the family of the
+    # tuple product (reference.tuple_family), cell for cell, on every window
+    # of the seed-1 bounded-heavy pool, on the window holding every class of
+    # the bounded n=64 and n=100 CI rows, and on random heavy classes whose
+    # capacities let counts past 1/eps fit, which the first two almost never do
+    eps = Fraction(1, 10)  # bounded mode's accuracy at public 1/2
+    cases = []
+    instances, _ = bench_pool(monkeypatch, "bounded-heavy")
+    for instance in instances:
+        instance, _, _ = integer_units(preprocess(instance)[0])
+        classes = build_classes(instance, eps)
+        for interval in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
+            cases.append((*family_args(instance, classes, interval, eps), instance.capacities))
+    for n in (64, 100):
+        instance, _, _ = integer_units(preprocess(generate_instance(1, n, 4, "uniform"))[0])
+        classes = build_classes(instance, eps)
+        widest = candidate_intervals(classes, eps, instance.suffix_lambdas.ratio)[-1]
+        assert widest.active == classes.indices
+        cases.append((*family_args(instance, classes, widest, eps), instance.capacities))
+    assert len(cases) == 902
+    rng = random.Random(43)
+    fitting = []
+    for args in (*two_heavy_structures(), *sparse_heavy_structures()):
+        weights = sorted(args[0].prefix[l][-1] for l in args[1].active)
+        fitting += [(*args, [weights[-1]]), (*args, uncut(*args[:2])), (*args, [rng.randint(1, sum(weights))])]
+    for _ in range(40):
+        eps_r = Fraction(1, rng.choice((5, 6, 8)))
+        instance, classes, interval = random_class_structure(rng, eps_r, max_classes=3, max_items=int(1 / eps_r) + 6)
+        weights = [w for _, w in instance.items]
+        fitting.append((classes, interval, eps_r, (min(weights), max(weights)), len(weights), uncut(classes, interval)))
+    for args in cases:
+        assert enumerate_family(*args) == tuple_family(*args)
+    past = 0
+    for args in fitting:
+        family = enumerate_family(*args)
+        assert family == tuple_family(*args)
+        past += any(c > args[2].denominator for counts, _ in members(family) for c in counts)
+    assert past >= 60
+
+
 def test_dp_solve_matches_the_full_sweep_on_bench_families(monkeypatch):
     # every dp_solve call of the seed-1 general-uniform (general mode) and
     # bounded-heavy (bounded mode) pools gives the rows of the sweep over
-    # every fitting cell in every period, entry for entry
+    # every fitting cell in every period, entry for entry; bounded-heavy's
+    # 300 solves build 300 tables, every other window absorbed (heavy ones
+    # on their classes alone where no count past 1/eps fits)
     calls = []
 
     def checked(*args):
@@ -352,7 +395,7 @@ def test_dp_solve_matches_the_full_sweep_on_bench_families(monkeypatch):
     instances, eps = bench_pool(monkeypatch, "bounded-heavy")
     for instance in instances:
         solve_bounded(instance, accuracy_budget(eps, 5))
-    assert len(calls) == 500 and max(calls) > 1000
+    assert len(calls) == 200 + 300 and max(calls) > 1000
 
 
 def random_horizon_args(rng):
@@ -371,12 +414,12 @@ def random_horizon_args(rng):
         yield classes, interval, family_of(classes, interval, picked, caps), caps, suffix
     for args in [*two_heavy_structures(), *sparse_heavy_structures()]:
         classes, interval = args[:2]
-        weights = lattice_weights(classes, interval, family_from(*args, uncut(classes, interval)))
+        weights = lattice_weights(classes, interval, enumerate_family(*args, uncut(classes, interval)))
         for tight in (False, True):
             caps, suffix = random_horizon(rng, 60)
             if tight:
                 caps = tight_capacities(rng, weights, len(caps))
-            yield classes, interval, family_from(*args, caps), caps, suffix
+            yield classes, interval, enumerate_family(*args, caps), caps, suffix
 
 
 def test_dp_solve_matches_the_full_sweep_on_random_horizons():
@@ -480,7 +523,7 @@ def test_pareto_scan_matches_the_all_entries_merge(monkeypatch):
     # scans, then the merge, give the entries, weights, thresholds and
     # solutions of merging every final-row entry of every table: random
     # instances, heavy windows that stay several tables (they overlap, or a
-    # window's tuples differ from a wider window's restricted ones; only heavy
+    # window's members differ from a wider window's restricted ones; only heavy
     # windows give a frontier more than one table), where equal (weight,
     # value) entries of different tables tie, and the first seed-1 instances
     # of bounded-heavy and general-uniform at their frontiers' accuracies
@@ -508,7 +551,8 @@ def test_pareto_scan_matches_the_all_entries_merge(monkeypatch):
         instance, _, _ = integer_units(preprocess(instance)[0])
         frontier, intervals, tables = recorded_frontier(monkeypatch, instance, eps)
         classes = frontier.classes
-        absorbed_by = absorbers(intervals, [family_tuples(*family_args(instance, classes, w, eps)) for w in intervals])
+        families = [enumerate_family(*family_args(instance, classes, w, eps), instance.capacities) for w in intervals]
+        absorbed_by = absorbers(intervals, families)
         assert [index for index, _ in tables] == [index for index, by in enumerate(absorbed_by) if not by]
         want, ties = all_entries_merge(tables, intervals, absorbed_by, classes)
         assert [(w, v, table, pos) for w, v, table, pos in frontier._frontier] == want
@@ -643,17 +687,32 @@ def random_heavy_shape(rng):
     return Instance.build(items=items, capacities=caps, lambdas=lambdas), eps
 
 
+def nested_heavy_shape(rng):
+    """An instance where 100 and 110 share class 0 and 121 is class 1, at
+    eps 1/5 or 1/6, each profit drawn on q-2 to q+6 items of weights 1-10,
+    and capacity steps of 10-25 that often let a heavy count fit."""
+    eps = Fraction(1, rng.choice((5, 6)))
+    q = eps.denominator
+    items = [(p, rng.randint(1, 10)) for p in (100, 110, 121) for _ in range(rng.randint(q - 2, q + 6))]
+    rng.shuffle(items)
+    horizon = rng.randint(1, 4)
+    caps = list(itertools.accumulate(rng.randint(10, 25) for _ in range(horizon)))
+    lambdas = [rng.randint(0, 5) for _ in range(horizon - 1)] + [rng.randint(1, 5)]
+    return Instance.build(items=items, capacities=caps, lambdas=lambdas), eps
+
+
 def test_inverse_frontier_matches_all_windows_on_random_heavy_shapes(monkeypatch):
     # many heavy windows are absorbed, and a heavy window whose classes
-    # another window's include, but whose tuples differ from that window's
-    # restricted ones, keeps its table; answers equal the all-windows
-    # frontier's either way
+    # another window's include, but whose fitting members differ from that
+    # window's restricted ones, keeps its table; answers equal the
+    # all-windows frontier's either way.  Where no heavy count fits, the
+    # members agree, so the nested shapes add windows that keep a table
     built = []
     monkeypatch.setattr(bounded, "dp_solve", lambda *args: built.append(args[1]) or dp_solve(*args))
     rng = random.Random(1)
     absorbed = kept = 0
-    for _ in range(200):
-        instance, eps = random_heavy_shape(rng)
+    for draw in [random_heavy_shape] * 200 + [nested_heavy_shape] * 200:
+        instance, eps = draw(rng)
         instance, _, _ = integer_units(preprocess(instance)[0])
         built.clear()
         frontier = InverseFrontier(instance, eps)
@@ -1095,16 +1154,19 @@ def test_exact_opt_by_profits_matches_the_oracle():
 def test_solve_bounded_meets_its_bound_where_two_heavy_classes_engage(monkeypatch):
     # profits 100/110/121 are one class each at eps 1/10, and at n = 32 to 48
     # two classes often pass 10 items at once, so heavy_configurations yields
-    # tuples fixing two heavy counts; the answer is held to (1-5*eps)*OPT
-    # against the package oracle's optimum
+    # bases where two classes offer counts whose least multipliers fit the
+    # cap together: tuples fixing two heavy counts; the answer is held to
+    # (1-5*eps)*OPT against the package oracle's optimum
     eps = Fraction(1, 10)
     two_heavy = []
     configurations = statespace.heavy_configurations
 
     def recording(*args):
-        for partial in configurations(*args):
-            two_heavy.append(len(partial) - partial.count(None) >= 2)
-            yield partial
+        cap = statespace.mu_sum_cap(args[1], args[2])
+        for options in configurations(*args):
+            least = sorted(min(option.values()) for option in options if option)
+            two_heavy.append(len(least) >= 2 and least[0] + least[1] <= cap)
+            yield options
 
     monkeypatch.setattr(statespace, "heavy_configurations", recording)
     for n, seed in itertools.product((32, 40, 48), range(3)):

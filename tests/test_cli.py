@@ -268,21 +268,6 @@ def test_cmd_solve_family_budget_exits_3(tmp_path, capsys, monkeypatch, mode):
     assert captured.err.endswith(" entries exceeds budget 2\n") and captured.err.count("\n") == 1
 
 
-def test_cmd_solve_tuple_budget_exits_3(tmp_path, capsys, monkeypatch):
-    # 14 items of one profit make its class heavy at bounded mode's 1/10; a
-    # budget of 1 refuses that class's list, the light option and at least
-    # one heavy count
-    monkeypatch.setattr(statespace, "TUPLE_BUDGET", 1)
-    path = tmp_path / "inst.json"
-    items = [(100, 1 + i % 5) for i in range(14)] + [(121, 3)] * 3
-    path.write_text(instance_to_json(Instance.build(items=items, capacities=[20, 40], lambdas=[2, 1])))
-    assert main(["solve", str(path), "--mode", "bounded"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("bounded mode budget exceeded: heavy tuple list of ")
-    assert captured.err.endswith(" entries exceeds budget 1\n") and captured.err.count("\n") == 1
-
-
 @pytest.mark.parametrize(
     "mode, eps, instance",
     [

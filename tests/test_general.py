@@ -602,9 +602,9 @@ def test_solve_meets_its_bound_where_heavy_classes_engage(monkeypatch):
     configurations = statespace.heavy_configurations
 
     def recording(*args):
-        for partial in configurations(*args):
-            yielded["tuples"] += 1
-            yield partial
+        for options in configurations(*args):
+            yielded["bases"] += 1
+            yield options
 
     monkeypatch.setattr(statespace, "heavy_configurations", recording)
     for n, seed in itertools.product((44, 52, 60), range(2)):
@@ -612,9 +612,9 @@ def test_solve_meets_its_bound_where_heavy_classes_engage(monkeypatch):
         items = [(rng.choice((100, 101, 102)), rng.randint(1, 10)) for _ in range(n)]
         caps = list(itertools.accumulate(rng.randint(10, 40) for _ in range(4)))
         instance = Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(4)])
-        before = yielded["tuples"]
+        before = yielded["bases"]
         assert solve_detailed(instance, eps).profit >= (1 - eps) * exact_opt(instance)[0]
-        assert yielded["tuples"] > before
+        assert yielded["bases"] > before
 
 
 def test_both_modes_meet_their_bound_against_the_oracle_where_rounding_engages():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     class_structure,
-    family_from,
     lattice_size,
     member_cells,
     members,
@@ -24,11 +23,23 @@ from helpers import (
 from incknap import statespace
 from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import BudgetExceeded, Instance
-from reference import classify, heavy_excess, make_vector, pow2_up, power_range, prune_image, truncate, up_round
+from reference import (
+    classify,
+    heavy_excess,
+    heavy_tuples,
+    make_vector,
+    pow2_up,
+    power_range,
+    prune_image,
+    truncate,
+    tuple_family,
+    up_round,
+)
 from incknap.statespace import (
     Family,
     _power_range,
     _truncated,
+    enumerate_family,
     heavy_configurations,
     mu_sum_cap,
 )
@@ -153,7 +164,7 @@ def test_family_strides_are_built_once():
 
 def test_enumerate_family_two_item_class():
     _, classes, interval = class_structure([1, 1])
-    family = family_from(classes, interval, EPS, (Fraction(1), Fraction(1)), 2, uncut(classes, interval))
+    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 2, uncut(classes, interval))
     assert [counts for counts, _ in members(family)] == [(0,), (1,), (2,)]
     assert family.cells == (0, 1, 2) and family.members == [0, 1, 2]
 
@@ -162,14 +173,14 @@ def test_enumerate_family_empty_interval():
     instance = Instance.build(items=[], capacities=[1], lambdas=[1])
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, 0, 0)
-    family = family_from(classes, interval, EPS, (Fraction(1), Fraction(1)), 0, [1])
+    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 0, [1])
     assert members(family) == [((), 0)]
     assert len(family) == lattice_size(family) == 1
 
 
 def test_enumerate_family_six_unit_items():
     _, classes, interval = class_structure([1] * 6)
-    family = family_from(classes, interval, EPS, (Fraction(1), Fraction(1)), 6, uncut(classes, interval))
+    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 6, uncut(classes, interval))
     counts = {counts for counts, _ in members(family)}
     assert {(k,) for k in range(6)} <= counts
     image = {prune_image((k,), classes, interval, EPS).counts for k in range(7)}
@@ -186,7 +197,7 @@ def test_family_covers_bruteforce_image():
         _, classes, interval = class_structure(*weight_lists)
         items = [w for ws in weight_lists for w in ws]
         wrange = (Fraction(min(items)), Fraction(max(items)))
-        family = {counts for counts, _ in members(family_from(classes, interval, EPS, wrange, len(items), uncut(classes, interval)))}
+        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS, wrange, len(items), uncut(classes, interval)))}
         sizes = [classes.size(l) for l in interval.active]
         for counts in itertools.product(*(range(s + 1) for s in sizes)):
             assert prune_image(counts, classes, interval, EPS).counts in family
@@ -197,13 +208,19 @@ def test_mu_vectors_respect_sum_cap():
     cap = mu_sum_cap(interval, EPS)
     assert cap == 15  # (3/2) * 2 / (1/5)
     args = (classes, interval, EPS, (Fraction(1), Fraction(2)), 15)
-    configs = list(heavy_configurations(*args))
-    assert configs
+    tables = list(heavy_configurations(*args))
+    # one table per class at each base, none repeating the base before it;
+    # every count offered truncates a count past 1/eps, so it is at least
+    # 1/eps, at a multiplier in [1, cap]
+    assert tables and all(len(options) == 2 and any(options) for options in tables)
+    assert all(a != b for a, b in zip(tables, tables[1:]))
+    assert all(c >= 5 and 1 <= mu <= cap for options in tables for o in options for c, mu in o.items())
+    # their product reaches 8 tuples, the reference's, which takes 1 <= mu
+    # and sum(mu) <= cap by construction
+    configs = heavy_tuples(*args)
     assert all(any(c is not None for c in partial) for partial in configs)
-    # each tuple once, though its bases reach these 8 tuples 29 times
-    assert len(configs) == len(set(configs)) == 8
-    # the reference takes 1 <= mu and sum(mu) <= cap by construction
-    assert set(configs) == reference_partials(*args)
+    assert len(configs) == 8
+    assert configs == reference_partials(*args)
     # its bases: the powers of two in [eps/|I| * w_min, 2*eps/|I| * n * w_max]
     assert _bases((1, 10), (6, 1)) == [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1, 2, 4]
     # both ends are inclusive: a one-point range, and a power of two at hi
@@ -228,7 +245,7 @@ def test_power_range_matches_doubling_reference(lo, hi):
 
 def test_family_vectors_are_valid():
     _, classes, interval = class_structure([1] * 7, [3, 4])
-    family = family_from(classes, interval, EPS, (Fraction(1), Fraction(4)), 9, uncut(classes, interval))
+    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(4)), 9, uncut(classes, interval))
     for counts, weight in members(family):
         for pos, level in enumerate(interval.active):
             assert 0 <= counts[pos] <= classes.size(level)
@@ -278,7 +295,7 @@ def test_enumerate_family_equals_reference(eps, max_classes):
         )
         weights = [w for _, w in instance.items]
         args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
-        family = family_from(*args, uncut(*args[:2]))
+        family = enumerate_family(*args, uncut(*args[:2]))
         assert _family_rows(family) == _reference_rows(args)
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
     assert heavy_hits >= 5
@@ -300,7 +317,7 @@ def test_enumerate_family_equals_reference_on_heavy_profits():
     for interval in intervals:
         weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
         args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
-        family = family_from(*args, uncut(classes, interval))
+        family = enumerate_family(*args, uncut(classes, interval))
         assert _family_rows(family) == _reference_rows(args)
         assert family.members == list(range(lattice_size(family)))  # one heavy class: a full lattice
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
@@ -311,9 +328,9 @@ def test_enumerate_family_equals_reference_on_two_heavy_classes():
     cases = list(two_heavy_structures())
     assert len(cases) >= 3
     for args in cases:
-        family = family_from(*args, uncut(*args[:2]))
+        family = enumerate_family(*args, uncut(*args[:2]))
         assert _family_rows(family) == _reference_rows(args)
-        # two heavy classes fixed at once: the masks of two heavy counts meet
+        # two heavy classes fixed at once: two heavy counts' multipliers fit one base's cap
         assert _two_past_light(family, args[2])
 
 
@@ -323,7 +340,7 @@ def test_enumerate_family_equals_reference_where_cells_are_sparse():
     # so the member cells miss part of the lattice
     sparse = 0
     for args in sparse_heavy_structures():
-        family = family_from(*args, uncut(*args[:2]))
+        family = enumerate_family(*args, uncut(*args[:2]))
         assert _family_rows(family) == _reference_rows(args)
         sparse += len(family) < lattice_size(family)
     assert sparse >= 2
@@ -341,9 +358,9 @@ def test_sum_cap_binds_on_two_heavy_classes():
     args = (classes, interval, eps, (Fraction(1), Fraction(10)), len(items))
     assert mu_sum_cap(interval, eps) == 30
     capped = reference_partials(*args)
-    assert set(heavy_configurations(*args)) == capped
+    assert heavy_tuples(*args) == capped
     assert reference_partials(*args, cap=math.inf) - capped == {(10, 12)}
-    family = family_from(*args, uncut(*args[:2]))
+    family = enumerate_family(*args, uncut(*args[:2]))
     assert _family_rows(family) == _reference_rows(args)
     assert _two_past_light(family, eps)
 
@@ -355,7 +372,7 @@ def test_family_budget_refuses_at_the_first_axis_past_it(monkeypatch):
     instance, classes, interval = class_structure([1, 2, 3], [1, 1, 2, 2], [1, 2, 2, 3, 3], eps=EPS)
     args = (classes, interval, EPS, (Fraction(1), Fraction(3)), 12)
     caps = [9, 9]
-    family = family_from(*args, caps)
+    family = enumerate_family(*args, caps)
     counts = []
     for axes in (1, 2, 3):
         heads = itertools.product(*family.values[:axes])
@@ -363,34 +380,8 @@ def test_family_budget_refuses_at_the_first_axis_past_it(monkeypatch):
     assert counts[0] < counts[1] < counts[2] == len(family.cells)
     monkeypatch.setattr(statespace, "FAMILY_BUDGET", counts[0] * 3)
     with pytest.raises(BudgetExceeded) as info:
-        family_from(*args, caps)
+        enumerate_family(*args, caps)
     assert (info.value.required, info.value.budget) == (counts[1] * 3, counts[0] * 3)
-
-
-def test_tuple_budget_refuses_a_list_before_it_is_built(monkeypatch):
-    # two heavy classes: a base's last list is its longest (every class
-    # offers the light option) and holds distinct tuples, all yielded but
-    # the all-light one, so a budget of one more than the yields refuses
-    # nothing; the least budget that refuses nothing is the longest list,
-    # and one less refuses it with that count
-    eps = Fraction(1, 10)
-    items = [(100, 1)] * 12 + [(100, 5)] + [(110, 10)] * 13
-    instance = Instance.build(items=items, capacities=[60], lambdas=[1])
-    classes = build_classes(instance, eps)
-    args = (classes, make_interval(classes, 0, 1), eps, (Fraction(1), Fraction(10)), len(items))
-    tuples = list(heavy_configurations(*args))
-    monkeypatch.setattr(statespace, "TUPLE_BUDGET", len(tuples) + 1)
-    assert list(heavy_configurations(*args)) == tuples
-    longest = len(tuples) + 1
-    while True:
-        monkeypatch.setattr(statespace, "TUPLE_BUDGET", longest - 1)
-        try:
-            list(heavy_configurations(*args))
-        except BudgetExceeded as exc:
-            assert (exc.required, exc.budget) == (longest, longest - 1)
-            break
-        longest -= 1
-    assert 2 < longest <= len(tuples) + 1
 
 
 def test_capacity_cut_keeps_exactly_the_reference_members_that_fit():
@@ -400,12 +391,12 @@ def test_capacity_cut_keeps_exactly_the_reference_members_that_fit():
     fitting_outsiders = 0
     for args in (*two_heavy_structures(), *sparse_heavy_structures()):
         classes, interval = args[:2]
-        whole = family_from(*args, uncut(classes, interval))
+        whole = enumerate_family(*args, uncut(classes, interval))
         weights = sorted(whole.weights)
         member = set(whole.members)
         outside = [w for pos, w in enumerate(whole.weights) if pos not in member]
         for top in {weights[len(weights) // 2], *outside[:1]}:
-            family = family_from(*args, [top // 2, top])
+            family = enumerate_family(*args, [top // 2, top])
             want = [(v.counts, v.weight) for v in reference_family(*args) if v.weight <= top]
             assert members(family) == want
             assert len(family) == len(want)
