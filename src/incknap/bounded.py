@@ -14,7 +14,8 @@ there with the same weights, values and chains.
 
 Both public entries convert to integer units (``model.integer_units``) once
 and ``InverseFrontier`` takes no other scalar; the DP holds rounded profits
-times (1/eps)**l_top, so it runs on ints, and Fractions appear only in answers.
+times (1/eps)**L, L the instance's top class, so it runs on ints over one
+denominator for every window, and Fractions appear only in answers.
 """
 
 from __future__ import annotations
@@ -129,20 +130,22 @@ def dp_solve(
     reached in row 0, so row t holds exactly the members within capacity t.
 
     Every lambda is positive, unchecked here as the input's integer units
-    are, so the rows hold ints.  Then lam' = suffix[t-2] > lam = suffix[t-1],
-    and a member p reached at t-1 keeps its value and points to itself: its
-    value there is lam'*profit(p) plus the best G at or below it, at least
-    that of any q below p, so at rate lam its G beats q's by at least
-    (lam' - lam)*(profit(p) - profit(q)) > 0, as lifted profits rise along
-    every axis.  So row t is the last row restricted to the members within
-    capacity t, and a member's predecessor changes only in its entry
-    period: the table keeps those two rows.  Period t visits only the cells
-    within its capacity that row t-1 left empty, the members its capacity
-    newly admits and the non-members: a reached predecessor gives its own
-    key, an empty one its best found earlier in the pass, and the new
-    members' values are written after it, so it reads row t-1.
+    are, so the rows hold ints over the family profits' ``value_den`` =
+    (1/eps)**L, L the top class.  Then lam' = suffix[t-2] > lam =
+    suffix[t-1], and a member p reached at t-1 keeps its value and points
+    to itself: its value there is lam'*profit(p) plus the best G at or
+    below it, at least that of any q below p, so at rate lam its G beats
+    q's by at least (lam' - lam)*(profit(p) - profit(q)) > 0, as lifted
+    profits rise along every axis.  So row t is the last row restricted
+    to the members within capacity t, and a member's predecessor changes
+    only in its entry period: the table keeps those two rows.  Period t
+    visits only the cells within its capacity that row t-1 left empty, the
+    members its capacity newly admits and the non-members: a reached
+    predecessor gives its own key, an empty one its best found earlier in
+    the pass, and the new members' values are written after it, so it
+    reads row t-1.
     """
-    value_den = classes.eps.denominator ** max(interval.active, default=0)
+    value_den = classes.eps.denominator ** max(classes.indices, default=0)
     cells, weights, profits, lams = family.cells, family.weights, family.profits, suffix.values
     horizon, size = len(capacities), len(cells)
     ranks = [-(total * size + pos) for pos, total in enumerate(family.sums)]
@@ -224,10 +227,11 @@ class InverseFrontier:
     The instance must be preprocessed, every lambda positive
     (``model.preprocess``), and in integer units (``model.integer_units``);
     a zero lambda, or a scalar that is no int, raises ValueError.  Entry
-    values are then ints v over one denominator, top = the largest table
-    value_den.  With eps = 1/q and class scale s (the least profit, an
-    int), entry i serves requirements up to its value over (1-3*eps) =
-    (q-3)/q, which is ``thresholds[i]`` = s*q*v over ``den`` = top*(q-3);
+    values are then ints v over every table's one denominator, value_den =
+    q**L for eps = 1/q and L the top class.  With class scale s (the least
+    profit, an int), entry i serves requirements up to its value over
+    (1-3*eps) = (q-3)/q, which is ``thresholds[i]`` = s*q*v over ``den`` =
+    value_den*(q-3);
     so construction makes no Fraction per entry, a query ceils phi*den once
     and bisects the ints, and only the entry it returns gets a rational
     rounded profit.  ``solution`` decodes entry i directly.
@@ -238,9 +242,8 @@ class InverseFrontier:
     on every class outside A, restricted to A's classes, are exactly A's
     members.  Both families are cut at the largest capacity and share the
     class prefix sums, so that sub-lattice of B is closed downwards, lifted
-    profits differ by the one factor q**(ltop_B - ltop_A) on every cell,
-    and zero coordinates keep the (count-sum, counts) order; so each vector
-    of A gets, over the merge's common denominator, the same value,
+    profits are equal on every cell, and zero coordinates keep the
+    (count-sum, counts) order; so each vector of A gets the same value,
     predecessors and chain in B's table.  The relation is transitive and
     has no cycles, so a window is absorbed by some window exactly when it is
     absorbed by a window that gets a table; windows are decided with the
@@ -288,16 +291,13 @@ class InverseFrontier:
         rho = instance.suffix_lambdas.ratio
         intervals = candidate_intervals(classes, self.eps, rho)
         windows = [frozenset(interval.active) for interval in intervals]
-        top = max(instance.capacities)
-        boxed = [all(classes.size(l) <= q or classes.prefix[l][q + 1] > top for l in w) for w in windows]
+        cut = max(instance.capacities)
+        boxed = [all(classes.size(l) <= q or classes.prefix[l][q + 1] > cut for l in w) for w in windows]
         families: dict[int, Family] = {}
 
         def family(index: int) -> Family:
             if index not in families:
-                interval = intervals[index]
-                item_weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
-                wrange = (min(item_weights), max(item_weights))
-                families[index] = enumerate_family(classes, interval, self.eps, wrange, len(item_weights), instance.capacities)
+                families[index] = enumerate_family(classes, intervals[index], self.eps, instance.capacities)
             return families[index]
 
         def members(index: int, inside: frozenset) -> set:
@@ -337,12 +337,11 @@ class InverseFrontier:
             index = next(i for i in held if used <= windows[i])
             return (index, sum(counts.values()), tuple(counts.get(l, 0) for l in indices))
 
-        # every value_den is a power of 1/eps, so the largest one is a common
-        # denominator and the merge compares plain ints
-        top = max((table.value_den for _, table in tables), default=1)
+        # every table's values share value_den, so the merge compares plain ints
+        value_den = q ** max(indices, default=0)
         entries: list[tuple] = [(0, 0, None, None, None)]  # (weight, value, held windows, table, position)
         for held, table in tables:
-            lift, row, weights = top // table.value_den, table.values, table.family.weights
+            row, weights = table.values, table.family.weights
             # by weight, then value descending, then position: both sorts are stable
             live = sorted((pos for pos, v in enumerate(row) if v is not None), key=row.__getitem__, reverse=True)
             live.sort(key=weights.__getitem__)
@@ -351,7 +350,7 @@ class InverseFrontier:
                 v = row[pos]
                 if v > most or v == most and weights[pos] == at:
                     most, at = v, weights[pos]
-                    entries.append((at, v * lift, held, table, pos))
+                    entries.append((at, v, held, table, pos))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1
@@ -362,10 +361,10 @@ class InverseFrontier:
                 frontier.append((weight, v, table, pos))
                 best = v
         self._frontier = frontier
-        self._top = top
-        # a value v/top is scale*v/top in true units, and it serves requirements
-        # up to that over 1 - 3*eps = (q-3)/q
-        self.den = top * (q - 3)
+        self._value_den = value_den
+        # a value v is scale*v/value_den in true units, and it serves
+        # requirements up to that over 1 - 3*eps = (q-3)/q
+        self.den = value_den * (q - 3)
         # entry i is the lightest endpoint for requirements in
         # (thresholds[i-1]/den, thresholds[i]/den]
         self.weights = [e[0] for e in frontier]
@@ -379,8 +378,8 @@ class InverseFrontier:
         return prefix_to_solution(self.classes, table.interval, table.chain(pos), self.instance.n)
 
     def rounded_profit(self, i: int) -> Fraction:
-        """Entry i's rounded profit in true units, scale*v/top; 0 for the empty entry."""
-        return self.classes.scale * Fraction(self._frontier[i][1], self._top)
+        """Entry i's rounded profit in true units, scale*v/value_den; 0 for the empty entry."""
+        return self.classes.scale * Fraction(self._frontier[i][1], self._value_den)
 
     def best(self) -> tuple[int, Solution]:
         """The first entry, in frontier order, of the most true profit, with its solution.
@@ -392,10 +391,10 @@ class InverseFrontier:
         entry whose (1+eps)*r is at most the most profit found: neither it
         nor any entry before it earns as much.  Each entry the scan reaches
         is decoded and scored once, on ints, and ties go to the earlier."""
-        q, scale, top = self.eps.denominator, self.classes.scale, self._top
+        q, scale, value_den = self.eps.denominator, self.classes.scale, self._value_den
         most, found = -1, None  # below every profit; the empty entry is always there
         for i in reversed(range(len(self._frontier))):
-            if (q + 1) * scale * self._frontier[i][1] <= most * q * top:
+            if (q + 1) * scale * self._frontier[i][1] <= most * q * value_den:
                 break
             solution = self.solution(i)
             profit = objective(self.instance, solution)

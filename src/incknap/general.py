@@ -597,7 +597,10 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
                 bounds = (eps, count, core.lambdas[-1], p_max, psi_cap)
                 if count > 1:
                     grids[count] = build_grid(*bounds)
-                else:  # one cluster reads no grid, but its budget holds all the same
+                else:  # one cluster reads no grid, but its budget holds all the same, and bounds this loop:
+                    # psi_cap/delta >= 1/eps = q, so passing it, (1+1/q)**(B-2) >= q, needs q*ln(q) < B-2,
+                    # q below about 3,960 at B = 2**15 (more clusters need more); xi = 0 keeps period 1,
+                    # so the first offset tests it, and range(eps.denominator) runs at most that many
                     grid_budget(*bounds)
                     grids[count] = None
             if classes is None:

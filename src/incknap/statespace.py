@@ -47,8 +47,9 @@ class Family:
     fastest, so cell order is lexicographic and cell 0 is the zero vector.
     ``cells`` lists, ascending, the lattice cells weighing at most the cut,
     members or not; ``weights``, ``profits`` (rounded profits times
-    (1/eps)**l_top, ints) and ``sums`` (count sums) are their columns, and
-    ``members`` the positions of the member cells, which ``len`` counts.
+    (1/eps)**L, ints; L is the top class of all, so every window shares it)
+    and ``sums`` (count sums) are their columns, and ``members`` the
+    positions of the member cells, which ``len`` counts.
     """
 
     values: tuple[tuple[int, ...], ...]
@@ -111,20 +112,17 @@ def _heavy_choices(classes: ProfitClasses, level: int, threshold: int, num: int,
 
 
 def heavy_configurations(
-    classes: ProfitClasses,
-    interval: ClassInterval,
-    eps: Fraction,
-    weight_range: tuple[Fraction, Fraction],
-    n: int,
+    classes: ProfitClasses, interval: ClassInterval, eps: Fraction
 ) -> Iterator[list[dict[int, int]]]:
     """Yield, per power-of-two base, every class's {truncated count: least mu} table.
 
     The base ranges over powers of two bracketing eps/|interval| times the
-    possible heavy excess (between the lightest single item and n items of
-    maximal weight).  At each base a class holding more than 1/eps items
-    offers its reachable truncated counts, each with its least multiplier,
-    and no count whose least multiplier alone passes the counting cap; a
-    light class offers none.  The bases come from bit lengths of ints.  A
+    possible heavy excess: between the window's lightest item and n times
+    its heaviest, n its item count, all read off the class prefix sums.  At
+    each base a class holding more than 1/eps items offers its reachable
+    truncated counts, each with its least multiplier, and no count whose
+    least multiplier alone passes the counting cap; a light class offers
+    none.  The bases come from bit lengths of ints.  A
     base that offers nothing, or repeats the previous base's tables, is
     skipped; nothing is yielded when no class is heavy.
 
@@ -149,7 +147,10 @@ def heavy_configurations(
     if all(classes.size(l) <= threshold for l in interval.active):
         return
     cap = mu_sum_cap(interval, eps)
-    (a, b), (c, d) = ((w.numerator, w.denominator) for w in weight_range)
+    prefixes = [classes.prefix[l] for l in interval.active]
+    lightest, heaviest = min(p[1] for p in prefixes), max(p[-1] - p[-2] for p in prefixes)
+    n = sum(map(classes.size, interval.active))
+    (a, b), (c, d) = ((w.numerator, w.denominator) for w in (lightest, heaviest))
     scale = eps.denominator * interval.length
     last = None  # the previous base's tables
     for k in _power_range((eps.numerator * a, scale * b), (2 * eps.numerator * n * c, scale * d)):
@@ -160,26 +161,19 @@ def heavy_configurations(
             yield options
 
 
-def enumerate_family(
-    classes: ProfitClasses,
-    interval: ClassInterval,
-    eps: Fraction,
-    weight_range: tuple[Fraction, Fraction],
-    n: int,
-    capacities: Sequence,
-) -> Family:
+def enumerate_family(classes: ProfitClasses, interval: ClassInterval, eps: Fraction, capacities: Sequence) -> Family:
     """Directly enumerate a superset of the truncated up-rounding image, cut at max(capacities).
 
     The members are the vectors ``heavy_configurations``' rule admits for
-    the window (``weight_range`` bounds its item weights and ``n`` counts
-    its items): all light, each count in [0, min(1/eps, |P_l|)], or, at
+    the window: all light, each count in [0, min(1/eps, |P_l|)], or, at
     some base, each count past that range offered there, at least
     multipliers summing to at most the counting cap.  Extra vectors beyond
     the exact image are harmless: the DP only gains actions and enforces
     feasibility itself.
 
     One walk lists the cells axis by axis in ascending cell order, carrying
-    each cell's weight, lifted profit, count sum and per-base multiplier
+    each cell's weight, lifted profit (class l's counts lifted by
+    (q+1)**l * q**(L-l), eps = 1/q), count sum and per-base multiplier
     sums; class prefix sums never decrease along an axis, so each axis is
     cut, exactly, at the first count past the capacity left.  The sums are
     one int of one field per base, where a count adds its cost (a barred
@@ -190,10 +184,10 @@ def enumerate_family(
     BudgetExceeded when that count times T+1 rows passes ``FAMILY_BUDGET``.
     """
     q = eps.denominator
-    ltop = max(interval.active, default=0)
+    ltop = max(classes.indices, default=0)  # the solve's top class
     top, rows = max(capacities), len(capacities) + 1
     light = [min(q, classes.size(l)) for l in interval.active]
-    bases = list(heavy_configurations(classes, interval, eps, weight_range, n))
+    bases = list(heavy_configurations(classes, interval, eps))
     barred = mu_sum_cap(interval, eps) + 1
     guard = 1 << (len(light) * barred).bit_length()
     shifts = [j * guard.bit_length() for j in range(len(bases))]

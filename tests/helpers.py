@@ -138,7 +138,7 @@ def random_class_structure(rng: random.Random, eps: Fraction, max_classes=4, max
 def two_heavy_structures():
     """Bench-shaped classes: profits 100/110/121 are one class each at eps
     1/10, and two of them hold more than 10 items at once.  Yields the
-    ``enumerate_family`` arguments of every such interval."""
+    (classes, interval, eps) of every such interval."""
     eps = Fraction(1, 10)
     for seed in range(3):
         rng = random.Random(seed)
@@ -149,23 +149,31 @@ def two_heavy_structures():
         classes = build_classes(instance, eps)
         for interval in candidate_intervals(classes, eps, Fraction(1)):
             if sum(classes.size(l) > 10 for l in interval.active) == 2:
-                weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
-                yield classes, interval, eps, (min(weights), max(weights)), len(weights)
+                yield classes, interval, eps
 
 
 def sparse_heavy_structures():
     """Two heavy classes of weights 1 to 40: some heavy count tuple is cut by
     the counting cap at every base while each of its counts is reached alone,
     so the family misses part of the lattice for some seeds.  Yields the
-    ``enumerate_family`` arguments."""
+    (classes, interval, eps) of the one window holding both."""
     for seed in range(12):
         rng = random.Random(seed)
         eps = rng.choice((Fraction(1, 5), Fraction(1, 6), Fraction(1, 8)))
         sizes = [rng.randint(int(1 / eps) + 1, int(1 / eps) + 8) for _ in range(2)]
         weights = [[rng.choice((1, 1, 2, 3, 5, 10, 20, 40)) for _ in range(k)] for k in sizes]
-        instance, classes, interval = class_structure(*weights, eps=eps)
-        item_weights = [w for _, w in instance.items]
-        yield classes, interval, eps, (min(item_weights), max(item_weights)), len(item_weights)
+        _, classes, interval = class_structure(*weights, eps=eps)
+        yield classes, interval, eps
+
+
+def window_bracket(classes, interval) -> tuple[tuple, int]:
+    """The paper's explicit bracket of a window: ((lightest, heaviest) item
+    weight, item count), over its items one by one, each item's weight read
+    as a step of its class's prefix sums.  The spec (``reference_family``,
+    ``reference.tuple_family``) takes it; ``statespace`` reads it off the
+    classes itself."""
+    weights = [b - a for l in interval.active for a, b in zip(classes.prefix[l], classes.prefix[l][1:])]
+    return (min(weights), max(weights)), len(weights)
 
 
 def random_vector_pair(rng: random.Random, classes, interval):
@@ -577,9 +585,7 @@ def fraction_merge_frontier(instance: Instance, eps: Fraction):
     if instance.n > 0:
         classes = build_classes(instance, eps)
         for interval in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
-            weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
-            wrange = (min(weights), max(weights))
-            family = enumerate_family(classes, interval, eps, wrange, len(weights), instance.capacities)
+            family = enumerate_family(classes, interval, eps, instance.capacities)
             table = PairScanDP(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             for j, v in enumerate(table.raw[instance.horizon]):
                 if v is not None:
@@ -613,11 +619,7 @@ class AllWindowsFrontier:
             classes = build_classes(instance, self.eps)
             rho = instance.suffix_lambdas.ratio
             for interval in candidate_intervals(classes, self.eps, rho):
-                item_weights = [
-                    instance.items[i][1] for l in interval.active for i in classes.members[l]
-                ]
-                wrange = (min(item_weights), max(item_weights))
-                family = enumerate_family(classes, interval, self.eps, wrange, len(item_weights), instance.capacities)
+                family = enumerate_family(classes, interval, self.eps, instance.capacities)
                 tables.append(dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas))
             self.classes = classes
         else:

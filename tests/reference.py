@@ -4,7 +4,8 @@ It lives beside the tests, outside the package, so no solver module can
 import it.  It holds the paper's maps
 and identities in their direct, unoptimized form: range-checked class
 prefix weights and the vectors weighed by them, one object per vector, the
-power-of-two bases climbed one Fraction doubling at a time, the
+power-of-two bases climbed one Fraction doubling at a time across a
+window's explicit weight bracket, the
 up-rounding and truncation maps whose image the pruned family must cover,
 the unpruned restricted DP the family DP must not beat, the contribution
 form of the objective, an exact optimum over per-profit count vectors, the
@@ -31,7 +32,7 @@ from incknap.classes import ClassInterval, ProfitClasses
 from incknap.general import ClusterPlan, knapsack_rows
 from incknap.model import BudgetExceeded, InfeasibleSolution, Instance, Solution, check_feasible
 from incknap.oracle import DEFAULT_BUDGET
-from incknap.statespace import Family, heavy_configurations, mu_sum_cap
+from incknap.statespace import Family, mu_sum_cap
 
 
 def pow2_up(x: Fraction) -> Fraction:
@@ -426,17 +427,55 @@ def absorbers(intervals, families) -> list[list[int]]:
     return out
 
 
+def base_tables(classes: ProfitClasses, interval: ClassInterval, eps: Fraction, weight_range, n: int) -> list:
+    """Per power-of-two base of the paper's bracket, every class's {truncated count: least mu} table.
+
+    The bases are the powers of two from eps/|interval| times the lightest
+    item weight up to 2*eps/|interval| times n items of the heaviest
+    (``weight_range`` and ``n`` describe the window's items), climbed by
+    ``power_range``.  At base b, each mu from 1 to ``mu_sum_cap`` rounds a
+    class holding more than 1/eps items up to the largest count whose
+    excess past its 1/eps lightest items fits mu*b; when that count passes
+    1/eps, its truncation is offered at the first mu reaching it.  A light
+    class offers nothing.  A base where no class offers a count, or whose
+    tables equal the last kept base's, is left out.
+    ``statespace.heavy_configurations`` must yield exactly these.
+    """
+    threshold = int(1 / eps)
+    if all(classes.size(l) <= threshold for l in interval.active):
+        return []
+    cap = mu_sum_cap(interval, eps)
+    w_min, w_max = weight_range
+    kept = []
+    for base in power_range(eps / interval.length * w_min, 2 * eps / interval.length * n * w_max):
+        options = []
+        for level in interval.active:
+            offered, prefix = {}, classes.prefix[level]
+            # each count's excess weight past the 1/eps lightest, times the
+            # base's denominator, so that int weights compare as ints
+            excess = [(w - prefix[threshold]) * base.denominator for w in prefix] if len(prefix) > threshold + 1 else [0]
+            # past the class's whole excess, a larger mu reaches no further count
+            for mu in range(1, min(-(-excess[-1] // base.numerator), cap) + 1):
+                k = bisect.bisect_right(excess, mu * base.numerator) - 1
+                if k > threshold:
+                    offered.setdefault(k - math.ceil(2 * eps * (k - threshold)), mu)
+            options.append(offered)
+        if any(options) and (not kept or options != kept[-1]):
+            kept.append(options)
+    return kept
+
+
 def heavy_tuples(classes: ProfitClasses, interval: ClassInterval, eps: Fraction, weight_range, n: int) -> set:
     """The tuple product: every reachable truncated heavy-count tuple, None for light classes.
 
-    At each base ``heavy_configurations`` yields, every class is light (None,
+    At each base of ``base_tables``, every class is light (None,
     multiplier 0) or takes one of the counts it offers there at its least
     multiplier; the product over the classes is kept where the multipliers
     sum to at most ``mu_sum_cap`` and at least one count is fixed.
     """
     cap = mu_sum_cap(interval, eps)
     tuples = set()
-    for options in heavy_configurations(classes, interval, eps, weight_range, n):
+    for options in base_tables(classes, interval, eps, weight_range, n):
         combos = [((), 0)]  # (counts so far, multiplier sum)
         for option in options:
             combos = [
@@ -453,15 +492,16 @@ def tuple_family(classes: ProfitClasses, interval: ClassInterval, eps: Fraction,
     """The pruned family by the tuple rule, cut at max(capacities).
 
     The members are the all-light tuple and ``heavy_tuples``, each crossed
-    with the light counts [0, min(1/eps, |P_l|)] of its open classes.  One
-    walk lists the lattice cells that fit, axis by axis, each carrying one
-    mask bit per tuple it agrees with: the tuple fixes that count, or leaves
-    the class open and the count is light.  A cell is a member when its
-    counts' masks share a bit.  ``statespace.enumerate_family`` must equal
-    this cell for cell.
+    with the light counts [0, min(1/eps, |P_l|)] of its open classes.
+    Profits are lifted to one denominator, (1/eps)**L with L the top class
+    of all the classes, as every window's are.  One walk lists the lattice
+    cells that fit, axis by axis, each carrying one mask bit per tuple it
+    agrees with: the tuple fixes that count, or leaves the class open and
+    the count is light.  A cell is a member when its counts' masks share a
+    bit.  ``statespace.enumerate_family`` must equal this cell for cell.
     """
     q = eps.denominator
-    ltop = max(interval.active, default=0)
+    ltop = max(classes.indices, default=0)
     top = max(capacities)
     light = [min(q, classes.size(l)) for l in interval.active]
     tuples = [(None,) * len(light), *sorted(heavy_tuples(classes, interval, eps, weight_range, n), key=repr)]

@@ -24,6 +24,7 @@ from helpers import (
     random_vector_pair,
     reference_partials,
     uncut,
+    window_bracket,
 )
 from incknap.bounded import dp_solve, solve_inverse
 from incknap.classes import build_classes, make_interval
@@ -149,17 +150,8 @@ def test_criterion_4_family_correctness():
     vectors_checked = 0
     for _ in range(25):
         _, classes, interval = random_class_structure(rng, EPS_INT, max_classes=3, max_items=8)
-        weights = [
-            w
-            for level in interval.active
-            for w in (
-                classes.prefix[level][k] - classes.prefix[level][k - 1]
-                for k in range(1, classes.size(level) + 1)
-            )
-        ]
-        wrange = (min(weights), max(weights))
-        n = len(weights)
-        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS_INT, wrange, n, uncut(classes, interval)))}
+        wrange, n = window_bracket(classes, interval)
+        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS_INT, uncut(classes, interval)))}
         sizes = [classes.size(l) for l in interval.active]
         for counts in itertools.product(*(range(s + 1) for s in sizes)):
             assert prune_image(counts, classes, interval, EPS_INT).counts in family
@@ -189,9 +181,7 @@ def test_criterion_5_restriction_loss():
         classes = build_classes(instance, EPS_INT)
         interval = make_interval(classes, 0, max(classes.indices))
         exact_table = exact_restricted_dp(instance, classes, interval, budget=500_000)
-        weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
-        wrange = (min(weights), max(weights))
-        family = enumerate_family(classes, interval, EPS_INT, wrange, len(weights), instance.capacities)
+        family = enumerate_family(classes, interval, EPS_INT, instance.capacities)
         table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
         horizon = instance.horizon
         cell_weights = lattice_weights(classes, interval, table.family)

@@ -28,6 +28,7 @@ from helpers import (
     served,
     two_heavy_structures,
     uncut,
+    window_bracket,
 )
 from incknap import bounded, statespace
 from incknap.bounded import (
@@ -56,20 +57,18 @@ from incknap.model import (
     preprocess,
 )
 from incknap.oracle import exact_inverse, exact_opt
-from incknap.statespace import enumerate_family
-from reference import absorbers, all_entries_merge, exact_opt_by_profits, exact_restricted_dp, full_sweep_dp, tuple_family
+from incknap.statespace import enumerate_family, heavy_configurations
+from reference import (
+    absorbers,
+    all_entries_merge,
+    base_tables,
+    exact_opt_by_profits,
+    exact_restricted_dp,
+    full_sweep_dp,
+    tuple_family,
+)
 
 EPS = Fraction(1, 5)
-
-
-def family_args(instance, classes, interval, eps=EPS):
-    """``enumerate_family``'s arguments for an interval, capacities left out."""
-    weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
-    return classes, interval, eps, (min(weights), max(weights)), len(weights)
-
-
-def family_for(instance, classes, interval, capacities, eps=EPS):
-    return enumerate_family(*family_args(instance, classes, interval, eps), capacities)
 
 
 def test_check_internal_eps():
@@ -93,7 +92,7 @@ def test_dp_solve_hand_rollout():
     instance = Instance.build(items=[(1, 1), (1, 2)], capacities=[1, 3], lambdas=[1, 1])
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, 0, 0)
-    family = family_for(instance, classes, interval, instance.capacities)
+    family = enumerate_family(classes, interval, EPS, instance.capacities)
     table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
     by_counts = {table.family.counts(cell): cell for cell in table.family.cells}
     assert dp_value(table, 2, by_counts[(2,)]) == 3
@@ -109,13 +108,13 @@ def test_dp_solve_refuses_a_table_past_the_family_budget(monkeypatch):
     instance = Instance.build(items=[(1, 1), (1, 2), (3, 2)], capacities=[2, 4], lambdas=[1, 1])
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, classes.indices[0], classes.indices[-1])
-    entries = len(family_for(instance, classes, interval, instance.capacities).cells) * 3
+    entries = len(enumerate_family(classes, interval, EPS, instance.capacities).cells) * 3
     monkeypatch.setattr(statespace, "FAMILY_BUDGET", entries)
-    family = family_for(instance, classes, interval, instance.capacities)
+    family = enumerate_family(classes, interval, EPS, instance.capacities)
     dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
     monkeypatch.setattr(statespace, "FAMILY_BUDGET", entries - 1)
     with pytest.raises(BudgetExceeded) as info:
-        family_for(instance, classes, interval, instance.capacities)
+        enumerate_family(classes, interval, EPS, instance.capacities)
     assert (info.value.required, info.value.budget) == (entries, entries - 1)
 
 
@@ -125,7 +124,7 @@ def test_dp_zero_vector_reachable_every_period():
         instance = random_instance(rng, n_max=5, t_max=3)
         classes = build_classes(instance, EPS)
         for interval in candidate_intervals(classes, EPS, instance.suffix_lambdas.ratio):
-            family = family_for(instance, classes, interval, instance.capacities)
+            family = enumerate_family(classes, interval, EPS, instance.capacities)
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             zero = next(cell for cell in table.family.cells if all(c == 0 for c in table.family.counts(cell)))
             for t in range(instance.horizon + 1):
@@ -140,7 +139,7 @@ def test_dp_restricted_below_exact():
         classes = build_classes(instance, EPS)
         top = max(classes.indices)
         interval = make_interval(classes, 0, top)
-        family = family_for(instance, classes, interval, instance.capacities)
+        family = enumerate_family(classes, interval, EPS, instance.capacities)
         table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
         exact = exact_restricted_dp(instance, classes, interval, budget=200_000)
         for cell in table.family.cells:
@@ -159,13 +158,20 @@ def random_horizon(rng, total_weight):
     return caps, SuffixLambdas(tuple(itertools.accumulate(reversed(lambdas)))[::-1])
 
 
+def rational(v, den):
+    """A table value over its denominator, or None for an empty entry."""
+    return None if v is None else Fraction(v, den)
+
+
 def assert_dp_matches_pair_scan(classes, interval, family, capacities, suffix):
     """Value and predecessor counts equal per (period, member); every other
     lattice cell stays empty."""
     got = dp_solve(classes, interval, family, capacities, suffix)
     want = PairScanDP(classes, interval, family, capacities, suffix)
     assert got.family is family
-    assert got.value_den == want.value_den
+    # the table's values are over the top class's denominator, the pair
+    # scan's over its window's: compare them as rationals
+    assert got.value_den == classes.eps.denominator ** max(classes.indices)
     cells = set(member_cells(family))
     assert sorted(map(family.counts, cells)) == sorted(want.members)
     for t in range(len(capacities) + 1):
@@ -173,11 +179,14 @@ def assert_dp_matches_pair_scan(classes, interval, family, capacities, suffix):
         assert len(raw) == len(back) == lattice_size(family)
         assert all(raw[c] is None and back[c] is None for c in range(lattice_size(family)) if c not in cells)
         rows = {
-            family.counts(c): (raw[c], None if back[c] is None else family.counts(back[c]))
+            family.counts(c): (rational(raw[c], got.value_den), None if back[c] is None else family.counts(back[c]))
             for c in cells
         }
         assert rows == {
-            counts: (want.raw[t][j], None if want.back[t][j] is None else want.members[want.back[t][j]])
+            counts: (
+                rational(want.raw[t][j], want.value_den),
+                None if want.back[t][j] is None else want.members[want.back[t][j]],
+            )
             for j, counts in enumerate(want.members)
         }
 
@@ -189,7 +198,7 @@ def test_dp_solve_matches_pair_scan():
         for _ in range(12):
             instance, classes, interval = random_class_structure(rng, eps, max_classes=3, max_items=9, den=den)
             caps, suffix = random_horizon(rng, instance.capacities[0])
-            family = family_for(instance, classes, interval, caps, eps)
+            family = enumerate_family(classes, interval, eps, caps)
             assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
     # sub-families (zero plus a random subset of a product): lattices with empty cells
     sparse = 0
@@ -239,7 +248,7 @@ def test_dp_solve_matches_pair_scan_under_tight_capacities():
     for eps, den in itertools.product((Fraction(1, 5), Fraction(1, 8)), (2, 3)):
         for _ in range(10):
             instance, classes, interval = random_class_structure(rng, eps, max_classes=3, max_items=9, den=den)
-            families.append(family_args(instance, classes, interval, eps))
+            families.append((classes, interval, eps))
     heavy = [*two_heavy_structures(), *sparse_heavy_structures()]
     cut = sparse = 0
     for args in families + heavy:
@@ -282,7 +291,7 @@ def heavy_profit_families():
     instance = Instance.build(items=[(p, rng.randint(1, 10)) for p in profits], capacities=[60], lambdas=[1])
     classes = build_classes(instance, eps)
     for interval in candidate_intervals(classes, eps, Fraction(1)):
-        yield family_args(instance, classes, interval, eps)
+        yield classes, interval, eps
 
 
 def test_dp_rows_are_the_cells_that_fit():
@@ -294,7 +303,7 @@ def test_dp_rows_are_the_cells_that_fit():
     families = []
     for _ in range(20):
         instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=9, den=2)
-        families.append(family_args(instance, classes, interval))
+        families.append((classes, interval, EPS))
     families += heavy_profit_families()
     families += [*two_heavy_structures(), *sparse_heavy_structures()]
     cut = sparse = 0
@@ -345,13 +354,13 @@ def test_per_base_family_equals_the_tuple_product_cell_for_cell(monkeypatch):
         instance, _, _ = integer_units(preprocess(instance)[0])
         classes = build_classes(instance, eps)
         for interval in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
-            cases.append((*family_args(instance, classes, interval, eps), instance.capacities))
+            cases.append((classes, interval, eps, instance.capacities))
     for n in (64, 100):
         instance, _, _ = integer_units(preprocess(generate_instance(1, n, 4, "uniform"))[0])
         classes = build_classes(instance, eps)
         widest = candidate_intervals(classes, eps, instance.suffix_lambdas.ratio)[-1]
         assert widest.active == classes.indices
-        cases.append((*family_args(instance, classes, widest, eps), instance.capacities))
+        cases.append((classes, widest, eps, instance.capacities))
     assert len(cases) == 902
     rng = random.Random(43)
     fitting = []
@@ -360,17 +369,54 @@ def test_per_base_family_equals_the_tuple_product_cell_for_cell(monkeypatch):
         fitting += [(*args, [weights[-1]]), (*args, uncut(*args[:2])), (*args, [rng.randint(1, sum(weights))])]
     for _ in range(40):
         eps_r = Fraction(1, rng.choice((5, 6, 8)))
-        instance, classes, interval = random_class_structure(rng, eps_r, max_classes=3, max_items=int(1 / eps_r) + 6)
-        weights = [w for _, w in instance.items]
-        fitting.append((classes, interval, eps_r, (min(weights), max(weights)), len(weights), uncut(classes, interval)))
+        _, classes, interval = random_class_structure(rng, eps_r, max_classes=3, max_items=int(1 / eps_r) + 6)
+        fitting.append((classes, interval, eps_r, uncut(classes, interval)))
     for args in cases:
-        assert enumerate_family(*args) == tuple_family(*args)
+        assert enumerate_family(*args) == spec_family(*args)
     past = 0
     for args in fitting:
         family = enumerate_family(*args)
-        assert family == tuple_family(*args)
+        assert family == spec_family(*args)
         past += any(c > args[2].denominator for counts, _ in members(family) for c in counts)
     assert past >= 60
+
+
+def spec_family(classes, interval, eps, capacities):
+    """``reference.tuple_family`` on the bracket of the window's items."""
+    return tuple_family(classes, interval, eps, *window_bracket(classes, interval), capacities)
+
+
+def test_heavy_configurations_read_the_spec_bracket_off_the_classes(monkeypatch):
+    # heavy_configurations reads the window's lightest item, heaviest item
+    # and item count off the class prefix sums; its bases and tables equal
+    # the spec's (reference.base_tables) on the bracket of the window's
+    # items one by one (helpers.window_bracket), and so do its families cut
+    # at the whole lattice: on random classes of int and Fraction weights,
+    # the two-heavy and sparse-heavy windows, and every window of the seed-1
+    # bounded-heavy pool (whose families the test above compares)
+    rng = random.Random(44)
+    windows = [*two_heavy_structures(), *sparse_heavy_structures()]
+    for den in [1] * 40 + [2, 3, 7] * 20:
+        eps = Fraction(1, rng.choice((5, 6, 8)))
+        _, classes, interval = random_class_structure(rng, eps, max_classes=3, max_items=int(1 / eps) + 8, den=den)
+        windows.append((classes, interval, eps))
+    pool = []
+    instances, _ = bench_pool(monkeypatch, "bounded-heavy")
+    for instance in instances:
+        instance, _, _ = integer_units(preprocess(instance)[0])
+        classes = build_classes(instance, Fraction(1, 10))
+        for interval in candidate_intervals(classes, Fraction(1, 10), instance.suffix_lambdas.ratio):
+            pool.append((classes, interval, Fraction(1, 10)))
+    heavy = Counter()
+    for name, cases in (("windows", windows), ("pool", pool)):
+        for args in cases:
+            tables = list(heavy_configurations(*args))
+            assert tables == base_tables(*args, *window_bracket(*args[:2]))
+            heavy[name] += bool(tables)
+    for args in windows:
+        whole = uncut(*args[:2])
+        assert enumerate_family(*args, whole) == spec_family(*args, whole)
+    assert heavy["windows"] >= 80 and heavy["pool"] == 703
 
 
 def test_dp_solve_matches_the_full_sweep_on_bench_families(monkeypatch):
@@ -405,7 +451,7 @@ def random_horizon_args(rng):
     for _ in range(30):
         instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=9, den=2)
         caps, suffix = random_horizon(rng, instance.capacities[0])
-        yield classes, interval, family_for(instance, classes, interval, caps), caps, suffix
+        yield classes, interval, enumerate_family(classes, interval, EPS, caps), caps, suffix
     for _ in range(40):
         instance, classes, interval = random_class_structure(rng, EPS, max_classes=3, max_items=4, den=2)
         product = list(itertools.product(*(range(classes.size(l) + 1) for l in interval.active)))
@@ -503,7 +549,7 @@ def test_inverse_frontier_matches_fraction_merge():
         assert frontier.weights == [e[0] for e in want]
         assert served(frontier) == [e[1] / (1 - 3 * EPS) for e in want]
         tops.add(len({e[2].hi for e in want if e[2] is not None}))
-    assert max(tops) >= 3  # entries from tables of different value_den compete
+    assert max(tops) >= 3  # entries from tables of different top classes compete
 
 
 def recorded_frontier(monkeypatch, instance, eps):
@@ -551,7 +597,7 @@ def test_pareto_scan_matches_the_all_entries_merge(monkeypatch):
         instance, _, _ = integer_units(preprocess(instance)[0])
         frontier, intervals, tables = recorded_frontier(monkeypatch, instance, eps)
         classes = frontier.classes
-        families = [enumerate_family(*family_args(instance, classes, w, eps), instance.capacities) for w in intervals]
+        families = [enumerate_family(classes, w, eps, instance.capacities) for w in intervals]
         absorbed_by = absorbers(intervals, families)
         assert [index for index, _ in tables] == [index for index, by in enumerate(absorbed_by) if not by]
         want, ties = all_entries_merge(tables, intervals, absorbed_by, classes)
@@ -660,7 +706,7 @@ def test_inverse_frontier_matches_all_windows(monkeypatch):
         for window in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
             if any(window == interval for interval, _ in built):
                 continue
-            own = {counts for counts, _ in members(family_for(instance, classes, window, instance.capacities, eps))}
+            own = {counts for counts, _ in members(enumerate_family(classes, window, eps, instance.capacities))}
             assert any(
                 set(window.active) <= set(interval.active) and members_within(interval, family, window.active) == own
                 for interval, family in built
@@ -873,7 +919,7 @@ def test_backpointer_chains_monotone_and_feasible():
         instance = random_instance(rng, n_max=5, t_max=3)
         classes = build_classes(instance, EPS)
         for interval in candidate_intervals(classes, EPS, instance.suffix_lambdas.ratio):
-            family = family_for(instance, classes, interval, instance.capacities)
+            family = enumerate_family(classes, interval, EPS, instance.capacities)
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             by_counts = dict(members(table.family))
             for cell in table.family.cells:

@@ -312,6 +312,19 @@ def test_cmd_solve_tiny_eps_on_equal_profits_solves_bounded(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["profit"] == "35"
 
 
+@pytest.mark.parametrize("eps", ["1e-5000", "1/20000", "1/2000", "1/500"])
+def test_cmd_solve_tiny_eps_on_equal_profits_exits_3_in_general_mode(tmp_path, capsys, eps):
+    # one class, so the class ladder never refuses: the first offset's
+    # one-cluster grid budget ends the solve, before the offset loop could
+    # run the internal accuracy's thousands of offsets
+    path = tmp_path / "equal.json"
+    path.write_text(instance_to_json(Instance.build(items=[(5, 3), (5, 2), (5, 4)], capacities=[4, 9], lambdas=[1, 2])))
+    assert main(["solve", str(path), "--mode", "general", "--eps", eps]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "general mode budget exceeded: profit grid of at least 32769 points exceeds budget 32768\n"
+
+
 @pytest.mark.parametrize("mode", ["general", "bounded", "exact"])
 def test_cmd_solve_overlong_result_exits_3(tmp_path, capsys, mode):
     # a valid instance whose profit lambda * p has about 5000 digits, past

@@ -19,11 +19,13 @@ from helpers import (
     sparse_heavy_structures,
     two_heavy_structures,
     uncut,
+    window_bracket,
 )
 from incknap import statespace
 from incknap.classes import build_classes, candidate_intervals, make_interval
 from incknap.model import BudgetExceeded, Instance
 from reference import (
+    base_tables,
     classify,
     heavy_excess,
     heavy_tuples,
@@ -164,7 +166,7 @@ def test_family_strides_are_built_once():
 
 def test_enumerate_family_two_item_class():
     _, classes, interval = class_structure([1, 1])
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 2, uncut(classes, interval))
+    family = enumerate_family(classes, interval, EPS, uncut(classes, interval))
     assert [counts for counts, _ in members(family)] == [(0,), (1,), (2,)]
     assert family.cells == (0, 1, 2) and family.members == [0, 1, 2]
 
@@ -173,14 +175,14 @@ def test_enumerate_family_empty_interval():
     instance = Instance.build(items=[], capacities=[1], lambdas=[1])
     classes = build_classes(instance, EPS)
     interval = make_interval(classes, 0, 0)
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 0, [1])
+    family = enumerate_family(classes, interval, EPS, [1])
     assert members(family) == [((), 0)]
     assert len(family) == lattice_size(family) == 1
 
 
 def test_enumerate_family_six_unit_items():
     _, classes, interval = class_structure([1] * 6)
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(1)), 6, uncut(classes, interval))
+    family = enumerate_family(classes, interval, EPS, uncut(classes, interval))
     counts = {counts for counts, _ in members(family)}
     assert {(k,) for k in range(6)} <= counts
     image = {prune_image((k,), classes, interval, EPS).counts for k in range(7)}
@@ -195,9 +197,7 @@ def test_family_covers_bruteforce_image():
             [rng.randint(1, 9) for _ in range(rng.randint(1, 8))] for _ in range(n_classes)
         ]
         _, classes, interval = class_structure(*weight_lists)
-        items = [w for ws in weight_lists for w in ws]
-        wrange = (Fraction(min(items)), Fraction(max(items)))
-        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS, wrange, len(items), uncut(classes, interval)))}
+        family = {counts for counts, _ in members(enumerate_family(classes, interval, EPS, uncut(classes, interval)))}
         sizes = [classes.size(l) for l in interval.active]
         for counts in itertools.product(*(range(s + 1) for s in sizes)):
             assert prune_image(counts, classes, interval, EPS).counts in family
@@ -208,7 +208,8 @@ def test_mu_vectors_respect_sum_cap():
     cap = mu_sum_cap(interval, EPS)
     assert cap == 15  # (3/2) * 2 / (1/5)
     args = (classes, interval, EPS, (Fraction(1), Fraction(2)), 15)
-    tables = list(heavy_configurations(*args))
+    tables = list(heavy_configurations(classes, interval, EPS))
+    assert tables == base_tables(*args)
     # one table per class at each base, none repeating the base before it;
     # every count offered truncates a count past 1/eps, so it is at least
     # 1/eps, at a multiplier in [1, cap]
@@ -245,7 +246,7 @@ def test_power_range_matches_doubling_reference(lo, hi):
 
 def test_family_vectors_are_valid():
     _, classes, interval = class_structure([1] * 7, [3, 4])
-    family = enumerate_family(classes, interval, EPS, (Fraction(1), Fraction(4)), 9, uncut(classes, interval))
+    family = enumerate_family(classes, interval, EPS, uncut(classes, interval))
     for counts, weight in members(family):
         for pos, level in enumerate(interval.active):
             assert 0 <= counts[pos] <= classes.size(level)
@@ -275,7 +276,9 @@ def _two_past_light(family, eps):
 
 
 def _reference_rows(args):
-    return [(v.counts, v.weight) for v in reference_family(*args)]
+    """The reference family's (counts, weight) rows for (classes, interval,
+    eps), bracketed by the window's items."""
+    return [(v.counts, v.weight) for v in reference_family(*args, *window_bracket(*args[:2]))]
 
 
 def _adds_heavy_vectors(family, classes, interval, eps):
@@ -293,9 +296,8 @@ def test_enumerate_family_equals_reference(eps, max_classes):
         instance, classes, interval = random_class_structure(
             rng, eps, max_classes=max_classes, max_items=int(1 / eps) + 6, den=den
         )
-        weights = [w for _, w in instance.items]
-        args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
-        family = enumerate_family(*args, uncut(*args[:2]))
+        args = (classes, interval, eps)
+        family = enumerate_family(*args, uncut(classes, interval))
         assert _family_rows(family) == _reference_rows(args)
         heavy_hits += _adds_heavy_vectors(family, classes, interval, eps)
     assert heavy_hits >= 5
@@ -315,8 +317,7 @@ def test_enumerate_family_equals_reference_on_heavy_profits():
     intervals = candidate_intervals(classes, eps, Fraction(1))
     heavy_hits = 0
     for interval in intervals:
-        weights = [instance.items[i][1] for l in interval.active for i in classes.members[l]]
-        args = (classes, interval, eps, (min(weights), max(weights)), len(weights))
+        args = (classes, interval, eps)
         family = enumerate_family(*args, uncut(classes, interval))
         assert _family_rows(family) == _reference_rows(args)
         assert family.members == list(range(lattice_size(family)))  # one heavy class: a full lattice
@@ -360,8 +361,8 @@ def test_sum_cap_binds_on_two_heavy_classes():
     capped = reference_partials(*args)
     assert heavy_tuples(*args) == capped
     assert reference_partials(*args, cap=math.inf) - capped == {(10, 12)}
-    family = enumerate_family(*args, uncut(*args[:2]))
-    assert _family_rows(family) == _reference_rows(args)
+    family = enumerate_family(classes, interval, eps, uncut(classes, interval))
+    assert _family_rows(family) == _reference_rows(args[:3])
     assert _two_past_light(family, eps)
 
 
@@ -370,7 +371,7 @@ def test_family_budget_refuses_at_the_first_axis_past_it(monkeypatch):
     # most 9: with the budget at the first axis's entries, the walk stops at
     # the second axis and reports its count, not the table's
     instance, classes, interval = class_structure([1, 2, 3], [1, 1, 2, 2], [1, 2, 2, 3, 3], eps=EPS)
-    args = (classes, interval, EPS, (Fraction(1), Fraction(3)), 12)
+    args = (classes, interval, EPS)
     caps = [9, 9]
     family = enumerate_family(*args, caps)
     counts = []
@@ -397,7 +398,7 @@ def test_capacity_cut_keeps_exactly_the_reference_members_that_fit():
         outside = [w for pos, w in enumerate(whole.weights) if pos not in member]
         for top in {weights[len(weights) // 2], *outside[:1]}:
             family = enumerate_family(*args, [top // 2, top])
-            want = [(v.counts, v.weight) for v in reference_family(*args) if v.weight <= top]
+            want = [(v.counts, v.weight) for v in reference_family(*args, *window_bracket(classes, interval)) if v.weight <= top]
             assert members(family) == want
             assert len(family) == len(want)
             assert len(family.cells) < lattice_size(family)
