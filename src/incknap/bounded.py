@@ -74,9 +74,9 @@ class BoundedDPTable:
 
     Rows are indexed by position in ``family.cells``, the lattice cells
     weighing at most the largest capacity.  ``values[i]`` holds the last
-    period's rounded-profit value times ``value_den``, an int in integer
-    units (None = not a family member), and ``pred[i]`` the position of its
-    predecessor in its entry period, the first whose capacity admits it.
+    period's rounded-profit value times ``family.value_den``, an int (None =
+    not a family member), and ``pred[i]`` the position of its predecessor
+    in its entry period, the first whose capacity admits it.
     Every lambda is positive, so these two rows hold the whole table
     (``dp_solve``): period t's row is ``values`` restricted to the members
     within ``capacities[t-1]``, and after its entry period a member is its
@@ -88,7 +88,6 @@ class BoundedDPTable:
     values: list[Optional[int]]
     pred: list[Optional[int]]
     capacities: Sequence
-    value_den: int
 
     def chain(self, pos: int) -> list[tuple[int, ...]]:
         """Counts per period of the optimal path ending at a position, which
@@ -130,22 +129,20 @@ def dp_solve(
     reached in row 0, so row t holds exactly the members within capacity t.
 
     Every lambda is positive, unchecked here as the input's integer units
-    are, so the rows hold ints over the family profits' ``value_den`` =
-    (1/eps)**L, L the top class.  Then lam' = suffix[t-2] > lam =
-    suffix[t-1], and a member p reached at t-1 keeps its value and points
-    to itself: its value there is lam'*profit(p) plus the best G at or
-    below it, at least that of any q below p, so at rate lam its G beats
-    q's by at least (lam' - lam)*(profit(p) - profit(q)) > 0, as lifted
-    profits rise along every axis.  So row t is the last row restricted
-    to the members within capacity t, and a member's predecessor changes
-    only in its entry period: the table keeps those two rows.  Period t
-    visits only the cells within its capacity that row t-1 left empty, the
-    members its capacity newly admits and the non-members: a reached
-    predecessor gives its own key, an empty one its best found earlier in
-    the pass, and the new members' values are written after it, so it
-    reads row t-1.
+    are, so the rows hold ints over ``family.value_den`` = (1/eps)**L, L the
+    top class.  Then lam' = suffix[t-2] > lam = suffix[t-1], and a member p
+    reached at t-1 keeps its value and points to itself: its value there is
+    lam'*profit(p) plus the best G at or below it, at least that of any q
+    below p, so at rate lam its G beats q's by at least
+    (lam' - lam)*(profit(p) - profit(q)) > 0, as lifted profits rise along
+    every axis.  So row t is the last row restricted to the members within
+    capacity t, and a member's predecessor changes only in its entry period:
+    the table keeps those two rows.  Period t visits only the cells within
+    its capacity that row t-1 left empty, the members its capacity newly
+    admits and the non-members: a reached predecessor gives its own key, an
+    empty one its best found earlier in the pass, and the new members'
+    values are written after it, so it reads row t-1.
     """
-    value_den = classes.eps.denominator ** max(classes.indices, default=0)
     cells, weights, profits, lams = family.cells, family.weights, family.profits, suffix.values
     horizon, size = len(capacities), len(cells)
     ranks = [-(total * size + pos) for pos, total in enumerate(family.sums)]
@@ -181,7 +178,7 @@ def dp_solve(
         for pos in filter(member.__getitem__, fresh):
             values[pos] = lam * profits[pos] + keys[pos][0]
             pred[pos] = -keys[pos][1] % size
-    return BoundedDPTable(interval, family, values, pred, capacities, value_den)
+    return BoundedDPTable(interval, family, values, pred, capacities)
 
 
 def prefix_to_solution(
@@ -337,8 +334,8 @@ class InverseFrontier:
             index = next(i for i in held if used <= windows[i])
             return (index, sum(counts.values()), tuple(counts.get(l, 0) for l in indices))
 
-        # every table's values share value_den, so the merge compares plain ints
-        value_den = q ** max(indices, default=0)
+        # every table's values share one value_den, so the merge compares plain ints
+        value_den = next((table.family.value_den for _, table in tables), 1)
         entries: list[tuple] = [(0, 0, None, None, None)]  # (weight, value, held windows, table, position)
         for held, table in tables:
             row, weights = table.values, table.family.weights

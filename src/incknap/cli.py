@@ -59,6 +59,8 @@ def parse_rational(text: str, limit: int = 0) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Exact decimal string when the denominator is 2^a*5^b, else a/b."""
     den = x.denominator
+    if den == 1:
+        return str(x.numerator)
     twos = fives = 0
     while den % 2 == 0:
         den //= 2
@@ -69,33 +71,35 @@ def format_rational(x: Fraction) -> str:
     if den != 1:
         return f"{x.numerator}/{x.denominator}"
     shift = max(twos, fives)
-    if shift == 0:
-        return str(x.numerator)
     scaled = abs(x.numerator) * 10**shift // x.denominator
     digits = str(scaled).rjust(shift + 1, "0")
     sign = "-" if x.numerator < 0 else ""
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
+def _json_block(words: list[str]) -> str:
+    return "[\n    " + ",\n    ".join(words) + "\n  ]" if words else "[]"
+
+
 def instance_to_json(instance: Instance) -> str:
-    doc = {
-        "items": [
-            {"p": format_rational(p), "w": format_rational(w)} for p, w in instance.items
-        ],
-        "capacities": [format_rational(c) for c in instance.capacities],
-        "lambdas": [format_rational(v) for v in instance.lambdas],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The instance document, byte for byte as ``json.dumps(doc, indent=2)`` writes it, plus a newline."""
+    items = _json_block(
+        [f'{{\n      "p": "{format_rational(p)}",\n      "w": "{format_rational(w)}"\n    }}' for p, w in instance.items]
+    )
+    capacities = _json_block([f'"{format_rational(c)}"' for c in instance.capacities])
+    lambdas = _json_block([f'"{format_rational(v)}"' for v in instance.lambdas])
+    return f'{{\n  "items": {items},\n  "capacities": {capacities},\n  "lambdas": {lambdas}\n}}\n'
 
 
 def _json_rational(value, where: str) -> Fraction | int:
-    """A document scalar: an int straight from a string of ASCII digits;
-    other forms refuse an exponent past the integer string limit."""
+    """A document scalar in its stored form, an int when integral (straight from
+    ASCII digits); other forms refuse an exponent past the integer string limit."""
     if not isinstance(value, str):
         raise ValueError(f"{where} must be a rational string, not {json.dumps(value)}")
     if value.isascii() and value.isdigit():
         return int(value)
-    return parse_rational(value, sys.get_int_max_str_digits())
+    x = parse_rational(value, sys.get_int_max_str_digits())
+    return x.numerator if x.denominator == 1 else x
 
 
 def _json_list(doc, key: str) -> list:
@@ -113,11 +117,9 @@ def instance_from_json(text: str) -> Instance:
         if not isinstance(it, dict):
             raise ValueError(f"item {i} must be an object with 'p' and 'w'")
         items.append((_json_rational(it.get("p"), f"item {i} 'p'"), _json_rational(it.get("w"), f"item {i} 'w'")))
-    return Instance.build(
-        items=items,
-        capacities=[_json_rational(c, "capacity") for c in _json_list(doc, "capacities")],
-        lambdas=[_json_rational(v, "lambda") for v in _json_list(doc, "lambdas")],
-    )
+    capacities = tuple(_json_rational(c, "capacity") for c in _json_list(doc, "capacities"))
+    lambdas = tuple(_json_rational(v, "lambda") for v in _json_list(doc, "lambdas"))
+    return Instance(tuple(items), capacities, lambdas)
 
 
 def generate_instance(seed: int, n: int, t: int, profile: str = "uniform") -> Instance:
@@ -145,10 +147,6 @@ def generate_instance(seed: int, n: int, t: int, profile: str = "uniform") -> In
     return Instance.build(
         items=list(zip(profits, weights)), capacities=capacities, lambdas=lambdas
     )
-
-
-def _json_block(words: list[str]) -> str:
-    return "[\n    " + ",\n    ".join(words) + "\n  ]" if words else "[]"
 
 
 def solution_to_json(instance: Instance, solution: Solution, profit: Fraction) -> str:

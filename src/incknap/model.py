@@ -90,7 +90,9 @@ class ItemNotIntroduced(ValueError):
 
 
 def _scalar(x):
-    x = x if type(x) is int else Fraction(x)
+    if type(x) is int:
+        return x
+    x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 

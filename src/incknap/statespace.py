@@ -46,10 +46,10 @@ class Family:
     counts ``values[pos]``.  A cell numbers counts in mixed radix, last class
     fastest, so cell order is lexicographic and cell 0 is the zero vector.
     ``cells`` lists, ascending, the lattice cells weighing at most the cut,
-    members or not; ``weights``, ``profits`` (rounded profits times
-    (1/eps)**L, ints; L is the top class of all, so every window shares it)
-    and ``sums`` (count sums) are their columns, and ``members`` the
-    positions of the member cells, which ``len`` counts.
+    members or not; ``weights``, ``profits`` (rounded profits as ints over
+    ``value_den`` = (1/eps)**L, L the top class of all, which every window
+    shares) and ``sums`` (count sums) are their columns, and ``members``
+    the member positions, which ``len`` counts.
     """
 
     values: tuple[tuple[int, ...], ...]
@@ -58,6 +58,7 @@ class Family:
     profits: tuple[int, ...]
     sums: tuple[int, ...]
     members: list[int]
+    value_den: int
 
     @cached_property
     def strides(self) -> list[int]:
@@ -212,4 +213,4 @@ def enumerate_family(classes: ProfitClasses, interval: ClassInterval, eps: Fract
     cells, weights, profits, sums, mus = zip(*walk)
     start = sum(guard - barred << s for s in shifts)
     members = [pos for pos, m in enumerate(mus) if not m or (m + start) & guards != guards]
-    return Family(tuple(map(tuple, values)), cells, weights, profits, sums, members)
+    return Family(tuple(map(tuple, values)), cells, weights, profits, sums, members, q**ltop)

@@ -354,7 +354,7 @@ def family_of(classes: ProfitClasses, interval: ClassInterval, vectors, capaciti
             profit = sum((q + 1) ** l * q ** (ltop - l) * c for l, c in zip(interval.active, counts))
             columns.append((cell, weight, profit, sum(counts), counts in vectors))
     cells, weights, profits, sums, member = zip(*columns)
-    return Family(values, cells, weights, profits, sums, [pos for pos, m in enumerate(member) if m])
+    return Family(values, cells, weights, profits, sums, [pos for pos, m in enumerate(member) if m], q**ltop)
 
 
 def uncut(classes: ProfitClasses, interval: ClassInterval) -> list:
@@ -410,7 +410,7 @@ def dp_value(table: BoundedDPTable, t: int, cell: int) -> Optional[Fraction]:
     """The rounded-profit value of a lattice cell at period t, or None."""
     pos = position(table, cell)
     v = None if pos is None else period_rows(table)[0][t][pos]
-    return None if v is None else Fraction(v, table.value_den)
+    return None if v is None else Fraction(v, table.family.value_den)
 
 
 def cluster_value(table: ClusterDPTable, m: int, ell: int, phi_idx: int) -> Optional[int]:
@@ -626,10 +626,10 @@ class AllWindowsFrontier:
             self.classes = None
         # every value_den is a power of 1/eps, so the largest one is a common
         # denominator and the merge compares plain ints
-        top = max((table.value_den for table in tables), default=1)
+        top = max((table.family.value_den for table in tables), default=1)
         entries: list[tuple[Fraction, int, Optional[BoundedDPTable], Optional[int]]] = [(0, 0, None, None)]
         for table in tables:
-            lift = top // table.value_den
+            lift = top // table.family.value_den
             for cell in family_order(table.family):
                 pos = position(table, cell)
                 if pos is not None and table.values[pos] is not None:

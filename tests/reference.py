@@ -519,7 +519,8 @@ def tuple_family(classes: ProfitClasses, interval: ClassInterval, eps: Fraction,
             if weight + classes.prefix[level][v] <= top
         ]
     cells, weights, profits, sums, masks = zip(*walk)
-    return Family(tuple(map(tuple, values)), cells, weights, profits, sums, [pos for pos, mask in enumerate(masks) if mask])
+    members = [pos for pos, mask in enumerate(masks) if mask]
+    return Family(tuple(map(tuple, values)), cells, weights, profits, sums, members, q**ltop)
 
 
 def all_entries_merge(tables, intervals, absorbed_by, classes: ProfitClasses) -> tuple[list, int]:
@@ -554,10 +555,10 @@ def all_entries_merge(tables, intervals, absorbed_by, classes: ProfitClasses) ->
         first = next(i for i in among if used <= windows[i])
         return (first, sum(counts.values()), tuple(counts.get(l, 0) for l in classes.indices))
 
-    top = max((table.value_den for _, table in tables), default=1)
+    top = max((table.family.value_den for _, table in tables), default=1)
     entries = [(0, 0, -1, None, None)]
     for index, table in tables:
-        lift = top // table.value_den
+        lift = top // table.family.value_den
         for pos, v in enumerate(table.values):
             if v is not None:
                 entries.append((table.family.weights[pos], v * lift, index, table, pos))

@@ -171,7 +171,7 @@ def assert_dp_matches_pair_scan(classes, interval, family, capacities, suffix):
     assert got.family is family
     # the table's values are over the top class's denominator, the pair
     # scan's over its window's: compare them as rationals
-    assert got.value_den == classes.eps.denominator ** max(classes.indices)
+    assert got.family.value_den == classes.eps.denominator ** max(classes.indices)
     cells = set(member_cells(family))
     assert sorted(map(family.counts, cells)) == sorted(want.members)
     for t in range(len(capacities) + 1):
@@ -179,7 +179,7 @@ def assert_dp_matches_pair_scan(classes, interval, family, capacities, suffix):
         assert len(raw) == len(back) == lattice_size(family)
         assert all(raw[c] is None and back[c] is None for c in range(lattice_size(family)) if c not in cells)
         rows = {
-            family.counts(c): (rational(raw[c], got.value_den), None if back[c] is None else family.counts(back[c]))
+            family.counts(c): (rational(raw[c], got.family.value_den), None if back[c] is None else family.counts(back[c]))
             for c in cells
         }
         assert rows == {

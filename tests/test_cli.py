@@ -48,7 +48,8 @@ def test_parse_rational_forms():
 )
 def test_parse_rational_agrees_with_fraction(text):
     # parse_rational is Fraction on the stripped text, rejections included;
-    # the document reader takes plain ASCII digit strings to an int instead
+    # the document reader stores the value as Instance.build would: an int
+    # when integral, a Fraction otherwise
     try:
         want = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -61,7 +62,7 @@ def test_parse_rational_agrees_with_fraction(text):
         assert type(got) is Fraction and got == want
         scalar = cli._json_rational(text, "scalar")
         assert scalar == want
-        assert type(scalar) is (int if text.isascii() and text.isdigit() else Fraction)
+        assert type(scalar) is (int if want.denominator == 1 else Fraction)
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(22, 7), Fraction(-5, 16), Fraction(9)])
@@ -98,6 +99,15 @@ def test_instance_json_round_trip():
     instance = generate_instance(5, 4, 3, "uniform")
     again = instance_from_json(instance_to_json(instance))
     assert again == instance
+    # Fraction scalars come back as equal Fractions, integral ones as ints
+    instance = Instance.build(
+        items=[(Fraction(7, 3), Fraction(1, 8)), (Fraction(6, 3), 5)],
+        capacities=[Fraction(3, 10), Fraction(101, 112)],
+        lambdas=[Fraction(1, 3), Fraction(10, 5)],
+    )
+    again = instance_from_json(instance_to_json(instance))
+    assert again == instance
+    assert again.items[1] == (2, 5) and type(again.items[1][0]) is int and type(again.lambdas[1]) is int
 
 
 def test_cmd_gen_and_solve_exact(tmp_path, capsys):
@@ -618,6 +628,34 @@ def test_solution_to_json_is_the_indented_json_dump():
         assert cli.solution_to_json(instance, solution, profit) == _dumped_solution(instance, solution, profit)
     assert cli.solution_to_json(Instance((), (1,), (1,)), Solution(()), 0) == (
         '{\n  "intro": [],\n  "profit": "0",\n  "weights_by_period": [\n    "0"\n  ]\n}\n'
+    )
+
+
+def _dumped_instance(instance):
+    doc = {
+        "items": [{"p": format_rational(p), "w": format_rational(w)} for p, w in instance.items],
+        "capacities": [format_rational(c) for c in instance.capacities],
+        "lambdas": [format_rational(v) for v in instance.lambdas],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_instance_to_json_is_the_indented_json_dump():
+    rng = random.Random(67)
+    scalars = [
+        lambda: rng.randint(1, 10**30),
+        lambda: Fraction(rng.randint(1, 999), rng.choice([3, 8, 10, 7 * 16])),
+        lambda: 0,
+    ]
+    for trial in range(300):
+        n, horizon = trial % 5, trial % 4 + 1
+        items = tuple((rng.choice(scalars)(), rng.choice(scalars)()) for _ in range(n))
+        capacities = tuple(sorted(rng.choice(scalars)() for _ in range(horizon)))
+        lambdas = tuple(rng.choice(scalars)() for _ in range(horizon))
+        instance = Instance(items, capacities, lambdas)
+        assert cli.instance_to_json(instance) == _dumped_instance(instance)
+    assert cli.instance_to_json(Instance((), (0, Fraction(3, 2)), (1, 0))) == (
+        '{\n  "items": [],\n  "capacities": [\n    "0",\n    "1.5"\n  ],\n  "lambdas": [\n    "1",\n    "0"\n  ]\n}\n'
     )
 
 

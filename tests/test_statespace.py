@@ -158,7 +158,7 @@ def test_rounding_and_truncation_invariants(eps):
 
 def test_family_strides_are_built_once():
     cells = tuple(range(24))
-    family = Family(values=((0, 1, 2), (0, 1), (0, 3, 4, 5)), cells=cells, weights=cells, profits=cells, sums=cells, members=[])
+    family = Family(values=((0, 1, 2), (0, 1), (0, 3, 4, 5)), cells=cells, weights=cells, profits=cells, sums=cells, members=[], value_den=1)
     assert family.strides == [8, 4, 1]
     assert family.strides is family.strides
     assert [family.counts(cell) for cell in (0, 5, 23)] == [(0, 0, 0), (0, 1, 3), (2, 1, 5)]
