@@ -33,7 +33,6 @@ from .model import (
     AllLambdasZero,
     Instance,
     Solution,
-    SuffixLambdas,
     integer_units,
     objective,
     preprocess,
@@ -107,14 +106,16 @@ def dp_solve(
     interval: ClassInterval,
     family: Family,
     capacities: Sequence[Fraction],
-    suffix: SuffixLambdas,
+    suffix: Sequence[int],
 ) -> BoundedDPTable:
     """Run the family-restricted DP over the horizon, one row per fitting cell.
 
     ``family`` was cut at max(capacities), so its cells, the lattice cells
     weighing at most that, are the only ones that can hold a value, and
     they are the DP's index set.  That set is closed downwards: a cell's
-    axis predecessors (one count lower) fit too.
+    axis predecessors (one count lower) fit too.  ``suffix`` is the
+    instance's ``suffix_lambdas``.  ``classes`` is unused; it stays only
+    because perfbench's tracer reads ``family`` and ``capacities`` by position.
 
     Transition: a vector extends the best coordinatewise-smaller reachable
     vector, paying the marginal count difference at the period's
@@ -143,7 +144,7 @@ def dp_solve(
     empty one its best found earlier in the pass, and the new members'
     values are written after it, so it reads row t-1.
     """
-    cells, weights, profits, lams = family.cells, family.weights, family.profits, suffix.values
+    cells, weights, profits = family.cells, family.weights, family.profits
     horizon, size = len(capacities), len(cells)
     ranks = [-(total * size + pos) for pos, total in enumerate(family.sums)]
     at = {cell: pos for pos, cell in enumerate(cells)}
@@ -161,7 +162,7 @@ def dp_solve(
     keys: list[tuple] = [()] * size  # () sorts below every key
     waiting: list[int] = []  # the non-members admitted so far
     for t in range(1, horizon + 1):
-        lam = lams[t - 1]
+        lam = suffix[t - 1]
         fresh = order[ends[t - 1] : ends[t]]
         for pos in sorted(waiting + fresh):
             best = ()
@@ -285,8 +286,8 @@ class InverseFrontier:
         q = self.eps.denominator
         self.classes = classes = build_classes(instance, self.eps)
         indices = classes.indices
-        rho = instance.suffix_lambdas.ratio
-        intervals = candidate_intervals(classes, self.eps, rho)
+        suffix = instance.suffix_lambdas
+        intervals = candidate_intervals(classes, self.eps, Fraction(suffix[0], suffix[-1]))
         windows = [frozenset(interval.active) for interval in intervals]
         cut = max(instance.capacities)
         boxed = [all(classes.size(l) <= q or classes.prefix[l][q + 1] > cut for l in w) for w in windows]
@@ -322,7 +323,7 @@ class InverseFrontier:
                 holds[a] = [a]
         tables: list[tuple[list[int], BoundedDPTable]] = []  # (windows the table holds, table)
         for index in sorted(holds):
-            table = dp_solve(classes, intervals[index], family(index), instance.capacities, instance.suffix_lambdas)
+            table = dp_solve(classes, intervals[index], family(index), instance.capacities, suffix)
             tables.append((sorted(holds[index]), table))
 
         def rank(entry) -> tuple:

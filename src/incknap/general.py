@@ -18,18 +18,10 @@ below depend on no plan, and a solve builds them once.  Both serve plans
 of two or more clusters only.
 
 Gluing answers a plan of one cluster by the first endpoint of most true
-profit of one frontier, cluster 1's on every class; such a plan builds no
-grid, class rows or pushes, and fills no row, though the grid its cluster
-count would need is still held to ``GRID_BUDGET``.  For more clusters it
-reads one state of the last row, its most profitable feasible one, and
-the chain of backpointers below it; every row is filled as a branch and
-bound for that chain.  A 0/1 knapsack bound per cluster
-caps the last-row index F any chain through a state reaches, and each row
-keeps its states from need on, need the least index of F >= L (where the
-zero state ends if cluster 1 takes every class and the rest none), one
-bisection of the grid's offsets per later cluster back from L.  It skips
-each predecessor that cannot write above reach or lighter at it; their
-frontiers are never built, and the answer is the full rows'.
+profit of one frontier, cluster 1's on every class, with no grid, class
+rows or pushes.  For more clusters it reads the most profitable feasible
+state of the last row and the chain of backpointers below it; every row
+is filled as a branch and bound for that chain (``ClusterDPTable``).
 """
 
 from __future__ import annotations
@@ -97,11 +89,11 @@ def build_plan(instance: Instance, eps: Fraction, xi: int) -> ClusterPlan:
         return ClusterPlan(clusters=())
     suffix = instance.suffix_lambdas
     a, b = eps.numerator, inv_eps * instance.n  # eps/n
-    first = suffix.values[0]
+    first = suffix[0]
     m, up, down = 1, a, b  # (eps/n)**m = up/down
     clusters: list[list[int]] = []
     last = None  # run key of the last cluster
-    for t, s in enumerate(suffix.values, start=1):
+    for t, s in enumerate(suffix, start=1):
         while s * down <= first * up:
             m, up, down = m + 1, up * a, down * b
         if m % inv_eps != xi:
@@ -207,7 +199,7 @@ def single_cluster_instance(
     item_ids = tuple(
         sorted(i for level, members in classes.members.items() if class_lo <= level <= class_hi for i in members)
     )
-    ends = [parent.suffix_lambdas.at(t) for t in periods] + [0]
+    ends = [parent.suffix_lambdas[t - 1] for t in periods] + [0]
     sub = Instance(
         items=tuple(parent.items[i] for i in item_ids),
         capacities=tuple(max(parent.capacities[t - 1] - omega, 0) for t in periods),
@@ -504,7 +496,13 @@ def glue(plan: ClusterPlan, table: ClusterDPTable) -> tuple[Solution, Fraction]:
     class), which the table fills as a branch and bound for it: that index,
     its weight and every backpointer on its chain are the full rows'.  Each
     traversed backpointer contributes one single-cluster solution, and the
-    certified value is the index's grid point.
+    value returned is the index's grid point, no lower bound on the profit.
+    The chain certifies one: its step from index i' to i takes the first
+    entry whose cutoff covers the requirement r = grid[i] - offsets[i'] (i'
+    = 0 below cluster 1), so that entry's rounded profit, at most its true
+    profit, is at least (1-3*eps_sub)*r.  The steps' items are disjoint and
+    their suffix values the parent's, so the answer earns at least
+    (1-3*eps_sub) times the sum of its chain's requirements.
 
     The union of the clusters' solutions, re-indexed to parent periods and
     items, is the glued solution.
@@ -533,9 +531,10 @@ def glue(plan: ClusterPlan, table: ClusterDPTable) -> tuple[Solution, Fraction]:
 class GeneralResult:
     """Winning solution plus the diagnostics of the offset that produced it.
 
-    ``phi_target`` is the winning plan's certified value (``glue``): with
-    one cluster, its endpoint's rounded profit, at most the answer's profit
-    on ``core_instance``; with more, its last-row state's grid point.  It,
+    ``phi_target`` is the winning plan's value from ``glue``: with one
+    cluster, its endpoint's rounded profit, at most the answer's profit on
+    ``core_instance``; with more, its last-row state's grid point, which
+    may exceed that profit (``glue`` derives what its chain certifies).  It,
     ``grid`` (ints over ``grid.unit``) and ``classes`` are in
     ``core_instance``'s integer units; the diagnostics are None when no
     plan ran, and ``grid`` also when the winner has one cluster, as no
@@ -580,7 +579,7 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
     grids: dict[int, Optional[ProfitGrid]] = {}
     profits = [p for p, _ in core.items]
     p_max = max(profits)
-    psi_cap = core.suffix_lambdas.values[0] * sum(profits)
+    psi_cap = core.suffix_lambdas[0] * sum(profits)
 
     best: Optional[GeneralResult] = None
     seen_plans: set[tuple[tuple[int, ...], ...]] = set()

@@ -97,22 +97,6 @@ def _scalar(x):
 
 
 @dataclass(frozen=True)
-class SuffixLambdas:
-    """Suffix sums lam[t-1] = sum of lambda_t..lambda_T, nonincreasing in t."""
-
-    values: tuple[Fraction, ...]
-
-    def at(self, t: int) -> Fraction:
-        """Suffix sum at 1-based period t."""
-        return self.values[t - 1]
-
-    @property
-    def ratio(self) -> Fraction:
-        """Boundedness ratio: first suffix over last suffix."""
-        return Fraction(self.values[0], self.values[-1])
-
-
-@dataclass(frozen=True)
 class Instance:
     """Immutable problem instance; safe to share across solver tasks."""
 
@@ -138,8 +122,9 @@ class Instance:
         return len(self.capacities)
 
     @cached_property
-    def suffix_lambdas(self) -> SuffixLambdas:
-        return SuffixLambdas(tuple(accumulate(reversed(self.lambdas)))[::-1])
+    def suffix_lambdas(self) -> tuple[Fraction | int, ...]:
+        """Entry t-1 is lambda_t + ... + lambda_T, the rate of an item introduced at period t."""
+        return tuple(accumulate(reversed(self.lambdas)))[::-1]
 
 
 @dataclass(frozen=True)
@@ -267,4 +252,4 @@ def item_contribution(instance: Instance, solution: Solution, item: int) -> Frac
     t = solution.intro[item]
     if t is None:
         raise ItemNotIntroduced(item)
-    return instance.items[item][0] * instance.suffix_lambdas.at(t)
+    return instance.items[item][0] * instance.suffix_lambdas[t - 1]

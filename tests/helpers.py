@@ -26,7 +26,7 @@ from incknap.bounded import (
 )
 from incknap.classes import ClassInterval, ProfitClasses, build_classes, candidate_intervals
 from incknap.general import ClusterDPTable, ClusterPlan, ProfitGrid, SingleClusterInstance, single_cluster_instance
-from incknap.model import BudgetExceeded, Instance, Solution, SuffixLambdas, integer_units, objective
+from incknap.model import BudgetExceeded, Instance, Solution, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET
 from incknap.statespace import Family, enumerate_family
 
@@ -34,6 +34,12 @@ from incknap.statespace import Family, enumerate_family
 def _dominates(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
     """Whether every count of small is at most big's."""
     return all(a <= b for a, b in zip(small, big))
+
+
+def suffix_ratio(instance: Instance) -> Fraction:
+    """The boundedness ratio rho: the first suffix lambda over the last."""
+    suffix = instance.suffix_lambdas
+    return Fraction(suffix[0], suffix[-1])
 
 
 def e1() -> Instance:
@@ -108,6 +114,17 @@ def random_instance(
     if not positive_lambdas and all(v == 0 for v in lambdas):
         lambdas[-1] = 1
     return Instance.build(items=items, capacities=caps, lambdas=lambdas)
+
+
+def wide_instance(seed: int, n: int, horizon: int) -> Instance:
+    """``gen``'s uniform instance with profits in [1, 1000], drawn from one
+    ``random.Random(seed)``: weights, then profits, capacity steps and lambdas."""
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 10) for _ in range(n)]
+    profits = [rng.randint(1, 1000) for _ in range(n)]
+    caps = list(itertools.accumulate(rng.randint(1, 10) for _ in range(horizon)))
+    lambdas = [rng.randint(1, 5) for _ in range(horizon)]
+    return Instance.build(items=list(zip(profits, weights)), capacities=caps, lambdas=lambdas)
 
 
 def class_structure(*weight_lists, eps=Fraction(1, 5)):
@@ -341,12 +358,13 @@ def family_of(classes: ProfitClasses, interval: ClassInterval, vectors, capaciti
     """A ``Family`` holding exactly the given count vectors, cut at
     max(capacities): each axis takes the counts the vectors use, the cells
     are the lattice's mixed-radix numbers (last class fastest) whose vectors
-    weigh at most the cut, with their weights, lifted rounded profits and
+    weigh at most the cut, with their weights, rounded profits lifted by
+    the top class of all classes (as ``enumerate_family`` lifts them) and
     count sums, and the members are the given vectors among them."""
     vectors = set(vectors)
     values = tuple(tuple(sorted({c[pos] for c in vectors})) for pos in range(len(interval.active)))
     q = int(1 / classes.eps)
-    ltop = max(interval.active, default=0)
+    ltop = max(classes.indices)
     columns = []
     for cell, counts in enumerate(itertools.product(*values)):
         weight = sum(classes.prefix[l][c] for l, c in zip(interval.active, counts))
@@ -515,7 +533,7 @@ def PairScanDP(
     interval: ClassInterval,
     family: Family,
     capacities: Sequence[Fraction],
-    suffix: SuffixLambdas,
+    suffix: Sequence,
 ) -> PairScanTable:
     """The family-restricted DP with a pairwise predecessor scan.
 
@@ -545,7 +563,7 @@ def PairScanDP(
     raw[0][zero] = 0
 
     for t in range(1, horizon + 1):
-        lam = suffix.values[t - 1]
+        lam = suffix[t - 1]
         cap = capacities[t - 1]
         prev_row = raw[t - 1]
         # G value of each reachable predecessor, in family order (sums ascending)
@@ -584,7 +602,7 @@ def fraction_merge_frontier(instance: Instance, eps: Fraction):
     entries = [(0, 0, None, None)]
     if instance.n > 0:
         classes = build_classes(instance, eps)
-        for interval in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
+        for interval in candidate_intervals(classes, eps, suffix_ratio(instance)):
             family = enumerate_family(classes, interval, eps, instance.capacities)
             table = PairScanDP(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             for j, v in enumerate(table.raw[instance.horizon]):
@@ -617,29 +635,28 @@ class AllWindowsFrontier:
         tables: list[BoundedDPTable] = []
         if instance.n > 0:
             classes = build_classes(instance, self.eps)
-            rho = instance.suffix_lambdas.ratio
-            for interval in candidate_intervals(classes, self.eps, rho):
+            for interval in candidate_intervals(classes, self.eps, suffix_ratio(instance)):
                 family = enumerate_family(classes, interval, self.eps, instance.capacities)
                 tables.append(dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas))
             self.classes = classes
         else:
             self.classes = None
-        # every value_den is a power of 1/eps, so the largest one is a common
-        # denominator and the merge compares plain ints
-        top = max((table.family.value_den for table in tables), default=1)
+        # every family lifts by the top class of all classes, so the tables
+        # share one value_den and the merge compares plain ints
+        value_den = tables[0].family.value_den if tables else 1
+        assert all(table.family.value_den == value_den for table in tables)
         entries: list[tuple[Fraction, int, Optional[BoundedDPTable], Optional[int]]] = [(0, 0, None, None)]
         for table in tables:
-            lift = top // table.family.value_den
             for cell in family_order(table.family):
                 pos = position(table, cell)
                 if pos is not None and table.values[pos] is not None:
-                    entries.append((table.family.weights[pos], table.values[pos] * lift, table, pos))
+                    entries.append((table.family.weights[pos], table.values[pos], table, pos))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1
         for weight, v, table, j in entries:
             if v > best:
-                value = 0 if table is None else self.classes.scale * Fraction(v, top)
+                value = 0 if table is None else self.classes.scale * Fraction(v, value_den)
                 frontier.append((weight, value, table, j))
                 best = v
         self._frontier = frontier
@@ -684,7 +701,7 @@ def dfs_exact_opt(instance: Instance, budget: int = DEFAULT_BUDGET) -> tuple[Fra
         raise BudgetExceeded(states, budget)
     horizon = instance.horizon
     scaled, value_unit, _ = integer_units(instance)
-    contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
+    contrib = [[p * s for s in scaled.suffix_lambdas] for p, _ in scaled.items]
     caps = scaled.capacities
     best_profit: Optional[int] = None
     best_intro: tuple[Optional[int], ...] = (None,) * instance.n
@@ -728,7 +745,7 @@ def dfs_exact_inverse(
         raise BudgetExceeded(states, budget)
     horizon = instance.horizon
     scaled, value_unit, weight_unit = integer_units(instance)
-    contrib = [[p * s for s in scaled.suffix_lambdas.values] for p, _ in scaled.items]
+    contrib = [[p * s for s in scaled.suffix_lambdas] for p, _ in scaled.items]
     caps = scaled.capacities
     phi_scaled = Fraction(phi) * value_unit
     best_weight: Optional[int] = None

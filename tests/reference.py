@@ -8,7 +8,8 @@ power-of-two bases climbed one Fraction doubling at a time across a
 window's explicit weight bracket, the
 up-rounding and truncation maps whose image the pruned family must cover,
 the unpruned restricted DP the family DP must not beat, the contribution
-form of the objective, an exact optimum over per-profit count vectors, the
+form of the objective, exact optima over per-profit count vectors and over
+per-period weights, the
 runs of surviving bands that form the clusters and the deletion of
 dropped-band periods behind the derandomized offset,
 the class knapsack rows as each cluster DP table once built them for
@@ -30,7 +31,7 @@ from typing import Optional
 
 from incknap.classes import ClassInterval, ProfitClasses
 from incknap.general import ClusterPlan, knapsack_rows
-from incknap.model import BudgetExceeded, InfeasibleSolution, Instance, Solution, check_feasible
+from incknap.model import BudgetExceeded, InfeasibleSolution, Instance, Solution, check_feasible, integer_units
 from incknap.oracle import DEFAULT_BUDGET
 from incknap.statespace import Family, mu_sum_cap
 
@@ -234,7 +235,7 @@ def exact_restricted_dp(
     for v in vectors:
         table[(0, v)] = Fraction(0) if all(c == 0 for c in v) else None
     for t in range(1, instance.horizon + 1):
-        lam = suffix.at(t)
+        lam = suffix[t - 1]
         cap = instance.capacities[t - 1]
         for v in vectors:
             if weights[v] > cap:
@@ -283,6 +284,46 @@ def exact_opt_by_profits(instance: Instance) -> Fraction:
     return max(v for v in value.values() if v is not None)
 
 
+# Most per-period weight states ``exact_opt_by_weights`` may hold at once.
+WEIGHT_STATES = 2**15
+
+
+def exact_opt_by_weights(instance: Instance, budget: int = WEIGHT_STATES) -> Fraction:
+    """Optimum objective by Bellman's 0/1 knapsack DP over per-period weights.
+
+    A state is (w_1, ..., w_T), the packed weight of each period, with w_t
+    at most W_t and nondecreasing in t.  Items are taken one at a time: an
+    item either stays out or enters at some period s, adding its weight to
+    w_s, ..., w_T and p * (lambda_s + ... + lambda_T) to the value; a state
+    keeps the most value reaching it.  The state count depends on the
+    capacities and not on the profits, so this DP reaches instances whose
+    distinct profits are too many for a count-vector DP.  It runs on ints
+    alone, in ``model.integer_units``, and raises BudgetExceeded once the
+    states pass ``budget``.
+    """
+    scaled, value_unit, _ = integer_units(instance)
+    caps, horizon = scaled.capacities, scaled.horizon
+    rates = list(itertools.accumulate(reversed(scaled.lambdas)))[::-1]
+    states = {(0,) * horizon: 0}
+    for p, w in scaled.items:
+        grown = dict(states)
+        for state, value in states.items():
+            # entering at s adds w to w_s..w_T: from s = T down, each step adds
+            # one period, and once one overflows every earlier entry does too
+            entered = list(state)
+            for s in reversed(range(horizon)):
+                entered[s] += w
+                if entered[s] > caps[s]:
+                    break
+                key, gain = tuple(entered), value + p * rates[s]
+                if grown.get(key, -1) < gain:
+                    grown[key] = gain
+        if len(grown) > budget:
+            raise BudgetExceeded(len(grown), budget, "{} weight states")
+        states = grown
+    return Fraction(max(states.values()), value_unit)
+
+
 def objective_by_contributions(instance: Instance, solution: Solution) -> Fraction:
     """Equivalent objective form: sum of p_i times the lambda suffix at intro.
 
@@ -293,7 +334,7 @@ def objective_by_contributions(instance: Instance, solution: Solution) -> Fracti
         raise InfeasibleSolution(bad)
     suffix = instance.suffix_lambdas
     return sum(
-        (instance.items[i][0] * suffix.at(t) for i, t in solution.introduced()),
+        (instance.items[i][0] * suffix[t - 1] for i, t in solution.introduced()),
         Fraction(0),
     )
 
@@ -383,7 +424,7 @@ def full_sweep_dp(classes: ProfitClasses, interval: ClassInterval, family, capac
     back = [[None] * size for _ in range(len(capacities) + 1)]
     raw[0][0] = 0
     for t in range(1, len(capacities) + 1):
-        lam = suffix.values[t - 1]
+        lam = suffix[t - 1]
         keys = [()] * size
         for pos, v in enumerate(raw[t - 1]):
             if v is not None:
@@ -555,13 +596,14 @@ def all_entries_merge(tables, intervals, absorbed_by, classes: ProfitClasses) ->
         first = next(i for i in among if used <= windows[i])
         return (first, sum(counts.values()), tuple(counts.get(l, 0) for l in classes.indices))
 
-    top = max((table.family.value_den for _, table in tables), default=1)
+    # every family lifts by the top class of all classes, so the tables
+    # share one value_den and the merge compares plain ints
+    assert len({table.family.value_den for _, table in tables}) <= 1
     entries = [(0, 0, -1, None, None)]
     for index, table in tables:
-        lift = top // table.family.value_den
         for pos, v in enumerate(table.values):
             if v is not None:
-                entries.append((table.family.weights[pos], v * lift, index, table, pos))
+                entries.append((table.family.weights[pos], v, index, table, pos))
     entries.sort(key=lambda e: (e[0], -e[1]))
     frontier, best, ties = [], -1, 0
     for (weight, v), run in itertools.groupby(entries, key=lambda e: e[:2]):

@@ -26,6 +26,7 @@ from helpers import (
     random_instance,
     sparse_heavy_structures,
     served,
+    suffix_ratio,
     two_heavy_structures,
     uncut,
     window_bracket,
@@ -49,7 +50,6 @@ from incknap.model import (
     InfeasibleSolution,
     Instance,
     Solution,
-    SuffixLambdas,
     ValidationError,
     check_feasible,
     integer_units,
@@ -123,7 +123,7 @@ def test_dp_zero_vector_reachable_every_period():
     for _ in range(10):
         instance = random_instance(rng, n_max=5, t_max=3)
         classes = build_classes(instance, EPS)
-        for interval in candidate_intervals(classes, EPS, instance.suffix_lambdas.ratio):
+        for interval in candidate_intervals(classes, EPS, suffix_ratio(instance)):
             family = enumerate_family(classes, interval, EPS, instance.capacities)
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             zero = next(cell for cell in table.family.cells if all(c == 0 for c in table.family.counts(cell)))
@@ -155,7 +155,7 @@ def random_horizon(rng, total_weight):
     horizon = rng.randint(1, 4)
     caps = sorted(Fraction(rng.randint(0, 3 * int(total_weight) + 3), 3) for _ in range(horizon))
     lambdas = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(horizon)]
-    return caps, SuffixLambdas(tuple(itertools.accumulate(reversed(lambdas)))[::-1])
+    return caps, tuple(itertools.accumulate(reversed(lambdas)))[::-1]
 
 
 def rational(v, den):
@@ -169,8 +169,8 @@ def assert_dp_matches_pair_scan(classes, interval, family, capacities, suffix):
     got = dp_solve(classes, interval, family, capacities, suffix)
     want = PairScanDP(classes, interval, family, capacities, suffix)
     assert got.family is family
-    # the table's values are over the top class's denominator, the pair
-    # scan's over its window's: compare them as rationals
+    # the table's values are over the top class's denominator on every
+    # window, the pair scan's over its window's: compare them as rationals
     assert got.family.value_den == classes.eps.denominator ** max(classes.indices)
     cells = set(member_cells(family))
     assert sorted(map(family.counts, cells)) == sorted(want.members)
@@ -219,6 +219,22 @@ def test_dp_solve_matches_pair_scan():
         caps, suffix = random_horizon(rng, 60)
         family = enumerate_family(*args, caps)
         assert_dp_matches_pair_scan(classes, interval, family, caps, suffix)
+    # windows below the top class, whose families are lifted by the top
+    # class of all classes all the same, enumerated and sub-families alike
+    below = 0
+    for _ in range(30):
+        instance, classes, interval = random_class_structure(rng, EPS, max_classes=4, max_items=4, den=2)
+        if interval.hi == 0:
+            continue
+        hi = rng.randrange(interval.hi)
+        window = make_interval(classes, rng.randint(0, hi), hi)
+        below += 1
+        product = list(itertools.product(*(range(classes.size(l) + 1) for l in window.active)))
+        picked = {product[0], *rng.sample(product, rng.randint(1, len(product)))}
+        caps, suffix = random_horizon(rng, instance.capacities[0])
+        for family in (enumerate_family(classes, window, EPS, caps), family_of(classes, window, picked, caps)):
+            assert_dp_matches_pair_scan(classes, window, family, caps, suffix)
+    assert below >= 15
 
 
 def tight_capacities(rng, weights, horizon):
@@ -353,12 +369,12 @@ def test_per_base_family_equals_the_tuple_product_cell_for_cell(monkeypatch):
     for instance in instances:
         instance, _, _ = integer_units(preprocess(instance)[0])
         classes = build_classes(instance, eps)
-        for interval in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
+        for interval in candidate_intervals(classes, eps, suffix_ratio(instance)):
             cases.append((classes, interval, eps, instance.capacities))
     for n in (64, 100):
         instance, _, _ = integer_units(preprocess(generate_instance(1, n, 4, "uniform"))[0])
         classes = build_classes(instance, eps)
-        widest = candidate_intervals(classes, eps, instance.suffix_lambdas.ratio)[-1]
+        widest = candidate_intervals(classes, eps, suffix_ratio(instance))[-1]
         assert widest.active == classes.indices
         cases.append((classes, widest, eps, instance.capacities))
     assert len(cases) == 902
@@ -405,7 +421,7 @@ def test_heavy_configurations_read_the_spec_bracket_off_the_classes(monkeypatch)
     for instance in instances:
         instance, _, _ = integer_units(preprocess(instance)[0])
         classes = build_classes(instance, Fraction(1, 10))
-        for interval in candidate_intervals(classes, Fraction(1, 10), instance.suffix_lambdas.ratio):
+        for interval in candidate_intervals(classes, Fraction(1, 10), suffix_ratio(instance)):
             pool.append((classes, interval, Fraction(1, 10)))
     heavy = Counter()
     for name, cases in (("windows", windows), ("pool", pool)):
@@ -492,11 +508,11 @@ def test_dp_solve_matches_the_full_sweep_on_random_horizons():
 
 def with_a_zero_lambda(rng, suffix):
     """The suffix with one lambda before the last set to zero, or None at T=1."""
-    lambdas = [a - b for a, b in zip(suffix.values, (*suffix.values[1:], 0))]
+    lambdas = [a - b for a, b in zip(suffix, (*suffix[1:], 0))]
     if len(lambdas) < 2:
         return None
     lambdas[rng.randrange(len(lambdas) - 1)] = 0
-    return SuffixLambdas(tuple(itertools.accumulate(reversed(lambdas)))[::-1])
+    return tuple(itertools.accumulate(reversed(lambdas)))[::-1]
 
 
 def test_dp_carries_every_reached_member_after_a_positive_lambda():
@@ -703,7 +719,7 @@ def test_inverse_frontier_matches_all_windows(monkeypatch):
         reference = AllWindowsFrontier(instance, eps)
         assert frontier_answers(frontier, served(frontier)) == frontier_answers(reference, reference.served)
         classes = frontier.classes
-        for window in candidate_intervals(classes, eps, instance.suffix_lambdas.ratio):
+        for window in candidate_intervals(classes, eps, suffix_ratio(instance)):
             if any(window == interval for interval, _ in built):
                 continue
             own = {counts for counts, _ in members(enumerate_family(classes, window, eps, instance.capacities))}
@@ -764,7 +780,7 @@ def test_inverse_frontier_matches_all_windows_on_random_heavy_shapes(monkeypatch
         frontier = InverseFrontier(instance, eps)
         reference = AllWindowsFrontier(instance, eps)
         assert frontier_answers(frontier, served(frontier)) == frontier_answers(reference, reference.served)
-        intervals = candidate_intervals(frontier.classes, eps, instance.suffix_lambdas.ratio)
+        intervals = candidate_intervals(frontier.classes, eps, suffix_ratio(instance))
         windows = [set(interval.active) for interval in intervals]
         for index, (window, interval) in enumerate(zip(windows, intervals)):
             if all(frontier.classes.size(l) <= eps.denominator for l in window):
@@ -918,7 +934,7 @@ def test_backpointer_chains_monotone_and_feasible():
     for _ in range(15):
         instance = random_instance(rng, n_max=5, t_max=3)
         classes = build_classes(instance, EPS)
-        for interval in candidate_intervals(classes, EPS, instance.suffix_lambdas.ratio):
+        for interval in candidate_intervals(classes, EPS, suffix_ratio(instance)):
             family = enumerate_family(classes, interval, EPS, instance.capacities)
             table = dp_solve(classes, interval, family, instance.capacities, instance.suffix_lambdas)
             by_counts = dict(members(table.family))

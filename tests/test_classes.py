@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import e1, random_feasible_solution, random_instance
+from helpers import e1, random_feasible_solution, random_instance, suffix_ratio
 from incknap import classes as classes_module
 from incknap.classes import build_classes, candidate_intervals, interval_length_cap, make_interval
 from incknap.model import BudgetExceeded, Instance, objective
@@ -217,7 +217,7 @@ def test_candidate_coverage_property():
     for _ in range(30):
         instance = random_instance(rng, n_max=6, t_max=2)
         classes = build_classes(instance, Fraction(1, 5))
-        rho = instance.suffix_lambdas.ratio
+        rho = suffix_ratio(instance)
         intervals = {iv.hi: iv for iv in candidate_intervals(classes, Fraction(1, 5), rho)}
         width = interval_length_cap(
             Fraction(1, 5), instance.n, rho, max_useful=max(classes.indices) + 1

@@ -90,7 +90,7 @@ def test_gen_singleton():
 def test_gen_geometric_lambda_ratios():
     instance = generate_instance(3, 4, 3, "geometric-lambda")
     validate(instance)
-    suffix = instance.suffix_lambdas.values
+    suffix = instance.suffix_lambdas
     for a, b in zip(suffix, suffix[1:]):
         assert b / a < Fraction(1, 5) / instance.n  # steep enough to split bands
 

@@ -1,14 +1,15 @@
 import itertools
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
-from helpers import FullRowTable, PullClusterTable, certified_floor, climb, cluster_value, e1, random_instance
+from helpers import FullRowTable, PullClusterTable, certified_floor, climb, cluster_value, e1, random_instance, wide_instance
 from incknap import general, statespace
 from incknap.bounded import InverseFrontier, accuracy_budget, solve_bounded
 from incknap.classes import build_classes
@@ -29,6 +30,7 @@ from reference import (
     audit_uncrossing,
     band_runs,
     drop_bad_periods,
+    exact_opt_by_weights,
     star_graph_edges,
     table_class_rows,
 )
@@ -134,7 +136,7 @@ def test_single_cluster_lambdas_preserve_suffix_values():
         sub = single_cluster_instance(instance, classes, plan, m, 0, 0, Fraction(0))
         local_suffix = sub.instance.suffix_lambdas
         for local_t, t in enumerate(periods, start=1):
-            assert local_suffix.at(local_t) == instance.suffix_lambdas.at(t)
+            assert local_suffix[local_t - 1] == instance.suffix_lambdas[t - 1]
 
 
 def test_build_grid_structure():
@@ -193,9 +195,9 @@ def test_solve_refuses_the_grid_before_building_classes(monkeypatch):
 def fraction_bands(instance, eps):
     """Band per period, climbing a Fraction bound by eps/n from each period's band 1."""
     shrink = eps / instance.n
-    first = instance.suffix_lambdas.values[0]
+    first = instance.suffix_lambdas[0]
     bands = []
-    for s in instance.suffix_lambdas.values:
+    for s in instance.suffix_lambdas:
         m, bound = 1, shrink * first
         while s <= bound:
             bound *= shrink
@@ -408,7 +410,7 @@ def test_cluster_dp_and_glue_on_e1():
     plan = build_plan(instance, EPS, xi=0)
     profits = [p for p, _ in instance.items]
     grid = build_grid(
-        EPS, 1, instance.lambdas[-1], max(profits), instance.suffix_lambdas.values[0] * sum(profits)
+        EPS, 1, instance.lambdas[-1], max(profits), instance.suffix_lambdas[0] * sum(profits)
     )
     table = cluster_dp(instance, classes, plan, grid, EPS, class_rows(instance, classes))
     solution, phi_target = glue(plan, table)
@@ -490,7 +492,7 @@ def test_cluster_dp_two_clusters_with_weight_offset():
         plan.num_clusters,
         core.lambdas[-1],
         max(profits),
-        core.suffix_lambdas.values[0] * sum(profits),
+        core.suffix_lambdas[0] * sum(profits),
     )
     table = cluster_dp(core, classes, plan, grid, EPS, class_rows(core, classes))
     solution, phi_target = glue(plan, table)
@@ -641,6 +643,40 @@ def test_both_modes_meet_their_bound_against_the_oracle_where_rounding_engages()
     assert short["general"] >= 18 and short["bounded"] >= 18
 
 
+# Most weight states an instance of the wide sweep below may need: 10 of
+# its 30 instances fit, each DP in 0.1 s or less on a 2-core box, and the
+# solves take most of the sweep's time (5-8 s)
+SWEEP_STATES = 2**12
+
+
+def test_both_modes_meet_their_bound_on_wide_profits_against_the_weight_dp():
+    # profits in [1, 1000] at n = 24 to 32, T = 4: at bounded mode's
+    # accuracy for eps 1/2 (1/10) the classes are fewer than the distinct
+    # profits, so rounding engages, and the optimum comes from the DP over per-period weights on the instances
+    # whose states fit SWEEP_STATES; each answer is held to (1-eps)*OPT and
+    # never above it, in bounded mode and in general mode wherever it answers
+    eps = Fraction(1, 2)
+    ratios = {"bounded": [], "general": []}
+    for n, seed in itertools.product((24, 28, 32), range(10)):
+        instance = wide_instance(seed, n, 4)
+        try:
+            opt = exact_opt_by_weights(instance, SWEEP_STATES)
+        except BudgetExceeded:
+            continue
+        scaled = integer_units(instance)[0]
+        assert len(build_classes(scaled, accuracy_budget(eps, 5)).indices) < len({p for p, _ in scaled.items})
+        answers = {"bounded": objective(instance, solve_bounded(instance, accuracy_budget(eps, 5)))}
+        try:
+            answers["general"] = solve_detailed(instance, eps).profit
+        except BudgetExceeded:
+            pass
+        for mode, profit in answers.items():
+            assert (1 - eps) * opt <= profit <= opt
+            ratios[mode].append(profit / opt)
+    assert len(ratios["bounded"]) >= 8 and len(ratios["general"]) >= 8
+    assert min(ratios["bounded"] + ratios["general"]) < 1
+
+
 def test_solve_meets_its_bound_on_multi_cluster_winners():
     # the forced shape at T=10: every winning plan has two or more clusters,
     # and each answer is held to (1-eps)*OPT against the package oracle's
@@ -651,6 +687,39 @@ def test_solve_meets_its_bound_on_multi_cluster_winners():
         result = solve_detailed(instance, eps)
         assert result.plan.num_clusters >= 2
         assert result.profit >= (1 - eps) * exact_opt(instance)[0]
+
+
+@pytest.mark.parametrize("n, horizon, clusters", [(32, 10, 2), (16, 20, 3)], ids=["T=10", "T=20"])
+def test_multi_cluster_winners_earn_what_their_chain_certifies(n, horizon, clusters):
+    # the winners of CI's forced multicluster rows: phi_target is the last
+    # row's grid point, and the chain below it certifies, step by
+    # step, a rounded profit of at least (1-3*eps_sub) times the step's
+    # requirement grid[i] - offsets[i'], which the step's true profit
+    # reaches; the answer earns the sum of its steps' profits
+    result = solve_detailed(forced_instance(1, n, horizon), Fraction(4, 5))
+    plan, grid, classes, core = result.plan, result.grid, result.classes, result.core_instance
+    assert plan.num_clusters == clusters
+    table = cluster_dp(core, classes, plan, grid, result.eps_int, class_rows(core, classes))
+    assert glue(plan, table) == (result.core_solution, result.phi_target)
+    m, ell = plan.num_clusters, classes.indices[-1]
+    idx = next(reversed(table._row(m, ell)))
+    assert result.phi_target == grid.point(idx)
+    keep = 1 - 3 * accuracy_budget(result.eps_int, 3)
+    certified, earned = 0, 0
+    while m >= 1 and idx > 0:
+        ell_prev, idx_prev, prev = table.backpointer(m, ell, idx)
+        frontier, sub, pushes = table._frontier(m, ell_prev + 1, ell, prev)
+        requirement = grid.point(idx) - Fraction(grid.offsets[idx_prev], grid.unit)
+        entry = bisect_left(pushes, grid.values[idx] - grid.offsets[idx_prev], key=itemgetter(0))
+        _, _, step, _ = table.transition(m, ell, idx)
+        assert step == frontier.solution(entry)
+        assert objective(sub.instance, step) >= frontier.rounded_profit(entry) >= keep * requirement
+        certified += keep * requirement
+        earned += objective(sub.instance, step)
+        m, ell, idx = m - 1, ell_prev, idx_prev
+    assert objective(core, result.core_solution) == earned >= certified
+    # and the grid point is no lower bound on that profit: here it exceeds it
+    assert result.phi_target > earned
 
 
 def test_internal_eps_rescaling():
@@ -750,7 +819,7 @@ def stars_cases():
                 plan.num_clusters,
                 pre.lambdas[-1],
                 max(profits),
-                pre.suffix_lambdas.values[0] * sum(profits),
+                pre.suffix_lambdas[0] * sum(profits),
             )
             yield pre, classes, plan, grid
 
@@ -895,7 +964,7 @@ def test_cluster_dp_matches_pull_reference():
         core, _, _ = integer_units(two_cluster_instance(seed))
         classes = build_classes(core, eps)
         profits = [p for p, _ in core.items]
-        psi_cap = core.suffix_lambdas.values[0] * sum(profits)
+        psi_cap = core.suffix_lambdas[0] * sum(profits)
         seen = set()
         for xi in range(int(1 / eps)):
             plan = build_plan(core, eps, xi)
@@ -909,14 +978,14 @@ def test_cluster_dp_matches_pull_reference():
     core, _, _ = integer_units(instance)
     profits = [p for p, _ in core.items]
     plan = general.ClusterPlan(clusters=((1,), (2,), (3,)))
-    grid = build_grid(EPS, 3, core.lambdas[-1], max(profits), core.suffix_lambdas.values[0] * sum(profits))
+    grid = build_grid(EPS, 3, core.lambdas[-1], max(profits), core.suffix_lambdas[0] * sum(profits))
     fewer[3] += assert_push_matches_pull(core, build_classes(core, EPS), plan, grid, EPS, read_all=False)
     # a two-cluster plan read whole: cluster 1's rows get states wrong if
     # they, like the last row, skip what cannot write above its reach
     core = Instance.build(items=[(3, 1), (5, 1), (6, 7), (1, 9)], capacities=[7, 13], lambdas=[4, 5])
     profits = [p for p, _ in core.items]
     plan = general.ClusterPlan(clusters=((1,), (2,)))
-    grid = build_grid(EPS, 2, core.lambdas[-1], max(profits), core.suffix_lambdas.values[0] * sum(profits))
+    grid = build_grid(EPS, 2, core.lambdas[-1], max(profits), core.suffix_lambdas[0] * sum(profits))
     fewer[2] += assert_push_matches_pull(core, build_classes(core, EPS), plan, grid, EPS, read_all=True)
     clusters[2] += 1
     assert clusters[1] > 40 and clusters[2] >= 9
@@ -994,7 +1063,7 @@ def solve_tables(instance, eps_public):
         if plan.num_clusters == 0 or plan.clusters in seen:
             continue
         seen.add(plan.clusters)
-        psi_cap = core.suffix_lambdas.values[0] * sum(profits)
+        psi_cap = core.suffix_lambdas[0] * sum(profits)
         grid = build_grid(eps, plan.num_clusters, core.lambdas[-1], max(profits), psi_cap)
         yield core, classes, plan, grid, eps
 
@@ -1207,7 +1276,7 @@ def test_every_table_of_a_solve_reads_its_class_rows(monkeypatch, cells):
 
 def assignment_weights(sub):
     """(packed weight per period, objective) of every assignment of sub, feasible or not."""
-    suffix = sub.suffix_lambdas.values
+    suffix = sub.suffix_lambdas
     for intro in itertools.product(range(sub.horizon + 1), repeat=sub.n):  # 0: never
         weights = [sum(w for (_, w), t in zip(sub.items, intro) if 0 < t <= period) for period in range(1, sub.horizon + 1)]
         yield weights, sum(p * suffix[t - 1] for (p, _), t in zip(sub.items, intro) if t)
@@ -1375,7 +1444,7 @@ def hand_built_plans(cells):
         profits = [p for p, _ in core.items]
         for clusters in plans[core.horizon]:
             plan = general.ClusterPlan(clusters=clusters)
-            psi_cap = core.suffix_lambdas.values[0] * sum(profits)
+            psi_cap = core.suffix_lambdas[0] * sum(profits)
             yield core, classes, plan, build_grid(EPS, len(clusters), core.lambdas[-1], max(profits), psi_cap)
 
 

@@ -144,7 +144,7 @@ def test_check_feasible_reports_first_violation():
 
 def test_suffix_lambdas_values():
     instance = Instance.build(items=[], capacities=[1, 1, 1], lambdas=[2, 0, 3])
-    assert instance.suffix_lambdas.values == (5, 3, 3)
+    assert instance.suffix_lambdas == (5, 3, 3)
 
 
 small_rationals = st.fractions(min_value=Fraction(1, 4), max_value=10, max_denominator=8)
@@ -175,7 +175,7 @@ def test_objective_forms_agree(instance, pyrandom):
 @given(instances())
 @settings(max_examples=100, deadline=None)
 def test_suffix_lambdas_nonincreasing(instance):
-    values = instance.suffix_lambdas.values
+    values = instance.suffix_lambdas
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_inverse, brute_opt, dfs_exact_inverse, dfs_exact_opt, e1, random_instance
+from helpers import brute_inverse, brute_opt, dfs_exact_inverse, dfs_exact_opt, e1, random_instance, wide_instance
 from incknap import general
 from incknap.classes import build_classes, make_interval
 from incknap.model import BudgetExceeded, EmptyHorizon, Instance, Solution, check_feasible, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET, exact_inverse, exact_opt
-from reference import exact_opt_by_profits, exact_restricted_dp
+from incknap.cli import generate_instance
+from reference import exact_opt_by_profits, exact_opt_by_weights, exact_restricted_dp
 
 
 def test_exact_opt_e1():
@@ -262,6 +263,40 @@ def test_exact_opt_matches_every_reference():
         assert profit == dfs_exact_opt(instance)[0] == exact_opt_by_profits(instance)
         if k < 120:
             assert profit == brute_opt(instance)
+
+
+def test_exact_opt_by_weights_matches_the_brute_force():
+    # every kind of small instance (n <= 6: fractions, zero lambdas, large
+    # weights, ties) and wide profits at n = 8: the weight DP's optimum is
+    # the exhaustive search's
+    rng = random.Random(47)
+    for k in range(160):
+        instance = tie_rich_instance(rng, KINDS[k % len(KINDS)])
+        assert exact_opt_by_weights(instance) == brute_opt(instance)
+    for seed in range(4):
+        instance = wide_instance(seed, 8, 2)
+        assert exact_opt_by_weights(instance) == brute_opt(instance)
+
+
+def test_exact_opt_by_weights_matches_the_oracle():
+    # uniform, subset-sum and wide profits in [1, 1000] at n <= 20, T <= 4:
+    # the DP over per-period weights and the DP over per-profit count
+    # vectors share no code and find the same optimum
+    rng = random.Random(46)
+    for k in range(60):
+        n, horizon, seed = rng.randint(1, 20), rng.randint(1, 4), rng.randrange(1000)
+        profile = ("uniform", "subset-sum", "wide")[k % 3]
+        instance = wide_instance(seed, n, horizon) if profile == "wide" else generate_instance(seed, n, horizon, profile)
+        assert exact_opt_by_weights(instance) == exact_opt(instance)[0]
+
+
+def test_exact_opt_by_weights_refuses_past_its_budget():
+    # three items of weight 1, one period of capacity 3: 4 states in all
+    instance = Instance.build(items=[(1, 1), (2, 1), (3, 1)], capacities=[3], lambdas=[1])
+    assert exact_opt_by_weights(instance, budget=4) == 6
+    with pytest.raises(BudgetExceeded) as refused:
+        exact_opt_by_weights(instance, budget=3)
+    assert refused.value.required == 4 and refused.value.budget == 3
 
 
 def test_exact_inverse_matches_every_reference():
