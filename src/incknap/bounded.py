@@ -21,6 +21,7 @@ denominator for every window, and Fractions appear only in answers.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,18 +75,18 @@ class BoundedDPTable:
     Rows are indexed by position in ``family.cells``, the lattice cells
     weighing at most the largest capacity.  ``values[i]`` holds the last
     period's rounded-profit value times ``family.value_den``, an int (None =
-    not a family member), and ``pred[i]`` the position of its predecessor
-    in its entry period, the first whose capacity admits it.
-    Every lambda is positive, so these two rows hold the whole table
-    (``dp_solve``): period t's row is ``values`` restricted to the members
-    within ``capacities[t-1]``, and after its entry period a member is its
-    own predecessor.
+    not a family member), and ``pred[i]``, a machine int, the position of a
+    member's predecessor in its entry period, the first whose capacity
+    admits it (-1 = not a member).  Every lambda is positive, so these two
+    rows hold the whole table (``dp_solve``): period t's row is ``values``
+    restricted to the members within ``capacities[t-1]``, and after its
+    entry period a member is its own predecessor.
     """
 
     interval: ClassInterval
     family: Family
     values: list[Optional[int]]
-    pred: list[Optional[int]]
+    pred: array
     capacities: Sequence
 
     def chain(self, pos: int) -> list[tuple[int, ...]]:
@@ -157,7 +158,7 @@ def dp_solve(
     ends = [1, *(bisect_right(order, cap, key=weights.__getitem__) for cap in capacities)]
 
     values: list[Optional[int]] = [None] * size
-    pred: list[Optional[int]] = [None] * size
+    pred = array("l", [-1]) * size  # only members' are read; a list held an int object per member too
     values[0] = pred[0] = 0
     keys: list[tuple] = [()] * size  # () sorts below every key
     waiting: list[int] = []  # the non-members admitted so far

@@ -9,13 +9,13 @@ minimum-weight DP over (cluster, top class, accumulated profit) recovers on
 a discretized profit grid, held once as ints over one unit, filling one row
 per (cluster, top class) by pushing each inverse frontier entry over the
 grid range it serves, found by bisecting those ints.  Each row maps the
-indices it holds, ascending, to their weight and backpointer, so the next
-row visits only those predecessors.  The per-cluster subproblems are
-inverse solves with capacities reduced by the weight already committed
-below.  A grid depends on its plan only through the cluster count, so a
-solve builds one grid per count; the class knapsack rows behind the bound
-below depend on no plan, and a solve builds them once.  Both serve plans
-of two or more clusters only.
+indices it holds, ascending, to their weight, backpointer and the entry
+that wrote them, so the next row visits only those predecessors.  The
+per-cluster subproblems are inverse solves with capacities reduced by the
+weight already committed below.  A grid depends on its plan only through
+the cluster count, so a solve builds one grid per count; the class
+knapsack rows behind the bound below depend on no plan, and a solve builds
+them once.  Both serve plans of two or more clusters only.
 
 Gluing answers a plan of one cluster by the first endpoint of most true
 profit of one frontier, cluster 1's on every class, with no grid, class
@@ -30,7 +30,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Optional
 
 from .bounded import InverseFrontier, accuracy_budget
@@ -212,15 +211,15 @@ def single_cluster_instance(
 class ClusterDPTable:
     """Min-weight table over (cluster, class, grid profit), one row per (m, ell).
 
-    A row maps each index it holds, ascending, to (weight, backpointer).
-    It is filled on first read by pushing each feasible state (m-1,
+    A row maps each index it holds, ascending, to (weight, backpointer,
+    entry).  It is filled on first read by pushing each feasible state (m-1,
     ell_prev, idx_prev) through cluster m's frontier on classes
     ell_prev+1..ell, at capacities reduced by that state's weight: each
     frontier entry serves the contiguous range of indices idx whose
     requirement grid[idx] - offsets[idx_prev] it covers.  Both terms are
     ints over ``grid.unit``, so flooring served requirements in it is exact:
-    a threshold t over the frontier's ``den`` has cutoff t * unit // den,
-    off which ``transition`` also reads a step's entry.
+    a threshold t over the frontier's ``den`` has cutoff t * unit // den.
+    A state keeps the entry whose push wrote it, which ``transition`` reads.
 
     Rows hold only the states that may lie on ``glue``'s chain.  By its
     knapsack bound (``_ClusterBound``), cluster k serves the classes above
@@ -264,7 +263,7 @@ class ClusterDPTable:
         self._frontiers: dict[tuple, tuple[InverseFrontier, SingleClusterInstance, list[tuple[int, int]]]] = {}
         self._sub_eps = accuracy_budget(self.eps, 3)
         self._ell_states = (-1,) + self.classes.indices
-        self._zero = {0: (0, None)}  # build_grid puts 0 at index 0 only
+        self._zero = {0: (0, None, None)}  # build_grid puts 0 at index 0 only
 
     def _frontier(self, m: int, lo: int, hi: int, omega: int):
         key = (m, lo, hi, omega)
@@ -280,37 +279,37 @@ class ClusterDPTable:
         return self._frontiers[key]
 
     def _row(self, m: int, ell: int) -> dict:
-        """Row (m, ell), filled and kept on first read: its states from
-        index ``_need`` on, each index mapped to (weight, link), link the
-        (ell_prev, idx_prev, weight) of its first lightest predecessor, in
-        ascending index order.  A predecessor is pushed unless cluster m's
-        ``_ClusterBound.skips`` rules it out at reach and the weight held
-        there; reach starts at need and, in the last row alone, rises to
-        the highest index written.  Rows with no cluster or no class are
-        one shared zero row."""
+        """Row (m, ell), filled and kept on first read: its states from index
+        ``_need`` on, each index mapped to (weight, link, entry), link the
+        (ell_prev, idx_prev, weight) of its first lightest predecessor and
+        entry the frontier entry whose push wrote it, in ascending index order.
+        A predecessor is pushed unless cluster m's ``_ClusterBound.skips``
+        rules it out at reach and the weight held there; reach starts at need
+        and, in the last row alone, rises to the highest index written.  Rows
+        with no cluster or no class are one shared zero row."""
         if m == 0 or ell == -1:
             return self._zero
         if (m, ell) in self._rows:
             return self._rows[m, ell]
         points, offsets = self.grid.values, self.grid.offsets
         need = self._need(m, ell)
-        row = {0: (0, None)} if need == 0 else {}
+        row = {0: (0, None, None)} if need == 0 else {}
         last, reach, skips = m == self.plan.num_clusters, need, self._bounds[m - 1].skips
         # the (ell_prev, idx_prev) order and a strict < keep the first lightest move
         for ell_prev in self._ell_states:
             if ell_prev > ell:
                 break
-            for idx_prev, (prev, _) in self._row(m - 1, ell_prev).items():
+            for idx_prev, (prev, _, _) in self._row(m - 1, ell_prev).items():
                 offset, held = offsets[idx_prev], row.get(reach)
                 if skips(ell_prev, ell, prev, offset, reach, None if held is None else held[0]):
                     continue
                 lo, link = max(idx_prev, need, 1), (ell_prev, idx_prev, prev)
-                for cutoff, cand in self._frontier(m, ell_prev + 1, ell, prev)[2]:
+                for entry, (cutoff, cand) in enumerate(self._frontier(m, ell_prev + 1, ell, prev)[2]):
                     hi = bisect_right(points, cutoff + offset, lo)
                     for idx in range(lo, hi):
                         old = row.get(idx)
                         if old is None or cand < old[0]:
-                            row[idx] = cand, link
+                            row[idx] = cand, link, entry
                     lo = hi
                 # the empty entry serves offset > points[idx_prev], so every
                 # index from the first pushed up to lo - 1 now holds a value
@@ -344,18 +343,13 @@ class ClusterDPTable:
         """Cluster m's bound at position m - 1, all reading the solve's class rows."""
         return tuple(_ClusterBound(self, m, *self.class_rows) for m in range(1, self.plan.num_clusters + 1))
 
-    def backpointer(self, m: int, ell: int, phi_idx: int) -> Optional[tuple[int, int, int]]:
-        """(ell_prev, idx_prev, its weight) of the winning predecessor, if any."""
-        return self._row(m, ell).get(phi_idx, (None, None))[1]
-
     def transition(self, m: int, ell: int, phi_idx: int) -> tuple[int, int, Solution, SingleClusterInstance]:
         """(ell_prev, idx_prev, solution, SingleClusterInstance) of cluster m's
-        step into a state: the first entry whose cutoff covers the state's
-        requirement, the entry its row pushed there."""
-        ell_prev, idx_prev, prev = self.backpointer(m, ell, phi_idx)
-        frontier, sub, pushes = self._frontier(m, ell_prev + 1, ell, prev)
-        need = self.grid.values[phi_idx] - self.grid.offsets[idx_prev]
-        return ell_prev, idx_prev, frontier.solution(bisect_left(pushes, need, key=itemgetter(0))), sub
+        step into a state: the entry its row kept, the first whose cutoff
+        covers the state's requirement."""
+        _, (ell_prev, idx_prev, prev), entry = self._row(m, ell)[phi_idx]
+        frontier, sub, _ = self._frontier(m, ell_prev + 1, ell, prev)
+        return ell_prev, idx_prev, frontier.solution(entry), sub
 
 
 class _ClusterBound:
@@ -495,9 +489,9 @@ def glue(plan: ClusterPlan, table: ClusterDPTable) -> tuple[Solution, Fraction]:
     More clusters: the highest feasible index of the last row (M, top
     class), which the table fills as a branch and bound for it: that index,
     its weight and every backpointer on its chain are the full rows'.  Each
-    traversed backpointer contributes one single-cluster solution, and the
+    traversed state contributes the solution of the entry it kept, and the
     value returned is the index's grid point, no lower bound on the profit.
-    The chain certifies one: its step from index i' to i takes the first
+    The chain certifies one: its step from index i' to i kept the first
     entry whose cutoff covers the requirement r = grid[i] - offsets[i'] (i'
     = 0 below cluster 1), so that entry's rounded profit, at most its true
     profit, is at least (1-3*eps_sub)*r.  The steps' items are disjoint and
@@ -558,7 +552,10 @@ def internal_eps(eps_public: Fraction) -> Fraction:
 
 
 def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
-    """Run every offset xi, solve each distinct plan once, keep the best."""
+    """Run every offset xi, solve each distinct plan once, keep the first of
+    most profit on ``core``, whose integer units scale every profit by one
+    positive constant, ties included; skip plans with no cluster, which earn
+    0 after xi = 0's (it keeps period 1).  Only the winner is scored."""
     validate(instance)
     eps = internal_eps(eps_public)
     empty = GeneralResult(solution=Solution.empty(instance.n), profit=Fraction(0), eps_int=eps)
@@ -581,53 +578,48 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
     p_max = max(profits)
     psi_cap = core.suffix_lambdas[0] * sum(profits)
 
-    best: Optional[GeneralResult] = None
+    best = None  # (core profit, xi, plan, grid, phi_target, core_solution) of the first plan of most profit
     seen_plans: set[tuple[tuple[int, ...], ...]] = set()
     for xi in range(eps.denominator):
         plan = build_plan(core, eps, xi)
-        if plan.clusters in seen_plans:
+        if plan.num_clusters == 0 or plan.clusters in seen_plans:
             continue
         seen_plans.add(plan.clusters)
-        if plan.num_clusters == 0:
-            candidate = empty
-        else:
-            count = plan.num_clusters
-            if count not in grids:
-                bounds = (eps, count, core.lambdas[-1], p_max, psi_cap)
-                if count > 1:
-                    grids[count] = build_grid(*bounds)
-                else:  # one cluster reads no grid, but its budget holds all the same, and bounds this loop:
-                    # psi_cap/delta >= 1/eps = q, so passing it, (1+1/q)**(B-2) >= q, needs q*ln(q) < B-2,
-                    # q below about 3,960 at B = 2**15 (more clusters need more); xi = 0 keeps period 1,
-                    # so the first offset tests it, and range(eps.denominator) runs at most that many
-                    grid_budget(*bounds)
-                    grids[count] = None
-            if classes is None:
-                classes = build_classes(core, eps)
-            if count > 1 and rows is None:
-                rows = class_rows(core, classes)
-            grid = grids[count]
-            table = cluster_dp(core, classes, plan, grid, eps, rows if count > 1 else None)
-            core_solution, phi_target = glue(plan, table)
-            intro_pre: list[Optional[int]] = [None] * pre.n
-            for j, t in core_solution.introduced():
-                intro_pre[fit_ids[j]] = t
-            pre_solution = Solution(tuple(intro_pre))
-            candidate = GeneralResult(
-                solution=remap_solution(pre_solution, remap),
-                profit=objective(pre, pre_solution),
-                eps_int=eps,
-                xi=xi,
-                plan=plan,
-                grid=grid,
-                phi_target=phi_target,
-                classes=classes,
-                core_instance=core,
-                core_solution=core_solution,
-            )
-        if best is None or candidate.profit > best.profit:
-            best = candidate
-    return best  # eps <= 1/5, so at least five offsets ran
+        count = plan.num_clusters
+        if count not in grids:
+            bounds = (eps, count, core.lambdas[-1], p_max, psi_cap)
+            if count > 1:
+                grids[count] = build_grid(*bounds)
+            else:  # one cluster reads no grid, but its budget holds all the same, and bounds this loop:
+                # psi_cap/delta >= 1/eps = q, so passing it, (1+1/q)**(B-2) >= q, needs q*ln(q) < B-2,
+                # q below about 3,960 at B = 2**15 (more clusters need more); xi = 0 keeps period 1,
+                # so the first offset tests it, and range(eps.denominator) runs at most that many
+                grid_budget(*bounds)
+                grids[count] = None
+        if classes is None:
+            classes = build_classes(core, eps)
+        if count > 1 and rows is None:
+            rows = class_rows(core, classes)
+        grid = grids[count]
+        core_solution, phi_target = glue(plan, cluster_dp(core, classes, plan, grid, eps, rows if count > 1 else None))
+        profit = objective(core, core_solution)
+        if best is None or profit > best[0]:
+            best = profit, xi, plan, grid, phi_target, core_solution
+    _, xi, plan, grid, phi_target, core_solution = best  # xi = 0's plan keeps period 1, so one plan ran
+    intro_pre = dict(zip(fit_ids, core_solution.intro))
+    pre_solution = Solution(tuple(map(intro_pre.get, range(pre.n))))
+    return GeneralResult(
+        solution=remap_solution(pre_solution, remap),
+        profit=objective(pre, pre_solution),
+        eps_int=eps,
+        xi=xi,
+        plan=plan,
+        grid=grid,
+        phi_target=phi_target,
+        classes=classes,
+        core_instance=core,
+        core_solution=core_solution,
+    )
 
 
 def solve(instance: Instance, eps_public: Fraction) -> Solution:

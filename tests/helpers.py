@@ -438,6 +438,14 @@ def cluster_value(table: ClusterDPTable, m: int, ell: int, phi_idx: int) -> Opti
     return None if state is None else state[0]
 
 
+def cluster_link(table: ClusterDPTable, m: int, ell: int, phi_idx: int) -> Optional[tuple[int, int, int]]:
+    """The (ell_prev, idx_prev, weight) of the first lightest predecessor
+    of state (m, ell, phi_idx), read off its row: None when the state is
+    infeasible or a zero state, which has none."""
+    state = table._row(m, ell).get(phi_idx)
+    return None if state is None else state[1]
+
+
 def climb(table: ClusterDPTable, m: int, ell: int, idx: int) -> int:
     """F_m(ell, idx) by the forward climb: cluster k > m takes index i to
     the last index at or below most + offsets[i], most being what its

@@ -9,7 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FullRowTable, PullClusterTable, certified_floor, climb, cluster_value, e1, random_instance, wide_instance
+from helpers import (
+    FullRowTable,
+    PullClusterTable,
+    certified_floor,
+    climb,
+    cluster_link,
+    cluster_value,
+    e1,
+    random_instance,
+    wide_instance,
+)
 from incknap import general, statespace
 from incknap.bounded import InverseFrontier, accuracy_budget, solve_bounded
 from incknap.classes import build_classes
@@ -501,7 +511,7 @@ def test_cluster_dp_two_clusters_with_weight_offset():
     top = max(classes.indices)
     target_idx = grid.values.index(phi_target * grid.unit)
     assert cluster_value(table, 2, top, target_idx) == solution.weights_by_period(instance)[-1]
-    back = table.backpointer(2, top, target_idx)
+    back = cluster_link(table, 2, top, target_idx)
     assert cluster_value(table, 1, back[0], back[1]) == 1  # omega passed down to cluster 2
     floor = (1 - 2 * EPS) * phi_target - plan.num_clusters * grid.delta
     assert objective(core, solution) >= floor
@@ -529,6 +539,70 @@ def test_solve_detailed_keeps_the_first_offset_on_equal_profit():
     assert result.profit == 1
     assert result.xi == 0
     assert result.plan.clusters == ((1, 2),)
+
+
+def first_of_most_plan(instance, eps_public):
+    """(profit, xi, plan) of the first plan of most objective on the
+    preprocessed instance, over every distinct plan of one cluster or more,
+    each glued and mapped back to the preprocessed items here; and the
+    number of plans that tied an earlier best."""
+    pre, _ = preprocess(instance)
+    fit = [i for i, (_, w) in enumerate(pre.items) if w <= pre.capacities[-1]]
+    core, _, _ = integer_units(Instance(tuple(pre.items[i] for i in fit), pre.capacities, pre.lambdas))
+    eps = internal_eps(eps_public)
+    classes = build_classes(core, eps)
+    profits = [p for p, _ in core.items]
+    best, ties, seen = None, 0, set()
+    for xi in range(eps.denominator):
+        plan = build_plan(core, eps, xi)
+        if plan.num_clusters == 0 or plan.clusters in seen:
+            continue
+        seen.add(plan.clusters)
+        grid, rows = None, None
+        if plan.num_clusters > 1:
+            psi_cap = core.suffix_lambdas[0] * sum(profits)
+            grid = build_grid(eps, plan.num_clusters, core.lambdas[-1], max(profits), psi_cap)
+            rows = class_rows(core, classes)
+        core_solution, _ = glue(plan, cluster_dp(core, classes, plan, grid, eps, rows))
+        intro = [None] * pre.n
+        for j, t in core_solution.introduced():
+            intro[fit[j]] = t
+        profit = objective(pre, Solution(tuple(intro)))
+        ties += best is not None and profit == best[0]
+        if best is None or profit > best[0]:
+            best = profit, xi, plan
+    return best, ties
+
+
+def test_solve_detailed_ranks_plans_as_the_preprocessed_objective_does():
+    # solve_detailed ranks plans by their objective in integer units; with
+    # fractional profits, weights and lambdas the value unit exceeds 1, and
+    # the winner is still the first plan of most objective on the
+    # preprocessed instance.  About half the draws scale lambda_t by
+    # (2nk)^(T-t), which puts each period in a band of its own, so their
+    # horizons past 1/eps give plans of several clusters
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(40):
+
+        def frac(lo, hi):
+            return Fraction(rng.randint(lo * 6, hi * 6), rng.choice([2, 3, 5, 7]))
+
+        horizon = rng.choice([2, 3, 4, 10, 11])
+        items = [(frac(1, 9), frac(1, 5)) for _ in range(rng.randint(2, 6))]
+        caps = list(itertools.accumulate(frac(1, 6) for _ in range(horizon)))
+        eps = rng.choice([Fraction(1, 2), Fraction(4, 5)])
+        base = rng.choice([1, 2 * len(items) * internal_eps(eps).denominator])
+        lambdas = [frac(1, 3) * base ** (horizon - t) for t in range(1, horizon + 1)]
+        instance = Instance.build(items, caps, lambdas)
+        (profit, xi, plan), ties = first_of_most_plan(instance, eps)
+        result = solve_detailed(instance, eps)
+        assert (result.xi, result.plan, result.profit) == (xi, plan, profit)
+        seen["unit"] += integer_units(preprocess(instance)[0])[1] > 1
+        seen["ties"] += ties > 0
+        seen["later"] += xi > 0
+        seen["clusters"] += plan.num_clusters > 1
+    assert seen["unit"] == 40 and min(seen.values()) > 0
 
 
 def test_glue_stops_at_the_zero_state_before_the_first_cluster():
@@ -707,7 +781,7 @@ def test_multi_cluster_winners_earn_what_their_chain_certifies(n, horizon, clust
     keep = 1 - 3 * accuracy_budget(result.eps_int, 3)
     certified, earned = 0, 0
     while m >= 1 and idx > 0:
-        ell_prev, idx_prev, prev = table.backpointer(m, ell, idx)
+        ell_prev, idx_prev, prev = cluster_link(table, m, ell, idx)
         frontier, sub, pushes = table._frontier(m, ell_prev + 1, ell, prev)
         requirement = grid.point(idx) - Fraction(grid.offsets[idx_prev], grid.unit)
         entry = bisect_left(pushes, grid.values[idx] - grid.offsets[idx_prev], key=itemgetter(0))
@@ -864,7 +938,7 @@ def glue_chain(plan, table):
     m, ell, idx = plan.num_clusters, max(table.classes.indices), last_target(table)
     chain = []
     while m >= 1 and idx > 0:
-        link = table.backpointer(m, ell, idx)
+        link = cluster_link(table, m, ell, idx)
         chain.append((m, ell, idx, link[:2], step_weight(table, m, ell, idx)))
         m, ell, idx = m - 1, link[0], link[1]
     return chain
@@ -892,12 +966,12 @@ def assert_state_matches_pull(table, pull, m, level, idx):
     assert cluster_value(table, m, level, idx) == value
     want = pull.backpointer(m, level, idx)
     if want is None:
-        assert table.backpointer(m, level, idx) is None
+        assert cluster_link(table, m, level, idx) is None
         return
     got, weight = table.transition(m, level, idx), step_weight(table, m, level, idx)
     assert got[:2] == want[:2]
     assert (weight, got[2]) == (want[2].weight, want[2].solution)
-    assert table.backpointer(m, level, idx)[2] + weight == value
+    assert cluster_link(table, m, level, idx)[2] + weight == value
 
 
 def assert_push_matches_pull(instance, classes, plan, grid, eps, read_all):
@@ -1138,8 +1212,8 @@ def test_glue_answers_from_the_full_last_row():
             assert_rows_ascend(pruned)
             assert_rows_ascend(full)
             m, top, target = plan.num_clusters, max(classes.indices), last_target(pruned)
-            link = pruned.backpointer(m, top, target)
-            assert link == full.backpointer(m, top, target)
+            link = cluster_link(pruned, m, top, target)
+            assert link == cluster_link(full, m, top, target)
             if link is not None:
                 assert link[2] + step_weight(pruned, m, top, target) == cluster_value(full, m, top, target)
             kinds[plan.num_clusters, pruned._bounds[-1].g > 1] += 1
@@ -1486,7 +1560,7 @@ def test_reach_bound_caps_every_chain_and_the_target_floor(monkeypatch, cells):
         memo = {}
         for m in range(clusters):
             for ell in table._ell_states:
-                for idx, (omega, _) in full._row(m, ell).items():
+                for idx, (omega, _, _) in full._row(m, ell).items():
                     bound = climb(table, m, ell, idx)
                     assert highest_reach(full, m, ell, idx, omega, memo) <= bound
                     states[clusters, bound < table._least_target] += 1
