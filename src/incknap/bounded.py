@@ -384,16 +384,18 @@ class InverseFrontier:
         """The first entry, in frontier order, of the most true profit, with its solution.
 
         Each profit is rounded down to a power of 1+eps times the least, so
-        an entry of rounded profit r earns at least r and less than
-        (1+eps)*r, or 0 if it is the empty one.  Rounded profits rise along
-        the frontier, so a scan from the last entry down stops at the first
-        entry whose (1+eps)*r is at most the most profit found: neither it
-        nor any entry before it earns as much.  Each entry the scan reaches
-        is decoded and scored once, on ints, and ties go to the earlier."""
-        q, scale, value_den = self.eps.denominator, self.classes.scale, self._value_den
+        an entry of rounded profit r earns at least r and at most
+        spread*r (``ProfitClasses.spread``, below 1+eps), or 0 if it is the
+        empty one.  Rounded profits rise along the frontier, so a scan from
+        the last entry down stops at the first entry whose spread*r is
+        below the most profit found: neither it nor any entry before it
+        earns as much.  Each entry the scan reaches is decoded and scored
+        once, on ints, and ties go to the earlier."""
+        high, low = self.classes.spread
+        earns, most_den = high * self.classes.scale, low * self._value_den  # spread*r = earns*v/most_den
         most, found = -1, None  # below every profit; the empty entry is always there
         for i in reversed(range(len(self._frontier))):
-            if (q + 1) * scale * self._frontier[i][1] <= most * q * value_den:
+            if earns * self._frontier[i][1] < most * most_den:
                 break
             solution = self.solution(i)
             profit = objective(self.instance, solution)

@@ -27,13 +27,17 @@ class ProfitClasses:
 
     members[l] lists item indices by nondecreasing weight (ties by index);
     prefix[l][k] is the exact weight of the k lightest items of class l.
-    The rounded profit of class l is scale * (1+eps)**l.
+    The rounded profit of class l is scale * (1+eps)**l.  ``spread`` =
+    (num, den) is the largest num/den = p / (scale * (1+eps)**l) over the
+    profits p, l the class of p: at least 1, below 1+eps, and no item earns
+    more than spread times its rounded profit.
     """
 
     eps: Fraction
     scale: Fraction
     members: dict[int, tuple[int, ...]]
     prefix: dict[int, tuple[Fraction, ...]]
+    spread: tuple[int, int]
 
     @cached_property
     def indices(self) -> tuple[int, ...]:
@@ -89,10 +93,13 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
         raise BudgetExceeded(budget + 1, budget, "profit class ladder of at least {} levels")
     level_of = {}
     level, up, down = 0, a, b  # (1+eps)**(level+1) = up/down
+    high, low = b, a  # the most p / (scale * (1+eps)**(level+1)), the spread over 1+eps; 1/(1+eps) at p = scale
     for p in sorted({p for p, _ in instance.items}):
         while scale * up <= p * down:
             level, up, down = level + 1, up * a, down * b
         level_of[p] = level
+        if p * down * low > scale * up * high:
+            high, low = p * down, scale * up
     members: dict[int, list[int]] = {}
     for i, (p, _) in enumerate(instance.items):
         members.setdefault(level_of[p], []).append(i)
@@ -106,7 +113,7 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
             sums.append(sums[-1] + instance.items[i][1])
         ordered[level] = tuple(ids)
         prefix[level] = tuple(sums)
-    return ProfitClasses(eps=eps, scale=scale, members=ordered, prefix=prefix)
+    return ProfitClasses(eps=eps, scale=scale, members=ordered, prefix=prefix, spread=(a * high, b * low))
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,9 @@ def generate_instance(seed: int, n: int, t: int, profile: str = "uniform") -> In
     profits = list(weights) if profile == "subset-sum" else [rng.randint(1, 10) for _ in range(n)]
     capacities = list(accumulate(rng.randint(1, 10) for _ in range(t)))
     if profile == "geometric-lambda":
-        # factor 6n beats the band threshold n/eps at the default eps = 1/5
+        # suffix values fall by factor 6n per period; general mode's bands span
+        # a factor n/eps_int, 14n at the default eps 1/2, so a band holds one
+        # or two periods, and a plan, which drops one band, one or two clusters
         factor = 6 * n
         lambdas = [(factor - 1) * factor ** (t - k - 2) if k < t - 1 else 1 for k in range(t)]
     else:

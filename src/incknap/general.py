@@ -13,9 +13,10 @@ indices it holds, ascending, to their weight, backpointer and the entry
 that wrote them, so the next row visits only those predecessors.  The
 per-cluster subproblems are inverse solves with capacities reduced by the
 weight already committed below.  A grid depends on its plan only through
-the cluster count, so a solve builds one grid per count; the class
-knapsack rows behind the bound below depend on no plan, and a solve builds
-them once.  Both serve plans of two or more clusters only.
+the cluster count, so a solve builds one grid per count, for plans of two
+or more clusters only.  The class knapsack rows behind the bounds below
+depend on no plan, and a solve builds them once, at the first plan that
+needs a bound (``plan_bound``) or a cluster DP.
 
 Gluing answers a plan of one cluster by the first endpoint of most true
 profit of one frontier, cluster 1's on every class, with no grid, class
@@ -457,6 +458,21 @@ def class_rows(instance: Instance, classes: ProfitClasses) -> tuple[int, dict, d
     return g, dict(zip(states, rows)), dict(zip(reversed(states), prefix))
 
 
+def plan_bound(instance: Instance, plan: ClusterPlan, rows: tuple[int, dict, dict]) -> int:
+    """UB(P) = sum_t lambda_t * KP(W_k(t)) over the instance's periods, k(t)
+    the plan's last kept period at or before t, 0 before its first: KP is
+    the all-classes row of ``class_rows``, at or above the 0/1 knapsack
+    optimum over every item also when floored by g."""
+    g, suffix, _ = rows
+    row, kept = suffix[-1], {t for cluster in plan.clusters for t in cluster}
+    total = packed = 0
+    for t, (lam, cap) in enumerate(zip(instance.lambdas, instance.capacities), start=1):
+        if t in kept:
+            packed = row[cap // g]
+        total += lam * packed
+    return total
+
+
 def cluster_dp(
     instance: Instance,
     classes: ProfitClasses,
@@ -555,7 +571,17 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
     """Run every offset xi, solve each distinct plan once, keep the first of
     most profit on ``core``, whose integer units scale every profit by one
     positive constant, ties included; skip plans with no cluster, which earn
-    0 after xi = 0's (it keeps period 1).  Only the winner is scored."""
+    0 after xi = 0's (it keeps period 1).  Only the winner is scored.
+
+    A plan of one cluster after the first plan is skipped, unglued, when
+    its ``plan_bound`` is at most the best profit so far: the best is
+    replaced only on a strict >, so the plan could not have won, and every
+    answer is the one of gluing all plans.  The bound holds for every plan:
+    a glued answer introduces items only at kept periods (each cluster's
+    sub-instance has the cluster's periods alone), so the set packed at
+    period t is the set packed at k(t), which weighs at most W_k(t) and so
+    earns at most KP(W_k(t)); the objective is sum_t lambda_t times the
+    profit packed at t."""
     validate(instance)
     eps = internal_eps(eps_public)
     empty = GeneralResult(solution=Solution.empty(instance.n), profit=Fraction(0), eps_int=eps)
@@ -571,7 +597,7 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
         return empty
     core, _, _ = integer_units(Instance(tuple(pre.items[i] for i in fit_ids), pre.capacities, pre.lambdas))
     classes: Optional[ProfitClasses] = None  # built after the first grid budget test, which may refuse
-    rows: Optional[tuple[int, dict, dict]] = None  # built for the first plan of two or more clusters
+    rows: Optional[tuple[int, dict, dict]] = None  # built for the first plan bounded or of two or more clusters
     # by cluster count, the grid's only plan-dependent argument; None for one cluster, which reads none
     grids: dict[int, Optional[ProfitGrid]] = {}
     profits = [p for p, _ in core.items]
@@ -598,8 +624,11 @@ def solve_detailed(instance: Instance, eps_public: Fraction) -> GeneralResult:
                 grids[count] = None
         if classes is None:
             classes = build_classes(core, eps)
-        if count > 1 and rows is None:
+        if rows is None and (count > 1 or best is not None):
             rows = class_rows(core, classes)
+        # plans of two or more clusters stay unbounded: they are the benchmark's only cluster-DP traffic
+        if count == 1 and best is not None and plan_bound(core, plan, rows) <= best[0]:
+            continue
         grid = grids[count]
         core_solution, phi_target = glue(plan, cluster_dp(core, classes, plan, grid, eps, rows if count > 1 else None))
         profit = objective(core, core_solution)

@@ -29,6 +29,8 @@ def test_build_classes_e1():
     assert classes.members == {0: (0,), 2: (1,)}
     # 1.2**2 = 1.44 <= 1.5 < 1.728
     assert (1 + classes.eps) ** 2 == Fraction(36, 25)
+    # profit 3 over its rounded profit 2 * 1.44
+    assert Fraction(*classes.spread) == Fraction(25, 24)
 
 
 def test_build_classes_equal_profits_single_class():
@@ -116,6 +118,26 @@ def test_power_order_matches_the_exact_powers(digits):
 def test_build_classes_empty_instance():
     classes = build_classes(Instance.build(items=[], capacities=[1], lambdas=[1]), Fraction(1, 5))
     assert classes.members == {}
+    assert Fraction(*classes.spread) == 1
+
+
+def test_spread_is_the_largest_profit_over_its_rounded_profit():
+    # the ladder's spread is the most p / (scale * (1+eps)**level) over the
+    # profits, computed here from the levels; profits on a power of 1+eps
+    # (36/25 = 1.2**2) have spread 1
+    rng = random.Random(3)
+    for _ in range(200):
+        eps = Fraction(1, rng.choice([5, 10, 14, 42]))
+        items = [(rng.randint(1, 1000), 1) for _ in range(rng.randint(1, 8))]
+        classes = build_classes(Instance.build(items=items, capacities=[1], lambdas=[1]), eps)
+        want = max(
+            Fraction(items[i][0], classes.scale * (1 + eps) ** level)
+            for level, members in classes.members.items()
+            for i in members
+        )
+        assert Fraction(*classes.spread) == want and 1 <= want < 1 + eps
+    classes = build_classes(Instance(items=((25, 1), (36, 1)), capacities=(2,), lambdas=(1,)), Fraction(1, 5))
+    assert Fraction(*classes.spread) == 1
 
 
 def test_build_classes_rejects_non_unit_eps():

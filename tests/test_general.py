@@ -23,6 +23,7 @@ from helpers import (
 from incknap import general, statespace
 from incknap.bounded import InverseFrontier, accuracy_budget, solve_bounded
 from incknap.classes import build_classes
+from incknap.cli import generate_instance
 from incknap.general import (
     build_grid,
     build_plan,
@@ -30,6 +31,7 @@ from incknap.general import (
     cluster_dp,
     glue,
     internal_eps,
+    plan_bound,
     single_cluster_instance,
     solve,
     solve_detailed,
@@ -603,6 +605,91 @@ def test_solve_detailed_ranks_plans_as_the_preprocessed_objective_does():
         seen["later"] += xi > 0
         seen["clusters"] += plan.num_clusters > 1
     assert seen["unit"] == 40 and min(seen.values()) > 0
+
+
+def ci_multicluster_instances():
+    """The instances of CI's three multicluster rows, solved at eps 4/5: n=12,
+    T=3 with profits uniform in 1-10, then ``forced_instance`` at n=32, T=10
+    and n=16, T=20."""
+    rng = random.Random(1)
+    items = [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(12)]
+    caps = list(itertools.accumulate(rng.randint(4, 10) for _ in range(3)))
+    k = internal_eps(Fraction(4, 5)).denominator
+    yield Instance.build(items=items, capacities=caps, lambdas=[(2 * 12 * k) ** (3 - t) for t in range(1, 4)])
+    yield forced_instance(1, 32, 10)
+    yield forced_instance(1, 16, 20)
+
+
+@pytest.mark.parametrize("cells", [general.KNAPSACK_CELLS, 4])
+def test_plan_bound_is_at_least_every_plans_glued_objective(monkeypatch, cells):
+    # UB(P) = sum_t lambda_t * KP(W_k(t)) bounds the glued core objective of
+    # every distinct plan, of one cluster or more: fractional scalars,
+    # geometric lambdas, the forced multicluster shape and CI's uniform
+    # multicluster row, also on class rows floored by a cell budget of 4
+    monkeypatch.setattr(general, "KNAPSACK_CELLS", cells)
+    rng = random.Random(13)
+
+    def frac(lo, hi):
+        return Fraction(rng.randint(lo * 6, hi * 6), rng.choice([2, 3, 5, 7]))
+
+    cases = []
+    for _ in range(10):
+        horizon = rng.choice([2, 3, 4])
+        items = [(frac(1, 9), frac(1, 5)) for _ in range(rng.randint(2, 6))]
+        caps = list(itertools.accumulate(frac(1, 6) for _ in range(horizon)))
+        cases.append((Instance.build(items, caps, [frac(1, 3) for _ in caps]), Fraction(1, 2)))
+    cases += [(generate_instance(seed, 8, 6, "geometric-lambda"), Fraction(1, 2)) for seed in range(3)]
+    cases += [(forced_instance(seed, 8, 10), Fraction(4, 5)) for seed in (1, 2)]
+    cases.append((next(ci_multicluster_instances()), Fraction(4, 5)))
+    seen = Counter()
+    for instance, eps_public in cases:
+        for core, classes, plan, grid, eps in solve_tables(instance, eps_public):
+            rows = class_rows(core, classes)
+            multi = plan.num_clusters > 1
+            solution, _ = glue(plan, cluster_dp(core, classes, plan, grid if multi else None, eps, rows if multi else None))
+            assert objective(core, solution) <= plan_bound(core, plan, rows)
+            seen[multi, rows[0] > 1] += 1
+    assert seen[False, cells == 4] > 10 and seen[True, cells == 4] > 10
+
+
+def test_solve_glues_every_plan_that_may_beat_the_best_so_far(monkeypatch):
+    # a spy on glue over CI's three multicluster rows and geometric n=32,
+    # T=6: every plan of two or more clusters is glued; a later plan of one
+    # cluster is glued exactly when its plan_bound passes the best core
+    # profit of the plans glued before it, so those skipped could not win
+    glued = []
+
+    def spy(plan, table):
+        solution, value = glue(plan, table)
+        glued.append((plan.clusters, objective(table.instance, solution)))
+        return solution, value
+
+    monkeypatch.setattr(general, "glue", spy)
+    cases = [(instance, Fraction(4, 5)) for instance in ci_multicluster_instances()]
+    cases.append((generate_instance(1, 32, 6, "geometric-lambda"), Fraction(1, 2)))
+    plans = Counter()
+    for instance, eps_public in cases:
+        glued.clear()
+        result = solve_detailed(instance, eps_public)
+        core, eps = result.core_instance, result.eps_int
+        rows = class_rows(core, result.classes)
+        profits = dict(glued)
+        assert len(profits) == len(glued)
+        best, seen = None, set()
+        for xi in range(eps.denominator):
+            plan = build_plan(core, eps, xi)
+            if plan.num_clusters == 0 or plan.clusters in seen:
+                continue
+            seen.add(plan.clusters)
+            kind = "multi" if plan.num_clusters > 1 else "first" if best is None else "one"
+            if kind == "one":
+                kind += "-glued" if plan_bound(core, plan, rows) > best else "-skipped"
+            assert (plan.clusters in profits) == (kind != "one-skipped")
+            plans[kind] += 1
+            if plan.clusters in profits:
+                best = profits[plan.clusters] if best is None else max(best, profits[plan.clusters])
+        assert objective(core, result.core_solution) == best
+    assert min(plans[kind] for kind in ("multi", "first", "one-glued", "one-skipped")) > 0
 
 
 def test_glue_stops_at_the_zero_state_before_the_first_cluster():
@@ -1451,7 +1538,7 @@ def test_glue_builds_few_frontiers_on_the_benchmark(monkeypatch):
 
 @pytest.mark.parametrize(
     "name, most, grids, rows",
-    [("general-uniform", 200, 0, 0), ("general-multicluster", 337, 54, 108), ("verify-small", 120, 0, 0)],
+    [("general-uniform", 200, 0, 0), ("general-multicluster", 232, 54, 108), ("verify-small", 120, 0, 0)],
     ids=["general-uniform", "general-multicluster", "verify-small"],
 )
 def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name, most, grids, rows):
@@ -1462,14 +1549,17 @@ def test_glue_builds_few_frontiers_on_the_full_benchmark_pools(monkeypatch, name
     # above need nor lighter at it, 395; taking L from cluster 1's chain
     # alone, never building frontier (m, 0, top, 0) for m >= 2, 348;
     # answering one-cluster plans by frontier (1, 0, top, 0)'s best endpoint,
-    # with no row filled, 337.  The other pools solve one plan each, of one
+    # with no row filled, 337; skipping the one-cluster plans after the first
+    # whose ``plan_bound`` is at most the best profit so far (one-cluster
+    # glues 162 -> 57), 232.  The other pools solve one plan each, of one
     # cluster, and build that one frontier per solve (428 and 249 when their
     # rows were filled).  Grids and class knapsack rows (two
     # ``knapsack_rows`` calls) in the same pass, counted exactly: one of each
     # per plan built 216 grids and 432 row sets on general-multicluster; one
     # grid per cluster count and one set of rows per solve, 108 and 108; and
     # none for plans of one cluster, which read neither, 54 grids (one per
-    # solve, all of two clusters) and 108, and none at all on the other pools
+    # solve, all of two clusters) and 108, still 108 when the same rows also
+    # bound the later one-cluster plans, and none at all on the other pools
     # (200 and 400 on general-uniform, 120 and 240 on verify-small before)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
