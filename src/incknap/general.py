@@ -420,28 +420,24 @@ class _ClusterBound:
         return lighter < 0 or self.cutoff(ell_prev, ell, omega, lighter) + offset < points[reach]
 
 
-def add_item(row: list[int], profit: int, weight: int) -> list[int]:
-    """The 0/1 knapsack row of ``row``'s items and one more item: entry c
-    is the most profit packing at most c of weight."""
-    return row[:weight] + [max(keep, take + profit) for keep, take in zip(row[weight:], row)]
-
-
 def knapsack_rows(groups: list[list[tuple[int, int]]], capacity: int) -> tuple[int, list[list[int]]]:
     """(g, rows): ``rows[k][c // g]`` bounds from above the 0/1 knapsack
     optimum of the items of ``groups[k:]`` at weight c, 0 <= c <= capacity.
 
-    Rows are built back to front, one item at a time (``add_item``), so
-    ``rows[len(groups)]`` is all zeros.  g is the least divisor that keeps a
-    row within ``KNAPSACK_CELLS`` cells; every weight is floored by it, and a
-    set of weight at most c floors to at most c // g, so a row is never below
-    the true optimum, and it is exact when g = 1.
+    Rows are built back to front from ``rows[len(groups)]``, all zeros, one
+    item at a time: an item of profit p and floored weight w sets entry c >= w
+    to the larger of entry c and entry c - w plus p.  g is the least divisor
+    that keeps a row within ``KNAPSACK_CELLS`` cells; every weight is floored
+    by it, and a set of weight at most c floors to at most c // g, so a row is
+    never below the true optimum, and it is exact when g = 1.
     """
     g = capacity // KNAPSACK_CELLS + 1
     row = [0] * (capacity // g + 1)
     rows = [row]
     for group in reversed(groups):
         for p, w in group:
-            row = add_item(row, p, w // g)
+            w //= g
+            row = row[:w] + [max(keep, take + p) for keep, take in zip(row[w:], row)]
         rows.append(row)
     return g, rows[::-1]
 

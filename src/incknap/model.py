@@ -38,34 +38,6 @@ class ValidationError(ValueError):
         self.index = index
 
 
-class NonPositiveProfit(ValidationError):
-    pass
-
-
-class NonPositiveWeight(ValidationError):
-    pass
-
-
-class DecreasingCapacity(ValidationError):
-    pass
-
-
-class NegativeCapacity(ValidationError):
-    pass
-
-
-class NegativeLambda(ValidationError):
-    pass
-
-
-class EmptyHorizon(ValidationError):
-    pass
-
-
-class HorizonMismatch(ValidationError):
-    pass
-
-
 class AllLambdasZero(ValueError):
     """Every period coefficient is zero; only the empty solution has value."""
 
@@ -159,22 +131,22 @@ class Solution:
 def validate(instance: Instance) -> None:
     """Raise a ValidationError naming the first offending index, else return."""
     if instance.horizon < 1:
-        raise EmptyHorizon("horizon must contain at least one period", 0)
+        raise ValidationError("horizon must contain at least one period", 0)
     if len(instance.lambdas) != instance.horizon:
-        raise HorizonMismatch("capacities and lambdas differ in length", 0)
+        raise ValidationError("capacities and lambdas differ in length", 0)
     for i, (p, w) in enumerate(instance.items):
         if p <= 0:
-            raise NonPositiveProfit("item profit must be positive", i)
+            raise ValidationError("item profit must be positive", i)
         if w <= 0:
-            raise NonPositiveWeight("item weight must be positive", i)
+            raise ValidationError("item weight must be positive", i)
     for t, cap in enumerate(instance.capacities, start=1):
         if cap < 0:
-            raise NegativeCapacity("capacity must be nonnegative", t)
+            raise ValidationError("capacity must be nonnegative", t)
         if t > 1 and cap < instance.capacities[t - 2]:
-            raise DecreasingCapacity("capacities must be nondecreasing", t)
+            raise ValidationError("capacities must be nondecreasing", t)
     for t, lam in enumerate(instance.lambdas, start=1):
         if lam < 0:
-            raise NegativeLambda("lambda must be nonnegative", t)
+            raise ValidationError("lambda must be nonnegative", t)
 
 
 def preprocess(instance: Instance) -> tuple[Instance, tuple[int, ...]]:

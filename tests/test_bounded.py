@@ -1067,6 +1067,35 @@ def test_solve_inverse_heavy_classes_super_optimal():
     assert heavy_runs >= 8  # the pruned vectors really appeared in the DP
 
 
+def test_inverse_frontier_is_sharp_where_heavy_classes_are_pruned():
+    # profits 100-102 fall into one class at 1/10, and light weights let a
+    # frontier member pack more than 1/eps items of that class, so heavy
+    # counts are up-rounded and truncated; against the exact inverse optimum
+    # at phi = k/20 of the optimum, every answer weighs no more and earns at
+    # least (1-3*eps)*phi
+    eps = Fraction(1, 10)
+    heavy = 0
+    for n in (44, 54, 64):
+        for seed in range(4):
+            rng = random.Random(100 * n + seed)  # one stream per instance, not shared item prefixes
+            items = [(rng.choice((100, 101, 102)), rng.randint(1, 10)) for _ in range(n)]
+            capacities = list(itertools.accumulate(rng.randint(1, 10) for _ in range(4)))
+            instance = Instance.build(items=items, capacities=capacities, lambdas=[rng.randint(1, 5) for _ in range(4)])
+            frontier = InverseFrontier(instance, eps)
+            level = {i: l for l, members in frontier.classes.members.items() for i in members}
+            counts = (Counter(level[i] for i, _ in frontier.solution(k).introduced()) for k in range(len(frontier.weights)))
+            heavy += any(c > 1 / eps for count in counts for c in count.values())
+            opt, _ = exact_opt(instance)
+            for k in range(1, 21):
+                phi = opt * Fraction(k, 20)
+                exact_weight, _ = exact_inverse(instance, phi)
+                answer = frontier.query(phi)
+                assert answer.weight <= exact_weight
+                assert answer.true_profit >= (1 - 3 * eps) * phi
+                assert check_feasible(instance, answer.solution) is None
+    assert heavy >= 6  # the pruning engages on at least half of the 12 instances
+
+
 def test_solve_bounded_tolerates_zero_middle_lambda():
     # the zero middle period is dropped before the frontier is built
     instance = Instance.build(items=[(2, 1), (3, 2)], capacities=[2, 3, 3], lambdas=[1, 0, 1])

@@ -6,17 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_profit, e1, random_feasible_solution, random_instance
+from incknap.cli import instance_to_json, main
 from incknap.model import (
     AllLambdasZero,
-    DecreasingCapacity,
-    EmptyHorizon,
     InfeasibleSolution,
     Instance,
     ItemNotIntroduced,
-    NegativeLambda,
-    NonPositiveProfit,
-    NonPositiveWeight,
     Solution,
+    ValidationError,
     check_feasible,
     item_contribution,
     objective,
@@ -47,31 +44,34 @@ def test_validate_smallest_instance():
     validate(Instance.build(items=[(1, 1)], capacities=[1], lambdas=[1]))
 
 
-def test_validate_zero_weight_names_item():
-    with pytest.raises(NonPositiveWeight) as err:
-        validate(Instance.build(items=[(1, 0)], capacities=[1], lambdas=[1]))
-    assert err.value.index == 0
-
-
-def test_validate_zero_profit():
-    with pytest.raises(NonPositiveProfit):
-        validate(Instance.build(items=[(0, 1)], capacities=[1], lambdas=[1]))
-
-
-def test_validate_decreasing_capacity_names_period():
-    with pytest.raises(DecreasingCapacity) as err:
-        validate(Instance.build(items=[], capacities=[2, 1], lambdas=[1, 1]))
-    assert err.value.index == 2
-
-
-def test_validate_negative_lambda():
-    with pytest.raises(NegativeLambda):
-        validate(Instance.build(items=[], capacities=[1], lambdas=[-1]))
-
-
-def test_validate_empty_horizon():
-    with pytest.raises(EmptyHorizon):
-        validate(Instance.build(items=[(1, 1)], capacities=[], lambdas=[]))
+@pytest.mark.parametrize(
+    "items, capacities, lambdas, message, index",
+    [
+        pytest.param([(1, 1)], [], [], "horizon must contain at least one period", 0, id="empty-horizon"),
+        pytest.param([], [1, 2], [1], "capacities and lambdas differ in length", 0, id="horizon-mismatch"),
+        pytest.param([(1, 1), (0, 1)], [1], [1], "item profit must be positive", 1, id="zero-profit"),
+        pytest.param([(1, 1), (2, 0)], [1], [1], "item weight must be positive", 1, id="zero-weight"),
+        # a negative capacity after a larger one is reported as negative
+        pytest.param([], [1, -1], [1, 1], "capacity must be nonnegative", 2, id="negative-capacity"),
+        pytest.param([], [2, 1], [1, 1], "capacities must be nondecreasing", 2, id="decreasing-capacity"),
+        pytest.param([], [1, 1], [1, -1], "lambda must be nonnegative", 2, id="negative-lambda"),
+    ],
+)
+def test_validate_reports_each_fault(tmp_path, capsys, items, capacities, lambdas, message, index):
+    # each check raises ValidationError itself, with its message and the
+    # first offending index; the CLI reports it in one stderr line, exit 2
+    instance = Instance.build(items=items, capacities=capacities, lambdas=lambdas)
+    with pytest.raises(ValidationError) as err:
+        validate(instance)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == f"{message} (index {index})"
+    assert err.value.index == index
+    path = tmp_path / "bad.json"
+    path.write_text(instance_to_json(instance))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid instance: {message} (index {index})\n"
 
 
 def test_preprocess_drops_zero_lambda_periods():

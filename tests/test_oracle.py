@@ -9,7 +9,7 @@ import pytest
 from helpers import brute_inverse, brute_opt, dfs_exact_inverse, dfs_exact_opt, e1, random_instance, wide_instance
 from incknap import general
 from incknap.classes import build_classes, make_interval
-from incknap.model import BudgetExceeded, EmptyHorizon, Instance, Solution, check_feasible, integer_units, objective
+from incknap.model import BudgetExceeded, Instance, Solution, ValidationError, check_feasible, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET, exact_inverse, exact_opt
 from incknap.cli import generate_instance
 from reference import exact_opt_by_profits, exact_opt_by_weights, exact_restricted_dp
@@ -37,8 +37,9 @@ def test_exact_opt_zero_capacity():
 def test_exact_oracles_refuse_an_empty_horizon():
     instance = Instance.build(items=[(1, 1)], capacities=[], lambdas=[])
     for solve in (lambda: exact_opt(instance), lambda: exact_inverse(instance, Fraction(0))):
-        with pytest.raises(EmptyHorizon):
+        with pytest.raises(ValidationError, match=r"^horizon must contain at least one period \(index 0\)$") as err:
             solve()
+        assert err.value.index == 0
 
 
 def test_exact_opt_budget():
