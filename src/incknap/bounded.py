@@ -8,9 +8,11 @@ the exact inverse optimum while violating the floor by at most that factor.
 The forward solver scores every endpoint of the frontier of those answers
 on ints and keeps the most profitable, instead of sweeping floors.
 
-The inverse frontier builds no table for a candidate window whose family
-another window's table already holds, padded with zeros: its vectors recur
-there with the same weights, values and chains.
+The inverse frontier builds no table for a candidate window where no class
+fits more than 1/eps items within the largest capacity, if a window whose
+classes include its own gets a table: its vectors, all light counts, recur
+there padded with zeros, with the same weights, values and chains.  A
+window where a heavy count fits keeps its own table.
 
 Both public entries convert to integer units (``model.integer_units``) once
 and ``InverseFrontier`` takes no other scalar; the DP holds rounded profits
@@ -236,23 +238,25 @@ class InverseFrontier:
     rounded profit.  ``solution`` decodes entry i directly.
 
     Only windows that no other window absorbs get a DP table.  Window B
-    absorbs window A when B's classes strictly contain A's, or equal them
-    with B earlier in candidate order, and B's family members that count 0
-    on every class outside A, restricted to A's classes, are exactly A's
-    members.  Both families are cut at the largest capacity and share the
-    class prefix sums, so that sub-lattice of B is closed downwards, lifted
-    profits are equal on every cell, and zero coordinates keep the
-    (count-sum, counts) order; so each vector of A gets the same value,
-    predecessors and chain in B's table.  The relation is transitive and
-    has no cycles, so a window is absorbed by some window exactly when it is
-    absorbed by a window that gets a table; windows are decided with the
-    most classes first, then in candidate order, so every possible absorber
-    is decided before them.  A window none of whose classes fits more than
-    1/eps items within the largest capacity has, in its own family and in
-    B's, only light counts that fit, all members; so it is absorbed on its
-    classes alone, with no family built (light windows among them).
-    Containment alone is not enough otherwise: B's restriction may hold
-    extra vectors, which can raise A's values or move its ties.
+    absorbs window A when none of A's classes fits more than 1/eps items
+    within the largest capacity, and B's classes strictly contain A's, or
+    equal them with B earlier in candidate order.  A's family then holds
+    every light count that fits, all members, and so do B's members that
+    count 0 on every class outside A, restricted to A's classes.  Both
+    families are cut at the largest capacity and share the class prefix
+    sums, so that sub-lattice of B is closed downwards, lifted profits are
+    equal on every cell, and zero coordinates keep the (count-sum, counts)
+    order; so each vector of A gets the same value, predecessors and chain
+    in B's table.  The relation is transitive and has no cycles, so a
+    window is absorbed by some window exactly when it is absorbed by a
+    window that gets a table; windows are decided with the most classes
+    first, then in candidate order, so every possible absorber is decided
+    before them.  A window where some class fits more than 1/eps items
+    keeps its own table: B's restriction may hold extra vectors, which can
+    raise A's values or move its ties, and telling when it does not means
+    decoding both families, which costs more than the table it saves.
+    Each table's family is built as its window is decided, before the
+    first DP runs, so a family past its budget refuses before any DP.
 
     The merge keeps the all-windows tie rule (equal (weight, value) goes to
     the earliest window in candidate order, then the first vector in its
@@ -291,40 +295,21 @@ class InverseFrontier:
         intervals = candidate_intervals(classes, self.eps, Fraction(suffix[0], suffix[-1]))
         windows = [frozenset(interval.active) for interval in intervals]
         cut = max(instance.capacities)
-        boxed = [all(classes.size(l) <= q or classes.prefix[l][q + 1] > cut for l in w) for w in windows]
-        families: dict[int, Family] = {}
-
-        def family(index: int) -> Family:
-            if index not in families:
-                families[index] = enumerate_family(classes, intervals[index], self.eps, instance.capacities)
-            return families[index]
-
-        def members(index: int, inside: frozenset) -> set:
-            """Counts on ``inside`` of the members of a window's family that count 0 elsewhere."""
-            fam, active = family(index), intervals[index].active
-            kept = set()
-            for pos in fam.members:
-                counts = fam.counts(fam.cells[pos])
-                if all(c == 0 or l in inside for l, c in zip(active, counts)):
-                    kept.add(tuple(c for l, c in zip(active, counts) if l in inside))
-            return kept
-
+        families: dict[int, Family] = {}  # per window with a table, its family
         holds: dict[int, list[int]] = {}  # per window with a table: the windows its table holds
         for a in sorted(range(len(windows)), key=lambda i: (-len(windows[i]), i)):
             small = windows[a]
-            by = [b for b in holds if small < windows[b] or small == windows[b] and b < a]
-            if by and not boxed[a]:
-                own = members(a, small)
-                by = [b for b in by if members(b, small) == own]
+            by = []
+            if all(classes.size(l) <= q or classes.prefix[l][q + 1] > cut for l in small):
+                by = [b for b in holds if small < windows[b] or small == windows[b] and b < a]
             for b in by:
                 holds[b].append(a)
-            if by:
-                families.pop(a, None)
-            else:
+            if not by:
                 holds[a] = [a]
+                families[a] = enumerate_family(classes, intervals[a], self.eps, instance.capacities)
         tables: list[tuple[list[int], BoundedDPTable]] = []  # (windows the table holds, table)
         for index in sorted(holds):
-            table = dp_solve(classes, intervals[index], family(index), instance.capacities, suffix)
+            table = dp_solve(classes, intervals[index], families[index], instance.capacities, suffix)
             tables.append((sorted(holds[index]), table))
 
         def rank(entry) -> tuple:

@@ -440,30 +440,24 @@ def full_sweep_dp(classes: ProfitClasses, interval: ClassInterval, family, capac
     return raw, back
 
 
-def absorbers(intervals, families) -> list[list[int]]:
+def absorbers(intervals, classes: ProfitClasses, capacities) -> list[list[int]]:
     """Per candidate window, the windows whose DP table holds its family padded with zeros.
 
-    Window b absorbs window a when b's classes strictly contain a's, or equal
-    them with b earlier in candidate order, and b's member vectors
-    (``families[b]``, cut at the largest capacity) that count 0 on every
-    class outside a, restricted to a's classes, are exactly a's member
-    vectors.  Every window's family is decoded, light or heavy.
+    Window b absorbs window a when no class of a fits more than 1/eps of its
+    items within the largest capacity (it holds at most 1/eps items, or its
+    1/eps+1 lightest weigh more), and b's classes strictly contain a's, or
+    equal them with b earlier in candidate order.  A window where a heavy
+    count fits is absorbed by none.
     """
-    vectors = [
-        [dict(zip(interval.active, family.counts(family.cells[pos]))) for pos in family.members]
-        for interval, family in zip(intervals, families)
-    ]
+    q, cut = classes.eps.denominator, max(capacities)
+    boxed = [all(classes.size(l) <= q or classes.prefix[l][q + 1] > cut for l in w.active) for w in intervals]
     out = []
     for a, small in enumerate(intervals):
         inner = set(small.active)
-        own = {tuple(v[l] for l in small.active) for v in vectors[a]}
         out.append([])
         for b, big in enumerate(intervals):
             outer = set(big.active)
-            if not (inner < outer or inner == outer and b < a):
-                continue
-            restricted = {tuple(v[l] for l in small.active) for v in vectors[b] if all(v[l] == 0 for l in outer - inner)}
-            if restricted == own:
+            if boxed[a] and (inner < outer or inner == outer and b < a):
                 out[-1].append(b)
     return out
 

@@ -29,6 +29,7 @@ from helpers import (
     suffix_ratio,
     two_heavy_structures,
     uncut,
+    wide_instance,
     window_bracket,
 )
 from incknap import bounded, statespace
@@ -439,8 +440,9 @@ def test_dp_solve_matches_the_full_sweep_on_bench_families(monkeypatch):
     # every dp_solve call of the seed-1 general-uniform (general mode) and
     # bounded-heavy (bounded mode) pools gives the rows of the sweep over
     # every fitting cell in every period, entry for entry; bounded-heavy's
-    # 300 solves build 300 tables, every other window absorbed (heavy ones
-    # on their classes alone where no count past 1/eps fits)
+    # 300 solves build 301 tables: every window where no count past 1/eps
+    # fits is absorbed, and the one window where a heavy count fits, inside
+    # a wider window's table, keeps its own
     calls = []
 
     def checked(*args):
@@ -457,7 +459,7 @@ def test_dp_solve_matches_the_full_sweep_on_bench_families(monkeypatch):
     instances, eps = bench_pool(monkeypatch, "bounded-heavy")
     for instance in instances:
         solve_bounded(instance, accuracy_budget(eps, 5))
-    assert len(calls) == 200 + 300 and max(calls) > 1000
+    assert len(calls) == 200 + 301 and max(calls) > 1000
 
 
 def random_horizon_args(rng):
@@ -585,8 +587,8 @@ def test_pareto_scan_matches_the_all_entries_merge(monkeypatch):
     # scans, then the merge, give the entries, weights, thresholds and
     # solutions of merging every final-row entry of every table: random
     # instances, heavy windows that stay several tables (they overlap, or a
-    # window's members differ from a wider window's restricted ones; only heavy
-    # windows give a frontier more than one table), where equal (weight,
+    # heavy count fits in a window inside a wider one; only heavy windows
+    # give a frontier more than one table), where equal (weight,
     # value) entries of different tables tie, and the first seed-1 instances
     # of bounded-heavy and general-uniform at their frontiers' accuracies
     # (1/10, and 1/42 for general mode's clusters)
@@ -613,8 +615,7 @@ def test_pareto_scan_matches_the_all_entries_merge(monkeypatch):
         instance, _, _ = integer_units(preprocess(instance)[0])
         frontier, intervals, tables = recorded_frontier(monkeypatch, instance, eps)
         classes = frontier.classes
-        families = [enumerate_family(classes, w, eps, instance.capacities) for w in intervals]
-        absorbed_by = absorbers(intervals, families)
+        absorbed_by = absorbers(intervals, classes, instance.capacities)
         assert [index for index, _ in tables] == [index for index, by in enumerate(absorbed_by) if not by]
         want, ties = all_entries_merge(tables, intervals, absorbed_by, classes)
         assert [(w, v, table, pos) for w, v, table, pos in frontier._frontier] == want
@@ -764,11 +765,11 @@ def nested_heavy_shape(rng):
 
 
 def test_inverse_frontier_matches_all_windows_on_random_heavy_shapes(monkeypatch):
-    # many heavy windows are absorbed, and a heavy window whose classes
-    # another window's include, but whose fitting members differ from that
-    # window's restricted ones, keeps its table; answers equal the
-    # all-windows frontier's either way.  Where no heavy count fits, the
-    # members agree, so the nested shapes add windows that keep a table
+    # many heavy windows are absorbed (no count past 1/eps fits in them),
+    # and a window where a heavy count fits keeps its table, though another
+    # window's classes include its own; answers equal the all-windows
+    # frontier's either way.  The nested shapes' capacity steps often let a
+    # heavy count fit, so they add windows that keep a table
     built = []
     monkeypatch.setattr(bounded, "dp_solve", lambda *args: built.append(args[1]) or dp_solve(*args))
     rng = random.Random(1)
@@ -802,8 +803,9 @@ def nested_heavy_instance():
 
 
 def test_a_heavy_window_whose_family_is_smaller_keeps_its_table(monkeypatch):
-    # {0}'s family is a strict subset of {0, 2}'s members counting 0 on
-    # class 2, so containment alone does not absorb it: both get tables
+    # a heavy count fits in {0}, so it keeps its table inside {0, 2}: both
+    # get tables, and containment alone could not absorb it, as {0}'s family
+    # is a strict subset of {0, 2}'s members counting 0 on class 2
     instance, eps = nested_heavy_instance()
     instance, _, _ = integer_units(instance)
     built = []
@@ -833,8 +835,8 @@ def tie_instance():
         ([(2, 2), (1, 1), (2, 3)], 2),
         # {2} repeats later; the first of the two keeps rank 0
         ([(2, 2), (1, 1), (2, 2)], 2),
-        # the heavy {1} lies inside {0, 1}, which absorbs it; the winner's
-        # copy there must keep rank 0, although it counts 6 > 1/eps items
+        # the heavy {1} lies inside {0, 1}, but 6 > 1/eps of its items fit,
+        # so it keeps its own table, and the winner there must keep rank 0
         ([(1, 1), (2, 2), (0, 1)], 1),
     ],
 )
@@ -850,6 +852,27 @@ def test_inverse_frontier_tie_goes_to_first_holding_window(monkeypatch, spans, w
     assert frontier_answers(frontier, served(frontier)) == frontier_answers(reference, reference.served)
     tie = frontier.query(served(frontier)[frontier.weights.index(6)])
     assert {l for l in classes.indices for i in classes.members[l] if tie.solution.intro[i] is not None} == {winner}
+
+
+def test_a_refused_frontier_runs_no_dp(monkeypatch):
+    # every table's family is built before the first DP: the wider window,
+    # second in candidate order, is past the family budget, so it refuses
+    # before the narrower window, whose family fits the budget, fills a table
+    instance, eps = tie_instance()
+    instance, _, _ = integer_units(instance)
+    classes = build_classes(instance, eps)
+    windows = [make_interval(classes, 2, 2), make_interval(classes, 0, 1)]
+    assert not set(windows[0].active) & set(windows[1].active)
+    rows = instance.horizon + 1
+    narrow, wide = (len(enumerate_family(classes, w, eps, instance.capacities).cells) * rows for w in windows)
+    assert narrow < wide
+    monkeypatch.setattr(statespace, "FAMILY_BUDGET", narrow)
+    monkeypatch.setattr(bounded, "candidate_intervals", lambda classes, eps, rho: windows)
+    calls = []
+    monkeypatch.setattr(bounded, "dp_solve", lambda *args: calls.append(args[1]) or dp_solve(*args))
+    with pytest.raises(BudgetExceeded, match=f"family DP table of {wide} entries exceeds budget {narrow}"):
+        InverseFrontier(instance, eps)
+    assert calls == []
 
 
 def test_prefix_to_solution_unfolds_counts():
@@ -869,6 +892,14 @@ def test_solve_inverse_phi_zero():
     result = solve_inverse(pre, Fraction(0), EPS)
     assert result.weight == 0
     assert result.solution.intro == (None, None)
+
+
+def test_query_refuses_a_negative_requirement():
+    instance, _, _ = integer_units(preprocess(e1())[0])
+    frontier = InverseFrontier(instance, EPS)
+    assert frontier.query(Fraction(0)).weight == 0
+    with pytest.raises(ValueError, match="^profit requirement must be nonnegative$"):
+        frontier.query(Fraction(-1, 10**40))
 
 
 def test_solve_inverse_e1_super_optimal():
@@ -1183,23 +1214,37 @@ def test_best_decodes_only_the_entries_that_may_earn_the_most(monkeypatch):
     # stops once spread*r is below the most profit found; it decodes each
     # entry it reaches once and still returns the first entry of most true
     # profit, found here by decoding them all.  Heavy-profit instances (one
-    # class per profit at eps 1/10) and random ones
+    # class per profit at eps 1/10), random ones, and two shapes where one
+    # class holds several distinct profits, so rounding merges them: wide
+    # profits in [1, 1000] at n=24 and 28, and profits 100-102 (one class
+    # at 1/10) at n=44-64, where heavy counts fit
     rng = random.Random(61)
     decode = InverseFrontier.solution
     decoded = []
     monkeypatch.setattr(InverseFrontier, "solution", lambda self, i: decoded.append(i) or decode(self, i))
-    stopped = earlier = 0
+    cases = []
     for case in range(40):
         if case % 2:
-            instance, eps = random_instance(rng, n_max=9, t_max=4), rng.choice([EPS, Fraction(1, 6), Fraction(1, 10)])
+            cases.append((random_instance(rng, n_max=9, t_max=4), rng.choice([EPS, Fraction(1, 6), Fraction(1, 10)])))
         else:
             n, t = rng.randint(8, 32), rng.randint(1, 4)
             items = [(rng.choice((100, 110, 121)), rng.randint(1, 10)) for _ in range(n)]
             caps = list(itertools.accumulate(rng.randint(1, 10) for _ in range(t)))
             instance = Instance.build(items=items, capacities=caps, lambdas=[rng.randint(1, 5) for _ in range(t)])
-            eps = Fraction(1, 10)
+            cases.append((instance, Fraction(1, 10)))
+    cases += [(wide_instance(seed, n, 4), Fraction(1, 10)) for n in (24, 28) for seed in range(1, 5)]
+    for n in (44, 54, 64):
+        for seed in range(4):
+            rng = random.Random(100 * n + seed)
+            items = [(rng.choice((100, 101, 102)), rng.randint(1, 10)) for _ in range(n)]
+            caps = list(itertools.accumulate(rng.randint(1, 10) for _ in range(4)))
+            lambdas = [rng.randint(1, 5) for _ in range(4)]
+            cases.append((Instance.build(items=items, capacities=caps, lambdas=lambdas), Fraction(1, 10)))
+    stopped = earlier = merged = 0
+    for instance, eps in cases:
         scaled, _, _ = integer_units(preprocess(instance)[0])
         frontier = InverseFrontier(scaled, eps)
+        merged += any(len({scaled.items[i][0] for i in members}) > 1 for members in frontier.classes.members.values())
         spread = Fraction(*frontier.classes.spread)
         profits, rounds, bounds = [], [], []
         for i in range(len(frontier.weights)):
@@ -1219,7 +1264,7 @@ def test_best_decodes_only_the_entries_that_may_earn_the_most(monkeypatch):
         wide = next((j for j in range(last - 1, -1, -1) if (1 + eps) * rounds[j] <= max(profits[j + 1 :])), -1)
         assert wide <= stop
         earlier += wide < stop
-    assert stopped > 30 and earlier > 5
+    assert stopped > 30 and earlier > 5 and merged >= 20  # every case of the two merging shapes
 
 
 @pytest.mark.parametrize("shape, error", [("full then empty", ChainNotMonotone), ("full", InfeasibleSolution)])

@@ -169,6 +169,13 @@ def test_candidate_intervals_single_class():
     assert [(iv.lo, iv.hi) for iv in intervals] == [(0, 0)]
 
 
+def test_candidate_intervals_refuse_rho_below_1():
+    # rho is a ratio of suffix lambdas, first over last, never below 1
+    classes = build_classes(unit_items([1, 1]), Fraction(1, 5))
+    with pytest.raises(ValueError, match="^rho must be at least 1$"):
+        candidate_intervals(classes, Fraction(1, 5), Fraction(99, 100))
+
+
 def test_candidate_intervals_formula():
     # classes {0, 10}: with a window of 3 the top interval starts at 8
     instance = unit_items([1, 1], profits=[1, Fraction(6, 5) ** 10])

@@ -794,6 +794,23 @@ def test_unreadable_instance_exits_2(tmp_path, capsys, command, name):
     _assert_one_line_rejection(capsys, main([command, str(tmp_path / name)]))
 
 
+@pytest.mark.parametrize("counts", [["--n", "0", "--t", "2"], ["--n", "3", "--t", "0"]])
+def test_gen_refuses_a_zero_count_in_one_line(tmp_path, capsys, counts):
+    # the reader takes any int; generate_instance refuses n or T below 1,
+    # and gen exits 2 with its one line, writing nothing
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "1", *counts, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "cannot generate: n and t must be at least 1\n")
+    assert not out.exists()
+
+
+def test_generate_instance_refuses_an_unknown_profile():
+    # the reader refuses --profile wide first; a direct call is refused too
+    with pytest.raises(ValueError, match="^unknown profile 'wide'$"):
+        generate_instance(1, 3, 2, "wide")
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     out = str(tmp_path / "no-such-dir" / "out.json")
     _assert_one_line_rejection(capsys, main(["gen", "--seed", "1", "--n", "3", "--t", "2", "--out", out]))
