@@ -239,37 +239,43 @@ class InverseFrontier:
 
     Only windows that no other window absorbs get a DP table.  Window B
     absorbs window A when none of A's classes fits more than 1/eps items
-    within the largest capacity, and B's classes strictly contain A's, or
-    equal them with B earlier in candidate order.  A's family then holds
-    every light count that fits, all members, and so do B's members that
-    count 0 on every class outside A, restricted to A's classes.  Both
-    families are cut at the largest capacity and share the class prefix
-    sums, so that sub-lattice of B is closed downwards, lifted profits are
-    equal on every cell, and zero coordinates keep the (count-sum, counts)
-    order; so each vector of A gets the same value, predecessors and chain
-    in B's table.  The relation is transitive and has no cycles, so a
-    window is absorbed by some window exactly when it is absorbed by a
-    window that gets a table; windows are decided with the most classes
-    first, then in candidate order, so every possible absorber is decided
-    before them.  A window where some class fits more than 1/eps items
-    keeps its own table: B's restriction may hold extra vectors, which can
-    raise A's values or move its ties, and telling when it does not means
-    decoding both families, which costs more than the table it saves.
-    Each table's family is built as its window is decided, before the
-    first DP runs, so a family past its budget refuses before any DP.
+    within the largest capacity (A is boxed), and B's classes strictly
+    contain A's, or equal them with B earlier in candidate order.  A's
+    family then holds every light count that fits, all members, and so do
+    B's members that count 0 on every class outside A, restricted to A's
+    classes.  Both families are cut at the largest capacity and share the
+    class prefix sums, so that sub-lattice of B is closed downwards, lifted
+    profits are equal on every cell, and zero coordinates keep the
+    (count-sum, counts) order; so each vector of A gets the same value,
+    predecessors and chain in B's table.  The relation is transitive and
+    has no cycles, so a window is absorbed by some window exactly when it
+    is absorbed by a window that gets a table; windows are decided with the
+    most classes first, then in candidate order, so every possible absorber
+    is decided before them.  A window where some class fits more than 1/eps
+    items keeps its own table: B's restriction may hold extra vectors,
+    which can raise A's values or move its ties, and telling when it does
+    not means decoding both families, which costs more than the table it
+    saves.  Each table's family is built as its window is decided, before
+    the first DP runs, so a family past its budget refuses before any DP.
 
-    The merge keeps the all-windows tie rule (equal (weight, value) goes to
-    the earliest window in candidate order, then the first vector in its
-    family order) by ranking each entry by the first window including its
-    nonzero classes among its table's own window and the windows that table
-    absorbs; that window's own table would hold the vector at that value
-    with that chain, so each rank here is the rank of an entry of the
-    all-windows merge.  Each window of that merge gets a table or is
-    absorbed by one, so each of its entries has a copy here ranked no later
-    than it; and vectors of one rank all lie in that window's family, where
-    (count-sum, counts over all classes) is their family order.  So the
-    least-ranked built entry is the entry the all-windows merge picks, or a
-    copy of it.
+    The merge keeps the all-windows tie rule: equal (weight, value) goes to
+    the earliest window in candidate order whose family holds the vector,
+    then the first vector in that family's order, (count-sum, counts over
+    all classes).  A vector with every count at most 1/eps that fits is a
+    member of the family of every window that includes its nonzero
+    classes, so it ranks by the first of those in candidate order.  Any other vector ranks by
+    its own table's window: a window that a table absorbs fits no count
+    past 1/eps, so the table holds it for no other window.  Each window of
+    the all-windows merge gets a table or is absorbed by one, so each of
+    its entries has a copy here of the same rank.  Copies of one light
+    vector in two tables tie on rank, and the first table in candidate
+    order gives it; both decode the same solution, because a chain never
+    leaves the lattice below its last vector, the lattice of that vector's
+    own classes at light counts, which both families hold with the same
+    values and order.  So the least-ranked built entry is the entry the
+    all-windows merge picks, or a copy of it.  A table's zero cell never
+    enters the merge: weights and values are positive, so the empty entry
+    is alone at weight 0 and never ranked.
 
     Each table first gives only its own Pareto entries: its live final-row
     positions sorted by weight (and by value, descending, within a weight),
@@ -295,46 +301,39 @@ class InverseFrontier:
         intervals = candidate_intervals(classes, self.eps, Fraction(suffix[0], suffix[-1]))
         windows = [frozenset(interval.active) for interval in intervals]
         cut = max(instance.capacities)
+        boxed = {l for l in indices if classes.size(l) <= q or classes.prefix[l][q + 1] > cut}
         families: dict[int, Family] = {}  # per window with a table, its family
-        holds: dict[int, list[int]] = {}  # per window with a table: the windows its table holds
         for a in sorted(range(len(windows)), key=lambda i: (-len(windows[i]), i)):
             small = windows[a]
-            by = []
-            if all(classes.size(l) <= q or classes.prefix[l][q + 1] > cut for l in small):
-                by = [b for b in holds if small < windows[b] or small == windows[b] and b < a]
-            for b in by:
-                holds[b].append(a)
-            if not by:
-                holds[a] = [a]
+            if not (small <= boxed and any(small < windows[b] or small == windows[b] and b < a for b in families)):
                 families[a] = enumerate_family(classes, intervals[a], self.eps, instance.capacities)
-        tables: list[tuple[list[int], BoundedDPTable]] = []  # (windows the table holds, table)
-        for index in sorted(holds):
-            table = dp_solve(classes, intervals[index], families[index], instance.capacities, suffix)
-            tables.append((sorted(holds[index]), table))
+        tables = [
+            (index, dp_solve(classes, intervals[index], families[index], instance.capacities, suffix))
+            for index in sorted(families)
+        ]
 
         def rank(entry) -> tuple:
-            _, _, held, table, pos = entry
-            if table is None:
-                return (-1,)
+            _, _, index, table, pos = entry
             counts = dict(zip(table.interval.active, table.family.counts(table.family.cells[pos])))
-            used = {l for l, c in counts.items() if c}
-            index = next(i for i in held if used <= windows[i])
+            if all(c <= q for c in counts.values()):
+                used = {l for l, c in counts.items() if c}
+                index = next(i for i, window in enumerate(windows) if used <= window)
             return (index, sum(counts.values()), tuple(counts.get(l, 0) for l in indices))
 
         # every table's values share one value_den, so the merge compares plain ints
         value_den = next((table.family.value_den for _, table in tables), 1)
-        entries: list[tuple] = [(0, 0, None, None, None)]  # (weight, value, held windows, table, position)
-        for held, table in tables:
+        entries: list[tuple] = [(0, 0, None, None, None)]  # (weight, value, window, table, position)
+        for index, table in tables:
             row, weights = table.values, table.family.weights
             # by weight, then value descending, then position: both sorts are stable
             live = sorted((pos for pos, v in enumerate(row) if v is not None), key=row.__getitem__, reverse=True)
             live.sort(key=weights.__getitem__)
-            most = at = -1  # the table's best value so far, and the weight that holds it
+            most, at = 0, -1  # the table's best value so far, and its weight: the zero cell never enters
             for pos in live:
                 v = row[pos]
                 if v > most or v == most and weights[pos] == at:
                     most, at = v, weights[pos]
-                    entries.append((at, v, held, table, pos))
+                    entries.append((at, v, index, table, pos))
         entries.sort(key=lambda e: (e[0], -e[1]))
         frontier = []
         best = -1

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .model import BudgetExceeded, Instance
 
@@ -106,13 +107,11 @@ def build_classes(instance: Instance, eps: Fraction) -> ProfitClasses:
 
     ordered: dict[int, tuple[int, ...]] = {}
     prefix: dict[int, tuple[Fraction, ...]] = {}
+    weight = [w for _, w in instance.items].__getitem__
     for level, ids in members.items():
-        ids.sort(key=lambda i: (instance.items[i][1], i))
-        sums = [0]
-        for i in ids:
-            sums.append(sums[-1] + instance.items[i][1])
+        ids.sort(key=weight)  # stable: ids ascend, so equal weights keep index order
         ordered[level] = tuple(ids)
-        prefix[level] = tuple(sums)
+        prefix[level] = (0, *accumulate(map(weight, ids)))
     return ProfitClasses(eps=eps, scale=scale, members=ordered, prefix=prefix, spread=(a * high, b * low))
 
 

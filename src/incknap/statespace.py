@@ -92,26 +92,6 @@ def _power_range(lo: tuple[int, int], hi: tuple[int, int]) -> range:
     return range(-_floor_log2(lo[1], lo[0]), _floor_log2(*hi) + 1)
 
 
-def _heavy_choices(classes: ProfitClasses, level: int, threshold: int, num: int, den: int, cap: int) -> dict[int, int]:
-    """Truncated counts up-rounding can give a heavy class, each with its least mu, if at most cap.
-
-    With mu_k = ceil(weight of items 1/eps+1..k / base), at least 1 since
-    weights are positive, the estimate mu * base lands on the largest k with
-    mu_k <= mu, so the counts reached are the last k of each distinct mu_k,
-    and mu_k is the least multiplier reaching it.  Truncation is monotone,
-    so the first mu seen for a truncated count is its least.  Empty when
-    the class holds at most 1/eps items.  The base is num/den, and the
-    ceilings are negated floors over it, on ints for int weights.
-    """
-    prefix = classes.prefix[level][threshold:]
-    reached = {-((prefix[0] - w) * den // num): k for k, w in enumerate(prefix[1:], start=threshold + 1)}
-    choices: dict[int, int] = {}
-    for mu, k in reached.items():
-        if mu <= cap:
-            choices.setdefault(_truncated(k, threshold), mu)
-    return choices
-
-
 def heavy_configurations(
     classes: ProfitClasses, interval: ClassInterval, eps: Fraction
 ) -> Iterator[list[dict[int, int]]]:
@@ -126,6 +106,15 @@ def heavy_configurations(
     none.  The bases come from bit lengths of ints.  A
     base that offers nothing, or repeats the previous base's tables, is
     skipped; nothing is yielded when no class is heavy.
+
+    Reachable counts.  With mu_k = ceil(weight of items 1/eps+1..k / base),
+    at least 1 since weights are positive, the estimate mu * base lands on
+    the largest k with mu_k <= mu, so the counts reached are the last k of
+    each distinct mu_k, and mu_k is the least multiplier reaching it.
+    Truncation is monotone, so the first mu seen for a truncated count is
+    its least.  Each heavy class's excesses past its 1/eps lightest items,
+    and the truncated counts, are listed once per window; at base num/den
+    the ceilings are negated floors, on ints for int weights.
 
     Membership.  The counting argument reaches a tuple, one offered count
     or None (light) per class with at least one count, when at one base the
@@ -153,10 +142,21 @@ def heavy_configurations(
     n = sum(map(classes.size, interval.active))
     (a, b), (c, d) = ((w.numerator, w.denominator) for w in (lightest, heaviest))
     scale = eps.denominator * interval.length
+    # per class, (excess past the 1/eps lightest, truncated count) for each count past 1/eps
+    excesses = [
+        [(w - p[threshold], _truncated(k, threshold)) for k, w in enumerate(p[threshold + 1 :], start=threshold + 1)]
+        for p in prefixes
+    ]
     last = None  # the previous base's tables
     for k in _power_range((eps.numerator * a, scale * b), (2 * eps.numerator * n * c, scale * d)):
         num, den = 1 << max(k, 0), 1 << max(-k, 0)  # base 2**k
-        options = [_heavy_choices(classes, l, threshold, num, den, cap) for l in interval.active]
+        options = []
+        for pairs in excesses:
+            choices: dict[int, int] = {}
+            for mu, count in {-(-e * den // num): count for e, count in pairs}.items():
+                if mu <= cap:
+                    choices.setdefault(count, mu)
+            options.append(choices)
         if any(options) and options != last:
             last = options
             yield options

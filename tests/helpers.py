@@ -29,6 +29,7 @@ from incknap.general import ClusterDPTable, ClusterPlan, ProfitGrid, SingleClust
 from incknap.model import BudgetExceeded, Instance, Solution, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET
 from incknap.statespace import Family, enumerate_family
+from reference import exact_opt_by_weights
 
 
 def _dominates(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
@@ -125,6 +126,24 @@ def wide_instance(seed: int, n: int, horizon: int) -> Instance:
     caps = list(itertools.accumulate(rng.randint(1, 10) for _ in range(horizon)))
     lambdas = [rng.randint(1, 5) for _ in range(horizon)]
     return Instance.build(items=list(zip(profits, weights)), capacities=caps, lambdas=lambdas)
+
+
+# Most per-period weight states an instance of ``wide_sweep`` may need: 10
+# of its 30 instances fit, each DP in 0.1 s or less on a 2-core box
+WIDE_SWEEP_STATES = 2**12
+
+
+def wide_sweep():
+    """(instance, optimum) of ``wide_instance`` at n = 24, 28 and 32, seeds
+    0-9, T = 4, for each instance whose per-period weight states fit
+    ``WIDE_SWEEP_STATES``; the optimum is ``reference.exact_opt_by_weights``'s."""
+    for n, seed in itertools.product((24, 28, 32), range(10)):
+        instance = wide_instance(seed, n, 4)
+        try:
+            opt = exact_opt_by_weights(instance, WIDE_SWEEP_STATES)
+        except BudgetExceeded:
+            continue
+        yield instance, opt
 
 
 def class_structure(*weight_lists, eps=Fraction(1, 5)):

@@ -9,7 +9,7 @@ window's explicit weight bracket, the
 up-rounding and truncation maps whose image the pruned family must cover,
 the unpruned restricted DP the family DP must not beat, the contribution
 form of the objective, exact optima over per-profit count vectors and over
-per-period weights, the
+per-period weights, the exact inverse over per-period weights, the
 runs of surviving bands that form the clusters and the deletion of
 dropped-band periods behind the derandomized offset,
 the class knapsack rows as each cluster DP table once built them for
@@ -23,6 +23,7 @@ table.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -284,12 +285,13 @@ def exact_opt_by_profits(instance: Instance) -> Fraction:
     return max(v for v in value.values() if v is not None)
 
 
-# Most per-period weight states ``exact_opt_by_weights`` may hold at once.
+# Most per-period weight states ``weight_states`` may hold at once.
 WEIGHT_STATES = 2**15
 
 
-def exact_opt_by_weights(instance: Instance, budget: int = WEIGHT_STATES) -> Fraction:
-    """Optimum objective by Bellman's 0/1 knapsack DP over per-period weights.
+@functools.lru_cache(maxsize=1)
+def weight_states(instance: Instance, budget: int = WEIGHT_STATES) -> tuple[dict, int, int]:
+    """Bellman's 0/1 knapsack DP over per-period weights: ({state: most value}, value_unit, weight_unit).
 
     A state is (w_1, ..., w_T), the packed weight of each period, with w_t
     at most W_t and nondecreasing in t.  Items are taken one at a time: an
@@ -298,10 +300,12 @@ def exact_opt_by_weights(instance: Instance, budget: int = WEIGHT_STATES) -> Fra
     keeps the most value reaching it.  The state count depends on the
     capacities and not on the profits, so this DP reaches instances whose
     distinct profits are too many for a count-vector DP.  It runs on ints
-    alone, in ``model.integer_units``, and raises BudgetExceeded once the
-    states pass ``budget``.
+    alone, in ``model.integer_units``, whose units it returns, and raises
+    BudgetExceeded once the states pass ``budget``.  The last instance's
+    states are kept, so a sweep of requirements over one instance runs the
+    DP once.
     """
-    scaled, value_unit, _ = integer_units(instance)
+    scaled, value_unit, weight_unit = integer_units(instance)
     caps, horizon = scaled.capacities, scaled.horizon
     rates = list(itertools.accumulate(reversed(scaled.lambdas)))[::-1]
     states = {(0,) * horizon: 0}
@@ -321,7 +325,26 @@ def exact_opt_by_weights(instance: Instance, budget: int = WEIGHT_STATES) -> Fra
         if len(grown) > budget:
             raise BudgetExceeded(len(grown), budget, "{} weight states")
         states = grown
+    return states, value_unit, weight_unit
+
+
+def exact_opt_by_weights(instance: Instance, budget: int = WEIGHT_STATES) -> Fraction:
+    """Optimum objective: the most value of any state of ``weight_states``."""
+    states, value_unit, _ = weight_states(instance, budget)
     return Fraction(max(states.values()), value_unit)
+
+
+def exact_inverse_by_weights(instance: Instance, phi: Fraction, budget: int = WEIGHT_STATES) -> Optional[Fraction]:
+    """Minimum total weight achieving objective >= phi, or None if impossible.
+
+    A state's last weight w_T is the total weight its solutions introduce,
+    and a state meets phi when its most value does, so the answer is the
+    least w_T among the states of ``weight_states`` whose value meets phi.
+    """
+    states, value_unit, weight_unit = weight_states(instance, budget)
+    need = Fraction(phi) * value_unit
+    meets = [state[-1] for state, value in states.items() if value >= need]
+    return Fraction(min(meets), weight_unit) if meets else None
 
 
 def objective_by_contributions(instance: Instance, solution: Solution) -> Fraction:
@@ -568,11 +591,13 @@ def all_entries_merge(tables, intervals, absorbed_by, classes: ProfitClasses) ->
     window, table, position) tuple beside the empty one, and all of them are
     sorted on (weight, -value); each run of equal (weight, value) whose value
     beats every lighter one gives its entry of least rank, as (weight, value,
-    table, position).  An entry ranks by the first window including its
-    nonzero classes: among every window when each count is at most 1/eps,
+    table, position).  An entry ranks by the first window, in candidate
+    order, including its nonzero classes: among every window when each
+    count is at most 1/eps, as every such window's family holds the vector;
     and otherwise among its table's window and the windows that window
-    absorbs.  ``ties`` counts the runs of more than one entry that the rank
-    decided.
+    absorbs, where it is the table's own window, as an absorbed window fits
+    no count past 1/eps.  ``ties`` counts the runs of more than one entry
+    that the rank decided.
     """
     q = classes.eps.denominator
     windows = [frozenset(interval.active) for interval in intervals]

@@ -9,9 +9,11 @@ import pytest
 
 import helpers
 from helpers import (
+    WIDE_SWEEP_STATES,
     AllWindowsFrontier,
     PairScanDP,
     cell_chain,
+    class_structure,
     dp_value,
     e1,
     family_of,
@@ -30,6 +32,7 @@ from helpers import (
     two_heavy_structures,
     uncut,
     wide_instance,
+    wide_sweep,
     window_bracket,
 )
 from incknap import bounded, statespace
@@ -63,6 +66,7 @@ from reference import (
     absorbers,
     all_entries_merge,
     base_tables,
+    exact_inverse_by_weights,
     exact_opt_by_profits,
     exact_restricted_dp,
     full_sweep_dp,
@@ -405,18 +409,29 @@ def spec_family(classes, interval, eps, capacities):
 
 def test_heavy_configurations_read_the_spec_bracket_off_the_classes(monkeypatch):
     # heavy_configurations reads the window's lightest item, heaviest item
-    # and item count off the class prefix sums; its bases and tables equal
-    # the spec's (reference.base_tables) on the bracket of the window's
-    # items one by one (helpers.window_bracket), and so do its families cut
-    # at the whole lattice: on random classes of int and Fraction weights,
-    # the two-heavy and sparse-heavy windows, and every window of the seed-1
-    # bounded-heavy pool (whose families the test above compares)
+    # and item count off the class prefix sums, and lists each heavy class's
+    # excesses and truncated counts once per window; its bases and tables
+    # equal the spec's (reference.base_tables), base by base, on the bracket
+    # of the window's items one by one (helpers.window_bracket): on random
+    # classes of int and Fraction weights, the two-heavy and sparse-heavy
+    # windows, random windows of 1-3 heavy classes beside 1-2 light ones at
+    # eps 1/5 and 1/10, and every window of the seed-1 bounded-heavy pool
+    # (whose families the test above compares); on the first two, so do its
+    # families cut at the whole lattice
     rng = random.Random(44)
     windows = [*two_heavy_structures(), *sparse_heavy_structures()]
     for den in [1] * 40 + [2, 3, 7] * 20:
         eps = Fraction(1, rng.choice((5, 6, 8)))
         _, classes, interval = random_class_structure(rng, eps, max_classes=3, max_items=int(1 / eps) + 8, den=den)
         windows.append((classes, interval, eps))
+    mixed = []
+    for eps, den, heavy in itertools.product((Fraction(1, 5), Fraction(1, 10)), (1, 3), (1, 2, 3)):
+        for _ in range(4):
+            q = eps.denominator
+            sizes = [rng.randint(q + 1, q + 8) for _ in range(heavy)] + [rng.randint(1, q) for _ in range(rng.randint(1, 2))]
+            rng.shuffle(sizes)
+            weights = ([Fraction(rng.randint(1, 10 * den), den) for _ in range(k)] for k in sizes)
+            mixed.append(class_structure(*weights, eps=eps)[1:] + (eps,))
     pool = []
     instances, _ = bench_pool(monkeypatch, "bounded-heavy")
     for instance in instances:
@@ -425,15 +440,16 @@ def test_heavy_configurations_read_the_spec_bracket_off_the_classes(monkeypatch)
         for interval in candidate_intervals(classes, Fraction(1, 10), suffix_ratio(instance)):
             pool.append((classes, interval, Fraction(1, 10)))
     heavy = Counter()
-    for name, cases in (("windows", windows), ("pool", pool)):
+    for name, cases in (("windows", windows), ("mixed", mixed), ("pool", pool)):
         for args in cases:
             tables = list(heavy_configurations(*args))
             assert tables == base_tables(*args, *window_bracket(*args[:2]))
             heavy[name] += bool(tables)
+            heavy["three"] += any(sum(map(bool, options)) == 3 for options in tables)
     for args in windows:
         whole = uncut(*args[:2])
         assert enumerate_family(*args, whole) == spec_family(*args, whole)
-    assert heavy["windows"] >= 80 and heavy["pool"] == 703
+    assert heavy["windows"] >= 80 and heavy["mixed"] == 48 and heavy["pool"] == 703 and heavy["three"] >= 4
 
 
 def test_dp_solve_matches_the_full_sweep_on_bench_families(monkeypatch):
@@ -589,7 +605,9 @@ def test_pareto_scan_matches_the_all_entries_merge(monkeypatch):
     # instances, heavy windows that stay several tables (they overlap, or a
     # heavy count fits in a window inside a wider one; only heavy windows
     # give a frontier more than one table), where equal (weight,
-    # value) entries of different tables tie, and the first seed-1 instances
+    # value) entries of different tables tie and rank by the first window
+    # including their classes when every count is light, else by their own
+    # table's window, and the first seed-1 instances
     # of bounded-heavy and general-uniform at their frontiers' accuracies
     # (1/10, and 1/42 for general mode's clusters)
     rng = random.Random(62)
@@ -1125,6 +1143,28 @@ def test_inverse_frontier_is_sharp_where_heavy_classes_are_pruned():
                 assert answer.true_profit >= (1 - 3 * eps) * phi
                 assert check_feasible(instance, answer.solution) is None
     assert heavy >= 6  # the pruning engages on at least half of the 12 instances
+
+
+def test_inverse_frontier_is_sharp_on_wide_profits_against_the_weight_dp():
+    # profits in [1, 1000] at n = 24 to 32, T = 4 (helpers.wide_sweep): at
+    # 1/10 a class holds several distinct profits, so rounding merges them;
+    # against the exact inverse optimum over per-period weights at phi =
+    # k/20 of the optimum, every answer weighs no more and earns at least
+    # (1-3*eps)*phi
+    eps = Fraction(1, 10)
+    checked = merged = 0
+    for instance, opt in wide_sweep():
+        frontier = InverseFrontier(instance, eps)
+        profits = [{instance.items[i][0] for i in members} for members in frontier.classes.members.values()]
+        merged += any(len(distinct) >= 2 for distinct in profits)
+        for k in range(1, 21):
+            phi = opt * Fraction(k, 20)
+            answer = frontier.query(phi)
+            assert answer.weight <= exact_inverse_by_weights(instance, phi, WIDE_SWEEP_STATES)
+            assert answer.true_profit >= (1 - 3 * eps) * phi
+            assert check_feasible(instance, answer.solution) is None
+        checked += 1
+    assert checked >= 8 and merged >= 1
 
 
 def test_solve_bounded_tolerates_zero_middle_lambda():

@@ -18,7 +18,7 @@ from helpers import (
     cluster_value,
     e1,
     random_instance,
-    wide_instance,
+    wide_sweep,
 )
 from incknap import general, statespace
 from incknap.bounded import InverseFrontier, accuracy_budget, solve_bounded
@@ -42,7 +42,6 @@ from reference import (
     audit_uncrossing,
     band_runs,
     drop_bad_periods,
-    exact_opt_by_weights,
     star_graph_edges,
     table_class_rows,
 )
@@ -804,26 +803,17 @@ def test_both_modes_meet_their_bound_against_the_oracle_where_rounding_engages()
     assert short["general"] >= 18 and short["bounded"] >= 18
 
 
-# Most weight states an instance of the wide sweep below may need: 10 of
-# its 30 instances fit, each DP in 0.1 s or less on a 2-core box, and the
-# solves take most of the sweep's time (5-8 s)
-SWEEP_STATES = 2**12
-
-
 def test_both_modes_meet_their_bound_on_wide_profits_against_the_weight_dp():
     # profits in [1, 1000] at n = 24 to 32, T = 4: at bounded mode's
     # accuracy for eps 1/2 (1/10) the classes are fewer than the distinct
-    # profits, so rounding engages, and the optimum comes from the DP over per-period weights on the instances
-    # whose states fit SWEEP_STATES; each answer is held to (1-eps)*OPT and
-    # never above it, in bounded mode and in general mode wherever it answers
+    # profits, so rounding engages, and the optimum comes from the DP over
+    # per-period weights on the instances of helpers.wide_sweep; each answer
+    # is held to (1-eps)*OPT and never above it, in bounded mode and in
+    # general mode wherever it answers; the solves take most of the time
+    # (5-8 s on a 2-core box)
     eps = Fraction(1, 2)
     ratios = {"bounded": [], "general": []}
-    for n, seed in itertools.product((24, 28, 32), range(10)):
-        instance = wide_instance(seed, n, 4)
-        try:
-            opt = exact_opt_by_weights(instance, SWEEP_STATES)
-        except BudgetExceeded:
-            continue
+    for instance, opt in wide_sweep():
         scaled = integer_units(instance)[0]
         assert len(build_classes(scaled, accuracy_budget(eps, 5)).indices) < len({p for p, _ in scaled.items})
         answers = {"bounded": objective(instance, solve_bounded(instance, accuracy_budget(eps, 5)))}

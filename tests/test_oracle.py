@@ -12,7 +12,7 @@ from incknap.classes import build_classes, make_interval
 from incknap.model import BudgetExceeded, Instance, Solution, ValidationError, check_feasible, integer_units, objective
 from incknap.oracle import DEFAULT_BUDGET, exact_inverse, exact_opt
 from incknap.cli import generate_instance
-from reference import exact_opt_by_profits, exact_opt_by_weights, exact_restricted_dp
+from reference import exact_inverse_by_weights, exact_opt_by_profits, exact_opt_by_weights, exact_restricted_dp
 
 
 def test_exact_opt_e1():
@@ -289,6 +289,22 @@ def test_exact_opt_by_weights_matches_the_oracle():
         profile = ("uniform", "subset-sum", "wide")[k % 3]
         instance = wide_instance(seed, n, horizon) if profile == "wide" else generate_instance(seed, n, horizon, profile)
         assert exact_opt_by_weights(instance) == exact_opt(instance)[0]
+
+
+def test_exact_inverse_by_weights_matches_the_oracle():
+    # uniform, subset-sum and wide profits at n <= 20, T <= 4, requirements
+    # 0, k/5 of the optimum and just past it: the least last-period weight
+    # over per-period weight states is the count-vector oracle's minimum
+    # weight, and both find no answer past the optimum
+    rng = random.Random(48)
+    for k in range(30):
+        n, horizon, seed = rng.randint(1, 20), rng.randint(1, 4), rng.randrange(1000)
+        profile = ("uniform", "subset-sum", "wide")[k % 3]
+        instance = wide_instance(seed, n, horizon) if profile == "wide" else generate_instance(seed, n, horizon, profile)
+        opt = exact_opt_by_weights(instance)
+        for phi in (0, *(opt * Fraction(j, 5) for j in range(1, 6)), opt + Fraction(1, 7)):
+            exact = exact_inverse(instance, phi)
+            assert exact_inverse_by_weights(instance, phi) == (None if exact is None else exact[0])
 
 
 def test_exact_opt_by_weights_refuses_past_its_budget():
